@@ -3,8 +3,8 @@ package repro_test
 // Exploration-throughput benchmarks for the incremental execution
 // engine, the incremental monitor redesign and sleep-set partial-order
 // reduction: a depth-7, 3-process linearizability exploration through
-// the public slx API — on the default path (incremental sessions +
-// incremental monitors), on the retired from-root replay engine
+// the public slx API — on the default path (snapshot sessions +
+// incremental monitors), on the session's from-root strategy
 // (slx.WithReplayExecution), on the legacy batch property path
 // (slx.WithBatchExplore), and with POR/cache/workers. Each acceptance
 // bar is asserted by a deterministic test, so regressions fail the
@@ -202,8 +202,8 @@ func TestExplorePORPrefixReduction(t *testing.T) {
 // continuation engine restores control state by struct copy, so the
 // bound is exact). On the depth-7, 3-process linearizability
 // exploration: zero re-simulation steps, exactly one fresh simulator
-// step per non-root prefix, and the from-root replay engine re-measured
-// on the identical tree must still dominate by ≥2×. All counters are
+// step per non-root prefix, and the from-root strategy re-measured on
+// the identical tree must still dominate by ≥2×. All counters are
 // deterministic at one worker, so this gates in CI without wall-clock
 // noise.
 func TestExploreContinuationSteps(t *testing.T) {
@@ -294,8 +294,8 @@ func BenchmarkExploreLinearizabilityMonitor(b *testing.B) {
 	benchExploreLinearizability(b, linExploreChecker())
 }
 
-// BenchmarkExploreLinearizabilityReplay measures the retired from-root
-// replay engine (the pre-session baseline) for comparison.
+// BenchmarkExploreLinearizabilityReplay measures the session's
+// from-root strategy over the blocking Apply for comparison.
 func BenchmarkExploreLinearizabilityReplay(b *testing.B) {
 	benchExploreLinearizability(b, linExploreChecker(slx.WithReplayExecution()))
 }

@@ -2,14 +2,13 @@ package repro_test
 
 // Sampling-throughput benchmarks for the probabilistic mass-exploration
 // engine (slx.WithSample): PCT schedules over the depth-10, 3-process
-// linearizability workload, on the default session-reuse engine and on
-// the from-root replay fallback (slx.WithReplayExecution). The
-// acceptance bar — session reuse measurably cheaper than from-root
-// replay — is gated by TestSampleSessionReuseCheaper on deterministic
-// allocation counts (the two engines grant identical simulator steps by
-// construction: restoring the root mark re-grants zero rebuild steps,
-// which the test also pins), so regressions fail the benchmark smoke
-// run. Committed figures live in BENCH_explore.json's "sample" and
+// linearizability workload, on the session's default snapshot strategy
+// and on its from-root strategy (slx.WithReplayExecution). The
+// acceptance bar — snapshot restores measurably cheaper than from-root
+// rebuilds — is gated by TestSampleSessionReuseCheaper on deterministic
+// allocation counts (the two strategies grant identical simulator steps
+// by construction: restoring the root mark re-executes nothing, which
+// the test also pins), so regressions fail the benchmark smoke run. Committed figures live in BENCH_explore.json's "sample" and
 // "sample_replay" sections.
 
 import (
@@ -36,10 +35,11 @@ func sampleChecker(extra ...slx.Option) *slx.Checker {
 }
 
 // TestSampleSessionReuseCheaper is the acceptance gate of the sampling
-// engines: per sampled schedule, the session-reuse engine must allocate
-// at most 0.8x what the from-root replay fallback allocates (measured
-// 0.73x: the monitor and property work is shared, the saving is the
-// per-schedule runtime/object/environment construction replay repeats),
+// strategies: per sampled schedule, the snapshot strategy must allocate
+// at most 0.8x what the from-root strategy allocates (measured 0.16x:
+// the monitor and property work is shared, the saving is the
+// per-schedule runtime/object/environment construction and the
+// goroutine handoffs a from-root rebuild repeats),
 // while granting exactly the same simulator steps — the engines consult
 // the strategy identically, and session reset is a root-mark restore
 // that rebuilds zero steps, which the test pins via Resims == 0.
@@ -89,8 +89,8 @@ func BenchmarkSampleThroughput(b *testing.B) {
 	benchSampleThroughput(b, sampleChecker())
 }
 
-// BenchmarkSampleThroughputReplay measures the from-root replay
-// fallback (the engine used for objects without the snapshot hook).
+// BenchmarkSampleThroughputReplay measures the session's from-root
+// strategy (the one used for objects without the snapshot hook).
 func BenchmarkSampleThroughputReplay(b *testing.B) {
 	benchSampleThroughput(b, sampleChecker(slx.WithReplayExecution()))
 }

@@ -40,7 +40,7 @@ func cmdSubmit(args []string) error {
 	cache := fs.Bool("cache", false, "state-fingerprint cache")
 	sharedCache := fs.Bool("shared-cache", false, "share the daemon's visited tier for this target (needs -cache)")
 	workers := fs.Int("workers", 0, "engine workers (extra lanes are offered to the daemon's pool)")
-	replay := fs.Bool("replay", false, "force from-root replay execution")
+	replay := fs.Bool("replay", false, "force from-root execution")
 	timeout := fs.Duration("timeout", 0, "per-job wall-clock budget")
 	sampleMode := fs.Bool("sample", false, "probabilistic sampling instead of exhaustive enumeration")
 	schedules := fs.Int("schedules", 0, "sampled schedules (with -sample)")

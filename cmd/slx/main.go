@@ -277,7 +277,7 @@ func cmdExplore(args []string) error {
 	por := fs.Bool("por", false, "sleep-set partial-order reduction (prune interleavings that only commute independent steps)")
 	cache := fs.Bool("cache", false, "state-fingerprint cache (prune subtrees rooted at already-explored states)")
 	workers := fs.Int("workers", 1, "explore with n work-stealing workers")
-	replay := fs.Bool("replay", false, "force from-root replay execution (disable incremental sessions)")
+	replay := fs.Bool("replay", false, "force from-root execution (sessions rebuild over the blocking Apply instead of restoring snapshots)")
 	timeout := fs.Duration("timeout", 0, "wall-clock budget; an expired exploration reports partial statistics and exits 124")
 	sampleMode := fs.Bool("sample", false, "probabilistic sampling instead of exhaustive enumeration")
 	schedules := fs.Int("schedules", 10000, "sampled schedules (with -sample)")

@@ -7,51 +7,6 @@ import (
 	"repro/internal/sim"
 )
 
-// pathExec executes one worker's DFS path moves. Two implementations
-// exist: sessionExec descends by extending a persistent sim.Session one
-// decision at a time and backtracks by restoring snapshots (amortized
-// O(1) simulator steps per tree edge), and replayExec re-executes every
-// prefix from the initial configuration (the historical engine, kept as
-// the transparent fallback for objects without the sim.Snapshottable
-// hook and as the Config.ForceReplay escape hatch).
-type pathExec interface {
-	// bind redirects statistics charging to st (workers reuse one exec
-	// across tasks, each with its own Stats).
-	bind(st *Stats)
-	// task positions the exec at the given prefix — a stolen subtree's
-	// root, or the exploration root for an empty prefix — and returns
-	// its node info. parentEvents is the number of history events the
-	// prefix's parent recorded (0 at the root): the returned delta
-	// starts there.
-	task(prefix []sim.Decision, parentEvents int) (*nodeInfo, error)
-	// enter moves from the current node to its child d.
-	enter(d sim.Decision) (*nodeInfo, error)
-	// mark captures the current node for later leaves.
-	mark() execMark
-	// leave returns to a marked ancestor of the current position; a
-	// no-op when already there.
-	leave(m execMark) error
-	// probe reports the footprint of child d's first step from the
-	// marked node without advancing the exploration; the exec is left
-	// at an unspecified position (callers leave(m) before the next
-	// enter). Probe work never counts toward Stats.Steps.
-	probe(m execMark, d sim.Decision) (sim.Access, error)
-	// release returns a mark that will never be left to again, letting
-	// the exec pool its resources. Optional — dropping a mark instead
-	// is correct, just garbage.
-	release(m execMark)
-	// recycle returns a node info the DFS is done with for reuse by a
-	// later task/enter. Optional, like release.
-	recycle(ni *nodeInfo)
-	// history returns the full event history of the current node.
-	history() history.History
-	// close releases the exec's resources.
-	close()
-}
-
-// execMark is an opaque position token of a pathExec.
-type execMark any
-
 // nodeInfo is what the DFS needs to know about the node an exec move
 // just reached.
 type nodeInfo struct {
@@ -71,16 +26,11 @@ type nodeInfo struct {
 	fped bool
 }
 
-// newExec builds the engine's executor: a session exec when the object
-// supports snapshots (and replay is not forced), else a replay exec.
-func (g *engine) newExec(st *Stats) (pathExec, error) {
-	if g.incremental {
-		return newSessionExec(g, st)
-	}
-	return &replayExec{g: g, st: st}, nil
-}
-
-// sessionExec drives a persistent simulation session.
+// sessionExec executes one worker's DFS path moves on a persistent
+// sim.Session: it descends by extending the session one decision at a
+// time and backtracks by restoring marks. The session's restore
+// strategy (snapshot or from root, see sim.NewSession) decides what a
+// backtrack costs; the DFS never sees the difference.
 type sessionExec struct {
 	g    *engine
 	st   *Stats
@@ -96,6 +46,7 @@ func newSessionExec(g *engine, st *Stats) (*sessionExec, error) {
 	sess, err := sim.NewSession(sim.SessionConfig{
 		Procs:       g.cfg.Procs,
 		Object:      g.cfg.NewObject(),
+		NewObject:   g.cfg.NewObject,
 		NewEnv:      g.cfg.NewEnv,
 		Fingerprint: g.cfg.Cache,
 	})
@@ -105,8 +56,10 @@ func newSessionExec(g *engine, st *Stats) (*sessionExec, error) {
 	return &sessionExec{g: g, st: st, sess: sess, root: sess.Mark()}, nil
 }
 
-func (e *sessionExec) bind(st *Stats) { e.st = st }
-
+// task positions the exec at the given prefix — a stolen subtree's
+// root, or the exploration root for an empty prefix — and returns its
+// node info. parentEvents is the number of history events the prefix's
+// parent recorded (0 at the root): the returned delta starts there.
 func (e *sessionExec) task(prefix []sim.Decision, parentEvents int) (*nodeInfo, error) {
 	if err := e.leave(e.root); err != nil {
 		return nil, err
@@ -130,6 +83,7 @@ func (e *sessionExec) task(prefix []sim.Decision, parentEvents int) (*nodeInfo, 
 	return e.enter(prefix[len(prefix)-1])
 }
 
+// enter moves from the current node to its child d.
 func (e *sessionExec) enter(d sim.Decision) (*nodeInfo, error) {
 	info, err := e.sess.Extend(d)
 	e.st.Steps += info.Steps
@@ -159,117 +113,31 @@ func (e *sessionExec) node(delta history.History, a sim.Access) *nodeInfo {
 	return ni
 }
 
-func (e *sessionExec) mark() execMark { return e.sess.Mark() }
-
-func (e *sessionExec) release(m execMark) { e.sess.Release(m.(*sim.Mark)) }
-
+// recycle returns a node info the DFS is done with for reuse by a later
+// task or enter.
 func (e *sessionExec) recycle(ni *nodeInfo) { e.nifree = append(e.nifree, ni) }
 
-func (e *sessionExec) leave(m execMark) error {
-	n, err := e.sess.Restore(m.(*sim.Mark))
+// leave returns to a marked ancestor of the current position (a no-op
+// when already there). The steps a from-root rebuild re-executes count
+// toward both Steps and Resims.
+func (e *sessionExec) leave(m *sim.Mark) error {
+	n, err := e.sess.Restore(m)
+	e.st.Steps += n
 	e.st.Resims += n
 	return err
 }
 
-func (e *sessionExec) probe(m execMark, d sim.Decision) (sim.Access, error) {
-	if err := e.leave(m); err != nil {
+// probe reports the footprint of child d's first step from the marked
+// node without advancing the exploration; the exec is left at an
+// unspecified position (callers leave(m) before the next enter). Probe
+// work counts toward Resims only, never Steps.
+func (e *sessionExec) probe(m *sim.Mark, d sim.Decision) (sim.Access, error) {
+	n, err := e.sess.Restore(m)
+	e.st.Resims += n
+	if err != nil {
 		return sim.Access{}, err
 	}
 	info, err := e.sess.Extend(d)
 	e.st.Resims += info.Steps
 	return info.Access, err
 }
-
-func (e *sessionExec) history() history.History { return e.sess.History() }
-
-func (e *sessionExec) close() { e.sess.Close() }
-
-// replayExec re-executes every prefix from the initial configuration.
-type replayExec struct {
-	g     *engine
-	st    *Stats
-	stack []sim.Decision
-	res   *sim.Result
-}
-
-// replayMark records a replay exec position: a stack depth plus the
-// result of that node's replay.
-type replayMark struct {
-	depth int
-	res   *sim.Result
-}
-
-func (e *replayExec) bind(st *Stats) { e.st = st }
-
-func (e *replayExec) task(prefix []sim.Decision, parentEvents int) (*nodeInfo, error) {
-	e.stack = append(e.stack[:0], prefix...)
-	res, ready := e.g.replay(e.stack, e.st)
-	e.chargeResim(res, prefix)
-	if res.Err != nil {
-		return nil, res.Err
-	}
-	e.res = res
-	return e.node(res, ready, res.EventsSince(parentEvents)), nil
-}
-
-func (e *replayExec) enter(d sim.Decision) (*nodeInfo, error) {
-	parentLen := len(e.res.H)
-	e.stack = append(e.stack, d)
-	res, ready := e.g.replay(e.stack, e.st)
-	e.chargeResim(res, e.stack)
-	if res.Err != nil {
-		return nil, res.Err
-	}
-	e.res = res
-	return e.node(res, ready, res.EventsSince(parentLen)), nil
-}
-
-// chargeResim accounts the re-executed portion of a from-root replay:
-// everything but the replayed node's own (non-crash) last decision
-// re-establishes an already-visited configuration.
-func (e *replayExec) chargeResim(res *sim.Result, prefix []sim.Decision) {
-	resim := res.Steps
-	if res.Err == nil && len(prefix) > 0 && !prefix[len(prefix)-1].Crash {
-		resim--
-	}
-	e.st.Resims += resim
-}
-
-func (e *replayExec) node(res *sim.Result, ready []int, delta history.History) *nodeInfo {
-	ni := &nodeInfo{
-		delta:  delta,
-		access: accessAt(res, len(e.stack)-1),
-		ready:  ready,
-		fp:     res.Fingerprint,
-		fped:   res.Fingerprinted,
-	}
-	if e.g.cfg.Recoveries > 0 {
-		ni.crashed = res.Crashed
-	}
-	return ni
-}
-
-func (e *replayExec) mark() execMark { return &replayMark{depth: len(e.stack), res: e.res} }
-
-func (e *replayExec) leave(m execMark) error {
-	mm := m.(*replayMark)
-	e.stack = e.stack[:mm.depth]
-	e.res = mm.res
-	return nil
-}
-
-func (e *replayExec) probe(m execMark, d sim.Decision) (sim.Access, error) {
-	mm := m.(*replayMark)
-	// Probes are excluded from the statistics (like PR3's first-level
-	// probes) so parallel and sequential counts stay comparable.
-	pres, _ := e.g.replay(append(e.stack[:mm.depth:mm.depth], d), nil)
-	return accessAt(pres, mm.depth), nil
-}
-
-func (e *replayExec) history() history.History { return e.res.H }
-
-func (e *replayExec) release(execMark) {}
-
-func (e *replayExec) recycle(*nodeInfo) {}
-
-func (e *replayExec) close() {}

@@ -6,18 +6,16 @@
 // agreement+validity on all interleavings at small depth, and both TM
 // implementations satisfy opacity (and I12 property S) likewise.
 //
-// Execution comes in two flavors. When the object under test implements
-// sim.Snapshottable, exploration runs incrementally: one persistent
-// sim.Session per worker descends the tree by extending the live
-// configuration one decision at a time and backtracks by restoring
-// snapshots, so each tree edge costs amortized O(1) simulator steps
-// (plus bounded pending-operation rebuilds, reported in Stats.Resims)
-// instead of a from-root replay quadratic in depth. Objects without the
-// hook — and explorations forced by Config.ForceReplay — fall back
-// transparently to the historical engine: every prefix is re-executed
-// from the initial configuration (runs are deterministic, so
-// re-execution reaches the identical configuration). Both engines
-// enumerate the identical tree, verdicts and witnesses.
+// Execution runs on one persistent sim.Session per worker: the DFS
+// descends by extending the live configuration one decision at a time
+// and backtracks by restoring marks. The session picks its restore
+// strategy (see sim.NewSession). Objects implementing
+// sim.Snapshottable and sim.Stepped, under a sim.RewindableEnv, restore
+// by struct copy, so each tree edge costs exactly one simulator step.
+// Every other exploration rebuilds from the root on each backtrack that
+// moves (runs are deterministic, so re-execution reaches the identical
+// configuration) and reports the re-executed steps in Stats.Resims.
+// Both strategies enumerate the identical tree, verdicts and witnesses.
 //
 // Checking comes in two flavors. The batch path (Config.Check) re-judges
 // the entire history of every explored prefix. The incremental path
@@ -125,7 +123,7 @@ type Config struct {
 	// Procs is the number of processes.
 	Procs int
 	// NewObject creates a fresh implementation instance (called once per
-	// explored prefix).
+	// worker session, and once per from-root rebuild).
 	NewObject func() sim.Object
 	// NewEnv creates a fresh environment instance (environments may carry
 	// per-run state).
@@ -144,10 +142,7 @@ type Config struct {
 	// re-enters the ready set — its pending operation never responds, its
 	// volatile state is wiped (sim.Recoverable), and it runs its recovery
 	// routine before rejoining the workload. Like crash decisions,
-	// recover decisions are never pruned or slept by POR. Under
-	// incremental execution recovery requires a rewindable environment
-	// (sim.RewindableEnv); other environments fall back to replay
-	// execution transparently.
+	// recover decisions are never pruned or slept by POR.
 	Recoveries int
 	// Check is invoked on the history of every explored prefix together
 	// with the schedule that produced it. Returning an error aborts the
@@ -190,11 +185,6 @@ type Config struct {
 	// the view — both hold for the repository's environments and
 	// properties. Crash and recover decisions are never pruned or slept.
 	POR bool
-	// ForceReplay forces from-root replay execution even when the
-	// object supports snapshots (sim.Snapshottable): the escape hatch
-	// for cross-checking the incremental engine and for environments
-	// outside the session contract (see sim.SessionConfig.NewEnv).
-	ForceReplay bool
 	// Cache enables the state-fingerprint visited set: a prefix whose
 	// reached configuration and monitor digest match a state whose
 	// subtree was already fully explored (with at least as much depth
@@ -231,23 +221,20 @@ type Stats struct {
 	// Prefixes is the number of schedule prefixes explored (histories
 	// checked).
 	Prefixes int
-	// Steps counts the simulator steps that advanced exploration into
-	// counted prefixes. Under incremental execution that is one step
-	// per explored non-crash edge, identical for sequential and
-	// parallel runs; under replay execution it is the total steps
-	// across all from-root replays (the historical, depth-quadratic
-	// number). The footprint probes that POR with Workers > 1 performs
-	// at split points are excluded, so parallel and sequential
-	// statistics stay comparable.
+	// Steps counts the simulator steps executed on the DFS path: one per
+	// explored non-crash edge, plus the steps from-root restores
+	// re-execute to return to a marked node (none under the snapshot
+	// strategy, where Steps is identical for sequential and parallel
+	// runs). The footprint probes that POR with Workers > 1 performs at
+	// split points are excluded, so parallel and sequential statistics
+	// stay comparable.
 	Steps int
 	// Resims counts simulator steps spent re-establishing already
-	// visited configurations rather than exploring new ones: under
-	// incremental execution the pending-operation rebuild steps of
-	// snapshot restores, the seed replays of stolen subtrees and the
-	// POR split probes; under replay execution the re-executed prefix
-	// portion of every from-root replay (there also included in Steps,
-	// which keeps its historical meaning). Timing-dependent at
-	// Workers > 1 (stealing decides how much re-seeding happens).
+	// visited configurations rather than exploring new ones: the steps
+	// from-root restores re-execute (also included in Steps), the seed
+	// replays of stolen subtrees and the POR split probes.
+	// Timing-dependent at Workers > 1 (stealing decides how much
+	// re-seeding happens).
 	Resims int
 	// Pruned is the number of subtrees skipped by partial-order
 	// reduction (0 unless Config.POR).
@@ -306,16 +293,6 @@ func dependent(d1 sim.Decision, a1 sim.Access, d2 sim.Decision, a2 sim.Access) b
 	return a1.Conflicts(a2)
 }
 
-// accessAt returns the access-log entry for schedule position i, or an
-// unknown (conflicts-with-everything) access when the run recorded no
-// log (object without footprints) or stopped short.
-func accessAt(res *sim.Result, i int) sim.Access {
-	if i < 0 || i >= len(res.Accesses) {
-		return sim.Access{}
-	}
-	return res.Accesses[i]
-}
-
 // filterSleep keeps the entries independent of the step (d, a) just
 // taken. It always allocates, so the parent's set is never mutated.
 func filterSleep(sleep []sleepEntry, d sim.Decision, a sim.Access) []sleepEntry {
@@ -341,9 +318,8 @@ func inSleep(sleep []sleepEntry, d sim.Decision) bool {
 // engine carries the state one exploration shares across its recursion
 // (and, at Workers > 1, across its workers).
 type engine struct {
-	cfg         Config
-	visited     *visitedSet // non-nil iff cfg.Cache
-	incremental bool        // session execution available for this object
+	cfg     Config
+	visited *visitedSet // non-nil iff cfg.Cache
 }
 
 // Run explores exhaustively. It returns the statistics and the first
@@ -362,17 +338,6 @@ func Run(cfg Config) (*Stats, error) {
 		return nil, fmt.Errorf("explore: Cache requires the incremental monitor path (NewMonitors): cache-hit soundness rests on the monitor state digest")
 	}
 	g := &engine{cfg: cfg}
-	if !cfg.ForceReplay {
-		g.incremental = sim.CanSnapshot(cfg.NewObject())
-		if g.incremental && cfg.Recoveries > 0 {
-			// Session recovery needs a rewindable environment: the
-			// fallback rewind rebuilds consultation points from response
-			// events, which recovery consultations do not produce.
-			if _, ok := cfg.NewEnv().(sim.RewindableEnv); !ok {
-				g.incremental = false
-			}
-		}
-	}
 	if cfg.Cache {
 		if cfg.Visited != nil {
 			g.visited = cfg.Visited.set
@@ -392,11 +357,11 @@ func Run(cfg Config) (*Stats, error) {
 	if cfg.NewMonitors != nil {
 		ms = cfg.NewMonitors()
 	}
-	ex, err := g.newExec(st)
+	ex, err := newSessionExec(g, st)
 	if err != nil {
 		return st, err
 	}
-	defer ex.close()
+	defer ex.sess.Close()
 	err = g.runTask(nil, ex, &wsTask{ms: ms}, st)
 	return st, err
 }
@@ -417,42 +382,6 @@ func budgets(prefix []sim.Decision) (steps, crashes, recoveries int) {
 	return
 }
 
-// replay executes the schedule prefix from the initial configuration
-// and returns the run result plus the set of processes ready afterwards
-// (the replay-fallback primitive; sessions never call it).
-func (g *engine) replay(prefix []sim.Decision, st *Stats) (*sim.Result, []int) {
-	var ready []int
-	i := 0
-	// One scheduler closure: feed the prefix by index, then capture the
-	// ready set of the reached configuration and stop. (Replaced the
-	// earlier Seq(Fixed, SchedulerFunc) composition, which burned an
-	// extra scheduler dispatch and a decision-slice copy per node.)
-	sched := sim.SchedulerFunc(func(v *sim.View) (sim.Decision, bool) {
-		if i < len(prefix) {
-			d := prefix[i]
-			i++
-			return d, true
-		}
-		ready = append([]int(nil), v.Ready...)
-		return sim.Decision{}, false
-	})
-	res := sim.Run(sim.Config{
-		Procs:     g.cfg.Procs,
-		Object:    g.cfg.NewObject(),
-		Env:       g.cfg.NewEnv(),
-		Scheduler: sched,
-		MaxSteps:  len(prefix) + 1,
-		// A prefix may recover from a configuration where every live
-		// process is crashed; the quiescence stop must not fire first.
-		RecoverQuiescent: g.cfg.Recoveries > 0,
-		Fingerprint:      g.cfg.Cache,
-	})
-	if st != nil {
-		st.Steps += res.Steps
-	}
-	return res, ready
-}
-
 // pathState is one worker's DFS bookkeeping: the decision stack of the
 // current prefix (shared across the recursion — witnesses and task
 // prefixes copy out of it), the preorder path stack (used only under
@@ -465,7 +394,7 @@ type pathState struct {
 
 // runTask explores the subtree rooted at the task's prefix with the
 // given exec. w is nil on the sequential path.
-func (g *engine) runTask(w *wsWorker, ex pathExec, t *wsTask, st *Stats) error {
+func (g *engine) runTask(w *wsWorker, ex *sessionExec, t *wsTask, st *Stats) error {
 	node, err := ex.task(t.prefix, t.parentEvents)
 	if err != nil {
 		return g.fail(w, t.path, fmt.Errorf("explore: replay failed: %w", err))
@@ -527,16 +456,16 @@ func combineKey(fp, digest uint64) uint64 {
 // incomplete, and an incomplete subtree must never be published to the
 // visited set — even when the node's own child loop never re-checked
 // the cutoff (e.g. the abandoned child was its last).
-func (g *engine) explore(w *wsWorker, ex pathExec, node *nodeInfo, ps *pathState, crashes, recoveries int, ms MonitorSet, sleep []sleepEntry, st *Stats) (bool, error) {
+func (g *engine) explore(w *wsWorker, ex *sessionExec, node *nodeInfo, ps *pathState, crashes, recoveries int, ms MonitorSet, sleep []sleepEntry, st *Stats) (bool, error) {
 	st.Prefixes++
 	if err := g.ctxErr(); err != nil {
 		return false, g.fatal(w, err)
 	}
 	if ms != nil {
-		if err := stepDelta(ms, node, ex.history(), ps.prefix, st); err != nil {
+		if err := stepDelta(ms, node, ex.sess.History(), ps.prefix, st); err != nil {
 			return false, g.fail(w, ps.path, err)
 		}
-	} else if err := g.cfg.Check(ex.history(), ps.prefix[:len(ps.prefix):len(ps.prefix)]); err != nil {
+	} else if err := g.cfg.Check(ex.sess.History(), ps.prefix[:len(ps.prefix):len(ps.prefix)]); err != nil {
 		st.Witness = witness(ps.prefix)
 		return false, g.fail(w, ps.path, err)
 	}
@@ -620,9 +549,9 @@ func (g *engine) explore(w *wsWorker, ex pathExec, node *nodeInfo, ps *pathState
 	// A mark is only needed when more than one child will be explored
 	// (or probed) from this node: a single live child is entered
 	// directly from the current position and never returned to.
-	var mark execMark
+	var mark *sim.Mark
 	if nlive > 1 {
-		mark = ex.mark()
+		mark = ex.sess.Mark()
 	}
 
 	// Under parallelism, split the later live children off as stealable
@@ -712,7 +641,7 @@ func (g *engine) explore(w *wsWorker, ex pathExec, node *nodeInfo, ps *pathState
 		ex.recycle(cn)
 	}
 	if mark != nil {
-		ex.release(mark)
+		ex.sess.Release(mark)
 	}
 	if spawned > 0 {
 		// Later live children were handed to the pool and may not have

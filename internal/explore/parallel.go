@@ -175,10 +175,10 @@ func (g *engine) runParallel(workers int) (*Stats, error) {
 // incrementally.
 func (p *wsPool) run(id int) {
 	w := &wsWorker{id: id, pool: p}
-	var ex pathExec
+	var ex *sessionExec
 	defer func() {
 		if ex != nil {
-			ex.close()
+			ex.sess.Close()
 		}
 	}()
 	for {
@@ -189,12 +189,12 @@ func (p *wsPool) run(id int) {
 		st := &Stats{}
 		if ex == nil {
 			var err error
-			if ex, err = p.g.newExec(st); err != nil {
+			if ex, err = newSessionExec(p.g, st); err != nil {
 				p.finish(st, &fatalError{err: err})
 				continue
 			}
 		} else {
-			ex.bind(st)
+			ex.st = st // one exec across tasks, each with its own Stats
 		}
 		err := p.g.runTask(w, ex, t, st)
 		p.finish(st, err)
@@ -330,16 +330,14 @@ func (p *wsPool) finish(st *Stats, err error) {
 // tasks, returning how many were spawned (0 when the deque is full).
 // Under POR each spawned child's sleep set needs the first-step
 // footprints of its earlier live siblings — which have not run yet — so
-// they are probed first: the session exec extends and rewinds one step
-// per sibling (counted as re-simulation), the replay exec runs one
-// short replay each (excluded from the statistics, like PR3's
-// first-level probes).
-func (g *engine) trySplit(w *wsWorker, ex pathExec, mark execMark, ps *pathState, crashes, recoveries int, ms MonitorSet, z []sleepEntry, children []sim.Decision, live []int) int {
+// they are probed first: the exec rewinds to the mark and extends one
+// step per sibling (counted as re-simulation).
+func (g *engine) trySplit(w *wsWorker, ex *sessionExec, mark *sim.Mark, ps *pathState, crashes, recoveries int, ms MonitorSet, z []sleepEntry, children []sim.Decision, live []int) int {
 	n := len(live) - 1
 	if !w.pool.room(w.id, n) {
 		return 0
 	}
-	parentEvents := len(ex.history())
+	parentEvents := len(ex.sess.History())
 	var probes []sim.Access // aligned with live[:len(live)-1]
 	if g.cfg.POR {
 		probes = make([]sim.Access, len(live)-1)

@@ -166,8 +166,8 @@ func TestRootViolationStatsParity(t *testing.T) {
 // TestReplayFailureStats pins the stats contract of a failed task
 // seed, shared by the sequential entry point and the parallel workers
 // (both run the same runTask function): the failing prefix is not
-// counted, its executed steps are, no witness is fabricated, and the
-// error names the replay.
+// counted, its executed steps are (the seed replay's as re-simulation),
+// no witness is fabricated, and the error names the replay.
 func TestReplayFailureStats(t *testing.T) {
 	cfg := brokenCfg(1)
 	// A prefix that crashes process 1 twice is invalid: the simulator
@@ -175,11 +175,11 @@ func TestReplayFailureStats(t *testing.T) {
 	bad := []sim.Decision{{Proc: 2}, {Proc: 1, Crash: true}, {Proc: 1, Crash: true}}
 	st := &Stats{}
 	g := &engine{cfg: cfg}
-	ex, err := g.newExec(st)
+	ex, err := newSessionExec(g, st)
 	if err != nil {
-		t.Fatalf("newExec: %v", err)
+		t.Fatalf("newSessionExec: %v", err)
 	}
-	defer ex.close()
+	defer ex.sess.Close()
 	err = g.runTask(nil, ex, &wsTask{prefix: bad, crashes: 2}, st)
 	if err == nil || !strings.Contains(err.Error(), "replay failed") {
 		t.Fatalf("invalid prefix must fail its replay, got %v", err)
@@ -187,7 +187,7 @@ func TestReplayFailureStats(t *testing.T) {
 	if st.Prefixes != 0 {
 		t.Errorf("failed replay counted %d prefixes, want 0", st.Prefixes)
 	}
-	if st.Steps == 0 {
+	if st.Steps+st.Resims == 0 {
 		t.Error("steps executed before the failure must be counted")
 	}
 	if st.Witness != nil {

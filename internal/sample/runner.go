@@ -6,47 +6,13 @@ import (
 	"repro/internal/sim"
 )
 
-// runner executes one seeded schedule at a time into a schedRec. The
-// returned *explore.Violation is a schedule outcome (the rec is still
-// merged); a non-nil error is fatal to the whole sampling run. Both
-// implementations grant identical decisions for a given seed and
-// produce identical recs, witnesses and fingerprints — sessionRunner
-// just reuses one live simulation across schedules where replayRunner
-// rebuilds runtime, object and environment from scratch every time.
-type runner interface {
-	sample(seed int64, rec *schedRec) (*explore.Violation, error)
-	close()
-}
-
-// incremental reports whether the run uses reused sessions: the object
-// supports snapshots, replay is not forced, and — when recovery is
-// injected — the environment supports fast rewind (session recovery
-// cannot rebuild consultation points from response events).
-func incremental(cfg *Config) bool {
-	if cfg.ForceReplay || !sim.CanSnapshot(cfg.NewObject()) {
-		return false
-	}
-	if cfg.Recoveries > 0 {
-		if _, ok := cfg.NewEnv().(sim.RewindableEnv); !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// newRunner builds the worker's executor: session reuse when the object
-// supports snapshots (and replay is not forced), else from-root replay.
-func newRunner(cfg *Config) (runner, error) {
-	if incremental(cfg) {
-		return newSessionRunner(cfg)
-	}
-	return &replayRunner{cfg: cfg, strat: newStrategy(cfg), mons: cfg.NewMonitors()}, nil
-}
-
-// sessionRunner resets one persistent sim.Session to its root mark
-// between schedules. Restoring to the root re-grants nothing (no
-// process has a pending operation there), so every granted step
-// advances a fresh schedule.
+// sessionRunner executes one seeded schedule at a time into a
+// schedRec, resetting one persistent sim.Session to its root mark
+// between schedules. Restoring to the root re-executes nothing (the
+// root mark holds no decisions), so every granted step advances a fresh
+// schedule. The returned *explore.Violation is a schedule outcome (the
+// rec is still merged); a non-nil error is fatal to the whole sampling
+// run.
 type sessionRunner struct {
 	cfg     *Config
 	sess    *sim.Session
@@ -62,6 +28,7 @@ func newSessionRunner(cfg *Config) (*sessionRunner, error) {
 	sess, err := sim.NewSession(sim.SessionConfig{
 		Procs:       cfg.Procs,
 		Object:      cfg.NewObject(),
+		NewObject:   cfg.NewObject,
 		NewEnv:      cfg.NewEnv,
 		Fingerprint: cfg.Fingerprint,
 	})
@@ -129,80 +96,3 @@ func (r *sessionRunner) sample(seed int64, rec *schedRec) (*explore.Violation, e
 	}
 	return nil, nil
 }
-
-func (r *sessionRunner) close() { r.sess.Close() }
-
-// replayRunner executes every schedule with a from-root sim.Run whose
-// scheduler is the strategy, feeding each newly recorded event to the
-// monitor fork before the next decision is drawn (and draining the
-// final decision's events after a quiescent stop).
-type replayRunner struct {
-	cfg    *Config
-	strat  *strategy
-	mons   explore.MonitorSet
-	prefix []sim.Decision
-}
-
-func (r *replayRunner) sample(seed int64, rec *schedRec) (*explore.Violation, error) {
-	r.strat.reset(seed)
-	mons := r.mons.Fork()
-	r.prefix = r.prefix[:0]
-	var vio *explore.Violation
-	steps, seen := 0, 0
-	// feed steps the monitors over h[seen:]; false stops the run. The
-	// history slice is copied into a reported violation: the witness and
-	// its history must outlive this run.
-	feed := func(h history.History) bool {
-		for seen < len(h) {
-			rec.events++
-			if merr := mons.Step(h[seen]); merr != nil {
-				rec.violated = true
-				hh := append(history.History{}, h...)
-				vio = &explore.Violation{
-					Schedule:   append([]sim.Decision{}, r.prefix...),
-					H:          hh[:len(hh):len(hh)],
-					EventIndex: seen,
-					Cause:      merr,
-				}
-				return false
-			}
-			seen++
-		}
-		return true
-	}
-	res := sim.Run(sim.Config{
-		Procs:  r.cfg.Procs,
-		Object: r.cfg.NewObject(),
-		Env:    r.cfg.NewEnv(),
-		Scheduler: sim.SchedulerFunc(func(v *sim.View) (sim.Decision, bool) {
-			if !feed(v.H) {
-				return sim.Decision{}, false
-			}
-			if steps >= r.cfg.Steps {
-				return sim.Decision{}, false
-			}
-			d, ok := r.strat.decide(v.Ready, v.Crashed, steps)
-			if !ok {
-				return sim.Decision{}, false
-			}
-			if !d.Crash && !d.Recover {
-				steps++
-			}
-			r.prefix = append(r.prefix, d)
-			return d, true
-		}),
-		MaxSteps:    r.cfg.Steps + 1,
-		Fingerprint: r.cfg.Fingerprint,
-	})
-	rec.steps += res.Steps
-	if res.Err != nil {
-		return nil, res.Err
-	}
-	if vio != nil || !feed(res.H) {
-		return vio, nil
-	}
-	rec.fp, rec.fped = res.Fingerprint, res.Fingerprinted
-	return nil, nil
-}
-
-func (r *replayRunner) close() {}

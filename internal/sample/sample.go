@@ -19,9 +19,9 @@
 //
 // The swarm driver fans the N schedules across Workers goroutines.
 // Each worker owns one persistent sim.Session that is Mark/Restore-
-// reset to the root between schedules instead of being rebuilt from
-// scratch (objects without the sim.Snapshottable hook fall back to
-// from-root sim.Run execution, with identical verdicts). Every schedule
+// reset to the root between schedules (a struct copy under the
+// session's snapshot strategy, a fresh object and environment under its
+// from-root strategy; see sim.NewSession). Every schedule
 // feeds a fork of the monitor set, terminal states are deduplicated by
 // their injective configuration fingerprints (Stats.DistinctStates),
 // and results are merged in schedule-index order, so for a fixed master
@@ -76,10 +76,7 @@ type Config struct {
 	// schedule, at uniformly chosen steps. A recovery point fires at the
 	// first decision at or after its step where some process is crashed
 	// (a point drawn before any crash stays armed). 0 disables recovery
-	// injection; it only matters together with Crashes > 0. Like crash
-	// injection under incremental execution, recovery requires a
-	// rewindable environment (sim.RewindableEnv) when the object runs on
-	// reused sessions; other environments fall back to replay execution.
+	// injection; it only matters together with Crashes > 0.
 	Recoveries int
 	// Strategy selects PCT or Walk.
 	Strategy Strategy
@@ -105,9 +102,6 @@ type Config struct {
 	// which failure is reported — identical to the in-process run. Nil
 	// spawns goroutines as before.
 	Spawn func(loop func()) bool
-	// ForceReplay forces from-root execution even when the object
-	// supports session reuse (for cross-checking and benchmarking).
-	ForceReplay bool
 	// Fingerprint asks each schedule for its terminal-state fingerprint
 	// to compute Stats.DistinctStates (no-op when the object does not
 	// implement sim.Fingerprintable).
@@ -131,16 +125,13 @@ type Stats struct {
 	DistinctStates int
 	// Steps counts granted simulator steps across the merged schedules.
 	Steps int
-	// Resims counts rebuild steps session restores re-executed (0 in
-	// practice: restoring to the root re-grants nothing).
+	// Resims counts steps session restores re-executed (0 in practice:
+	// restoring to the root re-executes nothing).
 	Resims int
 	// Events counts the events fed to the monitor set.
 	Events int
 	// Workers is the number of sampling goroutines actually used.
 	Workers int
-	// Incremental reports whether schedules ran on reused sessions
-	// (false: from-root replay fallback).
-	Incremental bool
 	// Failed reports a violation; FailingSchedule is its index and
 	// FailingSeed its seed (Config.Seed+FailingSchedule).
 	Failed          bool
@@ -201,7 +192,7 @@ func Run(cfg Config) (*Stats, error) {
 		pending:    make(map[int]*chunkResult),
 		maxPending: 4 * workers,
 		distinct:   make(map[uint64]struct{}),
-		st:         &Stats{Workers: workers, Incremental: incremental(&cfg)},
+		st:         &Stats{Workers: workers},
 	}
 	p.cond = sync.NewCond(&p.mu)
 	p.failBound.Store(math.MaxInt64)
@@ -291,12 +282,12 @@ type pool struct {
 }
 
 func (p *pool) worker() {
-	r, err := newRunner(p.cfg)
+	r, err := newSessionRunner(p.cfg)
 	if err != nil {
 		p.setFatal(err)
 		return
 	}
-	defer r.close()
+	defer r.sess.Close()
 	for {
 		c := p.claim()
 		if c < 0 {
@@ -332,7 +323,7 @@ func (p *pool) claim() int {
 
 // runChunk samples the chunk's schedules, polling the context and the
 // failure bound before each one.
-func (p *pool) runChunk(r runner, c int) *chunkResult {
+func (p *pool) runChunk(r *sessionRunner, c int) *chunkResult {
 	lo := c * ChunkSize
 	hi := lo + ChunkSize
 	if hi > p.cfg.Schedules {

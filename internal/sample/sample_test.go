@@ -184,24 +184,31 @@ func eq(a, b *Stats) bool {
 	return reflect.DeepEqual(aa, bb)
 }
 
-// TestSessionReplayParity: the session-reuse and from-root engines must
-// produce identical stats, seeds and witnesses for the same master
-// seed, on clean and violating objects, with and without crashes.
+// applyOnly forces cfg onto the session's from-root strategy by hiding
+// the object's continuation and snapshot hooks.
+func applyOnly(cfg Config) Config {
+	newObj := cfg.NewObject
+	cfg.NewObject = func() sim.Object { return sim.ApplyOnly(newObj()) }
+	return cfg
+}
+
+// TestSessionReplayParity: the snapshot and from-root session
+// strategies must produce identical stats, seeds and witnesses for the
+// same master seed, on clean and violating objects, with and without
+// crashes.
 func TestSessionReplayParity(t *testing.T) {
 	for name, mk := range map[string]func() Config{"ok": okCfg, "lossy": lossyCfg} {
 		t.Run(name, func(t *testing.T) {
 			cfg := mk()
 			sess, serr := Run(cfg)
-			cfg2 := mk()
-			cfg2.ForceReplay = true
+			cfg2 := applyOnly(mk())
 			repl, rerr := Run(cfg2)
 			if sess == nil || repl == nil {
 				t.Fatalf("engine failure: session err=%v, replay err=%v", serr, rerr)
 			}
-			if !sess.Incremental || repl.Incremental {
-				t.Fatalf("engine selection wrong: session Incremental=%v, replay Incremental=%v", sess.Incremental, repl.Incremental)
+			if !sim.CanSnapshot(cfg.NewObject()) || sim.CanSnapshot(cfg2.NewObject()) {
+				t.Fatal("strategy selection wrong: the fixture must snapshot and its ApplyOnly wrapper must not")
 			}
-			sess.Incremental, repl.Incremental = false, false
 			if !eq(sess, repl) {
 				t.Fatalf("stats diverge:\nsession %+v\nreplay  %+v", sess, repl)
 			}
@@ -386,11 +393,10 @@ func TestWalkStrategy(t *testing.T) {
 	if !st.Failed {
 		t.Fatal("walk must find the lossy-register violation within the budget")
 	}
-	re := lossyCfg()
+	re := applyOnly(lossyCfg())
 	re.Strategy = Walk
-	re.ForceReplay = true
 	rst, _ := Run(re)
-	if rst == nil || !eq(func() *Stats { s := *st; s.Incremental = false; return &s }(), func() *Stats { s := *rst; s.Incremental = false; return &s }()) {
+	if rst == nil || !eq(st, rst) {
 		t.Fatalf("walk engines diverge:\nsession %+v\nreplay  %+v", st, rst)
 	}
 }

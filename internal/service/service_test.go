@@ -351,6 +351,30 @@ func TestValidationParity(t *testing.T) {
 				return inProcessMsg(service.JobSpec{Target: "consensus", Spec: slx.Spec{Workers: -2}})
 			},
 		},
+		"negative-depth": {
+			spec: service.JobSpec{Target: "consensus", Spec: slx.Spec{Depth: -3}},
+			want: func() string {
+				return inProcessMsg(service.JobSpec{Target: "consensus", Spec: slx.Spec{Depth: -3}})
+			},
+		},
+		"negative-crashes": {
+			spec: service.JobSpec{Target: "consensus", Spec: slx.Spec{Crashes: -1}},
+			want: func() string {
+				return inProcessMsg(service.JobSpec{Target: "consensus", Spec: slx.Spec{Crashes: -1}})
+			},
+		},
+		"negative-procs": {
+			spec: service.JobSpec{Target: "consensus", Spec: slx.Spec{Procs: -1}},
+			want: func() string {
+				return inProcessMsg(service.JobSpec{Target: "consensus", Spec: slx.Spec{Procs: -1}})
+			},
+		},
+		"negative-timeout": {
+			spec: service.JobSpec{Target: "consensus", Spec: slx.Spec{TimeoutMs: -5}},
+			want: func() string {
+				return inProcessMsg(service.JobSpec{Target: "consensus", Spec: slx.Spec{TimeoutMs: -5}})
+			},
+		},
 		"unknown-target": {
 			spec: service.JobSpec{Target: "nosuch"},
 			want: func() string {

@@ -35,9 +35,9 @@ func (s StepStatus) String() string {
 // Stepped is the continuation hook of the incremental execution engine:
 // an Object that can run each operation as an explicit state machine,
 // one resumable step closure per scheduler grant, instead of blocking a
-// live goroutine inside Apply. Sessions execute exclusively through
-// this hook — a direct dispatch loop with no goroutines, no channel
-// handoffs, and no rebuild-by-replay on Restore.
+// live goroutine inside Apply. Snapshot-strategy sessions execute
+// exclusively through this hook — a direct dispatch loop with no
+// goroutines, no channel handoffs, and no rebuild on Restore.
 //
 // Begin is called within the invocation window (the granted step that
 // records the invocation event). It must run exactly the code Apply

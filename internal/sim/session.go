@@ -34,9 +34,9 @@ import (
 //
 // Unlike Fingerprintable, pointer identity is no obstacle: a snapshot
 // may hold pointers to immutable records (the CAS idiom), since Restore
-// reinstates the exact pointers. Objects without the hook are simply
-// executed by from-root replay; exploration's soundness never depends
-// on Snapshottable being implemented or implementable.
+// reinstates the exact pointers. Sessions over objects without the hook
+// take the from-root strategy (see NewSession); exploration's soundness
+// never depends on Snapshottable being implemented or implementable.
 type Snapshottable interface {
 	Object
 	// Snapshot captures the object's current state.
@@ -48,16 +48,16 @@ type Snapshottable interface {
 // SessionGated is optionally implemented alongside Snapshottable by
 // objects whose snapshot support depends on runtime composition (e.g. a
 // TM with a pluggable snapshot component): Snapshotting() == false
-// vetoes incremental execution and the exploration engine falls back to
-// from-root replay, exactly as if the hook were absent.
+// vetoes the snapshot strategy and sessions rebuild from the root,
+// exactly as if the hook were absent.
 type SessionGated interface {
 	Snapshotting() bool
 }
 
-// CanSnapshot reports whether an object supports session execution: it
-// implements both Snapshottable and Stepped (the continuation runtime
-// executes exclusively through Stepped frames) and does not veto
-// sessions via SessionGated.
+// CanSnapshot reports whether an object supports the snapshot strategy
+// of a Session: it implements both Snapshottable and Stepped (the
+// continuation runtime executes exclusively through Stepped frames) and
+// does not veto snapshots via SessionGated.
 func CanSnapshot(o Object) bool {
 	if _, ok := o.(Snapshottable); !ok {
 		return false
@@ -71,38 +71,33 @@ func CanSnapshot(o Object) bool {
 	return true
 }
 
-// RewindableEnv is the optional fast-rewind hook for environments used
-// under a Session: EnvSnapshot captures the environment's decision
-// state and EnvRestore reinstates it, making Session.Restore a pure
-// struct copy. The usual Snapshot contract applies (the same snapshot
-// may be restored many times; EnvRestore must not adopt it mutably).
-// Environments without the hook still work: Restore falls back to a
-// fresh NewEnv() fast-forwarded through each process's historical
-// consultations, which supports any environment deciding invocations
-// from the invoking process's identity, its own invocation count, and
-// its own projection of the history.
+// RewindableEnv is the environment half of a Session's snapshot
+// strategy: EnvSnapshot captures the environment's decision state and
+// EnvRestore reinstates it, making Session.Restore a pure struct copy.
+// The usual Snapshot contract applies (the same snapshot may be restored
+// many times; EnvRestore must not adopt it mutably). A stateless
+// environment — one deciding from (proc, view) alone — implements the
+// pair with nothing to capture. Environments without the hook still
+// work: their sessions take the from-root strategy.
 type RewindableEnv interface {
 	Environment
 	EnvSnapshot() any
 	EnvRestore(any)
 }
 
-// SessionConfig describes a persistent incremental simulation.
+// SessionConfig describes a persistent simulation.
 type SessionConfig struct {
 	// Procs is the number of processes n (1-based ids 1..n).
 	Procs int
-	// Object is the implementation under test; it must implement
-	// Snapshottable and Stepped (see CanSnapshot). The session owns and
-	// mutates it.
+	// Object is the implementation under test, the session's first
+	// instance. The session owns and mutates it.
 	Object Object
-	// NewEnv creates an environment instance. A factory rather than an
-	// instance: when the environment does not implement RewindableEnv,
-	// every Restore replaces it with a fresh one fast-forwarded to the
-	// restored configuration. Incremental execution therefore supports
-	// environments that decide each invocation from the invoking
-	// process's identity, its own invocation count, and its own
-	// projection of the history (all repository environments qualify);
-	// environments inspecting other View fields need replay execution.
+	// NewObject creates fresh instances for from-root rebuilds. Required
+	// when the session takes the from-root strategy (see NewSession);
+	// unused under the snapshot strategy.
+	NewObject func() Object
+	// NewEnv creates an environment instance: one for the session's
+	// start, and one per from-root rebuild.
 	NewEnv func() Environment
 	// Fingerprint enables configuration fingerprints (Session.Fingerprint)
 	// when the Object also implements Fingerprintable.
@@ -112,53 +107,74 @@ type SessionConfig struct {
 // Session is a live simulation that supports incremental extension
 // (Extend: apply exactly one more scheduler decision) and backtracking
 // (Mark/Restore: rewind to an earlier configuration on the current
-// execution path). Exploration uses it to visit each schedule-tree edge
-// in O(1) simulator steps instead of replaying every prefix from the
-// root.
+// execution path). It is the one executor both exploration engines
+// drive. NewSession picks one of two restore strategies:
 //
-// The session runs no goroutines: each process's in-flight operation is
-// an explicit continuation Frame (see Stepped), and a decision is
-// dispatched as a direct call into the object's state machine. Restore
-// is therefore a plain struct copy — object snapshot, per-process
-// control state, forked frames — with zero re-executed steps.
+//   - Snapshot: when the object supports snapshots (CanSnapshot) and the
+//     environment is a RewindableEnv. The session runs no goroutines:
+//     each process's in-flight operation is an explicit continuation
+//     Frame (see Stepped), and a decision is dispatched as a direct call
+//     into the object's state machine. Restore is a plain struct copy —
+//     object snapshot, environment snapshot, per-process control state,
+//     forked frames — with zero re-executed steps.
+//   - From root: otherwise. The session runs the object's blocking
+//     Apply on the goroutine runtime sim.Run uses, so LazyArgs,
+//     footprints, fingerprints, crashes and recoveries behave exactly as
+//     in sim.Run. A mark records the number of decisions taken, and
+//     Restore rebuilds the configuration from a fresh object and
+//     environment by re-applying the marked prefix (plain stateless
+//     search: runs are deterministic, so re-execution reaches the
+//     identical configuration).
 //
 // Sessions are not safe for concurrent use; marks may only be restored
 // on the path that created them (a mark is a prefix of the current
-// execution).
+// execution). Close releases the from-root strategy's goroutines.
 type Session struct {
 	rt     *runtime
-	obj    Snapshottable
-	newEnv func() Environment
-	renv   RewindableEnv // non-nil when the env supports fast rewind
+	cfg    SessionConfig
+	obj    Snapshottable // snapshot strategy only
+	renv   RewindableEnv // snapshot strategy only
 	closed bool
 	free   *Mark // freelist of Released marks, linked through Mark.link
 }
 
-// NewSession starts a session positioned at the initial configuration.
+// NewSession starts a session positioned at the initial configuration,
+// choosing its restore strategy once: snapshot when CanSnapshot(Object)
+// holds and the environment implements RewindableEnv, from root
+// otherwise. A from-root session requires NewObject.
 func NewSession(cfg SessionConfig) (*Session, error) {
 	if cfg.Procs < 1 {
 		return nil, errors.New("sim: session Procs must be >= 1")
 	}
-	if !CanSnapshot(cfg.Object) {
-		return nil, fmt.Errorf("sim: session object %T does not support snapshots", cfg.Object)
+	if cfg.Object == nil {
+		return nil, errors.New("sim: session requires Object")
 	}
-	obj := cfg.Object.(Snapshottable)
 	if cfg.NewEnv == nil {
 		return nil, errors.New("sim: session requires NewEnv")
 	}
+	env := cfg.NewEnv()
+	renv, rewindable := env.(RewindableEnv)
+	s := &Session{cfg: cfg}
+	if !rewindable || !CanSnapshot(cfg.Object) {
+		if cfg.NewObject == nil {
+			return nil, fmt.Errorf("sim: session over %T with %T rebuilds from the root and requires NewObject", cfg.Object, env)
+		}
+		s.rt = startRuntime(Config{Procs: cfg.Procs, Object: cfg.Object, Fingerprint: cfg.Fingerprint}, env)
+		return s, nil
+	}
+	s.obj = cfg.Object.(Snapshottable)
+	s.renv = renv
 	r := newRuntime(Config{
 		Procs:       cfg.Procs,
 		Object:      cfg.Object,
 		Fingerprint: cfg.Fingerprint,
-	}, cfg.NewEnv())
+	}, env)
 	r.enableCtl()
 	r.direct = true
 	r.stepped = cfg.Object.(Stepped)
 	r.frames = make([]Frame, cfg.Procs+1)
 	r.next = make([]Invocation, cfg.Procs+1)
 	r.hasNext = make([]bool, cfg.Procs+1)
-	s := &Session{rt: r, obj: obj, newEnv: cfg.NewEnv}
-	s.renv, _ = r.env.(RewindableEnv)
 	for id := 1; id <= cfg.Procs; id++ {
 		r.procs[id] = &Proc{id: id, n: cfg.Procs, rt: r}
 	}
@@ -168,8 +184,12 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 	for id := 1; id <= cfg.Procs; id++ {
 		r.consultEnv(id)
 	}
+	s.rt = r
 	return s, nil
 }
+
+// fromRoot reports whether the session rebuilds from the root.
+func (s *Session) fromRoot() bool { return s.obj == nil }
 
 // consultEnv asks the environment for process id's next invocation and
 // records the outcome in the per-process control state. The process's
@@ -242,8 +262,11 @@ func (s *Session) Extend(d Decision) (StepInfo, error) {
 	}
 	evBefore := len(r.h)
 	stepsBefore := r.steps
-	if err := r.extendDirect(d); err != nil {
+	if err := r.applyDecision(d); err != nil {
 		return StepInfo{}, err
+	}
+	if s.fromRoot() {
+		r.schedule = append(r.schedule, d)
 	}
 	return StepInfo{
 		Delta:  r.h[evBefore:len(r.h):len(r.h)],
@@ -252,92 +275,11 @@ func (s *Session) Extend(d Decision) (StepInfo, error) {
 	}, nil
 }
 
-// extendDirect validates and dispatches one scheduler decision through
-// the continuation runtime: the session-mode equivalent of
-// applyDecision, with the granted window executed as a direct call into
-// the object's state machine instead of a goroutine handoff.
-func (r *runtime) extendDirect(d Decision) error {
-	if d.Proc < 1 || d.Proc > r.cfg.Procs {
-		return fmt.Errorf("sim: scheduler chose invalid process %d", d.Proc)
-	}
-	id := d.Proc
-	if d.Crash && d.Recover {
-		return fmt.Errorf("sim: decision cannot both crash and recover process %d", id)
-	}
-	if d.Crash {
-		if r.status[id] == statusCrashed {
-			return fmt.Errorf("sim: scheduler crashed process %d twice", id)
-		}
-		// The crashed process keeps its frame and pending invocation:
-		// they are part of the configuration (fingerprints include the
-		// pending operations of crashed processes), they just never run —
-		// unless a later recover decision discards them.
-		r.record(history.Crash(id))
-		r.status[id] = statusCrashed
-		if r.recObj != nil {
-			r.recObj.CrashVolatile()
-		}
-		r.lastAccess = Access{}
-		if r.track {
-			r.lastAccess = Access{Known: true, Crash: true}
-		}
-		return nil
-	}
-	if d.Recover {
-		if r.status[id] != statusCrashed {
-			return fmt.Errorf("sim: scheduler recovered non-crashed process %d", id)
-		}
-		if _, ok := r.env.(RewindableEnv); !ok {
-			// The fallback environment rewind reconstructs consultation
-			// points from response events, which recovery consultations do
-			// not produce; exploration routes such environments to replay
-			// execution instead.
-			return fmt.Errorf("sim: recover under a session requires a rewindable environment (%T lacks EnvSnapshot/EnvRestore)", r.env)
-		}
-		r.record(history.Recover(id))
-		r.noteRecover(id)
-		r.fpPending[id] = Invocation{}
-		r.fpHasPend[id] = false
-		r.fpOpSteps[id] = 0
-		if r.fpTrack {
-			r.fpObs[id] = history.DigestSeed()
-		}
-		// The in-flight frame and the chosen-but-uninvoked next invocation
-		// are volatile process state: both die with the crash.
-		r.frames[id] = nil
-		r.hasNext[id] = false
-		var rec Frame
-		if r.recObj != nil {
-			rec = r.recObj.RecoverFrame()
-		}
-		// Set unconditionally: the process may have crashed during a
-		// previous recovery routine, leaving the flag true.
-		r.recovering[id] = rec != nil
-		if rec != nil {
-			r.frames[id] = rec
-			r.status[id] = statusReady
-		} else {
-			// No recovery routine: consult the environment immediately,
-			// within the recover decision, mirroring the goroutine
-			// runtime's respawn handshake.
-			r.consultEnv(id)
-		}
-		r.lastAccess = Access{}
-		if r.track {
-			r.lastAccess = Access{Known: true, Recover: true}
-		}
-		return nil
-	}
-	if r.status[id] != statusReady {
-		return fmt.Errorf("sim: scheduler stepped non-ready process %d", id)
-	}
-	r.steps++
-	r.stepsBy[id]++
-	// Incremented before the window so a response recorded within it
-	// (which ends the operation) resets the counter to zero.
-	r.fpOpSteps[id]++
-	r.beginWindow()
-	evBefore := len(r.h)
+// stepDirect runs process id's granted window through the continuation
+// runtime: a direct call into the object's state machine instead of a
+// goroutine handoff. The caller (applyDecision) has validated the
+// decision and opened the window.
+func (r *runtime) stepDirect(id int) error {
 	p := r.procs[id]
 	var val history.Value
 	var st StepStatus
@@ -393,11 +335,24 @@ func (r *runtime) extendDirect(d Decision) error {
 	default:
 		return fmt.Errorf("sim: object %T returned invalid step status %d", r.cfg.Object, st)
 	}
-	r.lastAccess = Access{}
-	if r.track {
-		r.lastAccess = r.endWindow(evBefore)
-	}
 	return nil
+}
+
+// recoverDirect restarts a recovered process under the continuation
+// runtime: the in-flight frame and the chosen-but-uninvoked next
+// invocation are volatile process state and die with the crash; the
+// recovery routine (if any) becomes the process's frame, and without
+// one the environment is consulted immediately, within the recover
+// decision, mirroring the goroutine runtime's respawn handshake.
+func (r *runtime) recoverDirect(id int, rec Frame) {
+	r.frames[id] = nil
+	r.hasNext[id] = false
+	if rec != nil {
+		r.frames[id] = rec
+		r.status[id] = statusReady
+		return
+	}
+	r.consultEnv(id)
 }
 
 // Ready returns the sorted ids of processes currently awaiting a step.
@@ -457,19 +412,22 @@ func (s *Session) Fingerprint() (uint64, bool) {
 	return r.fingerprint()
 }
 
-// Mark captures the current configuration for a later Restore: the
-// object snapshot plus a plain copy of each process's control state
-// (status, counters, pending invocation, forked continuation frame,
-// chosen-but-uninvoked next invocation) and the environment position.
+// Mark captures the current configuration for a later Restore. Under
+// the snapshot strategy it holds the object and environment snapshots
+// plus a plain copy of each process's control state (status, counters,
+// pending invocation, forked continuation frame, chosen-but-uninvoked
+// next invocation); under the from-root strategy only the number of
+// decisions taken.
 type Mark struct {
-	obj      any
-	env      any
-	hLen     int
-	steps    int
-	envCalls int
-	poisoned bool
-	procs    []procMark // index 0 unused
-	link     *Mark      // Session.Release freelist
+	decisions int // from-root strategy only
+	obj       any
+	env       any
+	hLen      int
+	steps     int
+	envCalls  int
+	poisoned  bool
+	procs     []procMark // index 0 unused
+	link      *Mark      // Session.Release freelist
 }
 
 // procMark is one process's control state at a mark.
@@ -490,8 +448,8 @@ type procMark struct {
 }
 
 // Mark snapshots the current configuration. Marks are cheap (no
-// goroutine state exists to capture) and poolable: Release returns one
-// to the session for reuse.
+// goroutine state is captured) and poolable: Release returns one to the
+// session for reuse.
 func (s *Session) Mark() *Mark {
 	r := s.rt
 	m := s.free
@@ -499,13 +457,17 @@ func (s *Session) Mark() *Mark {
 		s.free = m.link
 		m.link = nil
 	} else {
-		m = &Mark{procs: make([]procMark, r.cfg.Procs+1)}
+		m = &Mark{}
+	}
+	if s.fromRoot() {
+		m.decisions = len(r.schedule)
+		return m
+	}
+	if m.procs == nil {
+		m.procs = make([]procMark, r.cfg.Procs+1)
 	}
 	m.obj = s.obj.Snapshot()
-	m.env = nil
-	if s.renv != nil {
-		m.env = s.renv.EnvSnapshot()
-	}
+	m.env = s.renv.EnvSnapshot()
 	m.hLen = len(r.h)
 	m.steps = r.steps
 	m.envCalls = r.envCalls
@@ -560,14 +522,19 @@ func (s *Session) Release(m *Mark) {
 }
 
 // Restore rewinds the session to a mark taken earlier on the current
-// execution path: a plain struct copy of the control state plus the
-// object snapshot — no re-executed steps, ever. The returned count is
-// always 0; the signature is kept so callers account re-simulation work
-// uniformly across engines.
+// execution path and returns the number of simulator steps it
+// re-executed. Under the snapshot strategy that is always 0: a plain
+// struct copy of the control state plus the object and environment
+// snapshots. Under the from-root strategy a restore that moves shuts
+// the process goroutines down, starts over from a fresh object and
+// environment, and re-applies the marked prefix.
 func (s *Session) Restore(m *Mark) (int, error) {
 	r := s.rt
 	if s.closed {
 		return 0, errors.New("sim: session is closed")
+	}
+	if s.fromRoot() {
+		return s.rebuild(m)
 	}
 	moved := r.steps != m.steps || len(r.h) != m.hLen
 	if !moved {
@@ -621,71 +588,43 @@ func (s *Session) Restore(m *Mark) (int, error) {
 		s.obj.Restore(m.obj)
 	}
 	if r.envCalls != m.envCalls {
-		if s.renv != nil {
-			s.renv.EnvRestore(m.env)
-		} else {
-			// Fallback for environments without the rewind hook: a fresh
-			// instance fast-forwarded through each process's historical
-			// consultations (one per completed operation plus the one
-			// that chose its pending/next invocation).
-			r.env = s.newEnv()
-			respAfter := r.responseIndices()
-			for id := 1; id <= r.cfg.Procs; id++ {
-				s.fastForward(id, m.procs[id].completed+1, respAfter)
-			}
-		}
+		s.renv.EnvRestore(m.env)
 		r.envCalls = m.envCalls
 	}
 	return 0, nil
 }
 
-// responseIndices returns, per process, the history index just past
-// each of its response events, in order — the points at which the
-// process consulted the environment for its next invocation.
-func (r *runtime) responseIndices() [][]int {
-	out := make([][]int, r.cfg.Procs+1)
-	for i := range r.h {
-		if r.h[i].Kind == history.KindResponse {
-			out[r.h[i].Proc] = append(out[r.h[i].Proc], i+1)
-		}
+// rebuild is the from-root strategy's Restore: unless the session is
+// already at the mark, it replaces the runtime by a fresh one over a new
+// object and environment and re-applies the first m.decisions decisions
+// of the current path. Deltas and histories handed out earlier keep
+// their own buffers.
+func (s *Session) rebuild(m *Mark) (int, error) {
+	old := s.rt
+	if len(old.schedule) == m.decisions {
+		return 0, nil
 	}
-	return out
+	old.shutdown()
+	r := startRuntime(Config{Procs: s.cfg.Procs, Object: s.cfg.NewObject(), Fingerprint: s.cfg.Fingerprint}, s.cfg.NewEnv())
+	s.rt = r
+	for _, d := range old.schedule[:m.decisions] {
+		if err := r.applyDecision(d); err != nil {
+			return r.steps, err
+		}
+		r.schedule = append(r.schedule, d)
+	}
+	return r.steps, nil
 }
 
-// histView reconstructs the view process id saw when it made its
-// call-th environment consultation: the history truncated just after
-// its (call-1)-th response (empty for the first call). Only H and Steps
-// are populated; see SessionConfig.NewEnv for the environment contract.
-func (s *Session) histView(id, call int, respAfter [][]int) *View {
-	r := s.rt
-	k := 0
-	if call >= 2 {
-		ra := respAfter[id]
-		i := call - 2
-		if i >= len(ra) {
-			i = len(ra) - 1
-		}
-		if i >= 0 {
-			k = ra[i]
-		}
-	}
-	v := &View{H: r.h[:k:k]}
-	if k > 0 {
-		v.Steps = r.eventSteps[k-1]
-	}
-	return v
-}
-
-// fastForward advances the (fresh) environment past process id's first
-// `calls` consultations, presenting each with its historical view.
-func (s *Session) fastForward(id, calls int, respAfter [][]int) {
-	for j := 1; j <= calls; j++ {
-		s.rt.env.Next(id, s.histView(id, j, respAfter))
-	}
-}
-
-// Close shuts the session down. The session's history remains readable;
+// Close shuts the session down, stopping the from-root strategy's
+// process goroutines. The session's history remains readable;
 // Extend/Restore fail afterwards.
 func (s *Session) Close() {
+	if s.closed {
+		return
+	}
 	s.closed = true
+	if s.fromRoot() {
+		s.rt.shutdown()
+	}
 }

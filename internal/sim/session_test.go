@@ -2,8 +2,10 @@ package sim
 
 import (
 	"reflect"
+	goruntime "runtime"
 	"sort"
 	"testing"
+	"time"
 
 	"repro/internal/base"
 	"repro/internal/history"
@@ -151,7 +153,7 @@ func (f *snapFrame) Fork() Frame {
 // idle transitions and (optionally) crash decisions are all hit.
 func sessionCrossCheck(t *testing.T, procs, depth, crashes int, newObj func() Object, newEnv func() Environment, fingerprint bool) (nodes int) {
 	t.Helper()
-	sess, err := NewSession(SessionConfig{Procs: procs, Object: newObj(), NewEnv: newEnv, Fingerprint: fingerprint})
+	sess, err := NewSession(SessionConfig{Procs: procs, Object: newObj(), NewObject: newObj, NewEnv: newEnv, Fingerprint: fingerprint})
 	if err != nil {
 		t.Fatalf("NewSession: %v", err)
 	}
@@ -241,9 +243,9 @@ func sessionCrossCheck(t *testing.T, procs, depth, crashes int, newObj func() Ob
 }
 
 // TestSessionMatchesReplayEverywhere is the session engine's core
-// soundness check: on a stateful Script environment over an object
-// composing every base object kind, every node of the depth-7
-// two-process tree agrees with a from-root replay.
+// soundness check: on a Script environment over an object composing
+// every base object kind, every node of the depth-7 two-process tree
+// agrees with a from-root replay.
 func TestSessionMatchesReplayEverywhere(t *testing.T) {
 	script := map[int][]Invocation{
 		1: {{Op: "mix", Arg: 10}, {Op: "read"}},
@@ -274,8 +276,8 @@ func TestSessionMatchesReplayWithCrashes(t *testing.T) {
 
 // viewEnv is a stateless, view-dependent environment in the style of
 // mutex.AcquireReleaseLoop: the next operation depends on the process's
-// own last response. Session restores must reproduce its decisions via
-// the historical truncated views.
+// own last response. It lacks the rewind hooks, so sessions over it
+// rebuild from the root.
 func viewEnv() Environment {
 	return EnvironmentFunc(func(proc int, v *View) (Invocation, bool) {
 		proj := v.H.Project(proc)
@@ -344,53 +346,62 @@ func (f *tasFrame) Step(p *Proc) (history.Value, StepStatus) {
 func (f *tasFrame) Fork() Frame { return f }
 
 // TestSessionViewDependentEnv cross-checks the session against replay
-// under a view-dependent environment (decisions derived from the
-// process's own history projection).
+// under a view-dependent, non-rewindable environment (decisions derived
+// from the process's own history projection).
 func TestSessionViewDependentEnv(t *testing.T) {
 	newObj := func() Object { return &tasObject{t: base.NewTAS("t")} }
 	nodes := sessionCrossCheck(t, 2, 7, 0, newObj, viewEnv, true)
 	t.Logf("cross-checked %d nodes", nodes)
 }
 
-// TestSessionLazyArgPoisonRestored pins LazyArg semantics under the
-// session: a lazily resolved argument poisons the fingerprint of the
-// subtree below it, and a restore above the lazy step lifts the poison.
+// TestSessionLazyArgPoisonRestored pins LazyArg semantics under both
+// session strategies: a lazily resolved argument poisons the
+// fingerprint of the subtree below it, and a restore above the lazy
+// step lifts the poison.
 func TestSessionLazyArgPoisonRestored(t *testing.T) {
 	script := map[int][]Invocation{
 		1: {{Op: "mix", Arg: 1}},
 		2: {{Op: "mix", Arg: LazyArg(func(v *View) history.Value { return v.Steps })}},
 	}
-	sess, err := NewSession(SessionConfig{
-		Procs:       2,
-		Object:      newSnapObject(2),
-		NewEnv:      func() Environment { return Script(script) },
-		Fingerprint: true,
-	})
-	if err != nil {
-		t.Fatalf("NewSession: %v", err)
-	}
-	defer sess.Close()
-	if _, ok := sess.Fingerprint(); !ok {
-		t.Fatal("root must fingerprint")
-	}
-	mark := sess.Mark()
-	if _, err := sess.Extend(Decision{Proc: 1}); err != nil {
-		t.Fatalf("extend: %v", err)
-	}
-	if _, ok := sess.Fingerprint(); !ok {
-		t.Fatal("proc 1's branch must still fingerprint")
-	}
-	if _, err := sess.Extend(Decision{Proc: 2}); err != nil {
-		t.Fatalf("extend: %v", err)
-	}
-	if _, ok := sess.Fingerprint(); ok {
-		t.Fatal("lazy invocation must poison the fingerprint")
-	}
-	if _, err := sess.Restore(mark); err != nil {
-		t.Fatalf("restore: %v", err)
-	}
-	if _, ok := sess.Fingerprint(); !ok {
-		t.Fatal("restore above the lazy step must lift the poison")
+	for name, newObj := range map[string]func() Object{
+		"snapshot":  func() Object { return newSnapObject(2) },
+		"from-root": func() Object { return ApplyOnly(newSnapObject(2)) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			sess, err := NewSession(SessionConfig{
+				Procs:       2,
+				Object:      newObj(),
+				NewObject:   newObj,
+				NewEnv:      func() Environment { return Script(script) },
+				Fingerprint: true,
+			})
+			if err != nil {
+				t.Fatalf("NewSession: %v", err)
+			}
+			defer sess.Close()
+			if _, ok := sess.Fingerprint(); !ok {
+				t.Fatal("root must fingerprint")
+			}
+			mark := sess.Mark()
+			if _, err := sess.Extend(Decision{Proc: 1}); err != nil {
+				t.Fatalf("extend: %v", err)
+			}
+			if _, ok := sess.Fingerprint(); !ok {
+				t.Fatal("proc 1's branch must still fingerprint")
+			}
+			if _, err := sess.Extend(Decision{Proc: 2}); err != nil {
+				t.Fatalf("extend: %v", err)
+			}
+			if _, ok := sess.Fingerprint(); ok {
+				t.Fatal("lazy invocation must poison the fingerprint")
+			}
+			if _, err := sess.Restore(mark); err != nil {
+				t.Fatalf("restore: %v", err)
+			}
+			if _, ok := sess.Fingerprint(); !ok {
+				t.Fatal("restore above the lazy step must lift the poison")
+			}
+		})
 	}
 }
 
@@ -399,14 +410,15 @@ type gatedObject struct{ snapObject }
 
 func (g *gatedObject) Snapshotting() bool { return false }
 
-// TestNewSessionRejects pins the constructor contract: objects without
-// the hook — or vetoing it via SessionGated — are rejected, as are
-// missing environments.
+// TestNewSessionRejects pins the constructor contract: a session that
+// would rebuild from the root — object without the hook, a
+// SessionGated veto, or a non-rewindable environment — needs NewObject,
+// and every session needs an environment.
 func TestNewSessionRejects(t *testing.T) {
 	plain := ObjectFunc(func(p *Proc, inv Invocation) history.Value { return nil })
 	env := func() Environment { return Script(nil) }
 	if _, err := NewSession(SessionConfig{Procs: 1, Object: plain, NewEnv: env}); err == nil {
-		t.Error("object without Snapshottable must be rejected")
+		t.Error("object without Snapshottable and without NewObject must be rejected")
 	}
 	if CanSnapshot(plain) {
 		t.Error("CanSnapshot must be false without the hook")
@@ -417,13 +429,125 @@ func TestNewSessionRejects(t *testing.T) {
 		t.Error("CanSnapshot must honor the SessionGated veto")
 	}
 	if _, err := NewSession(SessionConfig{Procs: 1, Object: g, NewEnv: env}); err == nil {
-		t.Error("SessionGated veto must be rejected")
+		t.Error("SessionGated veto without NewObject must be rejected")
+	}
+	bare := func() Environment { return EnvironmentFunc(Script(nil).Next) }
+	if _, err := NewSession(SessionConfig{Procs: 1, Object: newSnapObject(1), NewEnv: bare}); err == nil {
+		t.Error("non-rewindable environment without NewObject must be rejected")
 	}
 	if _, err := NewSession(SessionConfig{Procs: 1, Object: newSnapObject(1)}); err == nil {
 		t.Error("missing NewEnv must be rejected")
 	}
 	if !CanSnapshot(newSnapObject(1)) {
 		t.Error("CanSnapshot must be true for the hook-bearing object")
+	}
+	if CanSnapshot(ApplyOnly(newSnapObject(1))) {
+		t.Error("ApplyOnly must hide the snapshot hook")
+	}
+	s, err := NewSession(SessionConfig{Procs: 1, Object: plain, NewObject: func() Object { return plain }, NewEnv: env})
+	if err != nil {
+		t.Fatalf("from-root session with NewObject rejected: %v", err)
+	}
+	s.Close()
+	s.Close() // idempotent
+	if _, err := s.Extend(Decision{Proc: 1}); err == nil {
+		t.Error("Extend after Close must fail")
+	}
+}
+
+// TestSessionFromRootMatchesReplay runs the cross-check, crash branching
+// included, over every way a session ends up rebuilding from the root:
+// an Apply-only object, a SessionGated veto, the ApplyOnly wrapper of a
+// snapshot-capable object, and a snapshot-capable object under an
+// environment without the rewind hooks.
+func TestSessionFromRootMatchesReplay(t *testing.T) {
+	script := map[int][]Invocation{
+		1: {{Op: "mix", Arg: 1}, {Op: "read"}},
+		2: {{Op: "mix", Arg: 2}},
+	}
+	rewindable := func() Environment { return Script(script) }
+	bare := func() Environment { return EnvironmentFunc(Script(script).Next) }
+	for _, tc := range []struct {
+		name   string
+		newObj func() Object
+		newEnv func() Environment
+	}{
+		{"apply-only", func() Object { return ObjectFunc(newSnapObject(2).Apply) }, rewindable},
+		{"gated", func() Object { return &gatedObject{snapObject: *newSnapObject(2)} }, rewindable},
+		{"ApplyOnly", func() Object { return ApplyOnly(newSnapObject(2)) }, rewindable},
+		{"non-rewindable-env", func() Object { return newSnapObject(2) }, bare},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			nodes := sessionCrossCheck(t, 2, 6, 2, tc.newObj, tc.newEnv, true)
+			t.Logf("cross-checked %d nodes", nodes)
+		})
+	}
+}
+
+// settledGoroutines waits briefly for exiting goroutines (a shut-down
+// process goroutine is counted until it returns) and reports the count
+// once it is at most limit, or the last count seen.
+func settledGoroutines(limit int) int {
+	n := goruntime.NumGoroutine()
+	for i := 0; i < 200 && n > limit; i++ {
+		time.Sleep(5 * time.Millisecond)
+		n = goruntime.NumGoroutine()
+	}
+	return n
+}
+
+// TestSessionFromRootGoroutines pins the from-root strategy's goroutine
+// hygiene: a rebuild shuts the previous runtime's process goroutines
+// down before spawning new ones, so the session never holds more than
+// Procs of them, and Close leaves none behind.
+func TestSessionFromRootGoroutines(t *testing.T) {
+	const procs = 3
+	script := map[int][]Invocation{
+		1: {{Op: "mix", Arg: 1}},
+		2: {{Op: "mix", Arg: 2}},
+		3: {{Op: "mix", Arg: 3}},
+	}
+	base := goruntime.NumGoroutine()
+	newObj := func() Object { return ApplyOnly(newSnapObject(procs)) }
+	sess, err := NewSession(SessionConfig{
+		Procs: procs, Object: newObj(), NewObject: newObj,
+		NewEnv: func() Environment { return Script(script) },
+	})
+	if err != nil {
+		t.Fatalf("NewSession: %v", err)
+	}
+	rebuilds := 0
+	var walk func(depth int)
+	walk = func(depth int) {
+		if n := settledGoroutines(base + procs); n > base+procs {
+			t.Fatalf("%d goroutines after %d rebuilds, want at most %d", n, rebuilds, base+procs)
+		}
+		ready := sess.Ready()
+		if depth == 0 || len(ready) == 0 {
+			return
+		}
+		m := sess.Mark()
+		for _, id := range ready {
+			n, err := sess.Restore(m)
+			if err != nil {
+				t.Fatalf("restore: %v", err)
+			}
+			if n > 0 {
+				rebuilds++
+			}
+			if _, err := sess.Extend(Decision{Proc: id}); err != nil {
+				t.Fatalf("extend: %v", err)
+			}
+			walk(depth - 1)
+		}
+	}
+	walk(5)
+	if rebuilds == 0 {
+		t.Fatal("the walk never rebuilt")
+	}
+	sess.Close()
+	if n := settledGoroutines(base); n > base {
+		t.Errorf("%d goroutines after Close, want the baseline %d", n, base)
 	}
 }
 

@@ -12,11 +12,15 @@
 // probing possible: a configuration is represented by the schedule
 // prefix that produced it.
 //
-// Session executes the same model without goroutines: objects
-// implementing Stepped run each operation as an explicit continuation
-// state machine (one resumable step closure per grant) driven by a
-// direct dispatch loop, which makes snapshot/restore a plain struct
-// copy and the exploration hot loop allocation-free. Run remains the
+// Session is the executor the exploration engines drive: a live
+// configuration extended one decision at a time and rewound to marks.
+// Its snapshot strategy executes the same model without goroutines:
+// objects implementing Stepped run each operation as an explicit
+// continuation state machine (one resumable step closure per grant)
+// driven by a direct dispatch loop, which makes snapshot/restore a
+// plain struct copy and the exploration hot loop allocation-free. Its
+// from-root strategy runs Apply on the goroutine runtime Run uses and
+// rebuilds on restore. Run and the from-root strategy remain the
 // parity oracle for the continuation runtime.
 //
 // The runtime records the external history (invocations, responses, crash
@@ -332,7 +336,7 @@ type Proc struct {
 	grant chan struct{}
 	sync  chan procStatus
 	dead  chan struct{}
-	// halt is per-process so a Session.Restore can unwind one process's
+	// halt is per-process so a recover decision can unwind one process's
 	// goroutine without disturbing the others.
 	halt chan struct{}
 }
@@ -345,9 +349,10 @@ func (p *Proc) N() int { return p.n }
 
 // Exec performs op as one atomic step: it blocks until the scheduler grants
 // this process a step, then runs op. desc describes the step for tracing.
-// Exec only exists under the goroutine runtime (sim.Run); continuation
-// sessions dispatch Stepped frames directly and never block, so an
-// object stepping through Exec inside a session is a contract violation.
+// Exec only exists under the goroutine runtime (sim.Run and from-root
+// sessions); snapshot sessions dispatch Stepped frames directly and
+// never block, so an object stepping through Exec inside one is a
+// contract violation.
 func (p *Proc) Exec(desc string, op func()) {
 	_ = desc
 	if p.rt.direct {
@@ -425,14 +430,14 @@ func (p *Proc) awaitGrant() {
 
 type runtime struct {
 	cfg   Config
-	env   Environment // current environment (a Session.Restore swaps in a rebuilt one)
-	procs []*Proc     // index 0 unused
+	env   Environment
+	procs []*Proc // index 0 unused
 
 	h          history.History
 	eventSteps []int
 	steps      int
 	stepsBy    []int
-	schedule   []Decision
+	schedule   []Decision   // decisions applied (goroutine runtime only)
 	status     []procStatus // index 0 unused
 
 	// Footprint tracking (only when the object opts in via Footprinted).
@@ -482,23 +487,25 @@ type runtime struct {
 	fpPoisoned bool
 	fpEnc      Fingerprinter // reused by Observe for its encoding buffer
 
-	// Continuation-session state (only under Session, never sim.Run).
-	// The session dispatches Stepped frames directly: frames holds each
-	// process's in-flight operation continuation (nil between
-	// operations), next/hasNext the invocation the environment chose but
-	// the process has not yet invoked, lastAccess the footprint of the
-	// most recent decision, and envCalls the total number of environment
+	// lastAccess is the footprint of the most recent decision (zero when
+	// the object does not track footprints).
+	lastAccess Access
+
+	// Continuation state (only under a snapshot Session). The session
+	// dispatches Stepped frames directly: frames holds each process's
+	// in-flight operation continuation (nil between operations),
+	// next/hasNext the invocation the environment chose but the process
+	// has not yet invoked, and envCalls the total number of environment
 	// consultations made (so Restore knows whether the environment needs
 	// rewinding). vw is the reusable view handed to environments and
 	// LazyArgs: it is valid only for the duration of the call.
-	direct     bool
-	stepped    Stepped
-	frames     []Frame      // index 0 unused
-	next       []Invocation // index 0 unused
-	hasNext    []bool       // index 0 unused
-	lastAccess Access
-	envCalls   int
-	vw         View
+	direct   bool
+	stepped  Stepped
+	frames   []Frame      // index 0 unused
+	next     []Invocation // index 0 unused
+	hasNext  []bool       // index 0 unused
+	envCalls int
+	vw       View
 }
 
 // beginWindow resets the per-window footprint accumulators.
@@ -715,13 +722,18 @@ func (r *runtime) recoveryDone(id int) {
 	}
 }
 
-// spawn starts (or restarts) process id's goroutine and waits for its
-// initial yield, so readiness transitions stay deterministic.
+// spawn starts process id's goroutine and waits for its initial yield,
+// so readiness transitions stay deterministic.
 func (r *runtime) spawn(id int) { r.respawn(id, nil) }
 
 // respawn starts process id's goroutine, optionally with a recovery
-// routine to drive first, and waits for its initial yield.
+// routine to drive first, and waits for its initial yield. A previous
+// goroutine of the process (parked after a crash) is unwound first.
 func (r *runtime) respawn(id int, rec Frame) {
+	if old := r.procs[id]; old != nil {
+		close(old.halt)
+		<-old.dead
+	}
 	p := &Proc{
 		id: id, n: r.cfg.Procs, rt: r,
 		grant: make(chan struct{}),
@@ -734,83 +746,113 @@ func (r *runtime) respawn(id int, rec Frame) {
 	r.status[id] = <-p.sync // initial yield before first invocation
 }
 
-// applyDecision validates and executes one scheduler decision. The
-// returned error corresponds to sim.Run's StopError cases; the caller
-// must have checked its own budget and that some process is ready.
+// startRuntime builds a goroutine runtime over cfg.Object and env and
+// spawns its processes: the starting configuration of sim.Run and of a
+// from-root Session.
+func startRuntime(cfg Config, env Environment) *runtime {
+	r := newRuntime(cfg, env)
+	if r.fpTrack {
+		r.enableCtl()
+	}
+	// Start processes one at a time so initial readiness is deterministic.
+	for id := 1; id <= cfg.Procs; id++ {
+		r.spawn(id)
+	}
+	return r
+}
+
+// applyDecision validates and executes one scheduler decision on either
+// runtime: the granted window is a goroutine handoff under sim.Run and
+// a from-root Session, and a direct call into the object's continuation
+// frames under a snapshot Session. The returned error corresponds to
+// sim.Run's StopError cases; the caller must have checked its own budget
+// and that some process is ready. On success r.lastAccess holds the
+// decision's footprint (zero when the object does not track footprints).
 func (r *runtime) applyDecision(d Decision) error {
-	if d.Proc < 1 || d.Proc > r.cfg.Procs {
-		return fmt.Errorf("sim: scheduler chose invalid process %d", d.Proc)
+	id := d.Proc
+	if id < 1 || id > r.cfg.Procs {
+		return fmt.Errorf("sim: scheduler chose invalid process %d", id)
 	}
 	if d.Crash && d.Recover {
-		return fmt.Errorf("sim: decision cannot both crash and recover process %d", d.Proc)
+		return fmt.Errorf("sim: decision cannot both crash and recover process %d", id)
 	}
-	if d.Crash {
-		if r.status[d.Proc] == statusCrashed {
-			return fmt.Errorf("sim: scheduler crashed process %d twice", d.Proc)
+	var a Access
+	switch {
+	case d.Crash:
+		if r.status[id] == statusCrashed {
+			return fmt.Errorf("sim: scheduler crashed process %d twice", id)
 		}
-		r.schedule = append(r.schedule, d)
-		r.record(history.Crash(d.Proc))
-		r.status[d.Proc] = statusCrashed
+		// The crashed process keeps its pending invocation (and, under a
+		// snapshot Session, its frame): they are part of the
+		// configuration (fingerprints include the pending operations of
+		// crashed processes), they just never run — unless a later recover
+		// decision discards them.
+		r.record(history.Crash(id))
+		r.status[id] = statusCrashed
 		if r.recObj != nil {
 			r.recObj.CrashVolatile()
 		}
-		if r.track {
-			r.accesses = append(r.accesses, Access{Known: true, Crash: true})
+		a = Access{Known: true, Crash: true}
+	case d.Recover:
+		if r.status[id] != statusCrashed {
+			return fmt.Errorf("sim: scheduler recovered non-crashed process %d", id)
 		}
-		return nil
-	}
-	if d.Recover {
-		if r.status[d.Proc] != statusCrashed {
-			return fmt.Errorf("sim: scheduler recovered non-crashed process %d", d.Proc)
-		}
-		// Kill the crashed process's parked goroutine, then re-spawn it
-		// fresh: recovery routine first (if any), then the environment
-		// loop. Its pending invocation never responds.
-		if p := r.procs[d.Proc]; p != nil {
-			close(p.halt)
-			<-p.dead
-		}
-		r.schedule = append(r.schedule, d)
-		r.record(history.Recover(d.Proc))
-		r.noteRecover(d.Proc)
+		r.record(history.Recover(id))
+		r.noteRecover(id)
 		if r.ctl {
-			r.fpPending[d.Proc] = Invocation{}
-			r.fpHasPend[d.Proc] = false
-			r.fpOpSteps[d.Proc] = 0
+			r.fpPending[id] = Invocation{}
+			r.fpHasPend[id] = false
+			r.fpOpSteps[id] = 0
 		}
 		if r.fpTrack {
-			r.fpObs[d.Proc] = history.DigestSeed()
+			r.fpObs[id] = history.DigestSeed()
 		}
 		var rec Frame
 		if r.recObj != nil {
 			rec = r.recObj.RecoverFrame()
 		}
-		r.recovering[d.Proc] = rec != nil
-		r.respawn(d.Proc, rec)
-		if r.track {
-			r.accesses = append(r.accesses, Access{Known: true, Recover: true})
+		// Set unconditionally: the process may have crashed during a
+		// previous recovery routine, leaving the flag true.
+		r.recovering[id] = rec != nil
+		if r.direct {
+			r.recoverDirect(id, rec)
+		} else {
+			// Re-spawn the process fresh: recovery routine first (if any),
+			// then the environment loop. Its pending invocation never
+			// responds.
+			r.respawn(id, rec)
 		}
-		return nil
+		a = Access{Known: true, Recover: true}
+	default:
+		if r.status[id] != statusReady {
+			return fmt.Errorf("sim: scheduler stepped non-ready process %d", id)
+		}
+		r.steps++
+		r.stepsBy[id]++
+		if r.ctl {
+			// Incremented before the window so a response recorded within
+			// it (which ends the operation) resets the counter to zero.
+			r.fpOpSteps[id]++
+		}
+		evBefore := len(r.h)
+		r.beginWindow()
+		if r.direct {
+			if err := r.stepDirect(id); err != nil {
+				return err
+			}
+		} else {
+			p := r.procs[id]
+			p.grant <- struct{}{}
+			r.status[id] = <-p.sync
+		}
+		if r.track {
+			a = r.endWindow(evBefore)
+		}
 	}
-	if r.status[d.Proc] != statusReady {
-		return fmt.Errorf("sim: scheduler stepped non-ready process %d", d.Proc)
+	if !r.track {
+		a = Access{}
 	}
-	r.steps++
-	r.stepsBy[d.Proc]++
-	if r.ctl {
-		// Incremented before the window so a response recorded within
-		// it (which ends the operation) resets the counter to zero.
-		r.fpOpSteps[d.Proc]++
-	}
-	r.schedule = append(r.schedule, d)
-	p := r.procs[d.Proc]
-	evBefore := len(r.h)
-	r.beginWindow()
-	p.grant <- struct{}{}
-	r.status[d.Proc] = <-p.sync
-	if r.track {
-		r.accesses = append(r.accesses, r.endWindow(evBefore))
-	}
+	r.lastAccess = a
 	return nil
 }
 
@@ -835,15 +877,7 @@ func Run(cfg Config) *Result {
 	if cfg.MaxSteps == 0 {
 		cfg.MaxSteps = DefaultMaxSteps
 	}
-	r := newRuntime(cfg, cfg.Env)
-	if r.fpTrack {
-		r.enableCtl()
-	}
-
-	// Start processes one at a time so initial readiness is deterministic.
-	for id := 1; id <= cfg.Procs; id++ {
-		r.spawn(id)
-	}
+	r := startRuntime(cfg, cfg.Env)
 
 	res := &Result{}
 	for {
@@ -865,6 +899,10 @@ func Run(cfg Config) *Result {
 			res.Reason = StopError
 			res.Err = err
 			break
+		}
+		r.schedule = append(r.schedule, d)
+		if r.track {
+			r.accesses = append(r.accesses, r.lastAccess)
 		}
 	}
 

@@ -57,7 +57,7 @@ type procTx struct {
 // snapshot.SW built from single-writer registers. Implementations that
 // additionally provide Snapshot() any / Restore(any) (both in-repo ones
 // do) let the TM participate in incremental exploration; without them
-// the TM falls back to replay execution (see I12.Snapshotting).
+// exploration sessions rebuild from the root (see I12.Snapshotting).
 type SnapshotObject interface {
 	Update(s base.Stepper, i int, v history.Value)
 	Scan(s base.Stepper) []history.Value
@@ -74,7 +74,7 @@ type snapRestorer interface {
 // which is what the continuation frames need. The hardware base.Snapshot
 // provides it; the software snapshot built from registers does not (its
 // scan takes many steps), so I12-with-software-snapshot reports
-// Snapshotting()==false and exploration uses the replay fallback.
+// Snapshotting()==false and exploration sessions rebuild from the root.
 type steppedSnap interface {
 	UpdateW(a base.Accessor, i int, v history.Value)
 	ScanW(a base.Accessor, dst []history.Value) []history.Value
@@ -179,8 +179,8 @@ type tmState struct {
 }
 
 // Snapshotting reports whether the snapshot object supports both state
-// capture and single-window update/scan; false sends exploration to the
-// replay fallback (see sim.CanSnapshot).
+// capture and single-window update/scan; false sends exploration
+// sessions to the from-root strategy (see sim.NewSession).
 func (t *I12) Snapshotting() bool {
 	if _, ok := t.r.(snapRestorer); !ok {
 		return false

@@ -11,6 +11,7 @@ import (
 	"repro/internal/explore"
 	"repro/internal/history"
 	"repro/internal/sample"
+	"repro/internal/sim"
 	"repro/slx/hist"
 	"repro/slx/run"
 )
@@ -114,9 +115,10 @@ func WithContext(ctx context.Context) Option { return func(c *Checker) { c.ctx =
 // deadline, layered on top of any WithContext. When it expires, Explore
 // returns the partial Report — statistics over the work completed
 // before the cut, Interrupted set, no verdicts — together with the
-// context error, exactly like an external cancellation. d <= 0 means no
-// budget. This is the per-job wall-clock budget of slxd daemon jobs and
-// the -timeout flag of one-shot CLI exploration.
+// context error, exactly like an external cancellation. d == 0 means no
+// budget; Explore and ValidateExplore reject d < 0. This is the per-job
+// wall-clock budget of slxd daemon jobs and the -timeout flag of
+// one-shot CLI exploration.
 func WithTimeout(d time.Duration) Option { return func(c *Checker) { c.timeout = d } }
 
 // WithExecutor offers the extra worker loops of WithWorkers to an
@@ -188,21 +190,19 @@ func WithPOR() Option { return func(c *Checker) { c.por = true } }
 // timing-dependent (verdicts are unaffected). Default: off.
 func WithStateCache() Option { return func(c *Checker) { c.cache = true } }
 
-// WithReplayExecution forces Explore onto from-root replay execution:
-// every explored prefix re-executes from the initial configuration,
-// even when the object supports incremental execution
-// (run.Snapshottable). By default Explore runs incrementally whenever
-// the object allows it — descending by extending one persistent
-// simulation and backtracking by snapshot restore — which visits the
-// identical tree with amortized O(1) simulator steps per prefix
-// (Report.SimSteps) plus bounded re-simulation (Report.Resims). The
-// escape hatch exists for cross-checking the two engines, for
-// before/after benchmarking, and for environments outside the
-// incremental contract: an environment whose decisions depend on view
-// fields other than the invoking process's own history projection and
-// invocation count must use replay execution. Objects without the
-// snapshot hook use replay automatically; soundness never depends on
-// the hook.
+// WithReplayExecution forces Explore onto from-root execution: every
+// object instance is wrapped in an adapter that hides its snapshot and
+// continuation hooks, so the engine's sessions run the blocking
+// Apply on process goroutines and rebuild from the root on every
+// backtrack that moves. By default Explore backtracks by snapshot
+// restore whenever the object (run.Snapshottable and run.Stepped) and
+// the environment (run.RewindableEnv) allow it, which visits the
+// identical tree with exactly one simulator step per prefix
+// (Report.SimSteps); from-root rebuilds add the steps they re-execute
+// to both Report.SimSteps and Report.Resims. The option exists for
+// cross-checking the two strategies and for before/after benchmarking:
+// objects or environments without the hooks take the from-root
+// strategy automatically, so soundness never depends on them.
 func WithReplayExecution() Option { return func(c *Checker) { c.replay = true } }
 
 // WithSample switches Explore into probabilistic sampling mode: instead
@@ -217,9 +217,10 @@ func WithReplayExecution() Option { return func(c *Checker) { c.replay = true } 
 // keeping the Report — including which failure is surfaced — identical
 // for a fixed WithSeed at any worker count (the least-index failing
 // schedule wins, the sampling analogue of exhaustive exploration's
-// preorder-least rule). Objects with the run.Snapshottable hook execute
-// all schedules on one reused session per worker; others (or
-// WithReplayExecution) rebuild each run from the root, with identical
+// preorder-least rule). Each worker executes all its schedules on one
+// reused session: with the snapshot hooks (see WithReplayExecution) a
+// schedule starts by a struct-copy restore of the root, otherwise (or
+// under WithReplayExecution) by a from-root rebuild, with identical
 // results. The Report gains Sampled, Schedules, DistinctStates and
 // FailingSeed; a clean sampled Report is probabilistic evidence, not
 // exhaustive proof. Sampling requires properties with native monitors
@@ -540,19 +541,18 @@ func (c *Checker) Explore(props ...Property) (*Report, error) {
 	}
 	var scans atomic.Int64
 	ecfg := explore.Config{
-		Procs:       c.procs,
-		NewObject:   c.newObject,
-		NewEnv:      c.newEnv,
-		Depth:       c.depth,
-		Crashes:     c.crashes,
-		Recoveries:  c.recoveries,
-		Workers:     workers,
-		Spawn:       c.spawn,
-		POR:         c.por,
-		Cache:       c.cache,
-		Visited:     c.visited,
-		ForceReplay: c.replay,
-		Ctx:         ctx,
+		Procs:      c.procs,
+		NewObject:  c.exploreObject(),
+		NewEnv:     c.newEnv,
+		Depth:      c.depth,
+		Crashes:    c.crashes,
+		Recoveries: c.recoveries,
+		Workers:    workers,
+		Spawn:      c.spawn,
+		POR:        c.por,
+		Cache:      c.cache,
+		Visited:    c.visited,
+		Ctx:        ctx,
 	}
 	if batch {
 		ecfg.Check = func(h hist.History, schedule []run.Decision) error {
@@ -638,6 +638,15 @@ func (c *Checker) ValidateExplore(props ...Property) error {
 	if c.workers < 1 {
 		return fmt.Errorf("slx: workers: WithWorkers requires at least 1 worker, got %d", c.workers)
 	}
+	if c.depth < 0 {
+		return fmt.Errorf("slx: depth: WithDepth requires n >= 0, got %d", c.depth)
+	}
+	if c.crashes < 0 {
+		return fmt.Errorf("slx: crashes: WithCrashes requires n >= 0, got %d", c.crashes)
+	}
+	if c.timeout < 0 {
+		return fmt.Errorf("slx: timeout: WithTimeout requires d >= 0, got %v", c.timeout)
+	}
 	if c.recoveries < 0 {
 		return fmt.Errorf("slx: WithRecoveries requires n >= 0, got %d", c.recoveries)
 	}
@@ -682,6 +691,16 @@ func (c *Checker) ValidateExplore(props ...Property) error {
 	return nil
 }
 
+// exploreObject is Explore's object factory: under WithReplayExecution
+// every instance is wrapped by sim.ApplyOnly, so the engine's sessions
+// rebuild from the root over the blocking Apply.
+func (c *Checker) exploreObject() func() run.Object {
+	if !c.replay {
+		return c.newObject
+	}
+	return func() run.Object { return sim.ApplyOnly(c.newObject()) }
+}
+
 // exploreContext derives Explore's working context: the configured one,
 // bounded by the WithTimeout deadline when one is set.
 func (c *Checker) exploreContext() (context.Context, context.CancelFunc) {
@@ -706,7 +725,7 @@ func (c *Checker) sampleExplore(ctx context.Context, props []Property) (*Report,
 	var scans atomic.Int64
 	st, err := sample.Run(sample.Config{
 		Procs:     c.procs,
-		NewObject: c.newObject,
+		NewObject: c.exploreObject(),
 		NewEnv:    c.newEnv,
 		NewMonitors: func() explore.MonitorSet {
 			mons := make([]Monitor, len(props))
@@ -724,7 +743,6 @@ func (c *Checker) sampleExplore(ctx context.Context, props []Property) (*Report,
 		Seed:         c.seed,
 		Workers:      c.workers,
 		Spawn:        c.spawn,
-		ForceReplay:  c.replay,
 		Fingerprint:  true,
 		Ctx:          ctx,
 	})

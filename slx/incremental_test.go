@@ -1,14 +1,15 @@
 package slx_test
 
-// Cross-checks of the incremental execution engine through the public
-// API: for every example object — clean and seeded-bug alike — Explore
-// on the default incremental engine must return the identical verdict,
-// statistics and witness as Explore forced onto from-root replay
-// (WithReplayExecution), composed with POR, the state cache and the
-// work-stealing scheduler. This is the acceptance gate of the session
-// engine's soundness story (see DESIGN.md "Incremental execution"):
-// both engines enumerate the identical tree, so every divergence is an
-// engine bug, never a property change. Run with -race in CI.
+// Cross-checks of the session's two restore strategies through the
+// public API: for every example object — clean and seeded-bug alike —
+// Explore on the default snapshot strategy must return the identical
+// verdict, statistics and witness as Explore forced onto the from-root
+// strategy over the blocking Apply (WithReplayExecution), composed with
+// POR, the state cache and the work-stealing scheduler. This is the
+// acceptance gate of the session engine's soundness story (see
+// DESIGN.md "Incremental execution"): both strategies enumerate the
+// identical tree, so every divergence is an engine bug, never a
+// property change. Run with -race in CI.
 
 import (
 	"fmt"
@@ -102,8 +103,9 @@ func TestIncrementalVerdictParity(t *testing.T) {
 				}
 				// Every example object carries the snapshot hook, so the
 				// incremental engine must actually engage: strictly fewer
-				// sim steps than the quadratic replay engine.
-				if !workers && inc.Prefixes > 1 && inc.SimSteps >= rep.SimSteps {
+				// sim steps than the from-root strategy whenever that one
+				// backtracked (rebuilt) at all.
+				if !workers && rep.Resims > 0 && inc.SimSteps >= rep.SimSteps {
 					t.Errorf("incremental engine did not reduce sim steps: %d vs replay %d", inc.SimSteps, rep.SimSteps)
 				}
 			})
@@ -112,7 +114,7 @@ func TestIncrementalVerdictParity(t *testing.T) {
 }
 
 // noSnapRegister is porRegister without the snapshot hook: exploration
-// must fall back to replay execution transparently.
+// must take the from-root strategy transparently.
 type noSnapRegister struct{ v hist.Value }
 
 func (r *noSnapRegister) Apply(p *run.Proc, inv run.Invocation) hist.Value {
@@ -129,9 +131,9 @@ func (r *noSnapRegister) Apply(p *run.Proc, inv run.Invocation) hist.Value {
 func (r *noSnapRegister) Footprints() bool { return true }
 
 // TestIncrementalFallbackTransparent pins the fallback contract: an
-// object without run.Snapshottable explores by from-root replay with or
-// without WithReplayExecution — identical trees, identical (quadratic)
-// step counts — so soundness never depends on the hook.
+// object without run.Snapshottable explores by from-root rebuilds with
+// or without WithReplayExecution — identical trees, identical step
+// counts — so soundness never depends on the hook.
 func TestIncrementalFallbackTransparent(t *testing.T) {
 	if run.CanSnapshot(&noSnapRegister{}) {
 		t.Fatal("noSnapRegister must not report snapshot support")
@@ -159,33 +161,46 @@ func TestIncrementalFallbackTransparent(t *testing.T) {
 		t.Errorf("register must be linearizable (default OK=%v, forced OK=%v)", def.OK(), forced.OK())
 	}
 	if def.SimSteps <= def.Prefixes {
-		t.Errorf("replay fallback should show quadratic steps (%d) above prefixes (%d)", def.SimSteps, def.Prefixes)
+		t.Errorf("from-root rebuilds should show re-executed steps (%d) above prefixes (%d)", def.SimSteps, def.Prefixes)
 	}
 }
 
-// viewDependentEnv issues invocations that depend on the observed view:
-// each process writes the current history length (different in every
-// interleaving), then reads, then stops. Both engines must consult the
-// environment inside the same step window with the same view — a session
-// restore that replayed the environment against a stale or rebuilt view
-// would pick different invocations and change the explored tree.
-func viewDependentEnv() run.Environment {
-	return run.EnvironmentFunc(func(proc int, v *run.View) (run.Invocation, bool) {
-		invoked := 0
-		for _, e := range v.H {
-			if e.Proc == proc && e.Kind == hist.KindInvoke {
-				invoked++
-			}
+// invokesBy counts proc's invocation events in h.
+func invokesBy(h hist.History, proc int) int {
+	n := 0
+	for _, e := range h {
+		if e.Proc == proc && e.Kind == hist.KindInvoke {
+			n++
 		}
-		switch invoked {
-		case 0:
-			return run.Invocation{Op: "write", Arg: 100*proc + len(v.H)}, true
-		case 1:
-			return run.Invocation{Op: "read"}, true
-		}
-		return run.Invocation{}, false
-	})
+	}
+	return n
 }
+
+// viewEnv issues invocations that depend on the observed view: each
+// process writes the current history length (different in every
+// interleaving), then reads, then stops. Both strategies must consult
+// the environment inside the same step window with the same view — a
+// session restore that replayed the environment against a stale or
+// rebuilt view would pick different invocations and change the
+// explored tree. It decides from (proc, view) alone, so the empty
+// EnvSnapshot/EnvRestore pair makes it rewindable.
+type viewEnv struct{}
+
+func (viewEnv) Next(proc int, v *run.View) (run.Invocation, bool) {
+	switch invokesBy(v.H, proc) {
+	case 0:
+		return run.Invocation{Op: "write", Arg: 100*proc + len(v.H)}, true
+	case 1:
+		return run.Invocation{Op: "read"}, true
+	}
+	return run.Invocation{}, false
+}
+
+func (viewEnv) EnvSnapshot() any { return nil }
+
+func (viewEnv) EnvRestore(any) {}
+
+func viewDependentEnv() run.Environment { return viewEnv{} }
 
 // TestContinuationParityViewEnvAndCrashes pins the continuation engine
 // against the replay oracle on the two execution features most easily
@@ -272,5 +287,89 @@ func TestExplorePoolReuseParallelStress(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// orderEnv is a non-rewindable environment whose decisions depend on
+// the global order of consultations: each process writes twice, each
+// time the id of the process that consulted it last (0 for the very
+// first consultation), then stops.
+type orderEnv struct{ last int }
+
+func (e *orderEnv) Next(proc int, v *run.View) (run.Invocation, bool) {
+	prev := e.last
+	e.last = proc
+	if invokesBy(v.H, proc) >= 2 {
+		return run.Invocation{}, false
+	}
+	return run.Invocation{Op: "write", Arg: prev}, true
+}
+
+// orderEnvHolds recomputes orderEnv's choices from a history: processes
+// consult in id order at startup, then each process consults within the
+// window of each of its responses. Every write must carry the id of the
+// consultation before the one that chose it.
+func orderEnvHolds(procs int) func(h hist.History) bool {
+	return func(h hist.History) bool {
+		want := make([]int, procs+1)
+		for p := 1; p <= procs; p++ {
+			want[p] = p - 1
+		}
+		last := procs
+		for _, e := range h {
+			switch e.Kind {
+			case hist.KindInvoke:
+				if e.Arg != want[e.Proc] {
+					return false
+				}
+			case hist.KindResponse:
+				want[e.Proc] = last
+				last = e.Proc
+			}
+		}
+		return true
+	}
+}
+
+// TestOrderDependentEnvClean pins the environment contract of the
+// default engine: a non-rewindable environment may depend on anything
+// it has seen, here the global order of its consultations, so a session
+// over it must rebuild from the root rather than re-derive the
+// environment's state. A per-process fast-forward of a fresh instance
+// reached write_2(3) after [1 1 1 2 2 2], where the real run writes
+// write_2(1). Both engines must explore the same clean tree.
+func TestOrderDependentEnvClean(t *testing.T) {
+	opts := []slx.Option{
+		slx.WithObject(func() run.Object { return &porRegister{v: 0} }),
+		slx.WithEnv(func() run.Environment { return &orderEnv{} }),
+		slx.WithProcs(3),
+		slx.WithDepth(6),
+	}
+	prop := slx.SafetyFunc("consultation order", orderEnvHolds(3))
+	for _, tc := range []struct {
+		name string
+		opts []slx.Option
+	}{
+		{"default", opts},
+		{"replay", append(opts[:len(opts):len(opts)], slx.WithReplayExecution())},
+	} {
+		rep, err := slx.New(tc.opts...).Explore(prop)
+		if err != nil {
+			t.Fatalf("%s: explore: %v", tc.name, err)
+		}
+		if !rep.OK() {
+			t.Errorf("%s: order-dependent environment misjudged at witness %v: %s", tc.name, rep.Witness(), rep.Execution.H)
+		}
+		if rep.Prefixes != 1051 {
+			t.Errorf("%s: explored %d prefixes, want 1051", tc.name, rep.Prefixes)
+		}
+	}
+	// The witness the fast-forward used to report replays clean.
+	replayed, err := slx.New(opts...).Replay([]run.Decision{{Proc: 1}, {Proc: 1}, {Proc: 1}, {Proc: 2}, {Proc: 2}, {Proc: 2}}, prop)
+	if err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	if !replayed.OK() {
+		t.Errorf("schedule [1 1 1 2 2 2] must replay clean: %s", replayed.Execution.H)
 	}
 }

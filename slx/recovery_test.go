@@ -2,9 +2,9 @@ package slx_test
 
 // Cross-checks of crash–recovery exploration through the public API:
 // for recoverable objects — clean and seeded-bug alike — Explore with
-// WithRecoveries on the default incremental engine must return the
-// identical verdict, statistics and witness as Explore forced onto
-// from-root replay, composed with POR, the state cache and the
+// WithRecoveries on the default snapshot strategy must return the
+// identical verdict, statistics and witness as Explore forced onto the
+// from-root strategy, composed with POR, the state cache and the
 // work-stealing scheduler; and the whole tree must be deterministic
 // across repeated runs (recovery epochs are part of the fingerprint).
 // Run with -race in CI.

@@ -55,18 +55,16 @@ type Report struct {
 	// at the first violation and reports only it).
 	Verdicts []Verdict
 	// Prefixes and SimSteps are exploration statistics: histories
-	// checked, and the simulator steps that advanced exploration into
-	// them. Under incremental execution (the default for objects with
-	// the run.Snapshottable hook) SimSteps is about one step per
-	// explored prefix; under replay execution (WithReplayExecution, or
-	// objects without the hook) it is the total steps across all
-	// from-root replays.
+	// checked, and the simulator steps executed on the exploration
+	// path. Under the snapshot strategy (the default for objects with
+	// the run.Snapshottable hook) SimSteps is one step per explored
+	// non-crash edge; from-root rebuilds (WithReplayExecution, or
+	// objects or environments without the hooks) add the steps they
+	// re-execute.
 	Prefixes, SimSteps int
 	// Resims counts simulator steps spent re-establishing already
-	// visited configurations: snapshot-restore rebuilds and stolen-
-	// subtree seed replays under incremental execution, the re-executed
-	// prefix portion of every replay (also counted in SimSteps) under
-	// replay execution.
+	// visited configurations: the steps from-root rebuilds re-execute
+	// (also counted in SimSteps) and stolen-subtree seed replays.
 	Resims int
 	// Pruned counts the subtrees partial-order reduction skipped during
 	// an exploration (0 unless WithPOR).

@@ -52,21 +52,21 @@ type Fingerprinter = sim.Fingerprinter
 
 // Snapshottable is the opt-in snapshot hook of incremental exploration:
 // Objects implementing it (together with Stepped) can be rewound to
-// earlier configurations, so Explore descends by extending one
-// persistent simulation instead of replaying every prefix from the
-// root. Snapshot/Restore must capture all object state that outlives a
-// granted step (repository base objects provide composable
-// Snapshot/Restore methods); in-flight operation state lives in the
-// continuation frames, which the engine forks and restores by itself.
-// See the sim.Snapshottable contract for the details. Objects without
-// the hook are explored by from-root replay, with identical verdicts.
+// earlier configurations by struct copy, so Explore backtracks without
+// re-executing anything. Snapshot/Restore must capture all object state
+// that outlives a granted step (repository base objects provide
+// composable Snapshot/Restore methods); in-flight operation state lives
+// in the continuation frames, which the engine forks and restores by
+// itself. See the sim.Snapshottable contract for the details. Objects
+// without the hook are explored by from-root rebuilds on every
+// backtrack, with identical verdicts.
 type Snapshottable = sim.Snapshottable
 
 // Stepped is the continuation form of an Object: operations run as
 // explicit resumable frames (one access per Step call) driven directly
-// by the exploration loop, with no goroutine per process. Incremental
-// exploration requires it alongside Snapshottable. See sim.Stepped for
-// the window-equivalence contract with Apply.
+// by the exploration loop, with no goroutine per process. The snapshot
+// strategy requires it alongside Snapshottable. See sim.Stepped for the
+// window-equivalence contract with Apply.
 type Stepped = sim.Stepped
 
 // Frame is one in-flight operation of a Stepped object.
@@ -83,8 +83,11 @@ const (
 )
 
 // RewindableEnv is the opt-in environment-rewind hook of incremental
-// exploration; stock environments (OneShot, Script, ...) are stateless
-// and rewindable for free. See sim.RewindableEnv.
+// exploration: a custom environment gets the snapshot strategy by
+// implementing EnvSnapshot/EnvRestore (a stateless one returns nil and
+// ignores the argument); without it, exploration rebuilds from the root
+// on every backtrack. Stock environments (OneShot, Script, ...) are
+// stateless and rewindable for free. See sim.RewindableEnv.
 type RewindableEnv = sim.RewindableEnv
 
 // Recoverable is the opt-in crash–recovery hook: Objects implementing
@@ -101,7 +104,8 @@ type Recoverable = sim.Recoverable
 // objects with pluggable components); see sim.SessionGated.
 type SessionGated = sim.SessionGated
 
-// CanSnapshot reports whether an object will be explored incrementally.
+// CanSnapshot reports whether an object supports the snapshot strategy
+// of exploration sessions (which additionally needs a RewindableEnv).
 func CanSnapshot(o Object) bool { return sim.CanSnapshot(o) }
 
 // Environment decides which operations processes invoke.

@@ -11,7 +11,8 @@ import "time"
 // daemon builds its Checker through Options and a client can rebuild
 // the identical in-process Checker from the same JSON. Zero values mean
 // "option not applied" and leave the Checker defaults in place; invalid
-// combinations are NOT diagnosed here — they surface from
+// values and combinations are NOT diagnosed here — negative numbers are
+// applied like any other, and everything surfaces from
 // Checker.ValidateExplore (and Explore) with the usual messages, which
 // is what lets a service front end reject a bad spec with exactly the
 // in-process error text.
@@ -59,25 +60,23 @@ type Spec struct {
 // they are code, supplied by the caller (for slxd, by the target
 // registry) alongside these options.
 func (s Spec) Options() []Option {
+	// Negative values are applied, not skipped: they must reach
+	// ValidateExplore and be rejected with their field's message, not
+	// silently explore with the default.
 	var opts []Option
-	if s.Procs > 0 {
+	if s.Procs != 0 {
 		opts = append(opts, WithProcs(s.Procs))
 	}
-	if s.Depth > 0 {
+	if s.Depth != 0 {
 		opts = append(opts, WithDepth(s.Depth))
 	}
-	if s.Crashes > 0 {
+	if s.Crashes != 0 {
 		opts = append(opts, WithCrashes(s.Crashes))
 	}
 	if s.Recoveries != 0 {
-		// Negative values are applied, not skipped: they must reach
-		// ValidateExplore and be rejected with the recoveries message.
 		opts = append(opts, WithRecoveries(s.Recoveries))
 	}
 	if s.Workers != 0 {
-		// Negative values are applied, not skipped: they must reach
-		// ValidateExplore and be rejected with the workers message, not
-		// silently explore sequentially.
 		opts = append(opts, WithWorkers(s.Workers))
 	}
 	if s.POR {
@@ -101,7 +100,7 @@ func (s Spec) Options() []Option {
 	if s.Seed != 0 {
 		opts = append(opts, WithSeed(s.Seed))
 	}
-	if s.TimeoutMs > 0 {
+	if s.TimeoutMs != 0 {
 		opts = append(opts, WithTimeout(time.Duration(s.TimeoutMs)*time.Millisecond))
 	}
 	return opts

@@ -132,36 +132,57 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSpecNegativeWorkersRejected: a negative workers count survives
-// the JSON round trip, is applied by Options (not silently skipped),
-// and is rejected by ValidateExplore with the workers-isolated message
-// — the full path a bad service spec takes to its 400.
+// TestSpecNegativeWorkersRejected: a negative workers, depth, crashes,
+// procs or timeout_ms value survives the JSON round trip, is applied by
+// Options (not silently skipped), and is rejected by ValidateExplore
+// with a message naming only that field — the full path a bad service
+// spec takes to its 400.
 func TestSpecNegativeWorkersRejected(t *testing.T) {
-	orig := Spec{Workers: -2}
-	data, err := json.Marshal(orig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back Spec
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Workers != -2 {
-		t.Fatalf("workers did not survive the round trip: %+v", back)
-	}
-	if n := len(back.Options()); n != 1 {
-		t.Fatalf("negative workers produced %d options, want 1 (it must reach validation)", n)
-	}
-	c := New(append(testTargetOptions(), back.Options()...)...)
-	verr := c.ValidateExplore(testProperty())
-	if verr == nil {
-		t.Fatal("ValidateExplore accepted workers = -2")
-	}
-	if !strings.Contains(verr.Error(), "workers") || !strings.Contains(verr.Error(), "-2") {
-		t.Fatalf("message does not isolate the workers field: %q", verr)
-	}
-	if _, eerr := c.Explore(testProperty()); eerr == nil || eerr.Error() != verr.Error() {
-		t.Fatalf("Explore said %q, ValidateExplore said %q", eerr, verr)
+	fields := []string{"workers", "depth", "crashes", "procs", "timeout"}
+	for _, tc := range []struct {
+		field string
+		spec  Spec
+		value string // the rejected value as the message prints it ("" if it does not)
+	}{
+		{"workers", Spec{Workers: -2}, "-2"},
+		{"depth", Spec{Depth: -3}, "-3"},
+		{"crashes", Spec{Crashes: -1}, "-1"},
+		{"procs", Spec{Procs: -1}, ""},
+		{"timeout", Spec{TimeoutMs: -5}, "-5ms"},
+	} {
+		t.Run(tc.field, func(t *testing.T) {
+			data, err := json.Marshal(tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var back Spec
+			if err := json.Unmarshal(data, &back); err != nil {
+				t.Fatal(err)
+			}
+			if back != tc.spec {
+				t.Fatalf("spec did not survive the round trip: %+v", back)
+			}
+			if n := len(back.Options()); n != 1 {
+				t.Fatalf("negative %s produced %d options, want 1 (it must reach validation)", tc.field, n)
+			}
+			c := New(append(testTargetOptions(), back.Options()...)...)
+			verr := c.ValidateExplore(testProperty())
+			if verr == nil {
+				t.Fatalf("ValidateExplore accepted %+v", tc.spec)
+			}
+			msg := strings.ToLower(verr.Error())
+			for _, f := range fields {
+				if strings.Contains(msg, f) != (f == tc.field) {
+					t.Fatalf("message does not isolate the %s field: %q", tc.field, verr)
+				}
+			}
+			if !strings.Contains(verr.Error(), tc.value) {
+				t.Fatalf("message does not show the rejected value %s: %q", tc.value, verr)
+			}
+			if _, eerr := c.Explore(testProperty()); eerr == nil || eerr.Error() != verr.Error() {
+				t.Fatalf("Explore said %q, ValidateExplore said %q", eerr, verr)
+			}
+		})
 	}
 }
 
