@@ -1,18 +1,17 @@
 package repro_test
 
 // Exploration-throughput benchmarks for the incremental execution
-// engine, the incremental monitor redesign and sleep-set partial-order
+// engine, the incremental monitors and sleep-set partial-order
 // reduction: a depth-7, 3-process linearizability exploration through
 // the public slx API — on the default path (snapshot sessions +
 // incremental monitors), on the session's from-root strategy
-// (slx.WithReplayExecution), on the legacy batch property path
-// (slx.WithBatchExplore), and with POR/cache/workers. Each acceptance
+// (slx.WithReplayExecution), and with POR/cache/workers. Each acceptance
 // bar is asserted by a deterministic test, so regressions fail the
 // benchmark smoke run, not just a human reading EXPERIMENTS.md:
 // TestExploreContinuationSteps gates the continuation engine's
-// zero-resimulation contract, TestExploreLinearizabilityScanReduction
-// the monitor redesign's event scans, TestExplorePORPrefixReduction and
-// TestExploreCacheReduction the prefix reductions. All benchmarks
+// zero-resimulation contract, TestExploreLinearizabilityOneJudgmentPerEvent
+// the monitors' one judgment per event, TestExplorePORPrefixReduction
+// and TestExploreCacheReduction the prefix reductions. All benchmarks
 // report -benchmem allocation figures (the committed numbers live in
 // BENCH_explore.json's allocs_per_op/bytes_per_op fields, which the
 // bench smoke run enforces as hard gates via tools/benchtrend).
@@ -136,33 +135,26 @@ func linExploreChecker(extra ...slx.Option) *slx.Checker {
 
 func linProp() slx.Property { return check.Linearizability(check.RegisterSpec{Initial: 0}) }
 
-// TestExploreLinearizabilityScanReduction is the acceptance check of the
-// monitor redesign: on the depth-7, 3-process linearizability
-// exploration, the monitor path must judge the same tree with at least
-// 2× fewer property-event scans than the batch path.
-func TestExploreLinearizabilityScanReduction(t *testing.T) {
-	mon, err := linExploreChecker().Explore(linProp())
+// TestExploreLinearizabilityOneJudgmentPerEvent is the acceptance check
+// of the incremental monitors: on the depth-7, 3-process
+// linearizability exploration every simulator step records exactly one
+// event, and the monitor judges each event once per path, so the
+// property-event scans must equal the simulator steps exactly — 2940 on
+// this tree, no prefix re-judged and no event skipped.
+func TestExploreLinearizabilityOneJudgmentPerEvent(t *testing.T) {
+	rep, err := linExploreChecker().Explore(linProp())
 	if err != nil {
-		t.Fatalf("monitor explore: %v", err)
+		t.Fatalf("explore: %v", err)
 	}
-	batch, err := linExploreChecker(slx.WithBatchExplore()).Explore(linProp())
-	if err != nil {
-		t.Fatalf("batch explore: %v", err)
+	if !rep.OK() {
+		t.Fatalf("register must be linearizable on every prefix: %s", rep.Failures()[0])
 	}
-	if !mon.OK() || !batch.OK() {
-		t.Fatalf("register must be linearizable on every prefix (monitor OK=%v, batch OK=%v)", mon.OK(), batch.OK())
+	const steps = 2940
+	if rep.SimSteps != steps || rep.EventScans != rep.SimSteps {
+		t.Fatalf("scanned %d property events over %d simulator steps, want exactly one judgment per event on the %d-step tree",
+			rep.EventScans, rep.SimSteps, steps)
 	}
-	if mon.Prefixes != batch.Prefixes || mon.SimSteps != batch.SimSteps {
-		t.Fatalf("paths explored different trees: monitor %d/%d, batch %d/%d",
-			mon.Prefixes, mon.SimSteps, batch.Prefixes, batch.SimSteps)
-	}
-	if mon.EventScans*2 > batch.EventScans {
-		t.Fatalf("monitor path scanned %d property events, want ≤ half of batch's %d",
-			mon.EventScans, batch.EventScans)
-	}
-	t.Logf("depth-7 3-proc linearizability: prefixes=%d simSteps=%d scans monitor=%d batch=%d (%.1fx fewer)",
-		mon.Prefixes, mon.SimSteps, mon.EventScans, batch.EventScans,
-		float64(batch.EventScans)/float64(mon.EventScans))
+	t.Logf("depth-7 3-proc linearizability: prefixes=%d simSteps=%d eventScans=%d", rep.Prefixes, rep.SimSteps, rep.EventScans)
 }
 
 // TestExplorePORPrefixReduction is the acceptance check of sleep-set
@@ -298,12 +290,6 @@ func BenchmarkExploreLinearizabilityMonitor(b *testing.B) {
 // from-root strategy over the blocking Apply for comparison.
 func BenchmarkExploreLinearizabilityReplay(b *testing.B) {
 	benchExploreLinearizability(b, linExploreChecker(slx.WithReplayExecution()))
-}
-
-// BenchmarkExploreLinearizabilityBatch measures the legacy batch path
-// for comparison.
-func BenchmarkExploreLinearizabilityBatch(b *testing.B) {
-	benchExploreLinearizability(b, linExploreChecker(slx.WithBatchExplore()))
 }
 
 // BenchmarkExploreLinearizabilityPOR measures the monitor path with

@@ -12,7 +12,6 @@ import (
 	"repro/internal/adversary"
 	"repro/internal/consensus"
 	"repro/internal/core"
-	"repro/internal/explore"
 	"repro/internal/history"
 	"repro/internal/liveness"
 	"repro/internal/mutex"
@@ -21,6 +20,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/snapshot"
 	"repro/internal/tm"
+	"repro/slx"
 )
 
 // E11 — Section 6: the (n,x)-liveness family is totally ordered; strongest
@@ -230,18 +230,20 @@ func BenchmarkExploreParallel(b *testing.B) {
 	for _, workers := range []int{1, runtime.NumCPU()} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_, err := explore.Run(explore.Config{
-					Procs:     2,
-					NewObject: func() sim.Object { return consensus.NewCommitAdoptOF(2) },
-					NewEnv: func() sim.Environment {
+				rep, err := slx.New(
+					slx.WithProcs(2),
+					slx.WithObject(func() sim.Object { return consensus.NewCommitAdoptOF(2) }),
+					slx.WithEnv(func() sim.Environment {
 						return consensus.ProposeOnce(map[int]history.Value{1: 0, 2: 1})
-					},
-					Depth:   11,
-					Workers: workers,
-					Check:   explore.CheckSafety("agreement+validity", prop.Holds),
-				})
+					}),
+					slx.WithDepth(11),
+					slx.WithWorkers(workers),
+				).Explore(slx.SafetyFunc("agreement+validity", prop.Holds))
 				if err != nil {
 					b.Fatal(err)
+				}
+				if !rep.OK() {
+					b.Fatalf("violation: %s", rep.Failures()[0])
 				}
 			}
 		})

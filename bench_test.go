@@ -13,12 +13,12 @@ import (
 	"repro/internal/base"
 	"repro/internal/consensus"
 	"repro/internal/core"
-	"repro/internal/explore"
 	"repro/internal/history"
 	"repro/internal/liveness"
 	"repro/internal/safety"
 	"repro/internal/sim"
 	"repro/internal/tm"
+	"repro/slx"
 )
 
 // E1 — Figure 1(a): the consensus (l,k) plane.
@@ -331,20 +331,22 @@ func BenchmarkBivalenceAdversary(b *testing.B) {
 func BenchmarkExhaustiveExplore(b *testing.B) {
 	prop := safety.AgreementValidity{}
 	for i := 0; i < b.N; i++ {
-		st, err := explore.Run(explore.Config{
-			Procs:     2,
-			NewObject: func() sim.Object { return consensus.NewCommitAdoptOF(2) },
-			NewEnv: func() sim.Environment {
+		rep, err := slx.New(
+			slx.WithProcs(2),
+			slx.WithObject(func() sim.Object { return consensus.NewCommitAdoptOF(2) }),
+			slx.WithEnv(func() sim.Environment {
 				return consensus.ProposeOnce(map[int]history.Value{1: 0, 2: 1})
-			},
-			Depth: 10,
-			Check: explore.CheckSafety("agreement+validity", prop.Holds),
-		})
+			}),
+			slx.WithDepth(10),
+		).Explore(slx.SafetyFunc("agreement+validity", prop.Holds))
 		if err != nil {
 			b.Fatal(err)
 		}
+		if !rep.OK() {
+			b.Fatalf("violation: %s", rep.Failures()[0])
+		}
 		if i == 0 {
-			b.ReportMetric(float64(st.Prefixes), "prefixes")
+			b.ReportMetric(float64(rep.Prefixes), "prefixes")
 		}
 	}
 }

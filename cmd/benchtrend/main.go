@@ -66,7 +66,6 @@ import (
 var sections = map[string]string{
 	"BenchmarkExploreLinearizabilityMonitor":  "monitor",
 	"BenchmarkExploreLinearizabilityReplay":   "replay_monitor",
-	"BenchmarkExploreLinearizabilityBatch":    "batch",
 	"BenchmarkExploreLinearizabilityPOR":      "por",
 	"BenchmarkExploreLinearizabilityCache":    "cache",
 	"BenchmarkExploreLinearizabilityCachePOR": "cache_por",

@@ -1,10 +1,10 @@
 package main
 
 // The slxd client half of the CLI: `slx submit` posts a check job to a
-// running daemon and `slx status` polls it. The flags mirror `slx
-// explore` one-to-one, because a JobSpec is the JSON form of the same
-// checker options: the daemon's report for a spec equals the in-process
-// report `slx explore` would print for the matching flags.
+// running daemon and `slx status` polls it. Submit registers the very
+// flags `slx explore` does (exploreFlags), because a JobSpec is the
+// JSON form of the same checker options: the daemon's report for a spec
+// equals the in-process report `slx explore` prints for the same flags.
 
 import (
 	"bytes"
@@ -20,57 +20,22 @@ import (
 	"time"
 
 	"repro/internal/service"
-	"repro/slx"
 )
 
 const defaultAddr = "http://127.0.0.1:8321"
 
 func cmdSubmit(args []string) error {
-	fs := flag.NewFlagSet("submit", flag.ContinueOnError)
+	fs := newFlagSet("submit")
 	addr := fs.String("addr", defaultAddr, "slxd base URL")
 	wait := fs.Bool("wait", false, "poll until the job is terminal and print its result")
 	interval := fs.Duration("interval", 200*time.Millisecond, "poll interval (with -wait)")
-	target := fs.String("target", "consensus", fmt.Sprintf("check target: %s", strings.Join(service.TargetNames(), ", ")))
-	procs := fs.Int("procs", 0, "override the target's process count")
-	depth := fs.Int("depth", 12, "schedule depth")
-	crashes := fs.Int("crashes", 0, "crash budget")
-	recoveries := fs.Int("recoveries", 0, "recovery budget (needs -crashes)")
-	batch := fs.Bool("batch", false, "legacy batch checking")
-	por := fs.Bool("por", false, "sleep-set partial-order reduction")
-	cache := fs.Bool("cache", false, "state-fingerprint cache")
 	sharedCache := fs.Bool("shared-cache", false, "share the daemon's visited tier for this target (needs -cache)")
-	workers := fs.Int("workers", 0, "engine workers (extra lanes are offered to the daemon's pool)")
-	replay := fs.Bool("replay", false, "force from-root execution")
-	timeout := fs.Duration("timeout", 0, "per-job wall-clock budget")
-	sampleMode := fs.Bool("sample", false, "probabilistic sampling instead of exhaustive enumeration")
-	schedules := fs.Int("schedules", 0, "sampled schedules (with -sample)")
-	d := fs.Int("d", 0, "PCT priority-change points per schedule (with -sample)")
-	seed := fs.Int64("seed", 0, "master seed; schedule i uses seed+i (with -sample)")
-	walk := fs.Bool("walk", false, "uniform random walk instead of PCT (with -sample)")
+	jobSpec := exploreFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	spec := service.JobSpec{
-		Target: *target,
-		Spec: slx.Spec{
-			Procs:      *procs,
-			Depth:      *depth,
-			Crashes:    *crashes,
-			Recoveries: *recoveries,
-			Workers:    *workers,
-			POR:        *por,
-			Cache:      *cache,
-			Batch:      *batch,
-			Replay:     *replay,
-			Sample:     *sampleMode,
-			Schedules:  *schedules,
-			D:          *d,
-			Walk:       *walk,
-			Seed:       *seed,
-			TimeoutMs:  timeout.Milliseconds(),
-		},
-		SharedCache: *sharedCache,
-	}
+	spec := jobSpec()
+	spec.SharedCache = *sharedCache
 	var job service.Job
 	if err := apiCall(http.MethodPost, *addr+"/v1/jobs", spec, &job); err != nil {
 		return err

@@ -9,9 +9,9 @@
 //	slx gmax                             Corollaries 4.5 / 4.6 (G_max = ∅)
 //	slx theorem44                        Theorem 4.4 on finite models
 //	slx theorem49                        Theorem 4.9 over I_t / I_b automata
-//	slx explore   [-target consensus] [-depth 12]  exhaustive safety check
+//	slx explore   [-target consensus] [-depth 12]  exhaustive safety check (incremental monitors)
 //	slx explore   -sample [-schedules N] [-d K] [-seed S]  probabilistic (PCT) check
-//	slx submit    [-addr URL] [-wait] ...        submit a check job to an slxd daemon
+//	slx submit    [-addr URL] [-wait] <explore flags>  submit the same check to an slxd daemon
 //	slx status    [-addr URL] [job-id]           show one slxd job, or list all
 //	slx report                           full paper-versus-measured summary
 package main
@@ -54,7 +54,7 @@ var commands = []command{
 	{"gmax", "", "Corollaries 4.5 / 4.6 (G_max = ∅)", func([]string) error { return cmdGmax() }},
 	{"theorem44", "", "Theorem 4.4 on finite models", func([]string) error { return cmdTheorem44() }},
 	{"theorem49", "", "Theorem 4.9 over I_t / I_b automata", func([]string) error { return cmdTheorem49() }},
-	{"explore", "[-target consensus] [-depth 12] [-crashes n] [-recoveries n] [-batch] [-por] [-cache] [-workers n] [-replay] [-timeout d] [-sample] [-schedules n] [-d k] [-seed s] [-walk]", "exhaustive or sampled (PCT) safety check", cmdExplore},
+	{"explore", "[-target consensus] [-procs n] [-depth 12] [-crashes n] [-recoveries n] [-por] [-cache] [-workers n] [-replay] [-timeout d] [-sample] [-schedules n] [-d k] [-seed s] [-walk]", "exhaustive or sampled (PCT) safety check", cmdExplore},
 	{"submit", "[-addr url] [-wait] <explore flags>", "submit a check job to an slxd daemon", cmdSubmit},
 	{"status", "[-addr url] [job-id]", "show one slxd job, or list all", cmdStatus},
 	{"report", "", "full paper-versus-measured summary", func([]string) error { return cmdReport() }},
@@ -63,6 +63,10 @@ var commands = []command{
 // baseContext parents explore's signal context; tests swap it to drive
 // the interrupt path without delivering a real SIGINT to the process.
 var baseContext = context.Background()
+
+// newFlagSet creates the flag sets of explore and submit; tests swap it
+// to inspect the flags each command registers.
+var newFlagSet = func(name string) *flag.FlagSet { return flag.NewFlagSet(name, flag.ContinueOnError) }
 
 // exitCodeError carries a specific process exit code through dispatch:
 // interrupted explorations exit 130 (the shell's SIGINT convention) and
@@ -267,29 +271,50 @@ func cmdTheorem49() error {
 	return nil
 }
 
+// exploreFlags registers the flags explore and submit share: the target
+// and one flag per slx.Spec field, with one set of defaults. The
+// returned function reads the parsed flags back as the job spec, which
+// explore maps through Spec.Options exactly as the daemon does.
+func exploreFlags(fs *flag.FlagSet) func() service.JobSpec {
+	var j service.JobSpec
+	fs.StringVar(&j.Target, "target", "consensus", fmt.Sprintf("check target: %s", strings.Join(service.TargetNames(), ", ")))
+	fs.IntVar(&j.Procs, "procs", 0, "override the target's process count (0: the target's)")
+	fs.IntVar(&j.Depth, "depth", 12, "schedule depth")
+	fs.IntVar(&j.Crashes, "crashes", 0, "crash budget (branch on crashing ready processes)")
+	fs.IntVar(&j.Recoveries, "recoveries", 0, "recovery budget (branch on recovering crashed processes; needs -crashes)")
+	fs.IntVar(&j.Workers, "workers", 1, "explore with n work-stealing workers (submit: extra lanes are offered to the daemon's pool)")
+	fs.BoolVar(&j.POR, "por", false, "sleep-set partial-order reduction (prune interleavings that only commute independent steps)")
+	fs.BoolVar(&j.Cache, "cache", false, "state-fingerprint cache (prune subtrees rooted at already-explored states)")
+	fs.BoolVar(&j.Replay, "replay", false, "force from-root execution (sessions rebuild over the blocking Apply instead of restoring snapshots)")
+	timeout := fs.Duration("timeout", 0, "wall-clock budget; an expired exploration reports partial statistics (explore exits 124)")
+	fs.BoolVar(&j.Sample, "sample", false, "probabilistic sampling instead of exhaustive enumeration")
+	fs.IntVar(&j.Schedules, "schedules", 10000, "sampled schedules (with -sample)")
+	fs.IntVar(&j.D, "d", 3, "PCT priority-change points per schedule (with -sample)")
+	fs.Int64Var(&j.Seed, "seed", 1, "master seed; schedule i uses seed+i (with -sample)")
+	fs.BoolVar(&j.Walk, "walk", false, "uniform random walk instead of PCT (with -sample)")
+	return func() service.JobSpec {
+		// Whole milliseconds, but a nonzero budget never truncates to
+		// "none": its sign must reach validation.
+		j.TimeoutMs = timeout.Milliseconds()
+		if j.TimeoutMs == 0 && *timeout > 0 {
+			j.TimeoutMs = 1
+		} else if j.TimeoutMs == 0 && *timeout < 0 {
+			j.TimeoutMs = -1
+		}
+		return j
+	}
+}
+
 func cmdExplore(args []string) error {
-	fs := flag.NewFlagSet("explore", flag.ContinueOnError)
-	target := fs.String("target", "consensus", fmt.Sprintf("check target: %s", strings.Join(service.TargetNames(), ", ")))
-	depth := fs.Int("depth", 12, "schedule depth")
-	crashes := fs.Int("crashes", 0, "crash budget (branch on crashing ready processes)")
-	recoveries := fs.Int("recoveries", 0, "recovery budget (branch on recovering crashed processes; needs -crashes)")
-	batch := fs.Bool("batch", false, "legacy batch checking (re-judge every prefix) instead of incremental monitors")
-	por := fs.Bool("por", false, "sleep-set partial-order reduction (prune interleavings that only commute independent steps)")
-	cache := fs.Bool("cache", false, "state-fingerprint cache (prune subtrees rooted at already-explored states)")
-	workers := fs.Int("workers", 1, "explore with n work-stealing workers")
-	replay := fs.Bool("replay", false, "force from-root execution (sessions rebuild over the blocking Apply instead of restoring snapshots)")
-	timeout := fs.Duration("timeout", 0, "wall-clock budget; an expired exploration reports partial statistics and exits 124")
-	sampleMode := fs.Bool("sample", false, "probabilistic sampling instead of exhaustive enumeration")
-	schedules := fs.Int("schedules", 10000, "sampled schedules (with -sample)")
-	d := fs.Int("d", 3, "PCT priority-change points per schedule (with -sample)")
-	seed := fs.Int64("seed", 1, "master seed; schedule i uses seed+i (with -sample)")
-	walk := fs.Bool("walk", false, "uniform random walk instead of PCT (with -sample)")
+	fs := newFlagSet("explore")
+	jobSpec := exploreFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	tgt, ok := service.LookupTarget(*target)
+	spec := jobSpec()
+	tgt, ok := service.LookupTarget(spec.Target)
 	if !ok {
-		return fmt.Errorf("unknown target %q (targets: %s)", *target, strings.Join(service.TargetNames(), ", "))
+		return fmt.Errorf("unknown target %q (targets: %s)", spec.Target, strings.Join(service.TargetNames(), ", "))
 	}
 	// Ctrl-C cancels the exploration instead of killing the process:
 	// Explore unwinds with a partial, Interrupted report, which is
@@ -298,35 +323,8 @@ func cmdExplore(args []string) error {
 	ctx, stop := signal.NotifyContext(baseContext, os.Interrupt)
 	defer stop()
 	prop := tgt.Property()
-	opts := append(tgt.Options(),
-		slx.WithDepth(*depth), slx.WithWorkers(*workers), slx.WithContext(ctx))
-	if *timeout > 0 {
-		opts = append(opts, slx.WithTimeout(*timeout))
-	}
-	if *crashes > 0 {
-		opts = append(opts, slx.WithCrashes(*crashes))
-	}
-	if *recoveries != 0 {
-		opts = append(opts, slx.WithRecoveries(*recoveries))
-	}
-	if *batch {
-		opts = append(opts, slx.WithBatchExplore())
-	}
-	if *por {
-		opts = append(opts, slx.WithPOR())
-	}
-	if *cache {
-		opts = append(opts, slx.WithStateCache())
-	}
-	if *replay {
-		opts = append(opts, slx.WithReplayExecution())
-	}
-	if *sampleMode {
-		opts = append(opts, slx.WithSample(*schedules, *d), slx.WithSeed(*seed))
-		if *walk {
-			opts = append(opts, slx.WithSampleWalk())
-		}
-	}
+	opts := append(tgt.Options(), spec.Options()...)
+	opts = append(opts, slx.WithContext(ctx))
 	start := time.Now()
 	rep, err := slx.New(opts...).Explore(prop)
 	elapsed := time.Since(start)
@@ -356,29 +354,26 @@ func cmdExplore(args []string) error {
 		return nil
 	}
 	mode := "incremental monitors"
-	if *batch {
-		mode = "batch re-checking"
-	}
-	if *replay {
+	if spec.Replay {
 		mode += ", replay execution"
 	} else {
 		mode += ", incremental execution"
 	}
-	if *por {
+	if spec.POR {
 		mode += ", POR"
 	}
-	if *cache {
+	if spec.Cache {
 		mode += ", state cache"
 	}
 	if rep.Workers > 1 {
 		mode += fmt.Sprintf(", %d workers", rep.Workers)
 	}
 	fmt.Printf("explored %d schedule prefixes (%d simulator steps + %d resim steps, %d property-event scans via %s): no violation up to depth %d\n",
-		rep.Prefixes, rep.SimSteps, rep.Resims, rep.EventScans, mode, *depth)
-	if *por {
+		rep.Prefixes, rep.SimSteps, rep.Resims, rep.EventScans, mode, spec.Depth)
+	if spec.POR {
 		fmt.Printf("partial-order reduction pruned %d subtrees\n", rep.Pruned)
 	}
-	if *cache {
+	if spec.Cache {
 		fmt.Printf("state cache pruned %d subtrees rooted at already-explored states\n", rep.CacheHits)
 	}
 	return nil

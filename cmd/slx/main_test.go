@@ -2,11 +2,17 @@ package main
 
 import (
 	"context"
+	"errors"
+	"flag"
+	"io"
 	"net/http/httptest"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/service"
+	"repro/slx"
 )
 
 // TestExploreExitCodes: dispatch returns an error (→ non-zero process
@@ -120,6 +126,10 @@ func TestSubmitStatusRoundTrip(t *testing.T) {
 	if err := dispatch([]string{"submit", "-addr", hs.URL, "-wait", "-target", "lossyreg", "-depth", "8"}); err == nil {
 		t.Fatal("violating submit -wait should exit non-zero")
 	}
+	// -sample alone runs on explore's sampling defaults, not a 400.
+	if err := dispatch([]string{"submit", "-addr", hs.URL, "-wait", "-target", "consensus", "-depth", "6", "-sample"}); err != nil {
+		t.Fatalf("clean sampled submit -wait: %v", err)
+	}
 	if err := dispatch([]string{"status", "-addr", hs.URL}); err != nil {
 		t.Fatalf("status list: %v", err)
 	}
@@ -132,5 +142,71 @@ func TestSubmitStatusRoundTrip(t *testing.T) {
 	// An invalid spec is rejected at submit time with the daemon's 400.
 	if err := dispatch([]string{"submit", "-addr", hs.URL, "-target", "consensus", "-sample", "-por", "-schedules", "10"}); err == nil {
 		t.Fatal("invalid spec should be rejected")
+	}
+}
+
+// TestExploreNegativeBudgets: negative -crashes, -recoveries and
+// -timeout reach validation and fail with ValidateExplore's message,
+// instead of being dropped in favor of the defaults.
+func TestExploreNegativeBudgets(t *testing.T) {
+	tgt, _ := service.LookupTarget("consensus")
+	for name, tc := range map[string]struct {
+		args []string
+		opt  slx.Option
+	}{
+		"crashes":    {[]string{"-crashes", "-1"}, slx.WithCrashes(-1)},
+		"recoveries": {[]string{"-recoveries", "-1"}, slx.WithRecoveries(-1)},
+		"timeout":    {[]string{"-timeout", "-1s"}, slx.WithTimeout(-time.Second)},
+	} {
+		want := slx.New(append(tgt.Options(), slx.WithDepth(4), tc.opt)...).ValidateExplore(tgt.Property())
+		if want == nil {
+			t.Fatalf("%s: in-process validation accepted the negative budget", name)
+		}
+		err := dispatch(append([]string{"explore", "-target", "consensus", "-depth", "4"}, tc.args...))
+		if err == nil || err.Error() != want.Error() {
+			t.Errorf("%s: explore said %v, ValidateExplore says %q", name, err, want)
+		}
+	}
+	// A negative budget below a millisecond still reaches validation.
+	if err := dispatch([]string{"explore", "-target", "consensus", "-depth", "4", "-timeout", "-500us"}); err == nil || !strings.Contains(err.Error(), "timeout") {
+		t.Errorf("sub-millisecond negative timeout: got %v, want the timeout validation error", err)
+	}
+}
+
+// TestExploreSubmitShareFlags: explore and submit register the same
+// exploration flags with the same defaults, submit adds only its daemon
+// flags, and the retired -batch flag is unknown to both.
+func TestExploreSubmitShareFlags(t *testing.T) {
+	sets := map[string]*flag.FlagSet{}
+	old := newFlagSet
+	newFlagSet = func(name string) *flag.FlagSet {
+		fs := old(name)
+		fs.SetOutput(io.Discard)
+		sets[name] = fs
+		return fs
+	}
+	defer func() { newFlagSet = old }()
+	for _, cmd := range []string{"explore", "submit"} {
+		if err := dispatch([]string{cmd, "-h"}); !errors.Is(err, flag.ErrHelp) {
+			t.Fatalf("%s -h: %v", cmd, err)
+		}
+		if err := dispatch([]string{cmd, "-batch"}); err == nil || !strings.Contains(err.Error(), "not defined: -batch") {
+			t.Errorf("%s -batch: got %v, want an unknown-flag error", cmd, err)
+		}
+	}
+	defaults := func(fs *flag.FlagSet) map[string]string {
+		m := map[string]string{}
+		fs.VisitAll(func(f *flag.Flag) { m[f.Name] = f.DefValue })
+		return m
+	}
+	explore, submit := defaults(sets["explore"]), defaults(sets["submit"])
+	for _, only := range []string{"addr", "wait", "interval", "shared-cache"} {
+		if _, ok := submit[only]; !ok {
+			t.Errorf("submit lacks its -%s flag", only)
+		}
+		delete(submit, only)
+	}
+	if !reflect.DeepEqual(explore, submit) {
+		t.Errorf("exploration flags differ:\n  explore: %v\n  submit:  %v", explore, submit)
 	}
 }

@@ -3,11 +3,11 @@ package consensus
 import (
 	"testing"
 
-	"repro/internal/explore"
 	"repro/internal/history"
 	"repro/internal/liveness"
 	"repro/internal/safety"
 	"repro/internal/sim"
+	"repro/slx"
 )
 
 func TestKSetAgreementChecker(t *testing.T) {
@@ -54,17 +54,19 @@ func TestKSetAgreementChecker(t *testing.T) {
 func TestDecideOwnSafeIffNAtMostK(t *testing.T) {
 	// n = 2 <= k = 2: safe and wait-free under every schedule.
 	prop2 := safety.KSetAgreement{K: 2}
-	st, err := explore.Run(explore.Config{
-		Procs:     2,
-		NewObject: func() sim.Object { return NewDecideOwn(2) },
-		NewEnv: func() sim.Environment {
+	rep, err := slx.New(
+		slx.WithProcs(2),
+		slx.WithObject(func() sim.Object { return NewDecideOwn(2) }),
+		slx.WithEnv(func() sim.Environment {
 			return ProposeOnce(map[int]history.Value{1: 1, 2: 2})
-		},
-		Depth: 8,
-		Check: explore.CheckSafety("2-set", prop2.Holds),
-	})
+		}),
+		slx.WithDepth(8),
+	).Explore(slx.SafetyFunc("2-set", prop2.Holds))
 	if err != nil {
-		t.Fatalf("DecideOwn must be 2-set safe for n=2: %v (witness %v)", err, st.Witness)
+		t.Fatalf("explore: %v", err)
+	}
+	if !rep.OK() {
+		t.Fatalf("DecideOwn must be 2-set safe for n=2: %s (witness %v)", rep.Failures()[0], rep.Witness())
 	}
 	// n = 3 > k = 2: the checker catches the violation on any schedule
 	// where all three decide.
@@ -103,19 +105,21 @@ func TestFirstAnnouncedExplorerFindsKSetViolation(t *testing.T) {
 	// reverse-order interleaving on which three distinct values are
 	// decided.
 	prop := safety.KSetAgreement{K: 2}
-	st, err := explore.Run(explore.Config{
-		Procs:     3,
-		NewObject: func() sim.Object { return NewFirstAnnounced(3) },
-		NewEnv: func() sim.Environment {
+	rep, err := slx.New(
+		slx.WithProcs(3),
+		slx.WithObject(func() sim.Object { return NewFirstAnnounced(3) }),
+		slx.WithEnv(func() sim.Environment {
 			return ProposeOnce(map[int]history.Value{1: 1, 2: 2, 3: 3})
-		},
-		Depth: 9,
-		Check: explore.CheckSafety("2-set", prop.Holds),
-	})
-	if err == nil {
+		}),
+		slx.WithDepth(9),
+	).Explore(slx.SafetyFunc("2-set", prop.Holds))
+	if err != nil {
+		t.Fatalf("explore: %v", err)
+	}
+	if rep.OK() {
 		t.Fatal("the explorer must find a 2-set violation for FirstAnnounced with n=3")
 	}
-	if st.Witness == nil {
+	if rep.Witness() == nil {
 		t.Fatal("violation must come with a witness schedule")
 	}
 }

@@ -17,12 +17,13 @@
 // configuration) and reports the re-executed steps in Stats.Resims.
 // Both strategies enumerate the identical tree, verdicts and witnesses.
 //
-// Checking comes in two flavors. The batch path (Config.Check) re-judges
-// the entire history of every explored prefix. The incremental path
-// (Config.NewMonitors) threads a MonitorSet down the DFS: the set is
-// forked at every branch point and fed only the delta events the new
-// schedule edge produced (Result.EventsSince), so each event is judged
-// once per path instead of once per descendant prefix.
+// Properties are judged incrementally: the exploration threads a
+// MonitorSet (Config.NewMonitors) down the DFS, forks it at every branch
+// point and feeds it only the delta events the new schedule edge
+// produced (sim.StepInfo.Delta), so each event is judged once per path
+// instead of once per descendant prefix. Safety properties are
+// prefix-closed, so judging each new event once reaches the verdict
+// re-judging every prefix would.
 //
 // Config.POR additionally enables sleep-set partial-order reduction:
 // when the object under test reports per-step footprints
@@ -144,15 +145,9 @@ type Config struct {
 	// routine before rejoining the workload. Like crash decisions,
 	// recover decisions are never pruned or slept by POR.
 	Recoveries int
-	// Check is invoked on the history of every explored prefix together
-	// with the schedule that produced it. Returning an error aborts the
-	// exploration; the error and witness schedule are reported. When
-	// Workers > 1, Check must be safe for concurrent use. Ignored when
-	// NewMonitors is set.
-	Check func(h history.History, schedule []sim.Decision) error
-	// NewMonitors, when set, selects the incremental path: it creates the
-	// root monitor set once per exploration. A Step error aborts the
-	// exploration and is reported wrapped in a *Violation.
+	// NewMonitors creates the root monitor set once per exploration. A
+	// Step error aborts the exploration and is reported wrapped in a
+	// *Violation. Required.
 	NewMonitors func() MonitorSet
 	// Workers > 1 explores the tree concurrently with a bounded
 	// work-stealing scheduler: each worker runs the same DFS and splits
@@ -189,14 +184,14 @@ type Config struct {
 	// reached configuration and monitor digest match a state whose
 	// subtree was already fully explored (with at least as much depth
 	// and crash budget remaining, and under a sleep set no larger than
-	// the current one) is pruned and counted in Stats.CacheHits. It
-	// requires the monitor path (NewMonitors) — cache-hit soundness
-	// rests on the monitor digest — and objects that opt into
-	// sim.Fingerprintable; prefixes without a valid fingerprint are
-	// explored as usual. Like POR it assumes view-independent
-	// environments. Witnesses remain deterministic at Workers == 1;
-	// with Workers > 1 the shared visited set makes WHICH equivalent
-	// witness is found timing-dependent (verdicts are unaffected).
+	// the current one) is pruned and counted in Stats.CacheHits.
+	// Cache-hit soundness rests on the monitor set's digest (Digester)
+	// and on objects that opt into sim.Fingerprintable; prefixes without
+	// a valid fingerprint or digest are explored as usual. Like POR it
+	// assumes view-independent environments. Witnesses remain
+	// deterministic at Workers == 1; with Workers > 1 the shared visited
+	// set makes WHICH equivalent witness is found timing-dependent
+	// (verdicts are unaffected).
 	Cache bool
 	// Visited optionally supplies the visited-set tier Cache uses, so
 	// the tier outlives one exploration and is shared across several
@@ -229,6 +224,9 @@ type Stats struct {
 	// split points are excluded, so parallel and sequential statistics
 	// stay comparable.
 	Steps int
+	// Events counts the events fed to the monitor set, the violating
+	// event included.
+	Events int
 	// Resims counts simulator steps spent re-establishing already
 	// visited configurations rather than exploring new ones: the steps
 	// from-root restores re-execute (also included in Steps), the seed
@@ -245,9 +243,10 @@ type Stats struct {
 	// Workers is the number of workers the exploration actually used
 	// (Config.Workers clamped to at least 1).
 	Workers int
-	// Witness is the schedule on which the check failed: nil when no
-	// violation was found, non-nil (and empty for the root prefix)
-	// otherwise.
+	// Witness is the schedule prefix whose delta a monitor Step
+	// rejected: nil when no violation was found, non-nil otherwise. The
+	// root prefix records no events, so a witness holds at least the
+	// decision that produced the rejected event.
 	Witness []sim.Decision
 }
 
@@ -328,14 +327,8 @@ func Run(cfg Config) (*Stats, error) {
 	if cfg.Procs < 1 {
 		return nil, fmt.Errorf("explore: Procs must be >= 1")
 	}
-	if cfg.Check == nil && cfg.NewMonitors == nil {
-		return nil, fmt.Errorf("explore: Check or NewMonitors must be set")
-	}
-	if cfg.NewObject == nil || cfg.NewEnv == nil {
-		return nil, fmt.Errorf("explore: NewObject and NewEnv must be set")
-	}
-	if cfg.Cache && cfg.NewMonitors == nil {
-		return nil, fmt.Errorf("explore: Cache requires the incremental monitor path (NewMonitors): cache-hit soundness rests on the monitor state digest")
+	if cfg.NewMonitors == nil || cfg.NewObject == nil || cfg.NewEnv == nil {
+		return nil, fmt.Errorf("explore: NewMonitors, NewObject and NewEnv must be set")
 	}
 	g := &engine{cfg: cfg}
 	if cfg.Cache {
@@ -353,16 +346,12 @@ func Run(cfg Config) (*Stats, error) {
 		return g.runParallel(workers)
 	}
 	st := &Stats{Workers: 1}
-	var ms MonitorSet
-	if cfg.NewMonitors != nil {
-		ms = cfg.NewMonitors()
-	}
 	ex, err := newSessionExec(g, st)
 	if err != nil {
 		return st, err
 	}
 	defer ex.sess.Close()
-	err = g.runTask(nil, ex, &wsTask{ms: ms}, st)
+	err = g.runTask(nil, ex, &wsTask{ms: cfg.NewMonitors()}, st)
 	return st, err
 }
 
@@ -406,7 +395,7 @@ func (g *engine) runTask(w *wsWorker, ex *sessionExec, t *wsTask, st *Stats) err
 	ps.steps, _, _ = budgets(t.prefix)
 	_, err = g.explore(w, ex, node, ps, t.crashes, t.recoveries, t.ms, t.sleep, st)
 	ex.recycle(node)
-	if err == nil && t.ms != nil {
+	if err == nil {
 		releaseMonitors(t.ms)
 	}
 	return err
@@ -426,6 +415,7 @@ func (g *engine) ctxErr() error {
 func stepDelta(ms MonitorSet, node *nodeInfo, h history.History, prefix []sim.Decision, st *Stats) error {
 	parentEvents := len(h) - len(node.delta)
 	for k := range node.delta {
+		st.Events++
 		if err := ms.Step(node.delta[k]); err != nil {
 			w := witness(prefix)
 			st.Witness = w
@@ -449,24 +439,19 @@ func combineKey(fp, digest uint64) uint64 {
 // children (descending by enter, backtracking by leave). w is the
 // executing worker (nil on the sequential path); node is the info the
 // exec reported on arrival; ps carries the shared prefix/path stacks;
-// ms is the monitor set as of the parent (nil on the batch path); sleep
-// is the sleep set inherited from the parent, not yet filtered by this
-// node's own last step. It reports whether the subtree was explored to
-// completion: a parallel cutoff anywhere beneath this node makes it
-// incomplete, and an incomplete subtree must never be published to the
-// visited set — even when the node's own child loop never re-checked
-// the cutoff (e.g. the abandoned child was its last).
+// ms is the monitor set as of the parent; sleep is the sleep set
+// inherited from the parent, not yet filtered by this node's own last
+// step. It reports whether the subtree was explored to completion: a
+// parallel cutoff anywhere beneath this node makes it incomplete, and
+// an incomplete subtree must never be published to the visited set —
+// even when the node's own child loop never re-checked the cutoff (e.g.
+// the abandoned child was its last).
 func (g *engine) explore(w *wsWorker, ex *sessionExec, node *nodeInfo, ps *pathState, crashes, recoveries int, ms MonitorSet, sleep []sleepEntry, st *Stats) (bool, error) {
 	st.Prefixes++
 	if err := g.ctxErr(); err != nil {
 		return false, g.fatal(w, err)
 	}
-	if ms != nil {
-		if err := stepDelta(ms, node, ex.sess.History(), ps.prefix, st); err != nil {
-			return false, g.fail(w, ps.path, err)
-		}
-	} else if err := g.cfg.Check(ex.sess.History(), ps.prefix[:len(ps.prefix):len(ps.prefix)]); err != nil {
-		st.Witness = witness(ps.prefix)
+	if err := stepDelta(ms, node, ex.sess.History(), ps.prefix, st); err != nil {
 		return false, g.fail(w, ps.path, err)
 	}
 	if ps.steps >= g.cfg.Depth {
@@ -592,7 +577,7 @@ func (g *engine) explore(w *wsWorker, ex *sessionExec, node *nodeInfo, ps *pathS
 			}
 		}
 		cms := ms
-		if ms != nil && i < lastLive && spawned == 0 {
+		if i < lastLive && spawned == 0 {
 			cms = ms.Fork() // the last explored child inherits the set without a copy
 		}
 		nextCrashes, nextRecoveries := crashes, recoveries
@@ -684,15 +669,4 @@ func monitorDigest(ms MonitorSet) (uint64, bool) {
 		return 0, false
 	}
 	return d.StateDigest()
-}
-
-// CheckSafety adapts a history predicate to a Check function with a
-// descriptive error.
-func CheckSafety(name string, holds func(h history.History) bool) func(history.History, []sim.Decision) error {
-	return func(h history.History, schedule []sim.Decision) error {
-		if !holds(h) {
-			return fmt.Errorf("explore: %s violated by schedule %v on history %s", name, schedule, h)
-		}
-		return nil
-	}
 }

@@ -20,8 +20,8 @@ func TestExhaustiveCommitAdoptConsensusSafety(t *testing.T) {
 		NewEnv: func() sim.Environment {
 			return consensus.ProposeOnce(map[int]history.Value{1: 0, 2: 1})
 		},
-		Depth: 13,
-		Check: CheckSafety("agreement+validity", prop.Holds),
+		Depth:       13,
+		NewMonitors: checkSafety("agreement+validity", prop.Holds),
 	})
 	if err != nil {
 		t.Fatalf("exhaustive check failed: %v (witness %v)", err, st.Witness)
@@ -39,9 +39,9 @@ func TestExhaustiveCommitAdoptWithCrashes(t *testing.T) {
 		NewEnv: func() sim.Environment {
 			return consensus.ProposeOnce(map[int]history.Value{1: 0, 2: 1})
 		},
-		Depth:   9,
-		Crashes: 1,
-		Check:   CheckSafety("agreement+validity", prop.Holds),
+		Depth:       9,
+		Crashes:     1,
+		NewMonitors: checkSafety("agreement+validity", prop.Holds),
 	})
 	if err != nil {
 		t.Fatalf("exhaustive check with crashes failed: %v (witness %v)", err, st.Witness)
@@ -62,7 +62,7 @@ func TestExhaustiveI12OpacityAndS(t *testing.T) {
 		NewObject: func() sim.Object { return tm.NewI12(2) },
 		NewEnv:    func() sim.Environment { return tm.TxnLoop(tpl) },
 		Depth:     12,
-		Check: CheckSafety("opacity+S", func(h history.History) bool {
+		NewMonitors: checkSafety("opacity+S", func(h history.History) bool {
 			return propS.Holds(h)
 		}),
 	})
@@ -78,11 +78,11 @@ func TestExhaustiveGlobalCASOpacity(t *testing.T) {
 		2: {Accesses: []tm.Access{{Write: true, Var: "x", Val: 2}}},
 	}
 	st, err := Run(Config{
-		Procs:     2,
-		NewObject: func() sim.Object { return tm.NewGlobalCAS(2) },
-		NewEnv:    func() sim.Environment { return tm.TxnLoop(tpl) },
-		Depth:     12,
-		Check:     CheckSafety("opacity", safety.Opaque),
+		Procs:       2,
+		NewObject:   func() sim.Object { return tm.NewGlobalCAS(2) },
+		NewEnv:      func() sim.Environment { return tm.TxnLoop(tpl) },
+		Depth:       12,
+		NewMonitors: checkSafety("opacity", safety.Opaque),
 	})
 	if err != nil {
 		t.Fatalf("exhaustive GlobalCAS check failed: %v (witness %v)", err, st.Witness)
@@ -111,8 +111,8 @@ func TestExplorerFindsViolation(t *testing.T) {
 		NewEnv: func() sim.Environment {
 			return consensus.ProposeOnce(map[int]history.Value{1: 0, 2: 1})
 		},
-		Depth: 6,
-		Check: CheckSafety("agreement+validity", prop.Holds),
+		Depth:       6,
+		NewMonitors: checkSafety("agreement+validity", prop.Holds),
 	})
 	if err == nil {
 		t.Fatal("explorer must find the agreement violation")
@@ -145,9 +145,9 @@ func TestParallelMatchesSequential(t *testing.T) {
 			NewEnv: func() sim.Environment {
 				return consensus.ProposeOnce(map[int]history.Value{1: 0, 2: 1})
 			},
-			Depth:   11,
-			Workers: workers,
-			Check:   CheckSafety("agreement+validity", prop.Holds),
+			Depth:       11,
+			Workers:     workers,
+			NewMonitors: checkSafety("agreement+validity", prop.Holds),
 		})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -171,9 +171,9 @@ func TestParallelFindsViolation(t *testing.T) {
 		NewEnv: func() sim.Environment {
 			return consensus.ProposeOnce(map[int]history.Value{1: 0, 2: 1})
 		},
-		Depth:   6,
-		Workers: 4,
-		Check:   CheckSafety("agreement+validity", prop.Holds),
+		Depth:       6,
+		Workers:     4,
+		NewMonitors: checkSafety("agreement+validity", prop.Holds),
 	})
 	if err == nil {
 		t.Fatal("parallel explorer must find the violation")
@@ -188,6 +188,6 @@ func TestExplorerConfigErrors(t *testing.T) {
 		t.Error("zero procs must be rejected")
 	}
 	if _, err := Run(Config{Procs: 1}); err == nil {
-		t.Error("missing Check must be rejected")
+		t.Error("missing NewMonitors must be rejected")
 	}
 }

@@ -3,6 +3,7 @@ package explore
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync/atomic"
 	"testing"
 
@@ -33,30 +34,54 @@ func (s *recordingSet) Fork() MonitorSet {
 	return &recordingSet{m: s.m.Fork(), steps: s.steps, forks: s.forks}
 }
 
+// holdsSet is the in-package batch oracle: a MonitorSet that
+// accumulates its path's history and re-judges all of it with a batch
+// predicate on every event. Safety predicates are prefix-closed, so it
+// rejects exactly the first event after which the history violates —
+// the prefix a re-judge-every-prefix check would have stopped at.
+type holdsSet struct {
+	name  string
+	holds func(history.History) bool
+	h     history.History
+}
+
+// checkSafety returns a Config.NewMonitors factory judging the named
+// property through holds.
+func checkSafety(name string, holds func(history.History) bool) func() MonitorSet {
+	return func() MonitorSet { return &holdsSet{name: name, holds: holds} }
+}
+
+func (s *holdsSet) Step(e history.Event) error {
+	s.h = append(s.h, e)
+	if !s.holds(s.h) {
+		return fmt.Errorf("%s violated on history %s", s.name, s.h)
+	}
+	return nil
+}
+
+func (s *holdsSet) Fork() MonitorSet {
+	s.h = s.h[:len(s.h):len(s.h)] // clip: a later append by either copy reallocates
+	return &holdsSet{name: s.name, holds: s.holds, h: s.h}
+}
+
 func proposeOnce01() func() sim.Environment {
 	return func() sim.Environment {
 		return consensus.ProposeOnce(map[int]history.Value{1: 0, 2: 1})
 	}
 }
 
-// TestMonitorPathMatchesBatch explores the same tree through the batch
-// Check and through monitors and requires identical prefix counts, plus
-// strictly fewer monitor event steps than batch event scans.
+// TestMonitorPathMatchesBatch explores the same tree through the
+// native monitor and through the batch oracle (holdsSet) and requires
+// identical trees and event counts, with Stats.Events counting exactly
+// the events the monitor set stepped.
 func TestMonitorPathMatchesBatch(t *testing.T) {
 	prop := safety.AgreementValidity{}
-	batchScans := 0
 	batch, err := Run(Config{
-		Procs:     2,
-		NewObject: func() sim.Object { return consensus.NewCommitAdoptOF(2) },
-		NewEnv:    proposeOnce01(),
-		Depth:     9,
-		Check: func(h history.History, schedule []sim.Decision) error {
-			batchScans += len(h)
-			if !prop.Holds(h) {
-				return fmt.Errorf("violated")
-			}
-			return nil
-		},
+		Procs:       2,
+		NewObject:   func() sim.Object { return consensus.NewCommitAdoptOF(2) },
+		NewEnv:      proposeOnce01(),
+		Depth:       9,
+		NewMonitors: checkSafety(prop.Name(), prop.Holds),
 	})
 	if err != nil {
 		t.Fatalf("batch explore: %v", err)
@@ -74,17 +99,17 @@ func TestMonitorPathMatchesBatch(t *testing.T) {
 	if err != nil {
 		t.Fatalf("monitor explore: %v", err)
 	}
-	if mon.Prefixes != batch.Prefixes || mon.Steps != batch.Steps {
-		t.Fatalf("monitor path explored %d prefixes/%d steps, batch %d/%d",
-			mon.Prefixes, mon.Steps, batch.Prefixes, batch.Steps)
+	if mon.Prefixes != batch.Prefixes || mon.Steps != batch.Steps || mon.Events != batch.Events {
+		t.Fatalf("monitor path explored %d prefixes/%d steps/%d events, batch %d/%d/%d",
+			mon.Prefixes, mon.Steps, mon.Events, batch.Prefixes, batch.Steps, batch.Events)
 	}
 	if forks.Load() == 0 {
 		t.Fatal("the monitor set must have been forked at branch points")
 	}
-	if int(steps.Load())*2 > batchScans {
-		t.Fatalf("monitor path stepped %d events, want ≤ half of the batch path's %d scans", steps.Load(), batchScans)
+	if int64(mon.Events) != steps.Load() {
+		t.Fatalf("Stats.Events = %d, but the monitor set stepped %d events", mon.Events, steps.Load())
 	}
-	t.Logf("prefixes=%d monitor events=%d batch scans=%d forks=%d", mon.Prefixes, steps.Load(), batchScans, forks.Load())
+	t.Logf("prefixes=%d events=%d forks=%d", mon.Prefixes, mon.Events, forks.Load())
 }
 
 // TestMonitorPathFindsViolationWithWitness: the monitor path reports the
@@ -128,27 +153,25 @@ func TestMonitorPathFindsViolationWithWitness(t *testing.T) {
 	}
 }
 
-// TestRootViolationWitnessNonNil: a property violated on the empty
-// prefix must still yield a non-nil (empty) witness, on the serial and
-// the parallel path, batch and monitor mode alike.
+// TestRootViolationWitnessNonNil: a monitor rejecting the very first
+// event — the earliest violation a monitor can report — must yield the
+// one-decision witness of the root's first child, on the serial and the
+// parallel path alike.
 func TestRootViolationWitnessNonNil(t *testing.T) {
-	alwaysBad := func(h history.History, schedule []sim.Decision) error {
-		return fmt.Errorf("always violated")
-	}
 	for _, workers := range []int{1, 4} {
 		st, err := Run(Config{
-			Procs:     2,
-			NewObject: func() sim.Object { return consensus.NewCommitAdoptOF(2) },
-			NewEnv:    proposeOnce01(),
-			Depth:     3,
-			Workers:   workers,
-			Check:     alwaysBad,
+			Procs:       2,
+			NewObject:   func() sim.Object { return consensus.NewCommitAdoptOF(2) },
+			NewEnv:      proposeOnce01(),
+			Depth:       3,
+			Workers:     workers,
+			NewMonitors: func() MonitorSet { return failFirstSet{} },
 		})
 		if err == nil {
 			t.Fatalf("workers=%d: violation expected", workers)
 		}
-		if st.Witness == nil || len(st.Witness) != 0 {
-			t.Errorf("workers=%d: root witness = %#v, want non-nil empty schedule", workers, st.Witness)
+		if want := []sim.Decision{{Proc: 1}}; !reflect.DeepEqual(st.Witness, want) {
+			t.Errorf("workers=%d: first-event witness = %#v, want %v", workers, st.Witness, want)
 		}
 	}
 }

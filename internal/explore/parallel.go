@@ -128,11 +128,7 @@ func (g *engine) runParallel(workers int) (*Stats, error) {
 	total := &Stats{Workers: workers}
 	p := &wsPool{g: g, deques: make([][]*wsTask, workers), total: total}
 	p.cond = sync.NewCond(&p.mu)
-	var ms MonitorSet
-	if g.cfg.NewMonitors != nil {
-		ms = g.cfg.NewMonitors()
-	}
-	p.deques[0] = append(p.deques[0], &wsTask{ms: ms}) // the root subtree: the whole tree
+	p.deques[0] = append(p.deques[0], &wsTask{ms: g.cfg.NewMonitors()}) // the root subtree: the whole tree
 	p.outstanding = 1
 
 	// Loop 0 runs inline on the calling goroutine so the exploration
@@ -296,6 +292,7 @@ func (p *wsPool) finish(st *Stats, err error) {
 	defer p.mu.Unlock()
 	p.total.Prefixes += st.Prefixes
 	p.total.Steps += st.Steps
+	p.total.Events += st.Events
 	p.total.Resims += st.Resims
 	p.total.Pruned += st.Pruned
 	p.total.CacheHits += st.CacheHits
@@ -364,10 +361,6 @@ func (g *engine) trySplit(w *wsWorker, ex *sessionExec, mark *sim.Mark, ps *path
 				sl = append(sl[:len(sl):len(sl)], sleepEntry{d: prev, a: probes[j-1]})
 			}
 		}
-		var tms MonitorSet
-		if ms != nil {
-			tms = ms.Fork()
-		}
 		cr, rv := crashes, recoveries
 		switch {
 		case d.Crash:
@@ -381,7 +374,7 @@ func (g *engine) trySplit(w *wsWorker, ex *sessionExec, mark *sim.Mark, ps *path
 			crashes:      cr,
 			recoveries:   rv,
 			parentEvents: parentEvents,
-			ms:           tms,
+			ms:           ms.Fork(),
 			sleep:        sl,
 		})
 	}

@@ -2,7 +2,6 @@ package explore
 
 import (
 	"errors"
-	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -27,9 +26,9 @@ func brokenCfg(workers int) Config {
 		NewEnv: func() sim.Environment {
 			return consensus.ProposeOnce(map[int]history.Value{1: 0, 2: 1})
 		},
-		Depth:   6,
-		Workers: workers,
-		Check:   CheckSafety("agreement+validity", prop.Holds),
+		Depth:       6,
+		Workers:     workers,
+		NewMonitors: checkSafety("agreement+validity", prop.Holds),
 	}
 }
 
@@ -76,9 +75,9 @@ func TestCrashBranchingOnlyReadyProcs(t *testing.T) {
 		NewEnv: func() sim.Environment {
 			return sim.OneShot(map[int]sim.Invocation{1: {Op: "op"}})
 		},
-		Depth:   4,
-		Crashes: 1,
-		Check:   func(h history.History, s []sim.Decision) error { return nil },
+		Depth:       4,
+		Crashes:     1,
+		NewMonitors: checkSafety("true", func(history.History) bool { return true }),
 	}
 	st, err := Run(cfg)
 	if err != nil {
@@ -102,10 +101,10 @@ func TestCrashParitySequentialParallel(t *testing.T) {
 			NewEnv: func() sim.Environment {
 				return consensus.ProposeOnce(map[int]history.Value{1: 0, 2: 1})
 			},
-			Depth:   8,
-			Crashes: 2,
-			Workers: workers,
-			Check:   CheckSafety("agreement+validity", prop.Holds),
+			Depth:       8,
+			Crashes:     2,
+			Workers:     workers,
+			NewMonitors: checkSafety("agreement+validity", prop.Holds),
 		}
 	}
 	seq, err := Run(mk(1))
@@ -123,11 +122,14 @@ func TestCrashParitySequentialParallel(t *testing.T) {
 }
 
 // TestRootViolationStatsParity checks the boundary error case both paths
-// share: a property rejecting the empty history fails on the root
-// prefix, and sequential and parallel explorations must report identical
-// statistics (one prefix, a non-nil empty witness) and the same error.
+// share: a monitor rejecting the very first event — the earliest
+// violation a monitor can report, since the root prefix records none —
+// fails on the root's first child, and sequential and parallel
+// explorations must report identical statistics (two prefixes, one
+// step, one event, a one-decision witness) and the same error. Depth 1
+// keeps the root below the split threshold, so the pool runs exactly
+// the work sequential DFS does.
 func TestRootViolationStatsParity(t *testing.T) {
-	rootErr := errors.New("empty history rejected")
 	mk := func(workers int) Config {
 		return Config{
 			Procs: 2,
@@ -137,29 +139,29 @@ func TestRootViolationStatsParity(t *testing.T) {
 			NewEnv: func() sim.Environment {
 				return consensus.ProposeOnce(map[int]history.Value{1: 0, 2: 1})
 			},
-			Depth:   4,
-			Workers: workers,
-			Check: func(h history.History, s []sim.Decision) error {
-				if len(h) == 0 {
-					return rootErr
-				}
-				return nil
-			},
+			Depth:       1,
+			Workers:     workers,
+			NewMonitors: func() MonitorSet { return failFirstSet{} },
 		}
 	}
 	seq, seqErr := Run(mk(1))
 	par, parErr := Run(mk(4))
-	if !errors.Is(seqErr, rootErr) || !errors.Is(parErr, rootErr) {
-		t.Fatalf("both paths must fail on the root prefix (seq %v, par %v)", seqErr, parErr)
+	var seqVio, parVio *Violation
+	if !errors.As(seqErr, &seqVio) || !errors.As(parErr, &parVio) {
+		t.Fatalf("both paths must report a *Violation (seq %v, par %v)", seqErr, parErr)
 	}
-	if seq.Prefixes != 1 || par.Prefixes != 1 {
-		t.Errorf("root failure must count exactly the root prefix: seq %d, par %d", seq.Prefixes, par.Prefixes)
+	if seqErr.Error() != parErr.Error() {
+		t.Errorf("errors differ: seq %q, par %q", seqErr, parErr)
 	}
-	if seq.Witness == nil || len(seq.Witness) != 0 || !reflect.DeepEqual(seq.Witness, par.Witness) {
-		t.Errorf("root witnesses must be non-nil and empty on both paths: seq %v, par %v", seq.Witness, par.Witness)
+	if seq.Prefixes != 2 || par.Prefixes != 2 {
+		t.Errorf("first-event failure must count the root and its first child: seq %d, par %d", seq.Prefixes, par.Prefixes)
 	}
-	if seq.Steps != par.Steps {
-		t.Errorf("root failure steps differ: seq %d, par %d", seq.Steps, par.Steps)
+	want := []sim.Decision{{Proc: 1}}
+	if !reflect.DeepEqual(seq.Witness, want) || !reflect.DeepEqual(par.Witness, want) {
+		t.Errorf("witnesses must be the one decision %v on both paths: seq %v, par %v", want, seq.Witness, par.Witness)
+	}
+	if seq.Steps != 1 || par.Steps != 1 || seq.Events != 1 || par.Events != 1 {
+		t.Errorf("steps/events differ from 1/1: seq %d/%d, par %d/%d", seq.Steps, seq.Events, par.Steps, par.Events)
 	}
 }
 
@@ -196,20 +198,14 @@ func TestReplayFailureStats(t *testing.T) {
 }
 
 // TestParallelReplayErrorDeterministic checks that when several workers
-// fail, the reported error is that of the least root decision even when
-// the failures are replay errors rather than violations.
+// fail at once, the reported error is that of the least root decision.
 func TestParallelReplayErrorDeterministic(t *testing.T) {
-	// Every child check fails with an error naming its schedule: with 2
-	// ready processes both workers fail, and the parallel path must
-	// always report the proc-1 subtree's error.
+	// Every child's first event fails, and the violation's error names
+	// its schedule: with 2 ready processes both workers fail, and the
+	// parallel path must always report the proc-1 subtree's error.
 	mk := func(workers int) Config {
 		cfg := brokenCfg(workers)
-		cfg.Check = func(h history.History, s []sim.Decision) error {
-			if len(s) == 0 {
-				return nil
-			}
-			return fmt.Errorf("fail at %v", s)
-		}
+		cfg.NewMonitors = func() MonitorSet { return failFirstSet{} }
 		return cfg
 	}
 	seq, seqErr := Run(mk(1))

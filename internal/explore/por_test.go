@@ -70,8 +70,8 @@ func porConfigs() map[string]Config {
 			NewEnv: func() sim.Environment {
 				return consensus.ProposeOnce(map[int]history.Value{1: 0, 2: 1})
 			},
-			Depth: 10,
-			Check: CheckSafety("agreement+validity", prop.Holds),
+			Depth:       10,
+			NewMonitors: checkSafety("agreement+validity", prop.Holds),
 		},
 		"commit-adopt/crashes": {
 			Procs:     2,
@@ -79,9 +79,9 @@ func porConfigs() map[string]Config {
 			NewEnv: func() sim.Environment {
 				return consensus.ProposeOnce(map[int]history.Value{1: 0, 2: 1})
 			},
-			Depth:   7,
-			Crashes: 1,
-			Check:   CheckSafety("agreement+validity", prop.Holds),
+			Depth:       7,
+			Crashes:     1,
+			NewMonitors: checkSafety("agreement+validity", prop.Holds),
 		},
 		"cas-consensus/agreement": {
 			Procs:     3,
@@ -89,8 +89,8 @@ func porConfigs() map[string]Config {
 			NewEnv: func() sim.Environment {
 				return consensus.ProposeOnce(map[int]history.Value{1: 0, 2: 1, 3: 2})
 			},
-			Depth: 8,
-			Check: CheckSafety("agreement+validity", prop.Holds),
+			Depth:       8,
+			NewMonitors: checkSafety("agreement+validity", prop.Holds),
 		},
 		"broken-consensus/violation": {
 			Procs: 2,
@@ -100,8 +100,8 @@ func porConfigs() map[string]Config {
 			NewEnv: func() sim.Environment {
 				return consensus.ProposeOnce(map[int]history.Value{1: 0, 2: 1})
 			},
-			Depth: 6,
-			Check: CheckSafety("agreement+validity", prop.Holds),
+			Depth:       6,
+			NewMonitors: checkSafety("agreement+validity", prop.Holds),
 		},
 		"racy-lock/mutex-violation": {
 			Procs:     2,
@@ -112,22 +112,22 @@ func porConfigs() map[string]Config {
 					2: {{Op: safety.LockAcquire}, {Op: safety.LockRelease}},
 				})
 			},
-			Depth: 10,
-			Check: CheckSafety("mutual-exclusion", safety.MutualExclusion{}.Holds),
+			Depth:       10,
+			NewMonitors: checkSafety("mutual-exclusion", safety.MutualExclusion{}.Holds),
 		},
 		"i12/property-s": {
-			Procs:     2,
-			NewObject: func() sim.Object { return tm.NewI12(2) },
-			NewEnv:    func() sim.Environment { return tm.TxnLoop(tpl) },
-			Depth:     9,
-			Check:     CheckSafety("opacity+S", propS.Holds),
+			Procs:       2,
+			NewObject:   func() sim.Object { return tm.NewI12(2) },
+			NewEnv:      func() sim.Environment { return tm.TxnLoop(tpl) },
+			Depth:       9,
+			NewMonitors: checkSafety("opacity+S", propS.Holds),
 		},
 		"globalcas/opacity": {
-			Procs:     2,
-			NewObject: func() sim.Object { return tm.NewGlobalCAS(2) },
-			NewEnv:    func() sim.Environment { return tm.TxnLoop(tpl) },
-			Depth:     9,
-			Check:     CheckSafety("opacity", safety.Opaque),
+			Procs:       2,
+			NewObject:   func() sim.Object { return tm.NewGlobalCAS(2) },
+			NewEnv:      func() sim.Environment { return tm.TxnLoop(tpl) },
+			Depth:       9,
+			NewMonitors: checkSafety("opacity", safety.Opaque),
 		},
 	}
 }
@@ -225,8 +225,8 @@ func TestPORUnfootprintedDegrades(t *testing.T) {
 		NewEnv: func() sim.Environment {
 			return consensus.ProposeOnce(map[int]history.Value{1: 0, 2: 1})
 		},
-		Depth: 5,
-		Check: CheckSafety("agreement+validity", prop.Holds),
+		Depth:       5,
+		NewMonitors: checkSafety("agreement+validity", prop.Holds),
 	}
 	fst, ferr := Run(cfg)
 	cfg.POR = true

@@ -22,11 +22,11 @@ func cleanCfg(workers int, por bool) Config {
 		NewEnv: func() sim.Environment {
 			return consensus.ProposeOnce(map[int]history.Value{1: 0, 2: 1})
 		},
-		Depth:   8,
-		Crashes: 1,
-		Workers: workers,
-		POR:     por,
-		Check:   CheckSafety("agreement+validity", prop.Holds),
+		Depth:       8,
+		Crashes:     1,
+		Workers:     workers,
+		POR:         por,
+		NewMonitors: checkSafety("agreement+validity", prop.Holds),
 	}
 }
 
@@ -105,13 +105,17 @@ func TestWorkStealingCancellation(t *testing.T) {
 	}
 }
 
-// TestCacheRequiresMonitors pins the engine-level guard: Config.Cache
-// without NewMonitors is a configuration error, not a silent no-op.
+// TestCacheRequiresMonitors pins the engine-level guard: the cache keys
+// on the monitor set's digest, and a Config without NewMonitors is a
+// configuration error with or without Cache, never a silent no-op.
 func TestCacheRequiresMonitors(t *testing.T) {
-	cfg := cleanCfg(1, false)
-	cfg.Cache = true
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("Cache without NewMonitors must be rejected")
+	for _, cache := range []bool{false, true} {
+		cfg := cleanCfg(1, false)
+		cfg.NewMonitors = nil
+		cfg.Cache = cache
+		if _, err := Run(cfg); err == nil {
+			t.Fatalf("Cache=%v without NewMonitors must be rejected", cache)
+		}
 	}
 }
 

@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/explore"
 	"repro/internal/liveness"
 	"repro/internal/safety"
 	"repro/internal/sim"
+	"repro/slx"
 )
 
 func TestBakeryMutualExclusionRandom(t *testing.T) {
@@ -22,16 +22,18 @@ func TestBakeryMutualExclusionRandom(t *testing.T) {
 
 func TestBakeryExhaustiveShallow(t *testing.T) {
 	prop := safety.MutualExclusion{}
-	st, err := explore.Run(explore.Config{
-		Procs:     2,
-		NewObject: func() sim.Object { return NewBakery(2) },
-		NewEnv:    func() sim.Environment { return AcquireReleaseLoop(2) },
-		Depth:     12,
-		Workers:   4,
-		Check:     explore.CheckSafety("mutual-exclusion", prop.Holds),
-	})
+	rep, err := slx.New(
+		slx.WithProcs(2),
+		slx.WithObject(func() sim.Object { return NewBakery(2) }),
+		slx.WithEnv(func() sim.Environment { return AcquireReleaseLoop(2) }),
+		slx.WithDepth(12),
+		slx.WithWorkers(4),
+	).Explore(slx.SafetyFunc("mutual-exclusion", prop.Holds))
 	if err != nil {
-		t.Fatalf("exhaustive check failed: %v (witness %v)", err, st.Witness)
+		t.Fatalf("explore: %v", err)
+	}
+	if !rep.OK() {
+		t.Fatalf("exhaustive check failed: %s (witness %v)", rep.Failures()[0], rep.Witness())
 	}
 }
 

@@ -4,11 +4,11 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/explore"
 	"repro/internal/history"
 	"repro/internal/liveness"
 	"repro/internal/safety"
 	"repro/internal/sim"
+	"repro/slx"
 )
 
 func acquisitions(h history.History) map[int]int {
@@ -47,18 +47,20 @@ func TestPetersonMutualExclusionRandom(t *testing.T) {
 
 func TestPetersonExhaustive(t *testing.T) {
 	prop := safety.MutualExclusion{}
-	st, err := explore.Run(explore.Config{
-		Procs:     2,
-		NewObject: func() sim.Object { return NewPeterson() },
-		NewEnv:    func() sim.Environment { return AcquireReleaseLoop(2) },
-		Depth:     14,
-		Check:     explore.CheckSafety("mutual-exclusion", prop.Holds),
-	})
+	rep, err := slx.New(
+		slx.WithProcs(2),
+		slx.WithObject(func() sim.Object { return NewPeterson() }),
+		slx.WithEnv(func() sim.Environment { return AcquireReleaseLoop(2) }),
+		slx.WithDepth(14),
+	).Explore(slx.SafetyFunc("mutual-exclusion", prop.Holds))
 	if err != nil {
-		t.Fatalf("exhaustive check failed: %v (witness %v)", err, st.Witness)
+		t.Fatalf("explore: %v", err)
 	}
-	if st.Prefixes < 1000 {
-		t.Errorf("expected substantial exploration, got %d prefixes", st.Prefixes)
+	if !rep.OK() {
+		t.Fatalf("exhaustive check failed: %s (witness %v)", rep.Failures()[0], rep.Witness())
+	}
+	if rep.Prefixes < 1000 {
+		t.Errorf("expected substantial exploration, got %d prefixes", rep.Prefixes)
 	}
 }
 
@@ -143,15 +145,17 @@ func TestTournamentStarvationFreeUnderRoundRobin(t *testing.T) {
 
 func TestTournamentExhaustiveTwoProcs(t *testing.T) {
 	prop := safety.MutualExclusion{}
-	st, err := explore.Run(explore.Config{
-		Procs:     2,
-		NewObject: func() sim.Object { return NewTournament(2) },
-		NewEnv:    func() sim.Environment { return AcquireReleaseLoop(2) },
-		Depth:     13,
-		Check:     explore.CheckSafety("mutual-exclusion", prop.Holds),
-	})
+	rep, err := slx.New(
+		slx.WithProcs(2),
+		slx.WithObject(func() sim.Object { return NewTournament(2) }),
+		slx.WithEnv(func() sim.Environment { return AcquireReleaseLoop(2) }),
+		slx.WithDepth(13),
+	).Explore(slx.SafetyFunc("mutual-exclusion", prop.Holds))
 	if err != nil {
-		t.Fatalf("exhaustive check failed: %v (witness %v)", err, st.Witness)
+		t.Fatalf("explore: %v", err)
+	}
+	if !rep.OK() {
+		t.Fatalf("exhaustive check failed: %s (witness %v)", rep.Failures()[0], rep.Witness())
 	}
 }
 

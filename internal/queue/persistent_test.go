@@ -3,37 +3,39 @@ package queue
 import (
 	"testing"
 
-	"repro/internal/explore"
 	"repro/internal/history"
 	"repro/internal/safety"
 	"repro/internal/sim"
+	"repro/slx"
 )
 
 // explorePersistent checks strict linearizability of the Persistent
 // queue on every schedule with the given crash and recovery budgets.
-func explorePersistent(t *testing.T, depth, crashes, recoveries int) *explore.Stats {
+func explorePersistent(t *testing.T, depth, crashes, recoveries int) *slx.Report {
 	t.Helper()
 	spec := safety.QueueSpec{}
-	st, err := explore.Run(explore.Config{
-		Procs:     2,
-		NewObject: func() sim.Object { return NewPersistent(2) },
-		NewEnv: func() sim.Environment {
+	rep, err := slx.New(
+		slx.WithProcs(2),
+		slx.WithObject(func() sim.Object { return NewPersistent(2) }),
+		slx.WithEnv(func() sim.Environment {
 			return sim.Script(map[int][]sim.Invocation{
 				1: {{Op: "enq", Arg: "a"}},
 				2: {{Op: "deq"}, {Op: "deq"}},
 			})
-		},
-		Depth:      depth,
-		Crashes:    crashes,
-		Recoveries: recoveries,
-		Check: explore.CheckSafety("strict-linearizability", func(h history.History) bool {
-			return safety.StrictLinearizable(spec, h)
 		}),
-	})
+		slx.WithDepth(depth),
+		slx.WithCrashes(crashes),
+		slx.WithRecoveries(recoveries),
+	).Explore(slx.SafetyFunc("strict-linearizability", func(h history.History) bool {
+		return safety.StrictLinearizable(spec, h)
+	}))
 	if err != nil {
 		t.Fatalf("explore (crashes=%d recoveries=%d): %v", crashes, recoveries, err)
 	}
-	return st
+	if !rep.OK() {
+		t.Fatalf("explore (crashes=%d recoveries=%d): %s (witness %v)", crashes, recoveries, rep.Failures()[0], rep.Witness())
+	}
+	return rep
 }
 
 // TestPersistentStrictLinearizableExhaustive is the positive twin of the

@@ -3,11 +3,11 @@ package queue
 import (
 	"testing"
 
-	"repro/internal/explore"
 	"repro/internal/history"
 	"repro/internal/liveness"
 	"repro/internal/safety"
 	"repro/internal/sim"
+	"repro/slx"
 )
 
 func workload() map[int][]sim.Invocation {
@@ -46,22 +46,24 @@ func TestQueuesLinearizableUnderRandomSchedules(t *testing.T) {
 
 func TestCASQueueLinearizableExhaustive(t *testing.T) {
 	spec := safety.QueueSpec{}
-	st, err := explore.Run(explore.Config{
-		Procs:     2,
-		NewObject: func() sim.Object { return NewCASQueue() },
-		NewEnv: func() sim.Environment {
+	rep, err := slx.New(
+		slx.WithProcs(2),
+		slx.WithObject(func() sim.Object { return NewCASQueue() }),
+		slx.WithEnv(func() sim.Environment {
 			return sim.Script(map[int][]sim.Invocation{
 				1: {{Op: "enq", Arg: "v1"}, {Op: "deq"}},
 				2: {{Op: "enq", Arg: "v2"}, {Op: "deq"}},
 			})
-		},
-		Depth: 14,
-		Check: explore.CheckSafety("queue-linearizability", func(h history.History) bool {
-			return safety.Linearizable(spec, h)
 		}),
-	})
+		slx.WithDepth(14),
+	).Explore(slx.SafetyFunc("queue-linearizability", func(h history.History) bool {
+		return safety.Linearizable(spec, h)
+	}))
 	if err != nil {
-		t.Fatalf("exhaustive check failed: %v (witness %v)", err, st.Witness)
+		t.Fatalf("explore: %v", err)
+	}
+	if !rep.OK() {
+		t.Fatalf("exhaustive check failed: %s (witness %v)", rep.Failures()[0], rep.Witness())
 	}
 }
 

@@ -242,7 +242,7 @@ func validate(cfg *Config) error {
 	case cfg.NewObject == nil || cfg.NewEnv == nil:
 		return errors.New("sample: NewObject and NewEnv are required")
 	case cfg.NewMonitors == nil:
-		return errors.New("sample: NewMonitors is required (sampling has no batch path)")
+		return errors.New("sample: NewMonitors is required")
 	case cfg.Schedules < 1:
 		return errors.New("sample: Schedules must be >= 1")
 	case cfg.Steps < 1:

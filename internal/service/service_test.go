@@ -295,7 +295,10 @@ func TestDurableQueueRecoveryJob(t *testing.T) {
 }
 
 // TestValidationParity: a rejected spec gets HTTP 400 with exactly the
-// message the in-process checker's validation produces.
+// message the in-process checker's validation produces. Raw bodies
+// carrying a field JobSpec does not know — the retired batch mode among
+// them — get a 400 naming the field, so an old client can never
+// silently run a different mode.
 func TestValidationParity(t *testing.T) {
 	_, hs := newTestServer(t, service.Config{Workers: 1})
 	inProcessMsg := func(spec service.JobSpec, extra ...slx.Option) string {
@@ -311,8 +314,11 @@ func TestValidationParity(t *testing.T) {
 		}
 		return err.Error()
 	}
+	unknown := func(field string) func() string {
+		return func() string { return fmt.Sprintf("bad job spec: json: unknown field %q", field) }
+	}
 	cases := map[string]struct {
-		spec service.JobSpec
+		spec any // a service.JobSpec, or a raw json.RawMessage body
 		want func() string
 	}{
 		"sample+por": {
@@ -322,10 +328,16 @@ func TestValidationParity(t *testing.T) {
 			},
 		},
 		"sample+batch": {
-			spec: service.JobSpec{Target: "lossyreg", Spec: slx.Spec{Sample: true, Schedules: 100, Batch: true}},
-			want: func() string {
-				return inProcessMsg(service.JobSpec{Target: "lossyreg", Spec: slx.Spec{Sample: true, Schedules: 100, Batch: true}})
-			},
+			spec: json.RawMessage(`{"target":"lossyreg","sample":true,"schedules":100,"batch":true}`),
+			want: unknown("batch"),
+		},
+		"retired-batch": {
+			spec: json.RawMessage(`{"target":"consensus","batch":true}`),
+			want: unknown("batch"),
+		},
+		"unknown-field": {
+			spec: json.RawMessage(`{"target":"consensus","depth":4,"breadth":3}`),
+			want: unknown("breadth"),
 		},
 		"sample/no-schedules": {
 			spec: service.JobSpec{Target: "consensus", Mode: "sample"},
@@ -334,10 +346,8 @@ func TestValidationParity(t *testing.T) {
 			},
 		},
 		"batch+cache": {
-			spec: service.JobSpec{Target: "consensus", Spec: slx.Spec{Batch: true, Cache: true}},
-			want: func() string {
-				return inProcessMsg(service.JobSpec{Target: "consensus", Spec: slx.Spec{Batch: true, Cache: true}})
-			},
+			spec: json.RawMessage(`{"target":"consensus","batch":true,"cache":true}`),
+			want: unknown("batch"),
 		},
 		"shared-cache/no-cache": {
 			spec: service.JobSpec{Target: "consensus", SharedCache: true},
@@ -367,6 +377,12 @@ func TestValidationParity(t *testing.T) {
 			spec: service.JobSpec{Target: "consensus", Spec: slx.Spec{Procs: -1}},
 			want: func() string {
 				return inProcessMsg(service.JobSpec{Target: "consensus", Spec: slx.Spec{Procs: -1}})
+			},
+		},
+		"negative-recoveries": {
+			spec: service.JobSpec{Target: "consensus", Spec: slx.Spec{Recoveries: -1}},
+			want: func() string {
+				return inProcessMsg(service.JobSpec{Target: "consensus", Spec: slx.Spec{Recoveries: -1}})
 			},
 		},
 		"negative-timeout": {

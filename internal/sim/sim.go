@@ -273,23 +273,6 @@ type Result struct {
 	Fingerprinted bool
 }
 
-// EventsSince returns the events recorded at history index n or later —
-// the incremental delta between a parent prefix replay that recorded n
-// events and this deeper replay. Runs are deterministic, so a replay of
-// an extended schedule records exactly the parent's events first; the
-// returned slice is capacity-clipped so appending to it cannot clobber
-// the result's history. Incremental property monitors consume this delta
-// instead of re-scanning the full history.
-func (r *Result) EventsSince(n int) history.History {
-	if n < 0 {
-		n = 0
-	}
-	if n >= len(r.H) {
-		return nil
-	}
-	return r.H[n:len(r.H):len(r.H)]
-}
-
 // Config describes a run.
 type Config struct {
 	// Procs is the number of processes n (1-based ids 1..n).

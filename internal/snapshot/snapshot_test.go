@@ -3,10 +3,10 @@ package snapshot
 import (
 	"testing"
 
-	"repro/internal/explore"
 	"repro/internal/history"
 	"repro/internal/safety"
 	"repro/internal/sim"
+	"repro/slx"
 )
 
 // seqStepper executes ops immediately; for sequential unit tests.
@@ -97,25 +97,27 @@ func TestLinearizableExhaustive(t *testing.T) {
 	// All interleavings of one scan against one update, to a depth
 	// covering complete runs (the borrow path has its own directed test).
 	spec := safety.SnapshotSpec{N: 2, Initial: 0}
-	st, err := explore.Run(explore.Config{
-		Procs:     2,
-		NewObject: func() sim.Object { return &snapObject{s: New("R", 2, 0)} },
-		NewEnv: func() sim.Environment {
+	rep, err := slx.New(
+		slx.WithProcs(2),
+		slx.WithObject(func() sim.Object { return &snapObject{s: New("R", 2, 0)} }),
+		slx.WithEnv(func() sim.Environment {
 			return sim.Script(map[int][]sim.Invocation{
 				1: {{Op: "scan"}},
 				2: {{Op: "update", Arg: 5}},
 			})
-		},
-		Depth: 24,
-		Check: explore.CheckSafety("snapshot-linearizability", func(h history.History) bool {
-			return safety.Linearizable(spec, h)
 		}),
-	})
+		slx.WithDepth(24),
+	).Explore(slx.SafetyFunc("snapshot-linearizability", func(h history.History) bool {
+		return safety.Linearizable(spec, h)
+	}))
 	if err != nil {
-		t.Fatalf("exhaustive check failed: %v (witness %v)", err, st.Witness)
+		t.Fatalf("explore: %v", err)
 	}
-	if st.Prefixes < 100 {
-		t.Errorf("expected substantial exploration, got %d prefixes", st.Prefixes)
+	if !rep.OK() {
+		t.Fatalf("exhaustive check failed: %s (witness %v)", rep.Failures()[0], rep.Witness())
+	}
+	if rep.Prefixes < 100 {
+		t.Errorf("expected substantial exploration, got %d prefixes", rep.Prefixes)
 	}
 }
 

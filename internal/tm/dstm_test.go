@@ -1,31 +1,31 @@
 package tm
 
 import (
+	"fmt"
 	"testing"
 
-	"repro/internal/explore"
-	"repro/internal/history"
 	"repro/internal/liveness"
 	"repro/internal/safety"
 	"repro/internal/sim"
+	"repro/slx"
 )
 
 // exhaustiveDSTM checks opacity of DSTM on every schedule to the given
 // depth, returning the number of explored prefixes.
 func exhaustiveDSTM(tpl map[int]Txn, depth int) (int, error) {
-	st, err := explore.Run(explore.Config{
-		Procs:     2,
-		NewObject: func() sim.Object { return NewDSTM(2) },
-		NewEnv:    func() sim.Environment { return TxnLoop(tpl) },
-		Depth:     depth,
-		Check: explore.CheckSafety("opacity", func(h history.History) bool {
-			return safety.Opaque(h)
-		}),
-	})
+	rep, err := slx.New(
+		slx.WithProcs(2),
+		slx.WithObject(func() sim.Object { return NewDSTM(2) }),
+		slx.WithEnv(func() sim.Environment { return TxnLoop(tpl) }),
+		slx.WithDepth(depth),
+	).Explore(slx.SafetyFunc("opacity", safety.Opaque))
 	if err != nil {
 		return 0, err
 	}
-	return st.Prefixes, nil
+	if !rep.OK() {
+		return 0, fmt.Errorf("%s (witness %v)", rep.Failures()[0], rep.Witness())
+	}
+	return rep.Prefixes, nil
 }
 
 func TestDSTMSequentialSemantics(t *testing.T) {

@@ -3,10 +3,10 @@ package tm
 import (
 	"testing"
 
-	"repro/internal/explore"
 	"repro/internal/history"
 	"repro/internal/safety"
 	"repro/internal/sim"
+	"repro/slx"
 )
 
 func TestDurableTMSequentialSemantics(t *testing.T) {
@@ -152,21 +152,21 @@ func TestDurableTMOpacityExhaustiveWithRecovery(t *testing.T) {
 		2: {Accesses: []Access{{Var: "x"}}},
 	}
 	exhaust := func(recoveries int) int {
-		st, err := explore.Run(explore.Config{
-			Procs:      2,
-			NewObject:  func() sim.Object { return NewDurableTM(2) },
-			NewEnv:     func() sim.Environment { return TxnLoop(tpl) },
-			Depth:      11,
-			Crashes:    1,
-			Recoveries: recoveries,
-			Check: explore.CheckSafety("opacity", func(h history.History) bool {
-				return safety.Opaque(h)
-			}),
-		})
+		rep, err := slx.New(
+			slx.WithProcs(2),
+			slx.WithObject(func() sim.Object { return NewDurableTM(2) }),
+			slx.WithEnv(func() sim.Environment { return TxnLoop(tpl) }),
+			slx.WithDepth(11),
+			slx.WithCrashes(1),
+			slx.WithRecoveries(recoveries),
+		).Explore(slx.SafetyFunc("opacity", safety.Opaque))
 		if err != nil {
 			t.Fatalf("explore (recoveries=%d): %v", recoveries, err)
 		}
-		return st.Prefixes
+		if !rep.OK() {
+			t.Fatalf("explore (recoveries=%d): %s (witness %v)", recoveries, rep.Failures()[0], rep.Witness())
+		}
+		return rep.Prefixes
 	}
 	without, with := exhaust(0), exhaust(1)
 	if without == 0 {

@@ -89,13 +89,53 @@ func TestExploreCacheWitnessReplays(t *testing.T) {
 	}
 }
 
+// monitorless is a custom safety property whose Spawn returns nil: its
+// batch Check works, but it has no monitor for Explore to step.
+type monitorless struct{}
+
+func (monitorless) Name() string           { return "monitorless" }
+func (monitorless) Kind() slx.PropertyKind { return slx.Safety }
+func (monitorless) Spawn() slx.Monitor     { return nil }
+func (monitorless) Check(*slx.Execution) slx.Verdict {
+	return slx.Verdict{Property: "monitorless", Kind: slx.Safety, Holds: true}
+}
+
 // TestExploreCacheRequiresMonitors pins the soundness guard: the cache
-// keys on monitor state digests, so the batch path rejects it.
+// keys on monitor state digests, so a safety property without a monitor
+// is rejected under WithStateCache too.
 func TestExploreCacheRequiresMonitors(t *testing.T) {
 	tc := porCases()["register/linearizability"]
-	_, err := slx.New(append(tc.opts, slx.WithStateCache(), slx.WithBatchExplore())...).Explore(tc.props...)
-	if err == nil || !strings.Contains(err.Error(), "WithStateCache") {
-		t.Fatalf("WithStateCache+WithBatchExplore must be rejected, got %v", err)
+	_, err := slx.New(append(tc.opts, slx.WithStateCache())...).Explore(monitorless{})
+	if err == nil || !strings.Contains(err.Error(), `"monitorless"`) {
+		t.Fatalf("WithStateCache over a monitorless property must be rejected, got %v", err)
+	}
+}
+
+// TestExploreRejectsMonitorlessSafety: Explore judges every property
+// through monitors, so ValidateExplore and Explore reject a safety
+// property whose Spawn returns nil with one message, in exhaustive and
+// sampled mode alike, pointing at the constructors that spawn one.
+func TestExploreRejectsMonitorlessSafety(t *testing.T) {
+	tc := porCases()["register/linearizability"]
+	var msgs []string
+	for _, mode := range [][]slx.Option{nil, {slx.WithSample(10, 2)}} {
+		c := slx.New(append(tc.opts[:len(tc.opts):len(tc.opts)], mode...)...)
+		verr := c.ValidateExplore(monitorless{})
+		if verr == nil {
+			t.Fatalf("mode %d: ValidateExplore accepted a monitorless safety property", len(msgs))
+		}
+		if _, eerr := c.Explore(monitorless{}); eerr == nil || eerr.Error() != verr.Error() {
+			t.Fatalf("Explore said %q, ValidateExplore said %q", eerr, verr)
+		}
+		msgs = append(msgs, verr.Error())
+	}
+	if msgs[0] != msgs[1] {
+		t.Errorf("exhaustive and sampled messages differ:\n  %s\n  %s", msgs[0], msgs[1])
+	}
+	for _, want := range []string{`"monitorless"`, "SafetyFunc", "MonitoredSafety"} {
+		if !strings.Contains(msgs[0], want) {
+			t.Errorf("message %q does not mention %s", msgs[0], want)
+		}
 	}
 }
 

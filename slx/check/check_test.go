@@ -7,8 +7,10 @@ package check_test
 // Checker.Replay and must reproduce the failing verdict.
 
 import (
+	"reflect"
 	"testing"
 
+	"repro/internal/service"
 	"repro/slx"
 	"repro/slx/check"
 	"repro/slx/consensus"
@@ -322,10 +324,18 @@ func TestPropertiesGoodAndBad(t *testing.T) {
 	}
 }
 
-// TestExploreUsesMonitors: every safety property explored through the
-// default incremental path agrees with the batch path and scans at least
-// 2× fewer property events.
+// TestExploreUsesMonitors is the oracle parity gate of the one
+// property-evaluation path: for every safety constructor, Explore on the
+// property's native monitor must agree exactly — verdict, witness,
+// Prefixes and EventScans — with Explore on slx.SafetyFunc over the same
+// property's batch checker, which slx.BatchMonitor re-judges on every
+// event. Safety properties are prefix-closed, so both judges reject the
+// same event of the same path, or none.
 func TestExploreUsesMonitors(t *testing.T) {
+	durable, ok := service.LookupTarget("durablequeue")
+	if !ok {
+		t.Fatal("durablequeue target not registered")
+	}
 	safetyProps := []struct {
 		name string
 		prop func() slx.Property
@@ -341,12 +351,62 @@ func TestExploreUsesMonitors(t *testing.T) {
 			},
 		},
 		{
+			name: "k-set-agreement",
+			prop: func() slx.Property { return check.KSetAgreement(2) },
+			opts: []slx.Option{
+				obj(func() run.Object { return consensus.NewDecideOwn(3) }), slx.WithProcs(3),
+				proposeOnce(map[int]hist.Value{1: 0, 2: 1, 3: 2}),
+				slx.WithDepth(7),
+			},
+		},
+		{
+			name: "mutual-exclusion",
+			prop: check.MutualExclusion,
+			opts: []slx.Option{
+				obj(func() run.Object { return brokenLock{} }),
+				env(func() run.Environment { return mutex.AcquireReleaseLoop(2) }),
+				slx.WithDepth(6),
+			},
+		},
+		{
 			name: "linearizability",
 			prop: func() slx.Property { return check.Linearizability(check.RegisterSpec{Initial: 0}) },
 			opts: []slx.Option{
 				obj(func() run.Object { return &testRegister{v: 0} }),
 				env(registerEnv),
 				slx.WithDepth(6),
+			},
+		},
+		{
+			name: "strict-linearizability/register",
+			prop: func() slx.Property { return check.StrictLinearizability(check.RegisterSpec{Initial: 0}) },
+			opts: []slx.Option{
+				obj(func() run.Object { return &testRegister{v: 0} }),
+				env(registerEnv),
+				slx.WithDepth(6), slx.WithCrashes(1), slx.WithRecoveries(1),
+			},
+		},
+		{
+			name: "strict-linearizability/durablequeue",
+			prop: durable.Property,
+			opts: append(durable.Options(), slx.WithDepth(12), slx.WithCrashes(1), slx.WithRecoveries(1)),
+		},
+		{
+			name: "opacity",
+			prop: check.Opacity,
+			opts: []slx.Option{
+				obj(func() run.Object { return tm.NewGlobalCAS(2) }),
+				env(func() run.Environment { return tm.TxnLoop(txnRW()) }),
+				slx.WithDepth(7),
+			},
+		},
+		{
+			name: "strict-serializability",
+			prop: check.StrictSerializability,
+			opts: []slx.Option{
+				obj(func() run.Object { return brokenTM{} }),
+				env(func() run.Environment { return tm.TxnLoop(txnRW()) }),
+				slx.WithDepth(9),
 			},
 		},
 		{
@@ -366,21 +426,24 @@ func TestExploreUsesMonitors(t *testing.T) {
 			if err != nil {
 				t.Fatalf("monitor explore: %v", err)
 			}
-			batch, err := slx.New(append(tc.opts[:len(tc.opts):len(tc.opts)], slx.WithBatchExplore())...).Explore(tc.prop())
+			p := tc.prop()
+			oracle := slx.SafetyFunc(p.Name(), func(h hist.History) bool { return p.Check(&slx.Execution{H: h}).Holds })
+			batch, err := slx.New(tc.opts...).Explore(oracle)
 			if err != nil {
-				t.Fatalf("batch explore: %v", err)
+				t.Fatalf("batch-oracle explore: %v", err)
 			}
-			if mon.OK() != batch.OK() || mon.Prefixes != batch.Prefixes {
-				t.Fatalf("paths disagree: monitor OK=%v prefixes=%d, batch OK=%v prefixes=%d",
-					mon.OK(), mon.Prefixes, batch.OK(), batch.Prefixes)
+			if mon.OK() != batch.OK() || mon.Prefixes != batch.Prefixes || mon.EventScans != batch.EventScans {
+				t.Fatalf("judges disagree: monitor OK=%v prefixes=%d scans=%d, batch oracle OK=%v prefixes=%d scans=%d",
+					mon.OK(), mon.Prefixes, mon.EventScans, batch.OK(), batch.Prefixes, batch.EventScans)
 			}
-			if mon.EventScans*2 > batch.EventScans {
-				t.Errorf("monitor path scanned %d property events, want ≤ half of batch's %d",
-					mon.EventScans, batch.EventScans)
+			if !reflect.DeepEqual(mon.Witness(), batch.Witness()) {
+				t.Fatalf("witnesses differ: monitor %v, batch oracle %v", mon.Witness(), batch.Witness())
 			}
-			t.Logf("prefixes=%d scans: monitor=%d batch=%d (%.1fx)",
-				mon.Prefixes, mon.EventScans, batch.EventScans,
-				float64(batch.EventScans)/float64(mon.EventScans+1))
+			if !mon.OK() && mon.Failures()[0].Property != batch.Failures()[0].Property {
+				t.Fatalf("failing properties differ: monitor %q, batch oracle %q",
+					mon.Failures()[0].Property, batch.Failures()[0].Property)
+			}
+			t.Logf("OK=%v prefixes=%d scans=%d witness=%v", mon.OK(), mon.Prefixes, mon.EventScans, mon.Witness())
 		})
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/explore"
@@ -32,7 +31,6 @@ type Checker struct {
 	recoveries int
 	workers    int
 	window     int
-	batch      bool
 	por        bool
 	cache      bool
 	replay     bool
@@ -179,15 +177,15 @@ func WithPOR() Option { return func(c *Checker) { c.por = true } }
 // same property-monitor residual state — are pruned and counted in
 // Report.CacheHits. Objects without the fingerprint hook (or whose
 // correctness depends on pointer identity, which the hook's contract
-// excludes) explore the full tree exactly as before. The cache requires
-// the incremental monitor path: combining it with WithBatchExplore (or
-// a property whose Spawn returns nil) is an error, because cache-hit
-// soundness rests on the monitors' canonical state digests. Like
-// WithPOR it assumes environments that decide invocations per process,
-// independently of the view — true of every environment in this
-// repository. Composes with WithPOR and WithWorkers; under WithWorkers
-// the shared cache makes which equivalent witness is reported
-// timing-dependent (verdicts are unaffected). Default: off.
+// excludes) explore the full tree exactly as before. Cache-hit
+// soundness rests on the property monitors' canonical state digests
+// (Digester); a monitor without the hook makes the prefixes it judges
+// uncacheable, never unsound. Like WithPOR it assumes environments that
+// decide invocations per process, independently of the view — true of
+// every environment in this repository. Composes with WithPOR and
+// WithWorkers; under WithWorkers the shared cache makes which
+// equivalent witness is reported timing-dependent (verdicts are
+// unaffected). Default: off.
 func WithStateCache() Option { return func(c *Checker) { c.cache = true } }
 
 // WithReplayExecution forces Explore onto from-root execution: every
@@ -223,10 +221,11 @@ func WithReplayExecution() Option { return func(c *Checker) { c.replay = true } 
 // under WithReplayExecution) by a from-root rebuild, with identical
 // results. The Report gains Sampled, Schedules, DistinctStates and
 // FailingSeed; a clean sampled Report is probabilistic evidence, not
-// exhaustive proof. Sampling requires properties with native monitors
-// and excludes WithBatchExplore, WithPOR and WithStateCache. Under
-// WithContext, cancellation is polled per schedule and Explore returns
-// the partial Report (Interrupted set) together with the context error.
+// exhaustive proof. Sampling judges properties through the same
+// monitors as exhaustive exploration and excludes WithPOR and
+// WithStateCache. Under WithContext, cancellation is polled per
+// schedule and Explore returns the partial Report (Interrupted set)
+// together with the context error.
 func WithSample(schedules, d int) Option {
 	return func(c *Checker) { c.sample = true; c.schedules = schedules; c.sampleD = d }
 }
@@ -242,13 +241,6 @@ func WithSampleWalk() Option { return func(c *Checker) { c.walk = true } }
 // WithSample(1, d) replays exactly the failing schedule's strategy.
 // Default: 1.
 func WithSeed(s int64) Option { return func(c *Checker) { c.seed = s } }
-
-// WithBatchExplore forces Explore onto the legacy batch path: every
-// property re-judges the entire history of every explored prefix instead
-// of consuming delta events through incremental monitors. Kept for
-// cross-checking the two paths and for before/after benchmarking; the
-// monitor path is the default and is strictly cheaper.
-func WithBatchExplore() Option { return func(c *Checker) { c.batch = true } }
 
 // New builds a Checker. At minimum WithObject is required; Check,
 // Replay and Explore also need WithEnv.
@@ -403,36 +395,42 @@ func (c *Checker) Adversary(adv Adversary, props ...Property) (*Report, error) {
 	return c.finish(ModeAdversary, adv.Name(), res, props)
 }
 
-// violation transports a failing verdict out of the exploration.
+// violation transports a failing verdict out of the exploration,
+// together with the index of the property whose monitor failed (the
+// location comes from the wrapping explore.Violation).
 type violation struct {
-	v Verdict
-	e *Execution // nil on the monitor path (the location comes from explore.Violation)
+	v   Verdict
+	idx int
 }
 
 // Error implements error.
 func (v *violation) Error() string { return v.v.String() }
 
-// monitorSet adapts the property monitors to explore.MonitorSet,
-// counting every event fed to every monitor. Small sets (the common
-// case: one or two properties) keep the monitor slice in the inline
-// array, so exploration's per-branch Fork allocates one object instead
-// of two.
+// monitorSet adapts the property monitors to explore.MonitorSet. Small
+// sets (the common case: one or two properties) keep the monitor slice
+// in the inline array, so exploration's per-branch Fork allocates one
+// object instead of two.
 type monitorSet struct {
 	mons   []Monitor
-	scans  *atomic.Int64
 	inline [2]Monitor
 }
 
-// newMonitorSet builds a set over mons, using the inline backing when
-// it fits.
-func newMonitorSet(mons []Monitor, scans *atomic.Int64) *monitorSet {
-	s := &monitorSet{scans: scans}
-	if len(mons) <= len(s.inline) {
-		s.mons = append(s.inline[:0], mons...)
-	} else {
-		s.mons = mons
+// monitorSets is Explore's monitor-set factory, shared by the
+// exhaustive and sampling engines: a set of fresh monitors, one per
+// property in property order.
+func monitorSets(props []Property) func() explore.MonitorSet {
+	return func() explore.MonitorSet {
+		s := &monitorSet{}
+		if len(props) <= len(s.inline) {
+			s.mons = s.inline[:len(props)]
+		} else {
+			s.mons = make([]Monitor, len(props))
+		}
+		for i, p := range props {
+			s.mons[i] = p.Spawn()
+		}
+		return s
 	}
-	return s
 }
 
 // releasable is the optional per-monitor counterpart of the set's
@@ -458,10 +456,9 @@ func (s *monitorSet) Release() {
 
 // Step implements explore.MonitorSet.
 func (s *monitorSet) Step(e hist.Event) error {
-	for _, m := range s.mons {
-		s.scans.Add(1)
+	for i, m := range s.mons {
 		if !m.Step(e) {
-			return &violation{v: m.Verdict()}
+			return &violation{v: m.Verdict(), idx: i}
 		}
 	}
 	return nil
@@ -470,7 +467,6 @@ func (s *monitorSet) Step(e hist.Event) error {
 // Fork implements explore.MonitorSet.
 func (s *monitorSet) Fork() explore.MonitorSet {
 	ns := setPool.Get().(*monitorSet)
-	ns.scans = s.scans
 	if ns.mons == nil {
 		ns.mons = ns.inline[:0]
 	}
@@ -502,24 +498,23 @@ func (s *monitorSet) StateDigest() (uint64, bool) {
 
 // Explore enumerates every schedule up to the configured depth
 // (optionally with crash injection) and checks each property on every
-// reachable history prefix. Only safety properties are admissible:
-// liveness is a statement about full fair executions, not prefixes. A
-// clean exploration yields one passing Verdict per property; a violation
+// reachable history prefix. Only safety properties with a monitor are
+// admissible: liveness is a statement about full fair executions, not
+// prefixes, and a safety property whose Spawn returns nil is rejected
+// (SafetyFunc and MonitoredSafety always spawn one). A clean
+// exploration yields one passing Verdict per property; a violation
 // yields the failing Verdict with the (non-nil) witness schedule and
 // Report.Schedule set (and no verdicts for the other properties, since
 // exploration stops at the first violation).
 //
-// By default properties are judged incrementally: Explore spawns one
-// Monitor per property, feeds each new event exactly once per DFS edge,
-// and forks the monitor set at schedule branch points, so a prefix's
-// events are never replayed into a fresh checker. Report.EventScans
-// counts the events fed to the property layer under either path;
-// WithBatchExplore restores the legacy re-judge-every-prefix behavior.
-// A safety property whose Spawn returns nil (a custom batch-only
-// implementation) sends the whole exploration to the batch path too —
-// monitors judge the history alone, while such a property's Check may
-// consult the full Execution (schedule, step counts), which only the
-// batch path supplies.
+// Properties are judged incrementally: Explore spawns one Monitor per
+// property, feeds each new event exactly once per DFS edge, and forks
+// the monitor set at schedule branch points, so a prefix's events are
+// never replayed into a fresh checker. Safety properties are
+// prefix-closed, so judging each event once reaches the verdict that
+// re-judging every prefix would. Sampling mode (WithSample) feeds its
+// schedules to the same monitor sets. Report.EventScans counts the
+// (event, monitor) judgments.
 func (c *Checker) Explore(props ...Property) (*Report, error) {
 	if err := c.ValidateExplore(props...); err != nil {
 		return nil, err
@@ -529,97 +524,63 @@ func (c *Checker) Explore(props ...Property) (*Report, error) {
 	if c.sample {
 		return c.sampleExplore(ctx, props)
 	}
-	batch := c.batch
-	for _, p := range props {
-		if p.Spawn() == nil {
-			batch = true
-		}
-	}
-	workers := c.workers
-	if workers < 1 {
-		workers = 1
-	}
-	var scans atomic.Int64
-	ecfg := explore.Config{
-		Procs:      c.procs,
-		NewObject:  c.exploreObject(),
-		NewEnv:     c.newEnv,
-		Depth:      c.depth,
-		Crashes:    c.crashes,
-		Recoveries: c.recoveries,
-		Workers:    workers,
-		Spawn:      c.spawn,
-		POR:        c.por,
-		Cache:      c.cache,
-		Visited:    c.visited,
-		Ctx:        ctx,
-	}
-	if batch {
-		ecfg.Check = func(h hist.History, schedule []run.Decision) error {
-			scans.Add(int64(len(h) * len(props)))
-			e := &Execution{H: h, N: c.procs, Schedule: schedule, Window: c.window}
-			for _, p := range props {
-				if v := p.Check(e); !v.Holds {
-					return &violation{v: v, e: e}
-				}
-			}
-			return nil
-		}
-	} else {
-		ecfg.NewMonitors = func() explore.MonitorSet {
-			mons := make([]Monitor, len(props))
-			for i, p := range props {
-				mons[i] = p.Spawn()
-			}
-			return newMonitorSet(mons, &scans)
-		}
-	}
-	st, err := explore.Run(ecfg)
+	st, err := explore.Run(explore.Config{
+		Procs:       c.procs,
+		NewObject:   c.exploreObject(),
+		NewEnv:      c.newEnv,
+		NewMonitors: monitorSets(props),
+		Depth:       c.depth,
+		Crashes:     c.crashes,
+		Recoveries:  c.recoveries,
+		Workers:     c.workers,
+		Spawn:       c.spawn,
+		POR:         c.por,
+		Cache:       c.cache,
+		Visited:     c.visited,
+		Ctx:         ctx,
+	})
 	if st == nil {
 		return nil, fmt.Errorf("slx: exploration failed: %w", err)
 	}
 	rep := &Report{
 		Mode: ModeExplore, Prefixes: st.Prefixes, SimSteps: st.Steps, Resims: st.Resims,
 		Pruned: st.Pruned, CacheHits: st.CacheHits, Workers: st.Workers,
-		EventScans: int(scans.Load()),
+		EventScans: st.Events * len(props),
 	}
-	if err != nil {
-		var vio *violation
-		if errors.As(err, &vio) {
-			v, e := vio.v, vio.e
-			var ev *explore.Violation
-			if errors.As(err, &ev) {
-				// Monitor path: attach the witness and rebuild the
-				// violating prefix's execution from the location.
-				v.Witness = ev.Schedule
-				e = &Execution{H: ev.H, N: c.procs, Schedule: ev.Schedule, Window: c.window}
-			}
-			if v.Witness == nil {
-				v.Witness = []run.Decision{}
-			}
-			rep.Execution = e
-			rep.Schedule = v.Witness
-			rep.Verdicts = []Verdict{v}
-			return rep, nil
+	return c.conclude(ctx, rep, props, err,
+		fmt.Sprintf("no violation on %d schedule prefixes up to depth %d", st.Prefixes, c.depth))
+}
+
+// conclude completes an Explore Report, exhaustive or sampled, from the
+// engine's outcome. A monitor violation becomes the failing verdict
+// with its witness and the violating prefix's execution; the monitors
+// after the failing one never saw the violating event, so EventScans
+// drops their share. A cancellation or WithTimeout expiry returns the
+// partial Report (statistics over the work completed before the cut,
+// Interrupted set, no verdicts) with the context error. A clean run
+// yields one passing verdict per property, explained by reason.
+func (c *Checker) conclude(ctx context.Context, rep *Report, props []Property, err error, reason string) (*Report, error) {
+	var vio *violation
+	var ev *explore.Violation
+	switch {
+	case err == nil:
+		for _, p := range props {
+			rep.Verdicts = append(rep.Verdicts, Verdict{Property: p.Name(), Kind: p.Kind(), Holds: true, Reason: reason})
 		}
-		if cerr := ctx.Err(); cerr != nil {
-			// Cancellation or a WithTimeout expiry: the partial Report —
-			// statistics over the prefixes explored before the cut, no
-			// verdicts — returns alongside the context error.
-			rep.Interrupted = true
-			return rep, cerr
-		}
-		return nil, fmt.Errorf("slx: exploration failed: %w", err)
+		return rep, nil
+	case errors.As(err, &vio) && errors.As(err, &ev):
+		v := vio.v
+		v.Witness = ev.Schedule
+		rep.Execution = &Execution{H: ev.H, N: c.procs, Schedule: ev.Schedule, Window: c.window}
+		rep.Schedule = v.Witness
+		rep.Verdicts = []Verdict{v}
+		rep.EventScans -= len(props) - vio.idx - 1
+		return rep, nil
+	case ctx.Err() != nil:
+		rep.Interrupted = true
+		return rep, ctx.Err()
 	}
-	for _, p := range props {
-		rep.Verdicts = append(rep.Verdicts, Verdict{
-			Property: p.Name(),
-			Kind:     p.Kind(),
-			Holds:    true,
-			Reason:   fmt.Sprintf("no violation on %d schedule prefixes up to depth %d", st.Prefixes, c.depth),
-		})
-	}
-	return rep, nil
+	return nil, fmt.Errorf("slx: exploration failed: %w", err)
 }
 
 // ValidateExplore checks the configuration and property set exactly as
@@ -648,7 +609,7 @@ func (c *Checker) ValidateExplore(props ...Property) error {
 		return fmt.Errorf("slx: timeout: WithTimeout requires d >= 0, got %v", c.timeout)
 	}
 	if c.recoveries < 0 {
-		return fmt.Errorf("slx: WithRecoveries requires n >= 0, got %d", c.recoveries)
+		return fmt.Errorf("slx: recoveries: WithRecoveries requires n >= 0, got %d", c.recoveries)
 	}
 	if c.recoveries > 0 && c.crashes < 1 {
 		return fmt.Errorf("slx: WithRecoveries(%d) requires WithCrashes >= 1 (without crashes no process is ever recoverable)", c.recoveries)
@@ -659,34 +620,19 @@ func (c *Checker) ValidateExplore(props ...Property) error {
 			return fmt.Errorf("slx: WithSample requires at least 1 schedule, got %d", c.schedules)
 		case c.sampleD < 0:
 			return fmt.Errorf("slx: WithSample requires d >= 0, got %d", c.sampleD)
-		case c.batch:
-			return fmt.Errorf("slx: WithSample requires the incremental monitor path; drop WithBatchExplore")
 		case c.por:
 			return fmt.Errorf("slx: WithSample excludes WithPOR (sleep sets prune an enumeration; sampling has none)")
 		case c.cache:
 			return fmt.Errorf("slx: WithSample excludes WithStateCache (sampled schedules are independent; terminal states are already deduplicated into DistinctStates)")
 		}
-		for _, p := range props {
-			if p.Kind() != Safety {
-				return fmt.Errorf("slx: Explore checks prefixes, so it only admits safety properties; %q is %v", p.Name(), p.Kind())
-			}
-			if p.Spawn() == nil {
-				return fmt.Errorf("slx: sampling judges histories through incremental monitors, but %q has none (Spawn returns nil)", p.Name())
-			}
-		}
-		return nil
 	}
-	batch := c.batch
 	for _, p := range props {
 		if p.Kind() != Safety {
 			return fmt.Errorf("slx: Explore checks prefixes, so it only admits safety properties; %q is %v", p.Name(), p.Kind())
 		}
 		if p.Spawn() == nil {
-			batch = true
+			return fmt.Errorf("slx: Explore judges properties through incremental monitors, but %q has none (Spawn returns nil); build it with SafetyFunc or MonitoredSafety", p.Name())
 		}
-	}
-	if batch && c.cache {
-		return fmt.Errorf("slx: WithStateCache requires the incremental monitor path (cache-hit soundness rests on monitor state digests); drop WithBatchExplore and use properties with native monitors")
 	}
 	return nil
 }
@@ -722,18 +668,11 @@ func (c *Checker) sampleExplore(ctx context.Context, props []Property) (*Report,
 		strat = sample.Walk
 		stratName = "random walk"
 	}
-	var scans atomic.Int64
 	st, err := sample.Run(sample.Config{
-		Procs:     c.procs,
-		NewObject: c.exploreObject(),
-		NewEnv:    c.newEnv,
-		NewMonitors: func() explore.MonitorSet {
-			mons := make([]Monitor, len(props))
-			for i, p := range props {
-				mons[i] = p.Spawn()
-			}
-			return newMonitorSet(mons, &scans)
-		},
+		Procs:        c.procs,
+		NewObject:    c.exploreObject(),
+		NewEnv:       c.newEnv,
+		NewMonitors:  monitorSets(props),
 		Schedules:    c.schedules,
 		Steps:        c.depth,
 		Crashes:      c.crashes,
@@ -747,56 +686,15 @@ func (c *Checker) sampleExplore(ctx context.Context, props []Property) (*Report,
 		Ctx:          ctx,
 	})
 	if st == nil {
-		return nil, fmt.Errorf("slx: sampling failed: %w", err)
+		return nil, fmt.Errorf("slx: exploration failed: %w", err)
 	}
 	rep := &Report{
 		Mode: ModeExplore, Sampled: true,
 		Schedules: st.Schedules, DistinctStates: st.DistinctStates,
 		SimSteps: st.Steps, Resims: st.Resims, Workers: st.Workers,
-		// Deterministic merged count, not the racy live counter: every
-		// merged event was judged by every monitor (the violating event
-		// only up to the failing one, corrected below).
-		EventScans:  st.Events * len(props),
-		Interrupted: st.Interrupted,
+		EventScans: st.Events * len(props), FailingSeed: st.FailingSeed,
 	}
-	if err != nil {
-		var vio *violation
-		if errors.As(err, &vio) {
-			v := vio.v
-			var ev *explore.Violation
-			if errors.As(err, &ev) {
-				v.Witness = ev.Schedule
-				rep.Execution = &Execution{H: ev.H, N: c.procs, Schedule: ev.Schedule, Window: c.window}
-			}
-			if v.Witness == nil {
-				v.Witness = []run.Decision{}
-			}
-			for i, p := range props {
-				if p.Name() == v.Property {
-					rep.EventScans -= len(props) - i - 1
-					break
-				}
-			}
-			rep.Schedule = v.Witness
-			rep.Verdicts = []Verdict{v}
-			rep.FailingSeed = st.FailingSeed
-			return rep, nil
-		}
-		if cerr := ctx.Err(); cerr != nil {
-			// An interrupted sampling run (cancellation or WithTimeout
-			// expiry) returns the partial Report with the context error.
-			return rep, cerr
-		}
-		return nil, fmt.Errorf("slx: sampling failed: %w", err)
-	}
-	for _, p := range props {
-		rep.Verdicts = append(rep.Verdicts, Verdict{
-			Property: p.Name(),
-			Kind:     p.Kind(),
-			Holds:    true,
-			Reason: fmt.Sprintf("no violation on %d sampled schedules to depth %d (%s, seed %d) — probabilistic evidence, not exhaustive proof",
-				st.Schedules, c.depth, stratName, c.seed),
-		})
-	}
-	return rep, nil
+	return c.conclude(ctx, rep, props, err,
+		fmt.Sprintf("no violation on %d sampled schedules to depth %d (%s, seed %d) — probabilistic evidence, not exhaustive proof",
+			st.Schedules, c.depth, stratName, c.seed))
 }

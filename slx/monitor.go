@@ -45,9 +45,9 @@ type Digester interface {
 
 // BatchMonitor adapts a prefix-monotone history predicate into a Monitor
 // by accumulating the history and re-judging it on every step. It is the
-// fallback Explore uses for safety properties without a native
-// incremental monitor (SafetyFunc closures, custom Property values whose
-// Spawn returns nil); native monitors avoid the per-step re-scan.
+// monitor SafetyFunc spawns for its predicate, and the way to give a
+// custom safety Property a Spawn (Explore rejects a nil one); native
+// monitors avoid the per-step re-scan.
 func BatchMonitor(name string, holds func(h hist.History) bool) Monitor {
 	return &batchMonitor{name: name, holds: holds}
 }

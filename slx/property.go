@@ -74,12 +74,13 @@ type Property interface {
 	Kind() PropertyKind
 	// Check judges the execution and returns the verdict.
 	Check(e *Execution) Verdict
-	// Spawn returns a fresh incremental Monitor at the empty history, or
-	// nil when the property is batch-only. Liveness properties return
-	// nil — liveness is a statement about full fair executions, not
-	// prefixes, so there is no event-incremental verdict to maintain.
-	// Explore falls back to a BatchMonitor over Check for safety
-	// properties that return nil.
+	// Spawn returns a fresh incremental Monitor at the empty history.
+	// Explore judges safety properties only through their monitors, so
+	// it rejects a safety property whose Spawn returns nil; SafetyFunc
+	// and MonitoredSafety always spawn one (a BatchMonitor over the
+	// predicate, or a native monitor). Liveness properties return nil —
+	// liveness is a statement about full fair executions, not prefixes,
+	// so there is no event-incremental verdict to maintain.
 	Spawn() Monitor
 }
 
@@ -89,7 +90,7 @@ type funcProperty struct {
 	kind    PropertyKind
 	holds   func(e *Execution) bool
 	explain func(e *Execution) string // optional; used on failure
-	spawn   func() Monitor            // optional; nil for batch-only properties
+	spawn   func() Monitor            // nil for liveness properties
 }
 
 // Name implements Property.

@@ -77,13 +77,14 @@ type Report struct {
 	// (WithWorkers; counts below 1 are rejected by validation). Zero
 	// outside ModeExplore.
 	Workers int
-	// EventScans counts the events fed to the property layer during an
-	// exploration: one per (event, monitor) pair on the incremental path,
-	// len(history)·len(properties) per prefix on the batch path. It is
-	// the before/after measure of the monitor redesign. In sampling mode
-	// it is counted over the deterministic merged prefix of schedules
-	// (work discarded past a violation or cancellation is excluded, so
-	// the number is worker-count independent).
+	// EventScans counts the (event, monitor) judgments of an
+	// exploration: the events fed to the monitor set, each judged once
+	// per path, times the number of properties — minus, on a violation,
+	// the monitors after the failing one, which never saw the violating
+	// event. In sampling mode it is counted over the deterministic
+	// merged prefix of schedules (work discarded past a violation or
+	// cancellation is excluded, so the number is worker-count
+	// independent).
 	EventScans int
 	// Sampled marks a sampling-mode exploration (WithSample): Prefixes
 	// is 0 and the three fields below are populated instead.

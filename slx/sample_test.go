@@ -173,15 +173,14 @@ func TestSampleInterruptible(t *testing.T) {
 	t.Logf("interrupted after %d schedules, %d distinct states", rep.Schedules, rep.DistinctStates)
 }
 
-// TestSampleOptionValidation: sampling requires the incremental monitor
-// path and excludes the enumeration-only options.
+// TestSampleOptionValidation: sampling excludes the enumeration-only
+// options and rejects empty or negative budgets.
 func TestSampleOptionValidation(t *testing.T) {
 	tc := porCases()["register/linearizability"]
 	base := tc.opts[:len(tc.opts):len(tc.opts)]
 	for name, bad := range map[string][]slx.Option{
 		"por":       append(base, slx.WithSample(10, 2), slx.WithPOR()),
 		"cache":     append(base, slx.WithSample(10, 2), slx.WithStateCache()),
-		"batch":     append(base, slx.WithSample(10, 2), slx.WithBatchExplore()),
 		"schedules": append(base, slx.WithSample(0, 2)),
 		"negative":  append(base, slx.WithSample(10, -1)),
 	} {

@@ -32,8 +32,6 @@ type Spec struct {
 	POR bool `json:"por,omitempty"`
 	// Cache maps to WithStateCache.
 	Cache bool `json:"cache,omitempty"`
-	// Batch maps to WithBatchExplore.
-	Batch bool `json:"batch,omitempty"`
 	// Replay maps to WithReplayExecution.
 	Replay bool `json:"replay,omitempty"`
 	// Sample, with Schedules and D, maps to WithSample(Schedules, D):
@@ -84,9 +82,6 @@ func (s Spec) Options() []Option {
 	}
 	if s.Cache {
 		opts = append(opts, WithStateCache())
-	}
-	if s.Batch {
-		opts = append(opts, WithBatchExplore())
 	}
 	if s.Replay {
 		opts = append(opts, WithReplayExecution())

@@ -37,8 +37,8 @@ func TestSpecOptionsMapping(t *testing.T) {
 		t.Fatalf("zero spec produced %d options, want 0", n)
 	}
 	full := Spec{
-		Procs: 3, Depth: 9, Crashes: 1, Workers: 4,
-		POR: true, Cache: true, Batch: true, Replay: true,
+		Procs: 3, Depth: 9, Crashes: 1, Recoveries: 1, Workers: 4,
+		POR: true, Cache: true, Replay: true,
 		Sample: true, Schedules: 500, D: 2, Walk: true,
 		Seed: 42, TimeoutMs: 1500,
 	}
@@ -51,10 +51,10 @@ func TestSpecOptionsMapping(t *testing.T) {
 		{"procs", c.procs, 3},
 		{"depth", c.depth, 9},
 		{"crashes", c.crashes, 1},
+		{"recoveries", c.recoveries, 1},
 		{"workers", c.workers, 4},
 		{"por", c.por, true},
 		{"cache", c.cache, true},
-		{"batch", c.batch, true},
 		{"replay", c.replay, true},
 		{"sample", c.sample, true},
 		{"schedules", c.schedules, 500},
@@ -73,12 +73,13 @@ func TestSpecOptionsMapping(t *testing.T) {
 	// knob at its default, so no spec field can leak into two options.
 	defaults := New()
 	fields := map[string]Spec{
-		"procs":   {Procs: 5},
-		"depth":   {Depth: 11},
-		"crashes": {Crashes: 2},
-		"workers": {Workers: 8},
-		"seed":    {Seed: 7},
-		"timeout": {TimeoutMs: 250},
+		"procs":      {Procs: 5},
+		"depth":      {Depth: 11},
+		"crashes":    {Crashes: 2},
+		"recoveries": {Recoveries: 2},
+		"workers":    {Workers: 8},
+		"seed":       {Seed: 7},
+		"timeout":    {TimeoutMs: 250},
 	}
 	for name, spec := range fields {
 		c := New(spec.Options()...)
@@ -90,6 +91,9 @@ func TestSpecOptionsMapping(t *testing.T) {
 			touched++
 		}
 		if c.crashes != defaults.crashes {
+			touched++
+		}
+		if c.recoveries != defaults.recoveries {
 			touched++
 		}
 		if c.workers != defaults.workers {
@@ -122,7 +126,7 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(orig, back) {
 		t.Fatalf("round trip changed the spec: %+v -> %s -> %+v", orig, data, back)
 	}
-	for _, absent := range []string{"procs", "crashes", "por", "cache", "batch", "replay", "walk", "timeout_ms"} {
+	for _, absent := range []string{"procs", "crashes", "recoveries", "por", "cache", "replay", "walk", "timeout_ms"} {
 		if jsonHasKey(t, data, absent) {
 			t.Errorf("zero field %q serialized: %s", absent, data)
 		}
@@ -133,12 +137,12 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 }
 
 // TestSpecNegativeWorkersRejected: a negative workers, depth, crashes,
-// procs or timeout_ms value survives the JSON round trip, is applied by
-// Options (not silently skipped), and is rejected by ValidateExplore
-// with a message naming only that field — the full path a bad service
-// spec takes to its 400.
+// recoveries, procs or timeout_ms value survives the JSON round trip, is
+// applied by Options (not silently skipped), and is rejected by
+// ValidateExplore with a message naming only that field — the full path
+// a bad service spec takes to its 400.
 func TestSpecNegativeWorkersRejected(t *testing.T) {
-	fields := []string{"workers", "depth", "crashes", "procs", "timeout"}
+	fields := []string{"workers", "depth", "crashes", "recoveries", "procs", "timeout"}
 	for _, tc := range []struct {
 		field string
 		spec  Spec
@@ -147,6 +151,7 @@ func TestSpecNegativeWorkersRejected(t *testing.T) {
 		{"workers", Spec{Workers: -2}, "-2"},
 		{"depth", Spec{Depth: -3}, "-3"},
 		{"crashes", Spec{Crashes: -1}, "-1"},
+		{"recoveries", Spec{Recoveries: -1}, "-1"},
 		{"procs", Spec{Procs: -1}, ""},
 		{"timeout", Spec{TimeoutMs: -5}, "-5ms"},
 	} {
@@ -206,10 +211,8 @@ func TestValidateExploreMatchesExplore(t *testing.T) {
 	}
 	bad := map[string]*Checker{
 		"sample+por":       base(WithSample(10, 2), WithPOR()),
-		"sample+batch":     base(WithSample(10, 2), WithBatchExplore()),
 		"sample+cache":     base(WithSample(10, 2), WithStateCache()),
 		"no-schedules":     base(WithSample(0, 2)),
-		"batch+cache":      base(WithBatchExplore(), WithStateCache()),
 		"tier-sans-cache":  base(WithVisitedTier(NewVisitedTier())),
 		"negative-workers": base(WithWorkers(-3)),
 		"zero-workers":     base(WithWorkers(0)),
