@@ -369,7 +369,7 @@ func cmdExplore(args []string) error {
 		mode += fmt.Sprintf(", %d workers", rep.Workers)
 	}
 	fmt.Printf("explored %d schedule prefixes (%d simulator steps + %d resim steps, %d property-event scans via %s): no violation up to depth %d\n",
-		rep.Prefixes, rep.SimSteps, rep.Resims, rep.EventScans, mode, spec.Depth)
+		rep.Prefixes, rep.SimSteps, rep.Resims, rep.EventScans, mode, rep.Depth)
 	if spec.POR {
 		fmt.Printf("partial-order reduction pruned %d subtrees\n", rep.Pruned)
 	}

@@ -6,6 +6,7 @@ import (
 	"flag"
 	"io"
 	"net/http/httptest"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -56,6 +57,47 @@ func TestExploreExitCodes(t *testing.T) {
 				t.Fatalf("dispatch(%v) err=%v, want error=%v", tc.args, err, tc.wantErr)
 			}
 		})
+	}
+}
+
+// captureStdout runs f with os.Stdout redirected and returns what f
+// printed along with its error.
+func captureStdout(t *testing.T, f func() error) (string, error) {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- string(b)
+	}()
+	old := os.Stdout
+	os.Stdout = w
+	ferr := f()
+	os.Stdout = old
+	w.Close()
+	return <-out, ferr
+}
+
+// TestExploreDepthLine: the clean-run line names the depth the
+// exploration used. Under the Spec mapping a literal -depth 0 selects
+// the checker default, depth 8, and the line must say so.
+func TestExploreDepthLine(t *testing.T) {
+	for _, tc := range []struct{ flag, want string }{
+		{"0", "no violation up to depth 8\n"},
+		{"6", "no violation up to depth 6\n"},
+	} {
+		out, err := captureStdout(t, func() error {
+			return dispatch([]string{"explore", "-target", "consensus", "-depth", tc.flag})
+		})
+		if err != nil {
+			t.Fatalf("-depth %s: %v", tc.flag, err)
+		}
+		if !strings.Contains(out, tc.want) {
+			t.Errorf("-depth %s printed %q, want a line ending %q", tc.flag, out, tc.want)
+		}
 	}
 }
 

@@ -14,9 +14,8 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/service"
 	"repro/slx"
-	"repro/slx/check"
-	"repro/slx/hist"
 	"repro/slx/run"
 )
 
@@ -27,140 +26,27 @@ func main() {
 	}
 }
 
-// capacity is the buffer bound past which blastQueue drops its head.
-const capacity = 3
-
-// blastQueue is the buggy bounded queue. Enqueue takes two granted
-// steps (reserve, then publish) so the minimal violating schedule is
-// provably deeper than the exhaustive ceiling used below.
-//
-//slx:norecover the blast scenario is crash-free; all state is modeled durable
-type blastQueue struct{ items []hist.Value }
-
-func (q *blastQueue) Apply(p *run.Proc, inv run.Invocation) hist.Value {
-	var out hist.Value
-	switch inv.Op {
-	case "enq":
-		p.Exec("reserve", func() {
-			p.Access("q", true)
-		})
-		p.Exec("publish", func() {
-			out = hist.OK
-			p.Access("q", true)
-			q.items = append(q.items, inv.Arg)
-			if len(q.items) > capacity {
-				// The seeded bug: silently evict the oldest element.
-				q.items = q.items[1:]
-			}
-		})
-	case "deq":
-		p.Exec("deq", func() {
-			p.Access("q", true)
-			if len(q.items) == 0 {
-				out = "empty"
-			} else {
-				out = q.items[0]
-				q.items = q.items[1:]
-			}
-			p.Observe(out)
-		})
+// scenario is the service's queueblast target: the buggy queue (a
+// capacity of three, enqueue in two granted steps), processes 1-4
+// enqueueing one value each (string payloads, as the queue
+// specification requires), processes 5-8 dequeueing twice, and
+// linearizability against the FIFO specification.
+func scenario() service.Target {
+	t, ok := service.LookupTarget("queueblast")
+	if !ok {
+		panic("queueblast target not registered")
 	}
-	return out
-}
-
-// blastFrame is one in-flight operation in continuation form:
-// reserve+publish for enq, one window for deq.
-type blastFrame struct {
-	q   *blastQueue
-	inv run.Invocation
-	pc  int
-}
-
-// Begin implements run.Stepped.
-func (q *blastQueue) Begin(p *run.Proc, inv run.Invocation) (run.Frame, hist.Value, run.StepStatus) {
-	switch inv.Op {
-	case "enq", "deq":
-		return &blastFrame{q: q, inv: inv}, nil, run.StepPaused
-	}
-	return nil, nil, run.StepDone
-}
-
-// Step implements run.Frame.
-func (f *blastFrame) Step(p *run.Proc) (hist.Value, run.StepStatus) {
-	q := f.q
-	if f.inv.Op == "enq" {
-		if f.pc == 0 { // reserve
-			p.Access("q", true)
-			f.pc = 1
-			return nil, run.StepPaused
-		}
-		// publish
-		p.Access("q", true)
-		q.items = append(q.items, f.inv.Arg)
-		if len(q.items) > capacity {
-			// The seeded bug: silently evict the oldest element.
-			q.items = q.items[1:]
-		}
-		return hist.OK, run.StepDone
-	}
-	p.Access("q", true)
-	var out hist.Value
-	if len(q.items) == 0 {
-		out = "empty"
-	} else {
-		out = q.items[0]
-		q.items = q.items[1:]
-	}
-	p.Observe(out)
-	return out, run.StepDone
-}
-
-// Fork implements run.Frame.
-func (f *blastFrame) Fork() run.Frame {
-	c := *f
-	return &c
-}
-
-func (q *blastQueue) Footprints() bool { return true }
-
-func (q *blastQueue) Fingerprint(f *run.Fingerprinter) {
-	f.Str("q")
-	f.Int(len(q.items))
-	for _, v := range q.items {
-		f.Val(v)
-	}
-}
-
-func (q *blastQueue) Snapshot() any { return append([]hist.Value(nil), q.items...) }
-
-func (q *blastQueue) Restore(s any) { q.items = append(q.items[:0:0], s.([]hist.Value)...) }
-
-// scenario: processes 1-4 enqueue one value each (string payloads, as
-// the queue specification requires), processes 5-8 dequeue twice.
-func scenario() []slx.Option {
-	return []slx.Option{
-		slx.WithObject(func() run.Object { return &blastQueue{} }),
-		slx.WithEnv(func() run.Environment {
-			script := map[int][]run.Invocation{}
-			for p := 1; p <= 4; p++ {
-				script[p] = []run.Invocation{{Op: "enq", Arg: fmt.Sprintf("v%d", p)}}
-			}
-			for p := 5; p <= 8; p++ {
-				script[p] = []run.Invocation{{Op: "deq"}, {Op: "deq"}}
-			}
-			return run.Script(script)
-		}),
-		slx.WithProcs(8),
-	}
+	return t
 }
 
 func play() error {
-	prop := check.Linearizability(check.QueueSpec{})
+	tgt := scenario()
+	prop := tgt.Property()
 
 	// Exhaustive exploration below the minimal violating depth: clean,
 	// and the 8-proc branching already costs hundreds of thousands of
 	// prefixes.
-	full, err := slx.New(append(scenario(), slx.WithDepth(7))...).Explore(prop)
+	full, err := slx.New(append(tgt.Options(), slx.WithDepth(7))...).Explore(prop)
 	if err != nil {
 		return err
 	}
@@ -177,7 +63,7 @@ func play() error {
 	var witness []run.Decision
 	for _, d := range []int{0, 1, 2, 3, 5, 8} {
 		start := time.Now()
-		rep, err := slx.New(append(scenario(),
+		rep, err := slx.New(append(tgt.Options(),
 			slx.WithDepth(24),
 			slx.WithSample(budget, d),
 			slx.WithSeed(1),
@@ -202,7 +88,7 @@ func play() error {
 	}
 
 	// The recorded witness replays to the same verdict.
-	replay, err := slx.New(append(scenario(), slx.WithMaxSteps(len(witness)+1))...).Replay(witness, prop)
+	replay, err := slx.New(append(tgt.Options(), slx.WithMaxSteps(len(witness)+1))...).Replay(witness, prop)
 	if err != nil {
 		return err
 	}

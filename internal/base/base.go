@@ -7,17 +7,15 @@
 // Every operation on a base object is exactly one atomic step of the
 // executing process, expressed in two equivalent forms:
 //
-//   - The blocking form (Read, Write, ...) takes a Stepper: the
-//     operation obtains a step grant from the scheduler (blocking
-//     inside Stepper.Exec) and performs its effect atomically within
-//     that grant. sim.Run executes objects this way, one goroutine per
-//     process.
-//
 //   - The window form (ReadW, WriteW, ...) takes an Accessor and
 //     performs the effect immediately: the caller — a continuation
 //     state machine's Begin/Step body (see sim.Stepped) — already runs
-//     inside a granted step window, so nothing blocks and no goroutine
-//     exists.
+//     inside a granted step window.
+//
+//   - The blocking form (Read, Write, ...) takes a Stepper: the
+//     operation obtains a step grant from the scheduler (blocking
+//     inside Stepper.Exec) and runs the window form within that grant.
+//     A blocking sim.Object.Apply performs its accesses this way.
 //
 // The simulation runtime serializes all grants, so base-object state
 // needs no locking.
@@ -52,37 +50,29 @@ type Accessor interface {
 	Observe(v Value)
 }
 
-// accessDeclarer is the optional footprint hook of the simulation
-// runtime (sim.Proc implements it): a stepper that records, per granted
-// step, which base object was accessed and whether it was written.
-// Exploration uses the recorded access log for partial-order reduction.
-type accessDeclarer interface {
-	Access(obj string, write bool)
+// acc returns the Accessor a blocking operation hands its window form:
+// the stepper itself when it implements Accessor (sim.Proc does), and
+// otherwise a forwarder to whichever of the two hooks the stepper has,
+// the missing ones doing nothing.
+func acc(s Stepper) Accessor {
+	if a, ok := s.(Accessor); ok {
+		return a
+	}
+	return stepperAccessor{s}
 }
 
-// declare reports the footprint of the step currently executing through
-// s, when the stepper tracks footprints. Every base-object operation
-// calls it from within its atomic step.
-func declare(s Stepper, obj string, write bool) {
-	if d, ok := s.(accessDeclarer); ok {
+// stepperAccessor is acc's forwarder for steppers that are not
+// Accessors.
+type stepperAccessor struct{ s Stepper }
+
+func (a stepperAccessor) Access(obj string, write bool) {
+	if d, ok := a.s.(interface{ Access(string, bool) }); ok {
 		d.Access(obj, write)
 	}
 }
 
-// valueObserver is the optional local-state hook of the simulation
-// runtime (sim.Proc implements it): a stepper that folds every value a
-// step reads from shared state into the executing process's state
-// fingerprint. Exploration's state cache needs it — a process's future
-// behavior mid-operation depends on what it has read so far.
-type valueObserver interface {
-	Observe(v Value)
-}
-
-// observe reports a value the current step read, when the stepper
-// fingerprints. Every base-object operation that returns shared state
-// to the caller calls it from within its atomic step.
-func observe(s Stepper, v Value) {
-	if o, ok := s.(valueObserver); ok {
+func (a stepperAccessor) Observe(v Value) {
+	if o, ok := a.s.(interface{ Observe(Value) }); ok {
 		o.Observe(v)
 	}
 }
@@ -127,11 +117,7 @@ func (r *Register) ReadW(a Accessor) Value {
 // Read atomically reads the register.
 func (r *Register) Read(s Stepper) Value {
 	var v Value
-	s.Exec("read "+r.name, func() {
-		declare(s, r.name, false)
-		v = r.val
-		observe(s, v)
-	})
+	s.Exec("read "+r.name, func() { v = r.ReadW(acc(s)) })
 	return v
 }
 
@@ -157,10 +143,7 @@ func (r *Register) WriteW(a Accessor, v Value) {
 
 // Write atomically writes v to the register.
 func (r *Register) Write(s Stepper, v Value) {
-	s.Exec("write "+r.name, func() {
-		declare(s, r.name, true)
-		r.val = v
-	})
+	s.Exec("write "+r.name, func() { r.WriteW(acc(s), v) })
 }
 
 // DurableRegister is the crash-aware register pair of the recovery
@@ -198,11 +181,7 @@ func (r *DurableRegister) ReadW(a Accessor) Value {
 // Read atomically reads the cached value.
 func (r *DurableRegister) Read(s Stepper) Value {
 	var v Value
-	s.Exec("read "+r.name, func() {
-		declare(s, r.name, false)
-		v = r.vol
-		observe(s, v)
-	})
+	s.Exec("read "+r.name, func() { v = r.ReadW(acc(s)) })
 	return v
 }
 
@@ -216,10 +195,7 @@ func (r *DurableRegister) WriteW(a Accessor, v Value) {
 // Write atomically writes v to the cache. The write is volatile until a
 // flush.
 func (r *DurableRegister) Write(s Stepper, v Value) {
-	s.Exec("write "+r.name, func() {
-		declare(s, r.name, true)
-		r.vol = v
-	})
+	s.Exec("write "+r.name, func() { r.WriteW(acc(s), v) })
 }
 
 // FlushW atomically persists the cached value within the caller's
@@ -231,10 +207,7 @@ func (r *DurableRegister) FlushW(a Accessor) {
 
 // Flush atomically persists the cached value.
 func (r *DurableRegister) Flush(s Stepper) {
-	s.Exec("flush "+r.name, func() {
-		declare(s, r.name, true)
-		r.durable = r.vol
-	})
+	s.Exec("flush "+r.name, func() { r.FlushW(acc(s)) })
 }
 
 // CrashWipe discards the volatile cache, exposing the last flushed
@@ -303,11 +276,7 @@ func (c *CAS) ReadW(a Accessor) Value {
 // Read atomically reads the current value.
 func (c *CAS) Read(s Stepper) Value {
 	var v Value
-	s.Exec("read "+c.name, func() {
-		declare(s, c.name, false)
-		v = c.val
-		observe(s, v)
-	})
+	s.Exec("read "+c.name, func() { v = c.ReadW(acc(s)) })
 	return v
 }
 
@@ -350,15 +319,7 @@ func (c *CAS) CompareAndSwapW(a Accessor, old, new Value) bool {
 // equals old, reporting whether the swap happened.
 func (c *CAS) CompareAndSwap(s Stepper, old, new Value) bool {
 	var ok bool
-	s.Exec("cas "+c.name, func() {
-		// See CompareAndSwapW for the failed-CAS read footprint.
-		declare(s, c.name, c.val == old)
-		if c.val == old {
-			c.val = new
-			ok = true
-		}
-		observe(s, ok)
-	})
+	s.Exec("cas "+c.name, func() { ok = c.CompareAndSwapW(acc(s), old, new) })
 	return ok
 }
 
@@ -381,12 +342,7 @@ func (c *CAS) SwapW(a Accessor, new Value) Value {
 // the previous value.
 func (c *CAS) Swap(s Stepper, new Value) Value {
 	var prev Value
-	s.Exec("swap "+c.name, func() {
-		declare(s, c.name, true)
-		prev = c.val
-		c.val = new
-		observe(s, prev)
-	})
+	s.Exec("swap "+c.name, func() { prev = c.SwapW(acc(s), new) })
 	return prev
 }
 
@@ -420,13 +376,7 @@ func (t *TAS) TestAndSetW(a Accessor) bool {
 // one that set it (true = won).
 func (t *TAS) TestAndSet(s Stepper) bool {
 	var won bool
-	s.Exec("tas "+t.name, func() {
-		// See TestAndSetW for the losing-TAS read footprint.
-		declare(s, t.name, !t.set)
-		won = !t.set
-		t.set = true
-		observe(s, won)
-	})
+	s.Exec("tas "+t.name, func() { won = t.TestAndSetW(acc(s)) })
 	return won
 }
 
@@ -441,11 +391,7 @@ func (t *TAS) ReadW(a Accessor) bool {
 // Read atomically reads the bit.
 func (t *TAS) Read(s Stepper) bool {
 	var v bool
-	s.Exec("read "+t.name, func() {
-		declare(s, t.name, false)
-		v = t.set
-		observe(s, v)
-	})
+	s.Exec("read "+t.name, func() { v = t.ReadW(acc(s)) })
 	return v
 }
 
@@ -470,10 +416,7 @@ func (t *TAS) ResetW(a Accessor) {
 // Reset atomically clears the bit (the release half of a test-and-set
 // spinlock).
 func (t *TAS) Reset(s Stepper) {
-	s.Exec("reset "+t.name, func() {
-		declare(s, t.name, true)
-		t.set = false
-	})
+	s.Exec("reset "+t.name, func() { t.ResetW(acc(s)) })
 }
 
 // FetchAdd is an atomic fetch-and-add counter.
@@ -503,12 +446,7 @@ func (f *FetchAdd) AddW(a Accessor, delta int) int {
 // Add atomically adds delta and returns the previous value.
 func (f *FetchAdd) Add(s Stepper, delta int) int {
 	var prev int
-	s.Exec("faa "+f.name, func() {
-		declare(s, f.name, true)
-		prev = f.val
-		f.val += delta
-		observe(s, prev)
-	})
+	s.Exec("faa "+f.name, func() { prev = f.AddW(acc(s), delta) })
 	return prev
 }
 
@@ -523,11 +461,7 @@ func (f *FetchAdd) ReadW(a Accessor) int {
 // Read atomically reads the counter.
 func (f *FetchAdd) Read(s Stepper) int {
 	var v int
-	s.Exec("read "+f.name, func() {
-		declare(s, f.name, false)
-		v = f.val
-		observe(s, v)
-	})
+	s.Exec("read "+f.name, func() { v = f.ReadW(acc(s)) })
 	return v
 }
 
@@ -577,10 +511,7 @@ func (sn *Snapshot) UpdateW(a Accessor, i int, v Value) {
 
 // Update atomically writes v to component i (0-based).
 func (sn *Snapshot) Update(s Stepper, i int, v Value) {
-	s.Exec("update "+sn.name, func() {
-		declare(s, sn.name, true)
-		sn.slots[i] = v
-	})
+	s.Exec("update "+sn.name, func() { sn.UpdateW(acc(s), i, v) })
 }
 
 // ScanW atomically appends a copy of all components to dst within the
@@ -595,17 +526,10 @@ func (sn *Snapshot) ScanW(a Accessor, dst []Value) []Value {
 	return dst
 }
 
-// Scan atomically returns a copy of all components.
+// Scan atomically returns a fresh copy of all components.
 func (sn *Snapshot) Scan(s Stepper) []Value {
 	var out []Value
-	s.Exec("scan "+sn.name, func() {
-		out = make([]Value, len(sn.slots))
-		declare(s, sn.name, false)
-		copy(out, sn.slots)
-		for _, v := range out {
-			observe(s, v)
-		}
-	})
+	s.Exec("scan "+sn.name, func() { out = sn.ScanW(acc(s), make([]Value, 0, len(sn.slots))) })
 	return out
 }
 

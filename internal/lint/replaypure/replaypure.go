@@ -6,8 +6,8 @@
 // a continuation translation faithful to its blocking oracle:
 //
 //   - The invocation window carries no footprint: Begin bodies must not
-//     declare accesses (Proc.Access, internal/base's declare helper, or
-//     any base window method such as ReadW/WriteW/CompareAndSwapW). A
+//     declare accesses (Proc.Access, or any base window method such as
+//     ReadW/WriteW/CompareAndSwapW). A
 //     Begin that touched shared state would give the operation an extra
 //     scheduler-visible step the oracle does not have, desynchronizing
 //     schedules, footprints and fingerprints between the two execution
@@ -18,7 +18,7 @@
 //   - Continuation code never performs the scheduler handshake: Begin
 //     and Step bodies must not call Proc.Exec / Stepper.Exec. Their
 //     windows are already granted by the dispatch loop; Exec is the
-//     blocking-form handshake and panics under direct dispatch.
+//     blocking-form handshake and panics outside a blocking Apply call.
 //
 // The analyzer identifies continuation methods by shape: a method named
 // Begin taking (*Proc, Invocation) with three results, or a method
@@ -149,16 +149,11 @@ func isExecCall(call *ast.CallExpr) bool {
 	return ok && sel.Sel.Name == "Exec" && len(call.Args) == 2
 }
 
-// isAccessCall matches the footprint declaration forms: a .Access
-// method call (sim.Proc) or internal/base's declare helper.
+// isAccessCall matches the footprint declaration form: a .Access
+// method call (sim.Proc).
 func isAccessCall(call *ast.CallExpr) bool {
-	switch fun := call.Fun.(type) {
-	case *ast.SelectorExpr:
-		return fun.Sel.Name == "Access"
-	case *ast.Ident:
-		return fun.Name == "declare"
-	}
-	return false
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	return ok && sel.Sel.Name == "Access"
 }
 
 // windowMethods is the base-object window-form vocabulary: every one
@@ -166,7 +161,7 @@ func isAccessCall(call *ast.CallExpr) bool {
 var windowMethods = map[string]bool{
 	"ReadW": true, "WriteW": true, "CompareAndSwapW": true, "SwapW": true,
 	"TestAndSetW": true, "ResetW": true, "AddW": true, "UpdateW": true,
-	"ScanW": true,
+	"ScanW": true, "FlushW": true,
 }
 
 // windowCall matches calls of base window methods (method name ending

@@ -241,9 +241,9 @@ func (r *lossyRegister) Restore(s any) { r.v = s }
 // head.
 const blastCapacity = 3
 
-// blastQueue is the deep-bug queue from examples/queueblast: a bounded
-// FIFO whose enqueue silently evicts the oldest element once three
-// items are buffered. Enqueue takes two granted steps (reserve, then
+// blastQueue is the deep-bug queue examples/queueblast explores: a
+// bounded FIFO whose enqueue silently evicts the oldest element once
+// three items are buffered. Enqueue takes two granted steps (reserve, then
 // publish), so the minimal violating schedule needs four completed
 // enqueues plus an observing dequeue — exhaustive exploration below
 // depth 8 is provably clean while the bug is alive, which makes this
@@ -350,8 +350,8 @@ func (q *blastQueue) Snapshot() any { return append([]hist.Value(nil), q.items..
 
 func (q *blastQueue) Restore(s any) { q.items = append(q.items[:0:0], s.([]hist.Value)...) }
 
-// durQueue is the recovery-bug queue from examples/durablequeue: every
-// enqueue is journaled in a per-process redo log (write intent, flush,
+// durQueue is the recovery-bug queue examples/durablequeue explores:
+// every enqueue is journaled in a per-process redo log (write intent, flush,
 // apply, clear, flush the clear), but the recovery routine rolls the
 // log forward UNCONDITIONALLY — it never checks whether the crashed
 // enqueue already took effect. The protocol is correct crash-free and
@@ -506,7 +506,9 @@ func (f *durRecovery) Step(p *run.Proc) (hist.Value, run.StepStatus) {
 		f.rec = q.logVol[id]
 	case 1:
 		// The seeded bug: an unconditional roll-forward re-applies an
-		// enqueue that already took effect before the crash.
+		// enqueue that already took effect before the crash (a crash
+		// after pc 2, before pc 4). The correct protocol guards the redo
+		// with the intent's pre-state (internal/queue.Persistent).
 		p.Access("q", true)
 		q.items = append(q.items, f.rec.arg)
 	case 2:

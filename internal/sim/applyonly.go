@@ -3,13 +3,13 @@ package sim
 import "repro/internal/history"
 
 // ApplyOnly wraps o so that only its blocking Apply executes it: the
-// wrapper hides Stepped, Snapshottable and SessionGated, so a Session
-// over it takes the from-root strategy and runs every operation on the
-// goroutine runtime. It forwards the three hooks that runtime consults —
-// Footprinted, Fingerprintable and Recoverable — so the explored tree,
-// the pruning, the fingerprints and the crash semantics stay those of o.
-// Forced replay execution (slx.WithReplayExecution) uses it to reach
-// the Apply oracle.
+// wrapper hides Stepped, Snapshottable and SessionGated, so the runtime
+// runs every operation through its blocking-Apply adapter and a Session
+// over it takes the from-root strategy. It forwards the three hooks the
+// runtime consults — Footprinted, Fingerprintable and Recoverable — so
+// the explored tree, the pruning, the fingerprints and the crash
+// semantics stay those of o. Forced replay execution
+// (slx.WithReplayExecution) uses it to reach the Apply oracle.
 func ApplyOnly(o Object) Object {
 	a := &applyOnly{o: o}
 	a.rec, _ = o.(Recoverable)

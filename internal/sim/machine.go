@@ -32,12 +32,14 @@ func (s StepStatus) String() string {
 	}
 }
 
-// Stepped is the continuation hook of the incremental execution engine:
-// an Object that can run each operation as an explicit state machine,
-// one resumable step closure per scheduler grant, instead of blocking a
-// live goroutine inside Apply. Snapshot-strategy sessions execute
-// exclusively through this hook — a direct dispatch loop with no
-// goroutines, no channel handoffs, and no rebuild on Restore.
+// Stepped is the continuation hook of the runtime: an Object that runs
+// each operation as an explicit state machine, one resumable step
+// closure per scheduler grant, which the dispatch loop calls directly.
+// The runtime executes a Stepped object exclusively through this hook
+// (unless SessionGated vetoes it); any other object's blocking Apply runs
+// through an adapter that parks the call on a goroutine between
+// windows. The snapshot strategy of a Session requires the hook, since
+// only explicit frames can be forked.
 //
 // Begin is called within the invocation window (the granted step that
 // records the invocation event). It must run exactly the code Apply
@@ -53,19 +55,20 @@ func (s StepStatus) String() string {
 //   - (nil, _, StepBlocked) when the operation blocks immediately.
 //
 // The Stepped machine and the blocking Apply must describe the same
-// algorithm step for step: sim.Run (and WithReplayExecution above it)
-// executes Apply and serves as the parity oracle for the continuation
-// runtime. The window rule for translating Apply bodies: Begin gets the
-// code before the first access; Step k gets the k-th access plus the
-// local code that follows it up to the next access or the return.
+// algorithm step for step: ApplyOnly (and WithReplayExecution above it)
+// hides the hook, so the runtime executes Apply instead, which serves
+// as the parity oracle for the machine. The window rule for translating
+// Apply bodies: Begin gets the code before the first access; Step k gets
+// the k-th access plus the local code that follows it up to the next
+// access or the return.
 type Stepped interface {
 	Object
 	Begin(p *Proc, inv Invocation) (Frame, history.Value, StepStatus)
 }
 
 // Frame is one in-flight operation of one process: the explicit
-// continuation of everything Apply would have kept on a goroutine
-// stack. Step executes the operation's next atomic step — exactly one
+// continuation of everything Apply keeps on its stack between Exec
+// calls. Step executes the operation's next atomic step — exactly one
 // base-object access through the usual Proc hooks (Access/Observe, via
 // the internal/base *W window methods) plus the trailing local code up
 // to the next access — and reports whether the operation paused again,

@@ -45,30 +45,23 @@ type Snapshottable interface {
 	Restore(any)
 }
 
-// SessionGated is optionally implemented alongside Snapshottable by
-// objects whose snapshot support depends on runtime composition (e.g. a
-// TM with a pluggable snapshot component): Snapshotting() == false
-// vetoes the snapshot strategy and sessions rebuild from the root,
-// exactly as if the hook were absent.
+// SessionGated is optionally implemented alongside Snapshottable and
+// Stepped by objects whose support for them depends on runtime
+// composition (e.g. a TM with a pluggable snapshot component):
+// Snapshotting() == false vetoes both hooks, exactly as if they were
+// absent — the runtime runs the object's blocking Apply, and sessions
+// rebuild from the root.
 type SessionGated interface {
 	Snapshotting() bool
 }
 
 // CanSnapshot reports whether an object supports the snapshot strategy
-// of a Session: it implements both Snapshottable and Stepped (the
-// continuation runtime executes exclusively through Stepped frames) and
-// does not veto snapshots via SessionGated.
+// of a Session: it implements both Snapshottable and Stepped (Mark forks
+// frames, which only an object's own Stepped machine can provide) and
+// does not veto them via SessionGated.
 func CanSnapshot(o Object) bool {
-	if _, ok := o.(Snapshottable); !ok {
-		return false
-	}
-	if _, ok := o.(Stepped); !ok {
-		return false
-	}
-	if g, ok := o.(SessionGated); ok && !g.Snapshotting() {
-		return false
-	}
-	return true
+	_, ok := o.(Snapshottable)
+	return ok && ownMachine(o) != nil
 }
 
 // RewindableEnv is the environment half of a Session's snapshot
@@ -108,27 +101,23 @@ type SessionConfig struct {
 // (Extend: apply exactly one more scheduler decision) and backtracking
 // (Mark/Restore: rewind to an earlier configuration on the current
 // execution path). It is the one executor both exploration engines
-// drive. NewSession picks one of two restore strategies:
+// drive, over the runtime sim.Run uses, so LazyArgs, footprints,
+// fingerprints, crashes and recoveries behave exactly as in sim.Run.
+// NewSession picks one of two restore strategies:
 //
 //   - Snapshot: when the object supports snapshots (CanSnapshot) and the
-//     environment is a RewindableEnv. The session runs no goroutines:
-//     each process's in-flight operation is an explicit continuation
-//     Frame (see Stepped), and a decision is dispatched as a direct call
-//     into the object's state machine. Restore is a plain struct copy —
+//     environment is a RewindableEnv. Restore is a plain struct copy —
 //     object snapshot, environment snapshot, per-process control state,
 //     forked frames — with zero re-executed steps.
-//   - From root: otherwise. The session runs the object's blocking
-//     Apply on the goroutine runtime sim.Run uses, so LazyArgs,
-//     footprints, fingerprints, crashes and recoveries behave exactly as
-//     in sim.Run. A mark records the number of decisions taken, and
-//     Restore rebuilds the configuration from a fresh object and
-//     environment by re-applying the marked prefix (plain stateless
+//   - From root: otherwise. A mark records the number of decisions
+//     taken, and Restore rebuilds the configuration from a fresh object
+//     and environment by re-applying the marked prefix (plain stateless
 //     search: runs are deterministic, so re-execution reaches the
 //     identical configuration).
 //
 // Sessions are not safe for concurrent use; marks may only be restored
 // on the path that created them (a mark is a prefix of the current
-// execution). Close releases the from-root strategy's goroutines.
+// execution). Close unwinds the blocking Apply calls still in flight.
 type Session struct {
 	rt     *runtime
 	cfg    SessionConfig
@@ -153,86 +142,19 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 		return nil, errors.New("sim: session requires NewEnv")
 	}
 	env := cfg.NewEnv()
-	renv, rewindable := env.(RewindableEnv)
 	s := &Session{cfg: cfg}
-	if !rewindable || !CanSnapshot(cfg.Object) {
-		if cfg.NewObject == nil {
-			return nil, fmt.Errorf("sim: session over %T with %T rebuilds from the root and requires NewObject", cfg.Object, env)
-		}
-		s.rt = startRuntime(Config{Procs: cfg.Procs, Object: cfg.Object, Fingerprint: cfg.Fingerprint}, env)
-		return s, nil
+	if renv, ok := env.(RewindableEnv); ok && CanSnapshot(cfg.Object) {
+		s.obj = cfg.Object.(Snapshottable)
+		s.renv = renv
+	} else if cfg.NewObject == nil {
+		return nil, fmt.Errorf("sim: session over %T with %T rebuilds from the root and requires NewObject", cfg.Object, env)
 	}
-	s.obj = cfg.Object.(Snapshottable)
-	s.renv = renv
-	r := newRuntime(Config{
-		Procs:       cfg.Procs,
-		Object:      cfg.Object,
-		Fingerprint: cfg.Fingerprint,
-	}, env)
-	r.enableCtl()
-	r.direct = true
-	r.stepped = cfg.Object.(Stepped)
-	r.frames = make([]Frame, cfg.Procs+1)
-	r.next = make([]Invocation, cfg.Procs+1)
-	r.hasNext = make([]bool, cfg.Procs+1)
-	for id := 1; id <= cfg.Procs; id++ {
-		r.procs[id] = &Proc{id: id, n: cfg.Procs, rt: r}
-	}
-	// Consult the environment for each process's first invocation, one
-	// process at a time so initial readiness is deterministic (mirrors
-	// sim.Run's spawn order: process id sees the statuses of 1..id-1).
-	for id := 1; id <= cfg.Procs; id++ {
-		r.consultEnv(id)
-	}
-	s.rt = r
+	s.rt = newRuntime(Config{Procs: cfg.Procs, Object: cfg.Object, Fingerprint: cfg.Fingerprint}, env)
 	return s, nil
 }
 
 // fromRoot reports whether the session rebuilds from the root.
 func (s *Session) fromRoot() bool { return s.obj == nil }
-
-// consultEnv asks the environment for process id's next invocation and
-// records the outcome in the per-process control state. The process's
-// own status must still be its pre-consultation value (ready mid-run,
-// unset at startup), matching what the goroutine runtime's view shows.
-func (r *runtime) consultEnv(id int) {
-	r.envCalls++
-	if inv, ok := r.env.Next(id, r.sessionView()); ok {
-		r.next[id] = inv
-		r.hasNext[id] = true
-		r.status[id] = statusReady
-	} else {
-		r.hasNext[id] = false
-		r.status[id] = statusIdle
-	}
-}
-
-// sessionView rebuilds the runtime's reusable view. The view and its
-// slices are valid only until the next session operation; environments
-// and LazyArgs must not retain them.
-func (r *runtime) sessionView() *View {
-	v := &r.vw
-	v.H = r.h[:len(r.h):len(r.h)]
-	v.Steps = r.steps
-	v.StepsBy = append(v.StepsBy[:0], r.stepsBy...)
-	v.Ready = v.Ready[:0]
-	v.Idle = v.Idle[:0]
-	v.Blocked = v.Blocked[:0]
-	v.Crashed = v.Crashed[:0]
-	for id := 1; id <= r.cfg.Procs; id++ {
-		switch r.status[id] {
-		case statusReady:
-			v.Ready = append(v.Ready, id)
-		case statusIdle:
-			v.Idle = append(v.Idle, id)
-		case statusBlocked:
-			v.Blocked = append(v.Blocked, id)
-		case statusCrashed:
-			v.Crashed = append(v.Crashed, id)
-		}
-	}
-	return v
-}
 
 // StepInfo reports what one Extend did.
 type StepInfo struct {
@@ -273,86 +195,6 @@ func (s *Session) Extend(d Decision) (StepInfo, error) {
 		Access: r.lastAccess,
 		Steps:  r.steps - stepsBefore,
 	}, nil
-}
-
-// stepDirect runs process id's granted window through the continuation
-// runtime: a direct call into the object's state machine instead of a
-// goroutine handoff. The caller (applyDecision) has validated the
-// decision and opened the window.
-func (r *runtime) stepDirect(id int) error {
-	p := r.procs[id]
-	var val history.Value
-	var st StepStatus
-	if f := r.frames[id]; f != nil {
-		val, st = f.Step(p)
-		if st != StepPaused {
-			r.frames[id] = nil
-		}
-	} else {
-		// Invocation window: resolve the argument, record the event, and
-		// run the operation's pre-first-access code via Begin.
-		inv := r.next[id]
-		r.hasNext[id] = false
-		if la, lazy := inv.Arg.(LazyArg); lazy {
-			inv.Arg = la(r.sessionView())
-			r.lazyStep = true
-			r.fpPoisoned = true
-		}
-		r.record(history.Event{
-			Kind: history.KindInvoke, Proc: id,
-			Op: inv.Op, Obj: inv.Obj, Arg: inv.Arg,
-		})
-		var f Frame
-		f, val, st = r.stepped.Begin(p, inv)
-		if st == StepPaused {
-			r.frames[id] = f
-		}
-	}
-	switch st {
-	case StepPaused:
-		// The operation pauses at its next step boundary; the process
-		// stays ready.
-	case StepBlocked:
-		r.status[id] = statusBlocked
-	case StepDone:
-		if r.recovering != nil && r.recovering[id] {
-			// A completed recovery routine records no response — recovery
-			// is not an operation — but the next-environment consultation
-			// still happens within the same window, exactly as under the
-			// goroutine runtime's respawn path.
-			r.recoveryDone(id)
-			r.consultEnv(id)
-			break
-		}
-		// Response and next-environment consultation happen within the
-		// same window, exactly as under the goroutine runtime.
-		pend := r.fpPending[id]
-		r.record(history.Event{
-			Kind: history.KindResponse, Proc: id,
-			Op: pend.Op, Obj: pend.Obj, Val: val,
-		})
-		r.consultEnv(id)
-	default:
-		return fmt.Errorf("sim: object %T returned invalid step status %d", r.cfg.Object, st)
-	}
-	return nil
-}
-
-// recoverDirect restarts a recovered process under the continuation
-// runtime: the in-flight frame and the chosen-but-uninvoked next
-// invocation are volatile process state and die with the crash; the
-// recovery routine (if any) becomes the process's frame, and without
-// one the environment is consulted immediately, within the recover
-// decision, mirroring the goroutine runtime's respawn handshake.
-func (r *runtime) recoverDirect(id int, rec Frame) {
-	r.frames[id] = nil
-	r.hasNext[id] = false
-	if rec != nil {
-		r.frames[id] = rec
-		r.status[id] = statusReady
-		return
-	}
-	r.consultEnv(id)
 }
 
 // Ready returns the sorted ids of processes currently awaiting a step.
@@ -447,9 +289,9 @@ type procMark struct {
 	recovering bool
 }
 
-// Mark snapshots the current configuration. Marks are cheap (no
-// goroutine state is captured) and poolable: Release returns one to the
-// session for reuse.
+// Mark snapshots the current configuration. Marks are cheap (a flat
+// copy of control state plus forked frames) and poolable: Release
+// returns one to the session for reuse.
 func (s *Session) Mark() *Mark {
 	r := s.rt
 	m := s.free
@@ -525,8 +367,8 @@ func (s *Session) Release(m *Mark) {
 // execution path and returns the number of simulator steps it
 // re-executed. Under the snapshot strategy that is always 0: a plain
 // struct copy of the control state plus the object and environment
-// snapshots. Under the from-root strategy a restore that moves shuts
-// the process goroutines down, starts over from a fresh object and
+// snapshots. Under the from-root strategy a restore that moves
+// discards the runtime, starts over from a fresh object and
 // environment, and re-applies the marked prefix.
 func (s *Session) Restore(m *Mark) (int, error) {
 	r := s.rt
@@ -605,7 +447,7 @@ func (s *Session) rebuild(m *Mark) (int, error) {
 		return 0, nil
 	}
 	old.shutdown()
-	r := startRuntime(Config{Procs: s.cfg.Procs, Object: s.cfg.NewObject(), Fingerprint: s.cfg.Fingerprint}, s.cfg.NewEnv())
+	r := newRuntime(Config{Procs: s.cfg.Procs, Object: s.cfg.NewObject(), Fingerprint: s.cfg.Fingerprint}, s.cfg.NewEnv())
 	s.rt = r
 	for _, d := range old.schedule[:m.decisions] {
 		if err := r.applyDecision(d); err != nil {
@@ -616,15 +458,13 @@ func (s *Session) rebuild(m *Mark) (int, error) {
 	return r.steps, nil
 }
 
-// Close shuts the session down, stopping the from-root strategy's
-// process goroutines. The session's history remains readable;
+// Close shuts the session down, unwinding the blocking Apply calls
+// still in flight. The session's history remains readable;
 // Extend/Restore fail afterwards.
 func (s *Session) Close() {
 	if s.closed {
 		return
 	}
 	s.closed = true
-	if s.fromRoot() {
-		s.rt.shutdown()
-	}
+	s.rt.shutdown()
 }

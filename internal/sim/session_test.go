@@ -149,8 +149,10 @@ func (f *snapFrame) Fork() Frame {
 // with one persistent session (descend by Extend, backtrack by
 // Restore) and, at EVERY node, compares the session's history,
 // fingerprint and ready set against an independent from-root replay of
-// the same prefix. Mid-operation marks, pending-operation rebuilds,
-// idle transitions and (optionally) crash decisions are all hit.
+// the same prefix. The replay runs the object under ApplyOnly, so it
+// executes the blocking Apply: the oracle for the session's frames.
+// Mid-operation marks, pending-operation rebuilds, idle transitions and
+// (optionally) crash decisions are all hit.
 func sessionCrossCheck(t *testing.T, procs, depth, crashes int, newObj func() Object, newEnv func() Environment, fingerprint bool) (nodes int) {
 	t.Helper()
 	sess, err := NewSession(SessionConfig{Procs: procs, Object: newObj(), NewObject: newObj, NewEnv: newEnv, Fingerprint: fingerprint})
@@ -166,7 +168,7 @@ func sessionCrossCheck(t *testing.T, procs, depth, crashes int, newObj func() Ob
 		// Independent replay of the current prefix.
 		sched := Fixed(append([]Decision(nil), prefix...))
 		res := Run(Config{
-			Procs: procs, Object: newObj(), Env: newEnv(),
+			Procs: procs, Object: ApplyOnly(newObj()), Env: newEnv(),
 			Scheduler: sched, MaxSteps: len(prefix) + 1, Fingerprint: fingerprint,
 		})
 		if res.Err != nil {
@@ -484,9 +486,9 @@ func TestSessionFromRootMatchesReplay(t *testing.T) {
 	}
 }
 
-// settledGoroutines waits briefly for exiting goroutines (a shut-down
-// process goroutine is counted until it returns) and reports the count
-// once it is at most limit, or the last count seen.
+// settledGoroutines waits briefly for exiting goroutines (an unwound
+// Apply call is counted until its goroutine returns) and reports the
+// count once it is at most limit, or the last count seen.
 func settledGoroutines(limit int) int {
 	n := goruntime.NumGoroutine()
 	for i := 0; i < 200 && n > limit; i++ {
@@ -496,10 +498,12 @@ func settledGoroutines(limit int) int {
 	return n
 }
 
-// TestSessionFromRootGoroutines pins the from-root strategy's goroutine
-// hygiene: a rebuild shuts the previous runtime's process goroutines
-// down before spawning new ones, so the session never holds more than
-// Procs of them, and Close leaves none behind.
+// TestSessionFromRootGoroutines pins the blocking-Apply adapter's
+// goroutine hygiene under the from-root strategy: a call parks on its
+// own goroutine between windows, a rebuild unwinds the previous
+// runtime's parked calls, so the session never holds more than Procs
+// of them; a recover unwinds the recovered process's parked call; and
+// Close leaves none behind.
 func TestSessionFromRootGoroutines(t *testing.T) {
 	const procs = 3
 	script := map[int][]Invocation{
@@ -516,12 +520,15 @@ func TestSessionFromRootGoroutines(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewSession: %v", err)
 	}
-	rebuilds := 0
+	root := sess.Mark()
+	rebuilds, peak := 0, base
 	var walk func(depth int)
 	walk = func(depth int) {
-		if n := settledGoroutines(base + procs); n > base+procs {
+		n := settledGoroutines(base + procs)
+		if n > base+procs {
 			t.Fatalf("%d goroutines after %d rebuilds, want at most %d", n, rebuilds, base+procs)
 		}
+		peak = max(peak, n)
 		ready := sess.Ready()
 		if depth == 0 || len(ready) == 0 {
 			return
@@ -544,6 +551,30 @@ func TestSessionFromRootGoroutines(t *testing.T) {
 	walk(5)
 	if rebuilds == 0 {
 		t.Fatal("the walk never rebuilt")
+	}
+	if peak == base {
+		t.Fatal("the walk never had a blocking Apply call in flight")
+	}
+
+	// Process 1 parks mid-Apply, crashes and recovers: the recover
+	// discards its operation, unwinding the parked call.
+	if _, err := sess.Restore(root); err != nil {
+		t.Fatalf("restore to root: %v", err)
+	}
+	for _, d := range []Decision{{Proc: 1}, {Proc: 1}, {Proc: 1, Crash: true}, {Proc: 1, Recover: true}} {
+		if _, err := sess.Extend(d); err != nil {
+			t.Fatalf("extend %v: %v", d, err)
+		}
+	}
+	if n := settledGoroutines(base); n > base {
+		t.Errorf("%d goroutines after recovering a process parked mid-Apply, want the baseline %d", n, base)
+	}
+
+	// Close unwinds the calls still parked.
+	for _, d := range []Decision{{Proc: 2}, {Proc: 3}} {
+		if _, err := sess.Extend(d); err != nil {
+			t.Fatalf("extend %v: %v", d, err)
+		}
 	}
 	sess.Close()
 	if n := settledGoroutines(base); n > base {

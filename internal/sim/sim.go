@@ -1,27 +1,25 @@
 // Package sim implements the asynchronous shared-memory system of the
 // paper's Section 2 as a deterministic, scheduler-driven simulator.
 //
-// Run executes each of the n processes as a goroutine. Before every
-// atomic step — an invocation or a base-object operation — the process
-// blocks until the scheduler grants it a step; the scheduler therefore
-// plays exactly the role of the paper's external scheduler ("an
-// external entity ... over which processes have no control"). Because
-// grants are serialized by the runtime, a run is fully determined by
-// the schedule (the sequence of scheduler decisions) for deterministic
-// algorithms and environments, which makes replay and adversarial
-// probing possible: a configuration is represented by the schedule
-// prefix that produced it.
+// One runtime executes every run: a dispatch loop that grants one
+// atomic step at a time — an invocation or a base-object operation —
+// to the process the scheduler chose. The scheduler therefore plays
+// exactly the role of the paper's external scheduler ("an external
+// entity ... over which processes have no control"). Because grants are
+// serialized, a run is fully determined by the schedule (the sequence
+// of scheduler decisions) for deterministic algorithms and
+// environments, which makes replay and adversarial probing possible: a
+// configuration is represented by the schedule prefix that produced it.
 //
-// Session is the executor the exploration engines drive: a live
-// configuration extended one decision at a time and rewound to marks.
-// Its snapshot strategy executes the same model without goroutines:
-// objects implementing Stepped run each operation as an explicit
-// continuation state machine (one resumable step closure per grant)
-// driven by a direct dispatch loop, which makes snapshot/restore a
-// plain struct copy and the exploration hot loop allocation-free. Its
-// from-root strategy runs Apply on the goroutine runtime Run uses and
-// rebuilds on restore. Run and the from-root strategy remain the
-// parity oracle for the continuation runtime.
+// Each process's in-flight operation is a continuation Frame, and a
+// grant is a direct call into it. Objects implementing Stepped supply
+// their own frames (one resumable step per grant); every other object
+// runs its blocking Apply through an adapter that presents the call as
+// a frame whose steps are the call's Proc.Exec windows. Run drives the
+// runtime with a Scheduler. Session is the executor the exploration
+// engines drive: a live configuration extended one decision at a time
+// and rewound to marks, either by snapshot (a plain struct copy) or by
+// rebuilding from the root.
 //
 // The runtime records the external history (invocations, responses, crash
 // events) exactly as defined in internal/history, along with per-event step
@@ -31,7 +29,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/history"
 )
@@ -39,8 +36,8 @@ import (
 // DefaultMaxSteps bounds a run when Config.MaxSteps is zero.
 const DefaultMaxSteps = 10000
 
-// Sentinel panics used internally to unwind process goroutines. They are
-// recovered by the runtime; algorithm code must never recover them.
+// Sentinel panics used internally to unwind blocking Apply calls. They
+// are recovered by the runtime; algorithm code must never recover them.
 var (
 	errHalted  = errors.New("sim: process halted (run ended or crashed)")
 	errBlocked = errors.New("sim: process blocked forever by implementation")
@@ -309,19 +306,15 @@ const (
 	statusCrashed
 )
 
-// Proc is the per-process handle passed to Object.Apply. It implements
-// base.Stepper.
+// Proc is the per-process handle passed to Object.Apply and to Stepped
+// machines. It implements base.Stepper and base.Accessor.
 type Proc struct {
 	id int
 	n  int
 	rt *runtime
-
-	grant chan struct{}
-	sync  chan procStatus
-	dead  chan struct{}
-	// halt is per-process so a recover decision can unwind one process's
-	// goroutine without disturbing the others.
-	halt chan struct{}
+	// call is the process's in-flight blocking Apply call (nil when the
+	// process runs a Stepped frame or no operation at all).
+	call *applyFrame
 }
 
 // ID returns the 1-based process identifier.
@@ -330,19 +323,22 @@ func (p *Proc) ID() int { return p.id }
 // N returns the total number of processes in the system.
 func (p *Proc) N() int { return p.n }
 
-// Exec performs op as one atomic step: it blocks until the scheduler grants
-// this process a step, then runs op. desc describes the step for tracing.
-// Exec only exists under the goroutine runtime (sim.Run and from-root
-// sessions); snapshot sessions dispatch Stepped frames directly and
-// never block, so an object stepping through Exec inside one is a
-// contract violation.
+// Exec performs op as one atomic step of a blocking Apply call: the
+// call parks until the scheduler grants this process its next step,
+// then runs op and the code after it, up to the next Exec or the
+// return. desc describes the step for tracing. Stepped objects never
+// call Exec — the dispatch loop grants their windows directly — so Exec
+// outside an in-flight Apply call is a contract violation and panics.
 func (p *Proc) Exec(desc string, op func()) {
 	_ = desc
-	if p.rt.direct {
-		panic("sim: Proc.Exec called inside a continuation session; Stepped objects must perform accesses in Begin/Step windows")
+	f := p.call
+	if f == nil {
+		panic("sim: Proc.Exec called outside a blocking Apply; Stepped objects must perform accesses in Begin/Step windows")
 	}
-	p.yield(statusReady)
-	p.awaitGrant()
+	f.stop <- applyStop{st: StepPaused}
+	if !<-f.resume {
+		panic(errHalted)
+	}
 	op()
 }
 
@@ -399,18 +395,6 @@ func (p *Proc) Block() {
 	panic(errBlocked)
 }
 
-func (p *Proc) yield(st procStatus) {
-	p.sync <- st
-}
-
-func (p *Proc) awaitGrant() {
-	select {
-	case <-p.grant:
-	case <-p.halt:
-		panic(errHalted)
-	}
-}
-
 type runtime struct {
 	cfg   Config
 	env   Environment
@@ -420,7 +404,7 @@ type runtime struct {
 	eventSteps []int
 	steps      int
 	stepsBy    []int
-	schedule   []Decision   // decisions applied (goroutine runtime only)
+	schedule   []Decision   // decisions applied (Run and from-root sessions)
 	status     []procStatus // index 0 unused
 
 	// Footprint tracking (only when the object opts in via Footprinted).
@@ -435,8 +419,8 @@ type runtime struct {
 	declMixed bool
 	lazyStep  bool
 
-	// Control-state tracking (ctl): the per-process pending invocation,
-	// steps taken within the pending operation, completed-operation and
+	// Control state: the per-process pending invocation, steps taken
+	// within the pending operation, completed-operation and
 	// invoked-operation counts, index 0 unused. Fingerprinting needs it
 	// to encode program counters; sessions need it to rebuild processes
 	// on Restore. The invoked count exists for recovery: an operation
@@ -444,7 +428,6 @@ type runtime struct {
 	// completing, and stateless environments derive their position from
 	// invocation counts, so the fingerprint must separate configurations
 	// that differ only in consumed-but-never-completed invocations.
-	ctl         bool
 	fpPending   []Invocation
 	fpHasPend   []bool
 	fpOpSteps   []int
@@ -474,15 +457,15 @@ type runtime struct {
 	// the object does not track footprints).
 	lastAccess Access
 
-	// Continuation state (only under a snapshot Session). The session
-	// dispatches Stepped frames directly: frames holds each process's
-	// in-flight operation continuation (nil between operations),
-	// next/hasNext the invocation the environment chose but the process
-	// has not yet invoked, and envCalls the total number of environment
-	// consultations made (so Restore knows whether the environment needs
-	// rewinding). vw is the reusable view handed to environments and
-	// LazyArgs: it is valid only for the duration of the call.
-	direct   bool
+	// Continuation state: stepped is the machine operations begin on
+	// (the object's own, or the blocking-Apply adapter), frames holds
+	// each process's in-flight operation continuation (nil between
+	// operations), next/hasNext the invocation the environment chose but
+	// the process has not yet invoked, and envCalls the total number of
+	// environment consultations made (so Restore knows whether the
+	// environment needs rewinding). vw is the reusable view handed to
+	// environments and LazyArgs: it is valid only for the duration of
+	// the call.
 	stepped  Stepped
 	frames   []Frame      // index 0 unused
 	next     []Invocation // index 0 unused
@@ -519,38 +502,59 @@ func (r *runtime) endWindow(evBefore int) Access {
 	return a
 }
 
-// record appends an external event to the history. Under sim.Run it is
-// called from process goroutines strictly within their granted windows,
-// so accesses are serialized with the runtime loop by the grant/sync
-// channel handshake; under a Session it is called by the dispatch loop.
+// record appends an external event to the history and updates the
+// process's control state. It is called by the dispatch loop within a
+// granted window, or between windows for crash and recover events.
 func (r *runtime) record(e history.Event) {
 	r.h = append(r.h, e)
 	r.eventSteps = append(r.eventSteps, r.steps)
-	if r.ctl {
-		switch e.Kind {
-		case history.KindInvoke:
-			r.fpPending[e.Proc] = Invocation{Op: e.Op, Obj: e.Obj, Arg: e.Arg}
-			r.fpHasPend[e.Proc] = true
-			r.fpInvoked[e.Proc]++
-		case history.KindResponse:
-			// The operation is over: its local variables are dead, so the
-			// observation digest and in-operation step counter reset.
-			r.fpHasPend[e.Proc] = false
-			r.fpCompleted[e.Proc]++
-			r.fpOpSteps[e.Proc] = 0
-			if r.fpTrack {
-				r.fpObs[e.Proc] = history.DigestSeed()
-			}
+	switch e.Kind {
+	case history.KindInvoke:
+		r.fpPending[e.Proc] = Invocation{Op: e.Op, Obj: e.Obj, Arg: e.Arg}
+		r.fpHasPend[e.Proc] = true
+		r.fpInvoked[e.Proc]++
+	case history.KindResponse:
+		// The operation is over: its local variables are dead, so the
+		// observation digest and in-operation step counter reset.
+		r.fpHasPend[e.Proc] = false
+		r.fpCompleted[e.Proc]++
+		r.fpOpSteps[e.Proc] = 0
+		if r.fpTrack {
+			r.fpObs[e.Proc] = history.DigestSeed()
 		}
 	}
 }
 
+// view builds a fresh View for a Run scheduler, which may retain it.
 func (r *runtime) view() *View {
 	v := &View{
 		H:       r.h[:len(r.h):len(r.h)],
 		Steps:   r.steps,
 		StepsBy: append([]int(nil), r.stepsBy...),
 	}
+	r.fillStatuses(v)
+	return v
+}
+
+// envView rebuilds the runtime's reusable view. The view and its slices
+// are valid only for the duration of the environment or LazyArg call
+// it is handed to, which must not retain them.
+func (r *runtime) envView() *View {
+	v := &r.vw
+	v.H = r.h[:len(r.h):len(r.h)]
+	v.Steps = r.steps
+	v.StepsBy = append(v.StepsBy[:0], r.stepsBy...)
+	v.Ready = v.Ready[:0]
+	v.Idle = v.Idle[:0]
+	v.Blocked = v.Blocked[:0]
+	v.Crashed = v.Crashed[:0]
+	r.fillStatuses(v)
+	return v
+}
+
+// fillStatuses appends each process id, in order, to the view's list
+// for its status.
+func (r *runtime) fillStatuses(v *View) {
 	for id := 1; id <= r.cfg.Procs; id++ {
 		switch r.status[id] {
 		case statusReady:
@@ -563,97 +567,46 @@ func (r *runtime) view() *View {
 			v.Crashed = append(v.Crashed, id)
 		}
 	}
-	sort.Ints(v.Ready)
-	return v
 }
 
-func (r *runtime) procLoop(p *Proc) { r.procLoopFrom(p, nil) }
-
-// procLoopFrom is procLoop with an optional recovery routine to drive
-// first: a recovered process's goroutine steps the recovery frame under
-// granted windows (one Step per grant, like an operation frame, but
-// recording no response on completion), then re-enters the normal
-// environment loop.
-func (r *runtime) procLoopFrom(p *Proc, rec Frame) {
-	normal := false
-	defer func() {
-		v := recover()
-		switch {
-		case v == nil && normal:
-			// Idle exit: the final yield already happened.
-		case v == errHalted: //nolint:errorlint // sentinel identity is intended
-			// Shutdown while blocked; the runtime is not waiting on sync.
-		case v == errBlocked: //nolint:errorlint // sentinel identity is intended
-			p.yield(statusBlocked)
-		default:
-			// Real panic from algorithm code: surface it.
-			close(p.dead)
-			panic(v)
-		}
-		close(p.dead)
-	}()
-
-	for rec != nil {
-		var st StepStatus
-		p.Exec("recover", func() {
-			_, st = rec.Step(p)
-		})
-		switch st {
-		case StepPaused:
-		case StepBlocked:
-			panic(errBlocked)
-		default: // StepDone: the routine is over, no response is recorded.
-			rec = nil
-			r.recoveryDone(p.id)
-		}
+// ownMachine returns o's own continuation machine: nil when o does not
+// implement Stepped or vetoes it through SessionGated.
+func ownMachine(o Object) Stepped {
+	s, ok := o.(Stepped)
+	if !ok {
+		return nil
 	}
-
-	for {
-		// Consult the environment at the end of the previous window (or at
-		// startup, before the initial yield): a process with no further
-		// work is idle, not ready, matching the paper's fairness notion
-		// that only enabled actions demand turns.
-		inv, ok := r.envNext(p)
-		if !ok {
-			p.yield(statusIdle)
-			normal = true
-			return
-		}
-		// The grant of this step is what schedules the invocation event.
-		// Lazy arguments resolve here, against the view at scheduling time.
-		p.Exec("invoke", func() {
-			if la, lazy := inv.Arg.(LazyArg); lazy {
-				inv.Arg = la(r.view())
-				r.lazyStep = true
-				r.fpPoisoned = true
-			}
-			r.record(history.Event{
-				Kind: history.KindInvoke, Proc: p.id,
-				Op: inv.Op, Obj: inv.Obj, Arg: inv.Arg,
-			})
-		})
-		val := r.cfg.Object.Apply(p, inv)
-		r.record(history.Event{
-			Kind: history.KindResponse, Proc: p.id,
-			Op: inv.Op, Obj: inv.Obj, Val: val,
-		})
+	if g, ok := o.(SessionGated); ok && !g.Snapshotting() {
+		return nil
 	}
+	return s
 }
 
-// envNext consults the environment for a process's next invocation
-// (goroutine runtime only; sessions consult via their dispatch loop).
-func (r *runtime) envNext(p *Proc) (Invocation, bool) {
-	return r.env.Next(p.id, r.view())
-}
-
-// newRuntime builds the shared runtime core of Run and Session.
+// newRuntime builds the runtime of Run and Session at the initial
+// configuration. Its start step consults the environment for each
+// process's first invocation, one process at a time in id order, so
+// initial readiness is deterministic: process id's environment sees
+// the statuses of 1..id-1.
 func newRuntime(cfg Config, env Environment) *runtime {
+	n := cfg.Procs + 1
 	r := &runtime{
-		cfg:     cfg,
-		env:     env,
-		procs:   make([]*Proc, cfg.Procs+1),
-		stepsBy: make([]int, cfg.Procs+1),
-		status:  make([]procStatus, cfg.Procs+1),
+		cfg:         cfg,
+		env:         env,
+		procs:       make([]*Proc, n),
+		stepsBy:     make([]int, n),
+		status:      make([]procStatus, n),
+		fpPending:   make([]Invocation, n),
+		fpHasPend:   make([]bool, n),
+		fpOpSteps:   make([]int, n),
+		fpCompleted: make([]int, n),
+		fpInvoked:   make([]int, n),
+		stepped:     ownMachine(cfg.Object),
+		frames:      make([]Frame, n),
+		next:        make([]Invocation, n),
+		hasNext:     make([]bool, n),
+	}
+	if r.stepped == nil {
+		r.stepped = applyMachine{cfg.Object}
 	}
 	if f, ok := cfg.Object.(Footprinted); ok && f.Footprints() {
 		r.track = true
@@ -661,23 +614,34 @@ func newRuntime(cfg Config, env Environment) *runtime {
 	r.recObj, _ = cfg.Object.(Recoverable)
 	if _, ok := cfg.Object.(Fingerprintable); ok && cfg.Fingerprint {
 		r.fpTrack = true
-		r.fpObs = make([]uint64, cfg.Procs+1)
+		r.fpObs = make([]uint64, n)
 		for i := range r.fpObs {
 			r.fpObs[i] = history.DigestSeed()
 		}
 	}
+	for id := 1; id <= cfg.Procs; id++ {
+		r.procs[id] = &Proc{id: id, n: cfg.Procs, rt: r}
+		r.consultEnv(id)
+	}
 	return r
 }
 
-// enableCtl switches on control-state tracking (pending invocations,
-// per-operation step counts, completed-operation counts).
-func (r *runtime) enableCtl() {
-	r.ctl = true
-	r.fpPending = make([]Invocation, r.cfg.Procs+1)
-	r.fpHasPend = make([]bool, r.cfg.Procs+1)
-	r.fpOpSteps = make([]int, r.cfg.Procs+1)
-	r.fpCompleted = make([]int, r.cfg.Procs+1)
-	r.fpInvoked = make([]int, r.cfg.Procs+1)
+// consultEnv asks the environment for process id's next invocation and
+// records the outcome in the per-process control state: a process with
+// no further work is idle, not ready, matching the paper's fairness
+// notion that only enabled actions demand turns. The process's own
+// status is still its pre-consultation value (ready mid-run, unset at
+// startup, crashed at a recover decision).
+func (r *runtime) consultEnv(id int) {
+	r.envCalls++
+	if inv, ok := r.env.Next(id, r.envView()); ok {
+		r.next[id] = inv
+		r.hasNext[id] = true
+		r.status[id] = statusReady
+	} else {
+		r.hasNext[id] = false
+		r.status[id] = statusIdle
+	}
 }
 
 // noteRecover bumps a process's recovery epoch, lazily allocating the
@@ -697,60 +661,17 @@ func (r *runtime) recoveryDone(id int) {
 	if r.recovering != nil {
 		r.recovering[id] = false
 	}
-	if r.ctl {
-		r.fpOpSteps[id] = 0
-	}
+	r.fpOpSteps[id] = 0
 	if r.fpTrack {
 		r.fpObs[id] = history.DigestSeed()
 	}
 }
 
-// spawn starts process id's goroutine and waits for its initial yield,
-// so readiness transitions stay deterministic.
-func (r *runtime) spawn(id int) { r.respawn(id, nil) }
-
-// respawn starts process id's goroutine, optionally with a recovery
-// routine to drive first, and waits for its initial yield. A previous
-// goroutine of the process (parked after a crash) is unwound first.
-func (r *runtime) respawn(id int, rec Frame) {
-	if old := r.procs[id]; old != nil {
-		close(old.halt)
-		<-old.dead
-	}
-	p := &Proc{
-		id: id, n: r.cfg.Procs, rt: r,
-		grant: make(chan struct{}),
-		sync:  make(chan procStatus),
-		dead:  make(chan struct{}),
-		halt:  make(chan struct{}),
-	}
-	r.procs[id] = p
-	go r.procLoopFrom(p, rec)
-	r.status[id] = <-p.sync // initial yield before first invocation
-}
-
-// startRuntime builds a goroutine runtime over cfg.Object and env and
-// spawns its processes: the starting configuration of sim.Run and of a
-// from-root Session.
-func startRuntime(cfg Config, env Environment) *runtime {
-	r := newRuntime(cfg, env)
-	if r.fpTrack {
-		r.enableCtl()
-	}
-	// Start processes one at a time so initial readiness is deterministic.
-	for id := 1; id <= cfg.Procs; id++ {
-		r.spawn(id)
-	}
-	return r
-}
-
-// applyDecision validates and executes one scheduler decision on either
-// runtime: the granted window is a goroutine handoff under sim.Run and
-// a from-root Session, and a direct call into the object's continuation
-// frames under a snapshot Session. The returned error corresponds to
-// sim.Run's StopError cases; the caller must have checked its own budget
-// and that some process is ready. On success r.lastAccess holds the
-// decision's footprint (zero when the object does not track footprints).
+// applyDecision validates and executes one scheduler decision. The
+// returned error corresponds to sim.Run's StopError cases; the caller
+// must have checked its own budget and that some process is ready. On
+// success r.lastAccess holds the decision's footprint (zero when the
+// object does not track footprints).
 func (r *runtime) applyDecision(d Decision) error {
 	id := d.Proc
 	if id < 1 || id > r.cfg.Procs {
@@ -765,11 +686,10 @@ func (r *runtime) applyDecision(d Decision) error {
 		if r.status[id] == statusCrashed {
 			return fmt.Errorf("sim: scheduler crashed process %d twice", id)
 		}
-		// The crashed process keeps its pending invocation (and, under a
-		// snapshot Session, its frame): they are part of the
-		// configuration (fingerprints include the pending operations of
-		// crashed processes), they just never run — unless a later recover
-		// decision discards them.
+		// The crashed process keeps its pending invocation and its frame:
+		// they are part of the configuration (fingerprints include the
+		// pending operations of crashed processes), they just never run —
+		// unless a later recover decision discards them.
 		r.record(history.Crash(id))
 		r.status[id] = statusCrashed
 		if r.recObj != nil {
@@ -782,11 +702,9 @@ func (r *runtime) applyDecision(d Decision) error {
 		}
 		r.record(history.Recover(id))
 		r.noteRecover(id)
-		if r.ctl {
-			r.fpPending[id] = Invocation{}
-			r.fpHasPend[id] = false
-			r.fpOpSteps[id] = 0
-		}
+		r.fpPending[id] = Invocation{}
+		r.fpHasPend[id] = false
+		r.fpOpSteps[id] = 0
 		if r.fpTrack {
 			r.fpObs[id] = history.DigestSeed()
 		}
@@ -797,14 +715,7 @@ func (r *runtime) applyDecision(d Decision) error {
 		// Set unconditionally: the process may have crashed during a
 		// previous recovery routine, leaving the flag true.
 		r.recovering[id] = rec != nil
-		if r.direct {
-			r.recoverDirect(id, rec)
-		} else {
-			// Re-spawn the process fresh: recovery routine first (if any),
-			// then the environment loop. Its pending invocation never
-			// responds.
-			r.respawn(id, rec)
-		}
+		r.restart(id, rec)
 		a = Access{Known: true, Recover: true}
 	default:
 		if r.status[id] != statusReady {
@@ -812,21 +723,13 @@ func (r *runtime) applyDecision(d Decision) error {
 		}
 		r.steps++
 		r.stepsBy[id]++
-		if r.ctl {
-			// Incremented before the window so a response recorded within
-			// it (which ends the operation) resets the counter to zero.
-			r.fpOpSteps[id]++
-		}
+		// Incremented before the window so a response recorded within it
+		// (which ends the operation) resets the counter to zero.
+		r.fpOpSteps[id]++
 		evBefore := len(r.h)
 		r.beginWindow()
-		if r.direct {
-			if err := r.stepDirect(id); err != nil {
-				return err
-			}
-		} else {
-			p := r.procs[id]
-			p.grant <- struct{}{}
-			r.status[id] = <-p.sync
+		if err := r.step(id); err != nil {
+			return err
 		}
 		if r.track {
 			a = r.endWindow(evBefore)
@@ -839,14 +742,97 @@ func (r *runtime) applyDecision(d Decision) error {
 	return nil
 }
 
-// shutdown wakes every process still blocked on a grant and waits for
-// all goroutines to exit (no fire-and-forget goroutines).
+// step runs process id's granted window: the next step of its frame, or
+// — between operations — the invocation window, which resolves a lazy
+// argument against the view at scheduling time, records the invocation
+// and begins the operation. The caller (applyDecision) has validated
+// the decision and opened the window.
+func (r *runtime) step(id int) error {
+	p := r.procs[id]
+	var val history.Value
+	var st StepStatus
+	if f := r.frames[id]; f != nil {
+		val, st = f.Step(p)
+		if st != StepPaused {
+			r.frames[id] = nil
+		}
+	} else {
+		inv := r.next[id]
+		r.hasNext[id] = false
+		if la, lazy := inv.Arg.(LazyArg); lazy {
+			inv.Arg = la(r.envView())
+			r.lazyStep = true
+			r.fpPoisoned = true
+		}
+		r.record(history.Event{
+			Kind: history.KindInvoke, Proc: id,
+			Op: inv.Op, Obj: inv.Obj, Arg: inv.Arg,
+		})
+		var f Frame
+		f, val, st = r.stepped.Begin(p, inv)
+		if st == StepPaused {
+			r.frames[id] = f
+		}
+	}
+	switch st {
+	case StepPaused:
+		// The operation pauses at its next step boundary; the process
+		// stays ready.
+	case StepBlocked:
+		r.status[id] = statusBlocked
+	case StepDone:
+		if r.recovering != nil && r.recovering[id] {
+			// A completed recovery routine records no response — recovery
+			// is not an operation — but the next-environment consultation
+			// still happens within the same window.
+			r.recoveryDone(id)
+			r.consultEnv(id)
+			break
+		}
+		// Response and next-environment consultation happen within the
+		// same window.
+		pend := r.fpPending[id]
+		r.record(history.Event{
+			Kind: history.KindResponse, Proc: id,
+			Op: pend.Op, Obj: pend.Obj, Val: val,
+		})
+		r.consultEnv(id)
+	default:
+		return fmt.Errorf("sim: object %T returned invalid step status %d", r.cfg.Object, st)
+	}
+	return nil
+}
+
+// restart restarts a recovered process: the in-flight frame and the
+// chosen-but-uninvoked next invocation are volatile process state and
+// die with the crash; the recovery routine (if any) becomes the
+// process's frame, and without one the environment is consulted
+// immediately, within the recover decision.
+func (r *runtime) restart(id int, rec Frame) {
+	r.dropFrame(id)
+	r.hasNext[id] = false
+	if rec != nil {
+		r.frames[id] = rec
+		r.status[id] = statusReady
+		return
+	}
+	r.consultEnv(id)
+}
+
+// dropFrame discards process id's in-flight frame, unwinding it first
+// when it is a parked blocking Apply call.
+func (r *runtime) dropFrame(id int) {
+	if f, ok := r.frames[id].(*applyFrame); ok {
+		f.halt()
+	}
+	r.frames[id] = nil
+}
+
+// shutdown discards every in-flight frame, so no blocking Apply call
+// outlives the runtime.
 func (r *runtime) shutdown() {
 	for id := 1; id <= r.cfg.Procs; id++ {
-		if p := r.procs[id]; p != nil {
-			close(p.halt)
-			<-p.dead
-		}
+		r.dropFrame(id)
 	}
 }
 
@@ -860,7 +846,10 @@ func Run(cfg Config) *Result {
 	if cfg.MaxSteps == 0 {
 		cfg.MaxSteps = DefaultMaxSteps
 	}
-	r := startRuntime(cfg, cfg.Env)
+	r := newRuntime(cfg, cfg.Env)
+	// Unwinds the blocking Apply calls still parked when the run ends,
+	// also when a panic from object code is re-raised here.
+	defer r.shutdown()
 
 	res := &Result{}
 	for {
@@ -888,8 +877,6 @@ func Run(cfg Config) *Result {
 			r.accesses = append(r.accesses, r.lastAccess)
 		}
 	}
-
-	r.shutdown()
 
 	res.H = r.h
 	res.EventSteps = r.eventSteps

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"errors"
+	goruntime "runtime"
 	"testing"
 	"testing/quick"
 
@@ -386,4 +388,105 @@ func TestSeqScheduler(t *testing.T) {
 	if ops[1].Proc != 2 || ops[1].Val != 1 {
 		t.Errorf("p2 should read 1 after p1's solo write: %+v", ops[1])
 	}
+}
+
+// TestRunSteppedStartsNoGoroutine: Run dispatches a Stepped object's
+// frames directly, so the run starts no goroutine; under ApplyOnly the
+// same object's blocking Apply calls each run on a goroutine of their
+// own, which the probe must see.
+func TestRunSteppedStartsNoGoroutine(t *testing.T) {
+	script := map[int][]Invocation{
+		1: {{Op: "mix", Arg: 1}, {Op: "read"}},
+		2: {{Op: "mix", Arg: 2}},
+	}
+	run := func(obj Object) (base, peak int) {
+		base = goruntime.NumGoroutine()
+		peak = base
+		rr := &RoundRobin{}
+		res := Run(Config{
+			Procs: 2, Object: obj, Env: Script(script),
+			Scheduler: SchedulerFunc(func(v *View) (Decision, bool) {
+				peak = max(peak, goruntime.NumGoroutine())
+				return rr.Next(v)
+			}),
+		})
+		if res.Err != nil || res.Reason != StopQuiescent {
+			t.Fatalf("run over %T stopped with %v / %v", obj, res.Reason, res.Err)
+		}
+		return base, peak
+	}
+	if base, peak := run(newSnapObject(2)); peak > base {
+		t.Errorf("Run over a Stepped object peaked at %d goroutines, baseline %d", peak, base)
+	}
+	if base, peak := run(ApplyOnly(newSnapObject(2))); peak <= base {
+		t.Errorf("probe saw no Apply goroutine under ApplyOnly (peak %d, baseline %d)", peak, base)
+	}
+}
+
+// TestRunApplyPanicRecoverable: a panic in a blocking Apply re-panics on
+// Run's goroutine, where the caller can recover it, and the other
+// processes' parked calls are unwound.
+func TestRunApplyPanicRecoverable(t *testing.T) {
+	boom := errors.New("boom")
+	obj := ObjectFunc(func(p *Proc, inv Invocation) history.Value {
+		p.Exec("step", func() {})
+		if p.ID() == 1 {
+			panic(boom)
+		}
+		return nil
+	})
+	base := goruntime.NumGoroutine()
+	got := func() (v any) {
+		defer func() { v = recover() }()
+		Run(Config{
+			Procs:  2,
+			Object: obj,
+			Env:    OneShot(map[int]Invocation{1: {Op: "op"}, 2: {Op: "op"}}),
+			// Both processes invoke and park at their Exec, then process
+			// 1's window panics.
+			Scheduler: FixedProcs([]int{1, 2, 1}),
+		})
+		return nil
+	}()
+	if got != boom {
+		t.Fatalf("recovered %v, want %v", got, boom)
+	}
+	if n := settledGoroutines(base); n > base {
+		t.Errorf("%d goroutines after the panic, want the baseline %d", n, base)
+	}
+}
+
+// execInBegin is a Stepped object whose Begin wrongly calls the
+// blocking Exec.
+type execInBegin struct{ ObjectFunc }
+
+func (execInBegin) Begin(p *Proc, inv Invocation) (Frame, history.Value, StepStatus) {
+	p.Exec("stray", func() {})
+	return nil, nil, StepDone
+}
+
+// TestExecOutsideApplyPanics: Exec belongs to an in-flight blocking
+// Apply call. Called from a Stepped machine, or through a handle whose
+// call has completed, it panics instead of deadlocking.
+func TestExecOutsideApplyPanics(t *testing.T) {
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("Exec %s did not panic", what)
+			}
+		}()
+		f()
+	}
+	env := func() Environment { return OneShot(map[int]Invocation{1: {Op: "op"}}) }
+	var kept *Proc
+	keep := ObjectFunc(func(p *Proc, inv Invocation) history.Value {
+		kept = p
+		return nil
+	})
+	Run(Config{Procs: 1, Object: keep, Env: env(), Scheduler: &RoundRobin{}})
+	mustPanic("after the call completed", func() { kept.Exec("stray", func() {}) })
+	mustPanic("from a Stepped machine", func() {
+		Run(Config{Procs: 1, Object: execInBegin{keep}, Env: env(), Scheduler: &RoundRobin{}})
+	})
 }

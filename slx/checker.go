@@ -190,9 +190,9 @@ func WithStateCache() Option { return func(c *Checker) { c.cache = true } }
 
 // WithReplayExecution forces Explore onto from-root execution: every
 // object instance is wrapped in an adapter that hides its snapshot and
-// continuation hooks, so the engine's sessions run the blocking
-// Apply on process goroutines and rebuild from the root on every
-// backtrack that moves. By default Explore backtracks by snapshot
+// continuation hooks (sim.ApplyOnly), so the engine's sessions run the
+// blocking Apply and rebuild from the root on every backtrack that
+// moves. By default Explore backtracks by snapshot
 // restore whenever the object (run.Snapshottable and run.Stepped) and
 // the environment (run.RewindableEnv) allow it, which visits the
 // identical tree with exactly one simulator step per prefix
@@ -545,7 +545,7 @@ func (c *Checker) Explore(props ...Property) (*Report, error) {
 	rep := &Report{
 		Mode: ModeExplore, Prefixes: st.Prefixes, SimSteps: st.Steps, Resims: st.Resims,
 		Pruned: st.Pruned, CacheHits: st.CacheHits, Workers: st.Workers,
-		EventScans: st.Events * len(props),
+		Depth: c.depth, EventScans: st.Events * len(props),
 	}
 	return c.conclude(ctx, rep, props, err,
 		fmt.Sprintf("no violation on %d schedule prefixes up to depth %d", st.Prefixes, c.depth))
@@ -691,7 +691,7 @@ func (c *Checker) sampleExplore(ctx context.Context, props []Property) (*Report,
 	rep := &Report{
 		Mode: ModeExplore, Sampled: true,
 		Schedules: st.Schedules, DistinctStates: st.DistinctStates,
-		SimSteps: st.Steps, Resims: st.Resims, Workers: st.Workers,
+		SimSteps: st.Steps, Resims: st.Resims, Workers: st.Workers, Depth: c.depth,
 		EventScans: st.Events * len(props), FailingSeed: st.FailingSeed,
 	}
 	return c.conclude(ctx, rep, props, err,

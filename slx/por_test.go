@@ -9,6 +9,8 @@ package slx_test
 import (
 	"testing"
 
+	"repro/internal/queue"
+	"repro/internal/service"
 	"repro/slx"
 	"repro/slx/check"
 	"repro/slx/consensus"
@@ -246,6 +248,24 @@ func regEnv(procs int) func() run.Environment {
 	}
 }
 
+// queueEnv has process 1 enqueue once and process 2 dequeue twice.
+func queueEnv() run.Environment {
+	return run.Script(map[int][]run.Invocation{
+		1: {{Op: "enq", Arg: "a"}},
+		2: {{Op: "deq"}, {Op: "deq"}},
+	})
+}
+
+// targetOptions returns a registered service target's options followed
+// by overrides, so the cross-checks run exactly the object slxd serves.
+func targetOptions(name string, overrides ...slx.Option) []slx.Option {
+	t, ok := service.LookupTarget(name)
+	if !ok {
+		panic(name + " target not registered")
+	}
+	return append(t.Options(), overrides...)
+}
+
 // porCases is the example-object table of the cross-check.
 func porCases() map[string]struct {
 	opts  []slx.Option
@@ -339,6 +359,52 @@ func porCases() map[string]struct {
 				slx.WithDepth(9),
 			},
 			props: []slx.Property{check.PropertyS()},
+		},
+		"locked-queue/linearizability": {
+			opts: []slx.Option{
+				slx.WithObject(func() run.Object { return queue.NewLocked() }),
+				slx.WithEnv(queueEnv),
+				slx.WithProcs(2),
+				slx.WithDepth(12),
+			},
+			props: []slx.Property{check.Linearizability(check.QueueSpec{})},
+		},
+		"cas-queue/linearizability": {
+			opts: []slx.Option{
+				slx.WithObject(func() run.Object { return queue.NewCASQueue() }),
+				slx.WithEnv(queueEnv),
+				slx.WithProcs(2),
+				slx.WithDepth(12),
+			},
+			props: []slx.Property{check.Linearizability(check.QueueSpec{})},
+		},
+		"tas-lock/mutual-exclusion": {
+			opts: []slx.Option{
+				slx.WithObject(func() run.Object { return mutex.NewTASLock() }),
+				slx.WithEnv(func() run.Environment { return mutex.AcquireReleaseLoop(2) }),
+				slx.WithProcs(2),
+				slx.WithDepth(8),
+			},
+			props: []slx.Property{check.MutualExclusion()},
+		},
+		"lossyreg-target/violation": {
+			opts:  targetOptions("lossyreg", slx.WithDepth(8)),
+			props: []slx.Property{check.Linearizability(check.RegisterSpec{Initial: 0})},
+		},
+		"queueblast-target/violation": {
+			// Two processes instead of eight: process 1's fourth enqueue
+			// evicts the first, and process 2's dequeue observes the loss.
+			opts: targetOptions("queueblast",
+				slx.WithProcs(2),
+				slx.WithEnv(func() run.Environment {
+					return run.Script(map[int][]run.Invocation{
+						1: {{Op: "enq", Arg: "v1"}, {Op: "enq", Arg: "v2"}, {Op: "enq", Arg: "v3"}, {Op: "enq", Arg: "v4"}},
+						2: {{Op: "deq"}},
+					})
+				}),
+				slx.WithDepth(14),
+			),
+			props: []slx.Property{check.Linearizability(check.QueueSpec{})},
 		},
 		"globalcas/opacity": {
 			opts: []slx.Option{

@@ -13,11 +13,14 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/queue"
 	"repro/internal/service"
+	itm "repro/internal/tm"
 	"repro/slx"
 	"repro/slx/check"
 	"repro/slx/hist"
 	"repro/slx/run"
+	"repro/slx/tm"
 )
 
 // recRegister is porRegister plus the Recoverable hooks: no volatile
@@ -103,6 +106,33 @@ func recoveryCases() map[string]struct {
 				slx.WithRecoveries(1),
 			},
 			props: []slx.Property{check.StrictLinearizability(check.RegisterSpec{Initial: 0})},
+		},
+		"persistent-queue/clean": {
+			opts: []slx.Option{
+				slx.WithObject(func() run.Object { return queue.NewPersistent(2) }),
+				slx.WithEnv(queueEnv),
+				slx.WithProcs(2),
+				slx.WithDepth(10),
+				slx.WithCrashes(1),
+				slx.WithRecoveries(1),
+			},
+			props: []slx.Property{check.StrictLinearizability(check.QueueSpec{})},
+		},
+		"durable-tm/opacity": {
+			opts: []slx.Option{
+				slx.WithObject(func() run.Object { return itm.NewDurableTM(2) }),
+				slx.WithEnv(func() run.Environment {
+					return tm.TxnLoop(map[int]tm.Txn{
+						1: {Accesses: []tm.Access{{Write: true, Var: "x", Val: 1}}},
+						2: {Accesses: []tm.Access{{Var: "x"}}},
+					})
+				}),
+				slx.WithProcs(2),
+				slx.WithDepth(8),
+				slx.WithCrashes(1),
+				slx.WithRecoveries(1),
+			},
+			props: []slx.Property{check.Opacity()},
 		},
 		"durablequeue/violation": {
 			opts: append(durable.Options(),

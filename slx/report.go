@@ -77,6 +77,10 @@ type Report struct {
 	// (WithWorkers; counts below 1 are rejected by validation). Zero
 	// outside ModeExplore.
 	Workers int
+	// Depth is the schedule bound the exploration used (WithDepth, or
+	// the default when unset): the exhaustive depth, or each sampled
+	// schedule's step bound. Zero outside ModeExplore.
+	Depth int
 	// EventScans counts the (event, monitor) judgments of an
 	// exploration: the events fed to the monitor set, each judged once
 	// per path, times the number of properties — minus, on a violation,

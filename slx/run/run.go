@@ -64,9 +64,10 @@ type Snapshottable = sim.Snapshottable
 
 // Stepped is the continuation form of an Object: operations run as
 // explicit resumable frames (one access per Step call) driven directly
-// by the exploration loop, with no goroutine per process. The snapshot
-// strategy requires it alongside Snapshottable. See sim.Stepped for the
-// window-equivalence contract with Apply.
+// by the runtime's dispatch loop, in Run and in exploration alike;
+// objects without it run their blocking Apply through an adapter. The
+// snapshot strategy requires it alongside Snapshottable. See
+// sim.Stepped for the window-equivalence contract with Apply.
 type Stepped = sim.Stepped
 
 // Frame is one in-flight operation of a Stepped object.

@@ -121,6 +121,43 @@ func TestSampleDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestSampleReplayParity: sampling draws the identical schedules on
+// both session strategies, so every example object's frames are checked
+// against its blocking Apply (WithReplayExecution) on deep PCT
+// schedules, recovery cases included: identical verdicts, schedule and
+// distinct-state counts, event scans, failing seeds and witnesses.
+func TestSampleReplayParity(t *testing.T) {
+	for _, cases := range []map[string]struct {
+		opts  []slx.Option
+		props []slx.Property
+	}{porCases(), recoveryCases()} {
+		for name, tc := range cases {
+			tc := tc
+			t.Run(name, func(t *testing.T) {
+				base := append(tc.opts[:len(tc.opts):len(tc.opts)], slx.WithDepth(24), slx.WithSample(200, 3), slx.WithSeed(1))
+				base = base[:len(base):len(base)]
+				type core struct {
+					Schedules, DistinctStates, EventScans int
+					FailingSeed                           int64
+					OK                                    bool
+					Witness                               []run.Decision
+				}
+				var got [2]core
+				for i, opts := range [][]slx.Option{base, append(base, slx.WithReplayExecution())} {
+					rep, err := slx.New(opts...).Explore(tc.props...)
+					if err != nil {
+						t.Fatalf("sample explore: %v", err)
+					}
+					got[i] = core{rep.Schedules, rep.DistinctStates, rep.EventScans, rep.FailingSeed, rep.OK(), rep.Witness()}
+				}
+				if !reflect.DeepEqual(got[0], got[1]) {
+					t.Fatalf("strategies diverge:\nsnapshot:  %+v\nfrom root: %+v", got[0], got[1])
+				}
+			})
+		}
+	}
+}
+
 // TestSampleSoundOnSmallDepth: on every small-depth example, a sampled
 // violation implies an exhaustive violation at the same depth and crash
 // budget (sampling draws schedules from the same tree, so it can never

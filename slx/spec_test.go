@@ -236,3 +236,26 @@ func TestValidateExploreMatchesExplore(t *testing.T) {
 		t.Errorf("valid config failed to explore: %v", err)
 	}
 }
+
+// TestReportDepth: Report.Depth records the schedule bound the
+// exploration used — the checker default for a zero Spec depth, the
+// spec's otherwise — in both exploration modes.
+func TestReportDepth(t *testing.T) {
+	for _, tc := range []struct {
+		spec Spec
+		want int
+	}{
+		{Spec{}, 8},
+		{Spec{Depth: 5}, 5},
+		{Spec{Sample: true, Schedules: 10, D: 1}, 8},
+		{Spec{Sample: true, Schedules: 10, D: 1, Depth: 6}, 6},
+	} {
+		rep, err := New(append(testTargetOptions(), tc.spec.Options()...)...).Explore(testProperty())
+		if err != nil {
+			t.Fatalf("%+v: %v", tc.spec, err)
+		}
+		if rep.Depth != tc.want {
+			t.Errorf("%+v: Report.Depth = %d, want %d", tc.spec, rep.Depth, tc.want)
+		}
+	}
+}
