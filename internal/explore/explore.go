@@ -34,8 +34,8 @@
 //
 // Config.Cache enables state-fingerprint deduplication: prefixes whose
 // reached configuration (sim.Result.Fingerprint) and monitor residual
-// state (Digester) match an already fully explored state are pruned,
-// cutting the subtrees rooted at states that many inequivalent
+// state (history.Digester) match an already fully explored state are
+// pruned, cutting the subtrees rooted at states that many inequivalent
 // schedules reach. Config.Workers > 1 explores the tree with a bounded
 // work-stealing scheduler; all workers share the visited set.
 //
@@ -82,18 +82,6 @@ func releaseMonitors(ms MonitorSet) {
 	if r, ok := ms.(ReleasableMonitorSet); ok {
 		r.Release()
 	}
-}
-
-// Digester is the optional hook a MonitorSet implements to make states
-// cacheable under Config.Cache: StateDigest returns a canonical digest
-// of the set's residual state — everything its future Step verdicts can
-// depend on — such that equal digests imply identical verdicts on every
-// event suffix. ok=false marks the current state undigestable; the
-// prefix is then neither looked up nor stored. Without the hook (or
-// with ok=false throughout) the cache never hits and the exploration is
-// exhaustive as before.
-type Digester interface {
-	StateDigest() (uint64, bool)
 }
 
 // Violation wraps a MonitorSet violation with its location: the witness
@@ -185,10 +173,11 @@ type Config struct {
 	// subtree was already fully explored (with at least as much depth
 	// and crash budget remaining, and under a sleep set no larger than
 	// the current one) is pruned and counted in Stats.CacheHits.
-	// Cache-hit soundness rests on the monitor set's digest (Digester)
-	// and on objects that opt into sim.Fingerprintable; prefixes without
-	// a valid fingerprint or digest are explored as usual. Like POR it
-	// assumes view-independent environments. Witnesses remain
+	// Cache-hit soundness rests on the monitor set's digest
+	// (history.Digester) and on objects that opt into
+	// sim.Fingerprintable; prefixes without a valid fingerprint or
+	// digest are explored as usual. Like POR it assumes
+	// view-independent environments. Witnesses remain
 	// deterministic at Workers == 1; with Workers > 1 the shared visited
 	// set makes WHICH equivalent witness is found timing-dependent
 	// (verdicts are unaffected).
@@ -520,14 +509,16 @@ func (g *engine) explore(w *wsWorker, ex *sessionExec, node *nodeInfo, ps *pathS
 	remRecoveries := g.cfg.Recoveries - recoveries
 	cacheable := false
 	if g.visited != nil && node.fped {
-		if dg, ok := monitorDigest(ms); ok {
-			ckey = combineKey(node.fp, dg)
-			zStart = z[:len(z):len(z)]
-			if g.visited.hit(ckey, remDepth, remCrashes, remRecoveries, zStart) {
-				st.CacheHits++
-				return true, nil
+		if d, ok := ms.(history.Digester); ok {
+			if dg, ok := d.StateDigest(); ok {
+				ckey = combineKey(node.fp, dg)
+				zStart = z[:len(z):len(z)]
+				if g.visited.hit(ckey, remDepth, remCrashes, remRecoveries, zStart) {
+					st.CacheHits++
+					return true, nil
+				}
+				cacheable = true
 			}
-			cacheable = true
 		}
 	}
 
@@ -659,14 +650,4 @@ func (g *engine) fatal(w *wsWorker, err error) error {
 		return err
 	}
 	return &fatalError{err: err}
-}
-
-// monitorDigest extracts the canonical residual-state digest of the
-// monitor set, when it provides one.
-func monitorDigest(ms MonitorSet) (uint64, bool) {
-	d, ok := ms.(Digester)
-	if !ok {
-		return 0, false
-	}
-	return d.StateDigest()
 }

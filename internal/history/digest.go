@@ -5,14 +5,17 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 )
 
-// FNV-1a primitives shared by every canonical digest in the tree — the
-// simulator's state fingerprints, the safety monitors' residual-state
-// digests, and exploration's cache keys. One home for the offset/prime
-// constants and the byte fold keeps the mixings from silently
-// diverging.
+// The one canonical state encoder of the tree. Every identity the state
+// cache keys on — the simulator's configuration fingerprint and every
+// safety monitor's residual-state digest — is folded by the
+// Fingerprinter below over the FNV-1a primitives here, and every value
+// inside them is encoded by AppendCanonical. One home for the
+// offset/prime constants, the byte fold and the tagged component
+// encoding keeps the identities from silently diverging.
 
 // The one sanctioned home of the raw constants: everything else folds
 // through DigestSeed/DigestByte/DigestWord.
@@ -36,6 +39,190 @@ func DigestWord(h, v uint64) uint64 {
 		h = DigestByte(h, byte(v>>(8*i)))
 	}
 	return h
+}
+
+// Digester is the optional canonical-state hook of a safety monitor (and
+// of the monitor sets exploration judges a path with), required by the
+// state cache. StateDigest returns a 64-bit digest of the residual
+// state — everything future Step verdicts can depend on — such that two
+// monitors with equal digests accept and reject exactly the same event
+// suffixes. ok=false means the current state cannot be digested; the
+// exploration then neither looks the prefix up nor stores it.
+//
+// A digest must abstract away representation accidents (internal
+// indices, the order state was accumulated in) but never semantic
+// distinctions: equal digests with divergent future verdicts would let
+// the cache prune a subtree containing a violation.
+type Digester interface {
+	StateDigest() (uint64, bool)
+}
+
+// Fingerprinter accumulates a canonical 64-bit digest (FNV-1a) of
+// state. Writers must feed state components in a fixed, deterministic
+// order; every component is written with a type tag so adjacent
+// components of different kinds cannot collide by concatenation. The
+// digest is deterministic across runs and processes, which is what lets
+// exploration deduplicate states across replays and lets tests assert
+// "same state, same fingerprint" across schedules.
+//
+// A Fingerprinter owns a reusable encoding buffer, so it must not be
+// shared between goroutines, nor stored in state that is copied (a
+// forked monitor): digest into a local Fingerprinter, and carry only
+// running words (see HistoryDigest).
+type Fingerprinter struct {
+	h        uint64
+	poisoned bool
+	scratch  []byte // reused encoding buffer for Val
+}
+
+// NewFingerprinter returns an empty fingerprinter.
+func NewFingerprinter() *Fingerprinter {
+	return &Fingerprinter{h: DigestSeed()}
+}
+
+// Restart resumes f from the running word h — a Sum saved earlier, or
+// DigestSeed for a fresh digest — unpoisoned, keeping the encoding
+// buffer for reuse.
+func (f *Fingerprinter) Restart(h uint64) { f.h, f.poisoned = h, false }
+
+func (f *Fingerprinter) byteIn(b byte) {
+	f.h = DigestByte(f.h, b)
+}
+
+func (f *Fingerprinter) tag(t byte) { f.byteIn(t) }
+
+// Str folds a string component into the digest, length-delimited.
+func (f *Fingerprinter) Str(s string) {
+	f.tag('s')
+	f.Int(len(s))
+	for i := 0; i < len(s); i++ {
+		f.byteIn(s[i])
+	}
+}
+
+// Int folds an integer component into the digest.
+func (f *Fingerprinter) Int(v int) {
+	f.tag('i')
+	f.Uint64(uint64(v))
+}
+
+// Bool folds a boolean component into the digest.
+func (f *Fingerprinter) Bool(b bool) {
+	f.tag('b')
+	if b {
+		f.byteIn(1)
+	} else {
+		f.byteIn(0)
+	}
+}
+
+// Uint64 folds a 64-bit word into the digest.
+func (f *Fingerprinter) Uint64(v uint64) {
+	f.h = DigestWord(f.h, v)
+}
+
+// Val folds an arbitrary history value into the digest by its dynamic
+// type and content (AppendCanonical: every node kind- and type-tagged,
+// every variable-size component length-delimited, map entries sorted).
+// Two values encode identically iff they are structurally equal by
+// content, and two values of different dynamic types never collide
+// with each other's content. It is NOT identity-aware: two distinct
+// allocations with equal content encode the same, which is exactly why
+// objects that compare pointers (CAS over fresh allocations) must not
+// opt into simulator fingerprinting (sim.Fingerprintable).
+//
+// A value the encoder refuses — a non-nil pointer below the top level
+// (identity, not content, and possibly cyclic), a channel or function,
+// or a type whose fmt.Stringer/Formatter/error methods take over its
+// rendering — poisons the digest instead: a poisoned simulator
+// fingerprint yields no Result.Fingerprint, and a poisoned monitor
+// digest makes the prefix uncacheable, never unsound.
+func (f *Fingerprinter) Val(v Value) {
+	f.tag('v')
+	if v == nil {
+		f.Str("<nil>")
+		return
+	}
+	b, ok := AppendCanonical(f.scratch[:0], v)
+	f.scratch = b // keep the grown buffer for the next value
+	if !ok {
+		f.poisoned = true
+		return
+	}
+	f.tag('s')
+	f.Int(len(b))
+	for i := 0; i < len(b); i++ {
+		f.byteIn(b[i])
+	}
+}
+
+// Event folds one history event: kind, process, operation, object,
+// argument and response value.
+func (f *Fingerprinter) Event(e Event) {
+	f.Int(int(e.Kind))
+	f.Int(e.Proc)
+	f.Str(e.Op)
+	f.Str(e.Obj)
+	f.Val(e.Arg)
+	f.Val(e.Val)
+}
+
+// Set folds an order-independent set of component digests, each
+// computed on its own (typically by restarting a Fingerprinter at
+// DigestSeed per member): the number of distinct words, then the
+// distinct words in ascending order, so neither the order the members
+// were gathered in nor duplicates can change the digest. Set sorts and
+// compacts words in place.
+func (f *Fingerprinter) Set(words []uint64) {
+	slices.Sort(words)
+	words = slices.Compact(words)
+	f.Int(len(words))
+	for _, w := range words {
+		f.Uint64(w)
+	}
+}
+
+// Sum returns the digest of everything folded in so far.
+func (f *Fingerprinter) Sum() uint64 { return f.h }
+
+// Poisoned reports whether some folded value could not be canonically
+// encoded (see Val); a poisoned digest must not be used as a state
+// identity.
+func (f *Fingerprinter) Poisoned() bool { return f.poisoned }
+
+// HistoryDigest is a running canonical digest of an event sequence,
+// maintained in O(1) per appended event — the residual-state digest of
+// monitors whose state IS their history (the TM monitors, slx's batch
+// monitor), which would otherwise re-encode the whole history on every
+// explored prefix (O(depth²) along a DFS path). It holds only the
+// running word and a poison flag, no encoding buffer, so forked
+// monitors copy it by value and parallel workers stepping forks never
+// share a buffer. The zero value digests the empty sequence.
+type HistoryDigest struct {
+	h        uint64 // running word; 0 until the first Append
+	poisoned bool
+}
+
+// Append folds one event in (Fingerprinter.Event). An event the encoder
+// refuses poisons the digest permanently.
+func (d *HistoryDigest) Append(e Event) {
+	if d.poisoned {
+		return
+	}
+	f := Fingerprinter{h: d.word()}
+	f.Event(e)
+	d.h, d.poisoned = f.h, f.poisoned
+}
+
+// Sum returns the digest of the appended events; ok=false once an
+// event poisoned it.
+func (d *HistoryDigest) Sum() (uint64, bool) { return d.word(), !d.poisoned }
+
+func (d *HistoryDigest) word() uint64 {
+	if d.h == 0 {
+		return DigestSeed()
+	}
+	return d.h
 }
 
 // AppendCanonical appends a canonical encoding of v to dst and reports

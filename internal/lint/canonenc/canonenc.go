@@ -1,16 +1,19 @@
 // Package canonenc enforces the canonical-encoding contract of digest
-// and fingerprint code: state digests must be built from the injective
-// primitives in internal/history (AppendCanonical and the
-// DigestSeed/DigestByte/DigestWord family), never from fmt renderings
-// (%v space-joins composite elements, so []string{"x y"} and
-// []string{"x","y"} collide), string joins (variable content can shift
-// component boundaries), hash/fnv, or hand-rolled FNV arithmetic (four
-// divergent copies of the constants were consolidated once already).
+// and fingerprint code: state digests must be built from the one
+// canonical encoder in internal/history (the Fingerprinter, over
+// AppendCanonical and the DigestSeed/DigestByte/DigestWord family),
+// never from fmt renderings (%v space-joins composite elements, so
+// []string{"x y"} and []string{"x","y"} collide), string joins
+// (variable content can shift component boundaries), hash/fnv, or
+// hand-rolled FNV arithmetic (four divergent copies of the constants
+// were consolidated once already).
 //
 // Scope — the code whose output feeds cache keys and state dedup:
 //
-//   - the digest homes, whole-file: internal/history/digest.go,
-//     internal/safety/digest.go, internal/sim/fingerprint.go;
+//   - the digest homes, whole-file: internal/history/digest.go (the
+//     encoder itself), internal/safety/digest.go (the monitor
+//     digests), internal/sim/fingerprint.go (the configuration
+//     fingerprint's fold order);
 //   - every StateDigest or Fingerprint method body, anywhere;
 //   - every function whose name mentions Digest or Canonical.
 //

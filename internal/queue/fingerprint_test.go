@@ -93,7 +93,7 @@ func (s *linSet) Step(e history.Event) error {
 func (s *linSet) Fork() explore.MonitorSet { return &linSet{m: s.m.Fork()} }
 
 func (s *linSet) StateDigest() (uint64, bool) {
-	d, ok := s.m.(safety.Digester)
+	d, ok := s.m.(history.Digester)
 	if !ok {
 		return 0, false
 	}

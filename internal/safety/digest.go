@@ -1,265 +1,170 @@
 package safety
 
 import (
-	"sort"
-	"strconv"
-	"strings"
+	"cmp"
+	"slices"
 
 	"repro/internal/history"
 )
 
-// Digester is the optional canonical-state hook of a Monitor, required
-// by exploration's state cache. StateDigest returns a 64-bit digest of
-// the monitor's residual state — everything its future Step verdicts
-// can depend on — such that two monitors with equal digests accept and
-// reject exactly the same event suffixes. ok=false means the monitor
-// cannot digest its current state; the exploration then treats the
-// prefix as uncacheable.
-//
-// A digest must abstract away representation accidents (internal
-// indices, the order state was accumulated in) but never semantic
-// distinctions: equal digests with divergent future verdicts would let
-// the cache prune a subtree containing a violation.
-type Digester interface {
-	StateDigest() (uint64, bool)
-}
+// The monitors' residual-state digests (history.Digester). Every one is
+// folded by the canonical state encoder, history.Fingerprinter — the
+// encoder behind the simulator's configuration fingerprint — and starts
+// with a family tag, so monitors of different families never share an
+// identity. Sets are folded order-independently (Fingerprinter.Set)
+// over per-member digests, so the order state was accumulated in never
+// leaks into a digest.
 
-// digestPart folds one length-delimited string into a running digest;
-// the length prefix keeps concatenated parts from colliding.
-func digestPart(h uint64, s string) uint64 {
-	h = history.DigestWord(h, uint64(len(s)))
-	for i := 0; i < len(s); i++ {
-		h = history.DigestByte(h, s[i])
-	}
-	return h
-}
-
-// digestStrings hashes a canonical sequence of strings (FNV-1a,
-// length-delimited so concatenation cannot collide).
-func digestStrings(parts ...string) uint64 {
-	h := history.DigestSeed()
-	for _, s := range parts {
-		h = digestPart(h, s)
-	}
-	return h
-}
-
-// field length-prefixes a rendered component so that, within one
-// digest part built from several components, variable content cannot
-// shift component boundaries ("a"+"b,c" versus "a,b"+"c").
-func field(s string) string { return strconv.Itoa(len(s)) + ":" + s }
-
-// valField canonically encodes a value as a length-prefixed component
-// (history.AppendCanonical — injective on encodable values, unlike %v,
-// whose space-joined composites collide: []string{"x y"} vs
-// []string{"x","y"}). ok=false when the value cannot be canonically
-// encoded (nested non-nil pointers, channels, functions, fmt-method
-// implementers — renderings that could embed allocator addresses,
-// nondeterministic across runs and collidable across semantically
-// different states): the monitor must then report itself undigestable
-// (the prefix becomes uncacheable, never unsound). The simulator-side
-// Fingerprinter.Val applies the same guard to object state.
-func valField(v history.Value) (string, bool) {
-	b, ok := history.AppendCanonical(nil, v)
-	if !ok {
-		return "", false
-	}
-	return field(string(b)), true
-}
-
-// digestValueSet canonically encodes a set of values: each rendered
-// with its dynamic type and length-prefixed, then sorted.
-func digestValueSet(set map[history.Value]bool) (string, bool) {
-	keys := make([]string, 0, len(set))
+// valueSet digests each member of set on its own, restarting f at the
+// seed per member, and returns the words for Fingerprinter.Set; ok=false
+// when some member cannot be canonically encoded (the monitor is then
+// undigestable: its prefix becomes uncacheable, never unsound).
+func valueSet(f *history.Fingerprinter, set map[history.Value]bool) ([]uint64, bool) {
+	words := make([]uint64, 0, len(set))
 	for v := range set {
-		k, ok := valField(v)
-		if !ok {
-			return "", false
+		f.Restart(history.DigestSeed())
+		f.Val(v)
+		if f.Poisoned() {
+			return nil, false
 		}
-		keys = append(keys, k)
+		words = append(words, f.Sum())
 	}
-	sort.Strings(keys)
-	var b strings.Builder
-	for _, k := range keys {
-		b.WriteString(k)
-	}
-	return b.String(), true
+	return words, true
 }
 
-// StateDigest implements Digester: the agreement+validity verdict
-// depends only on the proposed-value set and the decided value.
+// StateDigest implements history.Digester: the agreement+validity
+// verdict depends only on the proposed-value set and the decided value.
 func (m *avMonitor) StateDigest() (uint64, bool) {
-	proposed, ok := digestValueSet(m.proposed)
+	f := history.NewFingerprinter()
+	proposed, ok := valueSet(f, m.proposed)
 	if !ok {
 		return 0, false
 	}
-	decided, ok := valField(m.decided)
-	if !ok {
-		return 0, false
-	}
-	return digestStrings("av", proposed, strconv.FormatBool(m.have)+"/"+strconv.FormatBool(m.failed), decided), true
+	f.Restart(history.DigestSeed())
+	f.Str("av")
+	f.Set(proposed)
+	f.Bool(m.have)
+	f.Bool(m.failed)
+	f.Val(m.decided)
+	return f.Sum(), !f.Poisoned()
 }
 
-// StateDigest implements Digester: the k-set verdict depends only on
-// the proposed and decided value sets (and k).
+// StateDigest implements history.Digester: the k-set verdict depends
+// only on the proposed and decided value sets (and k).
 func (m *ksetMonitor) StateDigest() (uint64, bool) {
-	proposed, ok := digestValueSet(m.proposed)
+	f := history.NewFingerprinter()
+	proposed, ok := valueSet(f, m.proposed)
 	if !ok {
 		return 0, false
 	}
-	decided, ok := digestValueSet(m.decided)
+	decided, ok := valueSet(f, m.decided)
 	if !ok {
 		return 0, false
 	}
-	return digestStrings("kset", strconv.Itoa(m.k)+"/"+strconv.FormatBool(m.failed), proposed, decided), true
+	f.Restart(history.DigestSeed())
+	f.Str("kset")
+	f.Int(m.k)
+	f.Bool(m.failed)
+	f.Set(proposed)
+	f.Set(decided)
+	return f.Sum(), true
 }
 
-// StateDigest implements Digester: the mutual-exclusion verdict depends
-// only on the current critical-section holder.
+// StateDigest implements history.Digester: the mutual-exclusion verdict
+// depends only on the current critical-section holder.
 func (m *mutexMonitor) StateDigest() (uint64, bool) {
-	return digestStrings("mutex", strconv.Itoa(m.holder)+"/"+strconv.FormatBool(m.failed)), true
+	f := history.NewFingerprinter()
+	f.Str("mutex")
+	f.Int(m.holder)
+	f.Bool(m.failed)
+	return f.Sum(), true
 }
 
-// StateDigest implements Digester. The TM serialization searches
-// re-examine the entire accumulated history on every response, so the
-// monitor's residual state IS the history: the digest is a canonical
-// encoding of the event sequence. Exploration therefore deduplicates TM
-// states only across schedules that produced the identical external
-// history (interleavings that reorder only internal steps), which is
-// sound by construction.
+// StateDigest implements history.Digester. The TM serialization
+// searches re-examine the entire accumulated history on every response,
+// so the monitor's residual state IS the history: the digest folds the
+// running history digest after the monitor's flags. Exploration
+// therefore deduplicates TM states only across schedules that produced
+// the identical external history (interleavings that reorder only
+// internal steps), which is sound by construction.
 func (m *TMMonitor) StateDigest() (uint64, bool) {
-	return m.dig.Sum("tm/" + strconv.FormatBool(m.strict) + "/" + strconv.FormatBool(m.rule) + "/" + strconv.FormatBool(m.failed))
+	h, ok := m.dig.Sum()
+	f := history.NewFingerprinter()
+	f.Str("tm")
+	f.Bool(m.strict)
+	f.Bool(m.rule)
+	f.Bool(m.failed)
+	f.Uint64(h)
+	return f.Sum(), ok
 }
 
-// HistoryDigest is a running canonical digest of an event sequence,
-// maintained in O(1) per appended event — the residual-state digest of
-// monitors whose state IS their history (TMMonitor, the slx batch
-// fallback), which would otherwise re-encode the whole history on
-// every explored prefix (O(depth²) along a DFS path). The zero value
-// digests the empty sequence; copies are independent, so forked
-// monitors just copy the struct.
-type HistoryDigest struct {
-	h   uint64
-	bad bool
-}
-
-// Append folds one event in. A value digestEvent refuses marks the
-// whole digest undigestable, permanently (matching the from-scratch
-// encoding, which would refuse the same event every time).
-func (d *HistoryDigest) Append(e history.Event) {
-	if d.bad {
-		return
-	}
-	de, ok := digestEvent(e)
-	if !ok {
-		d.bad = true
-		return
-	}
-	if d.h == 0 {
-		d.h = history.DigestSeed()
-	}
-	d.h = digestPart(d.h, de)
-}
-
-// Sum combines a caller tag (the monitor's residual non-history state —
-// it may change between calls, which is why it is not folded in
-// Append) with the appended events' digest.
-func (d *HistoryDigest) Sum(tag string) (uint64, bool) {
-	if d.bad {
-		return 0, false
-	}
-	return history.DigestWord(digestPart(history.DigestSeed(), tag), d.h), true
-}
-
-// digestEvent canonically encodes one history event, every
-// variable-content component length-prefixed.
-func digestEvent(e history.Event) (string, bool) {
-	arg, ok := valField(e.Arg)
-	if !ok {
-		return "", false
-	}
-	val, ok := valField(e.Val)
-	if !ok {
-		return "", false
-	}
-	return strconv.Itoa(int(e.Kind)) + "/" + strconv.Itoa(e.Proc) + "/" + field(e.Op) + field(e.Obj) + arg + val, true
-}
-
-// DigestHistory canonically digests an event sequence from scratch;
-// ok=false when some event's values defeat canonical rendering.
-// Monitors that digest per explored prefix should maintain a
-// HistoryDigest instead of calling this O(len(h)) form every time.
-func DigestHistory(tag string, h history.History) (uint64, bool) {
-	var d HistoryDigest
-	for _, e := range h {
-		d.Append(e)
-	}
-	return d.Sum(tag)
-}
-
-// StateDigest implements Digester. The linearizability monitor's future
-// verdicts depend on its configuration set and the pending operations;
-// completed operations are frozen inside every configuration's
-// sequential state and never revisited. Configurations are canonically
-// encoded as (spec state, promised responses keyed by process) — the
-// internal operation indices, which depend on the invocation order the
-// history happened to arrive in, are translated to process ids (one
-// pending operation per process) so equivalent states reached through
-// different interleavings digest identically. The pending operations
-// themselves are encoded by (process, op, object, argument).
+// StateDigest implements history.Digester. The linearizability
+// monitor's future verdicts depend on its configuration set and the
+// pending operations; completed operations are frozen inside every
+// configuration's sequential state and never revisited. Each
+// configuration is digested on its own (foldConfig) and the digests are
+// folded as a set, so duplicates and the set's order drop out. The
+// pending operations are folded by (process, op, object, argument) in
+// process order, after a header of the strict and failed flags and the
+// operation count.
 //
 // The one residual dependence on history length is the maxLinOps
 // capacity cut-off, which is a function of the per-process operation
 // counts; those are part of the simulator's state fingerprint, so equal
 // cache keys imply equal capacity too.
 func (m *LinMonitor) StateDigest() (uint64, bool) {
-	var parts []string
-	parts = append(parts, "lin/"+strconv.FormatBool(m.strict)+"/"+strconv.FormatBool(m.failed)+"/"+strconv.Itoa(len(m.ops)))
-
+	f := history.NewFingerprinter()
+	var buf [16]uint64
+	cfgs := buf[:0]
+	for i := range m.configs {
+		f.Restart(history.DigestSeed())
+		m.foldConfig(f, &m.configs[i])
+		if f.Poisoned() {
+			return 0, false
+		}
+		cfgs = append(cfgs, f.Sum())
+	}
+	f.Restart(history.DigestSeed())
+	f.Str("lin")
+	f.Bool(m.strict)
+	f.Bool(m.failed)
+	f.Int(len(m.ops))
+	pending := 0
+	for _, pi := range m.pending {
+		if pi != 0 {
+			pending++
+		}
+	}
+	f.Int(pending)
 	for p, pi := range m.pending {
-		if pi == 0 {
-			continue
+		if pi != 0 {
+			op := &m.ops[pi-1]
+			f.Int(p)
+			f.Str(op.name)
+			f.Str(op.obj)
+			f.Val(op.arg)
 		}
-		op := m.ops[pi-1]
-		arg, ok := valField(op.arg)
-		if !ok {
-			return 0, false
-		}
-		parts = append(parts, "pend:"+strconv.Itoa(p)+"/"+field(op.name)+field(op.obj)+arg)
 	}
+	f.Set(cfgs)
+	return f.Sum(), !f.Poisoned()
+}
 
-	cfgs := make([]string, 0, len(m.configs))
-	for _, c := range m.configs {
-		var b strings.Builder
-		st, ok := valField(c.st)
-		if !ok {
-			return 0, false
-		}
-		b.WriteString("st:")
-		b.WriteString(st)
-		if len(c.promises) > 0 {
-			// Sort by the promised operation's process: index order is an
-			// accident of invocation arrival.
-			byProc := append([]promise(nil), c.promises...)
-			sort.Slice(byProc, func(a, b int) bool { return m.ops[byProc[a].idx].proc < m.ops[byProc[b].idx].proc })
-			for _, pr := range byProc {
-				pv, ok := valField(pr.val)
-				if !ok {
-					return 0, false
-				}
-				b.WriteString("p" + strconv.Itoa(m.ops[pr.idx].proc) + "=")
-				b.WriteString(pv)
-			}
-		}
-		cfgs = append(cfgs, b.String())
+// foldConfig folds one configuration: its spec state, then its promised
+// responses keyed by the promising operation's process, in process
+// order. Internal operation indices depend on the invocation order the
+// history happened to arrive in, so translating them to process ids
+// (one pending operation per process) digests equivalent states reached
+// through different interleavings identically; the stable sort keeps a
+// process's crashed-and-reinvoked operations in invocation order.
+func (m *LinMonitor) foldConfig(f *history.Fingerprinter, c *linCfg) {
+	f.Val(c.st)
+	var buf [8]promise
+	byProc := append(buf[:0], c.promises...)
+	slices.SortStableFunc(byProc, func(a, b promise) int {
+		return cmp.Compare(m.ops[a.idx].proc, m.ops[b.idx].proc)
+	})
+	for _, pr := range byProc {
+		f.Int(m.ops[pr.idx].proc)
+		f.Val(pr.val)
 	}
-	sort.Strings(cfgs)
-	seen := ""
-	for _, c := range cfgs {
-		if c != seen {
-			parts = append(parts, c)
-			seen = c
-		}
-	}
-	return digestStrings(parts...), true
 }

@@ -1,9 +1,7 @@
 package safety
 
 import (
-	"fmt"
 	"math/bits"
-	"strings"
 	"sync"
 
 	"repro/internal/history"
@@ -42,10 +40,9 @@ import (
 // (copy-on-append via a capacity clip) and completion lives in a bitmask
 // on the monitor; configurations are plain values in a monitor-owned
 // slice (no per-configuration heap object); promises are short sorted
-// slices, deduplicated through a fully comparable key with the promises
-// inlined (no string building); and the search's stack, seen-set and
-// output buffer come from a shared pool, so the constant forking of
-// exploration never re-grows them.
+// slices, deduplicated by structural comparison (no key building); and
+// the search's stack, seen-set and output buffer come from a shared
+// pool, so the constant forking of exploration never re-grows them.
 type LinMonitor struct {
 	spec  SeqSpec
 	aspec AppendSpec // spec's allocation-free form, nil if not provided
@@ -83,30 +80,19 @@ type LinMonitor struct {
 // re-grown) per fork; advance holds one scratch for its full duration,
 // which keeps pool use safe under parallel exploration.
 type linScratch struct {
-	// The seen set is an array of configurations scanned linearly,
-	// spilling to a hash map only past seenInline entries: advances see
-	// a handful of configurations, and structural comparison (early-exit
-	// on the mask word, promise slices shared rather than copied) is far
-	// cheaper than building and hashing interface-bearing map keys.
+	// The seen set is an array of configurations scanned linearly:
+	// advances see a handful of configurations, and structural
+	// comparison (early-exit on the mask word, promise slices shared
+	// rather than copied) is far cheaper than building and hashing
+	// interface-bearing map keys — the scan stays faster even at the
+	// 580 entries exhaustive queueblast reaches at depth 8.
 	keys  []linCfg
-	seen  map[cfgKey]bool // spill for pathological advances
-	spill bool            // seen holds entries from this advance
 	stack []linCfg
 	next  []linCfg
 	trbuf []Transition
 }
 
-// seenInline is how many seen-set entries stay in the linear-scan array
-// before inserts spill into the hash map.
-const seenInline = 32
-
-func (sc *linScratch) reset() {
-	sc.keys = sc.keys[:0]
-	if sc.spill {
-		clear(sc.seen)
-		sc.spill = false
-	}
-}
+func (sc *linScratch) reset() { sc.keys = sc.keys[:0] }
 
 // markOf reports whether configuration (mask, st, proms) was already
 // seen, recording it if not. The recorded entry shares proms.
@@ -117,11 +103,8 @@ func (sc *linScratch) markOf(mask uint64, st State, proms []promise) bool {
 			return true
 		}
 	}
-	if len(sc.keys) < seenInline {
-		sc.keys = append(sc.keys, linCfg{mask: mask, st: st, promises: proms})
-		return false
-	}
-	return sc.spillMark(cfgKeyOf(mask, st, proms))
+	sc.keys = append(sc.keys, linCfg{mask: mask, st: st, promises: proms})
+	return false
 }
 
 // markWith is markOf for (mask, st, proms+{idx→val}) — the extended
@@ -135,13 +118,7 @@ func (sc *linScratch) markWith(mask uint64, st State, proms []promise, idx int32
 		}
 	}
 	np := insertPromise(proms, idx, val)
-	if len(sc.keys) < seenInline {
-		sc.keys = append(sc.keys, linCfg{mask: mask, st: st, promises: np})
-		return np, false
-	}
-	if sc.spillMark(cfgKeyOf(mask, st, np)) {
-		return nil, true
-	}
+	sc.keys = append(sc.keys, linCfg{mask: mask, st: st, promises: np})
 	return np, false
 }
 
@@ -155,29 +132,8 @@ func (sc *linScratch) markWithout(mask uint64, st State, proms []promise, idx in
 		}
 	}
 	np := removePromise(proms, idx)
-	if len(sc.keys) < seenInline {
-		sc.keys = append(sc.keys, linCfg{mask: mask, st: st, promises: np})
-		return np, false
-	}
-	if sc.spillMark(cfgKeyOf(mask, st, np)) {
-		return nil, true
-	}
+	sc.keys = append(sc.keys, linCfg{mask: mask, st: st, promises: np})
 	return np, false
-}
-
-// spillMark is the over-capacity path: entries past seenInline go into
-// the hash map (array entries are never migrated; lookups scan the array
-// first, so the two stores are consistent).
-func (sc *linScratch) spillMark(k cfgKey) bool {
-	if sc.seen[k] {
-		return true
-	}
-	if sc.seen == nil {
-		sc.seen = make(map[cfgKey]bool)
-	}
-	sc.seen[k] = true
-	sc.spill = true
-	return false
 }
 
 // promEq reports a == b elementwise; both are sorted by idx and equal
@@ -250,85 +206,6 @@ type linCfg struct {
 	mask     uint64
 	st       State
 	promises []promise
-}
-
-// inlineProm is how many promises a cfgKey holds inline. Promise counts
-// are bounded by the concurrently pending operations, so with the small
-// process counts of bounded exploration the overflow path is cold. The
-// count is also sized to keep cfgKey within the runtime's 128-byte
-// inline map-key limit — a larger key would make every seen-set insert
-// allocate a copy (see TestCfgKeyStaysInline).
-const inlineProm = 3
-
-// cfgKey canonically identifies a configuration for deduplication. It is
-// a comparable value — no string rendering on the hot path; promises
-// beyond the inline capacity spill into a canonical overflow string.
-// Specification states and responses must be ==-comparable (the State
-// contract, and closeOver already compares responses with !=).
-type cfgKey struct {
-	mask uint64
-	st   State
-	n    uint8
-	prom [inlineProm]promise
-	ext  string
-}
-
-// extProm renders overflow promises (those past the inline capacity)
-// canonically; proms is already sorted by idx.
-func extProm(proms []promise) string {
-	var b strings.Builder
-	for _, p := range proms {
-		fmt.Fprintf(&b, "%d=%v;", p.idx, p.val)
-	}
-	return b.String()
-}
-
-// cfgKeyOf builds the key of (mask, st, proms) without allocating in the
-// inline case.
-func cfgKeyOf(mask uint64, st State, proms []promise) cfgKey {
-	k := cfgKey{mask: mask, st: st, n: uint8(len(proms))}
-	if len(proms) <= inlineProm {
-		copy(k.prom[:], proms)
-		return k
-	}
-	copy(k.prom[:], proms[:inlineProm])
-	k.ext = extProm(proms[inlineProm:])
-	return k
-}
-
-// cfgKeyWith builds the key the configuration (mask, st, proms+{idx→val})
-// would have, without materializing the extended promise slice in the
-// inline case — the slice is only allocated when the key turns out fresh.
-func cfgKeyWith(mask uint64, st State, proms []promise, idx int32, val history.Value) cfgKey {
-	if len(proms)+1 <= inlineProm {
-		k := cfgKey{mask: mask, st: st, n: uint8(len(proms) + 1)}
-		i := 0
-		for ; i < len(proms) && proms[i].idx < idx; i++ {
-			k.prom[i] = proms[i]
-		}
-		k.prom[i] = promise{idx: idx, val: val}
-		for ; i < len(proms); i++ {
-			k.prom[i+1] = proms[i]
-		}
-		return k
-	}
-	return cfgKeyOf(mask, st, insertPromise(proms, idx, val))
-}
-
-// cfgKeyWithout is cfgKeyWith's inverse: the key after removing idx.
-func cfgKeyWithout(mask uint64, st State, proms []promise, idx int32) cfgKey {
-	if len(proms)-1 <= inlineProm {
-		k := cfgKey{mask: mask, st: st, n: uint8(len(proms) - 1)}
-		i := 0
-		for _, p := range proms {
-			if p.idx != idx {
-				k.prom[i] = p
-				i++
-			}
-		}
-		return k
-	}
-	return cfgKeyOf(mask, st, removePromise(proms, idx))
 }
 
 // insertPromise returns proms extended with idx→val, sorted (copy;

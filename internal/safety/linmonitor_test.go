@@ -2,53 +2,40 @@ package safety
 
 import (
 	"testing"
-	"unsafe"
 
 	"repro/internal/history"
 )
 
-// TestCfgKeyStaysInline pins cfgKey under the Go runtime's 128-byte
-// threshold for inline map keys. Beyond it, maps store keys indirectly
-// and every seen-set insert in the closure search allocates a key copy
-// — the monitor's dominant cost in exploration before inlineProm was
-// sized to fit.
-func TestCfgKeyStaysInline(t *testing.T) {
-	if sz := unsafe.Sizeof(cfgKey{}); sz > 128 {
-		t.Fatalf("cfgKey is %d bytes, over the 128-byte inline map-key limit; shrink inlineProm", sz)
+// TestSeenSetPastThirtyTwoEntries: the closure search's seen set must
+// tell configurations apart by value however many it already holds. The
+// set used to spill past 32 entries into a map keyed by a %v rendering
+// of the promises beyond the third, which equated promise sets such as
+// {3:"a;4=b", 5:"c"} and {3:"a", 4:"b;5=c"}, or 1 and "1", dropping the
+// second configuration as already seen — a lost configuration can turn a
+// linearizable history into a false violation.
+func TestSeenSetPastThirtyTwoEntries(t *testing.T) {
+	sc := &linScratch{}
+	for i := 0; i < 32; i++ {
+		if sc.markOf(uint64(i)<<8, "filler", nil) {
+			t.Fatalf("filler configuration %d reported seen", i)
+		}
 	}
-}
-
-// TestCfgKeyPromiseOverflow exercises the ext overflow path: monitors
-// whose configurations carry more than inlineProm promises must still
-// deduplicate correctly (same promises → same key, regardless of
-// insertion order) and distinguish differing promise sets.
-func TestCfgKeyPromiseOverflow(t *testing.T) {
-	var proms []promise
-	for i := int32(0); i < inlineProm+2; i++ {
-		proms = insertPromise(proms, i*2, int(i))
+	head := []promise{{0, "x"}, {1, "x"}, {2, "x"}}
+	with := func(tail ...promise) []promise { return append(head[:3:3], tail...) }
+	pairs := [][2][]promise{
+		{with(promise{3, "a;4=b"}, promise{5, "c"}), with(promise{3, "a"}, promise{4, "b;5=c"})},
+		{with(promise{3, 1}), with(promise{3, "1"})},
 	}
-	// Insert a middle promise last: keys are order-independent.
-	a := insertPromise(proms, 1, "x")
-	b := insertPromise(insertPromise(proms[:2:2], 1, "x"), 4, 1)
-	b = append(b, proms[2:]...)
-	// Rebuild b properly sorted via insertPromise from scratch.
-	var c []promise
-	for _, p := range a {
-		c = insertPromise(c, p.idx, p.val)
-	}
-	ka, kc := cfgKeyOf(7, "st", a), cfgKeyOf(7, "st", c)
-	if ka != kc {
-		t.Fatalf("same promise sets produced different keys:\n%#v\n%#v", ka, kc)
-	}
-	kd := cfgKeyOf(7, "st", insertPromise(proms, 1, "y"))
-	if ka == kd {
-		t.Fatal("different promise values collided in the overflow encoding")
-	}
-	if got := cfgKeyWith(7, "st", proms, 1, "x"); got != ka {
-		t.Fatalf("cfgKeyWith mismatch with materialized key:\n%#v\n%#v", got, ka)
-	}
-	if got := cfgKeyWithout(7, "st", a, 1); got != cfgKeyOf(7, "st", proms) {
-		t.Fatalf("cfgKeyWithout mismatch with materialized key: %#v", got)
+	for i, pair := range pairs {
+		mask := uint64(1)<<40 | uint64(i)
+		for j, proms := range pair {
+			if sc.markOf(mask, "st", proms) {
+				t.Errorf("pair %d: configuration %d reported seen: %v", i, j, proms)
+			}
+		}
+		if !sc.markOf(mask, "st", pair[0]) {
+			t.Errorf("pair %d: re-marking a recorded configuration reported fresh", i)
+		}
 	}
 }
 

@@ -15,6 +15,7 @@ package safety
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/history"
@@ -391,5 +392,158 @@ func TestMonitorEquivalencePropertyS(t *testing.T) {
 	for i := 0; i < 120; i++ {
 		h := randTMHistory(r, 3, 6+r.Intn(24))
 		crossCheck(t, p.Name(), p.Spawn, p.Holds, h, r.Intn(len(h)))
+	}
+}
+
+// Digester contract. The state cache prunes a prefix whose configuration
+// fingerprint and monitor digest equal those of an explored state, which
+// is sound only if monitor states with equal digests have equal futures;
+// its hits come from digests that forget how a state was reached.
+
+// digestOf returns m's residual-state digest, failing the test when m
+// cannot digest.
+func digestOf(t *testing.T, m Monitor) uint64 {
+	t.Helper()
+	d, ok := m.(history.Digester).StateDigest()
+	if !ok {
+		t.Fatalf("%T cannot digest its state", m)
+	}
+	return d
+}
+
+// crashStop crashes one random process of h at a random point: a crash
+// event there, and none of the process's later events.
+func crashStop(r *rand.Rand, h history.History) history.History {
+	p, at := 1+r.Intn(3), r.Intn(len(h)+1)
+	out := append(h[:at:at], history.Crash(p))
+	for _, e := range h[at:] {
+		if e.Proc != p {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// digestFamily is one monitor family under the digest contract.
+type digestFamily struct {
+	name  string
+	spawn func() Monitor
+	gen   func(r *rand.Rand) history.History
+}
+
+func digestFamilies() []digestFamily {
+	consensus := func(r *rand.Rand) history.History { return randConsensusHistory(r, 3, 4+r.Intn(12)) }
+	return []digestFamily{
+		{name: "agreement+validity", spawn: AgreementValidity{}.Spawn, gen: consensus},
+		{name: "2-set agreement", spawn: KSetAgreement{K: 2}.Spawn, gen: consensus},
+		{name: "mutual exclusion", spawn: MutualExclusion{}.Spawn,
+			gen: func(r *rand.Rand) history.History { return randMutexHistory(r, 3, 4+r.Intn(12)) }},
+		{name: "linearizability(register)", spawn: func() Monitor { return NewLinMonitor(RegisterSpec{Initial: 0}) },
+			gen: func(r *rand.Rand) history.History { return randRegisterHistory(r, 3, 4+r.Intn(12)) }},
+		{name: "linearizability(cas)", spawn: func() Monitor { return NewLinMonitor(CASSpec{Initial: 0}) },
+			gen: func(r *rand.Rand) history.History { return randCASHistory(r, 3, 4+r.Intn(12)) }},
+		{name: "strict linearizability(register)", spawn: func() Monitor { return NewStrictLinMonitor(RegisterSpec{Initial: 0}) },
+			gen: func(r *rand.Rand) history.History { return crashStop(r, randRegisterHistory(r, 3, 4+r.Intn(12))) }},
+		{name: "opacity", spawn: Opacity{}.Spawn,
+			gen: func(r *rand.Rand) history.History { return randTMHistory(r, 2, 6+r.Intn(12)) }},
+	}
+}
+
+// TestDigestSoundness: two monitor states of one family with equal
+// digests must return identical Step results on shared suffixes. The
+// states are every prefix of random histories, grouped by digest; the
+// suffixes shared by a group are its members' own continuations (each
+// well-formed after any member, since equal digests fold equal pending
+// operations). Opacity's digest is its history up to the first
+// violation, so its different prefixes meet only once failed.
+func TestDigestSoundness(t *testing.T) {
+	const histories, suffixes = 300, 8
+	type state struct {
+		prefix, rest history.History
+		m            Monitor
+	}
+	for _, fam := range digestFamilies() {
+		r := rand.New(rand.NewSource(11))
+		groups := make(map[uint64][]state)
+		var order []uint64
+		for i := 0; i < histories; i++ {
+			h := fam.gen(r)
+			m := fam.spawn()
+			for k := 0; k <= len(h); k++ {
+				if k > 0 {
+					m.Step(h[k-1])
+				}
+				d := digestOf(t, m)
+				if groups[d] == nil {
+					order = append(order, d)
+				}
+				groups[d] = append(groups[d], state{h[:k], h[k:], m.Fork()})
+			}
+		}
+		pairs := 0
+		for _, d := range order {
+			g := groups[d]
+			for _, b := range g[1:] {
+				a := g[0]
+				if a.prefix.Equal(b.prefix) {
+					continue
+				}
+				pairs++
+				for j := 0; j < suffixes; j++ {
+					suffix := g[r.Intn(len(g))].rest
+					ma, mb := a.m.Fork(), b.m.Fork()
+					for n, e := range suffix {
+						if ma.Step(e) != mb.Step(e) {
+							t.Fatalf("%s: equal digests, different verdicts at suffix event %d\nprefix a: %s\nprefix b: %s\nsuffix: %s",
+								fam.name, n+1, a.prefix, b.prefix, suffix)
+						}
+					}
+				}
+			}
+		}
+		t.Logf("%s: %d pairs of different prefixes share a digest", fam.name, pairs)
+		if pairs == 0 {
+			t.Errorf("%s: no two different prefixes share a digest; the check is vacuous", fam.name)
+		}
+	}
+}
+
+// TestDigestForgetsInvocationOrder: swapping two adjacent invocations of
+// different processes leaves the linearizability digest — plain and
+// strict — equal after the pair and after any common suffix. Operation
+// indices follow invocation order; the digest keys pending operations
+// and promises by process instead.
+func TestDigestForgetsInvocationOrder(t *testing.T) {
+	r := rand.New(rand.NewSource(12))
+	gens := []func(r *rand.Rand, n, events int) history.History{randRegisterHistory, randCASHistory}
+	spawns := []func() Monitor{
+		func() Monitor { return NewLinMonitor(CASSpec{Initial: 0}) },
+		func() Monitor { return NewStrictLinMonitor(CASSpec{Initial: 0}) },
+	}
+	swaps := 0
+	for i := 0; i < 300; i++ {
+		h := crashStop(r, gens[i%2](r, 3, 6+r.Intn(12)))
+		for j := 0; j+1 < len(h); j++ {
+			x, y := h[j], h[j+1]
+			if x.Kind != history.KindInvoke || y.Kind != history.KindInvoke || x.Proc == y.Proc {
+				continue
+			}
+			swapped := slices.Clone(h)
+			swapped[j], swapped[j+1] = y, x
+			swaps++
+			for _, spawn := range spawns {
+				mh, ms := spawn(), spawn()
+				for k := range h {
+					mh.Step(h[k])
+					ms.Step(swapped[k])
+					if k > j && digestOf(t, mh) != digestOf(t, ms) {
+						t.Fatalf("%T: swapping events %d and %d changed the digest after event %d:\n%s\n%s", mh, j+1, j+2, k+1, h, swapped)
+					}
+				}
+			}
+		}
+	}
+	if swaps == 0 {
+		t.Fatal("no adjacent invocations of different processes generated")
 	}
 }

@@ -2,6 +2,7 @@ package safety
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/history"
@@ -9,10 +10,33 @@ import (
 
 // Sequential specifications of classic high-level objects (the paper's
 // Section 1 context "high-level object implementations from registers
-// [19]"), used by the linearizability checker. States are encoded as
-// comparable strings via %v formatting, so dequeue/pop responses come back
-// as the formatted values: use string payloads (or any values whose %v
-// form is the value itself) when checking histories against these specs.
+// [19]"), used by the linearizability checker. Queue and stack states
+// are comparable strings holding each item's %v rendering behind a
+// length prefix ("3:x,y"), so no payload — one holding a comma, or the
+// empty string — can shift an item boundary. Dequeue/pop responses come
+// back as the rendered items: use string payloads (or any values whose
+// %v form is the value itself) when checking histories against these
+// specs.
+
+// withItem returns the container state before+item+after, item being
+// v's %v rendering behind its length (a string renders as itself).
+func withItem(before string, v history.Value, after string) string {
+	s, ok := v.(string)
+	if !ok {
+		s = fmt.Sprintf("%v", v)
+	}
+	return before + strconv.Itoa(len(s)) + ":" + s + after
+}
+
+// headItem splits a non-empty container state into its first item's
+// rendering and the remaining state. States are built only by withItem,
+// so the length prefix always parses.
+func headItem(enc string) (item, rest string) {
+	colon := strings.IndexByte(enc, ':')
+	n, _ := strconv.Atoi(enc[:colon])
+	end := colon + 1 + n
+	return enc[colon+1 : end], enc[end:]
+}
 
 // EmptyResp is the response of a dequeue/pop on an empty container.
 const EmptyResp = "empty"
@@ -40,21 +64,13 @@ func (QueueSpec) ApplyAppend(dst []Transition, st State, proc int, op, obj strin
 	}
 	switch op {
 	case "enq":
-		next := fmt.Sprintf("%v", arg)
-		if enc != "" {
-			next = enc + "," + next
-		}
-		return append(dst, Transition{Next: next, Resp: history.OK})
+		return append(dst, Transition{Next: withItem(enc, arg, ""), Resp: history.OK})
 	case "deq":
 		if enc == "" {
 			return append(dst, Transition{Next: "", Resp: EmptyResp})
 		}
-		parts := strings.SplitN(enc, ",", 2)
-		rest := ""
-		if len(parts) == 2 {
-			rest = parts[1]
-		}
-		return append(dst, Transition{Next: rest, Resp: parts[0]})
+		item, rest := headItem(enc)
+		return append(dst, Transition{Next: rest, Resp: item})
 	default:
 		return dst
 	}
@@ -82,21 +98,13 @@ func (StackSpec) ApplyAppend(dst []Transition, st State, proc int, op, obj strin
 	}
 	switch op {
 	case "push":
-		next := fmt.Sprintf("%v", arg)
-		if enc != "" {
-			next = next + "," + enc
-		}
-		return append(dst, Transition{Next: next, Resp: history.OK})
+		return append(dst, Transition{Next: withItem("", arg, enc), Resp: history.OK})
 	case "pop":
 		if enc == "" {
 			return append(dst, Transition{Next: "", Resp: EmptyResp})
 		}
-		parts := strings.SplitN(enc, ",", 2)
-		rest := ""
-		if len(parts) == 2 {
-			rest = parts[1]
-		}
-		return append(dst, Transition{Next: rest, Resp: parts[0]})
+		item, rest := headItem(enc)
+		return append(dst, Transition{Next: rest, Resp: item})
 	default:
 		return dst
 	}

@@ -72,6 +72,45 @@ func TestStackSpecBasics(t *testing.T) {
 	}
 }
 
+// TestContainerSpecItemBoundaries: queue and stack items are
+// length-prefixed inside the state, so an item holding the old comma
+// separator, or the empty item, comes back whole. Both checkers used to
+// reject these sequential one-process histories: "x,y" split into two
+// items, and "" left a state equal to the empty container.
+func TestContainerSpecItemBoundaries(t *testing.T) {
+	tests := []struct {
+		name string
+		spec SeqSpec
+		h    history.History
+	}{
+		{"queue comma item", QueueSpec{}, history.History{
+			inv(1, "enq", "x,y"), res(1, "enq", history.OK),
+			inv(1, "deq", nil), res(1, "deq", "x,y"),
+		}},
+		{"queue empty item", QueueSpec{}, history.History{
+			inv(1, "enq", ""), res(1, "enq", history.OK),
+			inv(1, "deq", nil), res(1, "deq", ""),
+		}},
+		{"stack comma item", StackSpec{}, history.History{
+			inv(1, "push", "x,y"), res(1, "push", history.OK),
+			inv(1, "pop", nil), res(1, "pop", "x,y"),
+		}},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			if !Linearizable(tt.spec, tt.h) {
+				t.Error("Linearizable rejects a sequential history")
+			}
+			m := NewLinMonitor(tt.spec)
+			for i, e := range tt.h {
+				if !m.Step(e) {
+					t.Fatalf("LinMonitor rejects a sequential history at event %d (%s)", i+1, e)
+				}
+			}
+		})
+	}
+}
+
 func TestCounterSpecBasics(t *testing.T) {
 	spec := CounterSpec{}
 	good := history.History{

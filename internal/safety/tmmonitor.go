@@ -18,9 +18,9 @@ import "repro/internal/history"
 // clobbering the shared backing array.
 type TMMonitor struct {
 	h      history.History
-	dig    HistoryDigest // running digest of h, for StateDigest
-	strict bool          // strict serializability instead of opacity
-	rule   bool          // additionally enforce the Section 5.3 timestamp rule
+	dig    history.HistoryDigest // running digest of h, for StateDigest
+	strict bool                  // strict serializability instead of opacity
+	rule   bool                  // additionally enforce the Section 5.3 timestamp rule
 	failed bool
 }
 

@@ -4,102 +4,10 @@ import (
 	"repro/internal/history"
 )
 
-// Fingerprinter accumulates a canonical 64-bit digest (FNV-1a) of
-// simulation state. Writers must feed state components in a fixed,
-// deterministic order; every component is written with a type tag so
-// adjacent components of different kinds cannot collide by
-// concatenation. The digest is deterministic across runs and processes,
-// which is what lets exploration deduplicate states across replays and
-// lets tests assert "same state, same fingerprint" across schedules.
-type Fingerprinter struct {
-	h        uint64
-	poisoned bool
-	scratch  []byte // reused encoding buffer for Val
-}
-
-// NewFingerprinter returns an empty fingerprinter.
-func NewFingerprinter() *Fingerprinter {
-	return &Fingerprinter{h: history.DigestSeed()}
-}
-
-func (f *Fingerprinter) byteIn(b byte) {
-	f.h = history.DigestByte(f.h, b)
-}
-
-func (f *Fingerprinter) tag(t byte) { f.byteIn(t) }
-
-// Str folds a string component into the digest, length-delimited.
-func (f *Fingerprinter) Str(s string) {
-	f.tag('s')
-	f.Int(len(s))
-	for i := 0; i < len(s); i++ {
-		f.byteIn(s[i])
-	}
-}
-
-// Int folds an integer component into the digest.
-func (f *Fingerprinter) Int(v int) {
-	f.tag('i')
-	f.Uint64(uint64(v))
-}
-
-// Bool folds a boolean component into the digest.
-func (f *Fingerprinter) Bool(b bool) {
-	f.tag('b')
-	if b {
-		f.byteIn(1)
-	} else {
-		f.byteIn(0)
-	}
-}
-
-// Uint64 folds a 64-bit word into the digest.
-func (f *Fingerprinter) Uint64(v uint64) {
-	f.h = history.DigestWord(f.h, v)
-}
-
-// Val folds an arbitrary history value into the digest by its dynamic
-// type and content (history.AppendCanonical: every node kind- and
-// type-tagged, every variable-size component length-delimited, map
-// entries sorted). Two values encode identically iff they are
-// structurally equal by content, and two values of different dynamic
-// types never collide with each other's content. It is NOT
-// identity-aware: two distinct allocations with equal content encode
-// the same, which is exactly why implementations that compare pointers
-// (CAS over fresh allocations) must not opt into fingerprinting — see
-// Fingerprintable.
-//
-// A value the encoder refuses — a non-nil pointer below the top level
-// (identity, not content, and possibly cyclic), a channel or function,
-// or a type whose fmt.Stringer/Formatter/error methods take over its
-// rendering — poisons the fingerprint instead: the run yields no
-// Result.Fingerprint and the state cache skips it, like a LazyArg run.
-func (f *Fingerprinter) Val(v history.Value) {
-	f.tag('v')
-	if v == nil {
-		f.Str("<nil>")
-		return
-	}
-	b, ok := history.AppendCanonical(f.scratch[:0], v)
-	f.scratch = b // keep the grown buffer for the next value
-	if !ok {
-		f.poisoned = true
-		return
-	}
-	f.tag('s')
-	f.Int(len(b))
-	for i := 0; i < len(b); i++ {
-		f.byteIn(b[i])
-	}
-}
-
-// Sum returns the digest of everything folded in so far.
-func (f *Fingerprinter) Sum() uint64 { return f.h }
-
-// Poisoned reports whether some folded value could not be canonically
-// encoded (see Val); a poisoned digest must not be used as a state
-// fingerprint.
-func (f *Fingerprinter) Poisoned() bool { return f.poisoned }
+// Fingerprinter is the canonical state encoder (history.Fingerprinter):
+// Fingerprintable objects write their shared state into it, and the
+// runtime folds each process's control state after it.
+type Fingerprinter = history.Fingerprinter
 
 // Fingerprintable is the opt-in state-fingerprint hook: an Object
 // implementing it promises that
@@ -149,7 +57,7 @@ type Fingerprintable interface {
 // when no process is executing. ok is false when some folded value
 // poisoned the digest (see Fingerprinter.Val).
 func (r *runtime) fingerprint() (fp uint64, ok bool) {
-	f := NewFingerprinter()
+	f := history.NewFingerprinter()
 	r.cfg.Object.(Fingerprintable).Fingerprint(f)
 	for id := 1; id <= r.cfg.Procs; id++ {
 		f.Int(int(r.status[id]))

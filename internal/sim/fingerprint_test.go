@@ -237,7 +237,7 @@ func TestFingerprintNestedPointerPoisons(t *testing.T) {
 		{"stringer", fpStringer{n: 1}, true},
 	}
 	for _, tc := range cases {
-		f := NewFingerprinter()
+		f := history.NewFingerprinter()
 		f.Val(tc.v)
 		if f.Poisoned() != tc.poison {
 			t.Errorf("%s: Poisoned() = %v, want %v", tc.name, f.Poisoned(), tc.poison)
@@ -262,7 +262,7 @@ func TestFingerprintValInjective(t *testing.T) {
 		{"dynamic type", int32(1), int64(1)},
 	}
 	for _, tc := range cases {
-		fa, fb := NewFingerprinter(), NewFingerprinter()
+		fa, fb := history.NewFingerprinter(), history.NewFingerprinter()
 		fa.Val(tc.a)
 		fb.Val(tc.b)
 		if fa.Poisoned() || fb.Poisoned() {

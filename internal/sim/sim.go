@@ -377,8 +377,7 @@ func (p *Proc) Observe(v history.Value) {
 	}
 	// r.fpEnc is reused across calls (windows are serialized, so no two
 	// Observes race) to keep its encoding buffer warm on this hot path.
-	r.fpEnc.h = r.fpObs[p.id]
-	r.fpEnc.poisoned = false
+	r.fpEnc.Restart(r.fpObs[p.id])
 	r.fpEnc.Val(v)
 	if r.fpEnc.Poisoned() {
 		r.fpPoisoned = true

@@ -11,10 +11,12 @@ package slx_test
 // already-explored subtree judged the same futures the pruned one would.
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
 	"repro/slx"
+	"repro/slx/hist"
 )
 
 // TestExploreCacheVerdictsMatch is the public-API acceptance gate: for
@@ -245,5 +247,52 @@ func TestExploreCacheSkipsUnfingerprintedObjects(t *testing.T) {
 	if cached.Prefixes != plain.Prefixes || cached.SimSteps != plain.SimSteps {
 		t.Errorf("cache changed the explored tree on an unfingerprintable object: %d/%d vs %d/%d",
 			cached.Prefixes, cached.SimSteps, plain.Prefixes, plain.SimSteps)
+	}
+}
+
+// TestBatchMonitorDigest: the batch monitor's residual state is its
+// history, so its digest must tell histories apart exactly — equal
+// histories digest equal, different ones differently, values %v renders
+// alike included — and must carry the property name.
+func TestBatchMonitorDigest(t *testing.T) {
+	digest := func(name string, h hist.History) uint64 {
+		t.Helper()
+		m := slx.BatchMonitor(name, func(hist.History) bool { return true })
+		for _, e := range h {
+			m.Step(e)
+		}
+		d, ok := m.(slx.Digester).StateDigest()
+		if !ok {
+			t.Fatalf("batch monitor cannot digest %s", h)
+		}
+		return d
+	}
+	values := []hist.Value{nil, 1, "1", [2]string{"x y", ""}, [2]string{"x", "y "}}
+	r := rand.New(rand.NewSource(1))
+	seen := make(map[uint64]hist.History)
+	for i := 0; i < 2000; i++ {
+		var h hist.History
+		for n := r.Intn(4); n > 0; n-- {
+			p, v := 1+r.Intn(2), values[r.Intn(len(values))]
+			if r.Intn(2) == 0 {
+				h = append(h, hist.Invoke(p, "w", v))
+			} else {
+				h = append(h, hist.Response(p, "w", v))
+			}
+		}
+		d := digest("p", h)
+		if prev, ok := seen[d]; ok && !prev.Equal(h) {
+			t.Fatalf("different histories share a digest:\n%s\n%s", prev, h)
+		}
+		seen[d] = h
+		if digest("p", h.Clone()) != d {
+			t.Fatalf("equal histories digest differently: %s", h)
+		}
+		if digest("q", h) == d {
+			t.Fatalf("the property name does not enter the digest: %s", h)
+		}
+	}
+	if len(seen) < 100 {
+		t.Fatalf("only %d distinct histories generated", len(seen))
 	}
 }

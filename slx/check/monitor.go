@@ -72,12 +72,12 @@ func (m *safetyMonitor) Release() {
 }
 
 // StateDigest implements slx.Digester by delegating to the native
-// monitor's safety.Digester hook. The wrapper's own event counter needs
-// no digesting: it equals the total event count, which the simulator
-// state fingerprint pins (per-process completed and pending operations
-// and the crash set determine it).
+// monitor's digest. The wrapper's own event counter needs no digesting:
+// it equals the total event count, which the simulator state
+// fingerprint pins (per-process completed and pending operations and
+// the crash set determine it).
 func (m *safetyMonitor) StateDigest() (uint64, bool) {
-	d, ok := m.inner.(safety.Digester)
+	d, ok := m.inner.(slx.Digester)
 	if !ok {
 		return 0, false
 	}

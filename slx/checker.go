@@ -476,8 +476,8 @@ func (s *monitorSet) Fork() explore.MonitorSet {
 	return ns
 }
 
-// StateDigest implements explore.Digester by chaining the property
-// monitors' digests in property order. The set is digestable only when
+// StateDigest implements Digester for the explore engine by chaining
+// the property monitors' digests in property order. The set is digestable only when
 // every monitor is (see Digester); one undigestable monitor makes the
 // prefix uncacheable, never unsound.
 func (s *monitorSet) StateDigest() (uint64, bool) {

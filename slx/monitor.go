@@ -3,7 +3,7 @@ package slx
 import (
 	"fmt"
 
-	"repro/internal/safety"
+	"repro/internal/history"
 	"repro/slx/hist"
 )
 
@@ -39,9 +39,7 @@ type Monitor interface {
 // is then neither looked up in nor stored to the state cache. Every
 // property in slx/check digests; a custom Monitor without the hook
 // simply makes explorations over it uncacheable, never unsound.
-type Digester interface {
-	StateDigest() (uint64, bool)
-}
+type Digester = history.Digester
 
 // BatchMonitor adapts a prefix-monotone history predicate into a Monitor
 // by accumulating the history and re-judging it on every step. It is the
@@ -57,7 +55,7 @@ type batchMonitor struct {
 	name  string
 	holds func(h hist.History) bool
 	h     hist.History
-	dig   safety.HistoryDigest // running digest of h, for StateDigest
+	dig   history.HistoryDigest // running digest of h, for StateDigest
 	// failedAt is the 1-based length of the first violating prefix, 0
 	// while the property holds.
 	failedAt int
@@ -101,7 +99,12 @@ func (m *batchMonitor) Fork() Monitor {
 // only across schedules that produced the identical external history —
 // sound for any prefix-monotone predicate, however history-dependent.
 func (m *batchMonitor) StateDigest() (uint64, bool) {
-	return m.dig.Sum("batch:" + m.name)
+	h, ok := m.dig.Sum()
+	f := history.NewFingerprinter()
+	f.Str("batch")
+	f.Str(m.name)
+	f.Uint64(h)
+	return f.Sum(), ok
 }
 
 // MonitoredSafety builds a safety Property with a native incremental

@@ -64,7 +64,8 @@ type Report struct {
 	Prefixes, SimSteps int
 	// Resims counts simulator steps spent re-establishing already
 	// visited configurations: the steps from-root rebuilds re-execute
-	// (also counted in SimSteps) and stolen-subtree seed replays.
+	// (also counted in SimSteps), stolen-subtree seed replays, and the
+	// POR split probes that precompute a stolen sibling's sleep set.
 	Resims int
 	// Pruned counts the subtrees partial-order reduction skipped during
 	// an exploration (0 unless WithPOR).
