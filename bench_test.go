@@ -197,9 +197,12 @@ func BenchmarkSimSteps(b *testing.B) {
 	b.ReportMetric(float64(res.Steps), "steps/run")
 }
 
-// P1 — linearizability checker cost against history length.
+// P1 — linearizability checker cost against history length. The batch
+// check replays the history through the linearizability monitor, the one
+// decision procedure, whose masks index pending slots; ops=128 runs past
+// the 63 operations a mask indexed by history position could hold.
 func BenchmarkLinearizabilityChecker(b *testing.B) {
-	for _, ops := range []int{8, 16, 24} {
+	for _, ops := range []int{8, 16, 24, 128} {
 		b.Run(fmt.Sprintf("ops=%d", ops), func(b *testing.B) {
 			h := concurrentRegisterHistory(ops)
 			spec := safety.RegisterSpec{Initial: 0}

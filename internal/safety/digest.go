@@ -2,6 +2,7 @@ package safety
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
 
 	"repro/internal/history"
@@ -101,24 +102,35 @@ func (m *TMMonitor) StateDigest() (uint64, bool) {
 // StateDigest implements history.Digester. The linearizability
 // monitor's future verdicts depend on its configuration set and the
 // pending operations; completed operations are frozen inside every
-// configuration's sequential state and never revisited. Each
-// configuration is digested on its own (foldConfig) and the digests are
-// folded as a set, so duplicates and the set's order drop out. The
-// pending operations are folded by (process, op, object, argument) in
-// process order, after a header of the strict and failed flags and the
-// operation count.
-//
-// The one residual dependence on history length is the maxLinOps
-// capacity cut-off, which is a function of the per-process operation
-// counts; those are part of the simulator's state fingerprint, so equal
-// cache keys imply equal capacity too.
+// configuration's sequential state and never revisited. Slot numbers
+// depend on the interleaving that filled them, so none reaches the
+// digest: the occupied slots are ranked by (process, invocation order),
+// and everything is folded by rank. The header is the strict and failed
+// flags, then every pending operation in rank order — process, whether
+// it is its process's live operation (the one a response resolves),
+// op, object and argument. Each configuration is digested on its own
+// (foldConfig) and the digests are folded as a set, so duplicates and
+// the set's order drop out.
 func (m *LinMonitor) StateDigest() (uint64, bool) {
+	var obuf [16]int
+	order := obuf[:0]
+	for rest := m.used; rest != 0; rest &= rest - 1 {
+		order = append(order, bits.TrailingZeros64(rest))
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		x, y := &m.slots[a], &m.slots[b]
+		return cmp.Or(cmp.Compare(x.proc, y.proc), cmp.Compare(x.inv, y.inv))
+	})
+	var rank [maxPendingOps]uint8 // slot → rank
+	for r, s := range order {
+		rank[s] = uint8(r)
+	}
 	f := history.NewFingerprinter()
 	var buf [16]uint64
 	cfgs := buf[:0]
 	for i := range m.configs {
 		f.Restart(history.DigestSeed())
-		m.foldConfig(f, &m.configs[i])
+		foldConfig(f, &m.configs[i], &rank)
 		if f.Poisoned() {
 			return 0, false
 		}
@@ -128,43 +140,32 @@ func (m *LinMonitor) StateDigest() (uint64, bool) {
 	f.Str("lin")
 	f.Bool(m.strict)
 	f.Bool(m.failed)
-	f.Int(len(m.ops))
-	pending := 0
-	for _, pi := range m.pending {
-		if pi != 0 {
-			pending++
-		}
-	}
-	f.Int(pending)
-	for p, pi := range m.pending {
-		if pi != 0 {
-			op := &m.ops[pi-1]
-			f.Int(p)
-			f.Str(op.name)
-			f.Str(op.obj)
-			f.Val(op.arg)
-		}
+	f.Int(len(order))
+	for _, s := range order {
+		op := &m.slots[s]
+		f.Int(op.proc)
+		f.Bool(op.proc >= 0 && op.proc < len(m.pending) && m.pending[op.proc] == s+1)
+		f.Str(op.name)
+		f.Str(op.obj)
+		f.Val(op.arg)
 	}
 	f.Set(cfgs)
 	return f.Sum(), !f.Poisoned()
 }
 
 // foldConfig folds one configuration: its spec state, then its promised
-// responses keyed by the promising operation's process, in process
-// order. Internal operation indices depend on the invocation order the
-// history happened to arrive in, so translating them to process ids
-// (one pending operation per process) digests equivalent states reached
-// through different interleavings identically; the stable sort keeps a
-// process's crashed-and-reinvoked operations in invocation order.
-func (m *LinMonitor) foldConfig(f *history.Fingerprinter, c *linCfg) {
+// responses in rank order, each keyed by its operation's rank. The
+// promises name exactly the slots the configuration's mask holds, so
+// they stand in for the mask.
+func foldConfig(f *history.Fingerprinter, c *linCfg, rank *[maxPendingOps]uint8) {
 	f.Val(c.st)
 	var buf [8]promise
-	byProc := append(buf[:0], c.promises...)
-	slices.SortStableFunc(byProc, func(a, b promise) int {
-		return cmp.Compare(m.ops[a.idx].proc, m.ops[b.idx].proc)
+	byRank := append(buf[:0], c.promises...)
+	slices.SortFunc(byRank, func(a, b promise) int {
+		return cmp.Compare(rank[a.idx], rank[b.idx])
 	})
-	for _, pr := range byProc {
-		f.Int(m.ops[pr.idx].proc)
+	for _, pr := range byRank {
+		f.Int(int(rank[pr.idx]))
 		f.Val(pr.val)
 	}
 }

@@ -36,10 +36,6 @@ type AppendSpec interface {
 	ApplyAppend(dst []Transition, st State, proc int, op, obj string, arg history.Value) []Transition
 }
 
-// maxLinOps bounds the operation count of the memoized search (operations
-// are indexed in a 64-bit mask).
-const maxLinOps = 63
-
 // Linearizable reports whether the well-formed history h is linearizable
 // with respect to spec: there is a sequential ordering of its operations,
 // containing every completed operation and any subset of pending ones,
@@ -47,81 +43,52 @@ const maxLinOps = 63
 // responses. Pending operations may take effect or not (crashed processes'
 // operations are simply pending).
 //
-// The search is a memoized Wing–Gong style DFS over (linearized set,
-// specification state). Histories with more than 63 operations are
-// rejected with false (the exclusion experiments never approach this; use
-// streams of smaller windows for longer histories).
+// It replays h through a fresh LinMonitor (LinearizabilityProperty's
+// BatchAdapter), so Check, Explore and sampling share one decision
+// procedure. Histories of any length are accepted; more than
+// maxPendingOps operations pending at once panics.
 func Linearizable(spec SeqSpec, h history.History) bool {
-	ops := h.Operations()
-	if len(ops) > maxLinOps {
-		return false
-	}
-	// mustPrecede[i] is the mask of operations that must be linearized
-	// before operation i (those completing before i's invocation).
-	mustPrecede := make([]uint64, len(ops))
-	for i := range ops {
-		for j := range ops {
-			if i != j && history.PrecedesRealTime(ops[j], ops[i]) {
-				mustPrecede[i] |= 1 << uint(j)
-			}
-		}
-	}
-	completedMask := uint64(0)
-	for i, op := range ops {
-		if op.Done {
-			completedMask |= 1 << uint(i)
-		}
-	}
-
-	type key struct {
-		mask  uint64
-		state State
-	}
-	memo := make(map[key]bool)
-
-	var dfs func(mask uint64, st State) bool
-	dfs = func(mask uint64, st State) bool {
-		if mask&completedMask == completedMask {
-			return true
-		}
-		k := key{mask, st}
-		if v, ok := memo[k]; ok {
-			return v
-		}
-		res := false
-		for i := range ops {
-			bit := uint64(1) << uint(i)
-			if mask&bit != 0 || mask&mustPrecede[i] != mustPrecede[i] {
-				continue
-			}
-			op := ops[i]
-			for _, tr := range spec.Apply(st, op.Proc, op.Name, op.Obj, op.Arg) {
-				if op.Done && tr.Resp != op.Val {
-					continue
-				}
-				if dfs(mask|bit, tr.Next) {
-					res = true
-					break
-				}
-			}
-			if res {
-				break
-			}
-		}
-		memo[k] = res
-		return res
-	}
-	return dfs(0, spec.Init())
+	return LinearizabilityProperty(spec).Holds(h)
 }
 
 // LinearizabilityProperty wraps a sequential specification as a safety
 // Property: a history is in the property iff it is linearizable w.r.t.
 // spec. Linearizability is prefix-closed (a linearization of h induces one
-// of every prefix), so this satisfies Definition 3.1.
-func LinearizabilityProperty(spec SeqSpec) Property {
-	return PropertyFunc{
+// of every prefix), so this satisfies Definition 3.1. The property is the
+// BatchAdapter over NewLinMonitor.
+func LinearizabilityProperty(spec SeqSpec) BatchAdapter {
+	return BatchAdapter{
 		PropName: fmt.Sprintf("linearizability(%s)", spec.Name()),
-		F:        func(h history.History) bool { return Linearizable(spec, h) },
+		SpawnFn:  func() Monitor { return NewLinMonitor(spec) },
+	}
+}
+
+// StrictLinearizable reports whether the well-formed history h is
+// strictly linearizable with respect to spec: linearizable in the usual
+// sense, with the additional crash cutoff of Aguilera–Frølund strict
+// linearizability — an operation pending when its process crashes
+// either takes effect before the crash point or never. Operations of
+// processes that later recover are ordinary fresh operations; the
+// recovered process therefore observes exactly the effects that were
+// durable at its crash.
+//
+// It replays h through a fresh strict LinMonitor
+// (StrictLinearizabilityProperty's BatchAdapter), like Linearizable.
+func StrictLinearizable(spec SeqSpec, h history.History) bool {
+	return StrictLinearizabilityProperty(spec).Holds(h)
+}
+
+// StrictLinearizabilityProperty wraps a sequential specification as the
+// crash-aware safety Property: a history is in the property iff it is
+// strictly linearizable w.r.t. spec. Strict linearizability is
+// prefix-closed: a strict linearization of h restricts to one of every
+// prefix (dropping operations the prefix has not invoked keeps both the
+// real-time order and the crash cutoffs intact). The property is the
+// BatchAdapter over NewStrictLinMonitor.
+func StrictLinearizabilityProperty(spec SeqSpec) BatchAdapter {
+	return BatchAdapter{
+		PropName: fmt.Sprintf("strict-linearizability(%s)", spec.Name()),
+		SpawnFn:  func() Monitor { return NewStrictLinMonitor(spec) },
 	}
 }
 

@@ -1,6 +1,7 @@
 package safety
 
 import (
+	"fmt"
 	"math/bits"
 	"sync"
 
@@ -9,40 +10,50 @@ import (
 
 // LinMonitor is the incremental linearizability checker: a just-in-time
 // Wing–Gong search that carries its partial-order state along the history
-// instead of re-solving the whole prefix at every extension.
+// instead of re-solving the whole prefix at every extension. It is the
+// one linearizability decision procedure: Linearizable and
+// StrictLinearizable replay a history through it.
 //
 // The state is a set of configurations. Each configuration witnesses one
-// way the operations seen so far can be linearized: a mask of linearized
-// operations, the sequential-specification state they produce, and the
-// promised responses of operations linearized speculatively before their
-// response arrived. Two invariants are maintained after every consumed
-// event:
+// way the operations seen so far can be linearized: a mask of the
+// pending operations it has linearized, the sequential-specification
+// state that every completed operation and those pending ones produce,
+// and the promised responses of the pending ones, which were linearized
+// speculatively before their response arrived. Two invariants are
+// maintained after every consumed event:
 //
-//  1. every configuration's mask contains every completed operation
+//  1. every completed operation is linearized in every configuration
 //     (completed operations linearize no later than their response —
-//     the real-time order of linearizability), and
+//     the real-time order of linearizability), its effect folded into
+//     the state, and
 //  2. the configuration set is exactly the set of distinct
 //     (mask, state, promises) values witnessed by some legal sequential
-//     order of the mask's operations that respects real-time order and
-//     matches every completed operation's response.
+//     order of the completed operations and the mask's operations that
+//     respects real-time order and matches every completed operation's
+//     response.
 //
 // Pending operations are linearized lazily: only when a response forces
 // operations before it. Any linearization placing a pending operation
 // later is reachable from a smaller configuration, so laziness loses no
 // witnesses; the history is linearizable iff the set is non-empty. An
 // invocation is O(1) — the configuration set is untouched — and a
-// response closes the set over the currently pending operations, which
-// on the short prefixes of bounded exploration is far cheaper than the
-// from-scratch memoized search.
+// response closes the set over the currently pending operations only,
+// so the cost of an event is independent of the history's length.
 //
-// The representation is tuned for the exploration hot loop: operations
-// are append-only and immutable, so forks share the ops backing array
-// (copy-on-append via a capacity clip) and completion lives in a bitmask
-// on the monitor; configurations are plain values in a monitor-owned
-// slice (no per-configuration heap object); promises are short sorted
-// slices, deduplicated by structural comparison (no key building); and
-// the search's stack, seen-set and output buffer come from a shared
-// pool, so the constant forking of exploration never re-grows them.
+// Masks and promises index pending slots, not positions in the history:
+// an invocation takes the lowest free slot, and the slot frees once its
+// operation is resolved — at its response, when every configuration has
+// linearized it, or under strict linearizability at the crash that
+// closes it. Freeing clears the slot's bit in every configuration, so
+// mask width bounds how many operations are pending at once
+// (maxPendingOps), not how long the history is.
+//
+// The representation is tuned for the exploration hot loop:
+// configurations are plain values in a monitor-owned slice (no
+// per-configuration heap object); promises are short sorted slices,
+// deduplicated by structural comparison (no key building); and the
+// search's stack, seen-set and output buffer come from a shared pool, so
+// the constant forking of exploration never re-grows them.
 type LinMonitor struct {
 	spec  SeqSpec
 	aspec AppendSpec // spec's allocation-free form, nil if not provided
@@ -50,28 +61,34 @@ type LinMonitor struct {
 	// pending when its process crashes must linearize before the crash
 	// point or never. The monitor then closes the operation at the crash
 	// event — each configuration branches into "the operation vanished"
-	// and "it linearized before the crash, with any response" — and marks
-	// it done so no later event can linearize it. With strict false a
+	// and "it linearized before the crash, with any response" — and frees
+	// its slot so no later event can linearize it. With strict false a
 	// crashed operation stays pending forever and may linearize at any
 	// later point, which is plain linearizability on crash-free suffixes
 	// but too weak once crashed processes recover: a recovered process
 	// must observe only effects that were durable at its crash.
 	strict bool
-	// ops holds every operation seen, in invocation order. Entries are
-	// immutable once appended, so Fork shares the backing array: both
-	// sides are clipped to length (full slice expression), making any
-	// later append reallocate instead of writing through the share.
-	ops      []monOp
-	doneMask uint64 // bit i set iff ops[i] has responded
-	pending  []int  // proc → index+1 in ops of its pending operation (0 = none)
-	configs  []linCfg
-	failed   bool
-	// Inline backings for pending and configs: exploration forks a
-	// monitor per branch, and with the small process and configuration
-	// counts of bounded exploration both slices fit inline, so Fork
-	// allocates one object instead of three.
+	// slots[s] is the operation pending in slot s; used has bit s set iff
+	// slot s is occupied (entries of free slots are stale). A crashed
+	// operation keeps its slot for good under plain linearizability, so
+	// at most procs + recoveries slots are ever occupied.
+	slots   []linSlot
+	used    uint64
+	invs    uint64 // invocations consumed; orders one process's slots
+	pending []int  // proc → slot+1 of its live operation (0 = none)
+	configs []linCfg
+	failed  bool
+	// Inline backings for pending and slots: exploration forks a monitor
+	// per branch, and with the small process counts of bounded
+	// exploration both fit inline, so a pooled Fork copies into them
+	// instead of allocating.
 	pendInline [8]int
+	slotInline [8]linSlot
 }
+
+// maxPendingOps is how many operations the monitor can hold pending at
+// once: one bit of a configuration's uint64 mask per pending slot.
+const maxPendingOps = 64
 
 // linScratch is the transient state of one advance call: the closure
 // search's stack and seen-set, the rebuilt configuration set, and the
@@ -186,22 +203,25 @@ var scratchPool = sync.Pool{New: func() any {
 	return &linScratch{}
 }}
 
-// monOp is one observed operation, immutable once appended.
-type monOp struct {
+// linSlot is the operation pending in one slot.
+type linSlot struct {
 	proc      int
 	name, obj string
 	arg       history.Value
+	inv       uint64 // invocation order, which ranks a process's slots
 }
 
-// promise is one speculative linearization: the pending operation's index
+// promise is one speculative linearization: the pending operation's slot
 // and the response the chosen transition committed it to.
 type promise struct {
 	idx int32
 	val history.Value
 }
 
-// linCfg is one immutable configuration. promises is sorted by idx and
-// never mutated once attached, so configurations share promise slices.
+// linCfg is one immutable configuration: mask has the bit of every
+// pending slot the configuration linearized, which are exactly the slots
+// its promises name. promises is sorted by idx and never mutated once
+// attached, so configurations share promise slices.
 type linCfg struct {
 	mask     uint64
 	st       State
@@ -264,41 +284,28 @@ func NewStrictLinMonitor(spec SeqSpec) *LinMonitor {
 	return m
 }
 
-// Spawn implements the monitor side of the linearizability property.
-func (m *LinMonitor) Spawn() Monitor {
-	s := NewLinMonitor(m.spec)
-	s.strict = m.strict
-	return s
-}
-
-// Step implements Monitor.
+// Step implements Monitor. It panics when an invocation would make more
+// than maxPendingOps operations pending at once.
 func (m *LinMonitor) Step(e history.Event) bool {
 	if m.failed {
 		return false
 	}
 	switch e.Kind {
 	case history.KindInvoke:
-		if len(m.ops) >= maxLinOps {
-			// Match the batch checker's cap: histories beyond the mask
-			// width are rejected.
-			m.failed = true
-			return false
-		}
+		s := m.take(e)
 		if e.Proc >= 0 {
 			for len(m.pending) <= e.Proc {
 				m.pending = append(m.pending, 0)
 			}
-			m.pending[e.Proc] = len(m.ops) + 1
+			m.pending[e.Proc] = s + 1
 		}
-		m.ops = append(m.ops, monOp{proc: e.Proc, name: e.Op, obj: e.Obj, arg: e.Arg})
 	case history.KindResponse:
 		if e.Proc < 0 || e.Proc >= len(m.pending) || m.pending[e.Proc] == 0 {
 			return true // stray response; well-formed histories never produce one
 		}
-		idx := m.pending[e.Proc] - 1
+		s := m.pending[e.Proc] - 1
 		m.pending[e.Proc] = 0
-		m.doneMask |= uint64(1) << uint(idx)
-		m.advance(idx, e.Val)
+		m.advance(s, e.Val)
 		if len(m.configs) == 0 {
 			m.failed = true
 			return false
@@ -309,9 +316,9 @@ func (m *LinMonitor) Step(e history.Event) bool {
 		// operations are treated. Strict: the operation is closed at the
 		// crash (linearize now-or-earlier with any response, or vanish).
 		if m.strict && e.Proc >= 0 && e.Proc < len(m.pending) && m.pending[e.Proc] != 0 {
-			idx := m.pending[e.Proc] - 1
+			s := m.pending[e.Proc] - 1
 			m.pending[e.Proc] = 0
-			m.crashClose(idx)
+			m.crashClose(s)
 		}
 	case history.KindRecover:
 		// Recovery introduces no operation: the recovered process's next
@@ -320,27 +327,57 @@ func (m *LinMonitor) Step(e history.Event) bool {
 	return true
 }
 
-// crashClose consumes the crash of a process with operation idx pending:
-// every configuration branches into the operation vanishing (the
-// configuration survives unchanged) and linearizing before the crash
-// point — possibly after speculatively linearizing other pending
+// take puts the operation e invokes in the lowest free slot and returns
+// that slot.
+func (m *LinMonitor) take(e history.Event) int {
+	if m.used == ^uint64(0) {
+		panic(fmt.Sprintf("safety: linearizability monitor: more than %d operations pending at once", maxPendingOps))
+	}
+	s := bits.TrailingZeros64(^m.used)
+	m.used |= uint64(1) << uint(s)
+	op := linSlot{proc: e.Proc, name: e.Op, obj: e.Obj, arg: e.Arg, inv: m.invs}
+	m.invs++
+	// Slots fill lowest first, so s never lies past the end of the table.
+	if s < len(m.slots) {
+		m.slots[s] = op
+	} else {
+		m.slots = append(m.slots, op)
+	}
+	return s
+}
+
+// free releases slot s, whose operation every configuration in sc.next
+// has resolved: sc.next becomes the configuration set with s's bit
+// cleared. dedup drops configurations that become equal, which happens
+// only when some configurations lack the bit.
+func (m *LinMonitor) free(sc *linScratch, s int, dedup bool) {
+	bit := uint64(1) << uint(s)
+	m.used &^= bit
+	sc.reset()
+	m.configs = m.configs[:0]
+	for _, c := range sc.next {
+		c.mask &^= bit
+		if !dedup || !sc.markOf(c.mask, c.st, c.promises) {
+			m.configs = append(m.configs, c)
+		}
+	}
+}
+
+// crashClose consumes the crash of a process with the operation in slot
+// idx pending: every configuration branches into the operation vanishing
+// (the configuration survives unchanged) and linearizing before the
+// crash point — possibly after speculatively linearizing other pending
 // operations, with any response, since no response event will ever
-// check it. idx is then marked done, so no later advance can linearize
-// it: that is the strict-linearizability cutoff. Unlike advance, the
-// configuration set can only grow here, so the monitor never fails at a
-// crash event.
-//
-// After a crashClose the completed-mask invariant weakens to "every
-// responded operation is in every mask": a vanished operation is done
-// but absent from the surviving configurations' masks. That is sound —
-// a done operation is excluded from pendMask, so its mask bit never
-// influences future transitions.
+// check it. The slot is then freed, so no later event can linearize the
+// operation: that is the strict-linearizability cutoff. A configuration
+// that linearized it and one where it vanished become equal if they
+// agree on the rest, so freeing deduplicates. Every configuration
+// survives in some form, so the monitor never fails at a crash event.
 func (m *LinMonitor) crashClose(idx int) {
 	bit := uint64(1) << uint(idx)
 	sc := scratchPool.Get().(*linScratch)
 	sc.reset()
 	sc.next = sc.next[:0]
-	pendMask := (uint64(1)<<uint(len(m.ops)) - 1) &^ m.doneMask
 	for i := range m.configs {
 		c := &m.configs[i]
 		if c.mask&bit != 0 {
@@ -365,16 +402,16 @@ func (m *LinMonitor) crashClose(idx int) {
 			// (the first discoverer of a shared configuration emitted it).
 			sc.next = append(sc.next, cur)
 			// Or it linearizes here, with any response.
-			for _, tr := range m.apply(sc, cur.st, &m.ops[idx]) {
+			for _, tr := range m.apply(sc, cur.st, &m.slots[idx]) {
 				if !sc.markOf(cur.mask|bit, tr.Next, cur.promises) {
 					sc.next = append(sc.next, linCfg{mask: cur.mask | bit, st: tr.Next, promises: cur.promises})
 				}
 			}
 			// Or another pending operation speculatively linearizes first.
-			for rest := pendMask &^ cur.mask &^ bit; rest != 0; rest &= rest - 1 {
+			for rest := m.used &^ cur.mask &^ bit; rest != 0; rest &= rest - 1 {
 				j := bits.TrailingZeros64(rest)
 				jbit := uint64(1) << uint(j)
-				for _, tr := range m.apply(sc, cur.st, &m.ops[j]) {
+				for _, tr := range m.apply(sc, cur.st, &m.slots[j]) {
 					np, dup := sc.markWith(cur.mask|jbit, tr.Next, cur.promises, int32(j), tr.Resp)
 					if dup {
 						continue
@@ -384,8 +421,7 @@ func (m *LinMonitor) crashClose(idx int) {
 			}
 		}
 	}
-	m.doneMask |= bit
-	m.configs = append(m.configs[:0], sc.next...)
+	m.free(sc, idx, true)
 	scratchPool.Put(sc)
 }
 
@@ -393,7 +429,7 @@ func (m *LinMonitor) crashClose(idx int) {
 // append form into pooled scratch when available. The returned slice is
 // invalidated by the next apply call — callers finish iterating before
 // applying again.
-func (m *LinMonitor) apply(sc *linScratch, st State, op *monOp) []Transition {
+func (m *LinMonitor) apply(sc *linScratch, st State, op *linSlot) []Transition {
 	if m.aspec != nil {
 		sc.trbuf = m.aspec.ApplyAppend(sc.trbuf[:0], st, op.proc, op.name, op.obj, op.arg)
 		return sc.trbuf
@@ -401,10 +437,11 @@ func (m *LinMonitor) apply(sc *linScratch, st State, op *monOp) []Transition {
 	return m.spec.Apply(st, op.proc, op.name, op.obj, op.arg)
 }
 
-// advance consumes the response of operation idx: configurations that
-// already linearized it keep only if they promised this response;
-// configurations that did not must linearize it now, possibly after
-// speculatively linearizing other pending operations.
+// advance consumes the response of the operation in slot idx:
+// configurations that already linearized it keep only if they promised
+// this response; configurations that did not must linearize it now,
+// possibly after speculatively linearizing other pending operations.
+// Every surviving configuration then holds idx, and the slot is freed.
 //
 // One seen-set serves the whole response: intermediate configurations
 // (mask without idx) and output configurations (mask with idx) occupy
@@ -431,7 +468,7 @@ func (m *LinMonitor) advance(idx int, val history.Value) {
 		}
 		m.closeOver(sc, c, idx, val)
 	}
-	m.configs = append(m.configs[:0], sc.next...)
+	m.free(sc, idx, false)
 	scratchPool.Put(sc)
 }
 
@@ -445,13 +482,12 @@ func (m *LinMonitor) closeOver(sc *linScratch, c *linCfg, idx int, val history.V
 		return // an earlier source configuration already closed over c
 	}
 	bit := uint64(1) << uint(idx)
-	pendMask := (uint64(1)<<uint(len(m.ops)) - 1) &^ m.doneMask
 	sc.stack = append(sc.stack[:0], *c)
 	for len(sc.stack) > 0 {
 		cur := sc.stack[len(sc.stack)-1]
 		sc.stack = sc.stack[:len(sc.stack)-1]
 		// Linearize idx now, closing this branch.
-		for _, tr := range m.apply(sc, cur.st, &m.ops[idx]) {
+		for _, tr := range m.apply(sc, cur.st, &m.slots[idx]) {
 			if tr.Resp != val {
 				continue
 			}
@@ -460,10 +496,10 @@ func (m *LinMonitor) closeOver(sc *linScratch, c *linCfg, idx int, val history.V
 			}
 		}
 		// Or speculatively linearize another pending operation first.
-		for rest := pendMask &^ cur.mask &^ bit; rest != 0; rest &= rest - 1 {
+		for rest := m.used &^ cur.mask &^ bit; rest != 0; rest &= rest - 1 {
 			j := bits.TrailingZeros64(rest)
 			jbit := uint64(1) << uint(j)
-			for _, tr := range m.apply(sc, cur.st, &m.ops[j]) {
+			for _, tr := range m.apply(sc, cur.st, &m.slots[j]) {
 				np, dup := sc.markWith(cur.mask|jbit, tr.Next, cur.promises, int32(j), tr.Resp)
 				if dup {
 					continue
@@ -479,23 +515,23 @@ func (m *LinMonitor) OK() bool { return !m.failed }
 
 // linPool recycles released monitors back into Fork: exploration forks
 // one monitor per branch and releases it when the branch's subtree is
-// done, so steady-state forking reuses the pending and configs backings
-// instead of allocating.
+// done, so steady-state forking reuses the slot, pending and configs
+// backings instead of allocating.
 var linPool = sync.Pool{New: func() any { return new(LinMonitor) }}
 
 // Fork implements Monitor.
 func (m *LinMonitor) Fork() Monitor {
-	// Clip ops so both sides copy-on-append instead of copying now:
-	// entries are immutable, only the shared backing's spare capacity
-	// must not be written through.
-	m.ops = m.ops[:len(m.ops):len(m.ops)]
 	f := linPool.Get().(*LinMonitor)
-	f.spec, f.aspec, f.ops, f.doneMask, f.failed = m.spec, m.aspec, m.ops, m.doneMask, m.failed
-	f.strict = m.strict
+	f.spec, f.aspec, f.strict, f.failed = m.spec, m.aspec, m.strict, m.failed
+	f.used, f.invs = m.used, m.invs
 	if f.pending == nil {
 		f.pending = f.pendInline[:0]
 	}
+	if f.slots == nil {
+		f.slots = f.slotInline[:0]
+	}
 	f.pending = append(f.pending[:0], m.pending...)
+	f.slots = append(f.slots[:0], m.slots...)
 	f.configs = append(f.configs[:0], m.configs...)
 	return f
 }

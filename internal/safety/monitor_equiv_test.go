@@ -8,10 +8,12 @@ package safety
 // verdict must equal the batch verdict, before and after forking, and
 // forks must be independent of their parents.
 //
-// For the three scan checkers (agreement+validity, k-set, mutual
-// exclusion) whose batch Holds is itself derived from the monitor via
-// BatchAdapter, the oracles below are independent re-implementations of
-// the original one-pass scans, so the cross-check is not circular.
+// For the checkers whose batch Holds is itself derived from the monitor
+// via BatchAdapter — agreement+validity, k-set, mutual exclusion and
+// (strict) linearizability — the oracles are independent
+// re-implementations: the original one-pass scans below, and the
+// memoized Wing–Gong search of linoracle_test.go, so the cross-check is
+// not circular.
 
 import (
 	"math/rand"
@@ -320,15 +322,21 @@ func TestMonitorEquivalenceLinearizability(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	spec := RegisterSpec{Initial: 0}
 	spawn := func() Monitor { return NewLinMonitor(spec) }
-	oracle := func(h history.History) bool { return Linearizable(spec, h) }
+	oracle := func(h history.History) bool { return oracleLinearizable(spec, h, false) }
 	for i := 0; i < 300; i++ {
 		h := randRegisterHistory(r, 3, 4+r.Intn(16))
 		crossCheck(t, "linearizability(register)", spawn, oracle, h, r.Intn(len(h)))
 	}
+	// Crashed operations stay pending, and keep their slots, while their
+	// recovered processes invoke afresh.
+	for i := 0; i < 300; i++ {
+		h := randCrashRegisterHistory(r, 3, 4+r.Intn(20))
+		crossCheck(t, "linearizability(register), crash+recover", spawn, oracle, h, r.Intn(len(h)))
+	}
 	// Also against the CAS specification, whose responses depend on state.
 	cas := CASSpec{Initial: 0}
 	spawnCAS := func() Monitor { return NewLinMonitor(cas) }
-	oracleCAS := func(h history.History) bool { return Linearizable(cas, h) }
+	oracleCAS := func(h history.History) bool { return oracleLinearizable(cas, h, false) }
 	for i := 0; i < 200; i++ {
 		h := randCASHistory(r, 3, 4+r.Intn(14))
 		crossCheck(t, "linearizability(cas)", spawnCAS, oracleCAS, h, r.Intn(len(h)))
@@ -440,6 +448,8 @@ func digestFamilies() []digestFamily {
 			gen: func(r *rand.Rand) history.History { return randMutexHistory(r, 3, 4+r.Intn(12)) }},
 		{name: "linearizability(register)", spawn: func() Monitor { return NewLinMonitor(RegisterSpec{Initial: 0}) },
 			gen: func(r *rand.Rand) history.History { return randRegisterHistory(r, 3, 4+r.Intn(12)) }},
+		{name: "linearizability(register), crash+recover", spawn: func() Monitor { return NewLinMonitor(RegisterSpec{Initial: 0}) },
+			gen: func(r *rand.Rand) history.History { return randCrashRegisterHistory(r, 3, 4+r.Intn(14)) }},
 		{name: "linearizability(cas)", spawn: func() Monitor { return NewLinMonitor(CASSpec{Initial: 0}) },
 			gen: func(r *rand.Rand) history.History { return randCASHistory(r, 3, 4+r.Intn(12)) }},
 		{name: "strict linearizability(register)", spawn: func() Monitor { return NewStrictLinMonitor(RegisterSpec{Initial: 0}) },
@@ -510,9 +520,9 @@ func TestDigestSoundness(t *testing.T) {
 
 // TestDigestForgetsInvocationOrder: swapping two adjacent invocations of
 // different processes leaves the linearizability digest — plain and
-// strict — equal after the pair and after any common suffix. Operation
-// indices follow invocation order; the digest keys pending operations
-// and promises by process instead.
+// strict — equal after the pair and after any common suffix. Slots are
+// taken in invocation order; the digest ranks pending operations and
+// promises by process instead.
 func TestDigestForgetsInvocationOrder(t *testing.T) {
 	r := rand.New(rand.NewSource(12))
 	gens := []func(r *rand.Rand, n, events int) history.History{randRegisterHistory, randCASHistory}
@@ -545,5 +555,32 @@ func TestDigestForgetsInvocationOrder(t *testing.T) {
 	}
 	if swaps == 0 {
 		t.Fatal("no adjacent invocations of different processes generated")
+	}
+}
+
+// TestDigestSeparatesCrashedPendingOps: under plain linearizability a
+// crashed operation stays pending after its process recovers and
+// invokes again. Two monitors that differ only in that crashed operation
+// have different futures — a read of 1 is linearizable only if the
+// crashed write wrote 1 — so their digests must differ. A digest that
+// folds only each process's live operation equates them.
+func TestDigestSeparatesCrashedPendingOps(t *testing.T) {
+	after := func(v int) Monitor {
+		m := NewLinMonitor(RegisterSpec{Initial: 0})
+		for _, e := range []history.Event{
+			history.Invoke(1, "write", v), history.Crash(1), history.Recover(1),
+			history.Invoke(1, "read", nil),
+		} {
+			m.Step(e)
+		}
+		return m
+	}
+	m1, m2 := after(1), after(2)
+	read1 := history.Response(1, "read", 1)
+	if ok1, ok2 := m1.Fork().Step(read1), m2.Fork().Step(read1); !ok1 || ok2 {
+		t.Fatalf("read of 1: accepted after write(1)=%v, after write(2)=%v; want true, false", ok1, ok2)
+	}
+	if digestOf(t, m1) == digestOf(t, m2) {
+		t.Error("monitors whose crashed pending writes differ share a digest")
 	}
 }

@@ -66,14 +66,8 @@ func TestStrictLinearizableBasics(t *testing.T) {
 			if got := StrictLinearizable(spec, tc.h); got != tc.want {
 				t.Errorf("StrictLinearizable = %v, want %v on %s", got, tc.want, tc.h)
 			}
-			// The incremental monitor must agree with the batch verdict.
-			m := NewStrictLinMonitor(spec)
-			ok := true
-			for _, e := range tc.h {
-				ok = m.Step(e)
-			}
-			if ok != tc.want {
-				t.Errorf("monitor = %v, want %v on %s", ok, tc.want, tc.h)
+			if got := oracleLinearizable(spec, tc.h, true); got != tc.want {
+				t.Errorf("oracle = %v, want %v on %s", got, tc.want, tc.h)
 			}
 		})
 	}
@@ -145,13 +139,13 @@ func randCrashRegisterHistory(r *rand.Rand, n, events int) history.History {
 }
 
 // TestMonitorEquivalenceStrictLinearizability cross-checks the strict
-// monitor against the batch strict checker at every prefix of random
+// monitor against the strict Wing–Gong oracle at every prefix of random
 // crash/recovery histories, forks included, via the shared harness.
 func TestMonitorEquivalenceStrictLinearizability(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	spec := RegisterSpec{Initial: 0}
 	spawn := func() Monitor { return NewStrictLinMonitor(spec) }
-	oracle := func(h history.History) bool { return StrictLinearizable(spec, h) }
+	oracle := func(h history.History) bool { return oracleLinearizable(spec, h, true) }
 	for i := 0; i < 300; i++ {
 		h := randCrashRegisterHistory(r, 3, 4+r.Intn(16))
 		crossCheck(t, "strict-linearizability(register)", spawn, oracle, h, r.Intn(len(h)))
@@ -159,13 +153,14 @@ func TestMonitorEquivalenceStrictLinearizability(t *testing.T) {
 }
 
 // TestStrictEqualsPlainWithoutCrashes: on crash-free histories the
-// strict checker and monitor coincide with the plain ones.
+// strict check coincides with plain linearizability, as the plain
+// oracle decides it.
 func TestStrictEqualsPlainWithoutCrashes(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
 	spec := RegisterSpec{Initial: 0}
 	for i := 0; i < 300; i++ {
 		h := randRegisterHistory(r, 3, 4+r.Intn(16))
-		plain := Linearizable(spec, h)
+		plain := oracleLinearizable(spec, h, false)
 		if strict := StrictLinearizable(spec, h); strict != plain {
 			t.Fatalf("crash-free divergence: strict=%v plain=%v on %s", strict, plain, h)
 		}

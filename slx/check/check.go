@@ -105,13 +105,16 @@ type (
 )
 
 // Linearizability is linearizability with respect to the sequential
-// specification spec. The incremental monitor carries a persistent set
-// of partial linearizations along the history (safety.LinMonitor); the
-// batch check is the independent memoized Wing–Gong search.
+// specification spec. One decision procedure serves every path: the
+// incremental monitor carries a persistent set of partial linearizations
+// along the history (safety.LinMonitor), and the batch check replays the
+// history through a fresh one. Histories of any length are accepted, but
+// at most 64 operations may be pending at once — one per process, plus
+// one per crashed operation a recovered process left behind; beyond
+// that the monitor panics rather than return a verdict.
 func Linearizability(spec SeqSpec) slx.Property {
-	return monitored(fmt.Sprintf("linearizability(%s)", spec.Name()),
-		func(h hist.History) bool { return safety.Linearizable(spec, h) },
-		func() safety.Monitor { return safety.NewLinMonitor(spec) })
+	p := safety.LinearizabilityProperty(spec)
+	return monitored(p.Name(), p.Holds, p.Spawn)
 }
 
 // StrictLinearizability is the crash-aware variant of Linearizability
@@ -121,11 +124,13 @@ func Linearizability(spec SeqSpec) slx.Property {
 // that were durable at its crash. On crash-free histories it coincides
 // with Linearizability. Use it with WithCrashes/WithRecoveries; the
 // plain property is too weak there — it lets a crashed operation take
-// effect after its process has already recovered and moved on.
+// effect after its process has already recovered and moved on. Like
+// Linearizability it is decided by the one monitor, with no bound on
+// history length and at most 64 operations pending at once (a crash
+// closes its operation here, so that is at most one per process).
 func StrictLinearizability(spec SeqSpec) slx.Property {
-	return monitored(fmt.Sprintf("strict-linearizability(%s)", spec.Name()),
-		func(h hist.History) bool { return safety.StrictLinearizable(spec, h) },
-		func() safety.Monitor { return safety.NewStrictLinMonitor(spec) })
+	p := safety.StrictLinearizabilityProperty(spec)
+	return monitored(p.Name(), p.Holds, p.Spawn)
 }
 
 // Opaque reports TM opacity of a single history (the raw predicate

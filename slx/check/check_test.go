@@ -330,7 +330,12 @@ func TestPropertiesGoodAndBad(t *testing.T) {
 // Prefixes and EventScans — with Explore on slx.SafetyFunc over the same
 // property's batch checker, which slx.BatchMonitor re-judges on every
 // event. Safety properties are prefix-closed, so both judges reject the
-// same event of the same path, or none.
+// same event of the same path, or none. The two linearizability
+// constructors' batch checks replay the history through the same monitor
+// (safety.LinMonitor is their one decision procedure), so for those
+// cases the gate checks the SafetyFunc/BatchMonitor plumbing against the
+// native path, not one procedure against another; the monitor's
+// independent oracle is internal/safety's Wing–Gong search test.
 func TestExploreUsesMonitors(t *testing.T) {
 	durable, ok := service.LookupTarget("durablequeue")
 	if !ok {
