@@ -23,6 +23,7 @@ import (
 	"repro/slx/check"
 	"repro/slx/hist"
 	"repro/slx/run"
+	"repro/slx/tm"
 )
 
 // benchRegister is a linearizable read/write register: every access is a
@@ -381,6 +382,26 @@ func BenchmarkExploreRecoveryMonitor(b *testing.B) {
 // both footprints and fingerprints.
 func BenchmarkExploreRecoveryCachePOR(b *testing.B) {
 	benchExplore(b, recExploreChecker(slx.WithPOR(), slx.WithStateCache()), strictProp())
+}
+
+// BenchmarkExploreDSTM is slxbench's dstm:xy/yx job: two processes
+// loop a read-one-write-other transaction over x and y, explored for
+// opacity at depth 6. DSTM has no snapshot hook, so this is the in-tree
+// object that explores on the from-root strategy, rebuilding from a
+// fresh object and environment on every restore that moves.
+func BenchmarkExploreDSTM(b *testing.B) {
+	c := slx.New(
+		slx.WithProcs(2),
+		slx.WithDepth(6),
+		slx.WithObject(func() run.Object { return tm.NewDSTM(2) }),
+		slx.WithEnv(func() run.Environment {
+			return tm.TxnLoop(map[int]tm.Txn{
+				1: {Accesses: []tm.Access{{Var: "x"}, {Write: true, Var: "y", Val: 11}}},
+				2: {Accesses: []tm.Access{{Var: "y"}, {Write: true, Var: "x", Val: 21}}},
+			})
+		}),
+	)
+	benchExplore(b, c, check.Opacity())
 }
 
 func benchExploreLinearizability(b *testing.B, c *slx.Checker) {

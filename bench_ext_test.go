@@ -192,20 +192,28 @@ func BenchmarkQueueThroughput(b *testing.B) {
 	}
 }
 
+// swObject runs the software snapshot's frames: "scan" responds with the
+// scanned view, "update" writes the caller's own component.
+type swObject struct{ sw *snapshot.SW }
+
+func (o swObject) Apply(p *sim.Proc, inv sim.Invocation) history.Value {
+	return sim.ApplyFrames(o, p, inv)
+}
+
+func (o swObject) Begin(p *sim.Proc, inv sim.Invocation) (sim.Frame, history.Value, sim.StepStatus) {
+	if inv.Op == "scan" {
+		return o.sw.ScanFrame(), nil, sim.StepPaused
+	}
+	return o.sw.UpdateFrame(p.ID()-1, inv.Arg), nil, sim.StepPaused
+}
+
 // Software snapshot: scan cost (steps) as interference grows.
 func BenchmarkSoftwareSnapshotScanSteps(b *testing.B) {
 	for _, n := range []int{2, 4, 8} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			steps := 0
 			for i := 0; i < b.N; i++ {
-				sw := snapshot.New("R", n, 0)
-				obj := sim.ObjectFunc(func(p *sim.Proc, inv sim.Invocation) history.Value {
-					if inv.Op == "scan" {
-						return safety.EncodeVector(sw.Scan(p))
-					}
-					sw.Update(p, p.ID()-1, inv.Arg)
-					return history.OK
-				})
+				obj := swObject{snapshot.New("R", n, 0)}
 				script := map[int][]sim.Invocation{1: {{Op: "scan"}}}
 				for p := 2; p <= n; p++ {
 					script[p] = []sim.Invocation{{Op: "update", Arg: p}, {Op: "update", Arg: p * 10}}

@@ -357,8 +357,9 @@ func BenchmarkExhaustiveExplore(b *testing.B) {
 // P1 — base-object step overhead through the full scheduler handshake.
 func BenchmarkBaseObjectStep(b *testing.B) {
 	reg := base.NewRegister("r", 0)
-	obj := sim.ObjectFunc(func(p *sim.Proc, inv sim.Invocation) history.Value {
-		return reg.Read(p)
+	obj := sim.ObjectFunc(func(p *sim.Proc, inv sim.Invocation) (v history.Value) {
+		p.Exec("read", func() { v = reg.ReadW(p) })
+		return v
 	})
 	res := sim.Run(sim.Config{
 		Procs:     1,

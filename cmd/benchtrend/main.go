@@ -72,6 +72,7 @@ var sections = map[string]string{
 	"BenchmarkExploreLinearizabilityWorkers4": "parallel_work_stealing",
 	"BenchmarkExploreRecoveryMonitor":         "recovery",
 	"BenchmarkExploreRecoveryCachePOR":        "recovery_cache_por",
+	"BenchmarkExploreDSTM":                    "dstm",
 	"BenchmarkSampleThroughput":               "sample",
 	"BenchmarkSampleThroughputReplay":         "sample_replay",
 	"BenchmarkServiceThroughput":              "service",

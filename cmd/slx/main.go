@@ -285,7 +285,7 @@ func exploreFlags(fs *flag.FlagSet) func() service.JobSpec {
 	fs.IntVar(&j.Workers, "workers", 1, "explore with n work-stealing workers (submit: extra lanes are offered to the daemon's pool)")
 	fs.BoolVar(&j.POR, "por", false, "sleep-set partial-order reduction (prune interleavings that only commute independent steps)")
 	fs.BoolVar(&j.Cache, "cache", false, "state-fingerprint cache (prune subtrees rooted at already-explored states)")
-	fs.BoolVar(&j.Replay, "replay", false, "force from-root execution (sessions rebuild over the blocking Apply instead of restoring snapshots)")
+	fs.BoolVar(&j.Replay, "replay", false, "force from-root execution (sessions rebuild from the root, running the object's Apply, instead of restoring snapshots)")
 	timeout := fs.Duration("timeout", 0, "wall-clock budget; an expired exploration reports partial statistics (explore exits 124)")
 	fs.BoolVar(&j.Sample, "sample", false, "probabilistic sampling instead of exhaustive enumeration")
 	fs.IntVar(&j.Schedules, "schedules", 10000, "sampled schedules (with -sample)")

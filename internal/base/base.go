@@ -5,36 +5,18 @@
 // shared objects (consensus, transactional memory) are implemented.
 //
 // Every operation on a base object is exactly one atomic step of the
-// executing process, expressed in two equivalent forms:
-//
-//   - The window form (ReadW, WriteW, ...) takes an Accessor and
-//     performs the effect immediately: the caller — a continuation
-//     state machine's Begin/Step body (see sim.Stepped) — already runs
-//     inside a granted step window.
-//
-//   - The blocking form (Read, Write, ...) takes a Stepper: the
-//     operation obtains a step grant from the scheduler (blocking
-//     inside Stepper.Exec) and runs the window form within that grant.
-//     A blocking sim.Object.Apply performs its accesses this way.
-//
-// The simulation runtime serializes all grants, so base-object state
-// needs no locking.
+// executing process. The operations (ReadW, WriteW, ...) take an
+// Accessor and perform the effect immediately: their caller — a frame
+// machine's Step (see sim.Stepped), or the op of a Proc.Exec in a
+// hand-written blocking Apply — already runs inside the granted step's
+// window. The simulation runtime serializes all grants, so base-object
+// state needs no locking.
 package base
 
 import "repro/internal/history"
 
 // Value is the datum stored in base objects.
 type Value = history.Value
-
-// Stepper grants atomic steps. Exec blocks until the scheduler schedules
-// the calling process, then runs op as a single atomic step. desc is a
-// human-readable step description used for tracing.
-//
-// Exec panics with a runtime-internal sentinel if the process has been
-// crashed or the run has ended; algorithm code must not recover it.
-type Stepper interface {
-	Exec(desc string, op func())
-}
 
 // Accessor is the per-step access context of a granted window: it
 // declares the step's footprint and folds observed values into the
@@ -48,33 +30,6 @@ type Accessor interface {
 	// Observe folds a value the step read from shared state into the
 	// process's local-state fingerprint.
 	Observe(v Value)
-}
-
-// acc returns the Accessor a blocking operation hands its window form:
-// the stepper itself when it implements Accessor (sim.Proc does), and
-// otherwise a forwarder to whichever of the two hooks the stepper has,
-// the missing ones doing nothing.
-func acc(s Stepper) Accessor {
-	if a, ok := s.(Accessor); ok {
-		return a
-	}
-	return stepperAccessor{s}
-}
-
-// stepperAccessor is acc's forwarder for steppers that are not
-// Accessors.
-type stepperAccessor struct{ s Stepper }
-
-func (a stepperAccessor) Access(obj string, write bool) {
-	if d, ok := a.s.(interface{ Access(string, bool) }); ok {
-		d.Access(obj, write)
-	}
-}
-
-func (a stepperAccessor) Observe(v Value) {
-	if o, ok := a.s.(interface{ Observe(Value) }); ok {
-		o.Observe(v)
-	}
 }
 
 // StateSink receives the canonical state encoding of a base object.
@@ -114,13 +69,6 @@ func (r *Register) ReadW(a Accessor) Value {
 	return v
 }
 
-// Read atomically reads the register.
-func (r *Register) Read(s Stepper) Value {
-	var v Value
-	s.Exec("read "+r.name, func() { v = r.ReadW(acc(s)) })
-	return v
-}
-
 // Fingerprint writes the register's canonical state (name and value).
 func (r *Register) Fingerprint(f StateSink) {
 	f.Str(r.name)
@@ -141,15 +89,10 @@ func (r *Register) WriteW(a Accessor, v Value) {
 	r.val = v
 }
 
-// Write atomically writes v to the register.
-func (r *Register) Write(s Stepper, v Value) {
-	s.Exec("write "+r.name, func() { r.WriteW(acc(s), v) })
-}
-
 // DurableRegister is the crash-aware register pair of the recovery
 // runtime: an atomic register whose content lives in a volatile cache
-// until an explicit flush persists it. Read and Write act on the cache;
-// Flush copies the cache into the durable cell, each in one atomic
+// until an explicit flush persists it. ReadW and WriteW act on the
+// cache; FlushW copies the cache into the durable cell, each in one atomic
 // step. CrashWipe — called from the owning object's
 // sim.Recoverable.CrashVolatile hook — discards the cache, exposing the
 // last flushed value, which is exactly what a recovery routine then
@@ -178,24 +121,11 @@ func (r *DurableRegister) ReadW(a Accessor) Value {
 	return v
 }
 
-// Read atomically reads the cached value.
-func (r *DurableRegister) Read(s Stepper) Value {
-	var v Value
-	s.Exec("read "+r.name, func() { v = r.ReadW(acc(s)) })
-	return v
-}
-
 // WriteW atomically writes v to the cache within the caller's granted
 // step. The write is volatile until a flush.
 func (r *DurableRegister) WriteW(a Accessor, v Value) {
 	a.Access(r.name, true)
 	r.vol = v
-}
-
-// Write atomically writes v to the cache. The write is volatile until a
-// flush.
-func (r *DurableRegister) Write(s Stepper, v Value) {
-	s.Exec("write "+r.name, func() { r.WriteW(acc(s), v) })
 }
 
 // FlushW atomically persists the cached value within the caller's
@@ -205,11 +135,6 @@ func (r *DurableRegister) FlushW(a Accessor) {
 	r.durable = r.vol
 }
 
-// Flush atomically persists the cached value.
-func (r *DurableRegister) Flush(s Stepper) {
-	s.Exec("flush "+r.name, func() { r.FlushW(acc(s)) })
-}
-
 // CrashWipe discards the volatile cache, exposing the last flushed
 // value. It is not a step: the simulation runtime invokes the owning
 // object's CrashVolatile hook between windows, at every crash decision.
@@ -217,7 +142,7 @@ func (r *DurableRegister) CrashWipe() { r.vol = r.durable }
 
 // PeekDurable returns the durable cell without recording an access. Like
 // CAS.Peek it exists for scheduler callbacks and tests, which run
-// strictly between process windows; algorithm code must use Read after a
+// strictly between process windows; algorithm code must use ReadW after a
 // crash (the wiped cache equals the durable cell).
 func (r *DurableRegister) PeekDurable() Value { return r.durable }
 
@@ -273,13 +198,6 @@ func (c *CAS) ReadW(a Accessor) Value {
 	return v
 }
 
-// Read atomically reads the current value.
-func (c *CAS) Read(s Stepper) Value {
-	var v Value
-	s.Exec("read "+c.name, func() { v = c.ReadW(acc(s)) })
-	return v
-}
-
 // Fingerprint writes the object's canonical state (name and value). The
 // encoding is by content, so implementations whose correctness rides on
 // the identity of stored allocations (fresh-record CAS idioms) must not
@@ -315,17 +233,9 @@ func (c *CAS) CompareAndSwapW(a Accessor, old, new Value) bool {
 	return ok
 }
 
-// CompareAndSwap atomically replaces the current value with new if it
-// equals old, reporting whether the swap happened.
-func (c *CAS) CompareAndSwap(s Stepper, old, new Value) bool {
-	var ok bool
-	s.Exec("cas "+c.name, func() { ok = c.CompareAndSwapW(acc(s), old, new) })
-	return ok
-}
-
 // Peek reads the current value without consuming a step. It is intended
 // for inspection from scheduler callbacks and tests, which the simulator
-// runs strictly between process windows; algorithm code must use Read.
+// runs strictly between process windows; algorithm code must use ReadW.
 func (c *CAS) Peek() Value { return c.val }
 
 // SwapW atomically replaces the current value unconditionally within
@@ -335,14 +245,6 @@ func (c *CAS) SwapW(a Accessor, new Value) Value {
 	prev := c.val
 	c.val = new
 	a.Observe(prev)
-	return prev
-}
-
-// Swap atomically replaces the current value unconditionally and returns
-// the previous value.
-func (c *CAS) Swap(s Stepper, new Value) Value {
-	var prev Value
-	s.Exec("swap "+c.name, func() { prev = c.SwapW(acc(s), new) })
 	return prev
 }
 
@@ -372,26 +274,11 @@ func (t *TAS) TestAndSetW(a Accessor) bool {
 	return won
 }
 
-// TestAndSet atomically sets the bit and reports whether this call was the
-// one that set it (true = won).
-func (t *TAS) TestAndSet(s Stepper) bool {
-	var won bool
-	s.Exec("tas "+t.name, func() { won = t.TestAndSetW(acc(s)) })
-	return won
-}
-
 // ReadW atomically reads the bit within the caller's granted step.
 func (t *TAS) ReadW(a Accessor) bool {
 	a.Access(t.name, false)
 	v := t.set
 	a.Observe(v)
-	return v
-}
-
-// Read atomically reads the bit.
-func (t *TAS) Read(s Stepper) bool {
-	var v bool
-	s.Exec("read "+t.name, func() { v = t.ReadW(acc(s)) })
 	return v
 }
 
@@ -411,12 +298,6 @@ func (t *TAS) Restore(s any) { t.set = s.(bool) }
 func (t *TAS) ResetW(a Accessor) {
 	a.Access(t.name, true)
 	t.set = false
-}
-
-// Reset atomically clears the bit (the release half of a test-and-set
-// spinlock).
-func (t *TAS) Reset(s Stepper) {
-	s.Exec("reset "+t.name, func() { t.ResetW(acc(s)) })
 }
 
 // FetchAdd is an atomic fetch-and-add counter.
@@ -443,25 +324,11 @@ func (f *FetchAdd) AddW(a Accessor, delta int) int {
 	return prev
 }
 
-// Add atomically adds delta and returns the previous value.
-func (f *FetchAdd) Add(s Stepper, delta int) int {
-	var prev int
-	s.Exec("faa "+f.name, func() { prev = f.AddW(acc(s), delta) })
-	return prev
-}
-
 // ReadW atomically reads the counter within the caller's granted step.
 func (f *FetchAdd) ReadW(a Accessor) int {
 	a.Access(f.name, false)
 	v := f.val
 	a.Observe(v)
-	return v
-}
-
-// Read atomically reads the counter.
-func (f *FetchAdd) Read(s Stepper) int {
-	var v int
-	s.Exec("read "+f.name, func() { v = f.ReadW(acc(s)) })
 	return v
 }
 
@@ -479,8 +346,8 @@ func (f *FetchAdd) Restore(s any) { f.val = s.(int) }
 
 // Snapshot is an atomic snapshot object of n single-writer registers with
 // an atomic scan, as used by the paper's Algorithm 1 (R[1..n] with
-// R.scan()). Update writes one component; Scan returns a consistent copy of
-// all components in a single atomic step.
+// R.scan()). UpdateW writes one component; ScanW returns a consistent copy
+// of all components in a single atomic step.
 type Snapshot struct {
 	name  string
 	slots []Value
@@ -509,11 +376,6 @@ func (sn *Snapshot) UpdateW(a Accessor, i int, v Value) {
 	sn.slots[i] = v
 }
 
-// Update atomically writes v to component i (0-based).
-func (sn *Snapshot) Update(s Stepper, i int, v Value) {
-	s.Exec("update "+sn.name, func() { sn.UpdateW(acc(s), i, v) })
-}
-
 // ScanW atomically appends a copy of all components to dst within the
 // caller's granted step and returns the extended slice (pass dst[:0] to
 // reuse a buffer, nil to allocate).
@@ -524,13 +386,6 @@ func (sn *Snapshot) ScanW(a Accessor, dst []Value) []Value {
 		a.Observe(v)
 	}
 	return dst
-}
-
-// Scan atomically returns a fresh copy of all components.
-func (sn *Snapshot) Scan(s Stepper) []Value {
-	var out []Value
-	s.Exec("scan "+sn.name, func() { out = sn.ScanW(acc(s), make([]Value, 0, len(sn.slots))) })
-	return out
 }
 
 // Fingerprint writes the snapshot object's canonical state (name and

@@ -5,27 +5,26 @@ import (
 	"testing/quick"
 )
 
-// countStepper runs every op immediately and counts atomic steps; it stands
-// in for the simulation runtime in unit tests.
-type countStepper struct {
-	steps int
-	descs []string
+// countAccessor stands in for the simulation runtime in unit tests: it
+// counts atomic steps (every operation declares exactly one access) and
+// records the values operations observe.
+type countAccessor struct {
+	steps    int
+	observed []Value
 }
 
-func (c *countStepper) Exec(desc string, op func()) {
-	c.steps++
-	c.descs = append(c.descs, desc)
-	op()
-}
+func (c *countAccessor) Access(obj string, write bool) { c.steps++ }
+
+func (c *countAccessor) Observe(v Value) { c.observed = append(c.observed, v) }
 
 func TestRegister(t *testing.T) {
-	s := &countStepper{}
+	s := &countAccessor{}
 	r := NewRegister("r", 0)
-	if got := r.Read(s); got != 0 {
+	if got := r.ReadW(s); got != 0 {
 		t.Errorf("initial Read = %v, want 0", got)
 	}
-	r.Write(s, 42)
-	if got := r.Read(s); got != 42 {
+	r.WriteW(s, 42)
+	if got := r.ReadW(s); got != 42 {
 		t.Errorf("Read after Write = %v, want 42", got)
 	}
 	if s.steps != 3 {
@@ -37,27 +36,27 @@ func TestRegister(t *testing.T) {
 }
 
 func TestDurableRegister(t *testing.T) {
-	s := &countStepper{}
+	s := &countAccessor{}
 	r := NewDurableRegister("d", 0)
-	if got := r.Read(s); got != 0 {
+	if got := r.ReadW(s); got != 0 {
 		t.Errorf("initial Read = %v, want 0", got)
 	}
-	r.Write(s, 7)
-	if got, dur := r.Read(s), r.PeekDurable(); got != 7 || dur != 0 {
+	r.WriteW(s, 7)
+	if got, dur := r.ReadW(s), r.PeekDurable(); got != 7 || dur != 0 {
 		t.Errorf("after Write: cache %v durable %v, want 7 and 0 (writes are volatile until flushed)", got, dur)
 	}
 	r.CrashWipe()
-	if got := r.Read(s); got != 0 {
+	if got := r.ReadW(s); got != 0 {
 		t.Errorf("Read after unflushed crash = %v, want 0 (the write vanished)", got)
 	}
-	r.Write(s, 7)
-	r.Flush(s)
+	r.WriteW(s, 7)
+	r.FlushW(s)
 	if got, dur := r.Peek(), r.PeekDurable(); got != 7 || dur != 7 {
 		t.Errorf("after Flush: cache %v durable %v, want 7 and 7", got, dur)
 	}
-	r.Write(s, 8)
+	r.WriteW(s, 8)
 	r.CrashWipe()
-	if got := r.Read(s); got != 7 {
+	if got := r.ReadW(s); got != 7 {
 		t.Errorf("Read after crash = %v, want the flushed 7", got)
 	}
 	if s.steps != 8 {
@@ -69,14 +68,14 @@ func TestDurableRegister(t *testing.T) {
 }
 
 func TestDurableRegisterSnapshot(t *testing.T) {
-	s := &countStepper{}
+	s := &countAccessor{}
 	r := NewDurableRegister("d", 0)
-	r.Write(s, 1)
-	r.Flush(s)
-	r.Write(s, 2)
+	r.WriteW(s, 1)
+	r.FlushW(s)
+	r.WriteW(s, 2)
 	snap := r.Snapshot()
-	r.Write(s, 3)
-	r.Flush(s)
+	r.WriteW(s, 3)
+	r.FlushW(s)
 	r.Restore(snap)
 	if got, dur := r.Peek(), r.PeekDurable(); got != 2 || dur != 1 {
 		t.Errorf("after Restore: cache %v durable %v, want 2 and 1", got, dur)
@@ -84,21 +83,21 @@ func TestDurableRegisterSnapshot(t *testing.T) {
 }
 
 func TestCAS(t *testing.T) {
-	s := &countStepper{}
+	s := &countAccessor{}
 	c := NewCAS("c", nil)
-	if !c.CompareAndSwap(s, nil, 1) {
+	if !c.CompareAndSwapW(s, nil, 1) {
 		t.Error("CAS from initial nil should succeed")
 	}
-	if c.CompareAndSwap(s, nil, 2) {
+	if c.CompareAndSwapW(s, nil, 2) {
 		t.Error("CAS with stale expected value should fail")
 	}
-	if got := c.Read(s); got != 1 {
+	if got := c.ReadW(s); got != 1 {
 		t.Errorf("Read = %v, want 1", got)
 	}
-	if prev := c.Swap(s, 9); prev != 1 {
+	if prev := c.SwapW(s, 9); prev != 1 {
 		t.Errorf("Swap returned %v, want previous value 1", prev)
 	}
-	if got := c.Read(s); got != 9 {
+	if got := c.ReadW(s); got != 9 {
 		t.Errorf("Read after Swap = %v, want 9", got)
 	}
 }
@@ -107,59 +106,59 @@ func TestCASPointerIdentity(t *testing.T) {
 	// Composite states are stored as pointers to immutable records; CAS
 	// compares identities, so two structurally equal records are distinct.
 	type state struct{ v int }
-	s := &countStepper{}
+	s := &countAccessor{}
 	a, b := &state{1}, &state{1}
 	c := NewCAS("c", a)
-	if c.CompareAndSwap(s, b, &state{2}) {
+	if c.CompareAndSwapW(s, b, &state{2}) {
 		t.Error("CAS must compare pointer identity, not structure")
 	}
-	if !c.CompareAndSwap(s, a, b) {
+	if !c.CompareAndSwapW(s, a, b) {
 		t.Error("CAS with the installed pointer should succeed")
 	}
 }
 
 func TestTAS(t *testing.T) {
-	s := &countStepper{}
+	s := &countAccessor{}
 	ts := NewTAS("t")
-	if ts.Read(s) {
+	if ts.ReadW(s) {
 		t.Error("TAS initially unset")
 	}
-	if !ts.TestAndSet(s) {
+	if !ts.TestAndSetW(s) {
 		t.Error("first TestAndSet should win")
 	}
-	if ts.TestAndSet(s) {
+	if ts.TestAndSetW(s) {
 		t.Error("second TestAndSet should lose")
 	}
-	if !ts.Read(s) {
+	if !ts.ReadW(s) {
 		t.Error("bit should be set")
 	}
 }
 
 func TestFetchAdd(t *testing.T) {
-	s := &countStepper{}
+	s := &countAccessor{}
 	f := NewFetchAdd("f", 10)
-	if prev := f.Add(s, 5); prev != 10 {
+	if prev := f.AddW(s, 5); prev != 10 {
 		t.Errorf("Add returned %d, want previous 10", prev)
 	}
-	if got := f.Read(s); got != 15 {
+	if got := f.ReadW(s); got != 15 {
 		t.Errorf("Read = %d, want 15", got)
 	}
-	if prev := f.Add(s, -3); prev != 15 {
+	if prev := f.AddW(s, -3); prev != 15 {
 		t.Errorf("Add returned %d, want 15", prev)
 	}
-	if got := f.Read(s); got != 12 {
+	if got := f.ReadW(s); got != 12 {
 		t.Errorf("Read = %d, want 12", got)
 	}
 }
 
 func TestSnapshot(t *testing.T) {
-	s := &countStepper{}
+	s := &countAccessor{}
 	sn := NewSnapshot("R", 3, 0)
 	if sn.Len() != 3 {
 		t.Fatalf("Len = %d", sn.Len())
 	}
-	sn.Update(s, 1, 7)
-	got := sn.Scan(s)
+	sn.UpdateW(s, 1, 7)
+	got := sn.ScanW(s, nil)
 	want := []Value{0, 7, 0}
 	for i := range want {
 		if got[i] != want[i] {
@@ -168,7 +167,7 @@ func TestSnapshot(t *testing.T) {
 	}
 	// Scan returns a copy: mutating it must not affect the object.
 	got[0] = 99
-	if again := sn.Scan(s); again[0] != 0 {
+	if again := sn.ScanW(s, nil); again[0] != 0 {
 		t.Error("Scan must return a defensive copy")
 	}
 	if s.steps != 3 {
@@ -178,16 +177,16 @@ func TestSnapshot(t *testing.T) {
 
 func TestQuickRegisterLastWriteWins(t *testing.T) {
 	f := func(writes []int) bool {
-		s := &countStepper{}
+		s := &countAccessor{}
 		r := NewRegister("r", -1)
 		for _, w := range writes {
-			r.Write(s, w)
+			r.WriteW(s, w)
 		}
 		want := Value(-1)
 		if len(writes) > 0 {
 			want = writes[len(writes)-1]
 		}
-		return r.Read(s) == want
+		return r.ReadW(s) == want
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -196,14 +195,14 @@ func TestQuickRegisterLastWriteWins(t *testing.T) {
 
 func TestQuickFetchAddSum(t *testing.T) {
 	f := func(deltas []int8) bool {
-		s := &countStepper{}
+		s := &countAccessor{}
 		fa := NewFetchAdd("f", 0)
 		sum := 0
 		for _, d := range deltas {
-			fa.Add(s, int(d))
+			fa.AddW(s, int(d))
 			sum += int(d)
 		}
-		return fa.Read(s) == sum
+		return fa.ReadW(s) == sum
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -214,11 +213,11 @@ func TestQuickCASLinearizesToSequence(t *testing.T) {
 	// Applying a random sequence of CAS ops sequentially must behave like
 	// the functional model.
 	f := func(ops []struct{ Old, New uint8 }) bool {
-		s := &countStepper{}
+		s := &countAccessor{}
 		c := NewCAS("c", 0)
 		model := Value(0)
 		for _, op := range ops {
-			ok := c.CompareAndSwap(s, int(op.Old), int(op.New))
+			ok := c.CompareAndSwapW(s, int(op.Old), int(op.New))
 			wantOK := model == int(op.Old)
 			if wantOK {
 				model = int(op.New)
@@ -227,7 +226,7 @@ func TestQuickCASLinearizesToSequence(t *testing.T) {
 				return false
 			}
 		}
-		return c.Read(s) == model
+		return c.ReadW(s) == model
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

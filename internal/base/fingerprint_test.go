@@ -36,57 +36,57 @@ func equalTraces(a, b []Value) bool {
 // exactly with its state — equal state, equal trace; mutated state,
 // different trace.
 func TestFingerprintTracksState(t *testing.T) {
-	st := &countStepper{}
+	st := &countAccessor{}
 
 	r := NewRegister("r", 0)
 	before := traceOf(r)
 	if !equalTraces(before, traceOf(NewRegister("r", 0))) {
 		t.Error("equal registers fingerprint differently")
 	}
-	r.Write(st, 7)
+	r.WriteW(st, 7)
 	if equalTraces(before, traceOf(r)) {
 		t.Error("register write did not change the fingerprint")
 	}
 
 	c := NewCAS("c", nil)
 	before = traceOf(c)
-	c.CompareAndSwap(st, nil, "x")
+	c.CompareAndSwapW(st, nil, "x")
 	if equalTraces(before, traceOf(c)) {
 		t.Error("successful CAS did not change the fingerprint")
 	}
 	mid := traceOf(c)
-	c.CompareAndSwap(st, nil, "y") // fails: value is "x"
+	c.CompareAndSwapW(st, nil, "y") // fails: value is "x"
 	if !equalTraces(mid, traceOf(c)) {
 		t.Error("failed CAS changed the fingerprint")
 	}
 
 	ts := NewTAS("t")
 	before = traceOf(ts)
-	ts.TestAndSet(st)
+	ts.TestAndSetW(st)
 	if equalTraces(before, traceOf(ts)) {
 		t.Error("test-and-set did not change the fingerprint")
 	}
-	ts.Reset(st)
+	ts.ResetW(st)
 	if !equalTraces(before, traceOf(ts)) {
 		t.Error("reset did not restore the fingerprint")
 	}
 
 	fa := NewFetchAdd("f", 10)
 	before = traceOf(fa)
-	fa.Add(st, 5)
+	fa.AddW(st, 5)
 	if equalTraces(before, traceOf(fa)) {
 		t.Error("fetch-add did not change the fingerprint")
 	}
 
 	sn := NewSnapshot("sn", 3, 0)
 	before = traceOf(sn)
-	sn.Update(st, 1, 9)
+	sn.UpdateW(st, 1, 9)
 	after := traceOf(sn)
 	if equalTraces(before, after) {
 		t.Error("snapshot update did not change the fingerprint")
 	}
 	sn2 := NewSnapshot("sn", 3, 0)
-	sn2.Update(st, 2, 9) // same value, different slot
+	sn2.UpdateW(st, 2, 9) // same value, different slot
 	if equalTraces(after, traceOf(sn2)) {
 		t.Error("snapshot fingerprints ignore the slot index")
 	}
@@ -101,57 +101,48 @@ func TestFingerprintNamesDisambiguate(t *testing.T) {
 	}
 }
 
-// observeRecorder implements both Stepper and the runtime's observe
-// hook, recording what base objects report as read.
-type observeRecorder struct {
-	countStepper
-	observed []Value
-}
-
-func (o *observeRecorder) Observe(v Value) { o.observed = append(o.observed, v) }
-
 // TestReadsObserve: every value-returning base-object operation reports
 // its result to the observe hook, so mid-operation local state reaches
 // the state fingerprint.
 func TestReadsObserve(t *testing.T) {
-	o := &observeRecorder{}
+	o := &countAccessor{}
 	r := NewRegister("r", 4)
-	if r.Read(o); len(o.observed) != 1 || o.observed[0] != 4 {
+	if r.ReadW(o); len(o.observed) != 1 || o.observed[0] != 4 {
 		t.Errorf("register read observed %v, want [4]", o.observed)
 	}
 
-	o = &observeRecorder{}
+	o = &countAccessor{}
 	c := NewCAS("c", 1)
-	c.Read(o)
-	c.CompareAndSwap(o, 1, 2) // success → observes true
-	c.CompareAndSwap(o, 1, 3) // failure → observes false
-	c.Swap(o, 9)
+	c.ReadW(o)
+	c.CompareAndSwapW(o, 1, 2) // success → observes true
+	c.CompareAndSwapW(o, 1, 3) // failure → observes false
+	c.SwapW(o, 9)
 	want := []Value{1, true, false, 2}
 	if !equalTraces(o.observed, want) {
 		t.Errorf("CAS operations observed %v, want %v", o.observed, want)
 	}
 
-	o = &observeRecorder{}
+	o = &countAccessor{}
 	ts := NewTAS("t")
-	ts.TestAndSet(o)
-	ts.TestAndSet(o)
-	ts.Read(o)
+	ts.TestAndSetW(o)
+	ts.TestAndSetW(o)
+	ts.ReadW(o)
 	if !equalTraces(o.observed, []Value{true, false, true}) {
 		t.Errorf("TAS operations observed %v, want [true false true]", o.observed)
 	}
 
-	o = &observeRecorder{}
+	o = &countAccessor{}
 	fa := NewFetchAdd("f", 3)
-	fa.Add(o, 2)
-	fa.Read(o)
+	fa.AddW(o, 2)
+	fa.ReadW(o)
 	if !equalTraces(o.observed, []Value{3, 5}) {
 		t.Errorf("fetch-add operations observed %v, want [3 5]", o.observed)
 	}
 
-	o = &observeRecorder{}
+	o = &countAccessor{}
 	sn := NewSnapshot("sn", 2, 0)
-	sn.Update(o, 1, 8)
-	sn.Scan(o)
+	sn.UpdateW(o, 1, 8)
+	sn.ScanW(o, nil)
 	if !equalTraces(o.observed, []Value{0, 8}) {
 		t.Errorf("snapshot scan observed %v, want [0 8]", o.observed)
 	}

@@ -60,40 +60,6 @@ func newCARound(rnd, n int) *caRound {
 	return r
 }
 
-// run executes commit-adopt for process p with input v, returning the
-// adopted value and whether it was committed.
-func (r *caRound) run(p *sim.Proc, v history.Value) (history.Value, bool) {
-	i := p.ID() - 1
-	r.a[i].Write(p, v)
-	allSame := true
-	for j := range r.a {
-		if av := r.a[j].Read(p); av != nil && av != v {
-			allSame = false
-		}
-	}
-	r.b[i].Write(p, bEntry{v: v, commit: allSame})
-	var committed *bEntry
-	mixed := false
-	for j := range r.b {
-		bv := r.b[j].Read(p)
-		if bv == nil {
-			continue
-		}
-		e := bv.(bEntry)
-		if e.commit {
-			if committed == nil {
-				committed = &e
-			}
-		} else {
-			mixed = true
-		}
-	}
-	if committed != nil {
-		return committed.v, !mixed
-	}
-	return v, false
-}
-
 // CommitAdoptOF is obstruction-free consensus from registers: rounds of
 // commit-adopt plus a decision register.
 //
@@ -187,21 +153,7 @@ func (c *CommitAdoptOF) Restore(v any) {
 
 // Apply implements sim.Object.
 func (c *CommitAdoptOF) Apply(p *sim.Proc, inv sim.Invocation) history.Value {
-	if d := c.decision.Read(p); d != nil {
-		return d
-	}
-	v := inv.Arg
-	for r := 0; ; r++ {
-		adopted, committed := c.round(r).run(p, v)
-		v = adopted
-		if committed {
-			c.decision.Write(p, v)
-			return v
-		}
-		if d := c.decision.Read(p); d != nil {
-			return d
-		}
-	}
+	return sim.ApplyFrames(c, p, inv)
 }
 
 // Frame phases for commitAdoptFrame.pc. Each constant names the access
@@ -216,11 +168,13 @@ const (
 	caCheckDecision        // decision.Read at the end of an uncommitted round
 )
 
-// commitAdoptFrame is one in-flight propose: the explicit continuation of
-// Apply's round loop. Local state (the adopted value, the scan results)
-// lives in the frame; the lazy c.round(r) allocation runs at the end of
-// the Step that decides to enter round r, which is the same window it
-// occupies in the blocking form.
+// commitAdoptFrame is one in-flight propose: read the decision, then
+// run rounds of commit-adopt — write A[i], read every A[j], write B[i]
+// with the commit flag, read every B[j], adopt — until a round commits
+// (write the decision) or the decision register is set. Local state
+// (the adopted value, the scan results) lives in the frame; the lazy
+// c.round(r) allocation runs at the end of the Step that decides to
+// enter round r.
 type commitAdoptFrame struct {
 	c   *CommitAdoptOF
 	v   history.Value // current proposal (adopted value after each round)
@@ -329,8 +283,7 @@ func NewCASBased() *CASBased {
 
 // Apply implements sim.Object.
 func (c *CASBased) Apply(p *sim.Proc, inv sim.Invocation) history.Value {
-	c.c.CompareAndSwap(p, nil, inv.Arg)
-	return c.c.Read(p)
+	return sim.ApplyFrames(c, p, inv)
 }
 
 // casBasedFrame is one in-flight propose: CAS(nil, arg), then read the
@@ -387,9 +340,14 @@ func (c *CASBased) Restore(v any) { c.c.Restore(v) }
 type Trivial struct{}
 
 // Apply implements sim.Object.
-func (Trivial) Apply(p *sim.Proc, inv sim.Invocation) history.Value {
-	p.Block()
-	return nil
+func (t Trivial) Apply(p *sim.Proc, inv sim.Invocation) history.Value {
+	return sim.ApplyFrames(t, p, inv)
+}
+
+// Begin implements sim.Stepped: every operation blocks in its
+// invocation window.
+func (Trivial) Begin(*sim.Proc, sim.Invocation) (sim.Frame, history.Value, sim.StepStatus) {
+	return nil, nil, sim.StepBlocked
 }
 
 // RespondOnce is the implementation I_b from the proof of Theorem 4.9: the
@@ -408,12 +366,18 @@ type RespondOnce struct {
 
 // Apply implements sim.Object.
 func (r *RespondOnce) Apply(p *sim.Proc, inv sim.Invocation) history.Value {
+	return sim.ApplyFrames(r, p, inv)
+}
+
+// Begin implements sim.Stepped: the object takes no base-object step,
+// so the selected invocation is answered, and every other one blocks,
+// in its invocation window.
+func (r *RespondOnce) Begin(p *sim.Proc, inv sim.Invocation) (sim.Frame, history.Value, sim.StepStatus) {
 	if !r.responded && p.ID() == r.Proc && inv.Op == r.Op && inv.Arg == r.Arg {
 		r.responded = true
-		return r.Resp
+		return nil, r.Resp, sim.StepDone
 	}
-	p.Block()
-	return nil
+	return nil, nil, sim.StepBlocked
 }
 
 // ProposeForever is the liveness environment: each process proposes its

@@ -22,17 +22,38 @@ func NewDecideOwn(n int) *DecideOwn {
 
 // Apply implements sim.Object.
 func (d *DecideOwn) Apply(p *sim.Proc, inv sim.Invocation) history.Value {
-	d.ann.Update(p, p.ID()-1, inv.Arg)
-	return inv.Arg
+	return sim.ApplyFrames(d, p, inv)
 }
 
+// decideOwnFrame is one in-flight propose: announce, then decide the
+// own value, in one window. It never mutates, so Fork returns the
+// receiver.
+type decideOwnFrame struct {
+	d *DecideOwn
+	v history.Value
+}
+
+// Begin implements sim.Stepped.
+func (d *DecideOwn) Begin(p *sim.Proc, inv sim.Invocation) (sim.Frame, history.Value, sim.StepStatus) {
+	return &decideOwnFrame{d: d, v: inv.Arg}, nil, sim.StepPaused
+}
+
+// Step implements sim.Frame.
+func (f *decideOwnFrame) Step(p *sim.Proc) (history.Value, sim.StepStatus) {
+	f.d.ann.UpdateW(p, p.ID()-1, f.v)
+	return f.v, sim.StepDone
+}
+
+// Fork implements sim.Frame.
+func (f *decideOwnFrame) Fork() sim.Frame { return f }
+
 // FirstAnnounced is a k-set agreement implementation that decides the
-// value in the lowest announced slot it observes: wait-free and safe for
-// every n (all processes converge to at most... in fact exactly the values
-// that were in low slots when each scanned — up to n distinct values in
-// adversarial interleavings, but at most k when at most k values are ever
-// announced). It is used by tests as a *plausible but wrong* candidate for
-// n > k: the explorer finds the violating interleaving.
+// value in the lowest announced slot it observes: wait-free, and its
+// decisions are exactly the values that sat in the lowest occupied slot
+// when each process scanned — up to n distinct values in adversarial
+// interleavings, but at most k when at most k values are ever
+// announced. It is used by tests as a *plausible but wrong* candidate
+// for n > k: the explorer finds the violating interleaving.
 type FirstAnnounced struct {
 	ann *base.Snapshot
 }
@@ -44,12 +65,39 @@ func NewFirstAnnounced(n int) *FirstAnnounced {
 
 // Apply implements sim.Object.
 func (d *FirstAnnounced) Apply(p *sim.Proc, inv sim.Invocation) history.Value {
-	d.ann.Update(p, p.ID()-1, inv.Arg)
-	snap := d.ann.Scan(p)
-	for _, v := range snap {
+	return sim.ApplyFrames(d, p, inv)
+}
+
+// firstAnnouncedFrame is one in-flight propose: announce, then scan and
+// decide the lowest announced value.
+type firstAnnouncedFrame struct {
+	d         *FirstAnnounced
+	v         history.Value
+	announced bool
+}
+
+// Begin implements sim.Stepped.
+func (d *FirstAnnounced) Begin(p *sim.Proc, inv sim.Invocation) (sim.Frame, history.Value, sim.StepStatus) {
+	return &firstAnnouncedFrame{d: d, v: inv.Arg}, nil, sim.StepPaused
+}
+
+// Step implements sim.Frame.
+func (f *firstAnnouncedFrame) Step(p *sim.Proc) (history.Value, sim.StepStatus) {
+	if !f.announced {
+		f.d.ann.UpdateW(p, p.ID()-1, f.v)
+		f.announced = true
+		return nil, sim.StepPaused
+	}
+	for _, v := range f.d.ann.ScanW(p, nil) {
 		if v != nil {
-			return v
+			return v, sim.StepDone
 		}
 	}
-	return inv.Arg
+	return f.v, sim.StepDone
+}
+
+// Fork implements sim.Frame.
+func (f *firstAnnouncedFrame) Fork() sim.Frame {
+	c := *f
+	return &c
 }

@@ -97,7 +97,7 @@ type brokenConsensus struct {
 }
 
 func (b *brokenConsensus) Apply(p *sim.Proc, inv sim.Invocation) history.Value {
-	b.r.Write(p, inv.Arg)
+	p.Exec("write", func() { b.r.WriteW(p, inv.Arg) })
 	return inv.Arg
 }
 

@@ -20,7 +20,7 @@ type footprintedBroken struct {
 }
 
 func (b *footprintedBroken) Apply(p *sim.Proc, inv sim.Invocation) history.Value {
-	b.r.Write(p, inv.Arg)
+	p.Exec("write", func() { b.r.WriteW(p, inv.Arg) })
 	return inv.Arg
 }
 
@@ -40,13 +40,15 @@ func (l *racyLock) Apply(p *sim.Proc, inv sim.Invocation) history.Value {
 	switch inv.Op {
 	case safety.LockAcquire:
 		for {
-			if !l.held.Read(p).(bool) {
-				l.held.Write(p, true)
+			var held history.Value
+			p.Exec("read", func() { held = l.held.ReadW(p) })
+			if !held.(bool) {
+				p.Exec("write", func() { l.held.WriteW(p, true) })
 				return "locked"
 			}
 		}
 	case safety.LockRelease:
-		l.held.Write(p, false)
+		p.Exec("write", func() { l.held.WriteW(p, false) })
 		return "unlocked"
 	}
 	return nil

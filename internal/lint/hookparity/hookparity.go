@@ -26,11 +26,24 @@
 // Hook detection is structural (method names and shapes), so the
 // analyzer needs no reference to internal/sim itself and applies
 // equally to objects written against the slx/run facade.
+//
+// The same analyzer keeps every object in one form. Outside
+// internal/sim, which owns the blocking-Apply adapter, a type whose
+// Apply takes the simulator's *Proc and Invocation must be written as
+// a frame machine — it has a Begin method (sim.Stepped) — and its Apply
+// must be exactly the derived one-liner
+//
+//	return sim.ApplyFrames(recv, p, inv) // or run.ApplyFrames
+//
+// so no hand-written blocking twin can drift from the frames. Test
+// files are not analyzed: hand-written blocking fixtures and
+// run.ObjectFunc stay available to tests and users.
 package hookparity
 
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 
 	"repro/internal/lint/analysis"
 	"repro/internal/lint/pragma"
@@ -39,7 +52,7 @@ import (
 // Analyzer is the hookparity check.
 var Analyzer = &analysis.Analyzer{
 	Name: "hookparity",
-	Doc:  "object types opting into one engine capability hook must implement the rest or carry //slx:no* exemptions",
+	Doc:  "object types opting into one engine capability hook must implement the rest or carry //slx:no* exemptions, and every object is a Begin machine whose Apply is the derived ApplyFrames call",
 	Run:  run,
 }
 
@@ -84,6 +97,7 @@ func checkType(pass *analysis.Pass, ts *ast.TypeSpec, doc *ast.CommentGroup) {
 	if !hasApply(ms) {
 		return
 	}
+	checkOneForm(pass, ts, ms)
 	footprinted := hasFootprints(ms)
 	fingerprintable := hasFingerprint(ms)
 	snapshottable := hasSnapshot(ms) && hasRestore(ms)
@@ -122,6 +136,79 @@ func checkType(pass *analysis.Pass, ts *ast.TypeSpec, doc *ast.CommentGroup) {
 	}
 }
 
+// checkOneForm reports a simulator object that is not written once, as
+// frames: one without a Begin machine, or one whose Apply is anything
+// but the derived ApplyFrames call. internal/sim owns the adapter, and
+// a promoted Apply is checked where it is declared.
+func checkOneForm(pass *analysis.Pass, ts *ast.TypeSpec, ms *types.MethodSet) {
+	sel := ms.Lookup(pass.Pkg, "Apply")
+	if isSimPkg(pass.Pkg) || sel == nil || len(sel.Index()) > 1 {
+		return
+	}
+	sig := sel.Obj().Type().(*types.Signature)
+	if !isSimType(sig.Params().At(0).Type(), "Proc") || !isSimType(sig.Params().At(1).Type(), "Invocation") {
+		return
+	}
+	if !hasBegin(ms) {
+		pass.Reportf(ts.Pos(), "%s has a blocking Apply but no Begin machine: write its operations as sim.Stepped frames and derive Apply with sim.ApplyFrames (hand-written blocking objects belong in tests, or in a run.ObjectFunc)", ts.Name.Name)
+		return
+	}
+	for _, file := range pass.Files {
+		for _, d := range file.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && pass.TypesInfo.Defs[fd.Name] == sel.Obj() && !derivedApply(pass, fd) {
+				pass.Reportf(fd.Pos(), "%s.Apply must be the one line `return sim.ApplyFrames(recv, p, inv)` (or run.ApplyFrames): the frame machine is the object's only form, and a hand-written blocking twin can drift from it", ts.Name.Name)
+			}
+		}
+	}
+}
+
+// isSimPkg reports whether pkg is internal/sim.
+func isSimPkg(pkg *types.Package) bool {
+	return pkg != nil && strings.HasSuffix(pkg.Path(), "internal/sim")
+}
+
+// isSimType reports whether t, or the type t points to, is
+// internal/sim's type of that name (which the slx/run facade aliases).
+func isSimType(t types.Type, name string) bool {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	n, ok := t.(*types.Named)
+	return ok && n.Obj().Name() == name && isSimPkg(n.Obj().Pkg())
+}
+
+// derivedApply reports whether decl's body is exactly
+// return sim.ApplyFrames(recv, p, inv) (or run.ApplyFrames), passing
+// the method's own receiver and parameters in order.
+func derivedApply(pass *analysis.Pass, decl *ast.FuncDecl) bool {
+	var names []string
+	for _, f := range append(decl.Recv.List, decl.Type.Params.List...) {
+		for _, n := range f.Names {
+			names = append(names, n.Name)
+		}
+	}
+	if len(names) != 3 || len(decl.Body.List) != 1 {
+		return false
+	}
+	ret, ok := decl.Body.List[0].(*ast.ReturnStmt)
+	if !ok || len(ret.Results) != 1 {
+		return false
+	}
+	call, ok := ret.Results[0].(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	fun, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	fn, ok := pass.TypesInfo.Uses[fun.Sel].(*types.Func)
+	if !ok || fn.Name() != "ApplyFrames" || !isSimPkg(fn.Pkg()) && !strings.HasSuffix(fn.Pkg().Path(), "slx/run") {
+		return false
+	}
+	return types.ExprString(call) == types.ExprString(fun)+"("+strings.Join(names, ", ")+")"
+}
+
 // signature returns the named method's signature from the method set,
 // or nil.
 func signature(ms *types.MethodSet, name string) *types.Signature {
@@ -141,6 +228,13 @@ func signature(ms *types.MethodSet, name string) *types.Signature {
 func hasApply(ms *types.MethodSet) bool {
 	sig := signature(ms, "Apply")
 	return sig != nil && sig.Params().Len() == 2 && sig.Results().Len() == 1
+}
+
+// hasBegin matches the sim.Stepped machine shape:
+// Begin(p *Proc, inv Invocation) (Frame, Value, StepStatus).
+func hasBegin(ms *types.MethodSet) bool {
+	sig := signature(ms, "Begin")
+	return sig != nil && sig.Params().Len() == 2 && sig.Results().Len() == 3
 }
 
 // hasFootprints matches sim.Footprinted: Footprints() bool.

@@ -1,24 +1,24 @@
 // Package replaypure enforces the continuation runtime's window-purity
-// contract (sim.Stepped). Operations of session-capable objects run as
+// contract (sim.Stepped). Every in-tree object runs its operations as
 // resumable frames: Begin executes the invocation window, each
 // Frame.Step call executes one access window, and the engine — not a
 // per-process goroutine — grants the windows. Two structural rules keep
-// a continuation translation faithful to its blocking oracle:
+// each frame machine the paper's automaton, one base-object step per
+// grant:
 //
 //   - The invocation window carries no footprint: Begin bodies must not
 //     declare accesses (Proc.Access, or any base window method such as
-//     ReadW/WriteW/CompareAndSwapW). A
-//     Begin that touched shared state would give the operation an extra
-//     scheduler-visible step the oracle does not have, desynchronizing
-//     schedules, footprints and fingerprints between the two execution
-//     engines. Proc.Observe IS allowed: local state that steers the
-//     operation (e.g. a transaction's active flag) is folded into the
-//     fingerprint in the invocation window by both forms.
+//     ReadW/WriteW/CompareAndSwapW). A Begin that touched shared state
+//     would hide a base-object step inside the invocation, where the
+//     scheduler cannot interleave it and POR sees no footprint.
+//     Proc.Observe IS allowed: local state that steers the operation
+//     (e.g. a transaction's active flag) is folded into the fingerprint
+//     in the invocation window.
 //
 //   - Continuation code never performs the scheduler handshake: Begin
-//     and Step bodies must not call Proc.Exec / Stepper.Exec. Their
-//     windows are already granted by the dispatch loop; Exec is the
-//     blocking-form handshake and panics outside a blocking Apply call.
+//     and Step bodies must not call Proc.Exec. Their windows are
+//     already granted by the dispatch loop; Exec is the handshake of a
+//     hand-written blocking Apply and panics outside one.
 //
 // The analyzer identifies continuation methods by shape: a method named
 // Begin taking (*Proc, Invocation) with three results, or a method
@@ -83,9 +83,9 @@ func checkBody(pass *analysis.Pass, fn *ast.FuncDecl, kind int) {
 			return true
 		}
 		if isAccessCall(call) {
-			pass.Reportf(call.Pos(), "Begin declares a footprint in the invocation window: the oracle's invocation window performs no access, so move this into the frame's first Step (or annotate the method //slx:nostepwindow)")
+			pass.Reportf(call.Pos(), "Begin declares a footprint in the invocation window: the invocation window performs no access, so move this into the frame's first Step (or annotate the method //slx:nostepwindow)")
 		} else if name, ok := windowCall(call); ok {
-			pass.Reportf(call.Pos(), "Begin calls the window method %s in the invocation window: the oracle's invocation window performs no access, so move this into the frame's first Step (or annotate the method //slx:nostepwindow)", name)
+			pass.Reportf(call.Pos(), "Begin calls the window method %s in the invocation window: the invocation window performs no access, so move this into the frame's first Step (or annotate the method //slx:nostepwindow)", name)
 		}
 		return true
 	})

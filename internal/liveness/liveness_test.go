@@ -262,9 +262,10 @@ type casObject struct {
 	c *base.CAS
 }
 
-func (o *casObject) Apply(p *sim.Proc, inv sim.Invocation) history.Value {
-	o.c.CompareAndSwap(p, nil, inv.Arg)
-	return o.c.Read(p)
+func (o *casObject) Apply(p *sim.Proc, inv sim.Invocation) (v history.Value) {
+	p.Exec("cas", func() { o.c.CompareAndSwapW(p, nil, inv.Arg) })
+	p.Exec("read", func() { v = o.c.ReadW(p) })
+	return v
 }
 
 func TestFromResultIntegration(t *testing.T) {

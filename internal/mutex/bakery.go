@@ -11,7 +11,7 @@ import (
 // bound, which is fine in simulation (the paper's registers hold arbitrary
 // values).
 //
-//slx:nosnapshot unbounded tickets make restored sessions diverge from recorded history lengths
+//slx:nosnapshot no Snapshot/Restore hook is written, so sessions over the lock rebuild from the root
 //slx:nofootprint acquire scans every process's slots, so steps conflict pairwise anyway
 //slx:norecover tickets and flags are modeled durable; a crashed holder simply never releases
 type Bakery struct {
@@ -45,49 +45,101 @@ func (b *Bakery) Fingerprint(f *sim.Fingerprinter) {
 	}
 }
 
-// Acquire takes the lock for p, waiting first-come-first-served.
-func (b *Bakery) Acquire(p *sim.Proc) {
-	me := p.ID() - 1
-	b.choosing[me].Write(p, true)
-	max := 0
-	for j := 0; j < b.n; j++ {
-		if n := b.number[j].Read(p).(int); n > max {
-			max = n
-		}
-	}
-	myNum := max + 1
-	b.number[me].Write(p, myNum)
-	b.choosing[me].Write(p, false)
-	for j := 0; j < b.n; j++ {
-		if j == me {
-			continue
-		}
-		for b.choosing[j].Read(p).(bool) {
-		}
-		for {
-			nj := b.number[j].Read(p).(int)
-			if nj == 0 || nj > myNum || (nj == myNum && j > me) {
-				break
-			}
-		}
-	}
-}
-
-// Release releases the lock.
-func (b *Bakery) Release(p *sim.Proc) {
-	b.number[p.ID()-1].Write(p, 0)
-}
-
 // Apply implements sim.Object.
 func (b *Bakery) Apply(p *sim.Proc, inv sim.Invocation) history.Value {
+	return sim.ApplyFrames(b, p, inv)
+}
+
+// Frame phases for bakeryFrame.pc. Each constant names the access the
+// next Step performs.
+const (
+	bkChoose       = iota // choosing[me] = true
+	bkScan                // read number[j], j advancing 0..n-1, for the maximum
+	bkNumber              // number[me] = maximum+1
+	bkUnchoose            // choosing[me] = false
+	bkWaitChoosing        // read choosing[j] until false
+	bkWaitNumber          // read number[j] until j no longer precedes me
+	bkRelease             // number[me] = 0
+)
+
+// bakeryFrame is one in-flight Bakery operation. Acquire takes a
+// ticket one above every ticket it reads, then waits, for each other
+// process j in turn, until j is not choosing and holds no ticket that
+// precedes its own (lower ticket, ties broken by process index).
+type bakeryFrame struct {
+	b     *Bakery
+	me    int // p.ID() - 1
+	pc    int
+	j     int // process scanned or waited on
+	myNum int // running maximum during bkScan, then the own ticket
+}
+
+// Begin implements sim.Stepped: both operations start with a base
+// access, so the invocation window runs no object code.
+func (b *Bakery) Begin(p *sim.Proc, inv sim.Invocation) (sim.Frame, history.Value, sim.StepStatus) {
 	switch inv.Op {
 	case OpAcquire:
-		b.Acquire(p)
-		return Locked
+		return &bakeryFrame{b: b, me: p.ID() - 1, pc: bkChoose}, nil, sim.StepPaused
 	case OpRelease:
-		b.Release(p)
-		return Unlocked
+		return &bakeryFrame{b: b, me: p.ID() - 1, pc: bkRelease}, nil, sim.StepPaused
 	default:
-		return nil
+		return nil, nil, sim.StepDone
 	}
+}
+
+// Step implements sim.Frame.
+func (f *bakeryFrame) Step(p *sim.Proc) (history.Value, sim.StepStatus) {
+	b := f.b
+	switch f.pc {
+	case bkChoose:
+		b.choosing[f.me].WriteW(p, true)
+		f.pc = bkScan
+	case bkScan:
+		if n := b.number[f.j].ReadW(p).(int); n > f.myNum {
+			f.myNum = n
+		}
+		if f.j++; f.j == b.n {
+			f.myNum++
+			f.pc = bkNumber
+		}
+	case bkNumber:
+		b.number[f.me].WriteW(p, f.myNum)
+		f.pc = bkUnchoose
+	case bkUnchoose:
+		b.choosing[f.me].WriteW(p, false)
+		return f.wait(0)
+	case bkWaitChoosing:
+		if !b.choosing[f.j].ReadW(p).(bool) {
+			f.pc = bkWaitNumber
+		}
+	case bkWaitNumber:
+		nj := b.number[f.j].ReadW(p).(int)
+		if nj == 0 || nj > f.myNum || (nj == f.myNum && f.j > f.me) {
+			return f.wait(f.j + 1)
+		}
+	case bkRelease:
+		b.number[f.me].WriteW(p, 0)
+		return Unlocked, sim.StepDone
+	}
+	return nil, sim.StepPaused
+}
+
+// wait moves on to the first process from j on other than me; past the
+// last one the lock is held.
+func (f *bakeryFrame) wait(j int) (history.Value, sim.StepStatus) {
+	if j == f.me {
+		j++
+	}
+	if j == f.b.n {
+		return Locked, sim.StepDone
+	}
+	f.j = j
+	f.pc = bkWaitChoosing
+	return nil, sim.StepPaused
+}
+
+// Fork implements sim.Frame.
+func (f *bakeryFrame) Fork() sim.Frame {
+	c := *f
+	return &c
 }

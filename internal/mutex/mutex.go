@@ -67,28 +67,6 @@ func NewPeterson() *Peterson {
 	}
 }
 
-// Acquire blocks (spinning on register reads) until the lock is held by p.
-// Process ids must be 1 or 2.
-func (l *Peterson) Acquire(p *sim.Proc) {
-	me := p.ID() - 1
-	other := 1 - me
-	l.flag[me].Write(p, true)
-	l.turn.Write(p, other+1)
-	for {
-		if !l.flag[other].Read(p).(bool) {
-			return
-		}
-		if l.turn.Read(p) != other+1 {
-			return
-		}
-	}
-}
-
-// Release releases the lock held by p.
-func (l *Peterson) Release(p *sim.Proc) {
-	l.flag[p.ID()-1].Write(p, false)
-}
-
 // Footprints implements sim.Footprinted: all shared state is in the
 // three named registers.
 func (l *Peterson) Footprints() bool { return true }
@@ -120,16 +98,7 @@ func (l *Peterson) Restore(v any) {
 
 // Apply implements sim.Object.
 func (l *Peterson) Apply(p *sim.Proc, inv sim.Invocation) history.Value {
-	switch inv.Op {
-	case OpAcquire:
-		l.Acquire(p)
-		return Locked
-	case OpRelease:
-		l.Release(p)
-		return Unlocked
-	default:
-		return nil
-	}
+	return sim.ApplyFrames(l, p, inv)
 }
 
 // petersonFrame is one in-flight Peterson operation as a continuation
@@ -155,7 +124,9 @@ func (l *Peterson) Begin(p *sim.Proc, inv sim.Invocation) (sim.Frame, history.Va
 	}
 }
 
-// Step implements sim.Frame, mirroring Acquire/Release step for step.
+// Step implements sim.Frame. Acquire writes the own flag, yields the
+// turn, then spins reading the other's flag and the turn until either
+// lets it in; release clears the own flag.
 func (f *petersonFrame) Step(p *sim.Proc) (history.Value, sim.StepStatus) {
 	l := f.l
 	if !f.acquire {
@@ -202,17 +173,6 @@ func NewTASLock() *TASLock {
 	return &TASLock{t: base.NewTAS("lock")}
 }
 
-// Acquire spins on test-and-set until the lock is held by p.
-func (l *TASLock) Acquire(p *sim.Proc) {
-	for !l.t.TestAndSet(p) {
-	}
-}
-
-// Release releases the lock.
-func (l *TASLock) Release(p *sim.Proc) {
-	l.t.Reset(p)
-}
-
 // Footprints implements sim.Footprinted: all shared state is the single
 // test-and-set bit.
 func (l *TASLock) Footprints() bool { return true }
@@ -231,16 +191,7 @@ func (l *TASLock) Restore(v any) { l.t.Restore(v) }
 
 // Apply implements sim.Object.
 func (l *TASLock) Apply(p *sim.Proc, inv sim.Invocation) history.Value {
-	switch inv.Op {
-	case OpAcquire:
-		l.Acquire(p)
-		return Locked
-	case OpRelease:
-		l.Release(p)
-		return Unlocked
-	default:
-		return nil
-	}
+	return sim.ApplyFrames(l, p, inv)
 }
 
 // tasLockFrame is one in-flight TASLock operation. It carries no
@@ -319,52 +270,96 @@ func NewTournament(n int) *Tournament {
 
 // Apply implements sim.Object.
 func (t *Tournament) Apply(p *sim.Proc, inv sim.Invocation) history.Value {
+	return sim.ApplyFrames(t, p, inv)
+}
+
+// Begin implements sim.Stepped. A process's climb starts at its leaf,
+// heap position leaf+id-1; with one process there is no node to climb
+// and both operations complete in the invocation window.
+func (t *Tournament) Begin(p *sim.Proc, inv sim.Invocation) (sim.Frame, history.Value, sim.StepStatus) {
+	pos := t.leaf + p.ID() - 1
 	switch inv.Op {
 	case OpAcquire:
-		pos := t.leaf + p.ID() - 1
-		for pos > 1 {
-			side := pos % 2 // 0 = left child, 1 = right child
-			node := pos / 2
-			t.petersonAcquire(p, node, side)
-			pos = node
+		if pos == 1 {
+			return nil, Locked, sim.StepDone
 		}
-		return Locked
+		return &tournamentFrame{t: t, acquire: true, pos: pos}, nil, sim.StepPaused
 	case OpRelease:
-		// Release top-down: recompute the path and release in root-to-leaf
-		// order.
-		var path []int // node indices with sides encoded in the climb
-		pos := t.leaf + p.ID() - 1
-		for pos > 1 {
-			path = append(path, pos)
-			pos /= 2
+		if t.levels == 0 {
+			return nil, Unlocked, sim.StepDone
 		}
-		for i := len(path) - 1; i >= 0; i-- {
-			node := path[i] / 2
-			side := path[i] % 2
-			t.flagReg(node, side).Write(p, false)
-		}
-		return Unlocked
+		return &tournamentFrame{t: t, leafPos: pos, level: t.levels - 1}, nil, sim.StepPaused
 	default:
-		return nil
+		return nil, nil, sim.StepDone
 	}
 }
 
-func (t *Tournament) flagReg(node, side int) *base.Register {
-	return t.flag[node][side]
+// tournamentFrame is one in-flight Tournament operation. Acquire climbs
+// from the leaf: at each node it plays Peterson's protocol on the side
+// its subtree lies on (pos%2) — write the own flag, yield the turn,
+// then spin reading the other side's flag and the turn — and moves up
+// once let in. Release walks the same path top down, clearing one flag
+// per window: the node at level k above the leaf is reached from heap
+// position leafPos>>k.
+type tournamentFrame struct {
+	t       *Tournament
+	acquire bool
+	pos     int // acquire: the child position whose node is being played
+	pc      int // acquire: 0 write flag, 1 write turn, 2 read flag, 3 read turn
+	leafPos int // release: the process's leaf position
+	level   int // release: the level whose flag the next Step clears
 }
 
-func (t *Tournament) petersonAcquire(p *sim.Proc, node, side int) {
+// Step implements sim.Frame.
+func (f *tournamentFrame) Step(p *sim.Proc) (history.Value, sim.StepStatus) {
+	t := f.t
+	if !f.acquire {
+		pos := f.leafPos >> f.level
+		t.flag[pos/2][pos%2].WriteW(p, false)
+		if f.level == 0 {
+			return Unlocked, sim.StepDone
+		}
+		f.level--
+		return nil, sim.StepPaused
+	}
+	node, side := f.pos/2, f.pos%2
 	other := 1 - side
-	t.flagReg(node, side).Write(p, true)
-	t.turn[node].Write(p, other)
-	for {
-		if !t.flagReg(node, other).Read(p).(bool) {
-			return
+	switch f.pc {
+	case 0:
+		t.flag[node][side].WriteW(p, true)
+		f.pc = 1
+	case 1:
+		t.turn[node].WriteW(p, other)
+		f.pc = 2
+	case 2:
+		if !t.flag[node][other].ReadW(p).(bool) {
+			return f.climb()
 		}
-		if t.turn[node].Read(p) != other {
-			return
+		f.pc = 3
+	case 3:
+		if t.turn[node].ReadW(p) != other {
+			return f.climb()
 		}
+		f.pc = 2
 	}
+	return nil, sim.StepPaused
+}
+
+// climb moves past the node just won: the lock is held once the root
+// is.
+func (f *tournamentFrame) climb() (history.Value, sim.StepStatus) {
+	f.pos /= 2
+	if f.pos == 1 {
+		return Locked, sim.StepDone
+	}
+	f.pc = 0
+	return nil, sim.StepPaused
+}
+
+// Fork implements sim.Frame.
+func (f *tournamentFrame) Fork() sim.Frame {
+	c := *f
+	return &c
 }
 
 // acquireReleaseEnv alternates acquire/release per process, derived

@@ -122,23 +122,7 @@ func persistStep(st *qstate, op string, arg history.Value) (next *qstate, resp h
 
 // Apply implements sim.Object.
 func (q *Persistent) Apply(p *sim.Proc, inv sim.Invocation) history.Value {
-	reg := q.intents[p.ID()]
-	for {
-		st := q.committed.Read(p).(*qstate)
-		next, resp, ok := persistStep(st, inv.Op, inv.Arg)
-		if !ok {
-			// Empty dequeue (or unknown op) linearizes at the read; nothing
-			// to persist.
-			return resp
-		}
-		reg.Write(p, &intent{prev: st, next: next, resp: resp})
-		reg.Flush(p)
-		if q.committed.CompareAndSwap(p, st, next) {
-			reg.Write(p, nil)
-			reg.Flush(p)
-			return resp
-		}
-	}
+	return sim.ApplyFrames(q, p, inv)
 }
 
 // persistFrame is one in-flight Persistent operation. pc: 0 = read
@@ -166,7 +150,8 @@ func (f *persistFrame) Step(p *sim.Proc) (history.Value, sim.StepStatus) {
 		st := q.committed.ReadW(p).(*qstate)
 		next, resp, ok := persistStep(st, f.inv.Op, f.inv.Arg)
 		if !ok {
-			// See Apply: the empty dequeue linearizes at the read.
+			// Empty dequeue (or unknown op) linearizes at the read;
+			// nothing to persist.
 			return resp, sim.StepDone
 		}
 		f.in = &intent{prev: st, next: next, resp: resp}

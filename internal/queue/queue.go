@@ -92,20 +92,7 @@ func (q *Locked) Restore(v any) {
 
 // Apply implements sim.Object.
 func (q *Locked) Apply(p *sim.Proc, inv sim.Invocation) history.Value {
-	q.lock.Acquire(p)
-	st := q.state.Read(p).(*qstate)
-	var resp history.Value
-	switch inv.Op {
-	case "enq":
-		q.state.Write(p, st.enq(inv.Arg))
-		resp = history.OK
-	case "deq":
-		next, v := st.deq()
-		q.state.Write(p, next)
-		resp = v
-	}
-	q.lock.Release(p)
-	return resp
+	return sim.ApplyFrames(q, p, inv)
 }
 
 // lockedFrame is one in-flight Locked operation: acquire the embedded
@@ -148,7 +135,7 @@ func (f *lockedFrame) Step(p *sim.Proc) (history.Value, sim.StepStatus) {
 			f.next, f.resp = st.deq()
 			f.pc = 2
 		default:
-			// Unknown ops skip the write, matching Apply.
+			// Unknown ops skip the write.
 			f.sub, _, _ = q.lock.Begin(p, sim.Invocation{Op: mutex.OpRelease})
 			f.pc = 3
 		}
@@ -206,26 +193,7 @@ func (q *CASQueue) Restore(v any) { q.state.Restore(v) }
 
 // Apply implements sim.Object.
 func (q *CASQueue) Apply(p *sim.Proc, inv sim.Invocation) history.Value {
-	for {
-		st := q.state.Read(p).(*qstate)
-		switch inv.Op {
-		case "enq":
-			if q.state.CompareAndSwap(p, st, st.enq(inv.Arg)) {
-				return history.OK
-			}
-		case "deq":
-			next, v := st.deq()
-			if len(st.items) == 0 {
-				// An empty dequeue linearizes at the read; no CAS needed.
-				return v
-			}
-			if q.state.CompareAndSwap(p, st, next) {
-				return v
-			}
-		default:
-			return nil
-		}
-	}
+	return sim.ApplyFrames(q, p, inv)
 }
 
 // casQueueFrame is one in-flight CASQueue operation: alternating

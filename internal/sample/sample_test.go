@@ -36,14 +36,7 @@ func newLinSet() explore.MonitorSet {
 type okReg struct{ r *base.Register }
 
 func (o *okReg) Apply(p *sim.Proc, inv sim.Invocation) history.Value {
-	switch inv.Op {
-	case "write":
-		o.r.Write(p, inv.Arg)
-		return history.OK
-	case "read":
-		return o.r.Read(p)
-	}
-	return nil
+	return sim.ApplyFrames(o, p, inv)
 }
 
 func (o *okReg) Footprints() bool                 { return true }

@@ -269,6 +269,19 @@ func (s *Server) Cancel(id string) (Job, bool) {
 
 // runJob executes one queued job on the calling pool worker.
 func (s *Server) runJob(id string) {
+	// Register the job's cancel function before claiming it: once the
+	// job reads running, a Cancel must find it.
+	ctx, cancel := context.WithCancel(s.baseCtx)
+	s.mu.Lock()
+	s.cancels[id] = cancel
+	s.mu.Unlock()
+	defer func() {
+		s.mu.Lock()
+		delete(s.cancels, id)
+		s.mu.Unlock()
+		cancel()
+	}()
+
 	// Claim the job; a queued job cancelled before pickup stays
 	// cancelled and is not run.
 	//slx:nondet job duration measurement: metrics only, never reaches exploration results
@@ -289,16 +302,6 @@ func (s *Server) runJob(id string) {
 	defer s.metrics.JobsRunning.Add(-1)
 
 	j, _ := s.store.Get(id)
-	ctx, cancel := context.WithCancel(s.baseCtx)
-	s.mu.Lock()
-	s.cancels[id] = cancel
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		delete(s.cancels, id)
-		s.mu.Unlock()
-		cancel()
-	}()
 
 	c, prop, err := s.checker(ctx, j.Spec)
 	if err != nil {

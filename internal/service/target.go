@@ -172,25 +172,9 @@ func TargetNames() []string {
 //slx:norecover the seeded bug is crash-free; the register is modeled durable
 type lossyRegister struct{ v hist.Value }
 
+// Apply implements run.Object.
 func (r *lossyRegister) Apply(p *run.Proc, inv run.Invocation) hist.Value {
-	var out hist.Value
-	switch inv.Op {
-	case "read":
-		p.Exec("read", func() {
-			p.Access("r", false)
-			out = r.v
-			p.Observe(out)
-		})
-	case "write":
-		p.Exec("write", func() {
-			out = hist.OK
-			p.Access("r", true)
-			if p.ID() != 2 {
-				r.v = inv.Arg
-			}
-		})
-	}
-	return out
+	return run.ApplyFrames(r, p, inv)
 }
 
 // lossyFrame is one in-flight lossyRegister operation: a single access
@@ -201,7 +185,7 @@ type lossyFrame struct {
 }
 
 // Begin implements run.Stepped. Unknown operations perform no access and
-// complete in the invocation window, matching Apply's empty switch arm.
+// complete in the invocation window.
 func (r *lossyRegister) Begin(p *run.Proc, inv run.Invocation) (run.Frame, hist.Value, run.StepStatus) {
 	switch inv.Op {
 	case "read", "write":
@@ -252,35 +236,9 @@ const blastCapacity = 3
 //slx:norecover the blast scenario is crash-free; all state is modeled durable
 type blastQueue struct{ items []hist.Value }
 
+// Apply implements run.Object.
 func (q *blastQueue) Apply(p *run.Proc, inv run.Invocation) hist.Value {
-	var out hist.Value
-	switch inv.Op {
-	case "enq":
-		p.Exec("reserve", func() {
-			p.Access("q", true)
-		})
-		p.Exec("publish", func() {
-			out = hist.OK
-			p.Access("q", true)
-			q.items = append(q.items, inv.Arg)
-			if len(q.items) > blastCapacity {
-				// The seeded bug: silently evict the oldest element.
-				q.items = q.items[1:]
-			}
-		})
-	case "deq":
-		p.Exec("deq", func() {
-			p.Access("q", true)
-			if len(q.items) == 0 {
-				out = "empty"
-			} else {
-				out = q.items[0]
-				q.items = q.items[1:]
-			}
-			p.Observe(out)
-		})
-	}
-	return out
+	return run.ApplyFrames(q, p, inv)
 }
 
 // blastFrame is one in-flight blastQueue operation: reserve+publish for
@@ -390,36 +348,9 @@ func (q *durQueue) deq(p *run.Proc) hist.Value {
 	return out
 }
 
+// Apply implements run.Object.
 func (q *durQueue) Apply(p *run.Proc, inv run.Invocation) hist.Value {
-	var out hist.Value
-	switch inv.Op {
-	case "enq":
-		id := p.ID()
-		p.Exec("log", func() {
-			p.Access(durLogName(id), true)
-			q.logVol[id] = &durRec{arg: inv.Arg}
-		})
-		p.Exec("log-flush", func() {
-			p.Access(durLogName(id), true)
-			q.logDur[id] = q.logVol[id]
-		})
-		p.Exec("apply", func() {
-			p.Access("q", true)
-			q.items = append(q.items, inv.Arg)
-		})
-		p.Exec("log-clear", func() {
-			p.Access(durLogName(id), true)
-			q.logVol[id] = nil
-		})
-		p.Exec("clear-flush", func() {
-			p.Access(durLogName(id), true)
-			q.logDur[id] = nil
-			out = hist.OK
-		})
-	case "deq":
-		p.Exec("deq", func() { out = q.deq(p) })
-	}
-	return out
+	return run.ApplyFrames(q, p, inv)
 }
 
 // durFrame is one in-flight durQueue operation. pc (enq): 0 = write

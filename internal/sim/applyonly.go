@@ -2,14 +2,17 @@ package sim
 
 import "repro/internal/history"
 
-// ApplyOnly wraps o so that only its blocking Apply executes it: the
-// wrapper hides Stepped, Snapshottable and SessionGated, so the runtime
-// runs every operation through its blocking-Apply adapter and a Session
-// over it takes the from-root strategy. It forwards the three hooks the
-// runtime consults — Footprinted, Fingerprintable and Recoverable — so
-// the explored tree, the pruning, the fingerprints and the crash
-// semantics stay those of o. Forced replay execution
-// (slx.WithReplayExecution) uses it to reach the Apply oracle.
+// ApplyOnly wraps o so that only its Apply executes it: the wrapper
+// hides Stepped, Snapshottable and SessionGated, so the runtime runs
+// every operation through its blocking-Apply adapter and a Session over
+// it takes the from-root strategy. For a frame machine, Apply is its
+// frames through ApplyFrames, one Proc.Exec window per Step. It
+// forwards the three hooks the runtime consults — Footprinted,
+// Fingerprintable and Recoverable — so the explored tree, the pruning,
+// the fingerprints and the crash semantics stay those of o. Forced
+// replay execution (slx.WithReplayExecution) uses it to reach the
+// from-root reference, which never calls Snapshot, Restore or
+// Frame.Fork.
 func ApplyOnly(o Object) Object {
 	a := &applyOnly{o: o}
 	a.rec, _ = o.(Recoverable)

@@ -18,22 +18,19 @@ func newFPObject() *fpObject {
 	return &fpObject{a: base.NewRegister("a", 0), b: base.NewRegister("b", 0)}
 }
 
-func (o *fpObject) Apply(p *Proc, inv Invocation) history.Value {
+func (o *fpObject) Apply(p *Proc, inv Invocation) (v history.Value) {
+	r := o.b
+	if p.ID() == 1 {
+		r = o.a
+	}
 	switch inv.Op {
 	case "write":
-		if p.ID() == 1 {
-			o.a.Write(p, inv.Arg)
-		} else {
-			o.b.Write(p, inv.Arg)
-		}
-		return history.OK
+		p.Exec("write", func() { r.WriteW(p, inv.Arg) })
+		v = history.OK
 	case "read":
-		if p.ID() == 1 {
-			return o.a.Read(p)
-		}
-		return o.b.Read(p)
+		p.Exec("read", func() { v = r.ReadW(p) })
 	}
-	return nil
+	return v
 }
 
 func (o *fpObject) Fingerprint(f *Fingerprinter) {
@@ -155,11 +152,12 @@ type sharedRegObject struct {
 func (o *sharedRegObject) Apply(p *Proc, inv Invocation) history.Value {
 	switch inv.Op {
 	case "read":
-		v := o.r.Read(p)
+		var v history.Value
+		p.Exec("read", func() { v = o.r.ReadW(p) })
 		p.Block()
 		return v
 	case "write":
-		o.r.Write(p, inv.Arg)
+		p.Exec("write", func() { o.r.WriteW(p, inv.Arg) })
 		return history.OK
 	}
 	return nil

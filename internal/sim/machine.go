@@ -32,21 +32,22 @@ func (s StepStatus) String() string {
 	}
 }
 
-// Stepped is the continuation hook of the runtime: an Object that runs
-// each operation as an explicit state machine, one resumable step
+// Stepped is the form every in-tree object is written in: each
+// operation runs as an explicit state machine, one resumable step
 // closure per scheduler grant, which the dispatch loop calls directly.
-// The runtime executes a Stepped object exclusively through this hook
-// (unless SessionGated vetoes it); any other object's blocking Apply runs
-// through an adapter that parks the call on a goroutine between
-// windows. The snapshot strategy of a Session requires the hook, since
-// only explicit frames can be forked.
+// It is the paper's process automaton written down — one base-object
+// step per grant. The runtime executes a Stepped object exclusively
+// through this hook (unless SessionGated vetoes it); any other object's
+// blocking Apply runs through an adapter that parks the call on a
+// goroutine between windows. The snapshot strategy of a Session
+// requires the hook, since only explicit frames can be forked.
 //
 // Begin is called within the invocation window (the granted step that
-// records the invocation event). It must run exactly the code Apply
-// would run before its first base-object access: composite-level local
-// setup, including any Proc.Observe calls Apply performs before the
-// first access, but no base-object access (nothing may call Proc.Access
-// — the invocation window has no footprint). It returns
+// records the invocation event). It runs the operation's local code up
+// to its first base-object access — composite-level setup, including
+// any Proc.Observe calls that precede the first access — but no access
+// itself (nothing may call Proc.Access: the invocation window has no
+// footprint). It returns
 //
 //   - (frame, _, StepPaused) when the operation has base-object steps
 //     left: each subsequent grant calls frame.Step once;
@@ -54,21 +55,31 @@ func (s StepStatus) String() string {
 //     access at all (val is the response, recorded in the same window);
 //   - (nil, _, StepBlocked) when the operation blocks immediately.
 //
-// The Stepped machine and the blocking Apply must describe the same
-// algorithm step for step: ApplyOnly (and WithReplayExecution above it)
-// hides the hook, so the runtime executes Apply instead, which serves
-// as the parity oracle for the machine. The window rule for translating
-// Apply bodies: Begin gets the code before the first access; Step k gets
-// the k-th access plus the local code that follows it up to the next
-// access or the return.
+// A Stepped object's Apply is derived from its machine by ApplyFrames,
+// so the blocking form that ApplyOnly (and WithReplayExecution above
+// it) reaches runs the same frames, one Proc.Exec window per Step.
 type Stepped interface {
 	Object
 	Begin(p *Proc, inv Invocation) (Frame, history.Value, StepStatus)
 }
 
+// ApplyFrames runs s's frame machine as one blocking Apply call: Begin
+// in the invocation window, then one Proc.Exec window per Frame.Step.
+// Every in-tree object's Apply is this one call.
+func ApplyFrames(s Stepped, p *Proc, inv Invocation) history.Value {
+	f, val, st := s.Begin(p, inv)
+	for st == StepPaused {
+		p.Exec("", func() { val, st = f.Step(p) })
+	}
+	if st == StepBlocked {
+		p.Block()
+	}
+	return val
+}
+
 // Frame is one in-flight operation of one process: the explicit
-// continuation of everything Apply keeps on its stack between Exec
-// calls. Step executes the operation's next atomic step — exactly one
+// continuation of the operation's local state between its steps. Step
+// executes the operation's next atomic step — exactly one
 // base-object access through the usual Proc hooks (Access/Observe, via
 // the internal/base *W window methods) plus the trailing local code up
 // to the next access — and reports whether the operation paused again,

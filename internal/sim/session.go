@@ -28,9 +28,9 @@ import (
 //     Stepped), not in the object: the Session forks frames on Mark and
 //     Restore, so anything a frame reaches by pointer must either be
 //     covered by Snapshot/Restore or be deep-copied by Frame.Fork.
-//  4. Apply (and the equivalent Stepped machine) is deterministic given
-//     the invocation and the observed values (which the simulator
-//     already requires for replay).
+//  4. The Stepped machine is deterministic given the invocation and the
+//     observed values (which the simulator already requires for
+//     replay).
 //
 // Unlike Fingerprintable, pointer identity is no obstacle: a snapshot
 // may hold pointers to immutable records (the CAS idiom), since Restore
@@ -47,7 +47,8 @@ type Snapshottable interface {
 
 // SessionGated is optionally implemented alongside Snapshottable and
 // Stepped by objects whose support for them depends on runtime
-// composition (e.g. a TM with a pluggable snapshot component):
+// composition (e.g. a wrapper that forwards the hooks to whatever
+// object it wraps, and vetoes them when that object lacks them):
 // Snapshotting() == false vetoes both hooks, exactly as if they were
 // absent — the runtime runs the object's blocking Apply, and sessions
 // rebuild from the root.

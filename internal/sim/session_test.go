@@ -35,22 +35,29 @@ func newSnapObject(n int) *snapObject {
 func (o *snapObject) Apply(p *Proc, inv Invocation) history.Value {
 	switch inv.Op {
 	case "mix":
-		o.reg.Write(p, inv.Arg)
-		v := o.ctr.Add(p, 1)
-		if o.tas.TestAndSet(p) {
-			old := o.cas.Read(p)
-			o.cas.CompareAndSwap(p, old, v)
+		p.Exec("write", func() { o.reg.WriteW(p, inv.Arg) })
+		var v int
+		p.Exec("add", func() { v = o.ctr.AddW(p, 1) })
+		var won bool
+		p.Exec("tas", func() { won = o.tas.TestAndSetW(p) })
+		if won {
+			var old history.Value
+			p.Exec("read", func() { old = o.cas.ReadW(p) })
+			p.Exec("cas", func() { o.cas.CompareAndSwapW(p, old, v) })
 		} else {
-			o.snap.Update(p, p.ID()-1, v)
+			p.Exec("update", func() { o.snap.UpdateW(p, p.ID()-1, v) })
 		}
-		sn := o.snap.Scan(p)
+		var sn []history.Value
+		p.Exec("scan", func() { sn = o.snap.ScanW(p, nil) })
 		sum := 0
 		for _, x := range sn {
 			sum += x.(int)
 		}
 		return sum*100 + v
 	case "read":
-		return o.reg.Read(p)
+		var v history.Value
+		p.Exec("read", func() { v = o.reg.ReadW(p) })
+		return v
 	}
 	return nil
 }
@@ -302,12 +309,14 @@ type tasObject struct{ t *base.TAS }
 func (o *tasObject) Apply(p *Proc, inv Invocation) history.Value {
 	switch inv.Op {
 	case "try":
-		if o.t.TestAndSet(p) {
+		var won bool
+		p.Exec("tas", func() { won = o.t.TestAndSetW(p) })
+		if won {
 			return "won"
 		}
 		return "lost"
 	case "release":
-		o.t.Reset(p)
+		p.Exec("reset", func() { o.t.ResetW(p) })
 		return "ok"
 	}
 	return nil

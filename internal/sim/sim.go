@@ -13,9 +13,10 @@
 //
 // Each process's in-flight operation is a continuation Frame, and a
 // grant is a direct call into it. Objects implementing Stepped supply
-// their own frames (one resumable step per grant); every other object
-// runs its blocking Apply through an adapter that presents the call as
-// a frame whose steps are the call's Proc.Exec windows. Run drives the
+// their own frames (one resumable step per grant) — every in-tree
+// object does, and derives its Apply from them with ApplyFrames; a
+// hand-written blocking Apply runs through an adapter that presents the
+// call as a frame whose steps are the call's Proc.Exec windows. Run drives the
 // runtime with a Scheduler. Session is the executor the exploration
 // engines drive: a live configuration extended one decision at a time
 // and rewound to marks, either by snapshot (a plain struct copy) or by
@@ -67,6 +68,9 @@ type LazyArg func(v *View) history.Value
 // atomic shared-memory access through p (one call to p.Exec per base-object
 // step), and returns the response value. Apply must not block on anything
 // other than p.Exec, and must not spawn goroutines that touch shared state.
+// An object written as a frame machine (Stepped) derives Apply with
+// ApplyFrames; a hand-written Apply is the form for ObjectFunc and for
+// objects without frames.
 type Object interface {
 	Apply(p *Proc, inv Invocation) history.Value
 }
@@ -307,7 +311,7 @@ const (
 )
 
 // Proc is the per-process handle passed to Object.Apply and to Stepped
-// machines. It implements base.Stepper and base.Accessor.
+// machines. It implements base.Accessor.
 type Proc struct {
 	id int
 	n  int

@@ -10,9 +10,6 @@ import (
 	"repro/internal/history"
 )
 
-// Proc must satisfy base.Stepper so base objects can be driven directly.
-var _ base.Stepper = (*Proc)(nil)
-
 // regObject exposes a single register through read/write operations; used
 // to exercise the runtime.
 type regObject struct {
@@ -23,16 +20,15 @@ func newRegObject() *regObject {
 	return &regObject{r: base.NewRegister("r", 0)}
 }
 
-func (o *regObject) Apply(p *Proc, inv Invocation) history.Value {
+func (o *regObject) Apply(p *Proc, inv Invocation) (v history.Value) {
 	switch inv.Op {
 	case "read":
-		return o.r.Read(p)
+		p.Exec("read", func() { v = o.r.ReadW(p) })
 	case "write":
-		o.r.Write(p, inv.Arg)
-		return history.OK
-	default:
-		return nil
+		p.Exec("write", func() { o.r.WriteW(p, inv.Arg) })
+		v = history.OK
 	}
+	return v
 }
 
 // blockObject parks every caller forever (the trivial implementation I_t).

@@ -9,63 +9,95 @@ import (
 	"repro/slx"
 )
 
-// seqStepper executes ops immediately; for sequential unit tests.
-type seqStepper struct{ steps int }
-
-func (s *seqStepper) Exec(desc string, op func()) {
-	s.steps++
-	op()
-}
-
-func TestSequentialSemantics(t *testing.T) {
-	st := &seqStepper{}
-	s := New("R", 3, 0)
-	if s.Len() != 3 {
-		t.Fatalf("Len = %d", s.Len())
-	}
-	got := s.Scan(st)
-	for i, v := range got {
-		if v != 0 {
-			t.Fatalf("initial Scan[%d] = %v", i, v)
-		}
-	}
-	s.Update(st, 1, 7)
-	got = s.Scan(st)
-	want := []Value{0, 7, 0}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Scan = %v, want %v", got, want)
-		}
-	}
-	s.Update(st, 1, 8)
-	s.Update(st, 2, 9)
-	got = s.Scan(st)
-	want = []Value{0, 8, 9}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Scan = %v, want %v", got, want)
-		}
-	}
-	if s.Borrows() != 0 {
-		t.Errorf("sequential scans never borrow, got %d", s.Borrows())
-	}
-}
-
-// snapObject drives SW through the simulator: "update" writes the caller's
-// own component, "scan" returns the encoded vector.
+// snapObject drives SW's frames through the simulator: "update" writes
+// the caller's own component and responds OK, "scan" responds with the
+// encoded vector.
 type snapObject struct {
 	s *SW
 }
 
 func (o *snapObject) Apply(p *sim.Proc, inv sim.Invocation) history.Value {
+	return sim.ApplyFrames(o, p, inv)
+}
+
+func (o *snapObject) Begin(p *sim.Proc, inv sim.Invocation) (sim.Frame, history.Value, sim.StepStatus) {
 	switch inv.Op {
 	case "update":
-		o.s.Update(p, p.ID()-1, inv.Arg)
-		return history.OK
+		return opFrame{o.s.UpdateFrame(p.ID()-1, inv.Arg)}, nil, sim.StepPaused
 	case "scan":
-		return safety.EncodeVector(o.s.Scan(p))
+		return opFrame{o.s.ScanFrame()}, nil, sim.StepPaused
 	default:
-		return nil
+		return nil, nil, sim.StepDone
+	}
+}
+
+// opFrame steps an SW frame and maps its completion to the response.
+type opFrame struct{ f sim.Frame }
+
+func (o opFrame) Step(p *sim.Proc) (history.Value, sim.StepStatus) {
+	v, st := o.f.Step(p)
+	if st != sim.StepDone {
+		return nil, st
+	}
+	if view, ok := v.([]history.Value); ok {
+		return safety.EncodeVector(view), sim.StepDone
+	}
+	return history.OK, sim.StepDone
+}
+
+func (o opFrame) Fork() sim.Frame { return opFrame{o.f.Fork()} }
+
+func TestSequentialSemantics(t *testing.T) {
+	s := New("R", 3, 0)
+	if s.Len() != 3 {
+		t.Fatalf("Len = %d", s.Len())
+	}
+	// Each operation runs alone to completion: a scan is its invocation
+	// plus two agreeing collects of three reads (7 steps), an update is
+	// its invocation, that scan, and the read and the write of its own
+	// register (9 steps).
+	res := sim.Run(sim.Config{
+		Procs:  3,
+		Object: &snapObject{s: s},
+		Env: sim.Script(map[int][]sim.Invocation{
+			1: {{Op: "scan"}, {Op: "scan"}, {Op: "scan"}},
+			2: {{Op: "update", Arg: 7}, {Op: "update", Arg: 8}},
+			3: {{Op: "update", Arg: 9}},
+		}),
+		Scheduler: sim.Seq(
+			sim.Limit(sim.Solo(1), 7),
+			sim.Limit(sim.Solo(2), 9),
+			sim.Limit(sim.Solo(1), 7),
+			sim.Limit(sim.Solo(2), 9),
+			sim.Limit(sim.Solo(3), 9),
+			sim.Limit(sim.Solo(1), 7),
+		),
+		MaxSteps: 100,
+	})
+	if res.Err != nil {
+		t.Fatalf("run error: %v", res.Err)
+	}
+	var scans []history.Value
+	for _, e := range res.H {
+		if e.Kind == history.KindResponse && e.Proc == 1 {
+			scans = append(scans, e.Val)
+		}
+	}
+	want := []history.Value{
+		safety.EncodeVector([]history.Value{0, 0, 0}),
+		safety.EncodeVector([]history.Value{0, 7, 0}),
+		safety.EncodeVector([]history.Value{0, 8, 9}),
+	}
+	if len(scans) != len(want) {
+		t.Fatalf("scans = %v, want %v", scans, want)
+	}
+	for i := range want {
+		if scans[i] != want[i] {
+			t.Fatalf("scans = %v, want %v", scans, want)
+		}
+	}
+	if s.Borrows() != 0 {
+		t.Errorf("sequential scans never borrow, got %d", s.Borrows())
 	}
 }
 
@@ -186,12 +218,22 @@ func TestScanWaitFree(t *testing.T) {
 }
 
 func TestSingleWriterSequencesAdvance(t *testing.T) {
-	st := &seqStepper{}
 	s := New("R", 2, 0)
+	var updates []sim.Invocation
 	for i := 1; i <= 5; i++ {
-		s.Update(st, 0, i*10)
+		updates = append(updates, sim.Invocation{Op: "update", Arg: i * 10})
 	}
-	c := s.regs[0].Read(st).(*cell)
+	res := sim.Run(sim.Config{
+		Procs:     1,
+		Object:    &snapObject{s: s},
+		Env:       sim.Script(map[int][]sim.Invocation{1: updates}),
+		Scheduler: &sim.RoundRobin{},
+		MaxSteps:  100,
+	})
+	if res.Err != nil {
+		t.Fatalf("run error: %v", res.Err)
+	}
+	c := s.regs[0].Snapshot().(*cell)
 	if c.seq != 5 || c.val != 50 {
 		t.Errorf("cell = seq %d val %v, want seq 5 val 50", c.seq, c.val)
 	}

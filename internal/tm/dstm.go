@@ -60,7 +60,7 @@ func NewDSTM(n int) *DSTM {
 
 // Apply implements sim.Object.
 func (t *DSTM) Apply(p *sim.Proc, inv sim.Invocation) history.Value {
-	return tmApply(t, p, inv)
+	return sim.ApplyFrames(t, p, inv)
 }
 
 func (t *DSTM) orecFor(v string) *base.CAS {
@@ -72,111 +72,172 @@ func (t *DSTM) orecFor(v string) *base.CAS {
 	return c
 }
 
-func (t *DSTM) start(p *sim.Proc) history.Value {
-	t.local[p.ID()].desc = &txDesc{
-		status: base.NewCAS("tx", txActive),
-	}
-	return history.OK
-}
-
-// active reports whether p's current transaction is still active (one
-// status read = one step).
-func (t *DSTM) active(p *sim.Proc) bool {
-	d := t.local[p.ID()].desc
-	return d != nil && d.status.Read(p) == txActive
-}
-
-// resolve returns the current committed value of the record (nil record =
-// initial value 0). It reads the previous owner's status (one step).
-func (t *DSTM) resolve(p *sim.Proc, rec *orec) history.Value {
-	if rec == nil {
-		return 0
-	}
-	if rec.owner.status.Read(p) == txCommitted {
-		return rec.newVal
-	}
-	return rec.oldVal
-}
-
-// acquire takes ownership of v for p's transaction and returns the value
-// the transaction observes. For writes, newVal becomes val; for reads the
-// record keeps the current value. Returns ok=false when the transaction
-// was aborted by a competitor.
-func (t *DSTM) acquire(p *sim.Proc, v string, write bool, val history.Value) (history.Value, bool) {
-	mine := t.local[p.ID()].desc
-	oc := t.orecFor(v)
-	for {
-		if !t.active(p) {
-			return nil, false
+// Begin implements sim.Stepped. "start" takes no base-object step: it
+// allocates a fresh descriptor in the invocation window. "read" and
+// "write" allocate the variable's ownership record on first use, also
+// in the invocation window, and answer A there when the process has no
+// transaction (its status is read only when there is a descriptor);
+// otherwise they run the acquire loop (dstmAccessFrame). "tryC" drops
+// the descriptor in the invocation window, then commits with one CAS
+// of its status word.
+func (t *DSTM) Begin(p *sim.Proc, inv sim.Invocation) (sim.Frame, history.Value, sim.StepStatus) {
+	l := &t.local[p.ID()]
+	switch inv.Op {
+	case history.TMStart:
+		l.desc = &txDesc{status: base.NewCAS("tx", txActive)}
+		return nil, history.OK, sim.StepDone
+	case history.TMRead, history.TMWrite:
+		oc := t.orecFor(inv.Obj)
+		if l.desc == nil {
+			return nil, history.Abort, sim.StepDone
 		}
-		cur, _ := oc.Read(p).(*orec)
-		if cur != nil && cur.owner == mine {
+		f := &dstmAccessFrame{mine: l.desc, oc: oc, resp: history.OK}
+		if inv.Op == history.TMWrite {
+			f.write, f.val = true, inv.Arg
+		}
+		return f, nil, sim.StepPaused
+	case history.TMTryC:
+		d := l.desc
+		if d == nil {
+			return nil, history.Abort, sim.StepDone
+		}
+		l.desc = nil
+		return dstmCommitFrame{d}, nil, sim.StepPaused
+	default:
+		return nil, history.Abort, sim.StepDone
+	}
+}
+
+// dstmCommitFrame is an in-flight tryC: one CAS of the status word from
+// active to committed. It never mutates, so Fork returns the receiver.
+type dstmCommitFrame struct{ d *txDesc }
+
+// Step implements sim.Frame.
+func (f dstmCommitFrame) Step(p *sim.Proc) (history.Value, sim.StepStatus) {
+	if f.d.status.CompareAndSwapW(p, txActive, txCommitted) {
+		return history.Commit, sim.StepDone
+	}
+	return history.Abort, sim.StepDone
+}
+
+// Fork implements sim.Frame.
+func (f dstmCommitFrame) Fork() sim.Frame { return f }
+
+// Frame phases for dstmAccessFrame.pc. Each constant names the access
+// the next Step performs.
+const (
+	dsActive      = iota // read the own status: still active? (top of the loop)
+	dsReadOrec           // read the variable's ownership record
+	dsOwnerStatus        // read the current owner's status
+	dsAbortOwner         // CAS the active owner's status to aborted
+	dsResolve            // read the previous owner's status again, resolving its value
+	dsCAS                // CAS the record to the one prepared in next
+	dsValidate           // read the own status after acquiring: still active?
+)
+
+// dstmAccessFrame is an in-flight read or write: the acquire loop,
+// which takes ownership of the variable for the process's transaction.
+// Each round checks the own status, then reads the ownership record.
+// An owned record is re-accessed: a read validates the own status and
+// returns the record's new value; a write CASes in a record with the
+// new value, then validates. A record of an active owner first aborts
+// that owner; any other record is stolen — the previous owner's status
+// resolves the current value (committed: newVal, otherwise oldVal), and
+// a CAS installs a record owned by this transaction holding that value
+// (writes: the written value as newVal), then validates. Any failed CAS
+// starts a new round. The response, once validation passes, is the
+// value read (reads) or OK (writes); a failed status check answers A.
+type dstmAccessFrame struct {
+	mine  *txDesc
+	oc    *base.CAS
+	write bool
+	val   history.Value // the written value (writes)
+	pc    int
+	cur   *orec // the record the current round read
+	next  *orec // the record the next dsCAS installs
+	resp  history.Value
+}
+
+// Step implements sim.Frame.
+func (f *dstmAccessFrame) Step(p *sim.Proc) (history.Value, sim.StepStatus) {
+	switch f.pc {
+	case dsActive:
+		if f.mine.status.ReadW(p) != txActive {
+			return history.Abort, sim.StepDone
+		}
+		f.pc = dsReadOrec
+	case dsReadOrec:
+		f.cur, _ = f.oc.ReadW(p).(*orec)
+		switch {
+		case f.cur != nil && f.cur.owner == f.mine:
 			// Re-access of an owned variable. Validate the own status
 			// before exposing the value: if a competitor aborted us, the
 			// value would join an inconsistent read set (opacity for
 			// aborted transactions).
-			if !write {
-				if !t.active(p) {
-					return nil, false
-				}
-				return cur.newVal, true
+			if f.write {
+				f.next = &orec{owner: f.mine, oldVal: f.cur.oldVal, newVal: f.val}
+				f.pc = dsCAS
+			} else {
+				f.resp = f.cur.newVal
+				f.pc = dsValidate
 			}
-			next := &orec{owner: mine, oldVal: cur.oldVal, newVal: val}
-			if oc.CompareAndSwap(p, cur, next) {
-				if !t.active(p) {
-					return nil, false
-				}
-				return val, true
-			}
-			continue
+		case f.cur != nil:
+			f.pc = dsOwnerStatus
+		default:
+			// No record yet: the initial value 0, with no owner to
+			// resolve it through.
+			f.steal(0)
 		}
-		if cur != nil && cur.owner.status.Read(p) == txActive {
+	case dsOwnerStatus:
+		if f.cur.owner.status.ReadW(p) == txActive {
 			// Obstruction-free conflict resolution: abort the owner.
-			cur.owner.status.CompareAndSwap(p, txActive, txAborted)
-			continue
+			f.pc = dsAbortOwner
+		} else {
+			f.pc = dsResolve
 		}
-		resolved := t.resolve(p, cur)
-		newVal := resolved
-		if write {
-			newVal = val
+	case dsAbortOwner:
+		f.cur.owner.status.CompareAndSwapW(p, txActive, txAborted)
+		f.pc = dsActive
+	case dsResolve:
+		resolved := f.cur.oldVal
+		if f.cur.owner.status.ReadW(p) == txCommitted {
+			resolved = f.cur.newVal
 		}
-		next := &orec{owner: mine, oldVal: resolved, newVal: newVal}
-		if oc.CompareAndSwap(p, cur, next) {
-			// Post-acquire validation: if our status still reads active
-			// here, no competitor has stolen any of our records up to this
-			// instant (stealing aborts first), so every value we have
-			// returned is simultaneously current — a consistent snapshot.
-			if !t.active(p) {
-				return nil, false
-			}
-			return resolved, true
+		f.steal(resolved)
+	case dsCAS:
+		if f.oc.CompareAndSwapW(p, f.cur, f.next) {
+			f.pc = dsValidate
+		} else {
+			f.pc = dsActive
 		}
+	case dsValidate:
+		// Post-acquire validation: if our status still reads active
+		// here, no competitor has stolen any of our records up to this
+		// instant (stealing aborts first), so every value we have
+		// returned is simultaneously current — a consistent snapshot.
+		if f.mine.status.ReadW(p) != txActive {
+			return history.Abort, sim.StepDone
+		}
+		return f.resp, sim.StepDone
 	}
+	return nil, sim.StepPaused
 }
 
-func (t *DSTM) read(p *sim.Proc, v string) history.Value {
-	got, ok := t.acquire(p, v, false, nil)
-	if !ok {
-		return history.Abort
+// steal prepares the CAS that takes the record over, keeping resolved
+// as its old value (and, for reads, as the response).
+func (f *dstmAccessFrame) steal(resolved history.Value) {
+	newVal := resolved
+	if f.write {
+		newVal = f.val
+	} else {
+		f.resp = resolved
 	}
-	return got
+	f.next = &orec{owner: f.mine, oldVal: resolved, newVal: newVal}
+	f.pc = dsCAS
 }
 
-func (t *DSTM) write(p *sim.Proc, v string, val history.Value) history.Value {
-	if _, ok := t.acquire(p, v, true, val); !ok {
-		return history.Abort
-	}
-	return history.OK
-}
-
-func (t *DSTM) tryC(p *sim.Proc) history.Value {
-	d := t.local[p.ID()].desc
-	if d == nil {
-		return history.Abort
-	}
-	t.local[p.ID()].desc = nil
-	if d.status.CompareAndSwap(p, txActive, txCommitted) {
-		return history.Commit
-	}
-	return history.Abort
+// Fork implements sim.Frame.
+func (f *dstmAccessFrame) Fork() sim.Frame {
+	c := *f
+	return &c
 }

@@ -107,65 +107,12 @@ func (t *DurableTM) Restore(v any) {
 
 // Apply implements sim.Object.
 func (t *DurableTM) Apply(p *sim.Proc, inv sim.Invocation) history.Value {
-	return tmApply(t, p, inv)
+	return sim.ApplyFrames(t, p, inv)
 }
 
-// start/read/write are GlobalCAS's, over this object's local contexts.
-
-func (t *DurableTM) start(p *sim.Proc) history.Value {
-	l := &t.local[p.ID()]
-	st := t.c.Read(p).(*memState)
-	l.snapshot = st
-	l.values = make(map[string]history.Value, len(st.vals))
-	for k, v := range st.vals {
-		l.values[k] = v
-	}
-	l.active = true
-	return history.OK
-}
-
-func (t *DurableTM) read(p *sim.Proc, v string) history.Value {
-	l := &t.local[p.ID()]
-	if !l.active {
-		return history.Abort
-	}
-	if val, ok := l.values[v]; ok {
-		return val
-	}
-	return 0
-}
-
-func (t *DurableTM) write(p *sim.Proc, v string, val history.Value) history.Value {
-	l := &t.local[p.ID()]
-	if !l.active {
-		return history.Abort
-	}
-	l.values[v] = val
-	return history.OK
-}
-
-func (t *DurableTM) tryC(p *sim.Proc) history.Value {
-	l := &t.local[p.ID()]
-	p.Observe(l.active)
-	if !l.active {
-		return history.Abort
-	}
-	l.active = false
-	reg := t.logs[p.ID()]
-	next := &memState{version: l.snapshot.version + 1, vals: l.values}
-	reg.Write(p, &commitIntent{prev: l.snapshot, next: next})
-	reg.Flush(p)
-	resp := history.Value(history.Abort)
-	if t.c.CompareAndSwap(p, l.snapshot, next) {
-		resp = history.Commit
-	}
-	reg.Write(p, nil)
-	reg.Flush(p)
-	return resp
-}
-
-// Begin implements sim.Stepped (window form of the same protocol;
-// start, read and write match GlobalCAS's shapes).
+// Begin implements sim.Stepped: start, read and write match GlobalCAS's
+// shapes; tryC takes the active-flag branch in the invocation window and
+// then runs the write-ahead commit (dtmCommitFrame).
 func (t *DurableTM) Begin(p *sim.Proc, inv sim.Invocation) (sim.Frame, history.Value, sim.StepStatus) {
 	switch inv.Op {
 	case history.TMStart:
@@ -180,9 +127,9 @@ func (t *DurableTM) Begin(p *sim.Proc, inv sim.Invocation) (sim.Frame, history.V
 		next := &memState{version: l.snapshot.version + 1, vals: l.values}
 		return &dtmCommitFrame{t: t, in: &commitIntent{prev: l.snapshot, next: next}}, nil, sim.StepPaused
 	case history.TMRead:
-		return nil, t.read(p, inv.Obj), sim.StepDone
+		return nil, t.local[p.ID()].read(inv.Obj), sim.StepDone
 	case history.TMWrite:
-		return nil, t.write(p, inv.Obj, inv.Arg), sim.StepDone
+		return nil, t.local[p.ID()].write(inv.Obj, inv.Arg), sim.StepDone
 	default:
 		return nil, history.Abort, sim.StepDone
 	}
@@ -195,15 +142,7 @@ type dtmStartFrame struct {
 
 // Step implements sim.Frame.
 func (f *dtmStartFrame) Step(p *sim.Proc) (history.Value, sim.StepStatus) {
-	t := f.t
-	l := &t.local[p.ID()]
-	st := t.c.ReadW(p).(*memState)
-	l.snapshot = st
-	l.values = make(map[string]history.Value, len(st.vals))
-	for k, v := range st.vals {
-		l.values[k] = v
-	}
-	l.active = true
+	f.t.local[p.ID()].begin(f.t.c.ReadW(p).(*memState))
 	return history.OK, sim.StepDone
 }
 

@@ -22,6 +22,12 @@
 // The TM operations are "start", "read" (Obj = variable name), "write"
 // (Obj + Arg) and "tryC", with responses ok / value / C / A exactly as in
 // the paper's Section 4.1.
+//
+// Every implementation is written once, as a frame machine (sim.Stepped:
+// one base-object access per Step); its Apply is sim.ApplyFrames over
+// the same frames. I12's snapshot object is written the same way, so
+// I12's frames step the snapshot's update and scan frames as
+// sub-frames, whichever snapshot it is built on.
 package tm
 
 import (
@@ -46,39 +52,100 @@ type memState struct {
 type procTx struct {
 	snapshot  *memState                // (version, oldval) read by start
 	values    map[string]history.Value // local read/write buffer
-	written   bool
 	active    bool
 	timestamp int
 }
 
-// SnapshotObject is the snapshot interface Algorithm 1 needs: per-process
-// timestamp announcement plus an atomic scan. It is satisfied by the
-// hardware base.Snapshot (one-step scan) and by the software
-// snapshot.SW built from single-writer registers. Implementations that
-// additionally provide Snapshot() any / Restore(any) (both in-repo ones
-// do) let the TM participate in incremental exploration; without them
-// exploration sessions rebuild from the root (see I12.Snapshotting).
-type SnapshotObject interface {
-	Update(s base.Stepper, i int, v history.Value)
-	Scan(s base.Stepper) []history.Value
+// begin starts a transaction on the committed state st: a private copy
+// of its values becomes the read/write buffer.
+func (l *procTx) begin(st *memState) {
+	l.snapshot = st
+	l.values = make(map[string]history.Value, len(st.vals))
+	for k, v := range st.vals {
+		l.values[k] = v
+	}
+	l.active = true
 }
 
-// snapRestorer is the state-capture facet of a SnapshotObject.
-type snapRestorer interface {
+// read returns the buffered value of v (0 if the transaction never saw
+// it), or A once the transaction is no longer active.
+func (l *procTx) read(v string) history.Value {
+	if !l.active {
+		return history.Abort
+	}
+	if val, ok := l.values[v]; ok {
+		return val
+	}
+	return 0
+}
+
+// write buffers val for v, or answers A once the transaction is no
+// longer active.
+func (l *procTx) write(v string, val history.Value) history.Value {
+	if !l.active {
+		return history.Abort
+	}
+	l.values[v] = val
+	return history.OK
+}
+
+// SnapshotObject is the snapshot object R[1..n] of Algorithm 1, written
+// as frame machines: UpdateFrame(i, v) writes component i (0-based) and
+// ScanFrame reads all components, each as a frame I12's own frames step
+// one base-object access at a time. A scan frame's StepDone value is the
+// scanned []history.Value. Snapshot and Restore capture and reinstate
+// the object's state for I12's snapshot hook. The hardware primitive
+// (NewI12) completes either operation in one step; the software
+// snapshot.SW built from registers takes many.
+type SnapshotObject interface {
+	UpdateFrame(i int, v history.Value) sim.Frame
+	ScanFrame() sim.Frame
 	Snapshot() any
 	Restore(any)
 }
 
-// steppedSnap is the window-form facet of a SnapshotObject: update and
-// scan each complete within a single already-granted access window,
-// which is what the continuation frames need. The hardware base.Snapshot
-// provides it; the software snapshot built from registers does not (its
-// scan takes many steps), so I12-with-software-snapshot reports
-// Snapshotting()==false and exploration sessions rebuild from the root.
-type steppedSnap interface {
-	UpdateW(a base.Accessor, i int, v history.Value)
-	ScanW(a base.Accessor, dst []history.Value) []history.Value
+// hwSnapshot is the hardware base.Snapshot as a SnapshotObject. Each
+// operation is one access, so its frames finish in their first Step and
+// never mutate: Fork returns the receiver, and one scan frame serves
+// every scan.
+type hwSnapshot struct {
+	s    *base.Snapshot
+	scan hwFrame
 }
+
+// UpdateFrame implements SnapshotObject.
+func (h *hwSnapshot) UpdateFrame(i int, v history.Value) sim.Frame {
+	return &hwFrame{s: h.s, i: i, v: v}
+}
+
+// ScanFrame implements SnapshotObject.
+func (h *hwSnapshot) ScanFrame() sim.Frame { return &h.scan }
+
+// Snapshot implements SnapshotObject.
+func (h *hwSnapshot) Snapshot() any { return h.s.Snapshot() }
+
+// Restore implements SnapshotObject.
+func (h *hwSnapshot) Restore(v any) { h.s.Restore(v) }
+
+// hwFrame is an in-flight hardware operation: one UpdateW window on
+// component i, or one ScanW window when i < 0.
+type hwFrame struct {
+	s *base.Snapshot
+	i int
+	v history.Value
+}
+
+// Step implements sim.Frame.
+func (f *hwFrame) Step(p *sim.Proc) (history.Value, sim.StepStatus) {
+	if f.i < 0 {
+		return f.s.ScanW(p, nil), sim.StepDone
+	}
+	f.s.UpdateW(p, f.i, f.v)
+	return nil, sim.StepDone
+}
+
+// Fork implements sim.Frame.
+func (f *hwFrame) Fork() sim.Frame { return f }
 
 // txSnap is one process's captured transaction context. The read/write
 // buffer is copied both ways: write() mutates it in place, and the same
@@ -86,7 +153,6 @@ type steppedSnap interface {
 type txSnap struct {
 	snapshot  *memState
 	values    map[string]history.Value
-	written   bool
 	active    bool
 	timestamp int
 }
@@ -95,7 +161,7 @@ func snapLocals(local []procTx) []txSnap {
 	out := make([]txSnap, len(local))
 	for i := range local {
 		l := &local[i]
-		out[i] = txSnap{snapshot: l.snapshot, written: l.written, active: l.active, timestamp: l.timestamp}
+		out[i] = txSnap{snapshot: l.snapshot, active: l.active, timestamp: l.timestamp}
 		if l.values != nil {
 			m := make(map[string]history.Value, len(l.values))
 			for k, v := range l.values {
@@ -112,7 +178,6 @@ func restoreLocals(local []procTx, snaps []txSnap) {
 		s := &snaps[i]
 		l := &local[i]
 		l.snapshot = s.snapshot
-		l.written = s.written
 		l.active = s.active
 		l.timestamp = s.timestamp
 		if s.values == nil {
@@ -141,11 +206,8 @@ type I12 struct {
 // NewI12 creates the implementation for n processes using the hardware
 // snapshot primitive.
 func NewI12(n int) *I12 {
-	return &I12{
-		c:     base.NewCAS("C", &memState{version: 1}),
-		r:     base.NewSnapshot("R", n, 0),
-		local: make([]procTx, n+1),
-	}
+	s := base.NewSnapshot("R", n, 0)
+	return NewI12WithSnapshot(n, &hwSnapshot{s: s, scan: hwFrame{s: s, i: -1}})
 }
 
 // NewI12WithSnapshot creates the implementation with a caller-provided
@@ -161,7 +223,7 @@ func NewI12WithSnapshot(n int, snap SnapshotObject) *I12 {
 
 // Apply implements sim.Object.
 func (t *I12) Apply(p *sim.Proc, inv sim.Invocation) history.Value {
-	return tmApply(t, p, inv)
+	return sim.ApplyFrames(t, p, inv)
 }
 
 // Footprints implements sim.Footprinted: cross-process state is the
@@ -178,121 +240,36 @@ type tmState struct {
 	local []txSnap
 }
 
-// Snapshotting reports whether the snapshot object supports both state
-// capture and single-window update/scan; false sends exploration
-// sessions to the from-root strategy (see sim.NewSession).
-func (t *I12) Snapshotting() bool {
-	if _, ok := t.r.(snapRestorer); !ok {
-		return false
-	}
-	_, ok := t.r.(steppedSnap)
-	return ok
-}
-
 // Snapshot implements sim.Snapshottable: the central CAS (pointer
 // identity preserved — memState records are immutable), the snapshot
 // object, and the per-process transaction contexts.
 func (t *I12) Snapshot() any {
-	st := &tmState{c: t.c.Snapshot(), local: snapLocals(t.local)}
-	if r, ok := t.r.(snapRestorer); ok {
-		st.r = r.Snapshot()
-	}
-	return st
+	return &tmState{c: t.c.Snapshot(), r: t.r.Snapshot(), local: snapLocals(t.local)}
 }
 
 // Restore implements sim.Snapshottable.
 func (t *I12) Restore(v any) {
 	st := v.(*tmState)
 	t.c.Restore(st.c)
-	if r, ok := t.r.(snapRestorer); ok {
-		r.Restore(st.r)
-	}
+	t.r.Restore(st.r)
 	restoreLocals(t.local, st.local)
-}
-
-func (t *I12) start(p *sim.Proc) history.Value {
-	l := &t.local[p.ID()]
-	l.timestamp++
-	t.r.Update(p, p.ID()-1, l.timestamp)
-	st := t.c.Read(p).(*memState)
-	l.snapshot = st
-	l.values = make(map[string]history.Value, len(st.vals))
-	for k, v := range st.vals {
-		l.values[k] = v
-	}
-	l.written = false
-	l.active = true
-	return history.OK
-}
-
-func (t *I12) read(p *sim.Proc, v string) history.Value {
-	l := &t.local[p.ID()]
-	if !l.active {
-		return history.Abort
-	}
-	if val, ok := l.values[v]; ok {
-		return val
-	}
-	return 0
-}
-
-func (t *I12) write(p *sim.Proc, v string, val history.Value) history.Value {
-	l := &t.local[p.ID()]
-	if !l.active {
-		return history.Abort
-	}
-	l.values[v] = val
-	l.written = true
-	return history.OK
-}
-
-func (t *I12) tryC(p *sim.Proc) history.Value {
-	l := &t.local[p.ID()]
-	// The active flag is local state that steers the operation's control
-	// flow, so it is folded into the local-state fingerprint (both here
-	// and in the continuation form's Begin).
-	p.Observe(l.active)
-	if !l.active {
-		return history.Abort
-	}
-	l.active = false
-	// The timestamp abort rule: count processes whose announced timestamp
-	// is at least ours (including ourselves, as in the paper's loop); three
-	// or more means at least two concurrent same-timestamp transactions
-	// observed our start, so abort.
-	snap := t.r.Scan(p)
-	count := 0
-	for _, ts := range snap {
-		if ts.(int) >= l.timestamp {
-			count++
-		}
-	}
-	if count >= 3 {
-		return history.Abort
-	}
-	next := &memState{version: l.snapshot.version + 1, vals: l.values}
-	if t.c.CompareAndSwap(p, l.snapshot, next) {
-		return history.Commit
-	}
-	return history.Abort
 }
 
 // Begin implements sim.Stepped. "read" and "write" are pure local-buffer
 // operations — zero accesses, so the whole operation completes in the
 // invocation window. "start" bumps the local timestamp in the invocation
-// window (it steers no shared access yet), then announces and reads C in
-// two access windows. "tryC" takes its active-flag branch in the
-// invocation window, mirroring the blocking form where the flag check
-// precedes the first access.
-//
-// Begin is only reached when Snapshotting() is true, so the snapshot
-// object is known to implement steppedSnap.
+// window (it steers no shared access yet), then announces it through the
+// snapshot's update frame and reads C. "tryC" takes its active-flag
+// branch in the invocation window — the flag is local state that steers
+// the operation's control flow, so it is folded into the local-state
+// fingerprint — then scans the timestamps through the snapshot's scan
+// frame and attempts the commit CAS.
 func (t *I12) Begin(p *sim.Proc, inv sim.Invocation) (sim.Frame, history.Value, sim.StepStatus) {
 	switch inv.Op {
 	case history.TMStart:
 		l := &t.local[p.ID()]
 		l.timestamp++
-		return &i12StartFrame{t: t}, nil, sim.StepPaused
+		return &i12StartFrame{t: t, sub: t.r.UpdateFrame(p.ID()-1, l.timestamp)}, nil, sim.StepPaused
 	case history.TMTryC:
 		l := &t.local[p.ID()]
 		p.Observe(l.active)
@@ -300,66 +277,71 @@ func (t *I12) Begin(p *sim.Proc, inv sim.Invocation) (sim.Frame, history.Value, 
 			return nil, history.Abort, sim.StepDone
 		}
 		l.active = false
-		return &i12TryCFrame{t: t}, nil, sim.StepPaused
+		return &i12TryCFrame{t: t, sub: t.r.ScanFrame()}, nil, sim.StepPaused
 	case history.TMRead:
-		return nil, t.read(p, inv.Obj), sim.StepDone
+		return nil, t.local[p.ID()].read(inv.Obj), sim.StepDone
 	case history.TMWrite:
-		return nil, t.write(p, inv.Obj, inv.Arg), sim.StepDone
+		return nil, t.local[p.ID()].write(inv.Obj, inv.Arg), sim.StepDone
 	default:
 		return nil, history.Abort, sim.StepDone
 	}
 }
 
-// i12StartFrame is an in-flight start: announce the timestamp, then read
-// the central CAS and initialize the read/write buffer.
+// i12StartFrame is an in-flight start: step the snapshot's update frame
+// (sub) until it completes, then read the central CAS and initialize
+// the read/write buffer.
 type i12StartFrame struct {
-	t  *I12
-	pc int
+	t   *I12
+	sub sim.Frame // nil once the announcement is written
 }
 
 // Step implements sim.Frame.
 func (f *i12StartFrame) Step(p *sim.Proc) (history.Value, sim.StepStatus) {
-	t := f.t
-	l := &t.local[p.ID()]
-	if f.pc == 0 {
-		t.r.(steppedSnap).UpdateW(p, p.ID()-1, l.timestamp)
-		f.pc = 1
+	if f.sub != nil {
+		if _, st := f.sub.Step(p); st == sim.StepDone {
+			f.sub = nil
+		}
 		return nil, sim.StepPaused
 	}
-	st := t.c.ReadW(p).(*memState)
-	l.snapshot = st
-	l.values = make(map[string]history.Value, len(st.vals))
-	for k, v := range st.vals {
-		l.values[k] = v
-	}
-	l.written = false
-	l.active = true
+	f.t.local[p.ID()].begin(f.t.c.ReadW(p).(*memState))
 	return history.OK, sim.StepDone
 }
 
 // Fork implements sim.Frame.
 func (f *i12StartFrame) Fork() sim.Frame {
 	c := *f
+	if c.sub != nil {
+		c.sub = c.sub.Fork()
+	}
 	return &c
 }
 
-// i12TryCFrame is an in-flight tryC past the active check: scan the
-// timestamps (aborting on the count rule in the scan's window, as in the
-// blocking form), then attempt the commit CAS.
+// i12TryCFrame is an in-flight tryC past the active check: step the
+// snapshot's scan frame (sub) until it completes, applying the count
+// rule in the window where the scan completes, then attempt the commit
+// CAS.
 type i12TryCFrame struct {
 	t    *I12
+	sub  sim.Frame // nil once the scan is complete
 	next *memState
-	pc   int
 }
 
 // Step implements sim.Frame.
 func (f *i12TryCFrame) Step(p *sim.Proc) (history.Value, sim.StepStatus) {
 	t := f.t
 	l := &t.local[p.ID()]
-	if f.pc == 0 {
-		snap := t.r.(steppedSnap).ScanW(p, nil)
+	if f.sub != nil {
+		view, st := f.sub.Step(p)
+		if st != sim.StepDone {
+			return nil, sim.StepPaused
+		}
+		f.sub = nil
+		// The timestamp abort rule: count processes whose announced
+		// timestamp is at least ours (including ourselves, as in the
+		// paper's loop); three or more means at least two concurrent
+		// same-timestamp transactions observed our start, so abort.
 		count := 0
-		for _, ts := range snap {
+		for _, ts := range view.([]history.Value) {
 			if ts.(int) >= l.timestamp {
 				count++
 			}
@@ -368,7 +350,6 @@ func (f *i12TryCFrame) Step(p *sim.Proc) (history.Value, sim.StepStatus) {
 			return history.Abort, sim.StepDone
 		}
 		f.next = &memState{version: l.snapshot.version + 1, vals: l.values}
-		f.pc = 1
 		return nil, sim.StepPaused
 	}
 	if t.c.CompareAndSwapW(p, l.snapshot, f.next) {
@@ -380,6 +361,9 @@ func (f *i12TryCFrame) Step(p *sim.Proc) (history.Value, sim.StepStatus) {
 // Fork implements sim.Frame.
 func (f *i12TryCFrame) Fork() sim.Frame {
 	c := *f
+	if c.sub != nil {
+		c.sub = c.sub.Fork()
+	}
 	return &c
 }
 
@@ -403,7 +387,7 @@ func NewGlobalCAS(n int) *GlobalCAS {
 
 // Apply implements sim.Object.
 func (t *GlobalCAS) Apply(p *sim.Proc, inv sim.Invocation) history.Value {
-	return tmApply(t, p, inv)
+	return sim.ApplyFrames(t, p, inv)
 }
 
 // Footprints implements sim.Footprinted: the only cross-process state is
@@ -420,52 +404,6 @@ func (t *GlobalCAS) Restore(v any) {
 	st := v.(*tmState)
 	t.c.Restore(st.c)
 	restoreLocals(t.local, st.local)
-}
-
-func (t *GlobalCAS) start(p *sim.Proc) history.Value {
-	l := &t.local[p.ID()]
-	st := t.c.Read(p).(*memState)
-	l.snapshot = st
-	l.values = make(map[string]history.Value, len(st.vals))
-	for k, v := range st.vals {
-		l.values[k] = v
-	}
-	l.active = true
-	return history.OK
-}
-
-func (t *GlobalCAS) read(p *sim.Proc, v string) history.Value {
-	l := &t.local[p.ID()]
-	if !l.active {
-		return history.Abort
-	}
-	if val, ok := l.values[v]; ok {
-		return val
-	}
-	return 0
-}
-
-func (t *GlobalCAS) write(p *sim.Proc, v string, val history.Value) history.Value {
-	l := &t.local[p.ID()]
-	if !l.active {
-		return history.Abort
-	}
-	l.values[v] = val
-	return history.OK
-}
-
-func (t *GlobalCAS) tryC(p *sim.Proc) history.Value {
-	l := &t.local[p.ID()]
-	p.Observe(l.active)
-	if !l.active {
-		return history.Abort
-	}
-	l.active = false
-	next := &memState{version: l.snapshot.version + 1, vals: l.values}
-	if t.c.CompareAndSwap(p, l.snapshot, next) {
-		return history.Commit
-	}
-	return history.Abort
 }
 
 // Begin implements sim.Stepped (see I12.Begin; GlobalCAS has no
@@ -485,9 +423,9 @@ func (t *GlobalCAS) Begin(p *sim.Proc, inv sim.Invocation) (sim.Frame, history.V
 		next := &memState{version: l.snapshot.version + 1, vals: l.values}
 		return &gcasCommitFrame{t: t, old: l.snapshot, next: next}, nil, sim.StepPaused
 	case history.TMRead:
-		return nil, t.read(p, inv.Obj), sim.StepDone
+		return nil, t.local[p.ID()].read(inv.Obj), sim.StepDone
 	case history.TMWrite:
-		return nil, t.write(p, inv.Obj, inv.Arg), sim.StepDone
+		return nil, t.local[p.ID()].write(inv.Obj, inv.Arg), sim.StepDone
 	default:
 		return nil, history.Abort, sim.StepDone
 	}
@@ -500,15 +438,7 @@ type gcasStartFrame struct {
 
 // Step implements sim.Frame.
 func (f *gcasStartFrame) Step(p *sim.Proc) (history.Value, sim.StepStatus) {
-	t := f.t
-	l := &t.local[p.ID()]
-	st := t.c.ReadW(p).(*memState)
-	l.snapshot = st
-	l.values = make(map[string]history.Value, len(st.vals))
-	for k, v := range st.vals {
-		l.values[k] = v
-	}
-	l.active = true
+	f.t.local[p.ID()].begin(f.t.c.ReadW(p).(*memState))
 	return history.OK, sim.StepDone
 }
 
@@ -539,31 +469,14 @@ func (f *gcasCommitFrame) Fork() sim.Frame { return f }
 type Aborter struct{}
 
 // Apply implements sim.Object.
-func (Aborter) Apply(p *sim.Proc, inv sim.Invocation) history.Value {
-	return history.Abort
+func (a Aborter) Apply(p *sim.Proc, inv sim.Invocation) history.Value {
+	return sim.ApplyFrames(a, p, inv)
 }
 
-// tmImpl is the internal operation set shared by I12 and GlobalCAS.
-type tmImpl interface {
-	start(p *sim.Proc) history.Value
-	read(p *sim.Proc, v string) history.Value
-	write(p *sim.Proc, v string, val history.Value) history.Value
-	tryC(p *sim.Proc) history.Value
-}
-
-func tmApply(t tmImpl, p *sim.Proc, inv sim.Invocation) history.Value {
-	switch inv.Op {
-	case history.TMStart:
-		return t.start(p)
-	case history.TMRead:
-		return t.read(p, inv.Obj)
-	case history.TMWrite:
-		return t.write(p, inv.Obj, inv.Arg)
-	case history.TMTryC:
-		return t.tryC(p)
-	default:
-		return history.Abort
-	}
+// Begin implements sim.Stepped: every operation aborts in its
+// invocation window.
+func (Aborter) Begin(*sim.Proc, sim.Invocation) (sim.Frame, history.Value, sim.StepStatus) {
+	return nil, history.Abort, sim.StepDone
 }
 
 // Txn is a transaction template for workload environments: a sequence of

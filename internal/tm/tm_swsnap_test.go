@@ -76,3 +76,12 @@ func TestI12SoftwareSnapshotThreeLockstepAborts(t *testing.T) {
 		t.Error("property S holds on the all-aborted history")
 	}
 }
+
+// TestI12SoftwareSnapshotCanSnapshot: the software snapshot's frames
+// fork and its state snapshots, so I12 over it takes the snapshot
+// strategy like I12 over the hardware primitive.
+func TestI12SoftwareSnapshotCanSnapshot(t *testing.T) {
+	if !sim.CanSnapshot(newI12SW(2)) {
+		t.Error("I12 over the software snapshot must support the snapshot strategy")
+	}
+}

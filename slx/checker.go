@@ -191,16 +191,20 @@ func WithStateCache() Option { return func(c *Checker) { c.cache = true } }
 // WithReplayExecution forces Explore onto from-root execution: every
 // object instance is wrapped in an adapter that hides its snapshot and
 // continuation hooks (sim.ApplyOnly), so the engine's sessions run the
-// blocking Apply and rebuild from the root on every backtrack that
-// moves. By default Explore backtracks by snapshot
+// object's Apply — for a frame machine, its frames through
+// run.ApplyFrames — and rebuild from the root on every backtrack that
+// moves, never calling Snapshot, Restore or Frame.Fork. By default
+// Explore backtracks by snapshot
 // restore whenever the object (run.Snapshottable and run.Stepped) and
 // the environment (run.RewindableEnv) allow it, which visits the
 // identical tree with exactly one simulator step per prefix
 // (Report.SimSteps); from-root rebuilds add the steps they re-execute
 // to both Report.SimSteps and Report.Resims. The option exists for
-// cross-checking the two strategies and for before/after benchmarking:
-// objects or environments without the hooks take the from-root
-// strategy automatically, so soundness never depends on them.
+// cross-checking the two strategies (the from-root run is the reference
+// the snapshot hooks are audited against) and for before/after
+// benchmarking: objects or environments without the hooks take the
+// from-root strategy automatically, so soundness never depends on
+// them.
 func WithReplayExecution() Option { return func(c *Checker) { c.replay = true } }
 
 // WithSample switches Explore into probabilistic sampling mode: instead
@@ -639,7 +643,7 @@ func (c *Checker) ValidateExplore(props ...Property) error {
 
 // exploreObject is Explore's object factory: under WithReplayExecution
 // every instance is wrapped by sim.ApplyOnly, so the engine's sessions
-// rebuild from the root over the blocking Apply.
+// rebuild from the root over the object's Apply.
 func (c *Checker) exploreObject() func() run.Object {
 	if !c.replay {
 		return c.newObject

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/queue"
 	"repro/internal/service"
+	"repro/internal/snapshot"
 	"repro/slx"
 	"repro/slx/check"
 	"repro/slx/consensus"
@@ -21,28 +22,13 @@ import (
 )
 
 // porRegister is a linearizable register with declared footprints,
-// observations, a state fingerprint, snapshots and a continuation form
-// (the reference pattern for hand-rolled session-capable objects: Apply
-// is the blocking oracle, Begin/Step the equivalent frame machine).
+// observations, a state fingerprint, snapshots and a frame machine (the
+// reference pattern for hand-rolled session-capable objects: Begin/Step
+// are the object, and Apply is derived from them with run.ApplyFrames).
 type porRegister struct{ v hist.Value }
 
 func (r *porRegister) Apply(p *run.Proc, inv run.Invocation) hist.Value {
-	var out hist.Value
-	switch inv.Op {
-	case "read":
-		p.Exec("read", func() {
-			p.Access("r", false)
-			out = r.v
-			p.Observe(out)
-		})
-	case "write":
-		p.Exec("write", func() {
-			out = hist.OK
-			p.Access("r", true)
-			r.v = inv.Arg
-		})
-	}
-	return out
+	return run.ApplyFrames(r, p, inv)
 }
 
 func (r *porRegister) Footprints() bool { return true }
@@ -357,6 +343,23 @@ func porCases() map[string]struct {
 				}),
 				slx.WithProcs(2),
 				slx.WithDepth(9),
+			},
+			props: []slx.Property{check.PropertyS()},
+		},
+		"i12-sw/property-s": {
+			// Algorithm 1 over the software snapshot from registers: the
+			// snapshot's multi-step update and scan frames run as
+			// sub-frames of I12's, forked and restored with them.
+			opts: []slx.Option{
+				slx.WithObject(func() run.Object { return tm.NewI12WithSnapshot(2, snapshot.New("R", 2, 0)) }),
+				slx.WithEnv(func() run.Environment {
+					return tm.TxnLoop(map[int]tm.Txn{
+						1: {Accesses: []tm.Access{{Write: true, Var: "x", Val: 1}}},
+						2: {Accesses: []tm.Access{{Var: "x"}}},
+					})
+				}),
+				slx.WithProcs(2),
+				slx.WithDepth(12),
 			},
 			props: []slx.Property{check.PropertyS()},
 		},

@@ -9,7 +9,10 @@
 // recorded schedule to Fixed and the identical history is reproduced.
 package run
 
-import "repro/internal/sim"
+import (
+	"repro/internal/history"
+	"repro/internal/sim"
+)
 
 // DefaultMaxSteps bounds a run when Config.MaxSteps is zero.
 const DefaultMaxSteps = sim.DefaultMaxSteps
@@ -62,13 +65,20 @@ type Fingerprinter = sim.Fingerprinter
 // backtrack, with identical verdicts.
 type Snapshottable = sim.Snapshottable
 
-// Stepped is the continuation form of an Object: operations run as
-// explicit resumable frames (one access per Step call) driven directly
-// by the runtime's dispatch loop, in Run and in exploration alike;
-// objects without it run their blocking Apply through an adapter. The
-// snapshot strategy requires it alongside Snapshottable. See
-// sim.Stepped for the window-equivalence contract with Apply.
+// Stepped is the frame form of an Object: operations run as explicit
+// resumable frames (one access per Step call) driven directly by the
+// runtime's dispatch loop, in Run and in exploration alike; objects
+// without it run their blocking Apply through an adapter. The snapshot
+// strategy requires it alongside Snapshottable. A Stepped object
+// derives its Apply from its frames with ApplyFrames. See sim.Stepped.
 type Stepped = sim.Stepped
+
+// ApplyFrames runs s's frame machine as one blocking Apply call: Begin
+// in the invocation window, then one Proc.Exec window per Frame.Step.
+// A Stepped object's Apply is this one call.
+func ApplyFrames(s Stepped, p *Proc, inv Invocation) history.Value {
+	return sim.ApplyFrames(s, p, inv)
+}
 
 // Frame is one in-flight operation of a Stepped object.
 type Frame = sim.Frame
@@ -102,7 +112,8 @@ type RewindableEnv = sim.RewindableEnv
 type Recoverable = sim.Recoverable
 
 // SessionGated optionally vetoes snapshot support at runtime (for
-// objects with pluggable components); see sim.SessionGated.
+// wrappers whose wrapped object may lack the hooks); see
+// sim.SessionGated.
 type SessionGated = sim.SessionGated
 
 // CanSnapshot reports whether an object supports the snapshot strategy

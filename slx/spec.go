@@ -32,7 +32,9 @@ type Spec struct {
 	POR bool `json:"por,omitempty"`
 	// Cache maps to WithStateCache.
 	Cache bool `json:"cache,omitempty"`
-	// Replay maps to WithReplayExecution.
+	// Replay maps to WithReplayExecution: sessions rebuild from the
+	// root, running each object's Apply, instead of restoring
+	// snapshots.
 	Replay bool `json:"replay,omitempty"`
 	// Sample, with Schedules and D, maps to WithSample(Schedules, D):
 	// probabilistic sampling instead of exhaustive enumeration.
