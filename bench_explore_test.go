@@ -21,6 +21,7 @@ import (
 
 	"repro/slx"
 	"repro/slx/check"
+	"repro/slx/consensus"
 	"repro/slx/hist"
 	"repro/slx/run"
 	"repro/slx/tm"
@@ -386,9 +387,9 @@ func BenchmarkExploreRecoveryCachePOR(b *testing.B) {
 
 // BenchmarkExploreDSTM is slxbench's dstm:xy/yx job: two processes
 // loop a read-one-write-other transaction over x and y, explored for
-// opacity at depth 6. DSTM has no snapshot hook, so this is the in-tree
-// object that explores on the from-root strategy, rebuilding from a
-// fresh object and environment on every restore that moves.
+// opacity at depth 6. DSTM allocates cells mid-run — an ownership
+// record per variable on first use and a descriptor per start — so it
+// exercises the snapshot strategy's restores that drop cells.
 func BenchmarkExploreDSTM(b *testing.B) {
 	c := slx.New(
 		slx.WithProcs(2),
@@ -402,6 +403,24 @@ func BenchmarkExploreDSTM(b *testing.B) {
 		}),
 	)
 	benchExplore(b, c, check.Opacity())
+}
+
+// BenchmarkExploreCommitAdoptCache is the README's cache workload:
+// commit-adopt consensus for two processes proposing 0 and 1, explored
+// for agreement and validity at depth 10 with POR and the state cache,
+// so every prefix folds the object's memory into a fingerprint.
+func BenchmarkExploreCommitAdoptCache(b *testing.B) {
+	c := slx.New(
+		slx.WithProcs(2),
+		slx.WithDepth(10),
+		slx.WithObject(func() run.Object { return consensus.NewCommitAdoptOF(2) }),
+		slx.WithEnv(func() run.Environment {
+			return consensus.ProposeOnce(map[int]hist.Value{1: 0, 2: 1})
+		}),
+		slx.WithPOR(),
+		slx.WithStateCache(),
+	)
+	benchExplore(b, c, check.AgreementValidity())
 }
 
 func benchExploreLinearizability(b *testing.B, c *slx.Checker) {

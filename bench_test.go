@@ -356,7 +356,7 @@ func BenchmarkExhaustiveExplore(b *testing.B) {
 
 // P1 — base-object step overhead through the full scheduler handshake.
 func BenchmarkBaseObjectStep(b *testing.B) {
-	reg := base.NewRegister("r", 0)
+	reg := base.NewRegister(new(base.Mem), "r", 0)
 	obj := sim.ObjectFunc(func(p *sim.Proc, inv sim.Invocation) (v history.Value) {
 		p.Exec("read", func() { v = reg.ReadW(p) })
 		return v

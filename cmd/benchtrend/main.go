@@ -73,6 +73,7 @@ var sections = map[string]string{
 	"BenchmarkExploreRecoveryMonitor":         "recovery",
 	"BenchmarkExploreRecoveryCachePOR":        "recovery_cache_por",
 	"BenchmarkExploreDSTM":                    "dstm",
+	"BenchmarkExploreCommitAdoptCache":        "commit_adopt_cache",
 	"BenchmarkSampleThroughput":               "sample",
 	"BenchmarkSampleThroughputReplay":         "sample_replay",
 	"BenchmarkServiceThroughput":              "service",

@@ -11,6 +11,10 @@
 // hand-written blocking Apply — already runs inside the granted step's
 // window. The simulation runtime serializes all grants, so base-object
 // state needs no locking.
+//
+// Every base object is allocated in a Mem, the one store of an object's
+// state, from which the object's snapshot, fingerprint and crash hooks
+// derive.
 package base
 
 import "repro/internal/history"
@@ -32,188 +36,107 @@ type Accessor interface {
 	Observe(v Value)
 }
 
-// StateSink receives the canonical state encoding of a base object.
-// sim.Fingerprinter implements it; implementations composing base
-// objects forward the sink to each base object's Fingerprint method in
-// a fixed order to build their sim.Fingerprintable hook.
-type StateSink interface {
-	// Str folds a string component (names, tags).
-	Str(s string)
-	// Val folds a stored value by dynamic type and content.
-	Val(v Value)
-	// Int folds an integer component.
-	Int(v int)
-	// Bool folds a boolean component.
-	Bool(b bool)
+// cell is a base object's handle on its cell in a memory.
+type cell struct {
+	m *Mem
+	i int
 }
 
-// Register is an atomic read/write register.
-type Register struct {
-	name string
-	val  Value
-}
+// Name returns the object's name.
+func (c cell) Name() string { return c.m.names[c.i] }
 
-// NewRegister creates a register with the given initial value.
-func NewRegister(name string, initial Value) *Register {
-	return &Register{name: name, val: initial}
-}
-
-// Name returns the register's name.
-func (r *Register) Name() string { return r.name }
-
-// ReadW atomically reads the register within the caller's granted step.
-func (r *Register) ReadW(a Accessor) Value {
-	a.Access(r.name, false)
-	v := r.val
+// read is one atomic read step: declare, load, observe.
+func (c cell) read(a Accessor) Value {
+	a.Access(c.m.names[c.i], false)
+	v := c.m.vals[c.i]
 	a.Observe(v)
 	return v
 }
 
-// Fingerprint writes the register's canonical state (name and value).
-func (r *Register) Fingerprint(f StateSink) {
-	f.Str(r.name)
-	f.Val(r.val)
+// write is one atomic write step.
+func (c cell) write(a Accessor, v Value) {
+	a.Access(c.m.names[c.i], true)
+	c.set(v)
 }
 
-// Snapshot captures the register's state. Stored values follow the
-// immutable-record idiom (they are replaced, never mutated in place),
-// so the shallow value is the state.
-func (r *Register) Snapshot() any { return r.val }
+// set stores v in the cell.
+func (c cell) set(v Value) {
+	c.m.vals[c.i] = v
+	c.m.last = nil
+}
 
-// Restore reinstates a state captured by Snapshot.
-func (r *Register) Restore(s any) { r.val = s }
+// Register is an atomic read/write register.
+type Register struct{ cell }
+
+// NewRegister allocates a register with the given initial value in m.
+func NewRegister(m *Mem, name string, initial Value) *Register {
+	return &Register{m.alloc(name, shared, initial)}
+}
+
+// ReadW atomically reads the register within the caller's granted step.
+func (r *Register) ReadW(a Accessor) Value { return r.read(a) }
 
 // WriteW atomically writes v within the caller's granted step.
-func (r *Register) WriteW(a Accessor, v Value) {
-	a.Access(r.name, true)
-	r.val = v
-}
+func (r *Register) WriteW(a Accessor, v Value) { r.write(a, v) }
 
 // DurableRegister is the crash-aware register pair of the recovery
 // runtime: an atomic register whose content lives in a volatile cache
 // until an explicit flush persists it. ReadW and WriteW act on the
-// cache; FlushW copies the cache into the durable cell, each in one atomic
-// step. CrashWipe — called from the owning object's
+// cache; FlushW copies the cache into the durable cell, each in one
+// atomic step. A crash — Mem.Wipe, called from the owning object's
 // sim.Recoverable.CrashVolatile hook — discards the cache, exposing the
 // last flushed value, which is exactly what a recovery routine then
 // observes. A write that is never flushed vanishes at the next crash.
-type DurableRegister struct {
-	name    string
-	durable Value
-	vol     Value
-}
+type DurableRegister struct{ cell } // the cache; the flushed half is the next cell
 
-// NewDurableRegister creates a durable register whose durable cell and
-// cache both hold initial.
-func NewDurableRegister(name string, initial Value) *DurableRegister {
-	return &DurableRegister{name: name, durable: initial, vol: initial}
+// NewDurableRegister allocates a durable register in m whose durable
+// cell and cache both hold initial.
+func NewDurableRegister(m *Mem, name string, initial Value) *DurableRegister {
+	r := &DurableRegister{m.alloc(name, cache, initial)}
+	m.alloc(name, flushed, initial)
+	return r
 }
-
-// Name returns the register's name.
-func (r *DurableRegister) Name() string { return r.name }
 
 // ReadW atomically reads the cached value within the caller's granted
 // step.
-func (r *DurableRegister) ReadW(a Accessor) Value {
-	a.Access(r.name, false)
-	v := r.vol
-	a.Observe(v)
-	return v
-}
+func (r *DurableRegister) ReadW(a Accessor) Value { return r.read(a) }
 
 // WriteW atomically writes v to the cache within the caller's granted
 // step. The write is volatile until a flush.
-func (r *DurableRegister) WriteW(a Accessor, v Value) {
-	a.Access(r.name, true)
-	r.vol = v
-}
+func (r *DurableRegister) WriteW(a Accessor, v Value) { r.write(a, v) }
 
 // FlushW atomically persists the cached value within the caller's
 // granted step.
 func (r *DurableRegister) FlushW(a Accessor) {
-	a.Access(r.name, true)
-	r.durable = r.vol
+	a.Access(r.m.names[r.i], true)
+	cell{r.m, r.i + 1}.set(r.m.vals[r.i])
 }
-
-// CrashWipe discards the volatile cache, exposing the last flushed
-// value. It is not a step: the simulation runtime invokes the owning
-// object's CrashVolatile hook between windows, at every crash decision.
-func (r *DurableRegister) CrashWipe() { r.vol = r.durable }
 
 // PeekDurable returns the durable cell without recording an access. Like
 // CAS.Peek it exists for scheduler callbacks and tests, which run
 // strictly between process windows; algorithm code must use ReadW after a
 // crash (the wiped cache equals the durable cell).
-func (r *DurableRegister) PeekDurable() Value { return r.durable }
+func (r *DurableRegister) PeekDurable() Value { return r.m.vals[r.i+1] }
 
 // Peek returns the volatile cache without recording an access; see
 // PeekDurable.
-func (r *DurableRegister) Peek() Value { return r.vol }
-
-// Fingerprint writes the register's canonical state: name, durable cell
-// and cache.
-func (r *DurableRegister) Fingerprint(f StateSink) {
-	f.Str(r.name)
-	f.Val(r.durable)
-	f.Val(r.vol)
-}
-
-// durableRegState is a captured (durable, volatile) pair.
-type durableRegState struct{ durable, vol Value }
-
-// Snapshot captures both cells (stored values follow the
-// immutable-record idiom: replaced, never mutated in place).
-func (r *DurableRegister) Snapshot() any {
-	return durableRegState{durable: r.durable, vol: r.vol}
-}
-
-// Restore reinstates a state captured by Snapshot.
-func (r *DurableRegister) Restore(s any) {
-	st := s.(durableRegState)
-	r.durable, r.vol = st.durable, st.vol
-}
+func (r *DurableRegister) Peek() Value { return r.m.vals[r.i] }
 
 // CAS is an atomic compare-and-swap object. Comparison uses ==, so
 // composite states should be stored as pointers to immutable records (the
-// usual technique for CAS-based algorithms).
-type CAS struct {
-	name string
-	val  Value
-}
+// usual technique for CAS-based algorithms). Such an object must not
+// opt into content fingerprints: see sim.Fingerprintable.
+type CAS struct{ cell }
 
-// NewCAS creates a compare-and-swap object with the given initial value.
-func NewCAS(name string, initial Value) *CAS {
-	return &CAS{name: name, val: initial}
+// NewCAS allocates a compare-and-swap object with the given initial
+// value in m.
+func NewCAS(m *Mem, name string, initial Value) *CAS {
+	return &CAS{m.alloc(name, shared, initial)}
 }
-
-// Name returns the object's name.
-func (c *CAS) Name() string { return c.name }
 
 // ReadW atomically reads the current value within the caller's granted
 // step.
-func (c *CAS) ReadW(a Accessor) Value {
-	a.Access(c.name, false)
-	v := c.val
-	a.Observe(v)
-	return v
-}
-
-// Fingerprint writes the object's canonical state (name and value). The
-// encoding is by content, so implementations whose correctness rides on
-// the identity of stored allocations (fresh-record CAS idioms) must not
-// expose it through a sim.Fingerprintable hook — see that interface.
-func (c *CAS) Fingerprint(f StateSink) {
-	f.Str(c.name)
-	f.Val(c.val)
-}
-
-// Snapshot captures the object's state: the exact stored value,
-// pointer identity included, which is what the CAS idiom (fresh
-// immutable records compared by pointer) requires of a restore.
-func (c *CAS) Snapshot() any { return c.val }
-
-// Restore reinstates a state captured by Snapshot.
-func (c *CAS) Restore(s any) { c.val = s }
+func (c *CAS) ReadW(a Accessor) Value { return c.read(a) }
 
 // CompareAndSwapW atomically replaces the current value with new if it
 // equals old, within the caller's granted step.
@@ -223,11 +146,10 @@ func (c *CAS) CompareAndSwapW(a Accessor, old, new Value) bool {
 	// any write to the object is dependent and evicts it, so the
 	// compare outcome cannot change) and lets exploration commute
 	// failed CAS steps of different processes.
-	a.Access(c.name, c.val == old)
-	ok := false
-	if c.val == old {
-		c.val = new
-		ok = true
+	ok := c.m.vals[c.i] == old
+	a.Access(c.m.names[c.i], ok)
+	if ok {
+		c.set(new)
 	}
 	a.Observe(ok)
 	return ok
@@ -236,144 +158,99 @@ func (c *CAS) CompareAndSwapW(a Accessor, old, new Value) bool {
 // Peek reads the current value without consuming a step. It is intended
 // for inspection from scheduler callbacks and tests, which the simulator
 // runs strictly between process windows; algorithm code must use ReadW.
-func (c *CAS) Peek() Value { return c.val }
+func (c *CAS) Peek() Value { return c.m.vals[c.i] }
 
 // SwapW atomically replaces the current value unconditionally within
 // the caller's granted step and returns the previous value.
 func (c *CAS) SwapW(a Accessor, new Value) Value {
-	a.Access(c.name, true)
-	prev := c.val
-	c.val = new
+	a.Access(c.m.names[c.i], true)
+	prev := c.m.vals[c.i]
+	c.set(new)
 	a.Observe(prev)
 	return prev
 }
 
 // TAS is an atomic test-and-set bit.
-type TAS struct {
-	name string
-	set  bool
-}
+type TAS struct{ cell }
 
-// NewTAS creates a test-and-set object, initially unset.
-func NewTAS(name string) *TAS {
-	return &TAS{name: name}
-}
-
-// Name returns the object's name.
-func (t *TAS) Name() string { return t.name }
+// NewTAS allocates a test-and-set object in m, initially unset.
+func NewTAS(m *Mem, name string) *TAS { return &TAS{m.alloc(name, shared, false)} }
 
 // TestAndSetW atomically sets the bit within the caller's granted step
 // and reports whether this call was the one that set it (true = won).
 func (t *TAS) TestAndSetW(a Accessor) bool {
 	// A losing test-and-set leaves the bit set: a read footprint, by
 	// the same argument as CompareAndSwapW.
-	a.Access(t.name, !t.set)
-	won := !t.set
-	t.set = true
+	won := !t.m.vals[t.i].(bool)
+	a.Access(t.m.names[t.i], won)
+	t.set(true)
 	a.Observe(won)
 	return won
 }
 
 // ReadW atomically reads the bit within the caller's granted step.
-func (t *TAS) ReadW(a Accessor) bool {
-	a.Access(t.name, false)
-	v := t.set
-	a.Observe(v)
-	return v
-}
-
-// Fingerprint writes the bit's canonical state (name and value).
-func (t *TAS) Fingerprint(f StateSink) {
-	f.Str(t.name)
-	f.Bool(t.set)
-}
-
-// Snapshot captures the bit.
-func (t *TAS) Snapshot() any { return t.set }
-
-// Restore reinstates a state captured by Snapshot.
-func (t *TAS) Restore(s any) { t.set = s.(bool) }
+func (t *TAS) ReadW(a Accessor) bool { return t.read(a).(bool) }
 
 // ResetW atomically clears the bit within the caller's granted step.
-func (t *TAS) ResetW(a Accessor) {
-	a.Access(t.name, true)
-	t.set = false
-}
+func (t *TAS) ResetW(a Accessor) { t.write(a, false) }
 
 // FetchAdd is an atomic fetch-and-add counter.
-type FetchAdd struct {
-	name string
-	val  int
-}
+type FetchAdd struct{ cell }
 
-// NewFetchAdd creates a counter with the given initial value.
-func NewFetchAdd(name string, initial int) *FetchAdd {
-	return &FetchAdd{name: name, val: initial}
+// NewFetchAdd allocates a counter with the given initial value in m.
+func NewFetchAdd(m *Mem, name string, initial int) *FetchAdd {
+	return &FetchAdd{m.alloc(name, shared, initial)}
 }
-
-// Name returns the object's name.
-func (f *FetchAdd) Name() string { return f.name }
 
 // AddW atomically adds delta within the caller's granted step and
 // returns the previous value.
 func (f *FetchAdd) AddW(a Accessor, delta int) int {
-	a.Access(f.name, true)
-	prev := f.val
-	f.val += delta
+	a.Access(f.m.names[f.i], true)
+	prev := f.m.vals[f.i].(int)
+	f.set(prev + delta)
 	a.Observe(prev)
 	return prev
 }
 
 // ReadW atomically reads the counter within the caller's granted step.
-func (f *FetchAdd) ReadW(a Accessor) int {
-	a.Access(f.name, false)
-	v := f.val
-	a.Observe(v)
-	return v
-}
-
-// Fingerprint writes the counter's canonical state (name and value).
-func (f *FetchAdd) Fingerprint(sink StateSink) {
-	sink.Str(f.name)
-	sink.Int(f.val)
-}
-
-// Snapshot captures the counter.
-func (f *FetchAdd) Snapshot() any { return f.val }
-
-// Restore reinstates a state captured by Snapshot.
-func (f *FetchAdd) Restore(s any) { f.val = s.(int) }
+func (f *FetchAdd) ReadW(a Accessor) int { return f.read(a).(int) }
 
 // Snapshot is an atomic snapshot object of n single-writer registers with
 // an atomic scan, as used by the paper's Algorithm 1 (R[1..n] with
 // R.scan()). UpdateW writes one component; ScanW returns a consistent copy
-// of all components in a single atomic step.
+// of all components in a single atomic step. Its components are n
+// consecutive cells sharing the object's name.
 type Snapshot struct {
+	m     *Mem
 	name  string
-	slots []Value
+	first int
+	n     int
 }
 
-// NewSnapshot creates a snapshot object with n components, all initialized
-// to initial.
-func NewSnapshot(name string, n int, initial Value) *Snapshot {
-	slots := make([]Value, n)
-	for i := range slots {
-		slots[i] = initial
+// NewSnapshot allocates a snapshot object with n components in m, all
+// initialized to initial.
+func NewSnapshot(m *Mem, name string, n int, initial Value) *Snapshot {
+	first := len(m.vals)
+	for i := 0; i < n; i++ {
+		m.alloc(name, shared, initial)
 	}
-	return &Snapshot{name: name, slots: slots}
+	return &Snapshot{m: m, name: name, first: first, n: n}
 }
 
 // Name returns the object's name.
 func (sn *Snapshot) Name() string { return sn.name }
 
 // Len returns the number of components.
-func (sn *Snapshot) Len() int { return len(sn.slots) }
+func (sn *Snapshot) Len() int { return sn.n }
 
 // UpdateW atomically writes v to component i (0-based) within the
 // caller's granted step.
 func (sn *Snapshot) UpdateW(a Accessor, i int, v Value) {
+	if i < 0 || i >= sn.n {
+		panic("base: snapshot component out of range")
+	}
 	a.Access(sn.name, true)
-	sn.slots[i] = v
+	cell{sn.m, sn.first + i}.set(v)
 }
 
 // ScanW atomically appends a copy of all components to dst within the
@@ -381,32 +258,10 @@ func (sn *Snapshot) UpdateW(a Accessor, i int, v Value) {
 // reuse a buffer, nil to allocate).
 func (sn *Snapshot) ScanW(a Accessor, dst []Value) []Value {
 	a.Access(sn.name, false)
-	dst = append(dst, sn.slots...)
-	for _, v := range sn.slots {
+	slots := sn.m.vals[sn.first : sn.first+sn.n]
+	dst = append(dst, slots...)
+	for _, v := range slots {
 		a.Observe(v)
 	}
 	return dst
-}
-
-// Fingerprint writes the snapshot object's canonical state (name and
-// every component in index order).
-func (sn *Snapshot) Fingerprint(f StateSink) {
-	f.Str(sn.name)
-	f.Int(len(sn.slots))
-	for _, v := range sn.slots {
-		f.Val(v)
-	}
-}
-
-// Snapshot captures all components (copied: Update mutates the slot
-// array in place).
-func (sn *Snapshot) Snapshot() any {
-	out := make([]Value, len(sn.slots))
-	copy(out, sn.slots)
-	return out
-}
-
-// Restore reinstates a state captured by Snapshot.
-func (sn *Snapshot) Restore(s any) {
-	copy(sn.slots, s.([]Value))
 }

@@ -19,7 +19,7 @@ func (c *countAccessor) Observe(v Value) { c.observed = append(c.observed, v) }
 
 func TestRegister(t *testing.T) {
 	s := &countAccessor{}
-	r := NewRegister("r", 0)
+	r := NewRegister(new(Mem), "r", 0)
 	if got := r.ReadW(s); got != 0 {
 		t.Errorf("initial Read = %v, want 0", got)
 	}
@@ -37,7 +37,8 @@ func TestRegister(t *testing.T) {
 
 func TestDurableRegister(t *testing.T) {
 	s := &countAccessor{}
-	r := NewDurableRegister("d", 0)
+	m := new(Mem)
+	r := NewDurableRegister(m, "d", 0)
 	if got := r.ReadW(s); got != 0 {
 		t.Errorf("initial Read = %v, want 0", got)
 	}
@@ -45,7 +46,7 @@ func TestDurableRegister(t *testing.T) {
 	if got, dur := r.ReadW(s), r.PeekDurable(); got != 7 || dur != 0 {
 		t.Errorf("after Write: cache %v durable %v, want 7 and 0 (writes are volatile until flushed)", got, dur)
 	}
-	r.CrashWipe()
+	m.Wipe()
 	if got := r.ReadW(s); got != 0 {
 		t.Errorf("Read after unflushed crash = %v, want 0 (the write vanished)", got)
 	}
@@ -55,12 +56,12 @@ func TestDurableRegister(t *testing.T) {
 		t.Errorf("after Flush: cache %v durable %v, want 7 and 7", got, dur)
 	}
 	r.WriteW(s, 8)
-	r.CrashWipe()
+	m.Wipe()
 	if got := r.ReadW(s); got != 7 {
 		t.Errorf("Read after crash = %v, want the flushed 7", got)
 	}
 	if s.steps != 8 {
-		t.Errorf("steps = %d, want 8 (CrashWipe and the peeks are not steps)", s.steps)
+		t.Errorf("steps = %d, want 8 (Wipe and the peeks are not steps)", s.steps)
 	}
 	if r.Name() != "d" {
 		t.Errorf("Name() = %q", r.Name())
@@ -69,14 +70,15 @@ func TestDurableRegister(t *testing.T) {
 
 func TestDurableRegisterSnapshot(t *testing.T) {
 	s := &countAccessor{}
-	r := NewDurableRegister("d", 0)
+	m := new(Mem)
+	r := NewDurableRegister(m, "d", 0)
 	r.WriteW(s, 1)
 	r.FlushW(s)
 	r.WriteW(s, 2)
-	snap := r.Snapshot()
+	snap := m.Snapshot()
 	r.WriteW(s, 3)
 	r.FlushW(s)
-	r.Restore(snap)
+	m.Restore(snap)
 	if got, dur := r.Peek(), r.PeekDurable(); got != 2 || dur != 1 {
 		t.Errorf("after Restore: cache %v durable %v, want 2 and 1", got, dur)
 	}
@@ -84,7 +86,7 @@ func TestDurableRegisterSnapshot(t *testing.T) {
 
 func TestCAS(t *testing.T) {
 	s := &countAccessor{}
-	c := NewCAS("c", nil)
+	c := NewCAS(new(Mem), "c", nil)
 	if !c.CompareAndSwapW(s, nil, 1) {
 		t.Error("CAS from initial nil should succeed")
 	}
@@ -108,7 +110,7 @@ func TestCASPointerIdentity(t *testing.T) {
 	type state struct{ v int }
 	s := &countAccessor{}
 	a, b := &state{1}, &state{1}
-	c := NewCAS("c", a)
+	c := NewCAS(new(Mem), "c", a)
 	if c.CompareAndSwapW(s, b, &state{2}) {
 		t.Error("CAS must compare pointer identity, not structure")
 	}
@@ -119,7 +121,7 @@ func TestCASPointerIdentity(t *testing.T) {
 
 func TestTAS(t *testing.T) {
 	s := &countAccessor{}
-	ts := NewTAS("t")
+	ts := NewTAS(new(Mem), "t")
 	if ts.ReadW(s) {
 		t.Error("TAS initially unset")
 	}
@@ -136,7 +138,7 @@ func TestTAS(t *testing.T) {
 
 func TestFetchAdd(t *testing.T) {
 	s := &countAccessor{}
-	f := NewFetchAdd("f", 10)
+	f := NewFetchAdd(new(Mem), "f", 10)
 	if prev := f.AddW(s, 5); prev != 10 {
 		t.Errorf("Add returned %d, want previous 10", prev)
 	}
@@ -153,7 +155,7 @@ func TestFetchAdd(t *testing.T) {
 
 func TestSnapshot(t *testing.T) {
 	s := &countAccessor{}
-	sn := NewSnapshot("R", 3, 0)
+	sn := NewSnapshot(new(Mem), "R", 3, 0)
 	if sn.Len() != 3 {
 		t.Fatalf("Len = %d", sn.Len())
 	}
@@ -178,7 +180,7 @@ func TestSnapshot(t *testing.T) {
 func TestQuickRegisterLastWriteWins(t *testing.T) {
 	f := func(writes []int) bool {
 		s := &countAccessor{}
-		r := NewRegister("r", -1)
+		r := NewRegister(new(Mem), "r", -1)
 		for _, w := range writes {
 			r.WriteW(s, w)
 		}
@@ -196,7 +198,7 @@ func TestQuickRegisterLastWriteWins(t *testing.T) {
 func TestQuickFetchAddSum(t *testing.T) {
 	f := func(deltas []int8) bool {
 		s := &countAccessor{}
-		fa := NewFetchAdd("f", 0)
+		fa := NewFetchAdd(new(Mem), "f", 0)
 		sum := 0
 		for _, d := range deltas {
 			fa.AddW(s, int(d))
@@ -214,7 +216,7 @@ func TestQuickCASLinearizesToSequence(t *testing.T) {
 	// the functional model.
 	f := func(ops []struct{ Old, New uint8 }) bool {
 		s := &countAccessor{}
-		c := NewCAS("c", 0)
+		c := NewCAS(new(Mem), "c", 0)
 		model := Value(0)
 		for _, op := range ops {
 			ok := c.CompareAndSwapW(s, int(op.Old), int(op.New))

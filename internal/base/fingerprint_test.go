@@ -1,23 +1,16 @@
 package base
 
-import "testing"
+import (
+	"testing"
 
-// sinkRecorder implements StateSink by recording a canonical trace, so
-// tests can assert what each base object declares without depending on
-// the hash function.
-type sinkRecorder struct {
-	trace []Value
-}
+	"repro/internal/history"
+)
 
-func (s *sinkRecorder) Str(v string) { s.trace = append(s.trace, "s:"+v) }
-func (s *sinkRecorder) Val(v Value)  { s.trace = append(s.trace, v) }
-func (s *sinkRecorder) Int(v int)    { s.trace = append(s.trace, v) }
-func (s *sinkRecorder) Bool(v bool)  { s.trace = append(s.trace, v) }
-
-func traceOf(fp interface{ Fingerprint(StateSink) }) []Value {
-	s := &sinkRecorder{}
-	fp.Fingerprint(s)
-	return s.trace
+// foldOf returns the Fold digest of m.
+func foldOf(m *Mem) uint64 {
+	f := history.NewFingerprinter()
+	m.Fold(f)
+	return f.Sum()
 }
 
 func equalTraces(a, b []Value) bool {
@@ -32,63 +25,83 @@ func equalTraces(a, b []Value) bool {
 	return true
 }
 
-// TestFingerprintTracksState: every base object's fingerprint changes
-// exactly with its state — equal state, equal trace; mutated state,
-// different trace.
+// TestFingerprintTracksState: every base object's fold changes exactly
+// with its state — equal state, equal digest; mutated state, different
+// digest.
 func TestFingerprintTracksState(t *testing.T) {
 	st := &countAccessor{}
 
-	r := NewRegister("r", 0)
-	before := traceOf(r)
-	if !equalTraces(before, traceOf(NewRegister("r", 0))) {
+	m := new(Mem)
+	r := NewRegister(m, "r", 0)
+	before := foldOf(m)
+	other := new(Mem)
+	NewRegister(other, "r", 0)
+	if before != foldOf(other) {
 		t.Error("equal registers fingerprint differently")
 	}
 	r.WriteW(st, 7)
-	if equalTraces(before, traceOf(r)) {
+	if before == foldOf(m) {
 		t.Error("register write did not change the fingerprint")
 	}
 
-	c := NewCAS("c", nil)
-	before = traceOf(c)
+	m = new(Mem)
+	c := NewCAS(m, "c", nil)
+	before = foldOf(m)
 	c.CompareAndSwapW(st, nil, "x")
-	if equalTraces(before, traceOf(c)) {
+	if before == foldOf(m) {
 		t.Error("successful CAS did not change the fingerprint")
 	}
-	mid := traceOf(c)
+	mid := foldOf(m)
 	c.CompareAndSwapW(st, nil, "y") // fails: value is "x"
-	if !equalTraces(mid, traceOf(c)) {
+	if mid != foldOf(m) {
 		t.Error("failed CAS changed the fingerprint")
 	}
 
-	ts := NewTAS("t")
-	before = traceOf(ts)
+	m = new(Mem)
+	ts := NewTAS(m, "t")
+	before = foldOf(m)
 	ts.TestAndSetW(st)
-	if equalTraces(before, traceOf(ts)) {
+	if before == foldOf(m) {
 		t.Error("test-and-set did not change the fingerprint")
 	}
 	ts.ResetW(st)
-	if !equalTraces(before, traceOf(ts)) {
+	if before != foldOf(m) {
 		t.Error("reset did not restore the fingerprint")
 	}
 
-	fa := NewFetchAdd("f", 10)
-	before = traceOf(fa)
+	m = new(Mem)
+	fa := NewFetchAdd(m, "f", 10)
+	before = foldOf(m)
 	fa.AddW(st, 5)
-	if equalTraces(before, traceOf(fa)) {
+	if before == foldOf(m) {
 		t.Error("fetch-add did not change the fingerprint")
 	}
 
-	sn := NewSnapshot("sn", 3, 0)
-	before = traceOf(sn)
+	m = new(Mem)
+	sn := NewSnapshot(m, "sn", 3, 0)
+	before = foldOf(m)
 	sn.UpdateW(st, 1, 9)
-	after := traceOf(sn)
-	if equalTraces(before, after) {
+	after := foldOf(m)
+	if before == after {
 		t.Error("snapshot update did not change the fingerprint")
 	}
-	sn2 := NewSnapshot("sn", 3, 0)
-	sn2.UpdateW(st, 2, 9) // same value, different slot
-	if equalTraces(after, traceOf(sn2)) {
+	m2 := new(Mem)
+	NewSnapshot(m2, "sn", 3, 0).UpdateW(st, 2, 9) // same value, different slot
+	if after == foldOf(m2) {
 		t.Error("snapshot fingerprints ignore the slot index")
+	}
+
+	m = new(Mem)
+	d := NewDurableRegister(m, "d", 0)
+	before = foldOf(m)
+	d.WriteW(st, 1)
+	cached := foldOf(m)
+	if before == cached {
+		t.Error("durable write did not change the fingerprint")
+	}
+	d.FlushW(st)
+	if cached == foldOf(m) {
+		t.Error("flush did not change the fingerprint")
 	}
 }
 
@@ -96,7 +109,10 @@ func TestFingerprintTracksState(t *testing.T) {
 // value but different names must not fingerprint equal — composite
 // implementations rely on names to keep their layout canonical.
 func TestFingerprintNamesDisambiguate(t *testing.T) {
-	if equalTraces(traceOf(NewRegister("a", 1)), traceOf(NewRegister("b", 1))) {
+	a, b := new(Mem), new(Mem)
+	NewRegister(a, "a", 1)
+	NewRegister(b, "b", 1)
+	if foldOf(a) == foldOf(b) {
 		t.Error("register name not part of the fingerprint")
 	}
 }
@@ -106,13 +122,13 @@ func TestFingerprintNamesDisambiguate(t *testing.T) {
 // the state fingerprint.
 func TestReadsObserve(t *testing.T) {
 	o := &countAccessor{}
-	r := NewRegister("r", 4)
+	r := NewRegister(new(Mem), "r", 4)
 	if r.ReadW(o); len(o.observed) != 1 || o.observed[0] != 4 {
 		t.Errorf("register read observed %v, want [4]", o.observed)
 	}
 
 	o = &countAccessor{}
-	c := NewCAS("c", 1)
+	c := NewCAS(new(Mem), "c", 1)
 	c.ReadW(o)
 	c.CompareAndSwapW(o, 1, 2) // success → observes true
 	c.CompareAndSwapW(o, 1, 3) // failure → observes false
@@ -123,7 +139,7 @@ func TestReadsObserve(t *testing.T) {
 	}
 
 	o = &countAccessor{}
-	ts := NewTAS("t")
+	ts := NewTAS(new(Mem), "t")
 	ts.TestAndSetW(o)
 	ts.TestAndSetW(o)
 	ts.ReadW(o)
@@ -132,7 +148,7 @@ func TestReadsObserve(t *testing.T) {
 	}
 
 	o = &countAccessor{}
-	fa := NewFetchAdd("f", 3)
+	fa := NewFetchAdd(new(Mem), "f", 3)
 	fa.AddW(o, 2)
 	fa.ReadW(o)
 	if !equalTraces(o.observed, []Value{3, 5}) {
@@ -140,7 +156,7 @@ func TestReadsObserve(t *testing.T) {
 	}
 
 	o = &countAccessor{}
-	sn := NewSnapshot("sn", 2, 0)
+	sn := NewSnapshot(new(Mem), "sn", 2, 0)
 	sn.UpdateW(o, 1, 8)
 	sn.ScanW(o, nil)
 	if !equalTraces(o.observed, []Value{0, 8}) {

@@ -23,6 +23,7 @@ package consensus
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/base"
 	"repro/internal/history"
@@ -44,18 +45,18 @@ type caRound struct {
 	b []*base.Register
 }
 
-// newCARound builds round number rnd. Register names carry the round and
-// component indices so distinct registers never share a name: footprint
-// tracking (sim.Footprinted) identifies base objects by name, and a
-// shared name would make independent accesses look conflicting.
-func newCARound(rnd, n int) *caRound {
+// newCARound allocates round number rnd in m. Register names carry the
+// round and component indices so distinct registers never share a name:
+// footprint tracking (sim.Footprinted) identifies base objects by name,
+// and a shared name would make independent accesses look conflicting.
+func newCARound(m *base.Mem, rnd, n int) *caRound {
 	r := &caRound{
 		a: make([]*base.Register, n),
 		b: make([]*base.Register, n),
 	}
 	for i := 0; i < n; i++ {
-		r.a[i] = base.NewRegister(fmt.Sprintf("A%d[%d]", rnd, i), nil)
-		r.b[i] = base.NewRegister(fmt.Sprintf("B%d[%d]", rnd, i), nil)
+		r.a[i] = base.NewRegister(m, fmt.Sprintf("A%d[%d]", rnd, i), nil)
+		r.b[i] = base.NewRegister(m, fmt.Sprintf("B%d[%d]", rnd, i), nil)
 	}
 	return r
 }
@@ -65,26 +66,24 @@ func newCARound(rnd, n int) *caRound {
 //
 //slx:norecover all state lives in shared registers modeled durable; a crashed proposer just stops
 type CommitAdoptOF struct {
+	base.Mem
 	n        int
 	decision *base.Register
-	rounds   []*caRound
 }
 
 // NewCommitAdoptOF creates the implementation for n processes.
 func NewCommitAdoptOF(n int) *CommitAdoptOF {
-	return &CommitAdoptOF{n: n, decision: base.NewRegister("D", nil)}
+	c := &CommitAdoptOF{n: n}
+	c.decision = base.NewRegister(&c.Mem, "D", nil)
+	return c
 }
 
-// round returns the r-th commit-adopt object (0-based), allocating lazily.
-// Allocation is serialized by the simulator's step discipline, and is
-// footprint-neutral: whichever process extends the slice appends the
-// identical fresh rounds, so commuting independent steps cannot change
-// what any process observes.
+// round returns the r-th commit-adopt object (0-based), allocating it
+// on first use; rounds are entered, and so allocated, in order.
+// Allocation is footprint-neutral: whichever process allocates a round
+// allocates the identical fresh registers.
 func (c *CommitAdoptOF) round(r int) *caRound {
-	for len(c.rounds) <= r {
-		c.rounds = append(c.rounds, newCARound(len(c.rounds), c.n))
-	}
-	return c.rounds[r]
+	return base.Lazy(&c.Mem, strconv.Itoa(r), func() *caRound { return newCARound(&c.Mem, r, c.n) })
 }
 
 // Footprints implements sim.Footprinted: all shared state is in named
@@ -99,57 +98,7 @@ func (c *CommitAdoptOF) Footprints() bool { return true }
 // allocated rounds are included as written: an all-nil allocated round
 // fingerprints differently from an unallocated one, which only splits
 // states and never merges distinct ones.
-func (c *CommitAdoptOF) Fingerprint(f *sim.Fingerprinter) {
-	c.decision.Fingerprint(f)
-	f.Int(len(c.rounds))
-	for _, r := range c.rounds {
-		for i := range r.a {
-			r.a[i].Fingerprint(f)
-			r.b[i].Fingerprint(f)
-		}
-	}
-}
-
-// caState is a captured CommitAdoptOF configuration: the decision
-// register plus every allocated round's registers, in allocation order.
-type caState struct {
-	decision any
-	rounds   int
-	regs     []any // a[i], b[i] pairs, round-major
-}
-
-// Snapshot implements sim.Snapshottable.
-func (c *CommitAdoptOF) Snapshot() any {
-	st := &caState{decision: c.decision.Snapshot(), rounds: len(c.rounds)}
-	st.regs = make([]any, 0, 2*c.n*len(c.rounds))
-	for _, r := range c.rounds {
-		for i := range r.a {
-			st.regs = append(st.regs, r.a[i].Snapshot(), r.b[i].Snapshot())
-		}
-	}
-	return st
-}
-
-// Restore implements sim.Snapshottable. Rounds allocated after the
-// snapshot are dropped (re-extension re-allocates them identically);
-// rounds the snapshot saw keep their identity, so register pointers
-// held by in-flight operations stay valid.
-func (c *CommitAdoptOF) Restore(v any) {
-	st := v.(*caState)
-	c.decision.Restore(st.decision)
-	for len(c.rounds) < st.rounds {
-		c.rounds = append(c.rounds, newCARound(len(c.rounds), c.n))
-	}
-	c.rounds = c.rounds[:st.rounds]
-	k := 0
-	for _, r := range c.rounds {
-		for i := range r.a {
-			r.a[i].Restore(st.regs[k])
-			r.b[i].Restore(st.regs[k+1])
-			k += 2
-		}
-	}
-}
+func (c *CommitAdoptOF) Fingerprint(f *sim.Fingerprinter) { c.Fold(f) }
 
 // Apply implements sim.Object.
 func (c *CommitAdoptOF) Apply(p *sim.Proc, inv sim.Invocation) history.Value {
@@ -273,12 +222,15 @@ func (f *commitAdoptFrame) Fork() sim.Frame {
 //
 //slx:norecover the one CAS cell is modeled durable; a crashed proposer just stops
 type CASBased struct {
+	base.Mem
 	c *base.CAS
 }
 
 // NewCASBased creates the implementation.
 func NewCASBased() *CASBased {
-	return &CASBased{c: base.NewCAS("C", nil)}
+	c := &CASBased{}
+	c.c = base.NewCAS(&c.Mem, "C", nil)
+	return c
 }
 
 // Apply implements sim.Object.
@@ -322,16 +274,7 @@ func (c *CASBased) Footprints() bool { return true }
 // Fingerprint implements sim.Fingerprintable: the single CAS object
 // holds proposal values compared by ==, i.e. by content, so the
 // content encoding is canonical.
-func (c *CASBased) Fingerprint(f *sim.Fingerprinter) {
-	c.c.Fingerprint(f)
-}
-
-// Snapshot implements sim.Snapshottable: the single CAS object is the
-// whole state.
-func (c *CASBased) Snapshot() any { return c.c.Snapshot() }
-
-// Restore implements sim.Snapshottable.
-func (c *CASBased) Restore(v any) { c.c.Restore(v) }
+func (c *CASBased) Fingerprint(f *sim.Fingerprinter) { c.Fold(f) }
 
 // Trivial is the implementation I_t from the proof of Theorem 4.9: it never
 // responds to any invocation (every process blocks forever). It vacuously

@@ -11,14 +11,26 @@ import (
 // most n <= k distinct decisions). For n >= k+1 it violates k-set
 // agreement, matching the Borowsky-Gafni boundary: k-set agreement is
 // wait-free solvable from registers iff n <= k.
+//
+//slx:norecover the announcement slots are modeled durable; a crashed proposer just stops
 type DecideOwn struct {
+	base.Mem
 	ann *base.Snapshot
 }
 
 // NewDecideOwn creates the implementation for n processes.
 func NewDecideOwn(n int) *DecideOwn {
-	return &DecideOwn{ann: base.NewSnapshot("ann", n, nil)}
+	d := &DecideOwn{}
+	d.ann = base.NewSnapshot(&d.Mem, "ann", n, nil)
+	return d
 }
+
+// Footprints implements sim.Footprinted: the announcement snapshot is
+// the whole shared state.
+func (d *DecideOwn) Footprints() bool { return true }
+
+// Fingerprint implements sim.Fingerprintable: slots compare by content.
+func (d *DecideOwn) Fingerprint(f *sim.Fingerprinter) { d.Fold(f) }
 
 // Apply implements sim.Object.
 func (d *DecideOwn) Apply(p *sim.Proc, inv sim.Invocation) history.Value {
@@ -54,14 +66,27 @@ func (f *decideOwnFrame) Fork() sim.Frame { return f }
 // interleavings, but at most k when at most k values are ever
 // announced. It is used by tests as a *plausible but wrong* candidate
 // for n > k: the explorer finds the violating interleaving.
+//
+//slx:norecover the announcement slots are modeled durable; a crashed proposer just stops
 type FirstAnnounced struct {
+	base.Mem
 	ann *base.Snapshot
 }
 
 // NewFirstAnnounced creates the implementation for n processes.
 func NewFirstAnnounced(n int) *FirstAnnounced {
-	return &FirstAnnounced{ann: base.NewSnapshot("ann", n, nil)}
+	d := &FirstAnnounced{}
+	d.ann = base.NewSnapshot(&d.Mem, "ann", n, nil)
+	return d
 }
+
+// Footprints implements sim.Footprinted: the announcement snapshot is
+// the whole shared state.
+func (d *FirstAnnounced) Footprints() bool { return true }
+
+// Fingerprint implements sim.Fingerprintable: slots compare by content,
+// and the scan observes every value it decides on.
+func (d *FirstAnnounced) Fingerprint(f *sim.Fingerprinter) { d.Fold(f) }
 
 // Apply implements sim.Object.
 func (d *FirstAnnounced) Apply(p *sim.Proc, inv sim.Invocation) history.Value {

@@ -106,7 +106,7 @@ func TestExplorerFindsViolation(t *testing.T) {
 	st, err := Run(Config{
 		Procs: 2,
 		NewObject: func() sim.Object {
-			return &brokenConsensus{r: base.NewRegister("r", nil)}
+			return &brokenConsensus{r: base.NewRegister(new(base.Mem), "r", nil)}
 		},
 		NewEnv: func() sim.Environment {
 			return consensus.ProposeOnce(map[int]history.Value{1: 0, 2: 1})
@@ -126,7 +126,7 @@ func TestExplorerFindsViolation(t *testing.T) {
 	// The witness replays to a violating history.
 	res := sim.Run(sim.Config{
 		Procs:     2,
-		Object:    &brokenConsensus{r: base.NewRegister("r", nil)},
+		Object:    &brokenConsensus{r: base.NewRegister(new(base.Mem), "r", nil)},
 		Env:       consensus.ProposeOnce(map[int]history.Value{1: 0, 2: 1}),
 		Scheduler: sim.Fixed(st.Witness),
 		MaxSteps:  len(st.Witness) + 1,
@@ -166,7 +166,7 @@ func TestParallelFindsViolation(t *testing.T) {
 	st, err := Run(Config{
 		Procs: 2,
 		NewObject: func() sim.Object {
-			return &brokenConsensus{r: base.NewRegister("r", nil)}
+			return &brokenConsensus{r: base.NewRegister(new(base.Mem), "r", nil)}
 		},
 		NewEnv: func() sim.Environment {
 			return consensus.ProposeOnce(map[int]history.Value{1: 0, 2: 1})

@@ -117,7 +117,7 @@ func TestMonitorPathMatchesBatch(t *testing.T) {
 // replays to a violating history.
 func TestMonitorPathFindsViolationWithWitness(t *testing.T) {
 	prop := safety.AgreementValidity{}
-	newObj := func() sim.Object { return &brokenConsensus{r: base.NewRegister("r", nil)} }
+	newObj := func() sim.Object { return &brokenConsensus{r: base.NewRegister(new(base.Mem), "r", nil)} }
 	var steps, forks atomic.Int64
 	st, err := Run(Config{
 		Procs:     2,
@@ -211,7 +211,7 @@ func TestMonitorParallelMatchesSequential(t *testing.T) {
 	// A violation below the root, found by a worker, surfaces with its witness.
 	st, err := Run(Config{
 		Procs:       2,
-		NewObject:   func() sim.Object { return &brokenConsensus{r: base.NewRegister("r", nil)} },
+		NewObject:   func() sim.Object { return &brokenConsensus{r: base.NewRegister(new(base.Mem), "r", nil)} },
 		NewEnv:      proposeOnce01(),
 		Depth:       6,
 		Workers:     4,

@@ -21,7 +21,7 @@ func brokenCfg(workers int) Config {
 	return Config{
 		Procs: 2,
 		NewObject: func() sim.Object {
-			return &brokenConsensus{r: base.NewRegister("r", nil)}
+			return &brokenConsensus{r: base.NewRegister(new(base.Mem), "r", nil)}
 		},
 		NewEnv: func() sim.Environment {
 			return consensus.ProposeOnce(map[int]history.Value{1: 0, 2: 1})
@@ -134,7 +134,7 @@ func TestRootViolationStatsParity(t *testing.T) {
 		return Config{
 			Procs: 2,
 			NewObject: func() sim.Object {
-				return &brokenConsensus{r: base.NewRegister("r", nil)}
+				return &brokenConsensus{r: base.NewRegister(new(base.Mem), "r", nil)}
 			},
 			NewEnv: func() sim.Environment {
 				return consensus.ProposeOnce(map[int]history.Value{1: 0, 2: 1})

@@ -97,7 +97,7 @@ func porConfigs() map[string]Config {
 		"broken-consensus/violation": {
 			Procs: 2,
 			NewObject: func() sim.Object {
-				return &footprintedBroken{r: base.NewRegister("r", nil)}
+				return &footprintedBroken{r: base.NewRegister(new(base.Mem), "r", nil)}
 			},
 			NewEnv: func() sim.Environment {
 				return consensus.ProposeOnce(map[int]history.Value{1: 0, 2: 1})
@@ -107,7 +107,7 @@ func porConfigs() map[string]Config {
 		},
 		"racy-lock/mutex-violation": {
 			Procs:     2,
-			NewObject: func() sim.Object { return &racyLock{held: base.NewRegister("lock", false)} },
+			NewObject: func() sim.Object { return &racyLock{held: base.NewRegister(new(base.Mem), "lock", false)} },
 			NewEnv: func() sim.Environment {
 				return sim.Script(map[int][]sim.Invocation{
 					1: {{Op: safety.LockAcquire}, {Op: safety.LockRelease}},
@@ -178,7 +178,7 @@ func TestPORWitnessReplays(t *testing.T) {
 	}
 	res := sim.Run(sim.Config{
 		Procs:     2,
-		Object:    &footprintedBroken{r: base.NewRegister("r", nil)},
+		Object:    &footprintedBroken{r: base.NewRegister(new(base.Mem), "r", nil)},
 		Env:       consensus.ProposeOnce(map[int]history.Value{1: 0, 2: 1}),
 		Scheduler: sim.Fixed(st.Witness),
 		MaxSteps:  len(st.Witness) + 1,
@@ -222,7 +222,7 @@ func TestPORUnfootprintedDegrades(t *testing.T) {
 		Procs: 2,
 		NewObject: func() sim.Object {
 			// brokenConsensus (no Footprints method) from explore_test.go.
-			return &brokenConsensus{r: base.NewRegister("r", nil)}
+			return &brokenConsensus{r: base.NewRegister(new(base.Mem), "r", nil)}
 		},
 		NewEnv: func() sim.Environment {
 			return consensus.ProposeOnce(map[int]history.Value{1: 0, 2: 1})

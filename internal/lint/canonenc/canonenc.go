@@ -13,7 +13,8 @@
 //   - the digest homes, whole-file: internal/history/digest.go (the
 //     encoder itself), internal/safety/digest.go (the monitor
 //     digests), internal/sim/fingerprint.go (the configuration
-//     fingerprint's fold order);
+//     fingerprint's fold order), internal/base/mem.go (Mem.Fold, every
+//     object's state fold);
 //   - every StateDigest or Fingerprint method body, anywhere;
 //   - every function whose name mentions Digest or Canonical.
 //
@@ -45,6 +46,7 @@ var scopedFiles = []string{
 	"internal/history/digest.go",
 	"internal/safety/digest.go",
 	"internal/sim/fingerprint.go",
+	"internal/base/mem.go",
 }
 
 // fnvConstants are the FNV offset bases and primes (64- and 32-bit)

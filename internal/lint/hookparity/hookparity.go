@@ -35,9 +35,18 @@
 //
 //	return sim.ApplyFrames(recv, p, inv) // or run.ApplyFrames
 //
-// so no hand-written blocking twin can drift from the frames. Test
-// files are not analyzed: hand-written blocking fixtures and
-// run.ObjectFunc stay available to tests and users.
+// so no hand-written blocking twin can drift from the frames.
+//
+// It also keeps each object's state in one store: a type outside
+// internal/base embedding base.Mem declares no Snapshot or Restore (the
+// promoted pair is its hook), its Fingerprint and CrashVolatile are
+// exactly recv.Fold(f) and recv.Wipe(), and only its package's
+// functions returning it write to, delete from or take the address of
+// its fields (the embedded Mem excepted), so its state lives in cells.
+//
+// Test files are not analyzed: hand-written blocking fixtures,
+// hand-written hooks and run.ObjectFunc stay available to tests and
+// users.
 package hookparity
 
 import (
@@ -52,11 +61,12 @@ import (
 // Analyzer is the hookparity check.
 var Analyzer = &analysis.Analyzer{
 	Name: "hookparity",
-	Doc:  "object types opting into one engine capability hook must implement the rest or carry //slx:no* exemptions, and every object is a Begin machine whose Apply is the derived ApplyFrames call",
+	Doc:  "object types opting into one engine capability hook must implement the rest or carry //slx:no* exemptions, every object is a Begin machine whose Apply is the derived ApplyFrames call, and types embedding base.Mem keep their state in its cells with derived hooks",
 	Run:  run,
 }
 
 func run(pass *analysis.Pass) error {
+	checkMemState(pass)
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			gen, ok := decl.(*ast.GenDecl)
@@ -142,7 +152,7 @@ func checkType(pass *analysis.Pass, ts *ast.TypeSpec, doc *ast.CommentGroup) {
 // a promoted Apply is checked where it is declared.
 func checkOneForm(pass *analysis.Pass, ts *ast.TypeSpec, ms *types.MethodSet) {
 	sel := ms.Lookup(pass.Pkg, "Apply")
-	if isSimPkg(pass.Pkg) || sel == nil || len(sel.Index()) > 1 {
+	if inPkg(pass.Pkg, "internal/sim") || sel == nil || len(sel.Index()) > 1 {
 		return
 	}
 	sig := sel.Obj().Type().(*types.Signature)
@@ -162,9 +172,9 @@ func checkOneForm(pass *analysis.Pass, ts *ast.TypeSpec, ms *types.MethodSet) {
 	}
 }
 
-// isSimPkg reports whether pkg is internal/sim.
-func isSimPkg(pkg *types.Package) bool {
-	return pkg != nil && strings.HasSuffix(pkg.Path(), "internal/sim")
+// inPkg reports whether pkg is the repository package at path.
+func inPkg(pkg *types.Package, path string) bool {
+	return pkg != nil && strings.HasSuffix(pkg.Path(), path)
 }
 
 // isSimType reports whether t, or the type t points to, is
@@ -174,7 +184,7 @@ func isSimType(t types.Type, name string) bool {
 		t = p.Elem()
 	}
 	n, ok := t.(*types.Named)
-	return ok && n.Obj().Name() == name && isSimPkg(n.Obj().Pkg())
+	return ok && n.Obj().Name() == name && inPkg(n.Obj().Pkg(), "internal/sim")
 }
 
 // derivedApply reports whether decl's body is exactly
@@ -203,7 +213,7 @@ func derivedApply(pass *analysis.Pass, decl *ast.FuncDecl) bool {
 		return false
 	}
 	fn, ok := pass.TypesInfo.Uses[fun.Sel].(*types.Func)
-	if !ok || fn.Name() != "ApplyFrames" || !isSimPkg(fn.Pkg()) && !strings.HasSuffix(fn.Pkg().Path(), "slx/run") {
+	if !ok || fn.Name() != "ApplyFrames" || !inPkg(fn.Pkg(), "internal/sim") && !inPkg(fn.Pkg(), "slx/run") {
 		return false
 	}
 	return types.ExprString(call) == types.ExprString(fun)+"("+strings.Join(names, ", ")+")"
@@ -247,10 +257,9 @@ func hasFootprints(ms *types.MethodSet) bool {
 	return ok && basic.Kind() == types.Bool
 }
 
-// hasFingerprint matches the fingerprint hook shape shared by
-// sim.Fingerprintable (Fingerprint(*sim.Fingerprinter)) and the
-// base.StateSink form: one parameter, no results, parameter type named
-// Fingerprinter or StateSink.
+// hasFingerprint matches the sim.Fingerprintable hook shape
+// Fingerprint(*Fingerprinter): one parameter, no results, parameter
+// type named Fingerprinter.
 func hasFingerprint(ms *types.MethodSet) bool {
 	sig := signature(ms, "Fingerprint")
 	if sig == nil || sig.Params().Len() != 1 || sig.Results().Len() != 0 {
@@ -264,8 +273,7 @@ func hasFingerprint(ms *types.MethodSet) bool {
 	if !ok {
 		return false
 	}
-	name := named.Obj().Name()
-	return name == "Fingerprinter" || name == "StateSink"
+	return named.Obj().Name() == "Fingerprinter"
 }
 
 // hasSnapshot matches Snapshot() any.

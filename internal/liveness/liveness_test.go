@@ -271,7 +271,7 @@ func (o *casObject) Apply(p *sim.Proc, inv sim.Invocation) (v history.Value) {
 func TestFromResultIntegration(t *testing.T) {
 	res := sim.Run(sim.Config{
 		Procs:     2,
-		Object:    &casObject{c: base.NewCAS("c", nil)},
+		Object:    &casObject{c: base.NewCAS(new(base.Mem), "c", nil)},
 		Env:       sim.Repeat(sim.Invocation{Op: "propose", Arg: 5}),
 		Scheduler: sim.Limit(sim.Alternate(1, 2), 60),
 	})

@@ -11,10 +11,10 @@ import (
 // bound, which is fine in simulation (the paper's registers hold arbitrary
 // values).
 //
-//slx:nosnapshot no Snapshot/Restore hook is written, so sessions over the lock rebuild from the root
 //slx:nofootprint acquire scans every process's slots, so steps conflict pairwise anyway
 //slx:norecover tickets and flags are modeled durable; a crashed holder simply never releases
 type Bakery struct {
+	base.Mem
 	n        int
 	choosing []*base.Register
 	number   []*base.Register
@@ -28,22 +28,17 @@ func NewBakery(n int) *Bakery {
 		number:   make([]*base.Register, n),
 	}
 	for i := 0; i < n; i++ {
-		b.choosing[i] = base.NewRegister("choosing", false)
-		b.number[i] = base.NewRegister("number", 0)
+		b.choosing[i] = base.NewRegister(&b.Mem, "choosing", false)
+		b.number[i] = base.NewRegister(&b.Mem, "number", 0)
 	}
 	return b
 }
 
 // Fingerprint implements sim.Fingerprintable: tickets and choosing
 // flags, in process order. (The registers share the names "choosing"
-// and "number" across processes, which is fine here: the fixed write
-// order keys each component by position.)
-func (b *Bakery) Fingerprint(f *sim.Fingerprinter) {
-	for i := 0; i < b.n; i++ {
-		b.choosing[i].Fingerprint(f)
-		b.number[i].Fingerprint(f)
-	}
-}
+// and "number" across processes, which is fine here: the fixed
+// allocation order keys each component by position.)
+func (b *Bakery) Fingerprint(f *sim.Fingerprinter) { b.Fold(f) }
 
 // Apply implements sim.Object.
 func (b *Bakery) Apply(p *sim.Proc, inv sim.Invocation) history.Value {

@@ -52,19 +52,20 @@ func DeadlockFreedom() liveness.Property {
 //
 //slx:norecover flag and turn registers are modeled durable; a crashed holder simply never releases
 type Peterson struct {
+	base.Mem
 	flag [2]*base.Register
 	turn *base.Register
 }
 
 // NewPeterson creates the lock.
 func NewPeterson() *Peterson {
-	return &Peterson{
-		flag: [2]*base.Register{
-			base.NewRegister("flag1", false),
-			base.NewRegister("flag2", false),
-		},
-		turn: base.NewRegister("turn", 1),
+	l := &Peterson{}
+	l.flag = [2]*base.Register{
+		base.NewRegister(&l.Mem, "flag1", false),
+		base.NewRegister(&l.Mem, "flag2", false),
 	}
+	l.turn = base.NewRegister(&l.Mem, "turn", 1)
+	return l
 }
 
 // Footprints implements sim.Footprinted: all shared state is in the
@@ -73,28 +74,7 @@ func (l *Peterson) Footprints() bool { return true }
 
 // Fingerprint implements sim.Fingerprintable: the three registers hold
 // booleans and process ids, compared by value.
-func (l *Peterson) Fingerprint(f *sim.Fingerprinter) {
-	l.flag[0].Fingerprint(f)
-	l.flag[1].Fingerprint(f)
-	l.turn.Fingerprint(f)
-}
-
-// petersonState is a captured lock configuration.
-type petersonState struct{ f0, f1, turn any }
-
-// Snapshot implements sim.Snapshottable: the three registers are the
-// whole state.
-func (l *Peterson) Snapshot() any {
-	return &petersonState{f0: l.flag[0].Snapshot(), f1: l.flag[1].Snapshot(), turn: l.turn.Snapshot()}
-}
-
-// Restore implements sim.Snapshottable.
-func (l *Peterson) Restore(v any) {
-	st := v.(*petersonState)
-	l.flag[0].Restore(st.f0)
-	l.flag[1].Restore(st.f1)
-	l.turn.Restore(st.turn)
-}
+func (l *Peterson) Fingerprint(f *sim.Fingerprinter) { l.Fold(f) }
 
 // Apply implements sim.Object.
 func (l *Peterson) Apply(p *sim.Proc, inv sim.Invocation) history.Value {
@@ -165,12 +145,15 @@ func (f *petersonFrame) Fork() sim.Frame {
 //
 //slx:norecover the one TAS bit is modeled durable; a crashed holder simply never releases
 type TASLock struct {
+	base.Mem
 	t *base.TAS
 }
 
 // NewTASLock creates the lock.
 func NewTASLock() *TASLock {
-	return &TASLock{t: base.NewTAS("lock")}
+	l := &TASLock{}
+	l.t = base.NewTAS(&l.Mem, "lock")
+	return l
 }
 
 // Footprints implements sim.Footprinted: all shared state is the single
@@ -179,15 +162,7 @@ func (l *TASLock) Footprints() bool { return true }
 
 // Fingerprint implements sim.Fingerprintable: the single bit is the
 // whole shared state.
-func (l *TASLock) Fingerprint(f *sim.Fingerprinter) {
-	l.t.Fingerprint(f)
-}
-
-// Snapshot implements sim.Snapshottable: the bit is the whole state.
-func (l *TASLock) Snapshot() any { return l.t.Snapshot() }
-
-// Restore implements sim.Snapshottable.
-func (l *TASLock) Restore(v any) { l.t.Restore(v) }
+func (l *TASLock) Fingerprint(f *sim.Fingerprinter) { l.Fold(f) }
 
 // Apply implements sim.Object.
 func (l *TASLock) Apply(p *sim.Proc, inv sim.Invocation) history.Value {
@@ -233,8 +208,10 @@ func (f *tasLockFrame) Fork() sim.Frame { return f }
 // locks; a process climbs from its leaf to the root, playing the side its
 // subtree lies on at each node, and releases top-down in reverse. n is
 // rounded up to a power of two.
+//
+//slx:norecover flag and turn registers are modeled durable; a crashed holder simply never releases
 type Tournament struct {
-	n      int
+	base.Mem
 	levels int
 	// node flags/turn per internal node: node index 1..(leafBase-1),
 	// heap-style (children of i are 2i and 2i+1).
@@ -252,7 +229,6 @@ func NewTournament(n int) *Tournament {
 		levels++
 	}
 	t := &Tournament{
-		n:      n,
 		levels: levels,
 		flag:   make(map[int][2]*base.Register),
 		turn:   make(map[int]*base.Register),
@@ -260,13 +236,21 @@ func NewTournament(n int) *Tournament {
 	}
 	for node := 1; node < size; node++ {
 		t.flag[node] = [2]*base.Register{
-			base.NewRegister("flagL", false),
-			base.NewRegister("flagR", false),
+			base.NewRegister(&t.Mem, "flagL", false),
+			base.NewRegister(&t.Mem, "flagR", false),
 		}
-		t.turn[node] = base.NewRegister("turn", 0)
+		t.turn[node] = base.NewRegister(&t.Mem, "turn", 0)
 	}
 	return t
 }
+
+// Footprints implements sim.Footprinted: all shared state is in the
+// nodes' registers (nodes share names, which only adds conflicts).
+func (t *Tournament) Footprints() bool { return true }
+
+// Fingerprint implements sim.Fingerprintable: booleans and sides,
+// compared by value.
+func (t *Tournament) Fingerprint(f *sim.Fingerprinter) { t.Fold(f) }
 
 // Apply implements sim.Object.
 func (t *Tournament) Apply(p *sim.Proc, inv sim.Invocation) history.Value {

@@ -33,6 +33,7 @@ import (
 //
 //slx:nofingerprint CAS on *qstate pointer identity: content-equal states diverge (ABA)
 type Persistent struct {
+	base.Mem
 	committed *base.CAS
 	intents   []*base.DurableRegister // indexed by 1-based proc id
 }
@@ -45,12 +46,10 @@ type intent struct {
 
 // NewPersistent creates the queue for processes 1..n.
 func NewPersistent(n int) *Persistent {
-	q := &Persistent{
-		committed: base.NewCAS("queue", &qstate{}),
-		intents:   make([]*base.DurableRegister, n+1),
-	}
+	q := &Persistent{intents: make([]*base.DurableRegister, n+1)}
+	q.committed = base.NewCAS(&q.Mem, "queue", &qstate{})
 	for p := 1; p <= n; p++ {
-		q.intents[p] = base.NewDurableRegister(fmt.Sprintf("intent.%d", p), nil)
+		q.intents[p] = base.NewDurableRegister(&q.Mem, fmt.Sprintf("intent.%d", p), nil)
 	}
 	return q
 }
@@ -62,46 +61,10 @@ func (q *Persistent) Footprints() bool { return true }
 
 // CrashVolatile implements sim.Recoverable: every intent cache reverts
 // to its flushed value. The committed CAS is durable.
-func (q *Persistent) CrashVolatile() {
-	for _, r := range q.intents {
-		if r != nil {
-			r.CrashWipe()
-		}
-	}
-}
+func (q *Persistent) CrashVolatile() { q.Wipe() }
 
 // RecoverFrame implements sim.Recoverable.
 func (q *Persistent) RecoverFrame() sim.Frame { return &persistRecFrame{q: q} }
-
-// persistState is a captured queue configuration.
-type persistState struct {
-	committed any
-	intents   []any
-}
-
-// Snapshot implements sim.Snapshottable: the committed pointer (exact,
-// preserving the CAS identity semantics) plus both halves of every
-// intent register.
-func (q *Persistent) Snapshot() any {
-	st := &persistState{committed: q.committed.Snapshot(), intents: make([]any, len(q.intents))}
-	for i, r := range q.intents {
-		if r != nil {
-			st.intents[i] = r.Snapshot()
-		}
-	}
-	return st
-}
-
-// Restore implements sim.Snapshottable.
-func (q *Persistent) Restore(v any) {
-	st := v.(*persistState)
-	q.committed.Restore(st.committed)
-	for i, r := range q.intents {
-		if r != nil {
-			r.Restore(st.intents[i])
-		}
-	}
-}
 
 // step computes one operation's transition at st. ok=false means the
 // operation completes without mutating (empty dequeue, unknown op).

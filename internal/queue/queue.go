@@ -49,46 +49,28 @@ func (q *qstate) deq() (*qstate, history.Value) {
 //
 //slx:norecover lock and state registers are modeled durable; recovery is a bare re-spawn
 type Locked struct {
+	base.Mem
 	lock  *mutex.Peterson
 	state *base.Register
 }
 
-// NewLocked creates the queue.
+// NewLocked creates the queue. The Peterson lock keeps its own memory,
+// attached as a part.
 func NewLocked() *Locked {
-	return &Locked{
-		lock:  mutex.NewPeterson(),
-		state: base.NewRegister("queue", &qstate{}),
-	}
+	q := &Locked{lock: mutex.NewPeterson()}
+	q.state = base.NewRegister(&q.Mem, "queue", &qstate{})
+	base.Attach(&q.Mem, q.lock)
+	return q
 }
 
 // Footprints implements sim.Footprinted: all shared state is in the
 // Peterson lock's registers and the queue register.
 func (q *Locked) Footprints() bool { return true }
 
-// Fingerprint implements sim.Fingerprintable: the lock registers plus
-// the queue register, whose *qstate content is only ever read and
-// replaced — never compared by pointer — so the content encoding is
-// canonical.
-func (q *Locked) Fingerprint(f *sim.Fingerprinter) {
-	q.lock.Fingerprint(f)
-	q.state.Fingerprint(f)
-}
-
-// lockedState is a captured queue configuration.
-type lockedState struct{ lock, state any }
-
-// Snapshot implements sim.Snapshottable: the Peterson lock plus the
-// queue register (whose *qstate records are immutable).
-func (q *Locked) Snapshot() any {
-	return &lockedState{lock: q.lock.Snapshot(), state: q.state.Snapshot()}
-}
-
-// Restore implements sim.Snapshottable.
-func (q *Locked) Restore(v any) {
-	st := v.(*lockedState)
-	q.lock.Restore(st.lock)
-	q.state.Restore(st.state)
-}
+// Fingerprint implements sim.Fingerprintable: the queue register's
+// *qstate is only read and replaced, never compared by pointer, so its
+// content encoding is canonical; the lock registers follow.
+func (q *Locked) Fingerprint(f *sim.Fingerprinter) { q.Fold(f) }
 
 // Apply implements sim.Object.
 func (q *Locked) Apply(p *sim.Proc, inv sim.Invocation) history.Value {
@@ -168,28 +150,25 @@ func (f *lockedFrame) Fork() sim.Frame {
 // restored but a process holding the old pointer will fail its CAS
 // (the classic ABA distinction). A content fingerprint would equate
 // those states and let the exploration cache prune subtrees with
-// genuinely different futures.
+// genuinely different futures. Unlike a fingerprint, the memory's
+// snapshot captures pointer identity — Restore reinstates the exact
+// *qstate pointer, so the ABA distinction is preserved and incremental
+// exploration stays sound.
 //
 //slx:nofingerprint CAS on *qstate pointer identity: content-equal states diverge (ABA)
 //slx:nofootprint every step CASes the one state cell, so all steps conflict anyway
 //slx:norecover the one CAS cell is modeled durable; Persistent is the crash-modeled variant
 type CASQueue struct {
+	base.Mem
 	state *base.CAS
 }
 
 // NewCASQueue creates the queue.
 func NewCASQueue() *CASQueue {
-	return &CASQueue{state: base.NewCAS("queue", &qstate{})}
+	q := &CASQueue{}
+	q.state = base.NewCAS(&q.Mem, "queue", &qstate{})
+	return q
 }
-
-// Snapshot implements sim.Snapshottable. Unlike a fingerprint, a
-// snapshot may capture pointer identity — Restore reinstates the exact
-// *qstate pointer, so the ABA distinction that rules out the content
-// fingerprint is preserved and incremental exploration stays sound.
-func (q *CASQueue) Snapshot() any { return q.state.Snapshot() }
-
-// Restore implements sim.Snapshottable.
-func (q *CASQueue) Restore(v any) { q.state.Restore(v) }
 
 // Apply implements sim.Object.
 func (q *CASQueue) Apply(p *sim.Proc, inv sim.Invocation) history.Value {

@@ -32,17 +32,24 @@ func newLinSet() explore.MonitorSet {
 }
 
 // okReg is a linearizable register with full session hooks (snapshot,
-// fingerprint, footprints) via the base register.
-type okReg struct{ r *base.Register }
+// fingerprint, footprints) via the base register's memory.
+type okReg struct {
+	base.Mem
+	r *base.Register
+}
+
+func newOKReg() *okReg {
+	o := &okReg{}
+	o.r = base.NewRegister(&o.Mem, "r", nil)
+	return o
+}
 
 func (o *okReg) Apply(p *sim.Proc, inv sim.Invocation) history.Value {
 	return sim.ApplyFrames(o, p, inv)
 }
 
 func (o *okReg) Footprints() bool                 { return true }
-func (o *okReg) Fingerprint(f *sim.Fingerprinter) { o.r.Fingerprint(f) }
-func (o *okReg) Snapshot() any                    { return o.r.Snapshot() }
-func (o *okReg) Restore(s any)                    { o.r.Restore(s) }
+func (o *okReg) Fingerprint(f *sim.Fingerprinter) { o.Fold(f) }
 
 // okRegFrame is one in-flight okReg operation: a single register access.
 type okRegFrame struct {
@@ -149,7 +156,7 @@ func regScript(procs int) func() sim.Environment {
 func okCfg() Config {
 	return Config{
 		Procs:        3,
-		NewObject:    func() sim.Object { return &okReg{r: base.NewRegister("r", nil)} },
+		NewObject:    func() sim.Object { return newOKReg() },
 		NewEnv:       regScript(3),
 		NewMonitors:  newLinSet,
 		Schedules:    300,

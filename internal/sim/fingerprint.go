@@ -14,9 +14,10 @@ type Fingerprinter = history.Fingerprinter
 //
 //  1. Fingerprint writes a canonical encoding of ALL state shared
 //     between processes (for implementations built from internal/base
-//     objects: each base object's Fingerprint method, in a fixed
-//     order), such that two instances with equal encodings behave
-//     identically under identical future schedules, and
+//     objects: the one line recv.Fold(f), which folds every cell of
+//     the object's base.Mem in allocation order), such that two
+//     instances with equal encodings behave identically under
+//     identical future schedules, and
 //  2. every value Apply reads from shared state into process-local
 //     variables is declared to the executing process via Proc.Observe
 //     (base-object read operations do this automatically), so the

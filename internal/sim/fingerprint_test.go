@@ -11,11 +11,15 @@ import (
 // process writes its own register, so different schedules can reach the
 // identical state.
 type fpObject struct {
+	base.Mem
 	a, b *base.Register
 }
 
 func newFPObject() *fpObject {
-	return &fpObject{a: base.NewRegister("a", 0), b: base.NewRegister("b", 0)}
+	o := &fpObject{}
+	o.a = base.NewRegister(&o.Mem, "a", 0)
+	o.b = base.NewRegister(&o.Mem, "b", 0)
+	return o
 }
 
 func (o *fpObject) Apply(p *Proc, inv Invocation) (v history.Value) {
@@ -33,10 +37,7 @@ func (o *fpObject) Apply(p *Proc, inv Invocation) (v history.Value) {
 	return v
 }
 
-func (o *fpObject) Fingerprint(f *Fingerprinter) {
-	o.a.Fingerprint(f)
-	o.b.Fingerprint(f)
-}
+func (o *fpObject) Fingerprint(f *Fingerprinter) { o.Fold(f) }
 
 // fpRun replays the process sequence against a fresh fpObject with
 // fingerprinting on.
@@ -122,7 +123,7 @@ func TestFingerprintObservations(t *testing.T) {
 	obsOf := func(procs []int) uint64 {
 		res := Run(Config{
 			Procs:       2,
-			Object:      &sharedRegObject{r: base.NewRegister("s", 0)},
+			Object:      newSharedRegObject(),
 			Env:         Script(map[int][]Invocation{1: {{Op: "read"}}, 2: {{Op: "write", Arg: 5}, {Op: "write", Arg: 0}}}),
 			Scheduler:   FixedProcs(procs),
 			Fingerprint: true,
@@ -146,7 +147,14 @@ func TestFingerprintObservations(t *testing.T) {
 // probe step (the observation) and then parks the process, keeping the
 // operation pending so the observed value stays live local state.
 type sharedRegObject struct {
+	base.Mem
 	r *base.Register
+}
+
+func newSharedRegObject() *sharedRegObject {
+	o := &sharedRegObject{}
+	o.r = base.NewRegister(&o.Mem, "s", 0)
+	return o
 }
 
 func (o *sharedRegObject) Apply(p *Proc, inv Invocation) history.Value {
@@ -163,7 +171,7 @@ func (o *sharedRegObject) Apply(p *Proc, inv Invocation) history.Value {
 	return nil
 }
 
-func (o *sharedRegObject) Fingerprint(f *Fingerprinter) { o.r.Fingerprint(f) }
+func (o *sharedRegObject) Fingerprint(f *Fingerprinter) { o.Fold(f) }
 
 // TestFingerprintOffByDefault: without Config.Fingerprint the result
 // carries no fingerprint even when the object has the hook.

@@ -31,7 +31,12 @@ package sim
 // hooks — Snapshot/Restore (sessions rewind across crash and recover
 // decisions), Fingerprint (two configurations differing only in
 // volatile state must digest differently), and Footprints (recovery
-// steps declare their accesses like any other step).
+// steps declare their accesses like any other step). An implementation
+// built from internal/base gets this by construction: its CrashVolatile
+// is the one line recv.Wipe(), which reverts durable registers' caches
+// to their flushed halves and the memory's local cells (process-local
+// state, volatile by definition) to their initial values, and the
+// memory's Snapshot, Restore and Fold cover those same cells.
 type Recoverable interface {
 	Object
 	CrashVolatile()

@@ -13,12 +13,13 @@ import (
 // schedule prefix from the initial state. Implementing it promises that
 //
 //  1. Snapshot returns a value capturing ALL state that outlives a
-//     single granted step and is not held in continuation frames — for
-//     implementations built from internal/base objects, each base
-//     object's Snapshot in a fixed order, plus any composite-level
-//     state (lazy allocations, per-process operation contexts) — such
+//     single granted step and is not held in continuation frames, such
 //     that Restore(s) brings the object back to behavior
-//     indistinguishable from the moment Snapshot was called.
+//     indistinguishable from the moment Snapshot was called. An
+//     implementation built from internal/base derives the pair: it
+//     embeds a base.Mem, allocates every base object, lazy allocation
+//     and per-process operation context as cells of it, and the
+//     promoted Mem.Snapshot and Mem.Restore are its hook.
 //  2. Restore never adopts the snapshot value mutably: the engine
 //     restores the same snapshot many times (including twice around a
 //     single rewind), so Restore must copy what it cannot treat as

@@ -12,9 +12,10 @@ import (
 )
 
 // snapObject exercises every base object kind with multi-step,
-// branching operations, composing their Snapshot/Restore hooks —
-// the round-trip fixture of the session engine.
+// branching operations, all in one memory whose Snapshot/Restore are
+// its hooks — the round-trip fixture of the session engine.
 type snapObject struct {
+	base.Mem
 	reg  *base.Register
 	cas  *base.CAS
 	tas  *base.TAS
@@ -23,13 +24,13 @@ type snapObject struct {
 }
 
 func newSnapObject(n int) *snapObject {
-	return &snapObject{
-		reg:  base.NewRegister("reg", 0),
-		cas:  base.NewCAS("cas", 0),
-		tas:  base.NewTAS("tas"),
-		ctr:  base.NewFetchAdd("ctr", 0),
-		snap: base.NewSnapshot("snap", n, 0),
-	}
+	o := &snapObject{}
+	o.reg = base.NewRegister(&o.Mem, "reg", 0)
+	o.cas = base.NewCAS(&o.Mem, "cas", 0)
+	o.tas = base.NewTAS(&o.Mem, "tas")
+	o.ctr = base.NewFetchAdd(&o.Mem, "ctr", 0)
+	o.snap = base.NewSnapshot(&o.Mem, "snap", n, 0)
+	return o
 }
 
 func (o *snapObject) Apply(p *Proc, inv Invocation) history.Value {
@@ -62,31 +63,7 @@ func (o *snapObject) Apply(p *Proc, inv Invocation) history.Value {
 	return nil
 }
 
-func (o *snapObject) Fingerprint(f *Fingerprinter) {
-	o.reg.Fingerprint(f)
-	o.cas.Fingerprint(f)
-	o.tas.Fingerprint(f)
-	o.ctr.Fingerprint(f)
-	o.snap.Fingerprint(f)
-}
-
-type snapObjectState struct{ reg, cas, tas, ctr, snap any }
-
-func (o *snapObject) Snapshot() any {
-	return &snapObjectState{
-		reg: o.reg.Snapshot(), cas: o.cas.Snapshot(), tas: o.tas.Snapshot(),
-		ctr: o.ctr.Snapshot(), snap: o.snap.Snapshot(),
-	}
-}
-
-func (o *snapObject) Restore(v any) {
-	st := v.(*snapObjectState)
-	o.reg.Restore(st.reg)
-	o.cas.Restore(st.cas)
-	o.tas.Restore(st.tas)
-	o.ctr.Restore(st.ctr)
-	o.snap.Restore(st.snap)
-}
+func (o *snapObject) Fingerprint(f *Fingerprinter) { o.Fold(f) }
 
 // snapFrame is one in-flight snapObject operation, branching on the
 // test-and-set outcome exactly as Apply does.
@@ -304,7 +281,16 @@ func viewEnv() Environment {
 
 // tasObject gives viewEnv something to react to: "try" wins or loses a
 // test-and-set, "release" clears it.
-type tasObject struct{ t *base.TAS }
+type tasObject struct {
+	base.Mem
+	t *base.TAS
+}
+
+func newTASObject() *tasObject {
+	o := &tasObject{}
+	o.t = base.NewTAS(&o.Mem, "t")
+	return o
+}
 
 func (o *tasObject) Apply(p *Proc, inv Invocation) history.Value {
 	switch inv.Op {
@@ -322,9 +308,7 @@ func (o *tasObject) Apply(p *Proc, inv Invocation) history.Value {
 	return nil
 }
 
-func (o *tasObject) Fingerprint(f *Fingerprinter) { o.t.Fingerprint(f) }
-func (o *tasObject) Snapshot() any                { return o.t.Snapshot() }
-func (o *tasObject) Restore(v any)                { o.t.Restore(v) }
+func (o *tasObject) Fingerprint(f *Fingerprinter) { o.Fold(f) }
 
 // tasFrame is one in-flight tasObject operation: a single window.
 type tasFrame struct {
@@ -360,7 +344,7 @@ func (f *tasFrame) Fork() Frame { return f }
 // under a view-dependent, non-rewindable environment (decisions derived
 // from the process's own history projection).
 func TestSessionViewDependentEnv(t *testing.T) {
-	newObj := func() Object { return &tasObject{t: base.NewTAS("t")} }
+	newObj := func() Object { return newTASObject() }
 	nodes := sessionCrossCheck(t, 2, 7, 0, newObj, viewEnv, true)
 	t.Logf("cross-checked %d nodes", nodes)
 }

@@ -17,7 +17,7 @@ type regObject struct {
 }
 
 func newRegObject() *regObject {
-	return &regObject{r: base.NewRegister("r", 0)}
+	return &regObject{r: base.NewRegister(new(base.Mem), "r", 0)}
 }
 
 func (o *regObject) Apply(p *Proc, inv Invocation) (v history.Value) {

@@ -42,62 +42,37 @@ type cell struct {
 
 // SW is the software snapshot object. Component i must only be updated by
 // process i+1 (single-writer), which is how the paper's Algorithm 1 uses
-// R[1..n].
+// R[1..n]. Its component registers live in its own memory, whose
+// promoted Snapshot and Restore are the hook an owner attaches.
 type SW struct {
-	name string
+	base.Mem
 	regs []*base.Register
 
 	// borrows counts scans that returned an embedded view rather than a
 	// clean double collect (observability for tests and benchmarks). It is
-	// only mutated inside granted steps' windows, so reads after a run are
-	// race-free.
-	borrows int
+	// a local cell, so restores rewind it with the registers.
+	borrows *base.Local
 }
 
 // Borrows returns how many scans returned a borrowed embedded view.
-func (s *SW) Borrows() int { return s.borrows }
+func (s *SW) Borrows() int { return s.borrows.Get().(int) }
 
 // New creates a software snapshot with n components initialized to
 // initial.
 func New(name string, n int, initial Value) *SW {
-	s := &SW{name: name, regs: make([]*base.Register, n)}
+	s := &SW{regs: make([]*base.Register, n)}
 	for i := range s.regs {
-		s.regs[i] = base.NewRegister(
+		s.regs[i] = base.NewRegister(&s.Mem,
 			fmt.Sprintf("%s[%d]", name, i),
 			&cell{val: initial},
 		)
 	}
+	s.borrows = base.NewLocal(&s.Mem, 0)
 	return s
 }
 
 // Len returns the number of components.
 func (s *SW) Len() int { return len(s.regs) }
-
-// swState is a captured SW configuration: the component cells (immutable
-// records, so the pointers are the state) plus the borrow counter.
-type swState struct {
-	cells   []Value
-	borrows int
-}
-
-// Snapshot captures the snapshot object's state for the incremental
-// exploration engine (composed into sim.Snapshottable hooks).
-func (s *SW) Snapshot() any {
-	st := &swState{cells: make([]Value, len(s.regs)), borrows: s.borrows}
-	for i, r := range s.regs {
-		st.cells[i] = r.Snapshot()
-	}
-	return st
-}
-
-// Restore reinstates a state captured by Snapshot.
-func (s *SW) Restore(v any) {
-	st := v.(*swState)
-	for i, r := range s.regs {
-		r.Restore(st.cells[i])
-	}
-	s.borrows = st.borrows
-}
 
 func values(cells []*cell) []Value {
 	out := make([]Value, len(cells))
@@ -162,7 +137,7 @@ func (c *scan) step(p *sim.Proc) ([]Value, bool) {
 				// cur[i]'s update began after our scan did (it is the
 				// second move we observed), so its embedded view was
 				// taken within our window.
-				c.s.borrows++
+				c.s.borrows.Set(c.s.Borrows() + 1)
 				view := make([]Value, len(c.cur))
 				copy(view, c.cur[i].view)
 				return view, true

@@ -217,6 +217,13 @@ func TestScanWaitFree(t *testing.T) {
 	}
 }
 
+// peek reads a register between runs: an accessor that declares and
+// observes nothing.
+type peek struct{}
+
+func (peek) Access(string, bool) {}
+func (peek) Observe(Value)       {}
+
 func TestSingleWriterSequencesAdvance(t *testing.T) {
 	s := New("R", 2, 0)
 	var updates []sim.Invocation
@@ -233,7 +240,7 @@ func TestSingleWriterSequencesAdvance(t *testing.T) {
 	if res.Err != nil {
 		t.Fatalf("run error: %v", res.Err)
 	}
-	c := s.regs[0].Snapshot().(*cell)
+	c := s.regs[0].ReadW(peek{}).(*cell)
 	if c.seq != 5 || c.val != 50 {
 		t.Errorf("cell = seq %d val %v, want seq 5 val 50", c.seq, c.val)
 	}

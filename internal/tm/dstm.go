@@ -13,16 +13,10 @@ const (
 	txAborted   = "aborted"
 )
 
-// txDesc is a DSTM transaction descriptor: its status word is the
-// transaction's single linearization point.
-type txDesc struct {
-	status *base.CAS
-}
-
 // orec is a per-variable ownership record: the variable's value is
 // rec.newVal if the owner committed, rec.oldVal otherwise.
 type orec struct {
-	owner  *txDesc
+	owner  *base.CAS // the owner's descriptor
 	oldVal history.Value
 	newVal history.Value
 }
@@ -41,21 +35,27 @@ type orec struct {
 // checking the own status and returns A once aborted. Values resolve
 // through the previous owner's status, one level deep, because each
 // acquisition snapshots the resolved current value into oldVal.
+//
+// All of its state lives in its memory: an ownership record per
+// variable, allocated on first use; a descriptor per start — its status
+// word, a CAS cell and the transaction's linearization point; and each
+// process's current descriptor in a local cell.
+//
+//slx:nofingerprint ownership records and descriptors are compared by identity: content-equal states diverge
+//slx:norecover descriptors and records are modeled durable; a crashed transaction stays active until aborted
+//slx:nofootprint the footprints are declared, but opting in switches POR on for the dstm explorations, which is its own change
 type DSTM struct {
-	orecs map[string]*base.CAS
-	local []dstmLocal
-}
-
-type dstmLocal struct {
-	desc *txDesc
+	base.Mem
+	local []*base.Local // each process's current descriptor (*base.CAS, nil outside a transaction); index 0 unused
 }
 
 // NewDSTM creates the implementation for n processes.
 func NewDSTM(n int) *DSTM {
-	return &DSTM{
-		orecs: make(map[string]*base.CAS),
-		local: make([]dstmLocal, n+1),
+	t := &DSTM{local: make([]*base.Local, n+1)}
+	for p := 1; p <= n; p++ {
+		t.local[p] = base.NewLocal(&t.Mem, (*base.CAS)(nil))
 	}
+	return t
 }
 
 // Apply implements sim.Object.
@@ -63,13 +63,9 @@ func (t *DSTM) Apply(p *sim.Proc, inv sim.Invocation) history.Value {
 	return sim.ApplyFrames(t, p, inv)
 }
 
+// orecFor returns v's ownership record, allocating it on first use.
 func (t *DSTM) orecFor(v string) *base.CAS {
-	c, ok := t.orecs[v]
-	if !ok {
-		c = base.NewCAS("orec:"+v, (*orec)(nil))
-		t.orecs[v] = c
-	}
-	return c
+	return base.Lazy(&t.Mem, v, func() *base.CAS { return base.NewCAS(&t.Mem, "orec:"+v, (*orec)(nil)) })
 }
 
 // Begin implements sim.Stepped. "start" takes no base-object step: it
@@ -81,28 +77,28 @@ func (t *DSTM) orecFor(v string) *base.CAS {
 // the descriptor in the invocation window, then commits with one CAS
 // of its status word.
 func (t *DSTM) Begin(p *sim.Proc, inv sim.Invocation) (sim.Frame, history.Value, sim.StepStatus) {
-	l := &t.local[p.ID()]
+	l := t.local[p.ID()]
+	desc := l.Get().(*base.CAS)
 	switch inv.Op {
 	case history.TMStart:
-		l.desc = &txDesc{status: base.NewCAS("tx", txActive)}
+		l.Set(base.NewCAS(&t.Mem, "tx", txActive))
 		return nil, history.OK, sim.StepDone
 	case history.TMRead, history.TMWrite:
 		oc := t.orecFor(inv.Obj)
-		if l.desc == nil {
+		if desc == nil {
 			return nil, history.Abort, sim.StepDone
 		}
-		f := &dstmAccessFrame{mine: l.desc, oc: oc, resp: history.OK}
+		f := &dstmAccessFrame{mine: desc, oc: oc, resp: history.OK}
 		if inv.Op == history.TMWrite {
 			f.write, f.val = true, inv.Arg
 		}
 		return f, nil, sim.StepPaused
 	case history.TMTryC:
-		d := l.desc
-		if d == nil {
+		if desc == nil {
 			return nil, history.Abort, sim.StepDone
 		}
-		l.desc = nil
-		return dstmCommitFrame{d}, nil, sim.StepPaused
+		l.Set((*base.CAS)(nil))
+		return dstmCommitFrame{desc}, nil, sim.StepPaused
 	default:
 		return nil, history.Abort, sim.StepDone
 	}
@@ -110,11 +106,11 @@ func (t *DSTM) Begin(p *sim.Proc, inv sim.Invocation) (sim.Frame, history.Value,
 
 // dstmCommitFrame is an in-flight tryC: one CAS of the status word from
 // active to committed. It never mutates, so Fork returns the receiver.
-type dstmCommitFrame struct{ d *txDesc }
+type dstmCommitFrame struct{ d *base.CAS }
 
 // Step implements sim.Frame.
 func (f dstmCommitFrame) Step(p *sim.Proc) (history.Value, sim.StepStatus) {
-	if f.d.status.CompareAndSwapW(p, txActive, txCommitted) {
+	if f.d.CompareAndSwapW(p, txActive, txCommitted) {
 		return history.Commit, sim.StepDone
 	}
 	return history.Abort, sim.StepDone
@@ -148,7 +144,7 @@ const (
 // starts a new round. The response, once validation passes, is the
 // value read (reads) or OK (writes); a failed status check answers A.
 type dstmAccessFrame struct {
-	mine  *txDesc
+	mine  *base.CAS // the own descriptor
 	oc    *base.CAS
 	write bool
 	val   history.Value // the written value (writes)
@@ -162,7 +158,7 @@ type dstmAccessFrame struct {
 func (f *dstmAccessFrame) Step(p *sim.Proc) (history.Value, sim.StepStatus) {
 	switch f.pc {
 	case dsActive:
-		if f.mine.status.ReadW(p) != txActive {
+		if f.mine.ReadW(p) != txActive {
 			return history.Abort, sim.StepDone
 		}
 		f.pc = dsReadOrec
@@ -189,18 +185,18 @@ func (f *dstmAccessFrame) Step(p *sim.Proc) (history.Value, sim.StepStatus) {
 			f.steal(0)
 		}
 	case dsOwnerStatus:
-		if f.cur.owner.status.ReadW(p) == txActive {
+		if f.cur.owner.ReadW(p) == txActive {
 			// Obstruction-free conflict resolution: abort the owner.
 			f.pc = dsAbortOwner
 		} else {
 			f.pc = dsResolve
 		}
 	case dsAbortOwner:
-		f.cur.owner.status.CompareAndSwapW(p, txActive, txAborted)
+		f.cur.owner.CompareAndSwapW(p, txActive, txAborted)
 		f.pc = dsActive
 	case dsResolve:
 		resolved := f.cur.oldVal
-		if f.cur.owner.status.ReadW(p) == txCommitted {
+		if f.cur.owner.ReadW(p) == txCommitted {
 			resolved = f.cur.newVal
 		}
 		f.steal(resolved)
@@ -215,7 +211,7 @@ func (f *dstmAccessFrame) Step(p *sim.Proc) (history.Value, sim.StepStatus) {
 		// here, no competitor has stolen any of our records up to this
 		// instant (stealing aborts first), so every value we have
 		// returned is simultaneously current — a consistent snapshot.
-		if f.mine.status.ReadW(p) != txActive {
+		if f.mine.ReadW(p) != txActive {
 			return history.Abort, sim.StepDone
 		}
 		return f.resp, sim.StepDone

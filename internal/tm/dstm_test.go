@@ -2,6 +2,7 @@ package tm
 
 import (
 	"fmt"
+	"repro/internal/base"
 	"testing"
 
 	"repro/internal/liveness"
@@ -144,16 +145,17 @@ func TestDSTMMutualAbortLivelock(t *testing.T) {
 		2: {Accesses: []Access{{Write: true, Var: "x", Val: 2}}},
 	}
 	last := 1
+	// The scheduler peeks at x's ownership record; allocating it before
+	// first use is invisible, since a fresh record is unowned either way.
+	x := d.orecFor("x")
 	steal := sim.SchedulerFunc(func(v *sim.View) (sim.Decision, bool) {
 		target := last
-		if oc, ok := d.orecs["x"]; ok {
-			if rec, _ := oc.Peek().(*orec); rec != nil && rec.owner.status.Peek() == txActive {
-				// Run the non-owner so it steals the record before the
-				// owner can commit.
-				for pid := 1; pid <= 2; pid++ {
-					if d.local[pid].desc == rec.owner {
-						target = 3 - pid
-					}
+		if rec, _ := x.Peek().(*orec); rec != nil && rec.owner.Peek() == txActive {
+			// Run the non-owner so it steals the record before the
+			// owner can commit.
+			for pid := 1; pid <= 2; pid++ {
+				if d.local[pid].Get().(*base.CAS) == rec.owner {
+					target = 3 - pid
 				}
 			}
 		}

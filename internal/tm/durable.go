@@ -30,9 +30,10 @@ import (
 //
 //slx:nofingerprint CAS compares *memState pointers: content-equal snapshots still differ (ABA)
 type DurableTM struct {
+	base.Mem
 	c     *base.CAS
 	logs  []*base.DurableRegister // indexed by 1-based proc id
-	local []procTx
+	local txContexts
 }
 
 // commitIntent is one durable commit record, immutable once stored.
@@ -42,14 +43,12 @@ type commitIntent struct {
 
 // NewDurableTM creates the implementation for n processes.
 func NewDurableTM(n int) *DurableTM {
-	t := &DurableTM{
-		c:     base.NewCAS("C", &memState{version: 1}),
-		logs:  make([]*base.DurableRegister, n+1),
-		local: make([]procTx, n+1),
-	}
+	t := &DurableTM{logs: make([]*base.DurableRegister, n+1)}
+	t.c = base.NewCAS(&t.Mem, "C", &memState{version: 1})
 	for p := 1; p <= n; p++ {
-		t.logs[p] = base.NewDurableRegister(fmt.Sprintf("commitlog.%d", p), nil)
+		t.logs[p] = base.NewDurableRegister(&t.Mem, fmt.Sprintf("commitlog.%d", p), nil)
 	}
+	t.local = newTxContexts(&t.Mem, n)
 	return t
 }
 
@@ -61,49 +60,10 @@ func (t *DurableTM) Footprints() bool { return true }
 // their flushed values and every transaction context is wiped (local
 // contexts are volatile memory; a live transaction finds its context
 // inactive and aborts).
-func (t *DurableTM) CrashVolatile() {
-	for _, r := range t.logs {
-		if r != nil {
-			r.CrashWipe()
-		}
-	}
-	for i := range t.local {
-		t.local[i] = procTx{}
-	}
-}
+func (t *DurableTM) CrashVolatile() { t.Wipe() }
 
 // RecoverFrame implements sim.Recoverable.
 func (t *DurableTM) RecoverFrame() sim.Frame { return &dtmRecFrame{t: t} }
-
-// dtmState is a captured DurableTM configuration.
-type dtmState struct {
-	c     any
-	logs  []any
-	local []txSnap
-}
-
-// Snapshot implements sim.Snapshottable.
-func (t *DurableTM) Snapshot() any {
-	st := &dtmState{c: t.c.Snapshot(), logs: make([]any, len(t.logs)), local: snapLocals(t.local)}
-	for i, r := range t.logs {
-		if r != nil {
-			st.logs[i] = r.Snapshot()
-		}
-	}
-	return st
-}
-
-// Restore implements sim.Snapshottable.
-func (t *DurableTM) Restore(v any) {
-	st := v.(*dtmState)
-	t.c.Restore(st.c)
-	for i, r := range t.logs {
-		if r != nil {
-			r.Restore(st.logs[i])
-		}
-	}
-	restoreLocals(t.local, st.local)
-}
 
 // Apply implements sim.Object.
 func (t *DurableTM) Apply(p *sim.Proc, inv sim.Invocation) history.Value {
@@ -114,40 +74,26 @@ func (t *DurableTM) Apply(p *sim.Proc, inv sim.Invocation) history.Value {
 // shapes; tryC takes the active-flag branch in the invocation window and
 // then runs the write-ahead commit (dtmCommitFrame).
 func (t *DurableTM) Begin(p *sim.Proc, inv sim.Invocation) (sim.Frame, history.Value, sim.StepStatus) {
+	id := p.ID()
 	switch inv.Op {
 	case history.TMStart:
-		return &dtmStartFrame{t: t}, nil, sim.StepPaused
+		return &txStartFrame{c: t.c, ctx: t.local[id]}, nil, sim.StepPaused
 	case history.TMTryC:
-		l := &t.local[p.ID()]
-		p.Observe(l.active)
-		if !l.active {
+		active := t.local.get(id).active
+		p.Observe(active)
+		if !active {
 			return nil, history.Abort, sim.StepDone
 		}
-		l.active = false
-		next := &memState{version: l.snapshot.version + 1, vals: l.values}
-		return &dtmCommitFrame{t: t, in: &commitIntent{prev: l.snapshot, next: next}}, nil, sim.StepPaused
+		l := t.local.update(id, func(l *txCtx) { l.active = false })
+		return &dtmCommitFrame{t: t, in: &commitIntent{prev: l.snapshot, next: l.commitState()}}, nil, sim.StepPaused
 	case history.TMRead:
-		return nil, t.local[p.ID()].read(inv.Obj), sim.StepDone
+		return nil, t.local.read(id, inv.Obj), sim.StepDone
 	case history.TMWrite:
-		return nil, t.local[p.ID()].write(inv.Obj, inv.Arg), sim.StepDone
+		return nil, t.local.write(id, inv.Obj, inv.Arg), sim.StepDone
 	default:
 		return nil, history.Abort, sim.StepDone
 	}
 }
-
-// dtmStartFrame is an in-flight start: one read of the central CAS.
-type dtmStartFrame struct {
-	t *DurableTM
-}
-
-// Step implements sim.Frame.
-func (f *dtmStartFrame) Step(p *sim.Proc) (history.Value, sim.StepStatus) {
-	f.t.local[p.ID()].begin(f.t.c.ReadW(p).(*memState))
-	return history.OK, sim.StepDone
-}
-
-// Fork implements sim.Frame: the frame holds no mutable state.
-func (f *dtmStartFrame) Fork() sim.Frame { return f }
 
 // dtmCommitFrame is an in-flight tryC past the active check. pc: 0 =
 // write intent, 1 = flush, 2 = commit CAS, 3 = clear intent, 4 = flush

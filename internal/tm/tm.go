@@ -47,70 +47,145 @@ type memState struct {
 	vals    map[string]history.Value
 }
 
-// procTx is the process-local transaction context (the paper's
-// process-local variables: version, values, timestamp).
-type procTx struct {
-	snapshot  *memState                // (version, oldval) read by start
-	values    map[string]history.Value // local read/write buffer
+// txCtx is a process's transaction context (the paper's process-local
+// variables: version, values, timestamp) as an immutable record in a
+// local cell of the TM's memory, so a snapshot copies one pointer per
+// process. The buffered writes form a persistent list over the start
+// snapshot, newest first: a write allocates one node and copies no map.
+type txCtx struct {
+	snapshot  *memState // (version, oldval) read by start
+	writes    *txWrite  // buffered writes, newest first
 	active    bool
 	timestamp int
 }
 
-// begin starts a transaction on the committed state st: a private copy
-// of its values becomes the read/write buffer.
-func (l *procTx) begin(st *memState) {
-	l.snapshot = st
-	l.values = make(map[string]history.Value, len(st.vals))
-	for k, v := range st.vals {
-		l.values[k] = v
-	}
-	l.active = true
+// txWrite is one buffered write, linked to the older ones.
+type txWrite struct {
+	v    string
+	val  history.Value
+	next *txWrite
 }
 
-// read returns the buffered value of v (0 if the transaction never saw
-// it), or A once the transaction is no longer active.
-func (l *procTx) read(v string) history.Value {
+// txContexts are a TM's per-process transaction contexts, one local
+// cell each (index 0 unused), initially the inactive zero context.
+type txContexts []*base.Local
+
+// newTxContexts allocates the contexts of processes 1..n in m.
+func newTxContexts(m *base.Mem, n int) txContexts {
+	c := make(txContexts, n+1)
+	for p := 1; p <= n; p++ {
+		c[p] = base.NewLocal(m, &txCtx{})
+	}
+	return c
+}
+
+// get returns process id's context.
+func (c txContexts) get(id int) *txCtx { return c[id].Get().(*txCtx) }
+
+// update installs a copy of process id's context changed by f, and
+// returns it.
+func (c txContexts) update(id int, f func(*txCtx)) *txCtx {
+	next := *c.get(id)
+	f(&next)
+	c[id].Set(&next)
+	return &next
+}
+
+// read returns process id's newest buffered value of v, else its start
+// snapshot's (0 if the transaction never saw v), or A once the
+// transaction is no longer active.
+func (c txContexts) read(id int, v string) history.Value {
+	l := c.get(id)
 	if !l.active {
 		return history.Abort
 	}
-	if val, ok := l.values[v]; ok {
+	for w := l.writes; w != nil; w = w.next {
+		if w.v == v {
+			return w.val
+		}
+	}
+	if val, ok := l.snapshot.vals[v]; ok {
 		return val
 	}
 	return 0
 }
 
-// write buffers val for v, or answers A once the transaction is no
-// longer active.
-func (l *procTx) write(v string, val history.Value) history.Value {
-	if !l.active {
+// write buffers val for v in process id's context, or answers A once
+// the transaction is no longer active.
+func (c txContexts) write(id int, v string, val history.Value) history.Value {
+	if !c.get(id).active {
 		return history.Abort
 	}
-	l.values[v] = val
+	c.update(id, func(l *txCtx) { l.writes = &txWrite{v: v, val: val, next: l.writes} })
 	return history.OK
+}
+
+// txStartFrame is an in-flight start past any announcement: one read of
+// the central CAS c, beginning a transaction on it in the context cell
+// ctx. It holds no mutable state, so Fork returns the receiver.
+type txStartFrame struct {
+	c   *base.CAS
+	ctx *base.Local
+}
+
+// Step implements sim.Frame.
+func (f *txStartFrame) Step(p *sim.Proc) (history.Value, sim.StepStatus) {
+	st := f.c.ReadW(p).(*memState)
+	f.ctx.Set(&txCtx{snapshot: st, active: true, timestamp: f.ctx.Get().(*txCtx).timestamp})
+	return history.OK, sim.StepDone
+}
+
+// Fork implements sim.Frame.
+func (f *txStartFrame) Fork() sim.Frame { return f }
+
+// commitState returns the state the transaction's commit CAS installs:
+// the start snapshot's values under the newest buffered write of each
+// variable, one version later.
+func (l *txCtx) commitState() *memState {
+	vals := make(map[string]history.Value, len(l.snapshot.vals))
+	for w := l.writes; w != nil; w = w.next {
+		if _, newer := vals[w.v]; !newer {
+			vals[w.v] = w.val
+		}
+	}
+	for k, v := range l.snapshot.vals {
+		if _, written := vals[k]; !written {
+			vals[k] = v
+		}
+	}
+	return &memState{version: l.snapshot.version + 1, vals: vals}
 }
 
 // SnapshotObject is the snapshot object R[1..n] of Algorithm 1, written
 // as frame machines: UpdateFrame(i, v) writes component i (0-based) and
 // ScanFrame reads all components, each as a frame I12's own frames step
 // one base-object access at a time. A scan frame's StepDone value is the
-// scanned []history.Value. Snapshot and Restore capture and reinstate
-// the object's state for I12's snapshot hook. The hardware primitive
-// (NewI12) completes either operation in one step; the software
-// snapshot.SW built from registers takes many.
+// scanned []history.Value. As a base.Part, the object's Snapshot and
+// Restore capture and reinstate its state inside I12's. The hardware
+// primitive (NewI12) completes either operation in one step; the
+// software snapshot.SW built from registers takes many.
 type SnapshotObject interface {
 	UpdateFrame(i int, v history.Value) sim.Frame
 	ScanFrame() sim.Frame
-	Snapshot() any
-	Restore(any)
+	base.Part
 }
 
-// hwSnapshot is the hardware base.Snapshot as a SnapshotObject. Each
-// operation is one access, so its frames finish in their first Step and
-// never mutate: Fork returns the receiver, and one scan frame serves
-// every scan.
+// hwSnapshot is the hardware base.Snapshot as a SnapshotObject, in its
+// own memory. Each operation is one access, so its frames finish in
+// their first Step and never mutate: Fork returns the receiver, and one
+// scan frame serves every scan.
 type hwSnapshot struct {
+	base.Mem
 	s    *base.Snapshot
-	scan hwFrame
+	scan *hwFrame
+}
+
+// newHWSnapshot creates the hardware snapshot R[1..n], initially 0.
+func newHWSnapshot(n int) *hwSnapshot {
+	h := &hwSnapshot{}
+	h.s = base.NewSnapshot(&h.Mem, "R", n, 0)
+	h.scan = &hwFrame{s: h.s, i: -1}
+	return h
 }
 
 // UpdateFrame implements SnapshotObject.
@@ -119,13 +194,7 @@ func (h *hwSnapshot) UpdateFrame(i int, v history.Value) sim.Frame {
 }
 
 // ScanFrame implements SnapshotObject.
-func (h *hwSnapshot) ScanFrame() sim.Frame { return &h.scan }
-
-// Snapshot implements SnapshotObject.
-func (h *hwSnapshot) Snapshot() any { return h.s.Snapshot() }
-
-// Restore implements SnapshotObject.
-func (h *hwSnapshot) Restore(v any) { h.s.Restore(v) }
+func (h *hwSnapshot) ScanFrame() sim.Frame { return h.scan }
 
 // hwFrame is an in-flight hardware operation: one UpdateW window on
 // component i, or one ScanW window when i < 0.
@@ -147,78 +216,34 @@ func (f *hwFrame) Step(p *sim.Proc) (history.Value, sim.StepStatus) {
 // Fork implements sim.Frame.
 func (f *hwFrame) Fork() sim.Frame { return f }
 
-// txSnap is one process's captured transaction context. The read/write
-// buffer is copied both ways: write() mutates it in place, and the same
-// snapshot may be restored many times.
-type txSnap struct {
-	snapshot  *memState
-	values    map[string]history.Value
-	active    bool
-	timestamp int
-}
-
-func snapLocals(local []procTx) []txSnap {
-	out := make([]txSnap, len(local))
-	for i := range local {
-		l := &local[i]
-		out[i] = txSnap{snapshot: l.snapshot, active: l.active, timestamp: l.timestamp}
-		if l.values != nil {
-			m := make(map[string]history.Value, len(l.values))
-			for k, v := range l.values {
-				m[k] = v
-			}
-			out[i].values = m
-		}
-	}
-	return out
-}
-
-func restoreLocals(local []procTx, snaps []txSnap) {
-	for i := range local {
-		s := &snaps[i]
-		l := &local[i]
-		l.snapshot = s.snapshot
-		l.active = s.active
-		l.timestamp = s.timestamp
-		if s.values == nil {
-			l.values = nil
-			continue
-		}
-		m := make(map[string]history.Value, len(s.values))
-		for k, v := range s.values {
-			m[k] = v
-		}
-		l.values = m
-	}
-}
-
 // I12 is the paper's Algorithm 1, implementing a TM that ensures S and
 // (1,2)-freedom.
 //
 //slx:nofingerprint CAS compares *memState pointers: content-equal snapshots still differ (ABA)
 //slx:norecover local transaction contexts are not crash-modeled; DurableTM is the crash-recovery variant
 type I12 struct {
+	base.Mem
 	c     *base.CAS
 	r     SnapshotObject
-	local []procTx // index 0 unused
+	local txContexts
 }
 
 // NewI12 creates the implementation for n processes using the hardware
 // snapshot primitive.
 func NewI12(n int) *I12 {
-	s := base.NewSnapshot("R", n, 0)
-	return NewI12WithSnapshot(n, &hwSnapshot{s: s, scan: hwFrame{s: s, i: -1}})
+	return NewI12WithSnapshot(n, newHWSnapshot(n))
 }
 
 // NewI12WithSnapshot creates the implementation with a caller-provided
 // snapshot object (e.g. the software snapshot from registers), so the TM
-// is built from registers plus a single CAS.
+// is built from registers plus a single CAS. The snapshot object is a
+// part of the TM's memory.
 func NewI12WithSnapshot(n int, snap SnapshotObject) *I12 {
-	return &I12{
-		c:     base.NewCAS("C", &memState{version: 1}),
-		r:     snap,
-		local: make([]procTx, n+1),
-	}
+	t := &I12{r: snap}
+	t.c = base.NewCAS(&t.Mem, "C", &memState{version: 1})
+	t.local = newTxContexts(&t.Mem, n)
+	base.Attach(&t.Mem, snap)
+	return t
 }
 
 // Apply implements sim.Object.
@@ -233,28 +258,6 @@ func (t *I12) Apply(p *sim.Proc, inv sim.Invocation) history.Value {
 // declare themselves instead, which is equally sound.
 func (t *I12) Footprints() bool { return true }
 
-// tmState is a captured TM configuration.
-type tmState struct {
-	c     any
-	r     any
-	local []txSnap
-}
-
-// Snapshot implements sim.Snapshottable: the central CAS (pointer
-// identity preserved — memState records are immutable), the snapshot
-// object, and the per-process transaction contexts.
-func (t *I12) Snapshot() any {
-	return &tmState{c: t.c.Snapshot(), r: t.r.Snapshot(), local: snapLocals(t.local)}
-}
-
-// Restore implements sim.Snapshottable.
-func (t *I12) Restore(v any) {
-	st := v.(*tmState)
-	t.c.Restore(st.c)
-	t.r.Restore(st.r)
-	restoreLocals(t.local, st.local)
-}
-
 // Begin implements sim.Stepped. "read" and "write" are pure local-buffer
 // operations — zero accesses, so the whole operation completes in the
 // invocation window. "start" bumps the local timestamp in the invocation
@@ -265,46 +268,43 @@ func (t *I12) Restore(v any) {
 // fingerprint — then scans the timestamps through the snapshot's scan
 // frame and attempts the commit CAS.
 func (t *I12) Begin(p *sim.Proc, inv sim.Invocation) (sim.Frame, history.Value, sim.StepStatus) {
+	id := p.ID()
 	switch inv.Op {
 	case history.TMStart:
-		l := &t.local[p.ID()]
-		l.timestamp++
-		return &i12StartFrame{t: t, sub: t.r.UpdateFrame(p.ID()-1, l.timestamp)}, nil, sim.StepPaused
+		l := t.local.update(id, func(l *txCtx) { l.timestamp++ })
+		return &i12StartFrame{sub: t.r.UpdateFrame(id-1, l.timestamp), start: txStartFrame{c: t.c, ctx: t.local[id]}}, nil, sim.StepPaused
 	case history.TMTryC:
-		l := &t.local[p.ID()]
-		p.Observe(l.active)
-		if !l.active {
+		active := t.local.get(id).active
+		p.Observe(active)
+		if !active {
 			return nil, history.Abort, sim.StepDone
 		}
-		l.active = false
-		return &i12TryCFrame{t: t, sub: t.r.ScanFrame()}, nil, sim.StepPaused
+		return &i12TryCFrame{t: t, tx: t.local.update(id, func(l *txCtx) { l.active = false }), sub: t.r.ScanFrame()}, nil, sim.StepPaused
 	case history.TMRead:
-		return nil, t.local[p.ID()].read(inv.Obj), sim.StepDone
+		return nil, t.local.read(id, inv.Obj), sim.StepDone
 	case history.TMWrite:
-		return nil, t.local[p.ID()].write(inv.Obj, inv.Arg), sim.StepDone
+		return nil, t.local.write(id, inv.Obj, inv.Arg), sim.StepDone
 	default:
 		return nil, history.Abort, sim.StepDone
 	}
 }
 
-// i12StartFrame is an in-flight start: step the snapshot's update frame
-// (sub) until it completes, then read the central CAS and initialize
-// the read/write buffer.
+// i12StartFrame is an in-flight start: step the snapshot's update
+// frame (sub) until it completes, then the start proper.
 type i12StartFrame struct {
-	t   *I12
-	sub sim.Frame // nil once the announcement is written
+	sub   sim.Frame // nil once the announcement is written
+	start txStartFrame
 }
 
 // Step implements sim.Frame.
 func (f *i12StartFrame) Step(p *sim.Proc) (history.Value, sim.StepStatus) {
-	if f.sub != nil {
-		if _, st := f.sub.Step(p); st == sim.StepDone {
-			f.sub = nil
-		}
-		return nil, sim.StepPaused
+	if f.sub == nil {
+		return f.start.Step(p)
 	}
-	f.t.local[p.ID()].begin(f.t.c.ReadW(p).(*memState))
-	return history.OK, sim.StepDone
+	if _, st := f.sub.Step(p); st == sim.StepDone {
+		f.sub = nil
+	}
+	return nil, sim.StepPaused
 }
 
 // Fork implements sim.Frame.
@@ -319,9 +319,10 @@ func (f *i12StartFrame) Fork() sim.Frame {
 // i12TryCFrame is an in-flight tryC past the active check: step the
 // snapshot's scan frame (sub) until it completes, applying the count
 // rule in the window where the scan completes, then attempt the commit
-// CAS.
+// CAS of the ended transaction tx.
 type i12TryCFrame struct {
 	t    *I12
+	tx   *txCtx
 	sub  sim.Frame // nil once the scan is complete
 	next *memState
 }
@@ -329,7 +330,6 @@ type i12TryCFrame struct {
 // Step implements sim.Frame.
 func (f *i12TryCFrame) Step(p *sim.Proc) (history.Value, sim.StepStatus) {
 	t := f.t
-	l := &t.local[p.ID()]
 	if f.sub != nil {
 		view, st := f.sub.Step(p)
 		if st != sim.StepDone {
@@ -342,17 +342,17 @@ func (f *i12TryCFrame) Step(p *sim.Proc) (history.Value, sim.StepStatus) {
 		// same-timestamp transactions observed our start, so abort.
 		count := 0
 		for _, ts := range view.([]history.Value) {
-			if ts.(int) >= l.timestamp {
+			if ts.(int) >= f.tx.timestamp {
 				count++
 			}
 		}
 		if count >= 3 {
 			return history.Abort, sim.StepDone
 		}
-		f.next = &memState{version: l.snapshot.version + 1, vals: l.values}
+		f.next = f.tx.commitState()
 		return nil, sim.StepPaused
 	}
-	if t.c.CompareAndSwapW(p, l.snapshot, f.next) {
+	if t.c.CompareAndSwapW(p, f.tx.snapshot, f.next) {
 		return history.Commit, sim.StepDone
 	}
 	return history.Abort, sim.StepDone
@@ -373,16 +373,17 @@ func (f *i12TryCFrame) Fork() sim.Frame {
 //slx:nofingerprint CAS compares *memState pointers: content-equal snapshots still differ (ABA)
 //slx:norecover local transaction contexts are not crash-modeled; DurableTM is the crash-recovery variant
 type GlobalCAS struct {
+	base.Mem
 	c     *base.CAS
-	local []procTx
+	local txContexts
 }
 
 // NewGlobalCAS creates the implementation for n processes.
 func NewGlobalCAS(n int) *GlobalCAS {
-	return &GlobalCAS{
-		c:     base.NewCAS("C", &memState{version: 1}),
-		local: make([]procTx, n+1),
-	}
+	t := &GlobalCAS{}
+	t.c = base.NewCAS(&t.Mem, "C", &memState{version: 1})
+	t.local = newTxContexts(&t.Mem, n)
+	return t
 }
 
 // Apply implements sim.Object.
@@ -394,56 +395,30 @@ func (t *GlobalCAS) Apply(p *sim.Proc, inv sim.Invocation) history.Value {
 // the central CAS C; the transaction contexts are per-process.
 func (t *GlobalCAS) Footprints() bool { return true }
 
-// Snapshot implements sim.Snapshottable (see I12.Snapshot).
-func (t *GlobalCAS) Snapshot() any {
-	return &tmState{c: t.c.Snapshot(), local: snapLocals(t.local)}
-}
-
-// Restore implements sim.Snapshottable.
-func (t *GlobalCAS) Restore(v any) {
-	st := v.(*tmState)
-	t.c.Restore(st.c)
-	restoreLocals(t.local, st.local)
-}
-
 // Begin implements sim.Stepped (see I12.Begin; GlobalCAS has no
 // snapshot object, so start is a single read and tryC a single CAS).
 // Both frames are immutable after Begin, so Fork returns the receiver.
 func (t *GlobalCAS) Begin(p *sim.Proc, inv sim.Invocation) (sim.Frame, history.Value, sim.StepStatus) {
+	id := p.ID()
 	switch inv.Op {
 	case history.TMStart:
-		return &gcasStartFrame{t: t}, nil, sim.StepPaused
+		return &txStartFrame{c: t.c, ctx: t.local[id]}, nil, sim.StepPaused
 	case history.TMTryC:
-		l := &t.local[p.ID()]
-		p.Observe(l.active)
-		if !l.active {
+		active := t.local.get(id).active
+		p.Observe(active)
+		if !active {
 			return nil, history.Abort, sim.StepDone
 		}
-		l.active = false
-		next := &memState{version: l.snapshot.version + 1, vals: l.values}
-		return &gcasCommitFrame{t: t, old: l.snapshot, next: next}, nil, sim.StepPaused
+		l := t.local.update(id, func(l *txCtx) { l.active = false })
+		return &gcasCommitFrame{t: t, old: l.snapshot, next: l.commitState()}, nil, sim.StepPaused
 	case history.TMRead:
-		return nil, t.local[p.ID()].read(inv.Obj), sim.StepDone
+		return nil, t.local.read(id, inv.Obj), sim.StepDone
 	case history.TMWrite:
-		return nil, t.local[p.ID()].write(inv.Obj, inv.Arg), sim.StepDone
+		return nil, t.local.write(id, inv.Obj, inv.Arg), sim.StepDone
 	default:
 		return nil, history.Abort, sim.StepDone
 	}
 }
-
-// gcasStartFrame is an in-flight start: one read of the central CAS.
-type gcasStartFrame struct {
-	t *GlobalCAS
-}
-
-// Step implements sim.Frame.
-func (f *gcasStartFrame) Step(p *sim.Proc) (history.Value, sim.StepStatus) {
-	f.t.local[p.ID()].begin(f.t.c.ReadW(p).(*memState))
-	return history.OK, sim.StepDone
-}
-
-// Fork implements sim.Frame: the frame holds no mutable state.
-func (f *gcasStartFrame) Fork() sim.Frame { return f }
 
 // gcasCommitFrame is an in-flight tryC past the active check: one
 // commit CAS.

@@ -1,17 +1,20 @@
 package repro_test
 
-// Every in-tree object is written once, as a frame machine. The
-// translation pin covers the objects that used to exist only as a
-// blocking Apply, plus I12, whose frames hold the snapshot's
-// sub-frames: every figure in its table was recorded at the commit that
-// still ran the blocking forms, so a translation that moves, adds or
-// drops a single step changes a digest or a counter. The goroutine
-// probe checks that every object's operations run on the dispatch loop
-// itself, never on the blocking-Apply adapter's goroutines.
+// Every in-tree object is written once, as a frame machine, and keeps
+// its state in the cells of one base.Mem. The translation pin covers
+// the objects that used to exist only as a blocking Apply, plus I12,
+// whose frames hold the snapshot's sub-frames: every figure in its
+// table was recorded at the commit that still ran the blocking forms,
+// so a translation that moves, adds or drops a single step changes a
+// digest or a counter. The goroutine probe checks that every object's
+// operations run on the dispatch loop itself, never on the
+// blocking-Apply adapter's goroutines. The restore audit checks every
+// object's derived snapshot hook node by node against from-root runs.
 
 import (
 	"fmt"
 	"hash/fnv"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -25,6 +28,7 @@ import (
 	"repro/internal/tm"
 	"repro/slx"
 	"repro/slx/check"
+	"repro/slx/run"
 )
 
 // pinCase is one pinned object: its seeded sim.Run family and one small
@@ -34,10 +38,14 @@ type pinCase struct {
 	newObj func(n int) sim.Object
 	newEnv func(seed int64, n int) sim.Environment
 	// explore configures the pinned Explore (object, environment,
-	// processes, depth and, where the strategies differ, from-root
-	// execution); prop is its property.
+	// processes and depth); prop is its property.
 	explore []slx.Option
 	prop    func() slx.Property
+	// replay pins the Explore on the from-root strategy, for objects
+	// whose figures were recorded while they explored from the root
+	// and that now explore on snapshots. The default Explore must then
+	// reach the same prefixes and verdict without re-simulating a step.
+	replay bool
 
 	digest                     uint64
 	prefixes, simSteps, resims int
@@ -64,13 +72,13 @@ func lockEnv(_ int64, n int) sim.Environment { return mutex.AcquireReleaseLoop(n
 func newI12SW(n int) sim.Object { return tm.NewI12WithSnapshot(n, snapshot.New("R", n, 0)) }
 
 // pinExplore is the Explore part of a pin case.
-func pinExplore(procs, depth int, obj func() sim.Object, env func() sim.Environment, extra ...slx.Option) []slx.Option {
-	return append([]slx.Option{
+func pinExplore(procs, depth int, obj func() sim.Object, env func() sim.Environment) []slx.Option {
+	return []slx.Option{
 		slx.WithProcs(procs),
 		slx.WithDepth(depth),
 		slx.WithObject(obj),
 		slx.WithEnv(env),
-	}, extra...)
+	}
 }
 
 func pinCases() []pinCase {
@@ -124,6 +132,7 @@ func pinCases() []pinCase {
 			newObj:   func(n int) sim.Object { return consensus.NewDecideOwn(n) },
 			newEnv:   proposeEnv,
 			explore:  pinExplore(3, 8, func() sim.Object { return consensus.NewDecideOwn(3) }, proposeOnce(3)),
+			replay:   true,
 			prop:     func() slx.Property { return check.KSetAgreement(3) },
 			digest:   0x92a7517e543ca287,
 			prefixes: 271, simSteps: 540, resims: 270, ok: true,
@@ -133,6 +142,7 @@ func pinCases() []pinCase {
 			newObj:   func(n int) sim.Object { return consensus.NewFirstAnnounced(n) },
 			newEnv:   proposeEnv,
 			explore:  pinExplore(3, 9, func() sim.Object { return consensus.NewFirstAnnounced(3) }, proposeOnce(3)),
+			replay:   true,
 			prop:     func() slx.Property { return check.KSetAgreement(2) },
 			digest:   0xec4715e5742f0978,
 			prefixes: 1100, simSteps: 3150, resims: 2051, ok: false,
@@ -143,6 +153,7 @@ func pinCases() []pinCase {
 			newEnv: lockEnv,
 			explore: pinExplore(2, 10, func() sim.Object { return mutex.NewBakery(2) },
 				func() sim.Environment { return mutex.AcquireReleaseLoop(2) }),
+			replay:   true,
 			prop:     check.MutualExclusion,
 			digest:   0x753477bf032d1a2,
 			prefixes: 2047, simSteps: 10240, resims: 8194, ok: true,
@@ -153,6 +164,7 @@ func pinCases() []pinCase {
 			newEnv: lockEnv,
 			explore: pinExplore(3, 8, func() sim.Object { return mutex.NewTournament(3) },
 				func() sim.Environment { return mutex.AcquireReleaseLoop(3) }),
+			replay:   true,
 			prop:     check.MutualExclusion,
 			digest:   0xf49b34d53ae82c12,
 			prefixes: 9841, simSteps: 52488, resims: 42648, ok: true,
@@ -162,6 +174,7 @@ func pinCases() []pinCase {
 			newObj:   func(n int) sim.Object { return tm.NewDSTM(n) },
 			newEnv:   txnEnv,
 			explore:  pinExplore(2, 6, func() sim.Object { return tm.NewDSTM(2) }, dstmXYYX),
+			replay:   true,
 			prop:     check.Opacity,
 			digest:   0x2ccc4288d832c7a8,
 			prefixes: 127, simSteps: 384, resims: 258, ok: true,
@@ -185,14 +198,11 @@ func pinCases() []pinCase {
 			prefixes: 511, simSteps: 510, resims: 0, ok: true,
 		},
 		{
-			// The blocking form explored I12 over the software snapshot
-			// from the root; the frame form explores it on snapshots.
-			// The from-root strategy is the one both share, so the pin
-			// forces it.
 			name:     "i12-sw",
 			newObj:   newI12SW,
 			newEnv:   txnEnv,
-			explore:  pinExplore(2, 10, func() sim.Object { return newI12SW(2) }, txnPair, slx.WithReplayExecution()),
+			explore:  pinExplore(2, 10, func() sim.Object { return newI12SW(2) }, txnPair),
+			replay:   true,
 			prop:     check.PropertyS,
 			digest:   0xdf5df3b3a1cbab8d,
 			prefixes: 2047, simSteps: 10240, resims: 8194, ok: true,
@@ -237,7 +247,11 @@ func TestTranslationPin(t *testing.T) {
 			if got := pinDigest(c); got != c.digest {
 				t.Errorf("run digest %#x, pinned %#x", got, c.digest)
 			}
-			rep, err := slx.New(c.explore...).Explore(c.prop())
+			opts := c.explore
+			if c.replay {
+				opts = append(opts[:len(opts):len(opts)], slx.WithReplayExecution())
+			}
+			rep, err := slx.New(opts...).Explore(c.prop())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -245,20 +259,43 @@ func TestTranslationPin(t *testing.T) {
 				t.Errorf("explore: prefixes %d, sim steps %d, resims %d, ok %v; pinned %d, %d, %d, %v",
 					rep.Prefixes, rep.SimSteps, rep.Resims, rep.OK(), c.prefixes, c.simSteps, c.resims, c.ok)
 			}
+			if !c.replay {
+				return
+			}
+			def, err := slx.New(c.explore...).Explore(c.prop())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if def.Prefixes != c.prefixes || def.Resims != 0 || def.OK() != c.ok {
+				t.Errorf("default explore: prefixes %d, resims %d, ok %v; want %d, 0, %v",
+					def.Prefixes, def.Resims, def.OK(), c.prefixes, c.ok)
+			}
 		})
 	}
 }
 
+// objectCase is one in-tree object with an environment to run it in.
+type objectCase struct {
+	procs  int
+	newObj func() sim.Object
+	newEnv func() sim.Environment
+}
+
+// options configures a Checker over the case.
+func (c objectCase) options() []slx.Option {
+	return []slx.Option{
+		slx.WithProcs(c.procs),
+		slx.WithObject(c.newObj),
+		slx.WithEnv(c.newEnv),
+	}
+}
+
 // everyObject lists every in-tree object with an environment to run it
-// in: the constructors of internal/{consensus,mutex,queue,tm}, I12 over
-// the software snapshot, and every registered service target.
-func everyObject() map[string][]slx.Option {
-	with := func(n int, obj func() sim.Object, env func(seed int64, n int) sim.Environment) []slx.Option {
-		return []slx.Option{
-			slx.WithProcs(n),
-			slx.WithObject(obj),
-			slx.WithEnv(func() sim.Environment { return env(1, n) }),
-		}
+// in: the constructors of internal/{consensus,mutex,queue,tm} and I12
+// over the software snapshot.
+func everyObject() map[string]objectCase {
+	with := func(n int, obj func() sim.Object, env func(seed int64, n int) sim.Environment) objectCase {
+		return objectCase{procs: n, newObj: obj, newEnv: func() sim.Environment { return env(1, n) }}
 	}
 	queueEnv := func(int64, int) sim.Environment {
 		return sim.Script(map[int][]sim.Invocation{
@@ -266,7 +303,7 @@ func everyObject() map[string][]slx.Option {
 			2: {{Op: "enq", Arg: 2}, {Op: "deq"}},
 		})
 	}
-	objs := map[string][]slx.Option{
+	return map[string]objectCase{
 		"CommitAdoptOF":  with(2, func() sim.Object { return consensus.NewCommitAdoptOF(2) }, proposeEnv),
 		"CASBased":       with(2, func() sim.Object { return consensus.NewCASBased() }, proposeEnv),
 		"Trivial":        with(2, func() sim.Object { return consensus.Trivial{} }, proposeEnv),
@@ -287,18 +324,22 @@ func everyObject() map[string][]slx.Option {
 		"DurableTM":      with(2, func() sim.Object { return tm.NewDurableTM(2) }, txnEnv),
 		"Aborter":        with(2, func() sim.Object { return tm.Aborter{} }, txnEnv),
 	}
+}
+
+// TestEveryObjectRunsWithoutGoroutines probes the goroutine count at
+// every scheduler call of a 200-step run of each in-tree object and
+// registered service target: the dispatch loop steps their frames
+// directly, so none may start one.
+func TestEveryObjectRunsWithoutGoroutines(t *testing.T) {
+	objs := map[string][]slx.Option{}
+	for name, c := range everyObject() {
+		objs[name] = c.options()
+	}
 	for _, name := range service.TargetNames() {
 		tgt, _ := service.LookupTarget(name)
 		objs["target:"+name] = tgt.Options()
 	}
-	return objs
-}
-
-// TestEveryObjectRunsWithoutGoroutines probes the goroutine count at
-// every scheduler call of a 200-step run of each in-tree object: the
-// dispatch loop steps their frames directly, so none may start one.
-func TestEveryObjectRunsWithoutGoroutines(t *testing.T) {
-	for name, opts := range everyObject() {
+	for name, opts := range objs {
 		base := runtime.NumGoroutine()
 		peak := base
 		probe := func() sim.Scheduler {
@@ -315,5 +356,132 @@ func TestEveryObjectRunsWithoutGoroutines(t *testing.T) {
 		if peak > base {
 			t.Errorf("%s: run peaked at %d goroutines, baseline %d", name, peak, base)
 		}
+	}
+}
+
+// auditNode is what TestRestoreAudit compares at one node.
+type auditNode struct {
+	h              string
+	steps          int
+	ready, crashed []int
+	fp             uint64
+	fpOK           bool
+}
+
+// auditState reads s's configuration.
+func auditState(s *sim.Session) auditNode {
+	fp, ok := s.Fingerprint()
+	return auditNode{
+		h:       fmt.Sprint(s.History()),
+		steps:   s.Steps(),
+		ready:   s.ReadyAppend(nil),
+		crashed: s.CrashedAppend(nil),
+		fp:      fp,
+		fpOK:    ok,
+	}
+}
+
+// TestRestoreAudit checks every in-tree object's derived
+// Snapshot/Restore node by node (the three without a memory excepted): a depth-6 DFS on a snapshot-strategy
+// session (crash and recovery budgets of 1 for Recoverable objects)
+// compares, at every node, the history, step count, ready and crashed
+// sets and — for fingerprintable objects — the fingerprint against a
+// fresh session over the object's Apply alone extended by the same
+// decisions. Every mark is restored twice, so a Restore that adopted
+// its snapshot would corrupt the second visit.
+func TestRestoreAudit(t *testing.T) {
+	const depth = 6
+	noMemory := map[string]bool{"Trivial": true, "RespondOnce": true, "Aborter": true}
+	for name, c := range everyObject() {
+		if !run.CanSnapshot(c.newObj()) {
+			if !noMemory[name] {
+				t.Errorf("%s keeps its state in a memory but cannot snapshot", name)
+			}
+			continue
+		}
+		c := c
+		t.Run(name, func(t *testing.T) {
+			_, fingerprinted := c.newObj().(sim.Fingerprintable)
+			budget := 0
+			if _, ok := c.newObj().(sim.Recoverable); ok {
+				budget = 1
+			}
+			sess, err := sim.NewSession(sim.SessionConfig{Procs: c.procs, Object: c.newObj(), NewEnv: c.newEnv, Fingerprint: fingerprinted})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sess.Close()
+			reference := func(path []sim.Decision) auditNode {
+				ref, err := sim.NewSession(sim.SessionConfig{
+					Procs:       c.procs,
+					Object:      sim.ApplyOnly(c.newObj()),
+					NewObject:   func() sim.Object { return sim.ApplyOnly(c.newObj()) },
+					NewEnv:      c.newEnv,
+					Fingerprint: fingerprinted,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer ref.Close()
+				for _, d := range path {
+					if _, err := ref.Extend(d); err != nil {
+						t.Fatalf("reference at %v: %v", path, err)
+					}
+				}
+				return auditState(ref)
+			}
+			nodes := 0
+			var visit func(path []sim.Decision, crashes, recoveries int)
+			visit = func(path []sim.Decision, crashes, recoveries int) {
+				nodes++
+				here := auditState(sess)
+				if want := reference(path); !reflect.DeepEqual(here, want) {
+					t.Fatalf("at %v:\n session   %+v\n reference %+v", path, here, want)
+				}
+				if len(path) == depth {
+					return
+				}
+				var kids []sim.Decision
+				for _, p := range here.ready {
+					kids = append(kids, sim.Decision{Proc: p})
+				}
+				if crashes < budget {
+					for _, p := range here.ready {
+						kids = append(kids, sim.Decision{Proc: p, Crash: true})
+					}
+				}
+				if recoveries < budget {
+					for _, p := range here.crashed {
+						kids = append(kids, sim.Decision{Proc: p, Recover: true})
+					}
+				}
+				mark := sess.Mark()
+				for _, d := range kids {
+					for visitTwice := 0; visitTwice < 2; visitTwice++ {
+						if _, err := sess.Extend(d); err != nil {
+							t.Fatalf("extend %v at %v: %v", d, path, err)
+						}
+						nc, nr := crashes, recoveries
+						if d.Crash {
+							nc++
+						}
+						if d.Recover {
+							nr++
+						}
+						if visitTwice == 0 {
+							visit(append(path[:len(path):len(path)], d), nc, nr)
+						}
+						if n, err := sess.Restore(mark); err != nil || n != 0 {
+							t.Fatalf("restore at %v re-executed %d steps (%v): not the snapshot strategy", path, n, err)
+						}
+						if got := auditState(sess); !reflect.DeepEqual(got, here) {
+							t.Fatalf("restore to %v:\n got  %+v\n want %+v", path, got, here)
+						}
+					}
+				}
+			}
+			visit(nil, 0, 0)
+			t.Logf("%d nodes", nodes)
+		})
 	}
 }

@@ -409,6 +409,65 @@ func porCases() map[string]struct {
 			),
 			props: []slx.Property{check.Linearizability(check.QueueSpec{})},
 		},
+		"dstm/opacity": {
+			// slxbench's dstm:xy/yx job: process 1 reads x and writes y,
+			// process 2 reads y and writes x.
+			opts: []slx.Option{
+				slx.WithObject(func() run.Object { return tm.NewDSTM(2) }),
+				slx.WithEnv(func() run.Environment {
+					return tm.TxnLoop(map[int]tm.Txn{
+						1: {Accesses: []tm.Access{{Var: "x"}, {Write: true, Var: "y", Val: 11}}},
+						2: {Accesses: []tm.Access{{Var: "y"}, {Write: true, Var: "x", Val: 21}}},
+					})
+				}),
+				slx.WithProcs(2),
+				slx.WithDepth(6),
+			},
+			props: []slx.Property{check.Opacity()},
+		},
+		"bakery/mutual-exclusion": {
+			opts: []slx.Option{
+				slx.WithObject(func() run.Object { return mutex.NewBakery(2) }),
+				slx.WithEnv(func() run.Environment { return mutex.AcquireReleaseLoop(2) }),
+				slx.WithProcs(2),
+				slx.WithDepth(8),
+			},
+			props: []slx.Property{check.MutualExclusion()},
+		},
+		"tournament/mutual-exclusion": {
+			opts: []slx.Option{
+				slx.WithObject(func() run.Object { return mutex.NewTournament(3) }),
+				slx.WithEnv(func() run.Environment { return mutex.AcquireReleaseLoop(3) }),
+				slx.WithProcs(3),
+				slx.WithDepth(6),
+			},
+			props: []slx.Property{check.MutualExclusion()},
+		},
+		"decide-own/k-set": {
+			opts: []slx.Option{
+				slx.WithObject(func() run.Object { return consensus.NewDecideOwn(3) }),
+				slx.WithEnv(func() run.Environment {
+					return consensus.ProposeOnce(map[int]hist.Value{1: 1, 2: 2, 3: 3})
+				}),
+				slx.WithProcs(3),
+				slx.WithDepth(6),
+			},
+			props: []slx.Property{check.KSetAgreement(3)},
+		},
+		"first-announced/violation": {
+			// Three distinct decisions need every process to invoke,
+			// announce and scan before the next one announces: nine
+			// steps.
+			opts: []slx.Option{
+				slx.WithObject(func() run.Object { return consensus.NewFirstAnnounced(3) }),
+				slx.WithEnv(func() run.Environment {
+					return consensus.ProposeOnce(map[int]hist.Value{1: 1, 2: 2, 3: 3})
+				}),
+				slx.WithProcs(3),
+				slx.WithDepth(9),
+			},
+			props: []slx.Property{check.KSetAgreement(2)},
+		},
 		"globalcas/opacity": {
 			opts: []slx.Option{
 				slx.WithObject(func() run.Object { return tm.NewGlobalCAS(2) }),

@@ -57,10 +57,10 @@ type Fingerprinter = sim.Fingerprinter
 // Objects implementing it (together with Stepped) can be rewound to
 // earlier configurations by struct copy, so Explore backtracks without
 // re-executing anything. Snapshot/Restore must capture all object state
-// that outlives a granted step (repository base objects provide
-// composable Snapshot/Restore methods); in-flight operation state lives
-// in the continuation frames, which the engine forks and restores by
-// itself. See the sim.Snapshottable contract for the details. Objects
+// that outlives a granted step (repository objects keep that state in
+// the cells of an embedded base memory, whose Snapshot/Restore they
+// promote); in-flight operation state lives in the continuation
+// frames, which the engine forks and restores by itself. See the sim.Snapshottable contract for the details. Objects
 // without the hook are explored by from-root rebuilds on every
 // backtrack, with identical verdicts.
 type Snapshottable = sim.Snapshottable
