@@ -36,7 +36,7 @@ func sampleChecker(extra ...slx.Option) *slx.Checker {
 
 // TestSampleSessionReuseCheaper is the acceptance gate of the sampling
 // strategies: per sampled schedule, the snapshot strategy must allocate
-// at most 0.8x what the from-root strategy allocates (measured 0.16x:
+// at most 0.8x what the from-root strategy allocates (measured 0.10x:
 // the monitor and property work is shared, the saving is the
 // per-schedule runtime/object/environment construction and the
 // goroutine handoffs a from-root rebuild repeats),

@@ -1,9 +1,8 @@
 package safety
 
 import (
-	"fmt"
+	"encoding/binary"
 	"sort"
-	"strings"
 
 	"repro/internal/history"
 )
@@ -143,20 +142,30 @@ func pendingTryC(tx *history.Tx) bool {
 // for memoization.
 type varState map[string]history.Value
 
-func (s varState) key() string {
+// key encodes the store for the memo: in variable order, each name
+// length-prefixed and its value in history.AppendCanonical's injective
+// encoding, so stores that differ only in a value's type (int 1 and
+// string "1") get different keys. ok=false when the encoder refuses a
+// value; such a state must not be memoized.
+func (s varState) key() (string, bool) {
 	if len(s) == 0 {
-		return ""
+		return "", true
 	}
 	keys := make([]string, 0, len(s))
 	for k := range s {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	var b strings.Builder
+	var buf []byte
 	for _, k := range keys {
-		fmt.Fprintf(&b, "%s=%v;", k, s[k])
+		buf = binary.AppendUvarint(buf, uint64(len(k)))
+		buf = append(buf, k...)
+		var ok bool
+		if buf, ok = history.AppendCanonical(buf, s[k]); !ok {
+			return "", false
+		}
 	}
-	return b.String()
+	return string(buf), true
 }
 
 // legal reports whether the transaction's reads are consistent with the
@@ -227,8 +236,9 @@ func serializable(recs []*txRecord, strict bool) bool {
 		if placed == n {
 			return true
 		}
-		k := key{mask.key(), st.key()}
-		if v, ok := memo[k]; ok {
+		sk, memoize := st.key()
+		k := key{mask.key(), sk}
+		if v, ok := memo[k]; memoize && ok {
 			return v
 		}
 		res := false
@@ -258,7 +268,9 @@ func serializable(recs []*txRecord, strict bool) bool {
 				}
 			}
 		}
-		memo[k] = res
+		if memoize {
+			memo[k] = res
+		}
 		return res
 	}
 	return dfs(newBitset(n), 0, varState{})

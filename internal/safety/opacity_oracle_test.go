@@ -2,6 +2,7 @@ package safety
 
 import (
 	"math/rand"
+	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -53,6 +54,17 @@ func bruteSerializable(recs []*txRecord, strict bool) bool {
 	return rec(0, varState{})
 }
 
+// randomTMValue draws a small int or, half the time, its decimal
+// spelling: values that print alike but differ in type must never be
+// confused by the serialization search.
+func randomTMValue(r *rand.Rand) history.Value {
+	v := r.Intn(3)
+	if r.Intn(2) == 0 {
+		return strconv.Itoa(v)
+	}
+	return v
+}
+
 // randomTMHistory generates a small well-formed TM history with arbitrary
 // (frequently inconsistent) read values and outcomes.
 func randomTMHistory(r *rand.Rand, procs, events int) history.History {
@@ -82,7 +94,7 @@ func randomTMHistory(r *rand.Rand, procs, events int) history.History {
 				if r.Intn(6) == 0 {
 					val = history.Abort
 				} else {
-					val = r.Intn(3)
+					val = randomTMValue(r)
 				}
 			case history.TMWrite:
 				val = history.OK
@@ -110,7 +122,7 @@ func randomTMHistory(r *rand.Rand, procs, events int) history.History {
 				s.pending, s.obj = history.TMRead, obj
 			case 1:
 				obj := vars[r.Intn(len(vars))]
-				h = append(h, history.InvokeObj(p, history.TMWrite, obj, r.Intn(3)))
+				h = append(h, history.InvokeObj(p, history.TMWrite, obj, randomTMValue(r)))
 				s.pending, s.obj = history.TMWrite, obj
 			default:
 				h = append(h, history.Invoke(p, history.TMTryC, nil))

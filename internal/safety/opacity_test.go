@@ -200,6 +200,56 @@ func TestOpacityPrefixClosed(t *testing.T) {
 	}
 }
 
+// sameSpelling is a value whose fmt rendering hides its content: every
+// instance prints as "v", so only a content encoding tells two apart.
+type sameSpelling struct{ n int }
+
+func (sameSpelling) String() string { return "v" }
+
+// TestOpacityDistinguishesValueTypes: T1 and T2 overlap and commit
+// writes of two different values to x, and T3 then reads T1's value,
+// which only the order T2·T1·T3 explains. The memoized search must key
+// its stores by content: a memo keyed by the %v rendering reuses the
+// refutation of T1·T2 (x holding T2's value) for T2·T1 (x holding
+// T1's), because the int 1 and the string "1" render alike, and so do
+// two values whose String methods agree (the canonical encoder refuses
+// those, so their states must go unmemoized).
+func TestOpacityDistinguishesValueTypes(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		v1, v2 history.Value
+	}{
+		{"int-vs-string", 1, "1"},
+		{"stringer", sameSpelling{1}, sameSpelling{2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := cat(
+				tmStart(1), tmStart(2), tmWrite(1, "x", tc.v1), tmWrite(2, "x", tc.v2),
+				tmCommit(1), tmCommit(2),
+				tmStart(3), tmRead(3, "x", tc.v1), tmCommit(3),
+			)
+			recs, ok := buildRecords(h)
+			if !ok || !bruteSerializable(recs, false) || !bruteSerializable(recs, true) {
+				t.Fatal("oracle: T2·T1·T3 serializes the history")
+			}
+			if !Opaque(h) {
+				t.Error("Opaque rejected the history")
+			}
+			if !(StrictSerializability{}).Holds(h) {
+				t.Error("StrictSerializability rejected the history")
+			}
+			for _, m := range []*TMMonitor{NewOpacityMonitor(), NewStrictSerializabilityMonitor()} {
+				for i, e := range h {
+					if !m.Step(e) {
+						t.Errorf("monitor (strict=%v) rejected event %d: %v", m.strict, i, e)
+						break
+					}
+				}
+			}
+		})
+	}
+}
+
 func TestOpaqueFailedOperationsUnconstrained(t *testing.T) {
 	// Reads and writes that return A impose no constraints.
 	h := cat(

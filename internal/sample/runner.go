@@ -94,5 +94,11 @@ func (r *sessionRunner) sample(seed int64, rec *schedRec) (*explore.Violation, e
 	if r.cfg.Fingerprint {
 		rec.fp, rec.fped = r.sess.Fingerprint()
 	}
+	// The schedule ended clean, so nothing touches its fork again: hand
+	// it back for recycling, as explore does for a finished subtree. A
+	// violating schedule's set stays with its Violation.
+	if rs, ok := mons.(explore.ReleasableMonitorSet); ok {
+		rs.Release()
+	}
 	return nil, nil
 }

@@ -249,6 +249,8 @@ func validate(cfg *Config) error {
 		return errors.New("sample: Steps must be >= 1")
 	case cfg.Crashes < 0 || cfg.Recoveries < 0 || cfg.ChangePoints < 0:
 		return errors.New("sample: Crashes, Recoveries and ChangePoints must be >= 0")
+	case cfg.Crashes > cfg.Steps || cfg.Recoveries > cfg.Steps || cfg.ChangePoints > cfg.Steps:
+		return errors.New("sample: Crashes, Recoveries and ChangePoints must be <= Steps (each point is drawn from steps 1..Steps)")
 	}
 	return nil
 }

@@ -1,7 +1,7 @@
 package sample
 
 import (
-	"math/rand"
+	"math/rand/v2"
 	"sort"
 
 	"repro/internal/sim"
@@ -21,7 +21,7 @@ type strategy struct {
 	recoveries int
 	walk       bool
 
-	src rand.Source
+	src *rand.PCG
 	rng *rand.Rand
 
 	// prio[p] is process p's current priority (higher steps first;
@@ -55,7 +55,7 @@ type strategy struct {
 }
 
 func newStrategy(cfg *Config) *strategy {
-	src := rand.NewSource(0)
+	src := rand.NewPCG(0, 0)
 	return &strategy{
 		procs:      cfg.Procs,
 		steps:      cfg.Steps,
@@ -72,32 +72,50 @@ func newStrategy(cfg *Config) *strategy {
 	}
 }
 
-// reset re-seeds the strategy for one schedule.
+// splitMixGamma is SplitMix64's state increment, the odd integer
+// closest to 2⁶⁴ divided by the golden ratio.
+const splitMixGamma = 0x9e3779b97f4a7c15
+
+// splitMix64 is the SplitMix64 output finalizer (Steele, Lea & Flood,
+// "Fast Splittable Pseudorandom Number Generators", OOPSLA 2014): a
+// bijection on 64-bit words that spreads every input bit over the
+// whole output, so consecutive seeds start unrelated streams.
+func splitMix64(z uint64) uint64 {
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}
+
+// reset re-seeds the strategy for one schedule, in O(1): the PCG state
+// words are the first two outputs of a SplitMix64 generator started at
+// seed. The finalizer is a bijection, so every bit of the seed counts
+// and distinct seeds get distinct first words.
 func (s *strategy) reset(seed int64) {
-	s.src.Seed(seed)
+	z := uint64(seed) + splitMixGamma
+	s.src.Seed(splitMix64(z), splitMix64(z+splitMixGamma))
 	s.next, s.nextCr, s.nextRv, s.last = 0, 0, 0, 0
 	if !s.walk {
 		for p := 1; p <= s.procs; p++ {
 			s.prio[p] = s.d + p
 		}
 		for i := s.procs; i > 1; i-- {
-			j := s.rng.Intn(i) + 1
+			j := s.rng.IntN(i) + 1
 			s.prio[i], s.prio[j] = s.prio[j], s.prio[i]
 		}
 		s.change = s.change[:0]
 		for j := 0; j < s.d; j++ {
-			s.change = append(s.change, s.rng.Intn(s.steps)+1)
+			s.change = append(s.change, s.rng.IntN(s.steps)+1)
 		}
 		sort.Ints(s.change)
 	}
 	s.crashAt = s.crashAt[:0]
 	for j := 0; j < s.crashes; j++ {
-		s.crashAt = append(s.crashAt, s.rng.Intn(s.steps)+1)
+		s.crashAt = append(s.crashAt, s.rng.IntN(s.steps)+1)
 	}
 	sort.Ints(s.crashAt)
 	s.recoverAt = s.recoverAt[:0]
 	for j := 0; j < s.recoveries; j++ {
-		s.recoverAt = append(s.recoverAt, s.rng.Intn(s.steps)+1)
+		s.recoverAt = append(s.recoverAt, s.rng.IntN(s.steps)+1)
 	}
 	sort.Ints(s.recoverAt)
 }
@@ -137,7 +155,7 @@ func (s *strategy) decide(ready, crashed []int, step int) (sim.Decision, bool) {
 // crashed processes).
 func (s *strategy) pick(ready []int) int {
 	if s.walk {
-		return ready[s.rng.Intn(len(ready))]
+		return ready[s.rng.IntN(len(ready))]
 	}
 	best := ready[0]
 	for _, p := range ready[1:] {

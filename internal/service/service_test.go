@@ -391,6 +391,27 @@ func TestValidationParity(t *testing.T) {
 				return inProcessMsg(service.JobSpec{Target: "consensus", Spec: slx.Spec{TimeoutMs: -5}})
 			},
 		},
+		// Sampling budgets above the depth, which the strategy cannot
+		// use: admitted, the first would kill the daemon sizing the
+		// strategy's change points.
+		"sample/huge-d": {
+			spec: json.RawMessage(`{"target":"consensus","mode":"sample","schedules":1,"d":4611686018427387904,"depth":4}`),
+			want: func() string {
+				return inProcessMsg(service.JobSpec{Target: "consensus", Spec: slx.Spec{Sample: true, Schedules: 1, D: 1 << 62, Depth: 4}})
+			},
+		},
+		"sample/crashes-above-depth": {
+			spec: service.JobSpec{Target: "consensus", Mode: "sample", Spec: slx.Spec{Schedules: 1, Crashes: 5, Depth: 4}},
+			want: func() string {
+				return inProcessMsg(service.JobSpec{Target: "consensus", Spec: slx.Spec{Sample: true, Schedules: 1, Crashes: 5, Depth: 4}})
+			},
+		},
+		"sample/recoveries-above-depth": {
+			spec: service.JobSpec{Target: "consensus", Mode: "sample", Spec: slx.Spec{Schedules: 1, Crashes: 1, Recoveries: 5, Depth: 4}},
+			want: func() string {
+				return inProcessMsg(service.JobSpec{Target: "consensus", Spec: slx.Spec{Sample: true, Schedules: 1, Crashes: 1, Recoveries: 5, Depth: 4}})
+			},
+		},
 		"unknown-target": {
 			spec: service.JobSpec{Target: "nosuch"},
 			want: func() string {

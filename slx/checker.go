@@ -215,12 +215,14 @@ func WithReplayExecution() Option { return func(c *Checker) { c.replay = true } 
 // probability at least 1/(n·kᵈ⁻¹) per schedule). WithDepth bounds each
 // schedule's granted steps (sampling is built for depths far beyond the
 // exhaustive ceiling), WithCrashes injects crash decisions at uniformly
-// chosen steps, and WithWorkers fans schedules across goroutines while
-// keeping the Report — including which failure is surfaced — identical
-// for a fixed WithSeed at any worker count (the least-index failing
-// schedule wins, the sampling analogue of exhaustive exploration's
-// preorder-least rule). Each worker executes all its schedules on one
-// reused session: with the snapshot hooks (see WithReplayExecution) a
+// chosen steps (d, crashes and recoveries above the depth are rejected:
+// every such point is one of the schedule's steps), and WithWorkers
+// fans schedules across goroutines while keeping the Report — including
+// which failure is surfaced — identical for a fixed WithSeed at any
+// worker count (the least-index failing schedule wins, the sampling
+// analogue of exhaustive exploration's preorder-least rule). Each
+// worker executes all its schedules on one reused session: with the
+// snapshot hooks (see WithReplayExecution) a
 // schedule starts by a struct-copy restore of the root, otherwise (or
 // under WithReplayExecution) by a from-root rebuild, with identical
 // results. The Report gains Sampled, Schedules, DistinctStates and
@@ -624,6 +626,15 @@ func (c *Checker) ValidateExplore(props ...Property) error {
 			return fmt.Errorf("slx: WithSample requires at least 1 schedule, got %d", c.schedules)
 		case c.sampleD < 0:
 			return fmt.Errorf("slx: WithSample requires d >= 0, got %d", c.sampleD)
+		// Every change, crash and recovery point is drawn from the steps
+		// of a schedule, so a larger budget buys nothing and would only
+		// size the strategy's tables.
+		case c.sampleD > c.depth:
+			return fmt.Errorf("slx: d: sampling draws each change point from the %d steps of a schedule, so d must be at most %d, got %d", c.depth, c.depth, c.sampleD)
+		case c.crashes > c.depth:
+			return fmt.Errorf("slx: crashes: sampling draws each crash point from the %d steps of a schedule, so crashes must be at most %d, got %d", c.depth, c.depth, c.crashes)
+		case c.recoveries > c.depth:
+			return fmt.Errorf("slx: recoveries: sampling draws each recovery point from the %d steps of a schedule, so recoveries must be at most %d, got %d", c.depth, c.depth, c.recoveries)
 		case c.por:
 			return fmt.Errorf("slx: WithSample excludes WithPOR (sleep sets prune an enumeration; sampling has none)")
 		case c.cache:

@@ -137,25 +137,37 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 }
 
 // TestSpecNegativeWorkersRejected: a negative workers, depth, crashes,
-// recoveries, procs or timeout_ms value survives the JSON round trip, is
-// applied by Options (not silently skipped), and is rejected by
+// recoveries, procs or timeout_ms value, and in sampling mode a d,
+// crashes or recoveries budget above the depth, survives the JSON round
+// trip, is applied by Options (not silently skipped), and is rejected by
 // ValidateExplore with a message naming only that field — the full path
 // a bad service spec takes to its 400.
 func TestSpecNegativeWorkersRejected(t *testing.T) {
 	fields := []string{"workers", "depth", "crashes", "recoveries", "procs", "timeout"}
 	for _, tc := range []struct {
-		field string
-		spec  Spec
-		value string // the rejected value as the message prints it ("" if it does not)
+		field   string
+		spec    Spec
+		value   string // the rejected value as the message prints it ("" if it does not)
+		options int    // the options the spec maps to
 	}{
-		{"workers", Spec{Workers: -2}, "-2"},
-		{"depth", Spec{Depth: -3}, "-3"},
-		{"crashes", Spec{Crashes: -1}, "-1"},
-		{"recoveries", Spec{Recoveries: -1}, "-1"},
-		{"procs", Spec{Procs: -1}, ""},
-		{"timeout", Spec{TimeoutMs: -5}, "-5ms"},
+		{"workers", Spec{Workers: -2}, "-2", 1},
+		{"depth", Spec{Depth: -3}, "-3", 1},
+		{"crashes", Spec{Crashes: -1}, "-1", 1},
+		{"recoveries", Spec{Recoveries: -1}, "-1", 1},
+		{"procs", Spec{Procs: -1}, "", 1},
+		{"timeout", Spec{TimeoutMs: -5}, "-5ms", 1},
+		// Sampling draws every change, crash and recovery point from
+		// the steps of a schedule; a larger budget is of no use, and an
+		// admitted d of 2⁶² would panic sizing the strategy's tables.
+		{"d", Spec{Sample: true, Schedules: 1, D: 1 << 62, Depth: 4}, "4611686018427387904", 2},
+		{"crashes", Spec{Sample: true, Schedules: 1, Crashes: 9}, "9", 2},
+		{"recoveries", Spec{Sample: true, Schedules: 1, Crashes: 1, Recoveries: 9}, "9", 3},
 	} {
-		t.Run(tc.field, func(t *testing.T) {
+		name := tc.field
+		if tc.spec.Sample {
+			name = "sample-" + tc.field
+		}
+		t.Run(name, func(t *testing.T) {
 			data, err := json.Marshal(tc.spec)
 			if err != nil {
 				t.Fatal(err)
@@ -167,8 +179,8 @@ func TestSpecNegativeWorkersRejected(t *testing.T) {
 			if back != tc.spec {
 				t.Fatalf("spec did not survive the round trip: %+v", back)
 			}
-			if n := len(back.Options()); n != 1 {
-				t.Fatalf("negative %s produced %d options, want 1 (it must reach validation)", tc.field, n)
+			if n := len(back.Options()); n != tc.options {
+				t.Fatalf("%s spec produced %d options, want %d (it must reach validation)", name, n, tc.options)
 			}
 			c := New(append(testTargetOptions(), back.Options()...)...)
 			verr := c.ValidateExplore(testProperty())
@@ -180,6 +192,9 @@ func TestSpecNegativeWorkersRejected(t *testing.T) {
 				if strings.Contains(msg, f) != (f == tc.field) {
 					t.Fatalf("message does not isolate the %s field: %q", tc.field, verr)
 				}
+			}
+			if tc.spec.Sample && !strings.HasPrefix(verr.Error(), "slx: "+tc.field+": ") {
+				t.Fatalf("message does not name the %s field: %q", tc.field, verr)
 			}
 			if !strings.Contains(verr.Error(), tc.value) {
 				t.Fatalf("message does not show the rejected value %s: %q", tc.value, verr)
