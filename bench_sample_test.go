@@ -14,6 +14,7 @@ package repro_test
 import (
 	"testing"
 
+	"repro/internal/service"
 	"repro/slx"
 )
 
@@ -112,5 +113,41 @@ func benchSampleThroughput(b *testing.B, c *slx.Checker) {
 	}
 	if sec := b.Elapsed().Seconds(); sec > 0 {
 		b.ReportMetric(float64(b.N*sampleSchedules)/sec, "schedules/sec")
+	}
+}
+
+// sampleTMSchedules is BenchmarkSampleTM's per-Explore schedule budget.
+const sampleTMSchedules = 240
+
+// BenchmarkSampleTM measures sampling on a TM target, where the property
+// monitor, not the object, sets the pace. It is the shape of slxbench
+// sample-pct's i12 clean job: the registered i12 target (I_12 over a
+// hardware snapshot, two processes looping a single-write transaction
+// on x) judged against property S, sampled with PCT under a fixed
+// master seed; every schedule forks the property-S monitor at the root
+// and steps it through 16 events. Its figures are BENCH_explore.json's
+// "sample_tm" section.
+func BenchmarkSampleTM(b *testing.B) {
+	t, ok := service.LookupTarget("i12")
+	if !ok {
+		b.Fatal("no i12 target")
+	}
+	c := slx.New(append(t.Options(), slx.WithDepth(16), slx.WithSample(sampleTMSchedules, 2), slx.WithSeed(7))...)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		rep, err := c.Explore(t.Property())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !rep.OK() {
+			b.Fatalf("violation: %s", rep.Failures()[0])
+		}
+		if i == 0 {
+			b.ReportMetric(float64(rep.Schedules), "schedules")
+			b.ReportMetric(float64(rep.DistinctStates), "distinctStates")
+		}
+	}
+	if sec := b.Elapsed().Seconds(); sec > 0 {
+		b.ReportMetric(float64(b.N*sampleTMSchedules)/sec, "schedules/sec")
 	}
 }

@@ -76,6 +76,7 @@ var sections = map[string]string{
 	"BenchmarkExploreCommitAdoptCache":        "commit_adopt_cache",
 	"BenchmarkSampleThroughput":               "sample",
 	"BenchmarkSampleThroughputReplay":         "sample_replay",
+	"BenchmarkSampleTM":                       "sample_tm",
 	"BenchmarkServiceThroughput":              "service",
 }
 

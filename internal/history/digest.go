@@ -225,6 +225,28 @@ func (d *HistoryDigest) word() uint64 {
 	return d.h
 }
 
+// LazyDigest is a HistoryDigest folded on demand: a cursor over an
+// append-only history, whose Sum folds only the events appended since
+// the previous call. A monitor whose state IS its history keeps one
+// beside the history, so an event costs nothing until a state cache
+// asks for the digest, and the value is the eager fold's exactly. Like
+// HistoryDigest it is a plain value: a forked monitor copies it, and
+// its later Sums fold the fork's own events from the shared cursor.
+type LazyDigest struct {
+	d HistoryDigest
+	n int // events of the history folded into d
+}
+
+// Sum folds h's events past the cursor and returns the digest of h; h
+// must extend the history of every earlier call.
+func (l *LazyDigest) Sum(h History) (uint64, bool) {
+	for _, e := range h[l.n:] {
+		l.d.Append(e)
+	}
+	l.n = len(h)
+	return l.d.Sum()
+}
+
 // AppendCanonical appends a canonical encoding of v to dst and reports
 // whether v could be encoded. The encoding is injective on encodable
 // values: every node carries its kind and dynamic type, and every

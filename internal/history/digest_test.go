@@ -67,6 +67,67 @@ func TestHistoryDigestIsEventFold(t *testing.T) {
 	}
 }
 
+// TestLazyDigestIsEagerFold: a LazyDigest summed at any cadence — after
+// every event, after runs of events, never until the end — equals the
+// eager HistoryDigest of the same prefix, poisoned prefixes included,
+// and a copy taken mid-way (a forked monitor) folds its own extension
+// from the shared cursor.
+func TestLazyDigestIsEagerFold(t *testing.T) {
+	events := []Event{
+		Invoke(1, "w", []string{"x y"}), Response(1, "w", OK), Crash(2), Recover(2),
+		Invoke(2, "r", nil), Response(2, "r", 1), Response(2, "r", "1"),
+	}
+	poison := Invoke(3, "w", fuzzBox{P: &fuzzPair{}})
+	poisoned := 0
+	for seed := 0; seed < 200; seed++ {
+		var h History
+		var lazy LazyDigest
+		var eager HistoryDigest
+		var fork LazyDigest
+		var forkEager HistoryDigest
+		var forkH History
+		for i := 0; i < 12; i++ {
+			e := events[(seed*7+i*3)%len(events)]
+			if seed%11 == 0 && i == 9 {
+				e = poison
+			}
+			h = append(h, e)
+			eager.Append(e)
+			if i == seed%12 {
+				forkH = append(h[:len(h):len(h)], Crash(4))
+				fork, forkEager = lazy, eager
+				forkEager.Append(Crash(4))
+			}
+			if (seed>>uint(i%5))&1 == 0 {
+				if got, want := pair(lazy.Sum(h)), pair(eager.Sum()); got != want {
+					t.Fatalf("seed %d: lazy %v != eager %v after %d events", seed, got, want, len(h))
+				}
+			}
+		}
+		got, want := pair(lazy.Sum(h)), pair(eager.Sum())
+		if got != want {
+			t.Fatalf("seed %d: lazy %v != eager %v at the end", seed, got, want)
+		}
+		if want[1] == 0 {
+			poisoned++
+		}
+		if got, want := pair(fork.Sum(forkH)), pair(forkEager.Sum()); got != want {
+			t.Fatalf("seed %d: fork's lazy %v != eager %v", seed, got, want)
+		}
+	}
+	if poisoned == 0 {
+		t.Fatal("no history poisoned its digest")
+	}
+}
+
+// pair packs a (digest, ok) result for comparison.
+func pair(d uint64, ok bool) [2]uint64 {
+	if ok {
+		return [2]uint64{d, 1}
+	}
+	return [2]uint64{d, 0}
+}
+
 // fuzzPair and fuzzBox are the fuzz grammar's struct shapes: a
 // string+int struct, and a struct holding a pointer, which the encoder
 // must refuse when non-nil (pointer identity is not content).

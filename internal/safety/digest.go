@@ -81,15 +81,19 @@ func (m *mutexMonitor) StateDigest() (uint64, bool) {
 	return f.Sum(), true
 }
 
-// StateDigest implements history.Digester. The TM serialization
-// searches re-examine the entire accumulated history on every response,
-// so the monitor's residual state IS the history: the digest folds the
-// running history digest after the monitor's flags. Exploration
-// therefore deduplicates TM states only across schedules that produced
-// the identical external history (interleavings that reorder only
-// internal steps), which is sound by construction.
+// StateDigest implements history.Digester. The TM monitor's records
+// summarize its history only up to what the serialization search reads:
+// program-order steps, roles and real-time predecessors, but not which
+// interleaving of the same external events produced them. The digest
+// does not try to canonicalize that; it folds the history itself after
+// the monitor's flags, so exploration deduplicates TM states only across
+// schedules that produced the identical external history (interleavings
+// that reorder only internal steps), which is sound by construction. The
+// history digest is folded lazily (history.LazyDigest), so a run that
+// never asks for it, such as sampling or exploration without the state
+// cache, never pays for the encoding.
 func (m *TMMonitor) StateDigest() (uint64, bool) {
-	h, ok := m.dig.Sum()
+	h, ok := m.dig.Sum(m.h)
 	f := history.NewFingerprinter()
 	f.Str("tm")
 	f.Bool(m.strict)

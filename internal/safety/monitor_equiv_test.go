@@ -1,19 +1,19 @@
 package safety
 
 // Monitor-equivalence harness: every incremental checker is cross-checked
-// against its batch counterpart on randomized histories — synthetic
-// random interleavings (which violate the properties often) and histories
+// against an oracle on randomized histories — synthetic random
+// interleavings (which violate the properties often) and histories
 // produced by real implementations under randomized schedules (which do
-// not). The batch path is the oracle: at every prefix the monitor's
-// verdict must equal the batch verdict, before and after forking, and
-// forks must be independent of their parents.
+// not). At every prefix the monitor's verdict must equal the oracle's,
+// before and after forking, and forks must be independent of their
+// parents.
 //
-// For the checkers whose batch Holds is itself derived from the monitor
-// via BatchAdapter — agreement+validity, k-set, mutual exclusion and
-// (strict) linearizability — the oracles are independent
-// re-implementations: the original one-pass scans below, and the
-// memoized Wing–Gong search of linoracle_test.go, so the cross-check is
-// not circular.
+// Every checker's batch Holds is itself derived from its monitor via
+// BatchAdapter, so the oracles are independent re-implementations: the
+// original one-pass scans below for agreement+validity, k-set and mutual
+// exclusion, the memoized Wing–Gong search of linoracle_test.go for
+// (strict) linearizability, and the from-scratch TM judgment of
+// opacity_oracle_test.go, so the cross-check is not circular.
 
 import (
 	"math/rand"
@@ -377,11 +377,19 @@ func randCASHistory(r *rand.Rand, n, events int) history.History {
 	return h
 }
 
+// The TM monitors are checked against the from-scratch oracle
+// (oracleTM: history.Transactions and the search on every response
+// prefix, the timestamp rule over every group) on two generators:
+// randTMHistory, whose invented reads violate opacity often, and the
+// biased randomTMHistory, whose histories mostly serialize and often
+// hold overlapping committed writers followed by a reader.
 func TestMonitorEquivalenceOpacity(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	for i := 0; i < 150; i++ {
 		h := randTMHistory(r, 2, 6+r.Intn(24))
-		crossCheck(t, "opacity", Opacity{}.Spawn, Opaque, h, r.Intn(len(h)))
+		crossCheck(t, "opacity", Opacity{}.Spawn, oracleTM(false, false), h, r.Intn(len(h)))
+		h = randomTMHistory(r, 2, 24+r.Intn(24))
+		crossCheck(t, "opacity", Opacity{}.Spawn, oracleTM(false, false), h, r.Intn(len(h)))
 	}
 }
 
@@ -390,7 +398,9 @@ func TestMonitorEquivalenceStrictSerializability(t *testing.T) {
 	p := StrictSerializability{}
 	for i := 0; i < 150; i++ {
 		h := randTMHistory(r, 2, 6+r.Intn(24))
-		crossCheck(t, p.Name(), p.Spawn, p.Holds, h, r.Intn(len(h)))
+		crossCheck(t, p.Name(), p.Spawn, oracleTM(true, false), h, r.Intn(len(h)))
+		h = randomTMHistory(r, 2, 24+r.Intn(24))
+		crossCheck(t, p.Name(), p.Spawn, oracleTM(true, false), h, r.Intn(len(h)))
 	}
 }
 
@@ -399,7 +409,9 @@ func TestMonitorEquivalencePropertyS(t *testing.T) {
 	p := PropertyS{}
 	for i := 0; i < 120; i++ {
 		h := randTMHistory(r, 3, 6+r.Intn(24))
-		crossCheck(t, p.Name(), p.Spawn, p.Holds, h, r.Intn(len(h)))
+		crossCheck(t, p.Name(), p.Spawn, oracleTM(false, true), h, r.Intn(len(h)))
+		h = randomTMHistory(r, 3, 24+r.Intn(24))
+		crossCheck(t, p.Name(), p.Spawn, oracleTM(false, true), h, r.Intn(len(h)))
 	}
 }
 

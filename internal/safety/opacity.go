@@ -19,20 +19,47 @@ const (
 	roleAborted
 )
 
-// txRecord precomputes the data the serialization search needs about one
-// transaction.
+// txRecord is what the serialization search knows about one
+// transaction; TMMonitor keeps one per transaction and updates it per
+// event.
 type txRecord struct {
-	tx *history.Tx
 	// steps is the program-order sequence of successful reads and writes.
 	steps []txStep
 	// roles are the allowed placement roles, derived from the completion
 	// rules of opacity (Section 4.1): committed transactions must commit,
 	// aborted must abort, live with a pending tryC may do either, live
-	// without a pending tryC abort.
+	// without a pending tryC abort (rolesOf).
 	roles []role
 	// precede is the set of transactions that must be serialized before
-	// this one (real-time order).
+	// this one (real-time order): those completed when it started.
 	precede bitset
+
+	status      history.TxStatus
+	pendingTryC bool // the last invocation is a tryC without a response
+	// seq is the transaction's index within its process, from 1 (the
+	// paper's t); startRes and tryCInv are the history indices of its
+	// start response and of its last tryC invocation, -1 if none. They
+	// are the timestamp rule's inputs.
+	seq, startRes, tryCInv int
+}
+
+// The role sets a transaction can have; shared, never written.
+var (
+	commitOnly    = []role{roleCommitted}
+	abortOnly     = []role{roleAborted}
+	commitOrAbort = []role{roleCommitted, roleAborted}
+)
+
+// rolesOf returns the allowed roles of a transaction with the given
+// status and pending-tryC flag.
+func rolesOf(status history.TxStatus, pendingTryC bool) []role {
+	switch {
+	case status == history.TxCommitted:
+		return commitOnly
+	case status == history.TxLive && pendingTryC:
+		return commitOrAbort
+	}
+	return abortOnly
 }
 
 // bitset is a dynamic bit mask over transaction indices.
@@ -41,6 +68,10 @@ type bitset []uint64
 func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
 
 func (b bitset) test(i int) bool { return b[i/64]&(1<<uint(i%64)) != 0 }
+
+// has is test for a set that may be shorter than i: a transaction's
+// predecessor set holds only transactions that started before it.
+func (b bitset) has(i int) bool { return i/64 < len(b) && b.test(i) }
 
 // withBit returns a copy of b with bit i set.
 func (b bitset) withBit(i int) bitset {
@@ -82,61 +113,9 @@ type txStep struct {
 
 // maxOpacityTxs is a sanity cap on the number of transactions the memoized
 // search handles (the dynamic bitset supports arbitrary counts; the cap
-// guards against accidental quadratic blowups on absurd inputs).
+// guards against accidental quadratic blowups on absurd inputs): a
+// response after more transactions started fails the history.
 const maxOpacityTxs = 4096
-
-// buildRecords analyses a TM history into search records. ok=false when the
-// history has too many transactions.
-func buildRecords(h history.History) ([]*txRecord, bool) {
-	txs := history.Transactions(h)
-	if len(txs) > maxOpacityTxs {
-		return nil, false
-	}
-	recs := make([]*txRecord, len(txs))
-	for i, tx := range txs {
-		r := &txRecord{tx: tx}
-		for _, op := range tx.Ops {
-			switch {
-			case op.Name == history.TMRead && op.Done && op.Val != history.Abort:
-				r.steps = append(r.steps, txStep{isRead: true, v: op.Obj, val: op.Val})
-			case op.Name == history.TMWrite && op.Done && op.Val != history.Abort:
-				r.steps = append(r.steps, txStep{isRead: false, v: op.Obj, val: op.Arg})
-			}
-		}
-		switch tx.Status {
-		case history.TxCommitted:
-			r.roles = []role{roleCommitted}
-		case history.TxAborted:
-			r.roles = []role{roleAborted}
-		case history.TxLive:
-			if pendingTryC(tx) {
-				r.roles = []role{roleCommitted, roleAborted}
-			} else {
-				r.roles = []role{roleAborted}
-			}
-		}
-		recs[i] = r
-	}
-	for i, a := range recs {
-		a.precede = newBitset(len(recs))
-		for j, b := range recs {
-			if i != j && history.TxPrecedes(b.tx, a.tx) {
-				a.precede.setBit(j)
-			}
-		}
-	}
-	return recs, true
-}
-
-// pendingTryC reports whether the transaction's last operation is a tryC
-// invocation without a response.
-func pendingTryC(tx *history.Tx) bool {
-	if len(tx.Ops) == 0 {
-		return false
-	}
-	last := tx.Ops[len(tx.Ops)-1]
-	return last.Name == history.TMTryC && !last.Done
-}
 
 // varState is the committed store during serialization, encoded canonically
 // for memoization.
@@ -276,30 +255,14 @@ func serializable(recs []*txRecord, strict bool) bool {
 	return dfs(newBitset(n), 0, varState{})
 }
 
-// OpaquePrefix reports whether the single finite history h admits a
-// completion and an equivalent legal sequential history preserving
-// real-time order (the per-prefix condition of opacity).
-func OpaquePrefix(h history.History) bool {
-	recs, ok := buildRecords(h)
-	if !ok {
-		return false
-	}
-	return serializable(recs, false)
-}
-
-// Opaque reports whether h ensures opacity: every finite prefix satisfies
-// OpaquePrefix. Prefixes are checked after every response event (adding
-// invocations cannot invalidate opacity: a new or extended live
-// transaction completes as aborted with no additional successful reads, and
-// real-time constraints only shrink).
-func Opaque(h history.History) bool {
-	for i, e := range h {
-		if e.Kind == history.KindResponse && !OpaquePrefix(h.Prefix(i+1)) {
-			return false
-		}
-	}
-	return OpaquePrefix(h)
-}
+// Opaque reports whether h ensures opacity: every prefix ending in a
+// response admits a completion and an equivalent legal sequential history
+// preserving real-time order. It replays h through the opacity monitor.
+// A prefix ending in an invocation is not judged on its own: in a
+// well-formed history an invocation cannot invalidate opacity, since a
+// new or extended live transaction completes as aborted with no
+// additional successful reads, and real-time constraints only shrink.
+func Opaque(h history.History) bool { return Opacity{}.Holds(h) }
 
 // Opacity is the opacity safety property as a Property value.
 type Opacity struct{}
@@ -307,8 +270,10 @@ type Opacity struct{}
 // Name implements Property.
 func (Opacity) Name() string { return "opacity" }
 
-// Holds implements Property.
-func (Opacity) Holds(h history.History) bool { return Opaque(h) }
+// Holds implements Property: the BatchAdapter over the opacity monitor.
+func (p Opacity) Holds(h history.History) bool {
+	return BatchAdapter{PropName: p.Name(), SpawnFn: p.Spawn}.Holds(h)
+}
 
 // StrictSerializability requires the committed transactions (plus possibly
 // some commit-pending ones) to form a legal sequential history preserving
@@ -318,20 +283,8 @@ type StrictSerializability struct{}
 // Name implements Property.
 func (StrictSerializability) Name() string { return "strict-serializability" }
 
-// Holds implements Property.
-func (StrictSerializability) Holds(h history.History) bool {
-	for i, e := range h {
-		if e.Kind == history.KindResponse && !strictPrefix(h.Prefix(i+1)) {
-			return false
-		}
-	}
-	return strictPrefix(h)
-}
-
-func strictPrefix(h history.History) bool {
-	recs, ok := buildRecords(h)
-	if !ok {
-		return false
-	}
-	return serializable(recs, true)
+// Holds implements Property: the BatchAdapter over the strict
+// serializability monitor.
+func (p StrictSerializability) Holds(h history.History) bool {
+	return BatchAdapter{PropName: p.Name(), SpawnFn: p.Spawn}.Holds(h)
 }

@@ -289,8 +289,8 @@ func TestPropertyS(t *testing.T) {
 	}
 	t.Run("commit violates the rule", func(t *testing.T) {
 		h := qualifying(tmCommit(3))
-		if (PropertyS{}).RuleOnly(h) {
-			t.Error("a commit in a qualifying group must violate S")
+		if timestampRuleHolds(h) {
+			t.Error("a commit in a qualifying group must violate the rule")
 		}
 		if (PropertyS{}).Holds(h) {
 			t.Error("S includes the rule")
@@ -311,7 +311,7 @@ func TestPropertyS(t *testing.T) {
 			tmStart(1), tmStart(2),
 			tmAbort(1), tmCommit(2),
 		)
-		if !(PropertyS{}).RuleOnly(h) {
+		if !timestampRuleHolds(h) || !(PropertyS{}).Holds(h) {
 			t.Error("the rule needs at least three transactions")
 		}
 	})
@@ -323,7 +323,7 @@ func TestPropertyS(t *testing.T) {
 			tmStart(1), tmStart(2),
 			tmAbort(1), tmAbort(2),
 		)
-		if !(PropertyS{}).RuleOnly(h) {
+		if !timestampRuleHolds(h) || !(PropertyS{}).Holds(h) {
 			t.Error("non-concurrent / early-commit group is exempt")
 		}
 	})
@@ -335,7 +335,7 @@ func TestPropertyS(t *testing.T) {
 			tmStart(1), tmStart(2), tmStart(3),
 			tmAbort(1), tmAbort(2), tmCommit(3),
 		)
-		if !(PropertyS{}).RuleOnly(h) {
+		if !timestampRuleHolds(h) || !(PropertyS{}).Holds(h) {
 			t.Error("groups require a common per-process sequence number")
 		}
 	})

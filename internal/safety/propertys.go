@@ -17,73 +17,49 @@ type PropertyS struct{}
 // Name implements Property.
 func (PropertyS) Name() string { return "S(opacity+timestamp-abort)" }
 
-// Holds implements Property.
-func (PropertyS) Holds(h history.History) bool {
-	if !Opaque(h) {
-		return false
-	}
-	return timestampRuleHolds(h)
+// Holds implements Property: the BatchAdapter over the property S
+// monitor.
+func (p PropertyS) Holds(h history.History) bool {
+	return BatchAdapter{PropName: p.Name(), SpawnFn: p.Spawn}.Holds(h)
 }
 
-// RuleOnly checks just the timestamp-abort rule (used by tests to isolate
-// it from opacity).
-func (PropertyS) RuleOnly(h history.History) bool { return timestampRuleHolds(h) }
-
-type sInfo struct {
-	tx       *history.Tx
-	startRes int // history index of the start response, -1 if none
-	tryCInv  int // history index of the tryC invocation, -1 if none
-}
-
-func timestampRuleHolds(h history.History) bool {
-	txs := history.Transactions(h)
-	// Group by per-process sequence number t; within a group there is at
-	// most one transaction per process.
-	groups := make(map[int][]sInfo)
-	for _, tx := range txs {
-		info := sInfo{tx: tx, startRes: -1, tryCInv: -1}
-		for _, op := range tx.Ops {
-			switch op.Name {
-			case history.TMStart:
-				if op.Done {
-					info.startRes = op.ResIndex
-				}
-			case history.TMTryC:
-				info.tryCInv = op.InvIndex
-			}
-		}
-		groups[tx.Seq] = append(groups[tx.Seq], info)
+// ruleHolds re-checks the timestamp rule on the same-t group of process
+// proc's current transaction, the only group a tryC event of proc can
+// change. A group holds at most one transaction per process, so with
+// fewer than three processes no group can qualify.
+func (m *TMMonitor) ruleHolds(proc int) bool {
+	p := m.proc(proc)
+	if len(m.procs) < 3 || p == nil || p.cur < 0 {
+		return true
 	}
-	for _, members := range groups {
-		if len(members) < 3 {
-			continue
-		}
-		if !sGroupsOK(members) {
-			return false
+	seq := m.recs[p.cur].seq
+	var buf [8]int
+	members := buf[:0]
+	for k, r := range m.recs {
+		if r.seq == seq {
+			members = append(members, k)
 		}
 	}
-	return true
+	return len(members) < 3 || groupHolds(m.recs, members)
 }
 
-// sGroupsOK enumerates subsets of size >= 3 of one same-t group and checks
-// the abort rule on each qualifying subset.
-func sGroupsOK(members []sInfo) bool {
-	n := len(members)
-	for mask := uint(0); mask < 1<<uint(n); mask++ {
-		var sel []sInfo
-		for i := 0; i < n; i++ {
+// groupHolds enumerates the subsets of size >= 3 of one same-t group
+// (indices into recs) and checks the abort rule on each qualifying
+// subset.
+func groupHolds(recs []*txRecord, members []int) bool {
+	var buf [8]int
+	for mask := uint(0); mask < 1<<uint(len(members)); mask++ {
+		sel := buf[:0]
+		for i, k := range members {
 			if mask&(1<<uint(i)) != 0 {
-				sel = append(sel, members[i])
+				sel = append(sel, k)
 			}
 		}
-		if len(sel) < 3 {
+		if len(sel) < 3 || !qualifies(recs, sel) {
 			continue
 		}
-		if !subsetQualifies(sel) {
-			continue
-		}
-		for _, in := range sel {
-			if in.tx.Status == history.TxCommitted {
+		for _, k := range sel {
+			if recs[k].status == history.TxCommitted {
 				return false
 			}
 		}
@@ -91,27 +67,26 @@ func sGroupsOK(members []sInfo) bool {
 	return true
 }
 
-// subsetQualifies reports whether the Section 5.3 conditions hold for the
-// subset: pairwise concurrent, and each member invokes tryC after at least
-// two other members received their start response.
-func subsetQualifies(sel []sInfo) bool {
-	for i := range sel {
-		for j := i + 1; j < len(sel); j++ {
-			if !history.Concurrent(sel[i].tx, sel[j].tx) {
+// qualifies reports whether the Section 5.3 conditions hold for the
+// subset sel: pairwise concurrent (neither completed before the other
+// started), and each member invokes tryC after at least two other
+// members received their start response.
+func qualifies(recs []*txRecord, sel []int) bool {
+	for i, a := range sel {
+		for _, b := range sel[i+1:] {
+			if recs[a].precede.has(b) || recs[b].precede.has(a) {
 				return false
 			}
 		}
 	}
-	for i, in := range sel {
-		if in.tryCInv < 0 {
+	for _, a := range sel {
+		tryCInv := recs[a].tryCInv
+		if tryCInv < 0 {
 			return false
 		}
 		others := 0
-		for j, other := range sel {
-			if j == i || other.startRes < 0 {
-				continue
-			}
-			if other.startRes < in.tryCInv {
+		for _, b := range sel {
+			if b != a && recs[b].startRes >= 0 && recs[b].startRes < tryCInv {
 				others++
 			}
 		}

@@ -15,6 +15,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/history"
 	"repro/slx"
 	"repro/slx/hist"
 )
@@ -168,9 +169,12 @@ func TestWorkersValidated(t *testing.T) {
 
 // TestExploreCacheParallelVerdictsMatch checks verdicts stay identical
 // when the cache, POR and the work-stealing scheduler compose, on a
-// clean and on a violating object.
+// clean and on a violating object, and on the TM objects, whose
+// monitor forks share completed transaction records and the history's
+// backing array across workers.
 func TestExploreCacheParallelVerdictsMatch(t *testing.T) {
-	for _, name := range []string{"register/linearizability", "racy-lock/violation", "commit-adopt/crashes+workers"} {
+	for _, name := range []string{"register/linearizability", "racy-lock/violation", "commit-adopt/crashes+workers",
+		"i12/property-s", "globalcas/opacity", "dstm/opacity"} {
 		tc := porCases()[name]
 		t.Run(name, func(t *testing.T) {
 			seq, err := slx.New(tc.opts[:len(tc.opts):len(tc.opts)]...).Explore(tc.props...)
@@ -294,5 +298,60 @@ func TestBatchMonitorDigest(t *testing.T) {
 	}
 	if len(seen) < 100 {
 		t.Fatalf("only %d distinct histories generated", len(seen))
+	}
+}
+
+// TestBatchMonitorDigestPin pins the batch monitor's digest values: over
+// random histories, the digest after random events of the monitor and of
+// a fork taken at a random point, and at the end, under a predicate that
+// fails now and then, is folded into one word. It was recorded when the monitor folded
+// its history digest eagerly on every Step; the digest is now folded
+// only when asked, and must keep every value, so cached explorations
+// keep their hits.
+func TestBatchMonitorDigestPin(t *testing.T) {
+	const want = 14897727338833634124
+	values := []hist.Value{nil, 1, "1", [2]string{"x y", ""}}
+	r := rand.New(rand.NewSource(3))
+	sum := history.DigestSeed()
+	fold := func(m slx.Monitor) {
+		d, ok := m.(slx.Digester).StateDigest()
+		if !ok {
+			t.Fatal("batch monitor cannot digest")
+		}
+		sum = history.DigestWord(sum, d)
+	}
+	for i := 0; i < 500; i++ {
+		var h hist.History
+		for n := 1 + r.Intn(8); n > 0; n-- {
+			p, v := 1+r.Intn(2), values[r.Intn(len(values))]
+			if r.Intn(2) == 0 {
+				h = append(h, hist.Invoke(p, "w", v))
+			} else {
+				h = append(h, hist.Response(p, "w", v))
+			}
+		}
+		limit := 1 + r.Intn(len(h)+1)
+		m := slx.BatchMonitor("p", func(h hist.History) bool { return len(h) < limit })
+		forkAt := r.Intn(len(h))
+		var fork slx.Monitor
+		for k, e := range h {
+			if k == forkAt {
+				fork = m.Fork()
+			}
+			m.Step(e)
+			if r.Intn(3) == 0 {
+				fold(m)
+			}
+			if fork != nil {
+				fork.Step(e)
+				if r.Intn(3) == 0 {
+					fold(fork)
+				}
+			}
+		}
+		fold(m)
+	}
+	if sum != want {
+		t.Fatalf("pinned word %d, want %d", sum, uint64(want))
 	}
 }

@@ -55,7 +55,7 @@ type batchMonitor struct {
 	name  string
 	holds func(h hist.History) bool
 	h     hist.History
-	dig   history.HistoryDigest // running digest of h, for StateDigest
+	dig   history.LazyDigest // digest of h, folded when StateDigest asks
 	// failedAt is the 1-based length of the first violating prefix, 0
 	// while the property holds.
 	failedAt int
@@ -67,7 +67,6 @@ func (m *batchMonitor) Step(e hist.Event) bool {
 		return false
 	}
 	m.h = append(m.h, e)
-	m.dig.Append(e)
 	if !m.holds(m.h) {
 		m.failedAt = len(m.h)
 		return false
@@ -88,18 +87,23 @@ func (m *batchMonitor) Verdict() Verdict {
 
 // Fork implements Monitor.
 func (m *batchMonitor) Fork() Monitor {
-	m.h = m.h[:len(m.h):len(m.h)] // clip: a later append by either copy reallocates
-	return &batchMonitor{name: m.name, holds: m.holds, h: m.h, dig: m.dig, failedAt: m.failedAt}
+	// The fork's view is clipped, so its first append reallocates; the
+	// parent only ever appends past it, in place.
+	h := m.h[:len(m.h):len(m.h)]
+	return &batchMonitor{name: m.name, holds: m.holds, h: h, dig: m.dig, failedAt: m.failedAt}
 }
 
 // StateDigest implements Digester. The batch monitor re-judges its
 // whole accumulated history on every step, so its residual state IS the
-// history: the digest is a running canonical encoding of the event
-// sequence (O(1) per explored prefix), and the state cache deduplicates
-// only across schedules that produced the identical external history —
-// sound for any prefix-monotone predicate, however history-dependent.
+// history: the digest is a canonical encoding of the event sequence,
+// folded from a cursor over the events added since the last call
+// (history.LazyDigest), so a run that never asks — sampling, or
+// exploration without the state cache — never pays for it. The state
+// cache deduplicates only across schedules that produced the identical
+// external history, which is sound for any prefix-monotone predicate,
+// however history-dependent.
 func (m *batchMonitor) StateDigest() (uint64, bool) {
-	h, ok := m.dig.Sum()
+	h, ok := m.dig.Sum(m.h)
 	f := history.NewFingerprinter()
 	f.Str("batch")
 	f.Str(m.name)
