@@ -19,14 +19,12 @@
 //     on scheduler timing (work stealing, the HTTP service) carry a
 //     looser per-section "alloc_gate_ratio" in the baseline file, which
 //     overrides the flag for that section;
-//   - sections may additionally declare absolute ceilings ("ns_gate",
-//     "allocs_gate"): the monitor section carries the continuation
-//     runtime's acceptance bar — ≥5× ns/op and ≤10% allocs/op vs the
-//     retired goroutine runtime (16,085,683 ns and 156,806 allocs on
-//     the reference host) — so re-baselining after a regression cannot
-//     quietly lower the bar. The allocation ceiling is hard; the ns
-//     ceiling is ADVISORY, because an absolute wall-clock number fails
-//     on a slower host with no code change;
+//   - sections may additionally declare an absolute allocation ceiling
+//     ("allocs_gate"): the monitor section carries the continuation
+//     runtime's acceptance bar — ≤10% of the retired goroutine
+//     runtime's 156,806 allocs/op — so re-baselining after a regression
+//     cannot quietly lower the bar. No wall-clock ceiling exists: an
+//     absolute ns/op number fails on a slower host with no code change;
 //   - the sampling sections' schedules and distinct_states counts must
 //     match the baseline exactly (they are deterministic under the
 //     benchmark's fixed master seed — drift is a behavior change);
@@ -98,12 +96,10 @@ type metrics struct {
 	// for that section's allocation gates (work stealing and the HTTP
 	// service allocate timing-dependently and need headroom).
 	AllocRatio float64 `json:"alloc_gate_ratio,omitempty"`
-	// NsGate and AllocsGate, set only in baseline sections, are
-	// absolute ceilings: the continuation runtime's acceptance bar
-	// (≥5× ns/op, ≤10% allocs/op vs the retired goroutine runtime)
-	// frozen as numbers so the bar itself can never drift with the
-	// baseline. AllocsGate gates; NsGate is advisory (wall clock).
-	NsGate     float64 `json:"ns_gate,omitempty"`
+	// AllocsGate, set only in baseline sections, is an absolute
+	// ceiling: the continuation runtime's acceptance bar (≤10%
+	// allocs/op vs the retired goroutine runtime) frozen as a number so
+	// the bar itself can never drift with the baseline.
 	AllocsGate float64 `json:"allocs_gate,omitempty"`
 }
 
@@ -190,9 +186,7 @@ func gate(measured, baseline map[string]*metrics, ratio, allocRatio, sampleRatio
 		}
 		rep.check(key, "allocs_per_op", m.AllocsPerOp, b.AllocsPerOp, m.AllocsPerOp <= b.AllocsPerOp*ar)
 		rep.check(key, "bytes_per_op", m.BytesPerOp, b.BytesPerOp, m.BytesPerOp <= b.BytesPerOp*ar)
-		// Absolute acceptance ceilings, where the baseline declares them:
-		// the allocation ceiling gates, the wall-clock one only informs.
-		rep.checkAdvisory(key, "ns_per_op_ceiling", m.NsPerOp, b.NsGate, m.NsPerOp <= b.NsGate)
+		// The absolute allocation ceiling, where the baseline declares one.
 		rep.check(key, "allocs_per_op_ceiling", m.AllocsPerOp, b.AllocsGate, m.AllocsPerOp <= b.AllocsGate)
 		// Sampling sections: schedules and terminal-state coverage are
 		// deterministic under the benchmark's fixed seed, so any drift is a

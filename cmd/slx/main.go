@@ -278,7 +278,7 @@ func cmdTheorem49() error {
 func exploreFlags(fs *flag.FlagSet) func() service.JobSpec {
 	var j service.JobSpec
 	fs.StringVar(&j.Target, "target", "consensus", fmt.Sprintf("check target: %s", strings.Join(service.TargetNames(), ", ")))
-	fs.IntVar(&j.Procs, "procs", 0, "override the target's process count (0: the target's)")
+	fs.IntVar(&j.Procs, "procs", 0, "process count; a target accepts only its own (0: the target's)")
 	fs.IntVar(&j.Depth, "depth", 12, "schedule depth")
 	fs.IntVar(&j.Crashes, "crashes", 0, "crash budget (branch on crashing ready processes)")
 	fs.IntVar(&j.Recoveries, "recoveries", 0, "recovery budget (branch on recovering crashed processes; needs -crashes)")
@@ -312,21 +312,18 @@ func cmdExplore(args []string) error {
 		return err
 	}
 	spec := jobSpec()
-	tgt, ok := service.LookupTarget(spec.Target)
-	if !ok {
-		return fmt.Errorf("unknown target %q (targets: %s)", spec.Target, strings.Join(service.TargetNames(), ", "))
-	}
 	// Ctrl-C cancels the exploration instead of killing the process:
 	// Explore unwinds with a partial, Interrupted report, which is
 	// printed before exiting 130. A second SIGINT kills hard (stop()
 	// restores default delivery once the context fires).
 	ctx, stop := signal.NotifyContext(baseContext, os.Interrupt)
 	defer stop()
-	prop := tgt.Property()
-	opts := append(tgt.Options(), spec.Options()...)
-	opts = append(opts, slx.WithContext(ctx))
+	c, prop, err := service.JobChecker(spec, slx.WithContext(ctx))
+	if err != nil {
+		return err
+	}
 	start := time.Now()
-	rep, err := slx.New(opts...).Explore(prop)
+	rep, err := c.Explore(prop)
 	elapsed := time.Since(start)
 	if err != nil {
 		if rep != nil && rep.Interrupted {

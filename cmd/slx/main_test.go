@@ -101,6 +101,28 @@ func TestExploreDepthLine(t *testing.T) {
 	}
 }
 
+// TestExploreProcs: a target runs only at the process count it is built
+// for. Any other positive -procs is rejected with the message slxd
+// answers the same spec with, and the target's own count explores the
+// same tree as leaving -procs unset.
+func TestExploreProcs(t *testing.T) {
+	err := dispatch([]string{"explore", "-target", "consensus", "-depth", "8", "-procs", "3"})
+	if want := `procs: target "consensus" is built for 2 processes, got 3`; err == nil || err.Error() != want {
+		t.Fatalf("-procs 3: err %v, want %q", err, want)
+	}
+	for _, procs := range []string{"0", "2"} {
+		out, err := captureStdout(t, func() error {
+			return dispatch([]string{"explore", "-target", "consensus", "-depth", "8", "-procs", procs})
+		})
+		if err != nil {
+			t.Fatalf("-procs %s: %v", procs, err)
+		}
+		if !strings.HasPrefix(out, "explored 511 schedule prefixes") {
+			t.Errorf("-procs %s printed %q, want 511 prefixes", procs, out)
+		}
+	}
+}
+
 // TestExploreTimeout: -timeout cuts an exhaustive exploration short and
 // maps to exit code 124 (the timeout(1) convention), distinct from the
 // violation exit 1.

@@ -2,7 +2,8 @@ package base
 
 import (
 	"testing"
-	"testing/quick"
+
+	"repro/internal/quickseed"
 )
 
 // countAccessor stands in for the simulation runtime in unit tests: it
@@ -190,9 +191,7 @@ func TestQuickRegisterLastWriteWins(t *testing.T) {
 		}
 		return r.ReadW(s) == want
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
+	quickseed.Check(t, f, 0)
 }
 
 func TestQuickFetchAddSum(t *testing.T) {
@@ -206,9 +205,7 @@ func TestQuickFetchAddSum(t *testing.T) {
 		}
 		return fa.ReadW(s) == sum
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
+	quickseed.Check(t, f, 0)
 }
 
 func TestQuickCASLinearizesToSequence(t *testing.T) {
@@ -230,7 +227,5 @@ func TestQuickCASLinearizesToSequence(t *testing.T) {
 		}
 		return c.ReadW(s) == model
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
+	quickseed.Check(t, f, 0)
 }

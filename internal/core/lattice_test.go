@@ -3,7 +3,8 @@ package core
 import (
 	"strings"
 	"testing"
-	"testing/quick"
+
+	"repro/internal/quickseed"
 )
 
 func TestLKPointOrder(t *testing.T) {
@@ -63,9 +64,7 @@ func TestQuickOrderLaws(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
-	}
+	quickseed.Check(t, f, 2000)
 }
 
 func TestMaximalMinimal(t *testing.T) {

@@ -3,10 +3,10 @@ package core
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/history"
 	"repro/internal/liveness"
+	"repro/internal/quickseed"
 )
 
 // randomExecution builds an arbitrary bounded execution with random
@@ -44,7 +44,6 @@ func randomExecution(r *rand.Rand, n int) *liveness.Execution {
 // checkers — whenever point p is StrongerEq than q, every execution
 // satisfying (p.L,p.K)-freedom satisfies (q.L,q.K)-freedom.
 func TestQuickLKOrderSemantics(t *testing.T) {
-	cfg := &quick.Config{MaxCount: 600}
 	good := liveness.TMGood()
 	f := func(seed int64, a, b uint8) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -67,15 +66,12 @@ func TestQuickLKOrderSemantics(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
-	}
+	quickseed.Check(t, f, 600)
 }
 
 // TestQuickLKLiteralOrderSemantics: the same monotonicity holds for the
 // literal Definition 5.1 reading.
 func TestQuickLKLiteralOrderSemantics(t *testing.T) {
-	cfg := &quick.Config{MaxCount: 400}
 	f := func(seed int64, a, b uint8) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := 3
@@ -89,9 +85,7 @@ func TestQuickLKLiteralOrderSemantics(t *testing.T) {
 		holdsQ := (liveness.LKLiteral{L: q.L, K: q.K}).Holds(e)
 		return !holdsP || holdsQ
 	}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
-	}
+	quickseed.Check(t, f, 400)
 }
 
 // TestTheorem44TwoImplSweep widens the exhaustive Theorem 4.4 verification

@@ -130,31 +130,8 @@ func (g *engine) runParallel(workers int) (*Stats, error) {
 	p.cond = sync.NewCond(&p.mu)
 	p.deques[0] = append(p.deques[0], &wsTask{ms: g.cfg.NewMonitors()}) // the root subtree: the whole tree
 	p.outstanding = 1
-
-	// Loop 0 runs inline on the calling goroutine so the exploration
-	// always makes progress; the remaining loops are either spawned as
-	// goroutines or offered to the external executor (Config.Spawn),
-	// which may decline them. A loop that starts after the pool has
-	// drained exits immediately, so late-running accepted offers are
-	// harmless.
-	var wg sync.WaitGroup
-	for i := 1; i < workers; i++ {
-		id := i
-		wg.Add(1)
-		loop := func() {
-			defer wg.Done()
-			p.run(id)
-		}
-		if g.cfg.Spawn != nil {
-			if !g.cfg.Spawn(loop) {
-				wg.Done()
-			}
-		} else {
-			go loop()
-		}
-	}
-	p.run(0)
-	wg.Wait()
+	// A loop that starts after the pool has drained exits immediately.
+	RunLoops(workers, g.cfg.Spawn, p.run)
 	if p.fatalErr != nil {
 		return total, p.fatalErr
 	}
@@ -163,6 +140,31 @@ func (g *engine) runParallel(workers int) (*Stats, error) {
 		return total, p.best.err
 	}
 	return total, nil
+}
+
+// RunLoops runs the worker loops loop(0), ..., loop(n-1) and returns
+// once every loop that ran has returned. Loop 0 runs inline on the
+// calling goroutine, so the work always makes progress; the others are
+// offered to spawn (an external executor, such as slxd's pool), or
+// started as goroutines when spawn is nil. A declined offer never runs,
+// so the loops must share their work dynamically, and a loop that
+// starts after the work is done must return at once.
+func RunLoops(n int, spawn func(loop func()) bool, loop func(id int)) {
+	var wg sync.WaitGroup
+	for id := 1; id < n; id++ {
+		wg.Add(1)
+		run := func() {
+			defer wg.Done()
+			loop(id)
+		}
+		if spawn == nil {
+			go run()
+		} else if !spawn(run) {
+			wg.Done()
+		}
+	}
+	loop(0)
+	wg.Wait()
 }
 
 // run is one worker's loop: take a task, explore its subtree, report.

@@ -3,7 +3,8 @@ package history
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
+
+	"repro/internal/quickseed"
 )
 
 func TestEventString(t *testing.T) {
@@ -232,7 +233,6 @@ func randomWellFormed(r *rand.Rand, procs, steps int) History {
 func TestQuickWellFormedClosures(t *testing.T) {
 	// Well-formedness is closed under prefixes and projections, and
 	// projection commutes with prefix length bookkeeping.
-	cfg := &quick.Config{MaxCount: 200}
 	f := func(seed int64, steps uint8) bool {
 		r := rand.New(rand.NewSource(seed))
 		h := randomWellFormed(r, 3, int(steps%60))
@@ -251,13 +251,10 @@ func TestQuickWellFormedClosures(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
-	}
+	quickseed.Check(t, f, 200)
 }
 
 func TestQuickEquivalenceReflexiveAndKeyed(t *testing.T) {
-	cfg := &quick.Config{MaxCount: 200}
 	f := func(seed int64, steps uint8) bool {
 		r := rand.New(rand.NewSource(seed))
 		h := randomWellFormed(r, 3, int(steps%40))
@@ -268,7 +265,5 @@ func TestQuickEquivalenceReflexiveAndKeyed(t *testing.T) {
 		ext := h.Append(Invoke(9, "zz", 1))
 		return h.Key() != ext.Key() && h.Clone().Key() == h.Key()
 	}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
-	}
+	quickseed.Check(t, f, 200)
 }

@@ -3,7 +3,8 @@ package history
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
+
+	"repro/internal/quickseed"
 )
 
 func TestParseBasics(t *testing.T) {
@@ -96,7 +97,6 @@ func randomParsableHistory(r *rand.Rand, events int) History {
 }
 
 func TestQuickParseRoundTrip(t *testing.T) {
-	cfg := &quick.Config{MaxCount: 400}
 	f := func(seed int64, n uint8) bool {
 		r := rand.New(rand.NewSource(seed))
 		h := randomParsableHistory(r, int(n)%24)
@@ -111,7 +111,5 @@ func TestQuickParseRoundTrip(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
-	}
+	quickseed.Check(t, f, 400)
 }

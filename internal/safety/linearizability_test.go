@@ -3,9 +3,9 @@ package safety
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/history"
+	"repro/internal/quickseed"
 )
 
 func inv(p int, op string, arg history.Value) history.Event {
@@ -199,16 +199,13 @@ func bruteLinearizable(spec SeqSpec, h history.History) bool {
 
 func TestQuickLinearizableMatchesBruteForce(t *testing.T) {
 	spec := RegisterSpec{Initial: 0}
-	cfg := &quick.Config{MaxCount: 300}
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		h := randomRegisterHistory(r, 3, 8)
 		want := bruteLinearizable(spec, h)
 		return oracleLinearizable(spec, h, false) == want && Linearizable(spec, h) == want
 	}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
-	}
+	quickseed.Check(t, f, 300)
 }
 
 // randomRegisterHistory generates a small well-formed register history with

@@ -152,6 +152,120 @@ func crossCheck(t *testing.T, name string, spawn func() Monitor, oracle func(his
 	}
 }
 
+// checkForkIndependence forks a monitor after h[:forkAt] and steps the
+// parent through the rest of h and the fork through alt, one event each
+// in turn, the fork first, so an append by either into storage they
+// share would show; each must match a fresh oracle on its own history.
+// crossCheck cannot see such sharing: its fork follows the parent's own
+// events, and it never steps the parent after a divergent fork.
+func checkForkIndependence(t *testing.T, name string, spawn func() Monitor, oracle func(history.History) bool, h, alt history.History, forkAt int) {
+	t.Helper()
+	m := spawn()
+	for _, e := range h[:forkAt] {
+		m.Step(e)
+	}
+	fork := m.Fork()
+	hf := append(h[:forkAt:forkAt], alt...)
+	mo := &stickyOracle{holds: oracle}
+	fo := &stickyOracle{holds: oracle}
+	mo.at(t, h[:forkAt])
+	fo.at(t, h[:forkAt])
+	for i := forkAt; i < len(h) || i < len(hf); i++ {
+		if i < len(hf) {
+			if got, want := fork.Step(hf[i]), fo.at(t, hf[:i+1]); got != want {
+				t.Fatalf("%s: fork=%v oracle=%v at event %d of %s (forked at %d from %s)", name, got, want, i+1, hf, forkAt, h)
+			}
+		}
+		if i < len(h) {
+			if got, want := m.Step(h[i]), mo.at(t, h[:i+1]); got != want {
+				t.Fatalf("%s: monitor=%v oracle=%v at event %d of %s (fork stepped %s)", name, got, want, i+1, h, hf)
+			}
+		}
+	}
+}
+
+// altSuffix returns another continuation of the prefix suffix follows:
+// suffix's events merged in a random order that keeps each process's
+// own order, with every int argument and value redrawn from {0, 1, 2},
+// CAS arguments and boolean responses included. Each process's events
+// stay well-formed after the prefix; the global order, the values, and
+// with them the verdicts and the monitor's per-process bookkeeping
+// diverge.
+func altSuffix(r *rand.Rand, suffix history.History) history.History {
+	byProc := make(map[int]history.History)
+	var procs []int
+	for _, e := range suffix {
+		if len(byProc[e.Proc]) == 0 {
+			procs = append(procs, e.Proc)
+		}
+		byProc[e.Proc] = append(byProc[e.Proc], e)
+	}
+	out := make(history.History, 0, len(suffix))
+	for len(procs) > 0 {
+		i := r.Intn(len(procs))
+		p := procs[i]
+		e := byProc[p][0]
+		if byProc[p] = byProc[p][1:]; len(byProc[p]) == 0 {
+			procs = append(procs[:i], procs[i+1:]...)
+		}
+		switch e.Arg.(type) {
+		case int:
+			e.Arg = r.Intn(3)
+		case CASArg:
+			e.Arg = CASArg{Old: r.Intn(3), New: r.Intn(3)}
+		}
+		switch e.Val.(type) {
+		case int:
+			e.Val = r.Intn(3)
+		case bool:
+			e.Val = r.Intn(2) == 0
+		}
+		out = append(out, e)
+	}
+	return out
+}
+
+// TestMonitorForkIndependence gives every monitor outside the TM family
+// (which FuzzTMMonitor covers) the interleaved fork check: after a
+// random prefix, the parent goes on with the rest of its history and
+// the fork with altSuffix of it.
+func TestMonitorForkIndependence(t *testing.T) {
+	reg, cas := RegisterSpec{Initial: 0}, CASSpec{Initial: 0}
+	lin := func(spec SeqSpec, strict bool) func(history.History) bool {
+		return func(h history.History) bool { return oracleLinearizable(spec, h, strict) }
+	}
+	consensus := func(r *rand.Rand) history.History { return randConsensusHistory(r, 3, 4+r.Intn(20)) }
+	register := func(r *rand.Rand) history.History { return randRegisterHistory(r, 3, 4+r.Intn(16)) }
+	crashRegister := func(r *rand.Rand) history.History { return randCrashRegisterHistory(r, 3, 4+r.Intn(16)) }
+	families := []struct {
+		name   string
+		spawn  func() Monitor
+		oracle func(history.History) bool
+		gen    func(r *rand.Rand) history.History
+	}{
+		{"agreement+validity", AgreementValidity{}.Spawn, oracleAgreementValidity, consensus},
+		{"1-set agreement", KSetAgreement{K: 1}.Spawn, oracleKSet(1), consensus},
+		{"2-set agreement", KSetAgreement{K: 2}.Spawn, oracleKSet(2), consensus},
+		{"mutual exclusion", MutualExclusion{}.Spawn, oracleMutex,
+			func(r *rand.Rand) history.History { return randMutexHistory(r, 3, 4+r.Intn(20)) }},
+		{"linearizability(register)", func() Monitor { return NewLinMonitor(reg) }, lin(reg, false), register},
+		{"linearizability(register), crash+recover", func() Monitor { return NewLinMonitor(reg) }, lin(reg, false), crashRegister},
+		{"linearizability(cas)", func() Monitor { return NewLinMonitor(cas) }, lin(cas, false),
+			func(r *rand.Rand) history.History { return randCASHistory(r, 3, 4+r.Intn(14)) }},
+		{"strict linearizability(register)", func() Monitor { return NewStrictLinMonitor(reg) }, lin(reg, true),
+			func(r *rand.Rand) history.History { return crashStop(r, register(r)) }},
+		{"strict linearizability(register), crash+recover", func() Monitor { return NewStrictLinMonitor(reg) }, lin(reg, true), crashRegister},
+	}
+	for _, fam := range families {
+		r := rand.New(rand.NewSource(12))
+		for i := 0; i < 200; i++ {
+			h := fam.gen(r)
+			at := r.Intn(len(h) + 1)
+			checkForkIndependence(t, fam.name, fam.spawn, fam.oracle, h, altSuffix(r, h[at:]), at)
+		}
+	}
+}
+
 // randConsensusHistory interleaves propose invocations and randomly
 // chosen (often invalid) decisions for n processes.
 func randConsensusHistory(r *rand.Rand, n, events int) history.History {

@@ -4,9 +4,9 @@ import (
 	"math/rand"
 	"strconv"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/history"
+	"repro/internal/quickseed"
 )
 
 // The from-scratch TM oracle: history.Transactions regroups the whole
@@ -418,7 +418,6 @@ func TestRandomTMHistoryShape(t *testing.T) {
 }
 
 func TestQuickOpacityMatchesBruteForce(t *testing.T) {
-	cfg := &quick.Config{MaxCount: 400}
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		h := randomTMHistory(r, 2, 24+r.Intn(24))
@@ -436,26 +435,20 @@ func TestQuickOpacityMatchesBruteForce(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
-	}
+	quickseed.Check(t, f, 400)
 }
 
 func TestQuickOpacityPrefixClosureOnRandomHistories(t *testing.T) {
-	cfg := &quick.Config{MaxCount: 150}
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		h := randomTMHistory(r, 2, 4+r.Intn(16))
 		return PrefixClosed(Opacity{}, h) && PrefixClosed(StrictSerializability{}, h)
 	}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
-	}
+	quickseed.Check(t, f, 150)
 }
 
 func TestQuickStrictSerializabilityWeakerThanOpacity(t *testing.T) {
 	// Opacity implies strict serializability on every history.
-	cfg := &quick.Config{MaxCount: 300}
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		h := randomTMHistory(r, 2, 4+r.Intn(20))
@@ -465,7 +458,5 @@ func TestQuickStrictSerializabilityWeakerThanOpacity(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
-	}
+	quickseed.Check(t, f, 300)
 }

@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/history"
+	"repro/internal/quickseed"
 )
 
 func TestQueueSpecBasics(t *testing.T) {
@@ -147,7 +147,6 @@ func TestQuickSpecsAcceptSequentialExecutions(t *testing.T) {
 		"stack":   {"push", "pop"},
 		"counter": {"inc", "get"},
 	}
-	cfg := &quick.Config{MaxCount: 120}
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		for _, spec := range specs {
@@ -159,9 +158,7 @@ func TestQuickSpecsAcceptSequentialExecutions(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
-	}
+	quickseed.Check(t, f, 120)
 }
 
 // sequentialHistory runs random operations through the spec sequentially,

@@ -159,38 +159,6 @@ func checkTMDigests(t *testing.T, h history.History, forkAt int, read func(i int
 	}
 }
 
-// checkTMForkIndependence forks a monitor of every TM property at forkAt
-// and steps the parent through the rest of h and the fork through alt,
-// one event each in turn, so an append by either into storage they
-// share would show; each must match the oracle on its own history.
-func checkTMForkIndependence(t *testing.T, h, alt history.History, forkAt int) {
-	t.Helper()
-	for _, p := range tmProps {
-		m := p.spawn()
-		for _, e := range h[:forkAt] {
-			m.Step(e)
-		}
-		fork := m.Fork()
-		hf := append(h[:forkAt:forkAt], alt...)
-		mo := &stickyOracle{holds: oracleTM(p.strict, p.rule)}
-		fo := &stickyOracle{holds: oracleTM(p.strict, p.rule)}
-		mo.at(t, h[:forkAt])
-		fo.at(t, h[:forkAt])
-		for i := forkAt; i < len(h) || i < len(hf); i++ {
-			if i < len(hf) {
-				if got, want := fork.Step(hf[i]), fo.at(t, hf[:i+1]); got != want {
-					t.Fatalf("%s: fork=%v oracle=%v at event %d of %s (forked at %d from %s)", p.name, got, want, i+1, hf, forkAt, h)
-				}
-			}
-			if i < len(h) {
-				if got, want := m.Step(h[i]), mo.at(t, h[:i+1]); got != want {
-					t.Fatalf("%s: monitor=%v oracle=%v at event %d of %s (fork stepped %s)", p.name, got, want, i+1, h, hf)
-				}
-			}
-		}
-	}
-}
-
 // shiftProcs renames process p to p%procs+1 in every event, so a fork
 // fed the result diverges from its parent on every process's records.
 func shiftProcs(h history.History, procs int) history.History {
@@ -226,9 +194,10 @@ func FuzzTMMonitor(f *testing.F) {
 		h := fuzzTMHistory(r, procs, fuzzTMMaxEvents)
 		forkAt := fork % (len(h) + 1)
 		for _, p := range tmProps {
-			crossCheck(t, p.name, func() Monitor { return p.spawn() }, oracleTM(p.strict, p.rule), h, forkAt)
+			spawn, oracle := func() Monitor { return p.spawn() }, oracleTM(p.strict, p.rule)
+			crossCheck(t, p.name, spawn, oracle, h, forkAt)
+			checkForkIndependence(t, p.name, spawn, oracle, h, shiftProcs(h[forkAt:], procs), forkAt)
 		}
-		checkTMForkIndependence(t, h, shiftProcs(h[forkAt:], procs), forkAt)
 		checkTMDigests(t, h, forkAt, func(i int) bool { return i%cadence == 0 })
 	})
 }

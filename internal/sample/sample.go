@@ -196,28 +196,8 @@ func Run(cfg Config) (*Stats, error) {
 	}
 	p.cond = sync.NewCond(&p.mu)
 	p.failBound.Store(math.MaxInt64)
-	// Loop 0 runs inline on the calling goroutine so the run always
-	// makes progress; the remaining loops are goroutines, or offers to
-	// the external executor (Config.Spawn), which may decline them. A
-	// loop that starts after every chunk is claimed exits immediately,
-	// so late-running accepted offers are harmless.
-	var wg sync.WaitGroup
-	for i := 1; i < workers; i++ {
-		wg.Add(1)
-		loop := func() {
-			defer wg.Done()
-			p.worker()
-		}
-		if cfg.Spawn != nil {
-			if !cfg.Spawn(loop) {
-				wg.Done()
-			}
-		} else {
-			go loop()
-		}
-	}
-	p.worker()
-	wg.Wait()
+	// A loop that starts after every chunk is claimed exits immediately.
+	explore.RunLoops(workers, cfg.Spawn, func(int) { p.worker() })
 	p.st.DistinctStates = len(p.distinct)
 	switch {
 	case p.fatal != nil:

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strings"
 	"sync"
 	"time"
 
@@ -169,42 +168,35 @@ func (s *Server) offer(loop func()) bool {
 	}
 }
 
-// tierFor returns the shared visited tier for a spec's target
-// configuration, creating it on first use. The key is target plus the
-// spec's procs override: visited entries are sound to share only
+// tierFor returns the shared visited tier for a spec's target,
+// creating it on first use. Visited entries are sound to share only
 // between checkers with identical object, environment and monitor
-// configurations, and within a target those are determined by the
-// process count (budgets such as depth and crashes are carried in the
-// entries themselves and compose by domination).
+// configurations, and a target fixes all three, its process count
+// included (JobChecker rejects any other); budgets such as depth and
+// crashes are carried in the entries themselves and compose by
+// domination.
 func (s *Server) tierFor(spec JobSpec) *slx.VisitedTier {
-	key := fmt.Sprintf("%s/%d", spec.Target, spec.Procs)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	t, ok := s.tiers[key]
+	t, ok := s.tiers[spec.Target]
 	if !ok {
 		t = slx.NewVisitedTier()
-		s.tiers[key] = t
+		s.tiers[spec.Target] = t
 	}
 	return t
 }
 
-// checker builds the job's checker and property: target options first,
-// then the spec's (so a spec overrides target defaults), then the
-// service-level context, shared tier and executor hook.
+// checker builds the job's checker and property through JobChecker,
+// adding the service-level shared tier, context and executor hook.
 func (s *Server) checker(ctx context.Context, spec JobSpec) (*slx.Checker, slx.Property, error) {
-	t, ok := LookupTarget(spec.Target)
-	if !ok {
-		return nil, nil, fmt.Errorf("unknown target %q (targets: %s)", spec.Target, strings.Join(TargetNames(), ", "))
-	}
-	opts := append(t.Options(), spec.Options()...)
+	var extra []slx.Option
 	if spec.SharedCache {
-		opts = append(opts, slx.WithVisitedTier(s.tierFor(spec)))
+		extra = append(extra, slx.WithVisitedTier(s.tierFor(spec)))
 	}
 	if ctx != nil {
-		opts = append(opts, slx.WithContext(ctx))
+		extra = append(extra, slx.WithContext(ctx))
 	}
-	opts = append(opts, slx.WithExecutor(s.offer))
-	return slx.New(opts...), t.Property(), nil
+	return JobChecker(spec, append(extra, slx.WithExecutor(s.offer))...)
 }
 
 // Submit validates and enqueues a job. The error string of a rejected

@@ -422,6 +422,16 @@ func TestValidationParity(t *testing.T) {
 			spec: service.JobSpec{Target: "consensus", Mode: "exhaustive", Spec: slx.Spec{Sample: true, Schedules: 10}},
 			want: func() string { return `mode "exhaustive" contradicts "sample": true` },
 		},
+		// A target is built for a fixed process count: more processes
+		// would only sit idle, and fewer would drop scripted work.
+		"procs-more": {
+			spec: service.JobSpec{Target: "consensus", Spec: slx.Spec{Procs: 3}},
+			want: func() string { return `procs: target "consensus" is built for 2 processes, got 3` },
+		},
+		"procs-fewer": {
+			spec: service.JobSpec{Target: "queueblast", Spec: slx.Spec{Procs: 4}},
+			want: func() string { return `procs: target "queueblast" is built for 8 processes, got 4` },
+		},
 	}
 	for name, tc := range cases {
 		tc := tc

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 
 	"repro/internal/service"
@@ -16,9 +15,9 @@ import (
 
 // inProcessVerdict judges a POST /v1/jobs body the way an in-process
 // caller would: decode it with unknown fields refused, apply the mode
-// rules, resolve the target and run ValidateExplore on a checker built
-// from the target's options and the spec's. It returns the message a
-// rejection must carry, and whether the body is rejected.
+// rules, build the job's checker through JobChecker (target lookup and
+// process count) and run ValidateExplore on it. It returns the message
+// a rejection must carry, and whether the body is rejected.
 func inProcessVerdict(body []byte) (string, bool) {
 	var spec service.JobSpec
 	dec := json.NewDecoder(bytes.NewReader(body))
@@ -37,15 +36,15 @@ func inProcessVerdict(body []byte) (string, bool) {
 	default:
 		return fmt.Sprintf(`unknown mode %q (want "exhaustive" or "sample")`, spec.Mode), true
 	}
-	t, ok := service.LookupTarget(spec.Target)
-	if !ok {
-		return fmt.Sprintf("unknown target %q (targets: %s)", spec.Target, strings.Join(service.TargetNames(), ", ")), true
-	}
-	opts := append(t.Options(), spec.Options()...)
+	var extra []slx.Option
 	if spec.SharedCache {
-		opts = append(opts, slx.WithVisitedTier(slx.NewVisitedTier()))
+		extra = append(extra, slx.WithVisitedTier(slx.NewVisitedTier()))
 	}
-	if err := slx.New(opts...).ValidateExplore(t.Property()); err != nil {
+	c, prop, err := service.JobChecker(spec, extra...)
+	if err == nil {
+		err = c.ValidateExplore(prop)
+	}
+	if err != nil {
 		return err.Error(), true
 	}
 	return "", false
@@ -53,9 +52,9 @@ func inProcessVerdict(body []byte) (string, bool) {
 
 // FuzzSubmitSpec sends arbitrary bodies through slxd's submit handler:
 // decoding with unknown fields refused, the mode rules, the target
-// lookup and ValidateExplore. The server is already shut down, so a
-// body that passes every check is answered 503 and never enqueued or
-// run. No body may panic the handler, and every rejection must be a 400
+// lookup, the process count and ValidateExplore. The server is already
+// shut down, so a body that passes every check is answered 503 and
+// never enqueued or run. No body may panic the handler, and every rejection must be a 400
 // whose message is the one the in-process checks give (the parity
 // TestValidationParity pins case by case). The seed corpus in
 // testdata/fuzz/FuzzSubmitSpec holds a sampling spec with d = 2⁶², which

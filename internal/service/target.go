@@ -11,6 +11,7 @@ package service
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"repro/slx"
 	"repro/slx/check"
@@ -29,9 +30,12 @@ type Target struct {
 	Name string
 	// About is the one-line description shown in listings.
 	About string
+	// Procs is the process count the target's objects and scripts are
+	// built for. A job may leave procs unset or repeat it; JobChecker
+	// rejects any other count.
+	Procs int
 	// Options builds the target's object, environment and process-count
-	// options. Spec options are appended after these, so a spec that
-	// sets procs overrides the target default.
+	// options.
 	Options func() []slx.Option
 	// Property builds the property to check. Called per job: monitors
 	// are stateful, so targets must not share property instances.
@@ -41,117 +45,103 @@ type Target struct {
 // targets is the registry. cmd/slx explore and the slxd daemon both
 // resolve target names here, so the CLI and the service cannot drift.
 var targets = map[string]Target{
-	"consensus": {
-		Name:  "consensus",
-		About: "commit-adopt consensus, agreement+validity",
-		Options: func() []slx.Option {
-			return []slx.Option{
-				slx.WithProcs(2),
-				slx.WithObject(func() run.Object { return consensus.NewCommitAdoptOF(2) }),
-				slx.WithEnv(func() run.Environment {
-					return consensus.ProposeOnce(map[int]hist.Value{1: 0, 2: 1})
-				}),
-			}
+	"consensus": target("consensus", "commit-adopt consensus, agreement+validity", 2,
+		func() run.Object { return consensus.NewCommitAdoptOF(2) },
+		func() run.Environment {
+			return consensus.ProposeOnce(map[int]hist.Value{1: 0, 2: 1})
 		},
-		Property: func() slx.Property { return check.AgreementValidity() },
-	},
-	"i12": {
-		Name:    "i12",
-		About:   "TM implementation I_12, property S",
-		Options: func() []slx.Option { return tmTarget(func() run.Object { return tm.NewI12(2) }) },
-		Property: func() slx.Property {
-			return check.PropertyS()
+		func() slx.Property { return check.AgreementValidity() }),
+	"i12": target("i12", "TM implementation I_12, property S", 2,
+		func() run.Object { return tm.NewI12(2) }, tmEnv,
+		func() slx.Property { return check.PropertyS() }),
+	"globalcas": target("globalcas", "global-CAS TM, opacity", 2,
+		func() run.Object { return tm.NewGlobalCAS(2) }, tmEnv,
+		func() slx.Property { return check.Opacity() }),
+	"lossyreg": target("lossyreg", "seeded-bug register (process 2's writes are lost), linearizability", 2,
+		func() run.Object { return &lossyRegister{v: 0} },
+		func() run.Environment {
+			return run.Script(map[int][]run.Invocation{
+				1: {{Op: "write", Arg: 1}, {Op: "read"}},
+				2: {{Op: "write", Arg: 2}, {Op: "read"}},
+			})
 		},
-	},
-	"globalcas": {
-		Name:    "globalcas",
-		About:   "global-CAS TM, opacity",
-		Options: func() []slx.Option { return tmTarget(func() run.Object { return tm.NewGlobalCAS(2) }) },
-		Property: func() slx.Property {
-			return check.Opacity()
-		},
-	},
-	"lossyreg": {
-		Name:  "lossyreg",
-		About: "seeded-bug register (process 2's writes are lost), linearizability",
-		Options: func() []slx.Option {
-			return []slx.Option{
-				slx.WithProcs(2),
-				slx.WithObject(func() run.Object { return &lossyRegister{v: 0} }),
-				slx.WithEnv(func() run.Environment {
-					return run.Script(map[int][]run.Invocation{
-						1: {{Op: "write", Arg: 1}, {Op: "read"}},
-						2: {{Op: "write", Arg: 2}, {Op: "read"}},
-					})
-				}),
-			}
-		},
-		Property: func() slx.Property {
+		func() slx.Property {
 			return check.Linearizability(check.RegisterSpec{Initial: 0})
+		}),
+	"durablequeue": target("durablequeue", "seeded recovery bug: roll-forward queue duplicates a crashed enqueue (explore with crashes+recoveries)", 2,
+		func() run.Object { return newDurQueue(2) },
+		func() run.Environment {
+			return run.Script(map[int][]run.Invocation{
+				1: {{Op: "enq", Arg: "a"}},
+				2: {{Op: "deq"}, {Op: "deq"}},
+			})
 		},
-	},
-	"durablequeue": {
-		Name:  "durablequeue",
-		About: "seeded recovery bug: roll-forward queue duplicates a crashed enqueue (explore with crashes+recoveries)",
-		Options: func() []slx.Option {
-			return []slx.Option{
-				slx.WithProcs(2),
-				slx.WithObject(func() run.Object { return newDurQueue(2) }),
-				slx.WithEnv(func() run.Environment {
-					return run.Script(map[int][]run.Invocation{
-						1: {{Op: "enq", Arg: "a"}},
-						2: {{Op: "deq"}, {Op: "deq"}},
-					})
-				}),
-			}
-		},
-		Property: func() slx.Property {
+		func() slx.Property {
 			return check.StrictLinearizability(check.QueueSpec{})
-		},
-	},
-	"queueblast": {
-		Name:  "queueblast",
-		About: "seeded deep-bug evicting queue, 8 procs, linearizability",
-		Options: func() []slx.Option {
-			return []slx.Option{
-				slx.WithProcs(8),
-				slx.WithObject(func() run.Object { return &blastQueue{} }),
-				slx.WithEnv(func() run.Environment {
-					script := map[int][]run.Invocation{}
-					for p := 1; p <= 4; p++ {
-						script[p] = []run.Invocation{{Op: "enq", Arg: fmt.Sprintf("v%d", p)}}
-					}
-					for p := 5; p <= 8; p++ {
-						script[p] = []run.Invocation{{Op: "deq"}, {Op: "deq"}}
-					}
-					return run.Script(script)
-				}),
+		}),
+	"queueblast": target("queueblast", "seeded deep-bug evicting queue, 8 procs, linearizability", 8,
+		func() run.Object { return &blastQueue{} },
+		func() run.Environment {
+			script := map[int][]run.Invocation{}
+			for p := 1; p <= 4; p++ {
+				script[p] = []run.Invocation{{Op: "enq", Arg: fmt.Sprintf("v%d", p)}}
 			}
+			for p := 5; p <= 8; p++ {
+				script[p] = []run.Invocation{{Op: "deq"}, {Op: "deq"}}
+			}
+			return run.Script(script)
 		},
-		Property: func() slx.Property {
+		func() slx.Property {
 			return check.Linearizability(check.QueueSpec{})
-		},
-	},
+		}),
 }
 
-// tmTarget is the shared environment of the two TM targets: each
-// process loops a single-write transaction on the same variable.
-func tmTarget(newObj func() run.Object) []slx.Option {
-	tpl := map[int]tm.Txn{
+// target builds a registry entry whose object and environment are built
+// for procs processes: the count is recorded once, as the entry's Procs
+// and its WithProcs option.
+func target(name, about string, procs int, newObj func() run.Object, newEnv func() run.Environment, prop func() slx.Property) Target {
+	return Target{
+		Name:  name,
+		About: about,
+		Procs: procs,
+		Options: func() []slx.Option {
+			return []slx.Option{slx.WithProcs(procs), slx.WithObject(newObj), slx.WithEnv(newEnv)}
+		},
+		Property: prop,
+	}
+}
+
+// tmEnv is the shared environment of the two TM targets: each process
+// loops a single-write transaction on the same variable.
+func tmEnv() run.Environment {
+	return tm.TxnLoop(map[int]tm.Txn{
 		1: {Accesses: []tm.Access{{Write: true, Var: "x", Val: 1}}},
 		2: {Accesses: []tm.Access{{Write: true, Var: "x", Val: 2}}},
-	}
-	return []slx.Option{
-		slx.WithProcs(2),
-		slx.WithObject(newObj),
-		slx.WithEnv(func() run.Environment { return tm.TxnLoop(tpl) }),
-	}
+	})
 }
 
 // LookupTarget resolves a registered target by name.
 func LookupTarget(name string) (Target, bool) {
 	t, ok := targets[name]
 	return t, ok
+}
+
+// JobChecker builds a job's checker and property: the target's options,
+// then the spec's, then extra. cmd/slx explore and slxd both build jobs
+// here, so they reject the same specs with the same text. A positive
+// procs must be the target's count, since every target builds its
+// objects and scripts for a fixed number of processes; a negative one
+// is left to ValidateExplore.
+func JobChecker(spec JobSpec, extra ...slx.Option) (*slx.Checker, slx.Property, error) {
+	t, ok := LookupTarget(spec.Target)
+	if !ok {
+		return nil, nil, fmt.Errorf("unknown target %q (targets: %s)", spec.Target, strings.Join(TargetNames(), ", "))
+	}
+	if spec.Procs > 0 && spec.Procs != t.Procs {
+		return nil, nil, fmt.Errorf("procs: target %q is built for %d processes, got %d", t.Name, t.Procs, spec.Procs)
+	}
+	opts := append(t.Options(), spec.Options()...)
+	return slx.New(append(opts, extra...)...), t.Property(), nil
 }
 
 // TargetNames lists the registered targets in sorted order.

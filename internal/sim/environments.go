@@ -1,7 +1,5 @@
 package sim
 
-import "repro/internal/history"
-
 // EnvironmentFunc adapts a function to the Environment interface.
 type EnvironmentFunc func(proc int, v *View) (Invocation, bool)
 
@@ -10,26 +8,11 @@ func (f EnvironmentFunc) Next(proc int, v *View) (Invocation, bool) {
 	return f(proc, v)
 }
 
-// invokesBy counts the invocation events of proc in h: the number of
-// operations the process has started, which is exactly the number of
-// environment consultations it has consumed (each consultation's chosen
-// operation is invoked before the next consultation). The stock
-// environments derive their position from it instead of keeping mutable
-// counters, which makes them stateless: a Session.Restore needs no
-// environment rewind at all.
-func invokesBy(h history.History, proc int) int {
-	n := 0
-	for i := range h {
-		if h[i].Kind == history.KindInvoke && h[i].Proc == proc {
-			n++
-		}
-	}
-	return n
-}
-
 // statelessEnv implements the RewindableEnv hook for environments whose
 // decisions are pure functions of (proc, view): there is no state to
-// capture.
+// capture. The stock environments derive their position from the
+// view's Invoked count instead of keeping mutable counters, so a
+// Session.Restore needs no environment rewind at all.
 type statelessEnv struct{}
 
 // EnvSnapshot implements RewindableEnv; stateless environments have
@@ -48,7 +31,7 @@ type oneShotEnv struct {
 // Next implements Environment.
 func (e *oneShotEnv) Next(proc int, v *View) (Invocation, bool) {
 	inv, ok := e.invs[proc]
-	if !ok || invokesBy(v.H, proc) > 0 {
+	if !ok || v.Invoked[proc] > 0 {
 		return Invocation{}, false
 	}
 	return inv, true
@@ -70,11 +53,10 @@ type scriptEnv struct {
 // Next implements Environment.
 func (e *scriptEnv) Next(proc int, v *View) (Invocation, bool) {
 	seq := e.script[proc]
-	i := invokesBy(v.H, proc)
-	if i >= len(seq) {
-		return Invocation{}, false
+	if i := v.Invoked[proc]; i < len(seq) {
+		return seq[i], true
 	}
-	return seq[i], true
+	return Invocation{}, false
 }
 
 // Script gives each process a fixed sequence of invocations, then parks it.

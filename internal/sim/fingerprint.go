@@ -49,48 +49,37 @@ type Fingerprintable interface {
 
 // fingerprint computes the canonical state fingerprint of the current
 // configuration: the object's declared state, plus each process's
-// control state — status (ready/idle/blocked/crashed, which also
-// encodes the crash set), completed-operation count (its position in a
-// view-independent environment's script), pending invocation, steps
-// taken within the pending operation (its program counter), and the
-// running digest of values it observed within the pending operation
-// (its mid-operation local state). It is called between step windows,
-// when no process is executing. ok is false when some folded value
-// poisoned the digest (see Fingerprinter.Val).
+// record — status (ready/idle/blocked/crashed, which also encodes the
+// crash set), completed-operation count, steps taken within the
+// pending operation (its program counter), the running digest of
+// values it observed within the pending operation (its mid-operation
+// local state), the pending invocation, and the crash–recovery state.
+// The recovery epoch and the invoked-operation count separate
+// configurations whose histories consumed different invocations
+// through crashed operations (the environment's position depends on
+// invocations, not completions), and the recovering flag separates a
+// recovery routine about to take its first step from a process between
+// operations. It is called between step windows, when no process is
+// executing. ok is false when some folded value poisoned the digest
+// (see Fingerprinter.Val).
 func (r *runtime) fingerprint() (fp uint64, ok bool) {
 	f := history.NewFingerprinter()
 	r.cfg.Object.(Fingerprintable).Fingerprint(f)
 	for id := 1; id <= r.cfg.Procs; id++ {
-		f.Int(int(r.status[id]))
-		f.Int(r.fpCompleted[id])
-		f.Int(r.fpOpSteps[id])
-		f.Uint64(r.fpObs[id])
-		if r.fpHasPend[id] {
-			p := &r.fpPending[id]
-			f.Bool(true)
-			f.Str(p.Op)
-			f.Str(p.Obj)
-			f.Val(p.Arg)
-		} else {
-			f.Bool(false)
+		ps := &r.ps[id]
+		f.Int(int(ps.status))
+		f.Int(ps.completed)
+		f.Int(ps.opSteps)
+		f.Uint64(ps.obs)
+		f.Bool(ps.hasPend)
+		if ps.hasPend {
+			f.Str(ps.pending.Op)
+			f.Str(ps.pending.Obj)
+			f.Val(ps.pending.Arg)
 		}
-		// Crash–recovery control state: the recovery epoch and the
-		// invoked-operation count separate configurations whose histories
-		// consumed different invocations through crashed operations (the
-		// environment's position depends on invocations, not completions),
-		// and the recovering flag separates a recovery routine about to
-		// take its first step from a process between operations. The
-		// arrays are nil exactly when no recover decision happened on this
-		// runtime, in which case every epoch is zero — the fold is a pure
-		// function of the configuration either way.
-		if r.recEpochs != nil {
-			f.Int(r.recEpochs[id])
-			f.Bool(r.recovering[id])
-		} else {
-			f.Int(0)
-			f.Bool(false)
-		}
-		f.Int(r.fpInvoked[id])
+		f.Int(ps.recEpoch)
+		f.Bool(ps.recovering)
+		f.Int(ps.invoked)
 	}
 	return f.Sum(), !f.Poisoned()
 }

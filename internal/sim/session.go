@@ -109,8 +109,8 @@ type SessionConfig struct {
 //
 //   - Snapshot: when the object supports snapshots (CanSnapshot) and the
 //     environment is a RewindableEnv. Restore is a plain struct copy —
-//     object snapshot, environment snapshot, per-process control state,
-//     forked frames — with zero re-executed steps.
+//     object snapshot, environment snapshot, the process records with
+//     their frames forked — with zero re-executed steps.
 //   - From root: otherwise. A mark records the number of decisions
 //     taken, and Restore rebuilds the configuration from a fresh object
 //     and environment by re-applying the marked prefix (plain stateless
@@ -211,7 +211,7 @@ func (s *Session) Ready() []int {
 func (s *Session) ReadyAppend(dst []int) []int {
 	r := s.rt
 	for id := 1; id <= r.cfg.Procs; id++ {
-		if r.status[id] == statusReady {
+		if r.ps[id].status == statusReady {
 			dst = append(dst, id)
 		}
 	}
@@ -224,7 +224,7 @@ func (s *Session) ReadyAppend(dst []int) []int {
 func (s *Session) CrashedAppend(dst []int) []int {
 	r := s.rt
 	for id := 1; id <= r.cfg.Procs; id++ {
-		if r.status[id] == statusCrashed {
+		if r.ps[id].status == statusCrashed {
 			dst = append(dst, id)
 		}
 	}
@@ -258,10 +258,8 @@ func (s *Session) Fingerprint() (uint64, bool) {
 
 // Mark captures the current configuration for a later Restore. Under
 // the snapshot strategy it holds the object and environment snapshots
-// plus a plain copy of each process's control state (status, counters,
-// pending invocation, forked continuation frame, chosen-but-uninvoked
-// next invocation); under the from-root strategy only the number of
-// decisions taken.
+// plus a copy of the process records, their frames forked; under the
+// from-root strategy only the number of decisions taken.
 type Mark struct {
 	decisions int // from-root strategy only
 	obj       any
@@ -270,29 +268,12 @@ type Mark struct {
 	steps     int
 	envCalls  int
 	poisoned  bool
-	procs     []procMark // index 0 unused
-	link      *Mark      // Session.Release freelist
+	procs     []procState // the records of processes 1..n
+	link      *Mark       // Session.Release freelist
 }
 
-// procMark is one process's control state at a mark.
-type procMark struct {
-	status     procStatus
-	stepsBy    int
-	completed  int
-	invoked    int
-	opSteps    int
-	obs        uint64
-	pending    Invocation
-	hasPend    bool
-	frame      Frame
-	next       Invocation
-	hasNext    bool
-	recEpoch   int
-	recovering bool
-}
-
-// Mark snapshots the current configuration. Marks are cheap (a flat
-// copy of control state plus forked frames) and poolable: Release
+// Mark snapshots the current configuration. Marks are cheap (one copy
+// of the process records plus forked frames) and poolable: Release
 // returns one to the session for reuse.
 func (s *Session) Mark() *Mark {
 	r := s.rt
@@ -308,7 +289,7 @@ func (s *Session) Mark() *Mark {
 		return m
 	}
 	if m.procs == nil {
-		m.procs = make([]procMark, r.cfg.Procs+1)
+		m.procs = make([]procState, r.cfg.Procs)
 	}
 	m.obj = s.obj.Snapshot()
 	m.env = s.renv.EnvSnapshot()
@@ -316,33 +297,19 @@ func (s *Session) Mark() *Mark {
 	m.steps = r.steps
 	m.envCalls = r.envCalls
 	m.poisoned = r.fpPoisoned
-	for id := 1; id <= r.cfg.Procs; id++ {
-		pm := &m.procs[id]
-		pm.status = r.status[id]
-		pm.stepsBy = r.stepsBy[id]
-		pm.completed = r.fpCompleted[id]
-		pm.invoked = r.fpInvoked[id]
-		pm.opSteps = r.fpOpSteps[id]
-		pm.recEpoch = 0
-		pm.recovering = false
-		if r.recEpochs != nil {
-			pm.recEpoch = r.recEpochs[id]
-			pm.recovering = r.recovering[id]
-		}
-		pm.obs = 0
-		if r.fpTrack {
-			pm.obs = r.fpObs[id]
-		}
-		pm.pending = r.fpPending[id]
-		pm.hasPend = r.fpHasPend[id]
-		pm.frame = nil
-		if f := r.frames[id]; f != nil {
-			pm.frame = f.Fork()
-		}
-		pm.next = r.next[id]
-		pm.hasNext = r.hasNext[id]
-	}
+	copy(m.procs, r.ps[1:])
+	forkFrames(m.procs)
 	return m
+}
+
+// forkFrames replaces each in-flight frame in ps by a fork, so the
+// records step independently of those they were copied from.
+func forkFrames(ps []procState) {
+	for i := range ps {
+		if f := ps[i].frame; f != nil {
+			ps[i].frame = f.Fork()
+		}
+	}
 }
 
 // Release returns a mark to the session's pool for reuse by a later
@@ -356,19 +323,15 @@ func (s *Session) Release(m *Mark) {
 	}
 	m.obj = nil
 	m.env = nil
-	for i := range m.procs {
-		m.procs[i].pending = Invocation{}
-		m.procs[i].frame = nil
-		m.procs[i].next = Invocation{}
-	}
+	clear(m.procs)
 	m.link = s.free
 	s.free = m
 }
 
 // Restore rewinds the session to a mark taken earlier on the current
 // execution path and returns the number of simulator steps it
-// re-executed. Under the snapshot strategy that is always 0: a plain
-// struct copy of the control state plus the object and environment
+// re-executed. Under the snapshot strategy that is always 0: a copy of
+// the marked process records plus the object and environment
 // snapshots. Under the from-root strategy a restore that moves
 // discards the runtime, starts over from a fresh object and
 // environment, and re-applies the marked prefix.
@@ -384,7 +347,7 @@ func (s *Session) Restore(m *Mark) (int, error) {
 	if !moved {
 		same := true
 		for id := 1; id <= r.cfg.Procs; id++ {
-			if r.status[id] != m.procs[id].status {
+			if r.ps[id].status != m.procs[id-1].status {
 				same = false
 				break
 			}
@@ -400,34 +363,10 @@ func (s *Session) Restore(m *Mark) (int, error) {
 	r.eventSteps = r.eventSteps[:m.hLen]
 	r.steps = m.steps
 	r.fpPoisoned = m.poisoned
-	for id := 1; id <= r.cfg.Procs; id++ {
-		pm := &m.procs[id]
-		r.status[id] = pm.status
-		r.stepsBy[id] = pm.stepsBy
-		r.fpCompleted[id] = pm.completed
-		r.fpInvoked[id] = pm.invoked
-		r.fpOpSteps[id] = pm.opSteps
-		if r.recEpochs != nil {
-			// Marks taken before the first recover hold zeros; arrays stay
-			// allocated across restores (the fingerprint fold reads zeros
-			// from both states identically).
-			r.recEpochs[id] = pm.recEpoch
-			r.recovering[id] = pm.recovering
-		}
-		if r.fpTrack {
-			r.fpObs[id] = pm.obs
-		}
-		r.fpPending[id] = pm.pending
-		r.fpHasPend[id] = pm.hasPend
-		r.frames[id] = nil
-		if pm.frame != nil {
-			// Fork on the way out too: the same mark may be restored
-			// many times, and the live frame must not mutate the mark's.
-			r.frames[id] = pm.frame.Fork()
-		}
-		r.next[id] = pm.next
-		r.hasNext[id] = pm.hasNext
-	}
+	// Fork on the way out too: the same mark may be restored many
+	// times, and the live frames must not mutate the mark's.
+	copy(r.ps[1:], m.procs)
+	forkFrames(r.ps[1:])
 	if moved {
 		s.obj.Restore(m.obj)
 	}

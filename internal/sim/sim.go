@@ -20,7 +20,10 @@
 // runtime with a Scheduler. Session is the executor the exploration
 // engines drive: a live configuration extended one decision at a time
 // and rewound to marks, either by snapshot (a plain struct copy) or by
-// rebuilding from the root.
+// rebuilding from the root. As in the paper's model, where each process
+// is one automaton with its own local state, the runtime keeps each
+// process's control state — status, counters, pending invocation,
+// in-flight frame — in one record, which a mark copies whole.
 //
 // The runtime records the external history (invocations, responses, crash
 // events) exactly as defined in internal/history, along with per-event step
@@ -190,6 +193,10 @@ type View struct {
 	// StepsBy[i] is the number of steps granted to process i; index 0 is
 	// unused (processes are 1-based).
 	StepsBy []int
+	// Invoked[i] is the number of operations process i has invoked —
+	// completed, pending or killed by a crash — which is the number of
+	// environment choices it has consumed; index 0 is unused.
+	Invoked []int
 }
 
 // ReadyContains reports whether proc is ready.
@@ -381,13 +388,14 @@ func (p *Proc) Observe(v history.Value) {
 	}
 	// r.fpEnc is reused across calls (windows are serialized, so no two
 	// Observes race) to keep its encoding buffer warm on this hot path.
-	r.fpEnc.Restart(r.fpObs[p.id])
+	obs := &r.ps[p.id].obs
+	r.fpEnc.Restart(*obs)
 	r.fpEnc.Val(v)
 	if r.fpEnc.Poisoned() {
 		r.fpPoisoned = true
 		return
 	}
-	r.fpObs[p.id] = r.fpEnc.Sum()
+	*obs = r.fpEnc.Sum()
 }
 
 // Block parks the process forever: the current operation never completes
@@ -398,17 +406,57 @@ func (p *Proc) Block() {
 	panic(errBlocked)
 }
 
+// procState is one process's control state: all of the configuration
+// that belongs to the process rather than to the object. Session.Mark
+// copies the records whole (forking the frames), Restore copies them
+// back, and the fingerprint folds each of them.
+type procState struct {
+	status  procStatus
+	stepsBy int // steps granted
+	// pending is the invoked operation awaiting its response (valid
+	// when hasPend), opSteps the steps taken within it (its program
+	// counter) and obs the digest of the values it observed (its local
+	// state, kept up only when the run fingerprints).
+	pending Invocation
+	opSteps int
+	obs     uint64
+	// completed and invoked count the operations finished and started.
+	// They drift apart only through crashes: an operation killed by a
+	// crash consumed an environment invocation without completing, and
+	// the stock environments derive their position from the invoked
+	// count, so the fingerprint must separate configurations that
+	// differ only in it.
+	completed int
+	invoked   int
+	// recEpoch counts recover decisions; recovering marks a process
+	// running its recovery routine.
+	recEpoch int
+	// frame is the in-flight operation's continuation (nil between
+	// operations); next is the invocation the environment chose that the
+	// process has not yet invoked, valid when hasNext.
+	frame Frame
+	next  Invocation
+
+	hasPend, hasNext, recovering bool
+}
+
+// endOp resets the in-operation state when an operation or a recovery
+// routine ends: its local variables die with it.
+func (ps *procState) endOp() {
+	ps.opSteps = 0
+	ps.obs = history.DigestSeed()
+}
+
 type runtime struct {
 	cfg   Config
 	env   Environment
-	procs []*Proc // index 0 unused
+	procs []Proc      // handles, index 0 unused
+	ps    []procState // control state, index 0 unused
 
 	h          history.History
 	eventSteps []int
 	steps      int
-	stepsBy    []int
-	schedule   []Decision   // decisions applied (Run and from-root sessions)
-	status     []procStatus // index 0 unused
+	schedule   []Decision // decisions applied (Run and from-root sessions)
 
 	// Footprint tracking (only when the object opts in via Footprinted).
 	// The decl* fields accumulate the declarations of the current granted
@@ -422,37 +470,15 @@ type runtime struct {
 	declMixed bool
 	lazyStep  bool
 
-	// Control state: the per-process pending invocation, steps taken
-	// within the pending operation, completed-operation and
-	// invoked-operation counts, index 0 unused. Fingerprinting needs it
-	// to encode program counters; sessions need it to rebuild processes
-	// on Restore. The invoked count exists for recovery: an operation
-	// killed by a crash consumed an environment invocation without ever
-	// completing, and stateless environments derive their position from
-	// invocation counts, so the fingerprint must separate configurations
-	// that differ only in consumed-but-never-completed invocations.
-	fpPending   []Invocation
-	fpHasPend   []bool
-	fpOpSteps   []int
-	fpCompleted []int
-	fpInvoked   []int
-
-	// Crash–recovery state: recObj is the object's Recoverable facet
-	// (nil when not implemented), recEpochs counts recover decisions per
-	// process, and recovering marks processes currently executing their
-	// recovery routine. The two arrays stay nil until the first recover
-	// decision, so crash-free runs pay nothing for them.
-	recObj     Recoverable
-	recEpochs  []int
-	recovering []bool
+	// recObj is the object's Recoverable facet (nil when not
+	// implemented).
+	recObj Recoverable
 
 	// State-fingerprint tracking (only when Config.Fingerprint is set and
-	// the object opts in via Fingerprintable): the running observation
-	// digest of each process's pending operation. fpPoisoned marks a run
+	// the object opts in via Fingerprintable). fpPoisoned marks a run
 	// whose local state depends on a scheduling-time view (LazyArg),
 	// which no configuration fingerprint can capture.
 	fpTrack    bool
-	fpObs      []uint64
 	fpPoisoned bool
 	fpEnc      Fingerprinter // reused by Observe for its encoding buffer
 
@@ -460,19 +486,13 @@ type runtime struct {
 	// the object does not track footprints).
 	lastAccess Access
 
-	// Continuation state: stepped is the machine operations begin on
-	// (the object's own, or the blocking-Apply adapter), frames holds
-	// each process's in-flight operation continuation (nil between
-	// operations), next/hasNext the invocation the environment chose but
-	// the process has not yet invoked, and envCalls the total number of
+	// stepped is the machine operations begin on (the object's own, or
+	// the blocking-Apply adapter), and envCalls the total number of
 	// environment consultations made (so Restore knows whether the
 	// environment needs rewinding). vw is the reusable view handed to
 	// environments and LazyArgs: it is valid only for the duration of
 	// the call.
 	stepped  Stepped
-	frames   []Frame      // index 0 unused
-	next     []Invocation // index 0 unused
-	hasNext  []bool       // index 0 unused
 	envCalls int
 	vw       View
 }
@@ -511,31 +531,31 @@ func (r *runtime) endWindow(evBefore int) Access {
 func (r *runtime) record(e history.Event) {
 	r.h = append(r.h, e)
 	r.eventSteps = append(r.eventSteps, r.steps)
+	ps := &r.ps[e.Proc]
 	switch e.Kind {
 	case history.KindInvoke:
-		r.fpPending[e.Proc] = Invocation{Op: e.Op, Obj: e.Obj, Arg: e.Arg}
-		r.fpHasPend[e.Proc] = true
-		r.fpInvoked[e.Proc]++
+		ps.pending = Invocation{Op: e.Op, Obj: e.Obj, Arg: e.Arg}
+		ps.hasPend = true
+		ps.invoked++
 	case history.KindResponse:
-		// The operation is over: its local variables are dead, so the
-		// observation digest and in-operation step counter reset.
-		r.fpHasPend[e.Proc] = false
-		r.fpCompleted[e.Proc]++
-		r.fpOpSteps[e.Proc] = 0
-		if r.fpTrack {
-			r.fpObs[e.Proc] = history.DigestSeed()
-		}
+		ps.hasPend = false
+		ps.completed++
+		ps.endOp()
 	}
+}
+
+// counts returns the zeroed StepsBy and Invoked slices of a view over
+// n processes, carved from one allocation.
+func counts(n int) (stepsBy, invoked []int) {
+	buf := make([]int, 2*(n+1))
+	return buf[: n+1 : n+1], buf[n+1:]
 }
 
 // view builds a fresh View for a Run scheduler, which may retain it.
 func (r *runtime) view() *View {
-	v := &View{
-		H:       r.h[:len(r.h):len(r.h)],
-		Steps:   r.steps,
-		StepsBy: append([]int(nil), r.stepsBy...),
-	}
-	r.fillStatuses(v)
+	v := &View{H: r.h[:len(r.h):len(r.h)], Steps: r.steps}
+	v.StepsBy, v.Invoked = counts(r.cfg.Procs)
+	r.fill(v)
 	return v
 }
 
@@ -546,20 +566,23 @@ func (r *runtime) envView() *View {
 	v := &r.vw
 	v.H = r.h[:len(r.h):len(r.h)]
 	v.Steps = r.steps
-	v.StepsBy = append(v.StepsBy[:0], r.stepsBy...)
 	v.Ready = v.Ready[:0]
 	v.Idle = v.Idle[:0]
 	v.Blocked = v.Blocked[:0]
 	v.Crashed = v.Crashed[:0]
-	r.fillStatuses(v)
+	r.fill(v)
 	return v
 }
 
-// fillStatuses appends each process id, in order, to the view's list
-// for its status.
-func (r *runtime) fillStatuses(v *View) {
+// fill writes each process's counts into the view's StepsBy and
+// Invoked, which the caller sized, and appends its id, in order, to
+// the view's list for its status.
+func (r *runtime) fill(v *View) {
 	for id := 1; id <= r.cfg.Procs; id++ {
-		switch r.status[id] {
+		ps := &r.ps[id]
+		v.StepsBy[id] = ps.stepsBy
+		v.Invoked[id] = ps.invoked
+		switch ps.status {
 		case statusReady:
 			v.Ready = append(v.Ready, id)
 		case statusIdle:
@@ -591,23 +614,14 @@ func ownMachine(o Object) Stepped {
 // initial readiness is deterministic: process id's environment sees
 // the statuses of 1..id-1.
 func newRuntime(cfg Config, env Environment) *runtime {
-	n := cfg.Procs + 1
 	r := &runtime{
-		cfg:         cfg,
-		env:         env,
-		procs:       make([]*Proc, n),
-		stepsBy:     make([]int, n),
-		status:      make([]procStatus, n),
-		fpPending:   make([]Invocation, n),
-		fpHasPend:   make([]bool, n),
-		fpOpSteps:   make([]int, n),
-		fpCompleted: make([]int, n),
-		fpInvoked:   make([]int, n),
-		stepped:     ownMachine(cfg.Object),
-		frames:      make([]Frame, n),
-		next:        make([]Invocation, n),
-		hasNext:     make([]bool, n),
+		cfg:     cfg,
+		env:     env,
+		procs:   make([]Proc, cfg.Procs+1),
+		ps:      make([]procState, cfg.Procs+1),
+		stepped: ownMachine(cfg.Object),
 	}
+	r.vw.StepsBy, r.vw.Invoked = counts(cfg.Procs)
 	if r.stepped == nil {
 		r.stepped = applyMachine{cfg.Object}
 	}
@@ -617,56 +631,31 @@ func newRuntime(cfg Config, env Environment) *runtime {
 	r.recObj, _ = cfg.Object.(Recoverable)
 	if _, ok := cfg.Object.(Fingerprintable); ok && cfg.Fingerprint {
 		r.fpTrack = true
-		r.fpObs = make([]uint64, n)
-		for i := range r.fpObs {
-			r.fpObs[i] = history.DigestSeed()
-		}
 	}
 	for id := 1; id <= cfg.Procs; id++ {
-		r.procs[id] = &Proc{id: id, n: cfg.Procs, rt: r}
+		r.procs[id] = Proc{id: id, n: cfg.Procs, rt: r}
+		r.ps[id].obs = history.DigestSeed()
 		r.consultEnv(id)
 	}
 	return r
 }
 
 // consultEnv asks the environment for process id's next invocation and
-// records the outcome in the per-process control state: a process with
-// no further work is idle, not ready, matching the paper's fairness
-// notion that only enabled actions demand turns. The process's own
-// status is still its pre-consultation value (ready mid-run, unset at
-// startup, crashed at a recover decision).
+// records the outcome in the process's record: a process with no
+// further work is idle, not ready, matching the paper's fairness notion
+// that only enabled actions demand turns. The process's own status is
+// still its pre-consultation value (ready mid-run, unset at startup,
+// crashed at a recover decision).
 func (r *runtime) consultEnv(id int) {
 	r.envCalls++
-	if inv, ok := r.env.Next(id, r.envView()); ok {
-		r.next[id] = inv
-		r.hasNext[id] = true
-		r.status[id] = statusReady
+	inv, ok := r.env.Next(id, r.envView())
+	ps := &r.ps[id]
+	ps.hasNext = ok
+	if ok {
+		ps.next = inv
+		ps.status = statusReady
 	} else {
-		r.hasNext[id] = false
-		r.status[id] = statusIdle
-	}
-}
-
-// noteRecover bumps a process's recovery epoch, lazily allocating the
-// recovery-tracking arrays on the first recover decision.
-func (r *runtime) noteRecover(id int) {
-	if r.recEpochs == nil {
-		r.recEpochs = make([]int, r.cfg.Procs+1)
-		r.recovering = make([]bool, r.cfg.Procs+1)
-	}
-	r.recEpochs[id]++
-}
-
-// recoveryDone marks the end of a process's recovery routine: the
-// routine's step counter and observation digest die with it, so the
-// next operation starts from clean in-operation state.
-func (r *runtime) recoveryDone(id int) {
-	if r.recovering != nil {
-		r.recovering[id] = false
-	}
-	r.fpOpSteps[id] = 0
-	if r.fpTrack {
-		r.fpObs[id] = history.DigestSeed()
+		ps.status = statusIdle
 	}
 }
 
@@ -683,10 +672,11 @@ func (r *runtime) applyDecision(d Decision) error {
 	if d.Crash && d.Recover {
 		return fmt.Errorf("sim: decision cannot both crash and recover process %d", id)
 	}
+	ps := &r.ps[id]
 	var a Access
 	switch {
 	case d.Crash:
-		if r.status[id] == statusCrashed {
+		if ps.status == statusCrashed {
 			return fmt.Errorf("sim: scheduler crashed process %d twice", id)
 		}
 		// The crashed process keeps its pending invocation and its frame:
@@ -694,41 +684,38 @@ func (r *runtime) applyDecision(d Decision) error {
 		// pending operations of crashed processes), they just never run —
 		// unless a later recover decision discards them.
 		r.record(history.Crash(id))
-		r.status[id] = statusCrashed
+		ps.status = statusCrashed
 		if r.recObj != nil {
 			r.recObj.CrashVolatile()
 		}
 		a = Access{Known: true, Crash: true}
 	case d.Recover:
-		if r.status[id] != statusCrashed {
+		if ps.status != statusCrashed {
 			return fmt.Errorf("sim: scheduler recovered non-crashed process %d", id)
 		}
 		r.record(history.Recover(id))
-		r.noteRecover(id)
-		r.fpPending[id] = Invocation{}
-		r.fpHasPend[id] = false
-		r.fpOpSteps[id] = 0
-		if r.fpTrack {
-			r.fpObs[id] = history.DigestSeed()
-		}
+		ps.recEpoch++
+		ps.pending = Invocation{}
+		ps.hasPend = false
+		ps.endOp()
 		var rec Frame
 		if r.recObj != nil {
 			rec = r.recObj.RecoverFrame()
 		}
 		// Set unconditionally: the process may have crashed during a
 		// previous recovery routine, leaving the flag true.
-		r.recovering[id] = rec != nil
+		ps.recovering = rec != nil
 		r.restart(id, rec)
 		a = Access{Known: true, Recover: true}
 	default:
-		if r.status[id] != statusReady {
+		if ps.status != statusReady {
 			return fmt.Errorf("sim: scheduler stepped non-ready process %d", id)
 		}
 		r.steps++
-		r.stepsBy[id]++
+		ps.stepsBy++
 		// Incremented before the window so a response recorded within it
 		// (which ends the operation) resets the counter to zero.
-		r.fpOpSteps[id]++
+		ps.opSteps++
 		evBefore := len(r.h)
 		r.beginWindow()
 		if err := r.step(id); err != nil {
@@ -751,17 +738,17 @@ func (r *runtime) applyDecision(d Decision) error {
 // and begins the operation. The caller (applyDecision) has validated
 // the decision and opened the window.
 func (r *runtime) step(id int) error {
-	p := r.procs[id]
+	p, ps := &r.procs[id], &r.ps[id]
 	var val history.Value
 	var st StepStatus
-	if f := r.frames[id]; f != nil {
+	if f := ps.frame; f != nil {
 		val, st = f.Step(p)
 		if st != StepPaused {
-			r.frames[id] = nil
+			ps.frame = nil
 		}
 	} else {
-		inv := r.next[id]
-		r.hasNext[id] = false
+		inv := ps.next
+		ps.hasNext = false
 		if la, lazy := inv.Arg.(LazyArg); lazy {
 			inv.Arg = la(r.envView())
 			r.lazyStep = true
@@ -774,7 +761,7 @@ func (r *runtime) step(id int) error {
 		var f Frame
 		f, val, st = r.stepped.Begin(p, inv)
 		if st == StepPaused {
-			r.frames[id] = f
+			ps.frame = f
 		}
 	}
 	switch st {
@@ -782,22 +769,22 @@ func (r *runtime) step(id int) error {
 		// The operation pauses at its next step boundary; the process
 		// stays ready.
 	case StepBlocked:
-		r.status[id] = statusBlocked
+		ps.status = statusBlocked
 	case StepDone:
-		if r.recovering != nil && r.recovering[id] {
+		if ps.recovering {
 			// A completed recovery routine records no response — recovery
 			// is not an operation — but the next-environment consultation
 			// still happens within the same window.
-			r.recoveryDone(id)
+			ps.recovering = false
+			ps.endOp()
 			r.consultEnv(id)
 			break
 		}
 		// Response and next-environment consultation happen within the
 		// same window.
-		pend := r.fpPending[id]
 		r.record(history.Event{
 			Kind: history.KindResponse, Proc: id,
-			Op: pend.Op, Obj: pend.Obj, Val: val,
+			Op: ps.pending.Op, Obj: ps.pending.Obj, Val: val,
 		})
 		r.consultEnv(id)
 	default:
@@ -813,10 +800,11 @@ func (r *runtime) step(id int) error {
 // immediately, within the recover decision.
 func (r *runtime) restart(id int, rec Frame) {
 	r.dropFrame(id)
-	r.hasNext[id] = false
+	ps := &r.ps[id]
+	ps.hasNext = false
 	if rec != nil {
-		r.frames[id] = rec
-		r.status[id] = statusReady
+		ps.frame = rec
+		ps.status = statusReady
 		return
 	}
 	r.consultEnv(id)
@@ -825,10 +813,10 @@ func (r *runtime) restart(id int, rec Frame) {
 // dropFrame discards process id's in-flight frame, unwinding it first
 // when it is a parked blocking Apply call.
 func (r *runtime) dropFrame(id int) {
-	if f, ok := r.frames[id].(*applyFrame); ok {
+	if f, ok := r.ps[id].frame.(*applyFrame); ok {
 		f.halt()
 	}
-	r.frames[id] = nil
+	r.ps[id].frame = nil
 }
 
 // shutdown discards every in-flight frame, so no blocking Apply call
@@ -885,8 +873,8 @@ func Run(cfg Config) *Result {
 	res.EventSteps = r.eventSteps
 	res.Schedule = r.schedule
 	res.Steps = r.steps
-	res.StepsBy = r.stepsBy
 	final := r.view()
+	res.StepsBy = final.StepsBy
 	res.Idle = final.Idle
 	res.Blocked = final.Blocked
 	res.Crashed = final.Crashed

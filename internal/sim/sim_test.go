@@ -4,10 +4,10 @@ import (
 	"errors"
 	goruntime "runtime"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/base"
 	"repro/internal/history"
+	"repro/internal/quickseed"
 )
 
 // regObject exposes a single register through read/write operations; used
@@ -332,6 +332,66 @@ func TestRandomCrashyInjectsAtMostMax(t *testing.T) {
 	}
 }
 
+// TestViewCountsMatchHistory: under crashes and recoveries, every view
+// a scheduler or an environment sees counts, per process, the steps
+// granted and the invocation events its history holds (crashed
+// operations included), which is the position the stock environments
+// read.
+func TestViewCountsMatchHistory(t *testing.T) {
+	check := func(who string, v *View) {
+		steps := 0
+		for id := 1; id < len(v.StepsBy); id++ {
+			steps += v.StepsBy[id]
+			invoked := 0
+			for _, e := range v.H {
+				if e.Kind == history.KindInvoke && e.Proc == id {
+					invoked++
+				}
+			}
+			if v.Invoked[id] != invoked {
+				t.Fatalf("%s view: Invoked[%d] = %d, history holds %d invocations: %s", who, id, v.Invoked[id], invoked, v.H)
+			}
+		}
+		if steps != v.Steps {
+			t.Fatalf("%s view: StepsBy sums to %d, Steps = %d", who, steps, v.Steps)
+		}
+	}
+	recovered := 0
+	for seed := int64(1); seed <= 20; seed++ {
+		sched := RandomRecovery(seed, 0.2, 0.3, 3, 3)
+		script := Script(map[int][]Invocation{
+			1: {{Op: "write", Arg: 1}, {Op: "read"}, {Op: "write", Arg: 3}},
+			2: {{Op: "read"}, {Op: "write", Arg: 2}},
+			3: {{Op: "read"}, {Op: "read"}, {Op: "read"}},
+		})
+		res := Run(Config{
+			Procs:  3,
+			Object: newRegObject(),
+			Env: EnvironmentFunc(func(proc int, v *View) (Invocation, bool) {
+				check("environment", v)
+				return script.Next(proc, v)
+			}),
+			Scheduler: SchedulerFunc(func(v *View) (Decision, bool) {
+				check("scheduler", v)
+				return sched.Next(v)
+			}),
+			MaxSteps:         60,
+			RecoverQuiescent: true,
+		})
+		if res.Err != nil {
+			t.Fatalf("seed %d: %v", seed, res.Err)
+		}
+		for _, e := range res.H {
+			if e.Kind == history.KindRecover {
+				recovered++
+			}
+		}
+	}
+	if recovered == 0 {
+		t.Fatal("no run recovered a crashed process")
+	}
+}
+
 func TestQuickDeterminismPerSeed(t *testing.T) {
 	// Two runs with the same seed must produce identical histories,
 	// schedules, and step counts.
@@ -361,9 +421,7 @@ func TestQuickDeterminismPerSeed(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
+	quickseed.Check(t, f, 100)
 }
 
 func TestSeqScheduler(t *testing.T) {

@@ -165,17 +165,6 @@ func TestIncrementalFallbackTransparent(t *testing.T) {
 	}
 }
 
-// invokesBy counts proc's invocation events in h.
-func invokesBy(h hist.History, proc int) int {
-	n := 0
-	for _, e := range h {
-		if e.Proc == proc && e.Kind == hist.KindInvoke {
-			n++
-		}
-	}
-	return n
-}
-
 // viewEnv issues invocations that depend on the observed view: each
 // process writes the current history length (different in every
 // interleaving), then reads, then stops. Both strategies must consult
@@ -187,7 +176,7 @@ func invokesBy(h hist.History, proc int) int {
 type viewEnv struct{}
 
 func (viewEnv) Next(proc int, v *run.View) (run.Invocation, bool) {
-	switch invokesBy(v.H, proc) {
+	switch v.Invoked[proc] {
 	case 0:
 		return run.Invocation{Op: "write", Arg: 100*proc + len(v.H)}, true
 	case 1:
@@ -299,7 +288,7 @@ type orderEnv struct{ last int }
 func (e *orderEnv) Next(proc int, v *run.View) (run.Invocation, bool) {
 	prev := e.last
 	e.last = proc
-	if invokesBy(v.H, proc) >= 2 {
+	if v.Invoked[proc] >= 2 {
 		return run.Invocation{}, false
 	}
 	return run.Invocation{Op: "write", Arg: prev}, true

@@ -137,7 +137,9 @@ type Scheduler = sim.Scheduler
 type SchedulerFunc = sim.SchedulerFunc
 
 // View is a read-only snapshot of the run passed to schedulers and
-// environments.
+// environments. StepsBy and Invoked count each process's granted steps
+// and invoked operations; the stock environments (Script, OneShot)
+// read their position from Invoked.
 type View = sim.View
 
 // StopReason says why a run ended.
