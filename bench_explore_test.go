@@ -19,6 +19,7 @@ package repro_test
 import (
 	"testing"
 
+	"repro/internal/queue"
 	"repro/slx"
 	"repro/slx/check"
 	"repro/slx/consensus"
@@ -403,6 +404,28 @@ func BenchmarkExploreDSTM(b *testing.B) {
 		}),
 	)
 	benchExplore(b, c, check.Opacity())
+}
+
+// BenchmarkExploreQueueMonitor is slxbench's queue3 job shape: three
+// processes each enqueue a string and dequeue once on the CAS-based
+// queue, explored for linearizability against QueueSpec at depth 7 with
+// default options. QueueSpec's states are strings rebuilt on every
+// apply, so this is the section where the monitor's spec transitions
+// cost most.
+func BenchmarkExploreQueueMonitor(b *testing.B) {
+	c := slx.New(
+		slx.WithProcs(3),
+		slx.WithDepth(7),
+		slx.WithObject(func() run.Object { return queue.NewCASQueue() }),
+		slx.WithEnv(func() run.Environment {
+			return run.Script(map[int][]run.Invocation{
+				1: {{Op: "enq", Arg: "a"}, {Op: "deq"}},
+				2: {{Op: "deq"}, {Op: "enq", Arg: "b"}},
+				3: {{Op: "enq", Arg: "c"}, {Op: "deq"}},
+			})
+		}),
+	)
+	benchExplore(b, c, check.Linearizability(check.QueueSpec{}))
 }
 
 // BenchmarkExploreCommitAdoptCache is the README's cache workload:

@@ -71,6 +71,7 @@ var sections = map[string]string{
 	"BenchmarkExploreRecoveryMonitor":         "recovery",
 	"BenchmarkExploreRecoveryCachePOR":        "recovery_cache_por",
 	"BenchmarkExploreDSTM":                    "dstm",
+	"BenchmarkExploreQueueMonitor":            "queue_monitor",
 	"BenchmarkExploreCommitAdoptCache":        "commit_adopt_cache",
 	"BenchmarkSampleThroughput":               "sample",
 	"BenchmarkSampleThroughputReplay":         "sample_replay",

@@ -30,9 +30,45 @@ const (
 	fuzzMaxOps = 300
 )
 
-// fuzzInvoke decodes an invocation of process p on a register (read,
-// write) or, with cas, a compare-and-swap object (read, write, cas).
-func fuzzInvoke(r *fuzzBytes, p int, cas bool) history.Event {
+// fuzzPayloads are the items a fuzzed queue or stack history enqueues
+// or pushes: string payloads, "1" next to the int 1 (both render as 1,
+// so both come back as the string "1"), and payloads holding the ':'
+// and ',' that the specs' length-prefixed string states are built from.
+var fuzzPayloads = []history.Value{"1", 1, "a:1", "b,c", ":", ",", ""}
+
+// fuzzItems are the responses a fuzzed dequeue or pop decodes: every
+// payload's rendering, EmptyResp, and the int 1, which no string state
+// ever returns.
+var fuzzItems = []history.Value{"1", 1, "a:1", "b,c", ":", ",", "", EmptyResp}
+
+// fuzzInvoke decodes an invocation of process p on spec's object: a
+// register (read, write), a compare-and-swap object (read, write, cas),
+// a queue (enq, deq), a stack (push, pop), a counter (inc, get) or a
+// snapshot (update, scan).
+func fuzzInvoke(r *fuzzBytes, p int, spec SeqSpec) history.Event {
+	switch spec.(type) {
+	case QueueSpec:
+		if r.intn(2) == 0 {
+			return history.Invoke(p, "enq", fuzzPayloads[r.intn(len(fuzzPayloads))])
+		}
+		return history.Invoke(p, "deq", nil)
+	case StackSpec:
+		if r.intn(2) == 0 {
+			return history.Invoke(p, "push", fuzzPayloads[r.intn(len(fuzzPayloads))])
+		}
+		return history.Invoke(p, "pop", nil)
+	case CounterSpec:
+		if r.intn(2) == 0 {
+			return history.Invoke(p, "inc", nil)
+		}
+		return history.Invoke(p, "get", nil)
+	case SnapshotSpec:
+		if r.intn(2) == 0 {
+			return history.Invoke(p, "update", r.intn(2))
+		}
+		return history.Invoke(p, "scan", nil)
+	}
+	_, cas := spec.(CASSpec)
 	kinds := 2
 	if cas {
 		kinds = 3
@@ -44,6 +80,26 @@ func fuzzInvoke(r *fuzzBytes, p int, cas bool) history.Event {
 		return history.Invoke(p, "write", r.intn(3))
 	default:
 		return history.Invoke(p, "cas", CASArg{Old: r.intn(3), New: r.intn(3)})
+	}
+}
+
+// fuzzResponse decodes an arbitrary response to inv on spec's object.
+func fuzzResponse(r *fuzzBytes, inv history.Event, spec SeqSpec) history.Value {
+	switch inv.Op {
+	case "read", "inc", "get":
+		return r.intn(3)
+	case "write", "enq", "push", "update":
+		return history.OK
+	case "deq", "pop":
+		return fuzzItems[r.intn(len(fuzzItems))]
+	case "scan":
+		vec := make([]history.Value, spec.(SnapshotSpec).N)
+		for i := range vec {
+			vec[i] = r.intn(2)
+		}
+		return EncodeVector(vec)
+	default:
+		return r.intn(2) == 0
 	}
 }
 
@@ -66,7 +122,6 @@ type fuzzProc struct {
 // applied or not: the history is linearizable, and strictly so, by
 // construction.
 func fuzzHistory(r *fuzzBytes, procs, maxOps int, spec SeqSpec, lin bool) history.History {
-	_, cas := spec.(CASSpec)
 	ps := make([]fuzzProc, procs+1)
 	st := spec.Init()
 	var h history.History
@@ -85,7 +140,7 @@ func fuzzHistory(r *fuzzBytes, procs, maxOps int, spec SeqSpec, lin bool) histor
 			s.crashed = true
 			crashes++
 		case !s.open:
-			s.inv, s.open, s.applied = fuzzInvoke(r, p, cas), true, false
+			s.inv, s.open, s.applied = fuzzInvoke(r, p, spec), true, false
 			h = append(h, s.inv)
 			ops++
 		case lin && !s.applied:
@@ -93,14 +148,7 @@ func fuzzHistory(r *fuzzBytes, procs, maxOps int, spec SeqSpec, lin bool) histor
 			st, s.resp, s.applied = tr.Next, tr.Resp, true
 		default:
 			if !lin {
-				switch s.inv.Op {
-				case "read":
-					s.resp = r.intn(3)
-				case "write":
-					s.resp = history.OK
-				default:
-					s.resp = r.intn(2) == 0
-				}
+				s.resp = fuzzResponse(r, s.inv, spec)
 			}
 			h = append(h, history.Response(p, s.inv.Op, s.resp))
 			s.open = false
@@ -109,10 +157,16 @@ func fuzzHistory(r *fuzzBytes, procs, maxOps int, spec SeqSpec, lin bool) histor
 	return h
 }
 
+// fuzzSpecs are the objects FuzzLinMonitor's header picks from. Queue
+// and stack histories carry the string payloads of fuzzPayloads, so the
+// oracle compares the monitor on payloads that render alike or hold
+// the string states' delimiters.
+var fuzzSpecs = []SeqSpec{RegisterSpec{Initial: 0}, CASSpec{Initial: 0}, QueueSpec{}, StackSpec{}}
+
 // FuzzLinMonitor cross-checks the plain and strict linearizability
 // monitors on histories decoded from the fuzz input. Its header picks
-// the mode, the object (register or compare-and-swap), 1–4 processes
-// and a fork point.
+// the mode, the object (register, compare-and-swap, queue or stack),
+// 1–4 processes and a fork point.
 //
 //   - Arbitrary histories with crash and recover events: at every prefix
 //     of at most maxOracleOps operations both monitors, and forks of them
@@ -128,10 +182,7 @@ func FuzzLinMonitor(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := &fuzzBytes{b: data}
 		byConstruction := r.intn(2) == 1
-		var spec SeqSpec = RegisterSpec{Initial: 0}
-		if r.intn(2) == 1 {
-			spec = CASSpec{Initial: 0}
-		}
+		spec := fuzzSpecs[r.intn(len(fuzzSpecs))]
 		procs := 1 + r.intn(4)
 		fork := r.intn(256)
 		spawns := []func(SeqSpec) *LinMonitor{NewLinMonitor, NewStrictLinMonitor}

@@ -1,6 +1,7 @@
 package safety
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -112,5 +113,83 @@ func TestStrictCrashKeepsConfigurationsDistinct(t *testing.T) {
 	m.Step(history.Crash(1))
 	if len(m.configs) != 1 {
 		t.Fatalf("%d configurations after the crash, want 1: %+v", len(m.configs), m.configs)
+	}
+}
+
+// TestLinMonitorPin pins the linearizability monitors step for step:
+// for every specification — register, compare-and-swap, queue, stack,
+// counter and snapshot — plain and strict, 250 histories decoded by
+// fuzzHistory from random bytes, every other one linearizable by
+// construction and the rest arbitrary, crashes and recoveries included,
+// up to four processes. At every prefix the Step result, the number of
+// configurations and the StateDigest of the monitor, and the same of a
+// fork taken at a random point and stepped alongside it, are folded
+// into one word per specification and mode. The words were recorded
+// with the monitor that kept spec states, responses and promise slices
+// as interface values and re-applied the specification on every step,
+// so an interned representation must reproduce its verdicts,
+// configuration sets and digests exactly.
+func TestLinMonitorPin(t *testing.T) {
+	specs := []SeqSpec{
+		RegisterSpec{Initial: 0}, CASSpec{Initial: 0}, QueueSpec{}, StackSpec{},
+		CounterSpec{}, SnapshotSpec{N: 4, Initial: 0},
+	}
+	want := map[string]uint64{
+		"register": 141797112718269051, "strict-register": 17950572017379357753,
+		"cas": 12432036404761331788, "strict-cas": 7873726056385121880,
+		"queue": 7200005970580590367, "strict-queue": 14444042963108981522,
+		"stack": 2708554222512823271, "strict-stack": 1991170853132287410,
+		"counter": 9634774689478865691, "strict-counter": 280761970107584587,
+		"snapshot": 11185677877907786574, "strict-snapshot": 11077394488195733567,
+	}
+	for _, spec := range specs {
+		for _, strict := range []bool{false, true} {
+			name := spec.Name()
+			spawn := NewLinMonitor
+			if strict {
+				name, spawn = "strict-"+name, NewStrictLinMonitor
+			}
+			r := rand.New(rand.NewSource(23))
+			sum := history.DigestSeed()
+			fold := func(ok bool, m *LinMonitor) {
+				d, dok := m.StateDigest()
+				sum = history.DigestWord(sum, d)
+				sum = history.DigestWord(sum, uint64(len(m.configs)))
+				var flags byte
+				if ok {
+					flags |= 1
+				}
+				if dok {
+					flags |= 2
+				}
+				sum = history.DigestByte(sum, flags)
+			}
+			fails := 0
+			for i := 0; i < 250; i++ {
+				buf := make([]byte, 48+r.Intn(64))
+				for k := range buf {
+					buf[k] = byte(r.Intn(256))
+				}
+				h := fuzzHistory(&fuzzBytes{b: buf}, 1+r.Intn(4), 40, spec, i%2 == 1)
+				m := spawn(spec)
+				forkAt := r.Intn(len(h) + 1)
+				var fork *LinMonitor
+				for k, e := range h {
+					if k == forkAt {
+						fork = m.Fork().(*LinMonitor)
+					}
+					fold(m.Step(e), m)
+					if fork != nil {
+						fold(fork.Step(e), fork)
+					}
+				}
+				if !m.OK() {
+					fails++
+				}
+			}
+			if sum != want[name] {
+				t.Errorf("%s: pinned word %d, want %d (%d of 250 histories violate)", name, sum, want[name], fails)
+			}
+		}
 	}
 }
