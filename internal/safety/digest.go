@@ -113,9 +113,16 @@ func (m *TMMonitor) StateDigest() (uint64, bool) {
 // flags, then every pending operation in rank order — process, whether
 // it is its process's live operation (the one a response resolves),
 // op, object and argument. Each configuration is digested on its own
-// (foldConfig) and the digests are folded as a set, so duplicates and
-// the set's order drop out.
+// (linTable.configDigest, from its state's cached fingerprint) and the
+// digests are folded as a set, so duplicates and the set's order drop
+// out. The table's ids are local to one monitor lineage, so only the
+// content they stand for is folded: digests of monitors with different
+// tables, such as two workers' or two jobs' sharing a visited tier,
+// agree on equal states.
 func (m *LinMonitor) StateDigest() (uint64, bool) {
+	t := m.tab
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	var obuf [16]int
 	order := obuf[:0]
 	for rest := m.used; rest != 0; rest &= rest - 1 {
@@ -123,30 +130,29 @@ func (m *LinMonitor) StateDigest() (uint64, bool) {
 	}
 	slices.SortFunc(order, func(a, b int) int {
 		x, y := &m.slots[a], &m.slots[b]
-		return cmp.Or(cmp.Compare(x.proc, y.proc), cmp.Compare(x.inv, y.inv))
+		return cmp.Or(cmp.Compare(t.ops.items[x.op].proc, t.ops.items[y.op].proc), cmp.Compare(x.inv, y.inv))
 	})
 	var rank [maxPendingOps]uint8 // slot → rank
 	for r, s := range order {
 		rank[s] = uint8(r)
 	}
-	f := history.NewFingerprinter()
 	var buf [16]uint64
 	cfgs := buf[:0]
-	for i := range m.configs {
-		f.Restart(history.DigestSeed())
-		foldConfig(f, &m.configs[i], &rank)
-		if f.Poisoned() {
+	for _, c := range m.configs {
+		d, ok := t.configDigest(c, &rank)
+		if !ok {
 			return 0, false
 		}
-		cfgs = append(cfgs, f.Sum())
+		cfgs = append(cfgs, d)
 	}
+	f := t.f
 	f.Restart(history.DigestSeed())
 	f.Str("lin")
 	f.Bool(m.strict)
 	f.Bool(m.failed)
 	f.Int(len(order))
 	for _, s := range order {
-		op := &m.slots[s]
+		op := &t.ops.items[m.slots[s].op]
 		f.Int(op.proc)
 		f.Bool(op.proc >= 0 && op.proc < len(m.pending) && m.pending[op.proc] == s+1)
 		f.Str(op.name)
@@ -155,21 +161,4 @@ func (m *LinMonitor) StateDigest() (uint64, bool) {
 	}
 	f.Set(cfgs)
 	return f.Sum(), !f.Poisoned()
-}
-
-// foldConfig folds one configuration: its spec state, then its promised
-// responses in rank order, each keyed by its operation's rank. The
-// promises name exactly the slots the configuration's mask holds, so
-// they stand in for the mask.
-func foldConfig(f *history.Fingerprinter, c *linCfg, rank *[maxPendingOps]uint8) {
-	f.Val(c.st)
-	var buf [8]promise
-	byRank := append(buf[:0], c.promises...)
-	slices.SortFunc(byRank, func(a, b promise) int {
-		return cmp.Compare(rank[a.idx], rank[b.idx])
-	})
-	for _, pr := range byRank {
-		f.Int(int(rank[pr.idx]))
-		f.Val(pr.val)
-	}
 }

@@ -6,8 +6,11 @@ import (
 	"repro/internal/history"
 )
 
-// State is a sequential-specification state. States must be comparable with
-// == (used as memoization keys).
+// State is a sequential-specification state. States are compared with
+// ==: equal states are one state to the linearizability monitor, which
+// interns them. A state whose dynamic type is not comparable is never
+// equal to another, so the monitor cannot merge configurations
+// holding it.
 type State any
 
 // Transition is one allowed (state, response) outcome of applying an
@@ -21,19 +24,17 @@ type Transition struct {
 // (St, Inv, Res, Seq), presented operationally: Init gives the initial
 // state, Apply enumerates the transitions allowed for an invocation at a
 // state (possibly several, for nondeterministic specifications).
+//
+// Apply must be a pure function of its arguments: the linearizability
+// monitor calls it once per distinct (state, invocation) pair of a
+// history and its forks, and reuses the transitions for every later
+// configuration at that state. Responses, like states, are compared
+// with ==, so a response of a non-comparable dynamic type matches no
+// history response.
 type SeqSpec interface {
 	Name() string
 	Init() State
 	Apply(st State, proc int, op, obj string, arg history.Value) []Transition
-}
-
-// AppendSpec is the allocation-free form of SeqSpec, an optional
-// extension: ApplyAppend appends the transitions to dst and returns it,
-// letting the incremental monitor reuse one scratch buffer across its
-// entire closure search instead of allocating a slice per Apply call.
-// Implementations must behave identically to Apply.
-type AppendSpec interface {
-	ApplyAppend(dst []Transition, st State, proc int, op, obj string, arg history.Value) []Transition
 }
 
 // Linearizable reports whether the well-formed history h is linearizable
@@ -107,19 +108,14 @@ func (RegisterSpec) Name() string { return "register" }
 func (r RegisterSpec) Init() State { return r.Initial }
 
 // Apply implements SeqSpec.
-func (r RegisterSpec) Apply(st State, proc int, op, obj string, arg history.Value) []Transition {
-	return r.ApplyAppend(nil, st, proc, op, obj, arg)
-}
-
-// ApplyAppend implements AppendSpec.
-func (RegisterSpec) ApplyAppend(dst []Transition, st State, proc int, op, obj string, arg history.Value) []Transition {
+func (RegisterSpec) Apply(st State, proc int, op, obj string, arg history.Value) []Transition {
 	switch op {
 	case "read":
-		return append(dst, Transition{Next: st, Resp: st})
+		return []Transition{Transition{Next: st, Resp: st}}
 	case "write":
-		return append(dst, Transition{Next: arg, Resp: history.OK})
+		return []Transition{Transition{Next: arg, Resp: history.OK}}
 	default:
-		return dst
+		return nil
 	}
 }
 
@@ -142,27 +138,22 @@ func (CASSpec) Name() string { return "cas" }
 func (c CASSpec) Init() State { return c.Initial }
 
 // Apply implements SeqSpec.
-func (c CASSpec) Apply(st State, proc int, op, obj string, arg history.Value) []Transition {
-	return c.ApplyAppend(nil, st, proc, op, obj, arg)
-}
-
-// ApplyAppend implements AppendSpec.
-func (CASSpec) ApplyAppend(dst []Transition, st State, proc int, op, obj string, arg history.Value) []Transition {
+func (CASSpec) Apply(st State, proc int, op, obj string, arg history.Value) []Transition {
 	switch op {
 	case "read":
-		return append(dst, Transition{Next: st, Resp: st})
+		return []Transition{Transition{Next: st, Resp: st}}
 	case "write":
-		return append(dst, Transition{Next: arg, Resp: history.OK})
+		return []Transition{Transition{Next: arg, Resp: history.OK}}
 	case "cas":
 		a, ok := arg.(CASArg)
 		if !ok {
-			return dst
+			return nil
 		}
 		if st == a.Old {
-			return append(dst, Transition{Next: a.New, Resp: true})
+			return []Transition{Transition{Next: a.New, Resp: true}}
 		}
-		return append(dst, Transition{Next: st, Resp: false})
+		return []Transition{Transition{Next: st, Resp: false}}
 	default:
-		return dst
+		return nil
 	}
 }

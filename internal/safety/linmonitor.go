@@ -48,15 +48,16 @@ import (
 // mask width bounds how many operations are pending at once
 // (maxPendingOps), not how long the history is.
 //
-// The representation is tuned for the exploration hot loop:
-// configurations are plain values in a monitor-owned slice (no
-// per-configuration heap object); promises are short sorted slices,
-// deduplicated by structural comparison (no key building); and the
-// search's stack, seen-set and output buffer come from a shared pool, so
-// the constant forking of exploration never re-grows them.
+// Spec states, responses and operations are interned in a table the
+// monitor shares with all its forks (linTable), which also memoizes the
+// specification's transitions and hash-conses the promise sets. A
+// configuration is three machine words — mask, state id, promise-set
+// id — so the closure search deduplicates by comparing words, a fork
+// copies its configurations without write barriers, and a speculative
+// step allocates nothing once its transitions and promise edits are
+// memoized.
 type LinMonitor struct {
-	spec  SeqSpec
-	aspec AppendSpec // spec's allocation-free form, nil if not provided
+	tab *linTable
 	// strict selects strict (crash-aware) linearizability: an operation
 	// pending when its process crashes must linearize before the crash
 	// point or never. The monitor then closes the operation at the crash
@@ -90,189 +91,58 @@ type LinMonitor struct {
 // once: one bit of a configuration's uint64 mask per pending slot.
 const maxPendingOps = 64
 
-// linScratch is the transient state of one advance call: the closure
-// search's stack and seen-set, the rebuilt configuration set, and the
-// spec's transition buffer. Monitors are forked far more often than they
-// are advanced, so scratch is pooled globally rather than carried (and
-// re-grown) per fork; advance holds one scratch for its full duration,
-// which keeps pool use safe under parallel exploration.
+// linScratch is the transient state of one advance or crashClose call:
+// the closure search's stack and seen-set and the rebuilt configuration
+// set. Monitors are forked far more often than they are advanced, so
+// the scratch lives in the table, where every fork of the lineage
+// reuses it under the table's lock, rather than being carried (and
+// re-grown) per fork.
 type linScratch struct {
 	// The seen set is an array of configurations scanned linearly:
-	// advances see a handful of configurations, and structural
-	// comparison (early-exit on the mask word, promise slices shared
-	// rather than copied) is far cheaper than building and hashing
-	// interface-bearing map keys — the scan stays faster even at the
-	// 580 entries exhaustive queueblast reaches at depth 8.
+	// advances see a handful of configurations, and comparing two words
+	// and a half is cheaper than hashing — the scan stays faster even at
+	// the 580 entries exhaustive queueblast reaches at depth 8.
 	keys  []linCfg
 	stack []linCfg
 	next  []linCfg
-	trbuf []Transition
 }
 
 func (sc *linScratch) reset() { sc.keys = sc.keys[:0] }
 
-// markOf reports whether configuration (mask, st, proms) was already
-// seen, recording it if not. The recorded entry shares proms.
-func (sc *linScratch) markOf(mask uint64, st State, proms []promise) bool {
-	for i := range sc.keys {
-		k := &sc.keys[i]
-		if k.mask == mask && len(k.promises) == len(proms) && k.st == st && promEq(k.promises, proms) {
+// markOf reports whether configuration c was already seen, recording it
+// if not.
+func (sc *linScratch) markOf(c linCfg) bool {
+	for _, k := range sc.keys {
+		if k == c {
 			return true
 		}
 	}
-	sc.keys = append(sc.keys, linCfg{mask: mask, st: st, promises: proms})
+	sc.keys = append(sc.keys, c)
 	return false
 }
 
-// markWith is markOf for (mask, st, proms+{idx→val}) — the extended
-// promise slice is only materialized when the configuration is fresh,
-// and is returned for the caller to attach (nil when already seen).
-func (sc *linScratch) markWith(mask uint64, st State, proms []promise, idx int32, val history.Value) ([]promise, bool) {
-	for i := range sc.keys {
-		k := &sc.keys[i]
-		if k.mask == mask && len(k.promises) == len(proms)+1 && k.st == st && promEqWith(k.promises, proms, idx, val) {
-			return nil, true
-		}
-	}
-	np := insertPromise(proms, idx, val)
-	sc.keys = append(sc.keys, linCfg{mask: mask, st: st, promises: np})
-	return np, false
-}
-
-// markWithout is markOf for (mask, st, proms−{idx}), with markWith's
-// materialize-only-when-fresh contract.
-func (sc *linScratch) markWithout(mask uint64, st State, proms []promise, idx int32) ([]promise, bool) {
-	for i := range sc.keys {
-		k := &sc.keys[i]
-		if k.mask == mask && len(k.promises) == len(proms)-1 && k.st == st && promEqWithout(k.promises, proms, idx) {
-			return nil, true
-		}
-	}
-	np := removePromise(proms, idx)
-	sc.keys = append(sc.keys, linCfg{mask: mask, st: st, promises: np})
-	return np, false
-}
-
-// promEq reports a == b elementwise; both are sorted by idx and equal
-// in length.
-func promEq(a, b []promise) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// promEqWith reports stored == base+{idx→val} (merged in sorted order)
-// without materializing the extension; len(stored) == len(base)+1.
-func promEqWith(stored, base []promise, idx int32, val history.Value) bool {
-	ins := promise{idx: idx, val: val}
-	j, used := 0, false
-	for i := range stored {
-		var want promise
-		if !used && (j >= len(base) || idx < base[j].idx) {
-			want, used = ins, true
-		} else {
-			want = base[j]
-			j++
-		}
-		if stored[i] != want {
-			return false
-		}
-	}
-	return used && j == len(base)
-}
-
-// promEqWithout reports stored == base−{idx}; len(stored) == len(base)−1.
-func promEqWithout(stored, base []promise, idx int32) bool {
-	i := 0
-	for _, p := range base {
-		if p.idx == idx {
-			continue
-		}
-		if i >= len(stored) || stored[i] != p {
-			return false
-		}
-		i++
-	}
-	return i == len(stored)
-}
-
-var scratchPool = sync.Pool{New: func() any {
-	return &linScratch{}
-}}
-
-// linSlot is the operation pending in one slot.
+// linSlot is the operation pending in one slot: its interned operation
+// and its invocation order, which ranks a process's slots.
 type linSlot struct {
-	proc      int
-	name, obj string
-	arg       history.Value
-	inv       uint64 // invocation order, which ranks a process's slots
+	op  uint32
+	inv uint64
 }
 
-// promise is one speculative linearization: the pending operation's slot
-// and the response the chosen transition committed it to.
-type promise struct {
-	idx int32
-	val history.Value
-}
-
-// linCfg is one immutable configuration: mask has the bit of every
-// pending slot the configuration linearized, which are exactly the slots
-// its promises name. promises is sorted by idx and never mutated once
-// attached, so configurations share promise slices.
+// linCfg is one configuration: mask has the bit of every pending slot
+// the configuration linearized, which are exactly the slots its
+// promise set names; st is its spec state's id and proms its promise
+// set's id in the monitor's table.
 type linCfg struct {
-	mask     uint64
-	st       State
-	promises []promise
-}
-
-// insertPromise returns proms extended with idx→val, sorted (copy;
-// promise slices are immutable once attached to a configuration).
-func insertPromise(proms []promise, idx int32, val history.Value) []promise {
-	out := make([]promise, 0, len(proms)+1)
-	i := 0
-	for ; i < len(proms) && proms[i].idx < idx; i++ {
-		out = append(out, proms[i])
-	}
-	out = append(out, promise{idx: idx, val: val})
-	return append(out, proms[i:]...)
-}
-
-// removePromise returns proms with idx removed (copy, nil when empty).
-func removePromise(proms []promise, idx int32) []promise {
-	if len(proms) <= 1 {
-		return nil
-	}
-	out := make([]promise, 0, len(proms)-1)
-	for _, p := range proms {
-		if p.idx != idx {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// lookupPromise returns the promised response for idx, if any.
-func lookupPromise(proms []promise, idx int32) (history.Value, bool) {
-	for _, p := range proms {
-		if p.idx == idx {
-			return p.val, true
-		}
-	}
-	return nil, false
+	mask  uint64
+	st    uint32
+	proms uint32
 }
 
 // NewLinMonitor creates the incremental linearizability monitor for spec
-// at the empty history.
+// at the empty history, with a fresh table its forks share.
 func NewLinMonitor(spec SeqSpec) *LinMonitor {
-	m := &LinMonitor{
-		spec:    spec,
-		configs: []linCfg{{mask: 0, st: spec.Init()}},
-	}
-	m.aspec, _ = spec.(AppendSpec)
-	return m
+	t := newLinTable(spec)
+	return &LinMonitor{tab: t, configs: []linCfg{{st: t.state(spec.Init())}}}
 }
 
 // NewStrictLinMonitor creates the crash-aware (strict linearizability)
@@ -290,9 +160,11 @@ func (m *LinMonitor) Step(e history.Event) bool {
 	if m.failed {
 		return false
 	}
+	m.tab.mu.Lock()
+	defer m.tab.mu.Unlock()
 	switch e.Kind {
 	case history.KindInvoke:
-		s := m.take(e)
+		s := m.take(m.tab.op(e))
 		if e.Proc >= 0 {
 			for len(m.pending) <= e.Proc {
 				m.pending = append(m.pending, 0)
@@ -305,7 +177,7 @@ func (m *LinMonitor) Step(e history.Event) bool {
 		}
 		s := m.pending[e.Proc] - 1
 		m.pending[e.Proc] = 0
-		m.advance(s, e.Val)
+		m.advance(s, m.tab.vals.id(e.Val))
 		if len(m.configs) == 0 {
 			m.failed = true
 			return false
@@ -327,21 +199,20 @@ func (m *LinMonitor) Step(e history.Event) bool {
 	return true
 }
 
-// take puts the operation e invokes in the lowest free slot and returns
-// that slot.
-func (m *LinMonitor) take(e history.Event) int {
+// take puts operation op in the lowest free slot and returns that slot.
+func (m *LinMonitor) take(op uint32) int {
 	if m.used == ^uint64(0) {
 		panic(fmt.Sprintf("safety: linearizability monitor: more than %d operations pending at once", maxPendingOps))
 	}
 	s := bits.TrailingZeros64(^m.used)
 	m.used |= uint64(1) << uint(s)
-	op := linSlot{proc: e.Proc, name: e.Op, obj: e.Obj, arg: e.Arg, inv: m.invs}
+	sl := linSlot{op: op, inv: m.invs}
 	m.invs++
 	// Slots fill lowest first, so s never lies past the end of the table.
 	if s < len(m.slots) {
-		m.slots[s] = op
+		m.slots[s] = sl
 	} else {
-		m.slots = append(m.slots, op)
+		m.slots = append(m.slots, sl)
 	}
 	return s
 }
@@ -357,7 +228,7 @@ func (m *LinMonitor) free(sc *linScratch, s int, dedup bool) {
 	m.configs = m.configs[:0]
 	for _, c := range sc.next {
 		c.mask &^= bit
-		if !dedup || !sc.markOf(c.mask, c.st, c.promises) {
+		if !dedup || !sc.markOf(c) {
 			m.configs = append(m.configs, c)
 		}
 	}
@@ -374,25 +245,25 @@ func (m *LinMonitor) free(sc *linScratch, s int, dedup bool) {
 // agree on the rest, so freeing deduplicates. Every configuration
 // survives in some form, so the monitor never fails at a crash event.
 func (m *LinMonitor) crashClose(idx int) {
+	t := m.tab
 	bit := uint64(1) << uint(idx)
-	sc := scratchPool.Get().(*linScratch)
+	sc := &t.sc
 	sc.reset()
 	sc.next = sc.next[:0]
-	for i := range m.configs {
-		c := &m.configs[i]
+	for _, c := range m.configs {
 		if c.mask&bit != 0 {
 			// Speculatively linearized before the crash: keep, dropping the
 			// promise — the response it committed to will never arrive and
 			// nothing can observe it.
-			if np, dup := sc.markWithout(c.mask, c.st, c.promises, int32(idx)); !dup {
-				sc.next = append(sc.next, linCfg{mask: c.mask, st: c.st, promises: np})
+			if c.proms = t.edit(c.proms, idx, noPromise); !sc.markOf(c) {
+				sc.next = append(sc.next, c)
 			}
 			continue
 		}
-		if sc.markOf(c.mask, c.st, c.promises) {
+		if sc.markOf(c) {
 			continue // already reached while closing an earlier source
 		}
-		sc.stack = append(sc.stack[:0], *c)
+		sc.stack = append(sc.stack[:0], c)
 		for len(sc.stack) > 0 {
 			cur := sc.stack[len(sc.stack)-1]
 			sc.stack = sc.stack[:len(sc.stack)-1]
@@ -402,74 +273,65 @@ func (m *LinMonitor) crashClose(idx int) {
 			// (the first discoverer of a shared configuration emitted it).
 			sc.next = append(sc.next, cur)
 			// Or it linearizes here, with any response.
-			for _, tr := range m.apply(sc, cur.st, &m.slots[idx]) {
-				if !sc.markOf(cur.mask|bit, tr.Next, cur.promises) {
-					sc.next = append(sc.next, linCfg{mask: cur.mask | bit, st: tr.Next, promises: cur.promises})
+			for _, tr := range t.apply(cur.st, m.slots[idx].op) {
+				if out := (linCfg{mask: cur.mask | bit, st: tr.next, proms: cur.proms}); !sc.markOf(out) {
+					sc.next = append(sc.next, out)
 				}
 			}
-			// Or another pending operation speculatively linearizes first.
-			for rest := m.used &^ cur.mask &^ bit; rest != 0; rest &= rest - 1 {
-				j := bits.TrailingZeros64(rest)
-				jbit := uint64(1) << uint(j)
-				for _, tr := range m.apply(sc, cur.st, &m.slots[j]) {
-					np, dup := sc.markWith(cur.mask|jbit, tr.Next, cur.promises, int32(j), tr.Resp)
-					if dup {
-						continue
-					}
-					sc.stack = append(sc.stack, linCfg{mask: cur.mask | jbit, st: tr.Next, promises: np})
-				}
-			}
+			m.speculate(sc, cur, bit)
 		}
 	}
 	m.free(sc, idx, true)
-	scratchPool.Put(sc)
 }
 
-// apply enumerates spec transitions for op at st, through the spec's
-// append form into pooled scratch when available. The returned slice is
-// invalidated by the next apply call — callers finish iterating before
-// applying again.
-func (m *LinMonitor) apply(sc *linScratch, st State, op *linSlot) []Transition {
-	if m.aspec != nil {
-		sc.trbuf = m.aspec.ApplyAppend(sc.trbuf[:0], st, op.proc, op.name, op.obj, op.arg)
-		return sc.trbuf
+// speculate pushes onto sc.stack every fresh configuration cur reaches
+// by speculatively linearizing one pending operation other than the
+// one with bit, promising the response it linearized with.
+func (m *LinMonitor) speculate(sc *linScratch, cur linCfg, bit uint64) {
+	t := m.tab
+	for rest := m.used &^ cur.mask &^ bit; rest != 0; rest &= rest - 1 {
+		j := bits.TrailingZeros64(rest)
+		jbit := uint64(1) << uint(j)
+		for _, tr := range t.apply(cur.st, m.slots[j].op) {
+			if nc := (linCfg{mask: cur.mask | jbit, st: tr.next, proms: t.edit(cur.proms, j, tr.resp)}); !sc.markOf(nc) {
+				sc.stack = append(sc.stack, nc)
+			}
+		}
 	}
-	return m.spec.Apply(st, op.proc, op.name, op.obj, op.arg)
 }
 
-// advance consumes the response of the operation in slot idx:
-// configurations that already linearized it keep only if they promised
-// this response; configurations that did not must linearize it now,
-// possibly after speculatively linearizing other pending operations.
-// Every surviving configuration then holds idx, and the slot is freed.
+// advance consumes the response, with value id val, of the operation in
+// slot idx: configurations that already linearized it keep only if
+// they promised this response; configurations that did not must
+// linearize it now, possibly after speculatively linearizing other
+// pending operations. Every surviving configuration then holds idx, and
+// the slot is freed.
 //
 // One seen-set serves the whole response: intermediate configurations
 // (mask without idx) and output configurations (mask with idx) occupy
 // disjoint key spaces, and an intermediate configuration reached from
 // two source configurations closes over identically, so cross-source
 // deduplication is sound and saves repeated work.
-func (m *LinMonitor) advance(idx int, val history.Value) {
+func (m *LinMonitor) advance(idx int, val uint32) {
+	t := m.tab
 	bit := uint64(1) << uint(idx)
-	sc := scratchPool.Get().(*linScratch)
+	sc := &t.sc
 	sc.reset()
 	sc.next = sc.next[:0]
-	for i := range m.configs {
-		c := &m.configs[i]
+	for _, c := range m.configs {
 		if c.mask&bit != 0 {
 			// Speculatively linearized earlier: the promise must match.
-			pv, ok := lookupPromise(c.promises, int32(idx))
-			if !ok || pv != val {
+			if pv, ok := t.promised(c.proms, idx); !ok || pv != val {
 				continue
 			}
-			if np, dup := sc.markWithout(c.mask, c.st, c.promises, int32(idx)); !dup {
-				sc.next = append(sc.next, linCfg{mask: c.mask, st: c.st, promises: np})
+			if c.proms = t.edit(c.proms, idx, noPromise); !sc.markOf(c) {
+				sc.next = append(sc.next, c)
 			}
 			continue
 		}
 		m.closeOver(sc, c, idx, val)
 	}
 	m.free(sc, idx, false)
-	scratchPool.Put(sc)
 }
 
 // closeOver explores every way to reach a configuration containing idx
@@ -477,36 +339,26 @@ func (m *LinMonitor) advance(idx int, val history.Value) {
 // Orders placing further pending operations after idx are not explored:
 // they remain reachable lazily from the produced configurations. Fresh
 // output configurations are appended to sc.next.
-func (m *LinMonitor) closeOver(sc *linScratch, c *linCfg, idx int, val history.Value) {
-	if sc.markOf(c.mask, c.st, c.promises) {
+func (m *LinMonitor) closeOver(sc *linScratch, c linCfg, idx int, val uint32) {
+	if sc.markOf(c) {
 		return // an earlier source configuration already closed over c
 	}
 	bit := uint64(1) << uint(idx)
-	sc.stack = append(sc.stack[:0], *c)
+	sc.stack = append(sc.stack[:0], c)
 	for len(sc.stack) > 0 {
 		cur := sc.stack[len(sc.stack)-1]
 		sc.stack = sc.stack[:len(sc.stack)-1]
 		// Linearize idx now, closing this branch.
-		for _, tr := range m.apply(sc, cur.st, &m.slots[idx]) {
-			if tr.Resp != val {
+		for _, tr := range m.tab.apply(cur.st, m.slots[idx].op) {
+			if tr.resp != val {
 				continue
 			}
-			if !sc.markOf(cur.mask|bit, tr.Next, cur.promises) {
-				sc.next = append(sc.next, linCfg{mask: cur.mask | bit, st: tr.Next, promises: cur.promises})
+			if out := (linCfg{mask: cur.mask | bit, st: tr.next, proms: cur.proms}); !sc.markOf(out) {
+				sc.next = append(sc.next, out)
 			}
 		}
 		// Or speculatively linearize another pending operation first.
-		for rest := m.used &^ cur.mask &^ bit; rest != 0; rest &= rest - 1 {
-			j := bits.TrailingZeros64(rest)
-			jbit := uint64(1) << uint(j)
-			for _, tr := range m.apply(sc, cur.st, &m.slots[j]) {
-				np, dup := sc.markWith(cur.mask|jbit, tr.Next, cur.promises, int32(j), tr.Resp)
-				if dup {
-					continue
-				}
-				sc.stack = append(sc.stack, linCfg{mask: cur.mask | jbit, st: tr.Next, promises: np})
-			}
-		}
+		m.speculate(sc, cur, bit)
 	}
 }
 
@@ -519,10 +371,11 @@ func (m *LinMonitor) OK() bool { return !m.failed }
 // backings instead of allocating.
 var linPool = sync.Pool{New: func() any { return new(LinMonitor) }}
 
-// Fork implements Monitor.
+// Fork implements Monitor. The fork shares the table; everything else
+// is copied, and holds no pointers.
 func (m *LinMonitor) Fork() Monitor {
 	f := linPool.Get().(*LinMonitor)
-	f.spec, f.aspec, f.strict, f.failed = m.spec, m.aspec, m.strict, m.failed
+	f.tab, f.strict, f.failed = m.tab, m.strict, m.failed
 	f.used, f.invs = m.used, m.invs
 	if f.pending == nil {
 		f.pending = f.pendInline[:0]
@@ -537,5 +390,9 @@ func (m *LinMonitor) Fork() Monitor {
 }
 
 // Release implements Releaser: the fork's branch is fully explored, so
-// its backings can serve a later Fork.
-func (m *LinMonitor) Release() { linPool.Put(m) }
+// its backings can serve a later Fork. It drops the table, which must
+// not outlive its job in the pool.
+func (m *LinMonitor) Release() {
+	m.tab = nil
+	linPool.Put(m)
+}

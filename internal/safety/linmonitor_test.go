@@ -3,6 +3,7 @@ package safety
 import (
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/history"
@@ -14,13 +15,28 @@ import (
 // of the promises beyond the third, which equated promise sets such as
 // {3:"a;4=b", 5:"c"} and {3:"a", 4:"b;5=c"}, or 1 and "1", dropping the
 // second configuration as already seen — a lost configuration can turn a
-// linearizable history into a false violation.
+// linearizable history into a false violation. Configurations now hold
+// table ids, so such sets must intern apart, and one set must intern
+// alike whatever order its promises were inserted in.
 func TestSeenSetPastThirtyTwoEntries(t *testing.T) {
+	tab := newLinTable(RegisterSpec{})
 	sc := &linScratch{}
 	for i := 0; i < 32; i++ {
-		if sc.markOf(uint64(i)<<8, "filler", nil) {
+		if sc.markOf(linCfg{mask: uint64(i) << 8, st: tab.state("filler")}) {
 			t.Fatalf("filler configuration %d reported seen", i)
 		}
+	}
+	type promise struct {
+		slot int
+		val  history.Value
+	}
+	set := func(ps ...promise) (fwd, rev uint32) {
+		for i := range ps {
+			fwd = tab.edit(fwd, ps[i].slot, tab.vals.id(ps[i].val))
+			p := ps[len(ps)-1-i]
+			rev = tab.edit(rev, p.slot, tab.vals.id(p.val))
+		}
+		return fwd, rev
 	}
 	head := []promise{{0, "x"}, {1, "x"}, {2, "x"}}
 	with := func(tail ...promise) []promise { return append(head[:3:3], tail...) }
@@ -28,14 +44,23 @@ func TestSeenSetPastThirtyTwoEntries(t *testing.T) {
 		{with(promise{3, "a;4=b"}, promise{5, "c"}), with(promise{3, "a"}, promise{4, "b;5=c"})},
 		{with(promise{3, 1}), with(promise{3, "1"})},
 	}
+	st := tab.state("st")
 	for i, pair := range pairs {
 		mask := uint64(1)<<40 | uint64(i)
+		var first uint32
 		for j, proms := range pair {
-			if sc.markOf(mask, "st", proms) {
+			fwd, rev := set(proms...)
+			if fwd != rev {
+				t.Errorf("pair %d: set %d interns as %d inserted forward, %d backward", i, j, fwd, rev)
+			}
+			if sc.markOf(linCfg{mask: mask, st: st, proms: fwd}) {
 				t.Errorf("pair %d: configuration %d reported seen: %v", i, j, proms)
 			}
+			if j == 0 {
+				first = fwd
+			}
 		}
-		if !sc.markOf(mask, "st", pair[0]) {
+		if !sc.markOf(linCfg{mask: mask, st: st, proms: first}) {
 			t.Errorf("pair %d: re-marking a recorded configuration reported fresh", i)
 		}
 	}
@@ -60,8 +85,9 @@ func TestLinMonitorForkSlotReuse(t *testing.T) {
 	f := m.Fork().(*LinMonitor)
 	// The parent completes the read and reuses slot 0 for a write of 5.
 	step(m, history.Response(2, "read", 1), history.Invoke(3, "write", 5))
-	if m.slots[0].name != "write" || f.slots[0].name != "read" {
-		t.Fatalf("slot 0 after reuse: parent %q, fork %q; want write, read", m.slots[0].name, f.slots[0].name)
+	name := func(m *LinMonitor) string { return m.tab.ops.items[m.slots[0].op].name }
+	if name(m) != "write" || name(f) != "read" {
+		t.Fatalf("slot 0 after reuse: parent %q, fork %q; want write, read", name(m), name(f))
 	}
 	// The fork writes 7 concurrently with its pending read, which may
 	// then return 7; the parent's read returned 1 before the write of 5.
@@ -189,6 +215,138 @@ func TestLinMonitorPin(t *testing.T) {
 			}
 			if sum != want[name] {
 				t.Errorf("%s: pinned word %d, want %d (%d of 250 histories violate)", name, sum, want[name], fails)
+			}
+		}
+	}
+}
+
+// TestLinMonitorForksStepConcurrently: forks of one monitor share its
+// table, and exploration steps them on several goroutines at once. Four
+// goroutines each step a fork of one parent through a different
+// continuation of the parent's prefix, taking, stepping and releasing a
+// fork of their own midway; every Step result and StateDigest must
+// equal what a fresh monitor, with a table of its own, reports on the
+// same history. Run under -race, this certifies the table's locking.
+func TestLinMonitorForksStepConcurrently(t *testing.T) {
+	type judged struct {
+		ok     bool
+		digest uint64
+	}
+	replay := func(spawn func() *LinMonitor, h history.History) []judged {
+		m := spawn()
+		out := make([]judged, len(h))
+		for i, e := range h {
+			ok := m.Step(e)
+			d, _ := m.StateDigest()
+			out[i] = judged{ok, d}
+		}
+		return out
+	}
+	for _, spec := range []SeqSpec{RegisterSpec{Initial: 0}, CASSpec{Initial: 0}, QueueSpec{}, StackSpec{}} {
+		for _, strict := range []bool{false, true} {
+			spawn := func() *LinMonitor { return NewLinMonitor(spec) }
+			if strict {
+				spawn = func() *LinMonitor { return NewStrictLinMonitor(spec) }
+			}
+			r := rand.New(rand.NewSource(41))
+			for i := 0; i < 20; i++ {
+				buf := make([]byte, 96)
+				for k := range buf {
+					buf[k] = byte(r.Intn(256))
+				}
+				h := fuzzHistory(&fuzzBytes{b: buf}, 3, 30, spec, i%2 == 0)
+				at := r.Intn(len(h) + 1)
+				const goroutines = 4
+				hs := make([]history.History, goroutines)
+				want := make([][]judged, goroutines)
+				for g := range hs {
+					hs[g] = append(h[:at:at], altSuffix(r, h[at:])...)
+					want[g] = replay(spawn, hs[g])
+				}
+				parent := spawn()
+				for _, e := range h[:at] {
+					parent.Step(e)
+				}
+				var wg sync.WaitGroup
+				errs := make([]string, goroutines)
+				for g := 0; g < goroutines; g++ {
+					fork := parent.Fork().(*LinMonitor)
+					wg.Add(1)
+					go func(g int, m *LinMonitor) {
+						defer wg.Done()
+						var sub *LinMonitor
+						for k := at; k < len(hs[g]); k++ {
+							if k == (at+len(hs[g]))/2 {
+								sub = m.Fork().(*LinMonitor)
+							}
+							for _, mon := range []*LinMonitor{m, sub} {
+								if mon == nil {
+									continue
+								}
+								ok := mon.Step(hs[g][k])
+								d, _ := mon.StateDigest()
+								if (judged{ok, d}) != want[g][k] && errs[g] == "" {
+									errs[g] = hs[g].String()
+								}
+							}
+						}
+						if sub != nil {
+							sub.Release()
+						}
+					}(g, fork)
+				}
+				wg.Wait()
+				for g, h := range errs {
+					if h != "" {
+						t.Fatalf("%s strict=%v: goroutine %d's fork disagrees with a fresh monitor on %s (forked at %d)", spec.Name(), strict, g, h, at)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestLinMonitorNonComparableValues: arguments, responses and spec
+// states whose dynamic type is not comparable cannot key the monitor's
+// table. Each gets a fresh id, equal to no other, so the monitor judges
+// these histories as the monitor did before it interned anything —
+// which compared such values only against values of other types —
+// without panicking.
+func TestLinMonitorNonComparableValues(t *testing.T) {
+	type box struct{ v any }
+	for _, tc := range []struct {
+		spec SeqSpec
+		h    history.History
+		want bool
+	}{
+		// A slice written, then overwritten and read back.
+		{RegisterSpec{Initial: 0}, history.History{
+			history.Invoke(1, "write", []int{1}), history.Response(1, "write", history.OK),
+			history.Invoke(2, "write", 2), history.Invoke(1, "write", box{[]int{2}}),
+			history.Response(2, "write", history.OK), history.Response(1, "write", history.OK),
+			history.Invoke(1, "write", 3), history.Response(1, "write", history.OK),
+			history.Invoke(2, "read", nil), history.Response(2, "read", 3),
+		}, true},
+		// A read answered by a slice no int state can produce.
+		{RegisterSpec{Initial: 0}, history.History{
+			history.Invoke(1, "read", nil), history.Response(1, "read", []int{0}),
+		}, false},
+		// A compare-and-swap expecting a slice, which no int state equals.
+		{CASSpec{Initial: 0}, history.History{
+			history.Invoke(1, "cas", CASArg{Old: []int{0}, New: 1}), history.Invoke(2, "read", nil),
+			history.Response(1, "cas", false), history.Response(2, "read", 0),
+		}, true},
+	} {
+		for _, spawn := range []func(SeqSpec) *LinMonitor{NewLinMonitor, NewStrictLinMonitor} {
+			m := spawn(tc.spec)
+			ok := true
+			for _, e := range tc.h {
+				ok = m.Step(e)
+				m.StateDigest()
+				m.Fork().Step(e)
+			}
+			if ok != tc.want {
+				t.Errorf("strict=%v: verdict %v on %s, want %v", m.strict, ok, tc.h, tc.want)
 			}
 		}
 	}

@@ -52,27 +52,22 @@ func (QueueSpec) Name() string { return "queue" }
 func (QueueSpec) Init() State { return "" }
 
 // Apply implements SeqSpec.
-func (q QueueSpec) Apply(st State, proc int, op, obj string, arg history.Value) []Transition {
-	return q.ApplyAppend(nil, st, proc, op, obj, arg)
-}
-
-// ApplyAppend implements AppendSpec.
-func (QueueSpec) ApplyAppend(dst []Transition, st State, proc int, op, obj string, arg history.Value) []Transition {
+func (QueueSpec) Apply(st State, proc int, op, obj string, arg history.Value) []Transition {
 	enc, ok := st.(string)
 	if !ok {
-		return dst
+		return nil
 	}
 	switch op {
 	case "enq":
-		return append(dst, Transition{Next: withItem(enc, arg, ""), Resp: history.OK})
+		return []Transition{Transition{Next: withItem(enc, arg, ""), Resp: history.OK}}
 	case "deq":
 		if enc == "" {
-			return append(dst, Transition{Next: "", Resp: EmptyResp})
+			return []Transition{Transition{Next: "", Resp: EmptyResp}}
 		}
 		item, rest := headItem(enc)
-		return append(dst, Transition{Next: rest, Resp: item})
+		return []Transition{Transition{Next: rest, Resp: item}}
 	default:
-		return dst
+		return nil
 	}
 }
 
@@ -86,27 +81,22 @@ func (StackSpec) Name() string { return "stack" }
 func (StackSpec) Init() State { return "" }
 
 // Apply implements SeqSpec.
-func (s StackSpec) Apply(st State, proc int, op, obj string, arg history.Value) []Transition {
-	return s.ApplyAppend(nil, st, proc, op, obj, arg)
-}
-
-// ApplyAppend implements AppendSpec.
-func (StackSpec) ApplyAppend(dst []Transition, st State, proc int, op, obj string, arg history.Value) []Transition {
+func (StackSpec) Apply(st State, proc int, op, obj string, arg history.Value) []Transition {
 	enc, ok := st.(string)
 	if !ok {
-		return dst
+		return nil
 	}
 	switch op {
 	case "push":
-		return append(dst, Transition{Next: withItem("", arg, enc), Resp: history.OK})
+		return []Transition{Transition{Next: withItem("", arg, enc), Resp: history.OK}}
 	case "pop":
 		if enc == "" {
-			return append(dst, Transition{Next: "", Resp: EmptyResp})
+			return []Transition{Transition{Next: "", Resp: EmptyResp}}
 		}
 		item, rest := headItem(enc)
-		return append(dst, Transition{Next: rest, Resp: item})
+		return []Transition{Transition{Next: rest, Resp: item}}
 	default:
-		return dst
+		return nil
 	}
 }
 
@@ -121,22 +111,17 @@ func (CounterSpec) Name() string { return "counter" }
 func (CounterSpec) Init() State { return 0 }
 
 // Apply implements SeqSpec.
-func (c CounterSpec) Apply(st State, proc int, op, obj string, arg history.Value) []Transition {
-	return c.ApplyAppend(nil, st, proc, op, obj, arg)
-}
-
-// ApplyAppend implements AppendSpec.
-func (CounterSpec) ApplyAppend(dst []Transition, st State, proc int, op, obj string, arg history.Value) []Transition {
+func (CounterSpec) Apply(st State, proc int, op, obj string, arg history.Value) []Transition {
 	n, ok := st.(int)
 	if !ok {
-		return dst
+		return nil
 	}
 	switch op {
 	case "inc":
-		return append(dst, Transition{Next: n + 1, Resp: n})
+		return []Transition{Transition{Next: n + 1, Resp: n}}
 	case "get":
-		return append(dst, Transition{Next: n, Resp: n})
+		return []Transition{Transition{Next: n, Resp: n}}
 	default:
-		return dst
+		return nil
 	}
 }
