@@ -187,8 +187,13 @@ func (s *Server) tierFor(spec JobSpec) *slx.VisitedTier {
 }
 
 // checker builds the job's checker and property through JobChecker,
-// adding the service-level shared tier, context and executor hook.
+// adding the service-level shared tier, context and executor hook. The
+// target is resolved first, so a rejected spec never creates a tier
+// that would live as long as the daemon.
 func (s *Server) checker(ctx context.Context, spec JobSpec) (*slx.Checker, slx.Property, error) {
+	if _, err := resolveTarget(spec); err != nil {
+		return nil, nil, err
+	}
 	var extra []slx.Option
 	if spec.SharedCache {
 		extra = append(extra, slx.WithVisitedTier(s.tierFor(spec)))

@@ -133,15 +133,25 @@ func LookupTarget(name string) (Target, bool) {
 // objects and scripts for a fixed number of processes; a negative one
 // is left to ValidateExplore.
 func JobChecker(spec JobSpec, extra ...slx.Option) (*slx.Checker, slx.Property, error) {
-	t, ok := LookupTarget(spec.Target)
-	if !ok {
-		return nil, nil, fmt.Errorf("unknown target %q (targets: %s)", spec.Target, strings.Join(TargetNames(), ", "))
-	}
-	if spec.Procs > 0 && spec.Procs != t.Procs {
-		return nil, nil, fmt.Errorf("procs: target %q is built for %d processes, got %d", t.Name, t.Procs, spec.Procs)
+	t, err := resolveTarget(spec)
+	if err != nil {
+		return nil, nil, err
 	}
 	opts := append(t.Options(), spec.Options()...)
 	return slx.New(append(opts, extra...)...), t.Property(), nil
+}
+
+// resolveTarget returns the target spec names, or JobChecker's error
+// for a spec naming no target or another process count.
+func resolveTarget(spec JobSpec) (Target, error) {
+	t, ok := LookupTarget(spec.Target)
+	if !ok {
+		return Target{}, fmt.Errorf("unknown target %q (targets: %s)", spec.Target, strings.Join(TargetNames(), ", "))
+	}
+	if spec.Procs > 0 && spec.Procs != t.Procs {
+		return Target{}, fmt.Errorf("procs: target %q is built for %d processes, got %d", t.Name, t.Procs, spec.Procs)
+	}
+	return t, nil
 }
 
 // TargetNames lists the registered targets in sorted order.
