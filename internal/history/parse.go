@@ -9,9 +9,13 @@ import (
 // Parse parses the textual format produced by History.String back into a
 // History: events separated by " · ", each "op[@obj]_p(arg)" for
 // invocations, "ret[@obj]_p[op][=val]" for responses, "crash_p" for
-// crashes. Numeric values parse as ints, "true"/"false" as bools,
-// everything else as strings (so a string value that looks like a number
-// does not round-trip — test fixtures avoid that).
+// crashes and "recover_p" for recoveries. An invocation whose operation
+// is named like another kind's prefix ("retry_1()", "crash_2()") is
+// still an invocation: only its parenthesized argument tells it apart.
+// Numeric values parse as ints, "true"/"false" as bools, everything
+// else as strings (so a string value that looks like a number does not
+// round-trip — test fixtures avoid that). Every history Parse accepts
+// renders back, through History.String, to text that parses to it.
 func Parse(s string) (History, error) {
 	s = strings.TrimSpace(s)
 	if s == "" || s == "ε" {
@@ -42,17 +46,27 @@ func MustParse(s string) History {
 }
 
 func parseEvent(tok string) (Event, error) {
-	if rest, ok := strings.CutPrefix(tok, "crash_"); ok {
-		p, err := strconv.Atoi(rest)
-		if err != nil {
-			return Event{}, fmt.Errorf("history: bad crash event %q: %w", tok, err)
+	if !strings.HasSuffix(tok, ")") {
+		if rest, ok := strings.CutPrefix(tok, "crash_"); ok {
+			return parseProcEvent(tok, rest, Crash)
 		}
-		return Crash(p), nil
+		if rest, ok := strings.CutPrefix(tok, "recover_"); ok {
+			return parseProcEvent(tok, rest, Recover)
+		}
 	}
-	if rest, ok := strings.CutPrefix(tok, "ret"); ok {
+	if rest, ok := strings.CutPrefix(tok, "ret"); ok && (strings.HasPrefix(rest, "_") || strings.HasPrefix(rest, "@")) {
 		return parseResponse(tok, rest)
 	}
 	return parseInvoke(tok)
+}
+
+// parseProcEvent parses the process of a crash or recover event.
+func parseProcEvent(tok, proc string, event func(int) Event) (Event, error) {
+	p, err := strconv.Atoi(proc)
+	if err != nil {
+		return Event{}, fmt.Errorf("history: bad %s event %q: %w", event(0).Kind, tok, err)
+	}
+	return event(p), nil
 }
 
 func parseResponse(tok, rest string) (Event, error) {

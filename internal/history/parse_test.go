@@ -26,6 +26,10 @@ func TestParseBasics(t *testing.T) {
 			History{Invoke(1, "propose", 0), Response(1, "propose", 0), Crash(2)},
 		},
 		{"cas_1(true)", History{Invoke(1, "cas", true)}},
+		{"recover_1", History{Recover(1)}},
+		{"retry_1()", History{Invoke(1, "retry", nil)}},
+		{"crash_2()", History{Invoke(2, "crash", nil)}},
+		{"ret@x_1[retry]", History{ResponseObj(1, "retry", "x", nil)}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.in, func(t *testing.T) {
@@ -47,6 +51,8 @@ func TestParseErrors(t *testing.T) {
 		"ret_1propose",
 		"propose_(0)",
 		"ret_z[op]=1",
+		"recover_x",
+		"ret_1(5)",
 	} {
 		if _, err := Parse(in); err == nil {
 			t.Errorf("Parse(%q) should fail", in)
@@ -112,4 +118,37 @@ func TestQuickParseRoundTrip(t *testing.T) {
 		return true
 	}
 	quickseed.Check(t, f, 400)
+}
+
+// FuzzParse: Parse never panics, and every history it accepts renders,
+// through History.String, to text that parses back to an equal history.
+// The seeds hold each event kind, the renderings that share a prefix
+// with another kind (recover_1, retry_1(), crash_2()), and values
+// holding the format's own delimiters.
+func FuzzParse(f *testing.F) {
+	for _, s := range []string{
+		"ε",
+		"propose_1(0) · ret_1[propose]=0 · crash_2 · recover_2",
+		"write@x_1(5) · ret@x_1[write]=ok · read@y0_2() · ret@y0_2[read]=A",
+		"retry_1() · ret_1[retry] · crash_2() · ret_2[crash]=true",
+		"enq_1(a:1) · ret_1[enq]=ok · deq_2() · ret_2[deq]=b,c · ret_3[deq]=",
+		"cas_1({0 1}) · ret_1[cas]=false · op_-1(()) · ret_+2[x]y]=[z]",
+		"recover_x",
+		"ret_1(5)",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		h, err := Parse(s)
+		if err != nil {
+			return
+		}
+		back, err := Parse(h.String())
+		if err != nil {
+			t.Fatalf("Parse(%q) = %s, whose rendering does not parse: %v", s, h, err)
+		}
+		if !back.Equal(h) {
+			t.Fatalf("Parse(%q) = %s, whose rendering parses to %s", s, h, back)
+		}
+	})
 }
