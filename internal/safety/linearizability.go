@@ -7,10 +7,8 @@ import (
 )
 
 // State is a sequential-specification state. States are compared with
-// ==: equal states are one state to the linearizability monitor, which
-// interns them. A state whose dynamic type is not comparable is never
-// equal to another, so the monitor cannot merge configurations
-// holding it.
+// == (the linearizability monitor interns them); one whose dynamic type
+// is not comparable equals no state, itself included.
 type State any
 
 // Transition is one allowed (state, response) outcome of applying an
@@ -26,11 +24,9 @@ type Transition struct {
 // state (possibly several, for nondeterministic specifications).
 //
 // Apply must be a pure function of its arguments: the linearizability
-// monitor calls it once per distinct (state, invocation) pair of a
-// history and its forks, and reuses the transitions for every later
-// configuration at that state. Responses, like states, are compared
-// with ==, so a response of a non-comparable dynamic type matches no
-// history response.
+// monitor calls it, under a lock its forks share, once per distinct
+// (state, invocation) pair of a job and reuses the transitions.
+// Responses compare by == like states.
 type SeqSpec interface {
 	Name() string
 	Init() State

@@ -51,8 +51,8 @@ import (
 // Spec states, responses and operations are interned in a table the
 // monitor shares with all its forks (linTable), which also memoizes the
 // specification's transitions and hash-conses the promise sets. A
-// configuration is three machine words — mask, state id, promise-set
-// id — so the closure search deduplicates by comparing words, a fork
+// configuration is the pointer-free triple {mask, state id, promise-set
+// id}, so the closure search deduplicates by comparing words, a fork
 // copies its configurations without write barriers, and a speculative
 // step allocates nothing once its transitions and promise edits are
 // memoized.
@@ -100,8 +100,8 @@ const maxPendingOps = 64
 type linScratch struct {
 	// The seen set is an array of configurations scanned linearly:
 	// advances see a handful of configurations, and comparing two words
-	// and a half is cheaper than hashing — the scan stays faster even at
-	// the 580 entries exhaustive queueblast reaches at depth 8.
+	// is cheaper than hashing them — the scan stays faster even at the
+	// 580 entries exhaustive queueblast reaches at depth 8.
 	keys  []linCfg
 	stack []linCfg
 	next  []linCfg

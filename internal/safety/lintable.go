@@ -12,8 +12,8 @@ import (
 // fork of it: spec states, response values and invoked operations get
 // dense uint32 ids, SeqSpec.Apply runs once per (state, operation) pair,
 // and promise sets are hash-consed lists whose insert and remove edits
-// are memoized. A configuration is then three machine words, compared
-// by value and copied without write barriers.
+// are memoized. A configuration is then two machine words, compared by
+// value and copied without write barriers.
 //
 // Forks of one lineage step on several goroutines (parallel
 // exploration, slxd's executor), so every use of the table, the closure

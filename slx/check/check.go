@@ -87,7 +87,10 @@ func PropertyS() slx.Property {
 
 // Sequential specifications for the generic linearizability checker.
 type (
-	// SeqSpec is a sequential object specification.
+	// SeqSpec is a sequential object specification. Apply must be a pure
+	// function of its arguments (the monitor applies each state and
+	// invocation once per job); states and responses compare by ==, and
+	// one whose dynamic type is not comparable equals nothing.
 	SeqSpec = safety.SeqSpec
 	// State is an opaque sequential-specification state.
 	State = safety.State

@@ -82,7 +82,7 @@ func ResponseObj(proc int, op, obj string, val Value) Event {
 func Crash(proc int) Event { return history.Crash(proc) }
 
 // Parse parses the compact textual history notation produced by
-// History.String (e.g. "⟨p1 propose(0)⟩ ⟨p1 propose→0⟩").
+// History.String (e.g. "propose_1(0) · ret_1[propose]=0 · recover_2").
 func Parse(s string) (History, error) { return history.Parse(s) }
 
 // MustParse is Parse panicking on error; for tests and fixtures.
