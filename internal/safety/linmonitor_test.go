@@ -314,6 +314,18 @@ func TestLinMonitorForksStepConcurrently(t *testing.T) {
 // without panicking.
 func TestLinMonitorNonComparableValues(t *testing.T) {
 	type box struct{ v any }
+	for _, c := range []struct {
+		v    any
+		want bool
+	}{
+		{nil, true}, {1, true}, {"x", true}, {1.5, true}, {box{nil}, true}, {[2]any{1, "a"}, true},
+		{CASArg{Old: 1, New: 2}, true}, {CASArg{Old: []int{1}, New: 2}, false}, {[]int{1}, false},
+		{box{[]int{}}, false}, {box{box{map[int]int{}}}, false}, {[2]any{1, []int{}}, false},
+	} {
+		if got := hashable(c.v); got != c.want {
+			t.Errorf("hashable(%#v) = %v, want %v", c.v, got, c.want)
+		}
+	}
 	for _, tc := range []struct {
 		spec SeqSpec
 		h    history.History

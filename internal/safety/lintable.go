@@ -239,8 +239,7 @@ func hashable(v any) (ok bool) {
 		return true
 	}
 	defer func() { ok = recover() == nil }()
-	equal(v, v)
-	return true
+	return equal(v, v) || true // a NaN, unequal to itself, still hashes
 }
 
 func equal(a, b any) bool { return a == b }
