@@ -5,9 +5,10 @@ package repro_test
 // pool → results store path, with a bounded number in flight so the
 // pool pipeline stays busy. The jobs/sec figure is wall-clock and
 // advisory (committed in BENCH_explore.json's "service" section, graded
-// by cmd/benchtrend without gating); the correctness half of the
-// service — report parity with in-process checkers — is gated by the
-// tests in internal/service.
+// by cmd/benchtrend without gating); B/op and allocs/op are gated at
+// 1.5× that section's baseline. The correctness half of the service —
+// report parity with in-process checkers — is gated by the tests in
+// internal/service.
 
 import (
 	"bytes"
@@ -22,13 +23,16 @@ import (
 	"repro/slx"
 )
 
-// benchServiceInFlight bounds the submitted-but-unfinished window: deep
-// enough to keep every pool worker busy, shallow enough that the store
-// poll loop stays cheap.
+// benchServiceInFlight bounds the submitted-but-unfinished window, deep
+// enough to keep every pool worker busy.
 const benchServiceInFlight = 32
 
 // BenchmarkServiceThroughput measures end-to-end jobs/sec for depth-5
-// consensus checks against a 4-worker daemon.
+// consensus checks against a 4-worker daemon. Each timed job costs one
+// submit and one fetch of its finished record over HTTP and nothing
+// else: completion is read off the daemon's JobsDone counter rather
+// than by polling, so B/op and allocs/op do not depend on how many
+// polls a job happened to take.
 func BenchmarkServiceThroughput(b *testing.B) {
 	srv, err := service.NewServer(service.Config{Workers: 4, Queue: 2 * benchServiceInFlight})
 	if err != nil {
@@ -46,6 +50,7 @@ func BenchmarkServiceThroughput(b *testing.B) {
 		b.Fatal(err)
 	}
 	client := hs.Client()
+	m := srv.Metrics()
 
 	submit := func() string {
 		resp, err := client.Post(hs.URL+"/v1/jobs", "application/json", bytes.NewReader(spec))
@@ -62,47 +67,63 @@ func BenchmarkServiceThroughput(b *testing.B) {
 		}
 		return j.ID
 	}
-	await := func(id string) {
-		for {
-			resp, err := client.Get(hs.URL + "/v1/jobs/" + id)
-			if err != nil {
-				b.Fatal(err)
+	// awaitDone waits until n jobs have finished with verdicts. A failed
+	// or cancelled job never counts as done, so either ends the run.
+	awaitDone := func(n int) {
+		for m.JobsDone.Load() < int64(n) {
+			if bad := m.JobsFailed.Load() + m.JobsCancelled.Load(); bad > 0 {
+				b.Fatalf("%d jobs failed or were cancelled", bad)
 			}
-			var j service.Job
-			if err := json.NewDecoder(resp.Body).Decode(&j); err != nil {
-				b.Fatal(err)
-			}
-			resp.Body.Close()
-			switch j.State {
-			case service.StateDone:
-				return
-			case service.StateFailed, service.StateCancelled:
-				b.Fatalf("job %s: %s (%s)", id, j.State, j.Error)
-			}
-			time.Sleep(200 * time.Microsecond)
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	fetch := func(id string) {
+		resp, err := client.Get(hs.URL + "/v1/jobs/" + id)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var j service.Job
+		if err := json.NewDecoder(resp.Body).Decode(&j); err != nil {
+			b.Fatal(err)
+		}
+		resp.Body.Close()
+		if j.State != service.StateDone {
+			b.Fatalf("job %s: %s (%s)", id, j.State, j.Error)
 		}
 	}
 
+	// batch pushes n jobs through the daemon with fewer than
+	// benchServiceInFlight unfinished before each submit, then fetches
+	// each finished record once.
+	total := 0
+	batch := func(n int) {
+		ids := make([]string, n)
+		for i := range ids {
+			awaitDone(total + i + 1 - benchServiceInFlight)
+			ids[i] = submit()
+		}
+		total += n
+		awaitDone(total)
+		for _, id := range ids {
+			fetch(id)
+		}
+	}
+
+	// A warm-up window opens the client connection and warms every
+	// worker's pooled state, so the timed jobs pay for neither (after a
+	// single warm-up job, -benchtime 2x runs read either ~56k or ~72k
+	// B/op).
+	batch(benchServiceInFlight)
 	b.ReportAllocs()
 	b.ResetTimer()
-	pending := make([]string, 0, benchServiceInFlight)
-	for i := 0; i < b.N; i++ {
-		if len(pending) == benchServiceInFlight {
-			await(pending[0])
-			pending = pending[1:]
-		}
-		pending = append(pending, submit())
-	}
-	for _, id := range pending {
-		await(id)
-	}
+	batch(b.N)
 	b.StopTimer()
 	if sec := b.Elapsed().Seconds(); sec > 0 {
 		b.ReportMetric(float64(b.N)/sec, "jobs/sec")
 	}
-	// The store now holds b.N terminal jobs; sanity-check one count so a
-	// silently dropped job cannot inflate the figure.
-	if done := srv.Metrics().JobsDone.Load(); done != int64(b.N) {
-		b.Fatalf("daemon finished %d jobs, submitted %d", done, b.N)
+	// The store now holds the warm-up and b.N timed jobs; sanity-check
+	// the count so a silently dropped job cannot inflate the figure.
+	if done := m.JobsDone.Load(); done != int64(total) {
+		b.Fatalf("daemon finished %d jobs, submitted %d", done, total)
 	}
 }

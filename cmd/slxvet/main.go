@@ -6,19 +6,19 @@
 //
 // Usage:
 //
-//	go run ./cmd/slxvet [-facts dir] [packages]
+//	go run ./cmd/slxvet [packages]
 //
-// Packages default to ./... resolved in the current module. -facts
-// names the analysis facts directory (per-package diagnostics keyed by
-// source and dependency hashes); CI caches it across runs, and an
-// empty value disables caching.
+// Packages default to ./... resolved in the current directory. Every
+// run loads and analyzes its packages afresh, through the same
+// analysis.Run call as internal/lint's TestRepoClean, so the command,
+// the test and CI's slxvet job report the same findings.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
 
 	"repro/internal/lint"
 	"repro/internal/lint/analysis"
@@ -30,10 +30,9 @@ func main() {
 
 // run executes the multichecker; split from main for testing. Exit
 // codes follow go vet: 0 clean, 1 findings, 2 operational failure.
-func run(args []string, stdout, stderr *os.File) int {
+func run(args []string, stdout, stderr io.Writer) int {
 	flags := flag.NewFlagSet("slxvet", flag.ContinueOnError)
 	flags.SetOutput(stderr)
-	facts := flags.String("facts", defaultFactsDir(), "analysis facts (cache) directory; empty disables caching")
 	if err := flags.Parse(args); err != nil {
 		return 2
 	}
@@ -52,12 +51,7 @@ func run(args []string, stdout, stderr *os.File) int {
 		fmt.Fprintln(stderr, "slxvet:", err)
 		return 2
 	}
-	cache, err := analysis.OpenCache(*facts)
-	if err != nil {
-		fmt.Fprintln(stderr, "slxvet:", err)
-		return 2
-	}
-	diags, err := analysis.RunCached(pkgs, lint.Analyzers(), cache)
+	diags, err := analysis.Run(pkgs, lint.Analyzers())
 	if err != nil {
 		fmt.Fprintln(stderr, "slxvet:", err)
 		return 2
@@ -69,17 +63,4 @@ func run(args []string, stdout, stderr *os.File) int {
 		return 1
 	}
 	return 0
-}
-
-// defaultFactsDir places the cache under the user cache directory, or
-// disables caching when none is available.
-func defaultFactsDir() string {
-	if env := os.Getenv("SLXVET_FACTS"); env != "" {
-		return env
-	}
-	dir, err := os.UserCacheDir()
-	if err != nil {
-		return ""
-	}
-	return filepath.Join(dir, "slxvet")
 }

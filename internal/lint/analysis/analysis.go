@@ -24,8 +24,8 @@ import (
 // Analyzer is one static check: a name, a documentation string, and a
 // Run function invoked once per package.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and caches. It must be
-	// a valid Go identifier.
+	// Name identifies the analyzer in diagnostics. It must be a valid Go
+	// identifier.
 	Name string
 	// Doc is the one-paragraph contract the analyzer enforces.
 	Doc string
@@ -61,14 +61,13 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// Diagnostic is one finding, positioned by resolved file location so it
-// survives serialization into the facts cache.
+// Diagnostic is one finding, positioned by resolved file location.
 type Diagnostic struct {
-	Analyzer string `json:"analyzer"`
-	Filename string `json:"file"`
-	Line     int    `json:"line"`
-	Column   int    `json:"col"`
-	Message  string `json:"message"`
+	Analyzer string
+	Filename string
+	Line     int
+	Column   int
+	Message  string
 }
 
 // String renders the diagnostic in the conventional
@@ -78,41 +77,26 @@ func (d Diagnostic) String() string {
 }
 
 // Run applies every analyzer to every package and returns the combined
-// diagnostics sorted by file, line, column, then analyzer name, so
-// output and cache contents are deterministic.
+// diagnostics sorted by file, line, column, analyzer name, then
+// message, so the output is deterministic.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
+	report := func(d Diagnostic) { diags = append(diags, d) }
 	for _, pkg := range pkgs {
-		ds, err := runPackage(pkg, analyzers)
-		if err != nil {
-			return nil, err
-		}
-		diags = append(diags, ds...)
-	}
-	sortDiagnostics(diags)
-	return diags, nil
-}
-
-// runPackage applies the analyzers to a single loaded package.
-func runPackage(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	var diags []Diagnostic
-	for _, a := range analyzers {
-		pass := &Pass{
-			Analyzer:  a,
-			Fset:      pkg.Fset,
-			Files:     pkg.Files,
-			Pkg:       pkg.Types,
-			TypesInfo: pkg.Info,
-			report:    func(d Diagnostic) { diags = append(diags, d) },
-		}
-		if err := a.Run(pass); err != nil {
-			return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.PkgPath, err)
+		for _, a := range analyzers {
+			pass := &Pass{
+				Analyzer:  a,
+				Fset:      pkg.Fset,
+				Files:     pkg.Files,
+				Pkg:       pkg.Types,
+				TypesInfo: pkg.Info,
+				report:    report,
+			}
+			if err := a.Run(pass); err != nil {
+				return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.PkgPath, err)
+			}
 		}
 	}
-	return diags, nil
-}
-
-func sortDiagnostics(diags []Diagnostic) {
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
 		if a.Filename != b.Filename {
@@ -129,4 +113,5 @@ func sortDiagnostics(diags []Diagnostic) {
 		}
 		return a.Message < b.Message
 	})
+	return diags, nil
 }

@@ -23,21 +23,14 @@ type Package struct {
 	// PkgPath is the import path (or the fixture directory base for
 	// LoadDir packages).
 	PkgPath string
-	// Dir is the directory holding the sources.
-	Dir string
 	// Fset positions every file in Files.
 	Fset *token.FileSet
 	// Files are the parsed non-test sources, with comments.
 	Files []*ast.File
-	// Filenames are the absolute source paths, parallel to Files.
-	Filenames []string
 	// Types is the type-checked package.
 	Types *types.Package
 	// Info holds the type-checker's facts for Files.
 	Info *types.Info
-	// DepExports maps each dependency import path to its export-data
-	// file, recorded for cache keying.
-	DepExports map[string]string
 }
 
 // listPackage is the subset of `go list -json` output the loader needs.
@@ -51,10 +44,11 @@ type listPackage struct {
 }
 
 // goList runs `go list -export -deps -json` in dir and decodes the
-// package stream. Export data for every listed package is built as a
-// side effect, which is what lets the type checker import dependencies
-// without compiling them itself.
-func goList(dir string, patterns []string) ([]listPackage, error) {
+// package stream, plus a map from import path to export-data file.
+// Export data for every listed package is built as a side effect, which
+// is what lets the type checker import dependencies without compiling
+// them itself.
+func goList(dir string, patterns []string) ([]listPackage, map[string]string, error) {
 	args := append([]string{"list", "-export", "-deps", "-json"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
@@ -62,20 +56,24 @@ func goList(dir string, patterns []string) ([]listPackage, error) {
 	cmd.Stdout = &stdout
 	cmd.Stderr = &stderr
 	if err := cmd.Run(); err != nil {
-		return nil, fmt.Errorf("go list %v: %w\n%s", patterns, err, stderr.String())
+		return nil, nil, fmt.Errorf("go list %v: %w\n%s", patterns, err, stderr.String())
 	}
 	var pkgs []listPackage
+	exports := make(map[string]string)
 	dec := json.NewDecoder(&stdout)
 	for {
 		var p listPackage
 		if err := dec.Decode(&p); err == io.EOF {
 			break
 		} else if err != nil {
-			return nil, fmt.Errorf("go list %v: decoding output: %w", patterns, err)
+			return nil, nil, fmt.Errorf("go list %v: decoding output: %w", patterns, err)
 		}
 		pkgs = append(pkgs, p)
+		if p.Export != "" {
+			exports[p.ImportPath] = p.Export
+		}
 	}
-	return pkgs, nil
+	return pkgs, exports, nil
 }
 
 // ModuleRoot resolves the root directory of the main module containing
@@ -96,15 +94,9 @@ func ModuleRoot(dir string) (string, error) {
 // bind implementation code, and test-only fixtures are exercised by
 // the runtime parity suites instead.
 func Load(dir string, patterns ...string) ([]*Package, error) {
-	listed, err := goList(dir, patterns)
+	listed, exports, err := goList(dir, patterns)
 	if err != nil {
 		return nil, err
-	}
-	exports := make(map[string]string, len(listed))
-	for _, p := range listed {
-		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
-		}
 	}
 	fset := token.NewFileSet()
 	imp := exportImporter(fset, exports)
@@ -113,7 +105,11 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		if p.DepOnly || p.Standard || len(p.GoFiles) == 0 {
 			continue
 		}
-		pkg, err := checkPackage(fset, imp, p.ImportPath, p.Dir, p.GoFiles, exports)
+		asts, err := parseFiles(fset, p.Dir, p.GoFiles)
+		if err != nil {
+			return nil, err
+		}
+		pkg, err := typeCheck(fset, imp, p.ImportPath, asts)
 		if err != nil {
 			return nil, err
 		}
@@ -144,21 +140,16 @@ func LoadDir(moduleDir, fixtureDir string) (*Package, error) {
 	}
 	sort.Strings(files)
 
-	// A first parse pass collects the fixture's imports so one go list
-	// invocation can produce export data for all of them.
+	// The parsed files' imports go to one go list invocation, which
+	// produces export data for all of them.
 	fset := token.NewFileSet()
-	var asts []*ast.File
-	var names []string
+	asts, err := parseFiles(fset, fixtureDir, files)
+	if err != nil {
+		return nil, err
+	}
 	importSet := make(map[string]bool)
-	for _, f := range files {
-		path := filepath.Join(fixtureDir, f)
-		parsed, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		asts = append(asts, parsed)
-		names = append(names, path)
-		for _, spec := range parsed.Imports {
+	for _, f := range asts {
+		for _, spec := range f.Imports {
 			p, err := strconv.Unquote(spec.Path.Value)
 			if err != nil {
 				return nil, err
@@ -173,19 +164,13 @@ func LoadDir(moduleDir, fixtureDir string) (*Package, error) {
 			paths = append(paths, p)
 		}
 		sort.Strings(paths)
-		listed, err := goList(moduleDir, paths)
-		if err != nil {
+		if _, exports, err = goList(moduleDir, paths); err != nil {
 			return nil, err
-		}
-		for _, p := range listed {
-			if p.Export != "" {
-				exports[p.ImportPath] = p.Export
-			}
 		}
 	}
 	imp := exportImporter(fset, exports)
 	pkgPath := filepath.Base(fixtureDir)
-	return typeCheck(fset, imp, pkgPath, fixtureDir, asts, names, exports)
+	return typeCheck(fset, imp, pkgPath, asts)
 }
 
 // exportImporter builds a types.Importer that reads the gc export data
@@ -201,24 +186,20 @@ func exportImporter(fset *token.FileSet, exports map[string]string) types.Import
 	return importer.ForCompiler(fset, "gc", lookup)
 }
 
-// checkPackage parses the named files of one target package and type
-// checks them.
-func checkPackage(fset *token.FileSet, imp types.Importer, pkgPath, dir string, goFiles []string, exports map[string]string) (*Package, error) {
+// parseFiles parses the named files of dir, with comments.
+func parseFiles(fset *token.FileSet, dir string, names []string) ([]*ast.File, error) {
 	var asts []*ast.File
-	var names []string
-	for _, f := range goFiles {
-		path := filepath.Join(dir, f)
-		parsed, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+	for _, name := range names {
+		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
 		}
-		asts = append(asts, parsed)
-		names = append(names, path)
+		asts = append(asts, f)
 	}
-	return typeCheck(fset, imp, pkgPath, dir, asts, names, exports)
+	return asts, nil
 }
 
-func typeCheck(fset *token.FileSet, imp types.Importer, pkgPath, dir string, asts []*ast.File, names []string, exports map[string]string) (*Package, error) {
+func typeCheck(fset *token.FileSet, imp types.Importer, pkgPath string, asts []*ast.File) (*Package, error) {
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
@@ -233,13 +214,10 @@ func typeCheck(fset *token.FileSet, imp types.Importer, pkgPath, dir string, ast
 		return nil, fmt.Errorf("type-checking %s: %w", pkgPath, err)
 	}
 	return &Package{
-		PkgPath:    pkgPath,
-		Dir:        dir,
-		Fset:       fset,
-		Files:      asts,
-		Filenames:  names,
-		Types:      tpkg,
-		Info:       info,
-		DepExports: exports,
+		PkgPath: pkgPath,
+		Fset:    fset,
+		Files:   asts,
+		Types:   tpkg,
+		Info:    info,
 	}, nil
 }

@@ -1,8 +1,6 @@
 package lint_test
 
 import (
-	"os"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/lint"
@@ -12,9 +10,10 @@ import (
 // TestRepoClean is the slxvet smoke test: the full suite over the
 // repository itself must report nothing — every soundness-contract
 // finding in the tree has been fixed or carries an //slx: exemption
-// with its reason. A failure here is a regression against one of the
-// engine contracts (or a new object missing its annotation), exactly
-// what CI's slxvet job would report.
+// with its reason. It makes the same analysis.Run call over freshly
+// loaded packages as cmd/slxvet and CI's slxvet job, so a failure here
+// is a regression against one of the engine contracts (or a new object
+// missing its annotation), exactly what they report.
 func TestRepoClean(t *testing.T) {
 	root, err := analysis.ModuleRoot(".")
 	if err != nil {
@@ -30,52 +29,5 @@ func TestRepoClean(t *testing.T) {
 	}
 	for _, d := range diags {
 		t.Errorf("%s", d)
-	}
-}
-
-// TestCacheRoundTrip exercises the facts cache cmd/slxvet and CI rely
-// on: a second run over unchanged sources must hit for every package
-// and reproduce the identical diagnostics.
-func TestCacheRoundTrip(t *testing.T) {
-	root, err := analysis.ModuleRoot(".")
-	if err != nil {
-		t.Fatalf("module root: %v", err)
-	}
-	pkgs, err := analysis.Load(root, "./internal/lint/...")
-	if err != nil {
-		t.Fatalf("load: %v", err)
-	}
-	dir := t.TempDir()
-	cache, err := analysis.OpenCache(dir)
-	if err != nil {
-		t.Fatalf("open cache: %v", err)
-	}
-	cold, err := analysis.RunCached(pkgs, lint.Analyzers(), cache)
-	if err != nil {
-		t.Fatalf("cold run: %v", err)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatalf("read cache dir: %v", err)
-	}
-	if len(entries) != len(pkgs) {
-		t.Fatalf("cache holds %d entries after analyzing %d packages", len(entries), len(pkgs))
-	}
-	for _, e := range entries {
-		if filepath.Ext(e.Name()) != ".json" {
-			t.Errorf("unexpected cache entry %q", e.Name())
-		}
-	}
-	warm, err := analysis.RunCached(pkgs, lint.Analyzers(), cache)
-	if err != nil {
-		t.Fatalf("warm run: %v", err)
-	}
-	if len(warm) != len(cold) {
-		t.Fatalf("warm run returned %d diagnostics, cold returned %d", len(warm), len(cold))
-	}
-	for i := range warm {
-		if warm[i] != cold[i] {
-			t.Errorf("diagnostic %d differs across runs:\n cold: %s\n warm: %s", i, cold[i], warm[i])
-		}
 	}
 }

@@ -30,7 +30,7 @@ func newSessionRunner(cfg *Config) (*sessionRunner, error) {
 		Object:      cfg.NewObject(),
 		NewObject:   cfg.NewObject,
 		NewEnv:      cfg.NewEnv,
-		Fingerprint: cfg.Fingerprint,
+		Fingerprint: true,
 	})
 	if err != nil {
 		return nil, err
@@ -91,9 +91,7 @@ func (r *sessionRunner) sample(seed int64, rec *schedRec) (*explore.Violation, e
 			}
 		}
 	}
-	if r.cfg.Fingerprint {
-		rec.fp, rec.fped = r.sess.Fingerprint()
-	}
+	rec.fp, rec.fped = r.sess.Fingerprint()
 	// The schedule ended clean, so nothing touches its fork again: hand
 	// it back for recycling, as explore does for a finished subtree. A
 	// violating schedule's set stays with its Violation.

@@ -75,8 +75,10 @@ type Config struct {
 	// Recoveries injects at most this many recover decisions per
 	// schedule, at uniformly chosen steps. A recovery point fires at the
 	// first decision at or after its step where some process is crashed
-	// (a point drawn before any crash stays armed). 0 disables recovery
-	// injection; it only matters together with Crashes > 0.
+	// (a point drawn before any crash stays armed). The schedule ends at
+	// the first configuration with no ready process, even with a process
+	// crashed and a point armed: no recovery fires there. 0 disables
+	// recovery injection; it only matters together with Crashes > 0.
 	Recoveries int
 	// Strategy selects PCT or Walk.
 	Strategy Strategy
@@ -102,10 +104,6 @@ type Config struct {
 	// which failure is reported — identical to the in-process run. Nil
 	// spawns goroutines as before.
 	Spawn func(loop func()) bool
-	// Fingerprint asks each schedule for its terminal-state fingerprint
-	// to compute Stats.DistinctStates (no-op when the object does not
-	// implement sim.Fingerprintable).
-	Fingerprint bool
 	// Ctx cancels the run; it is polled once per schedule. On
 	// cancellation Run returns the context error together with partial
 	// Stats marked Interrupted.
@@ -121,7 +119,8 @@ type Stats struct {
 	// Schedules counts the sampled schedules merged into these stats.
 	Schedules int
 	// DistinctStates counts the distinct terminal-state fingerprints
-	// among them (0 without Config.Fingerprint or the object hook).
+	// among them (0 when the object does not implement
+	// sim.Fingerprintable).
 	DistinctStates int
 	// Steps counts granted simulator steps across the merged schedules.
 	Steps int

@@ -166,7 +166,6 @@ func okCfg() Config {
 		ChangePoints: 3,
 		Seed:         7,
 		Workers:      1,
-		Fingerprint:  true,
 	}
 }
 
@@ -309,7 +308,8 @@ func TestFailingSeedReproduces(t *testing.T) {
 }
 
 // TestDistinctStates: terminal-state dedup counts more than one state on
-// a clean register but never more than the schedule count.
+// a clean register but never more than the schedule count, and none on
+// an object without the sim.Fingerprintable hook.
 func TestDistinctStates(t *testing.T) {
 	st, err := Run(okCfg())
 	if err != nil {
@@ -319,13 +319,14 @@ func TestDistinctStates(t *testing.T) {
 		t.Fatalf("implausible distinct-state count %d over %d schedules", st.DistinctStates, st.Schedules)
 	}
 	cfg := okCfg()
-	cfg.Fingerprint = false
+	// Embedding the interface keeps Apply and drops every hook.
+	cfg.NewObject = func() sim.Object { return struct{ sim.Object }{newOKReg()} }
 	off, err := Run(cfg)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	if off.DistinctStates != 0 {
-		t.Fatalf("DistinctStates=%d without fingerprinting, want 0", off.DistinctStates)
+		t.Fatalf("DistinctStates=%d on an object without the fingerprint hook, want 0", off.DistinctStates)
 	}
 }
 

@@ -78,15 +78,18 @@ func WithCrashes(n int) Option { return func(c *Checker) { c.crashes = n } }
 
 // WithRecoveries lets Explore additionally branch on recovering each
 // crashed process, at most n times per schedule (in sampling mode:
-// inject up to n recover decisions at uniformly chosen steps). A
-// recovered process re-enters the ready set: its operation pending at
-// the crash never responds, its volatile object state is gone (wiped at
-// the crash through the run.Recoverable hook, when implemented), and it
-// runs the object's recovery routine — if any — before consulting the
-// environment again. Objects without the hook recover too, with all
-// state durable and no routine. Only meaningful together with
-// WithCrashes(>= 1): without crashes no process is ever recoverable.
-// Default: 0 (crashes are permanent).
+// inject up to n recover decisions at uniformly chosen steps; a sampled
+// schedule still ends at the first configuration with no ready
+// process, even with a process crashed and a recovery point armed, so
+// sampling misses a violation that needs a recovery while nothing else
+// can run). A recovered process re-enters the ready set: its operation
+// pending at the crash never responds, its volatile object state is
+// gone (wiped at the crash through the run.Recoverable hook, when
+// implemented), and it runs the object's recovery routine — if any —
+// before consulting the environment again. Objects without the hook
+// recover too, with all state durable and no routine. Only meaningful
+// together with WithCrashes(>= 1): without crashes no process is ever
+// recoverable. Default: 0 (crashes are permanent).
 func WithRecoveries(n int) Option { return func(c *Checker) { c.recoveries = n } }
 
 // WithWorkers explores with n concurrent workers under a bounded
@@ -327,17 +330,21 @@ func (c *Checker) Check(props ...Property) (*Report, error) {
 // reproduced execution. Replay is deterministic: the same schedule and
 // environment yield the same history and verdicts. The environment must
 // match the one that produced the schedule (for an adversary witness,
-// configure WithEnv from the strategy's EnvScripter).
+// configure WithEnv from the strategy's EnvScripter). A configuration
+// with no ready process but a crashed one does not end the replay: the
+// schedule may recover that process next, and its exhaustion ends the
+// run instead.
 func (c *Checker) Replay(schedule []run.Decision, props ...Property) (*Report, error) {
 	if err := c.need("Replay", true); err != nil {
 		return nil, err
 	}
 	res := run.Run(run.Config{
-		Procs:     c.procs,
-		Object:    c.newObject(),
-		Env:       c.newEnv(),
-		Scheduler: c.cancellable(run.Fixed(schedule)),
-		MaxSteps:  len(schedule) + 1,
+		Procs:            c.procs,
+		Object:           c.newObject(),
+		Env:              c.newEnv(),
+		Scheduler:        c.cancellable(run.Fixed(schedule)),
+		MaxSteps:         len(schedule) + 1,
+		RecoverQuiescent: true,
 	})
 	return c.finish(ModeReplay, "", res, props)
 }
@@ -697,7 +704,6 @@ func (c *Checker) sampleExplore(ctx context.Context, props []Property) (*Report,
 		Seed:         c.seed,
 		Workers:      c.workers,
 		Spawn:        c.spawn,
-		Fingerprint:  true,
 		Ctx:          ctx,
 	})
 	if st == nil {
