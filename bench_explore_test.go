@@ -413,7 +413,21 @@ func BenchmarkExploreDSTM(b *testing.B) {
 // apply, so this is the section where the monitor's spec transitions
 // cost most.
 func BenchmarkExploreQueueMonitor(b *testing.B) {
-	c := slx.New(
+	benchExplore(b, queueExploreChecker(), check.Linearizability(check.QueueSpec{}))
+}
+
+// BenchmarkExploreQueueCachePOR is the queue3 shape as slxbench's
+// dfs-reduced workload runs it, with POR and the state cache. The
+// CAS-based queue declares neither footprints nor a fingerprint, so
+// both reductions stay inert, and the run measures what every branch
+// point of a plain DFS copies: the in-flight frames, the monitor set
+// and the sleep set.
+func BenchmarkExploreQueueCachePOR(b *testing.B) {
+	benchExplore(b, queueExploreChecker(slx.WithPOR(), slx.WithStateCache()), check.Linearizability(check.QueueSpec{}))
+}
+
+func queueExploreChecker(extra ...slx.Option) *slx.Checker {
+	opts := []slx.Option{
 		slx.WithProcs(3),
 		slx.WithDepth(7),
 		slx.WithObject(func() run.Object { return queue.NewCASQueue() }),
@@ -424,8 +438,8 @@ func BenchmarkExploreQueueMonitor(b *testing.B) {
 				3: {{Op: "enq", Arg: "c"}, {Op: "deq"}},
 			})
 		}),
-	)
-	benchExplore(b, c, check.Linearizability(check.QueueSpec{}))
+	}
+	return slx.New(append(opts, extra...)...)
 }
 
 // BenchmarkExploreCommitAdoptCache is the README's cache workload:

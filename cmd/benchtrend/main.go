@@ -72,6 +72,7 @@ var sections = map[string]string{
 	"BenchmarkExploreRecoveryCachePOR":        "recovery_cache_por",
 	"BenchmarkExploreDSTM":                    "dstm",
 	"BenchmarkExploreQueueMonitor":            "queue_monitor",
+	"BenchmarkExploreQueueCachePOR":           "queue_cache_por",
 	"BenchmarkExploreCommitAdoptCache":        "commit_adopt_cache",
 	"BenchmarkSampleThroughput":               "sample",
 	"BenchmarkSampleThroughputReplay":         "sample_replay",

@@ -40,6 +40,11 @@ type sessionExec struct {
 	// bounded by the exploration depth, so the pool stays tiny); each
 	// reuse also reuses the ready-slice backing.
 	nifree []*nodeInfo
+	// slots[k] is the monitor set last forked for a child of a node at
+	// depth k. Only one node per depth is on the DFS path, and it forks
+	// for its next child only after the previous child's subtree is
+	// done, so the set in the slot is free to be forked into.
+	slots []MonitorSet
 }
 
 func newSessionExec(g *engine, st *Stats) (*sessionExec, error) {
@@ -111,6 +116,16 @@ func (e *sessionExec) node(delta history.History, a sim.Access) *nodeInfo {
 		ni.fp, ni.fped = e.sess.Fingerprint()
 	}
 	return ni
+}
+
+// fork copies ms, the set of a node at depth k, for one of the node's
+// children, into the slot for depth k.
+func (e *sessionExec) fork(ms MonitorSet, k int) MonitorSet {
+	for len(e.slots) <= k {
+		e.slots = append(e.slots, nil)
+	}
+	e.slots[k] = ms.Fork(e.slots[k])
+	return e.slots[k]
 }
 
 // recycle returns a node info the DFS is done with for reuse by a later

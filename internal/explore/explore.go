@@ -23,7 +23,11 @@
 // produced (sim.StepInfo.Delta), so each event is judged once per path
 // instead of once per descendant prefix. Safety properties are
 // prefix-closed, so judging each new event once reaches the verdict
-// re-judging every prefix would.
+// re-judging every prefix would. A branch point copies only what its
+// next child changes: the last explored child takes the parent's set
+// itself, each earlier one a fork into the worker's slot for that
+// depth, whose previous occupant's subtree is done, and the session
+// forks an in-flight frame only when its process next steps.
 //
 // Config.POR additionally enables sleep-set partial-order reduction:
 // when the object under test reports per-step footprints
@@ -61,27 +65,11 @@ type MonitorSet interface {
 	// violation (exploration stops and reports it with the witness).
 	Step(e history.Event) error
 	// Fork returns an independent copy for a sibling branch; stepping
-	// either copy must not affect the other.
-	Fork() MonitorSet
-}
-
-// ReleasableMonitorSet is the optional hook a MonitorSet implements to
-// reclaim forks. The engine calls Release exactly once, when the
-// subtree a fork was made for has been fully explored without error: no
-// Step, Fork, or digest call follows, so the set may recycle its state
-// into later Fork calls. Sets on error paths (a violation's set, or
-// tasks abandoned by a cutoff) are never released — the garbage
-// collector keeps them correct — so implementations need no idempotence.
-type ReleasableMonitorSet interface {
-	MonitorSet
-	Release()
-}
-
-// releaseMonitors hands ms back to its owner when it opts in.
-func releaseMonitors(ms MonitorSet) {
-	if r, ok := ms.(ReleasableMonitorSet); ok {
-		r.Release()
-	}
+	// either copy must not affect the other. dst is nil or a set forked
+	// earlier from the same root set whose branch is fully explored
+	// without error: Fork may reuse dst's storage for the copy and
+	// return it, or ignore dst. Nil means allocate.
+	Fork(dst MonitorSet) MonitorSet
 }
 
 // Violation wraps a MonitorSet violation with its location: the witness
@@ -384,8 +372,9 @@ func (g *engine) runTask(w *wsWorker, ex *sessionExec, t *wsTask, st *Stats) err
 	ps.steps, _, _ = budgets(t.prefix)
 	_, err = g.explore(w, ex, node, ps, t.crashes, t.recoveries, t.ms, t.sleep, st)
 	ex.recycle(node)
-	if err == nil {
-		releaseMonitors(t.ms)
+	if err != nil {
+		// A failed branch's sets may back its error: fork into fresh ones.
+		clear(ex.slots)
 	}
 	return err
 }
@@ -569,7 +558,7 @@ func (g *engine) explore(w *wsWorker, ex *sessionExec, node *nodeInfo, ps *pathS
 		}
 		cms := ms
 		if i < lastLive && spawned == 0 {
-			cms = ms.Fork() // the last explored child inherits the set without a copy
+			cms = ex.fork(ms, len(ps.prefix)) // the last explored child inherits the set without a copy
 		}
 		nextCrashes, nextRecoveries := crashes, recoveries
 		switch {
@@ -592,9 +581,6 @@ func (g *engine) explore(w *wsWorker, ex *sessionExec, node *nodeInfo, ps *pathS
 			ps.steps++
 		}
 		cc, err := g.explore(w, ex, cn, ps, nextCrashes, nextRecoveries, cms, z, st)
-		if err == nil && cms != ms {
-			releaseMonitors(cms) // forked for this child, now fully explored
-		}
 		ps.prefix = ps.prefix[:len(ps.prefix)-1]
 		if !d.Crash && !d.Recover {
 			ps.steps--
@@ -611,7 +597,9 @@ func (g *engine) explore(w *wsWorker, ex *sessionExec, node *nodeInfo, ps *pathS
 			// re-checks the cutoff (the abandoned child may be its last).
 			complete = false
 		}
-		if g.cfg.POR && !d.Crash && !d.Recover {
+		// An unknown footprint is dependent on every step, so the next
+		// child's filterSleep would drop the entry at once.
+		if g.cfg.POR && !d.Crash && !d.Recover && cn.access.Known {
 			z = append(z, sleepEntry{d: d, a: cn.access})
 		}
 		ex.recycle(cn)

@@ -29,9 +29,9 @@ func (s *recordingSet) Step(e history.Event) error {
 	return nil
 }
 
-func (s *recordingSet) Fork() MonitorSet {
+func (s *recordingSet) Fork(MonitorSet) MonitorSet {
 	s.forks.Add(1)
-	return &recordingSet{m: s.m.Fork(), steps: s.steps, forks: s.forks}
+	return &recordingSet{m: s.m.Fork(nil), steps: s.steps, forks: s.forks}
 }
 
 // holdsSet is the in-package batch oracle: a MonitorSet that
@@ -59,7 +59,7 @@ func (s *holdsSet) Step(e history.Event) error {
 	return nil
 }
 
-func (s *holdsSet) Fork() MonitorSet {
+func (s *holdsSet) Fork(MonitorSet) MonitorSet {
 	s.h = s.h[:len(s.h):len(s.h)] // clip: a later append by either copy reallocates
 	return &holdsSet{name: s.name, holds: s.holds, h: s.h}
 }
@@ -179,8 +179,8 @@ func TestRootViolationWitnessNonNil(t *testing.T) {
 // failFirstSet violates on the very first event it sees.
 type failFirstSet struct{}
 
-func (failFirstSet) Step(e history.Event) error { return fmt.Errorf("first event rejected") }
-func (f failFirstSet) Fork() MonitorSet         { return f }
+func (failFirstSet) Step(e history.Event) error   { return fmt.Errorf("first event rejected") }
+func (f failFirstSet) Fork(MonitorSet) MonitorSet { return f }
 
 // TestMonitorParallelMatchesSequential: the monitor path explores the
 // same tree under Workers > 1, and violations found by workers carry

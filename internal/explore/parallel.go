@@ -359,7 +359,7 @@ func (g *engine) trySplit(w *wsWorker, ex *sessionExec, mark *sim.Mark, ps *path
 		if g.cfg.POR {
 			// The sibling explored before this child goes to sleep for it,
 			// exactly as the sequential loop would append it.
-			if prev := children[live[j-1]]; !prev.Crash && !prev.Recover {
+			if prev := children[live[j-1]]; !prev.Crash && !prev.Recover && probes[j-1].Known {
 				sl = append(sl[:len(sl):len(sl)], sleepEntry{d: prev, a: probes[j-1]})
 			}
 		}
@@ -376,7 +376,7 @@ func (g *engine) trySplit(w *wsWorker, ex *sessionExec, mark *sim.Mark, ps *path
 			crashes:      cr,
 			recoveries:   rv,
 			parentEvents: parentEvents,
-			ms:           ms.Fork(),
+			ms:           ms.Fork(nil),
 			sleep:        sl,
 		})
 	}

@@ -90,7 +90,7 @@ func (s *linSet) Step(e history.Event) error {
 	return nil
 }
 
-func (s *linSet) Fork() explore.MonitorSet { return &linSet{m: s.m.Fork()} }
+func (s *linSet) Fork(explore.MonitorSet) explore.MonitorSet { return &linSet{m: s.m.Fork(nil)} }
 
 func (s *linSet) StateDigest() (uint64, bool) {
 	d, ok := s.m.(history.Digester)

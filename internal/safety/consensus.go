@@ -61,8 +61,8 @@ func (m *avMonitor) Step(e history.Event) bool {
 // OK implements Monitor.
 func (m *avMonitor) OK() bool { return !m.failed }
 
-// Fork implements Monitor.
-func (m *avMonitor) Fork() Monitor {
+// Fork implements Monitor. It always allocates.
+func (m *avMonitor) Fork(Monitor) Monitor {
 	proposed := make(map[history.Value]bool, len(m.proposed))
 	for v := range m.proposed {
 		proposed[v] = true

@@ -71,8 +71,8 @@ func (m *ksetMonitor) Step(e history.Event) bool {
 // OK implements Monitor.
 func (m *ksetMonitor) OK() bool { return !m.failed }
 
-// Fork implements Monitor.
-func (m *ksetMonitor) Fork() Monitor {
+// Fork implements Monitor. It always allocates.
+func (m *ksetMonitor) Fork(Monitor) Monitor {
 	proposed := make(map[history.Value]bool, len(m.proposed))
 	for v := range m.proposed {
 		proposed[v] = true

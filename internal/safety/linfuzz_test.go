@@ -207,7 +207,7 @@ func FuzzLinMonitor(f *testing.F) {
 			var fm Monitor
 			for i, e := range h {
 				if i == forkAt {
-					fm = m.Fork()
+					fm = m.Fork(nil)
 				}
 				if !m.Step(e) || (fm != nil && !fm.Step(e)) {
 					t.Fatalf("strict=%v: linearizable prefix rejected at event %d (fork at %d) of %s", m.strict, i+1, forkAt, h)

@@ -3,7 +3,6 @@ package safety
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 
 	"repro/internal/history"
 )
@@ -79,10 +78,9 @@ type LinMonitor struct {
 	pending []int  // proc → slot+1 of its live operation (0 = none)
 	configs []linCfg
 	failed  bool
-	// Inline backings for pending and slots: exploration forks a monitor
-	// per branch, and with the small process counts of bounded
-	// exploration both fit inline, so a pooled Fork copies into them
-	// instead of allocating.
+	// Inline backings for pending and slots: with the small process
+	// counts of bounded exploration both fit inline, so a fresh fork is
+	// one allocation.
 	pendInline [8]int
 	slotInline [8]linSlot
 }
@@ -365,34 +363,19 @@ func (m *LinMonitor) closeOver(sc *linScratch, c linCfg, idx int, val uint32) {
 // OK implements Monitor.
 func (m *LinMonitor) OK() bool { return !m.failed }
 
-// linPool recycles released monitors back into Fork: exploration forks
-// one monitor per branch and releases it when the branch's subtree is
-// done, so steady-state forking reuses the slot, pending and configs
-// backings instead of allocating.
-var linPool = sync.Pool{New: func() any { return new(LinMonitor) }}
-
 // Fork implements Monitor. The fork shares the table; everything else
-// is copied, and holds no pointers.
-func (m *LinMonitor) Fork() Monitor {
-	f := linPool.Get().(*LinMonitor)
+// is copied, and holds no pointers. A LinMonitor dst is overwritten, so
+// its slot, pending and configuration backings serve the copy.
+func (m *LinMonitor) Fork(dst Monitor) Monitor {
+	f, _ := dst.(*LinMonitor)
+	if f == nil {
+		f = &LinMonitor{}
+		f.pending, f.slots = f.pendInline[:0], f.slotInline[:0]
+	}
 	f.tab, f.strict, f.failed = m.tab, m.strict, m.failed
 	f.used, f.invs = m.used, m.invs
-	if f.pending == nil {
-		f.pending = f.pendInline[:0]
-	}
-	if f.slots == nil {
-		f.slots = f.slotInline[:0]
-	}
 	f.pending = append(f.pending[:0], m.pending...)
 	f.slots = append(f.slots[:0], m.slots...)
 	f.configs = append(f.configs[:0], m.configs...)
 	return f
-}
-
-// Release implements Releaser: the fork's branch is fully explored, so
-// its backings can serve a later Fork. It drops the table, which must
-// not outlive its job in the pool.
-func (m *LinMonitor) Release() {
-	m.tab = nil
-	linPool.Put(m)
 }

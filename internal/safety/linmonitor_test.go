@@ -82,7 +82,7 @@ func TestLinMonitorForkSlotReuse(t *testing.T) {
 	}
 	step(m, history.Invoke(1, "write", 1), history.Response(1, "write", history.OK))
 	step(m, history.Invoke(2, "read", nil)) // slot 0
-	f := m.Fork().(*LinMonitor)
+	f := m.Fork(nil).(*LinMonitor)
 	// The parent completes the read and reuses slot 0 for a write of 5.
 	step(m, history.Response(2, "read", 1), history.Invoke(3, "write", 5))
 	name := func(m *LinMonitor) string { return m.tab.ops.items[m.slots[0].op].name }
@@ -93,7 +93,7 @@ func TestLinMonitorForkSlotReuse(t *testing.T) {
 	// then return 7; the parent's read returned 1 before the write of 5.
 	step(f, history.Invoke(3, "write", 7), history.Response(3, "write", history.OK), history.Response(2, "read", 7))
 	step(m, history.Response(3, "write", history.OK), history.Invoke(1, "read", nil), history.Response(1, "read", 5))
-	if g := m.Fork(); g.Step(history.Invoke(2, "read", nil)) && g.Step(history.Response(2, "read", 7)) {
+	if g := m.Fork(nil); g.Step(history.Invoke(2, "read", nil)) && g.Step(history.Response(2, "read", 7)) {
 		t.Error("parent accepted a read of the fork's write")
 	}
 	step(f, history.Invoke(1, "read", nil))
@@ -191,6 +191,9 @@ func TestLinMonitorPin(t *testing.T) {
 				sum = history.DigestByte(sum, flags)
 			}
 			fails := 0
+			// Each fork overwrites the previous history's monitor, which
+			// holds another branch's configurations, slots and verdict.
+			var prev *LinMonitor
 			for i := 0; i < 250; i++ {
 				buf := make([]byte, 48+r.Intn(64))
 				for k := range buf {
@@ -202,7 +205,7 @@ func TestLinMonitorPin(t *testing.T) {
 				var fork *LinMonitor
 				for k, e := range h {
 					if k == forkAt {
-						fork = m.Fork().(*LinMonitor)
+						fork = m.Fork(prev).(*LinMonitor)
 					}
 					fold(m.Step(e), m)
 					if fork != nil {
@@ -212,11 +215,71 @@ func TestLinMonitorPin(t *testing.T) {
 				if !m.OK() {
 					fails++
 				}
+				prev = m
 			}
 			if sum != want[name] {
 				t.Errorf("%s: pinned word %d, want %d (%d of 250 histories violate)", name, sum, want[name], fails)
 			}
 		}
+	}
+}
+
+// TestLinMonitorForkIntoUsed forks a monitor, after a random prefix,
+// into a fork of the same parent that went on through another branch,
+// and steps it beside a fresh fork through the parent's own
+// continuation: every Step result, StateDigest and configuration count
+// must agree. The destinations cover more configurations than the
+// parent holds, other pending slots and a failed verdict.
+func TestLinMonitorForkIntoUsed(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	var moreConfigs, otherSlots, failed int
+	for _, spec := range []SeqSpec{RegisterSpec{Initial: 0}, QueueSpec{}} {
+		for i := 0; i < 200; i++ {
+			buf := make([]byte, 48+r.Intn(64))
+			for k := range buf {
+				buf[k] = byte(r.Intn(256))
+			}
+			h := fuzzHistory(&fuzzBytes{b: buf}, 1+r.Intn(3), 30, spec, i%2 == 1)
+			at := r.Intn(len(h) + 1)
+			spawn := NewLinMonitor
+			if i%3 == 0 {
+				spawn = NewStrictLinMonitor
+			}
+			m := spawn(spec)
+			for _, e := range h[:at] {
+				m.Step(e)
+			}
+			used := m.Fork(nil).(*LinMonitor)
+			for _, e := range altSuffix(r, h[at:]) {
+				used.Step(e)
+			}
+			if len(used.configs) > len(m.configs) {
+				moreConfigs++
+			}
+			if used.used != m.used {
+				otherSlots++
+			}
+			if !used.OK() {
+				failed++
+			}
+			fresh := m.Fork(nil).(*LinMonitor)
+			if m.Fork(used) != Monitor(used) {
+				t.Fatal("Fork allocated instead of overwriting its LinMonitor destination")
+			}
+			for k, e := range h[at:] {
+				fok, uok := fresh.Step(e), used.Step(e)
+				fd, fdok := fresh.StateDigest()
+				ud, udok := used.StateDigest()
+				if fok != uok || fd != ud || fdok != udok || len(fresh.configs) != len(used.configs) {
+					t.Fatalf("%s at event %d of %s (forked at %d): fresh fork %v/%d/%v with %d configurations, reused destination %v/%d/%v with %d",
+						spec.Name(), at+k+1, h, at, fok, fd, fdok, len(fresh.configs), uok, ud, udok, len(used.configs))
+				}
+			}
+		}
+	}
+	if moreConfigs == 0 || otherSlots == 0 || failed == 0 {
+		t.Fatalf("destinations with more configurations: %d, other pending slots: %d, failed: %d; want each case covered",
+			moreConfigs, otherSlots, failed)
 	}
 }
 
@@ -270,14 +333,14 @@ func TestLinMonitorForksStepConcurrently(t *testing.T) {
 				var wg sync.WaitGroup
 				errs := make([]string, goroutines)
 				for g := 0; g < goroutines; g++ {
-					fork := parent.Fork().(*LinMonitor)
+					fork := parent.Fork(nil).(*LinMonitor)
 					wg.Add(1)
 					go func(g int, m *LinMonitor) {
 						defer wg.Done()
 						var sub *LinMonitor
 						for k := at; k < len(hs[g]); k++ {
 							if k == (at+len(hs[g]))/2 {
-								sub = m.Fork().(*LinMonitor)
+								sub = m.Fork(nil).(*LinMonitor)
 							}
 							for _, mon := range []*LinMonitor{m, sub} {
 								if mon == nil {
@@ -289,9 +352,6 @@ func TestLinMonitorForksStepConcurrently(t *testing.T) {
 									errs[g] = hs[g].String()
 								}
 							}
-						}
-						if sub != nil {
-							sub.Release()
 						}
 					}(g, fork)
 				}
@@ -355,7 +415,7 @@ func TestLinMonitorNonComparableValues(t *testing.T) {
 			for _, e := range tc.h {
 				ok = m.Step(e)
 				m.StateDigest()
-				m.Fork().Step(e)
+				m.Fork(nil).Step(e)
 			}
 			if ok != tc.want {
 				t.Errorf("strict=%v: verdict %v on %s, want %v", m.strict, ok, tc.h, tc.want)

@@ -24,8 +24,11 @@ type Monitor interface {
 	OK() bool
 	// Fork returns an independent monitor with this monitor's state.
 	// Stepping either copy never affects the other; exploration forks at
-	// every branch point of the schedule tree.
-	Fork() Monitor
+	// every branch point of the schedule tree. dst is nil or a monitor
+	// forked earlier from the same root that nothing steps any more:
+	// Fork may overwrite dst and return it instead of allocating, or
+	// ignore it. Nil means allocate.
+	Fork(dst Monitor) Monitor
 }
 
 // BatchAdapter presents a monitor factory as a batch Property: Holds
@@ -57,14 +60,3 @@ func (a BatchAdapter) Holds(h history.History) bool {
 
 // Spawn returns a fresh monitor.
 func (a BatchAdapter) Spawn() Monitor { return a.SpawnFn() }
-
-// Releaser is the optional hook a Monitor implements to recycle forks.
-// The caller (ultimately the exploration engine, through the adapter
-// layers) invokes Release exactly once, when no further Step, OK, Fork
-// or digest call will be made on the monitor; the monitor may then
-// reuse its state for later forks. Monitors on error paths are simply
-// dropped instead, so implementations need no idempotence.
-type Releaser interface {
-	Monitor
-	Release()
-}

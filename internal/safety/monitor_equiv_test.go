@@ -123,7 +123,7 @@ func crossCheck(t *testing.T, name string, spawn func() Monitor, oracle func(his
 	forkOra := &stickyOracle{}
 	for i, e := range h {
 		if i == forkAt {
-			fork = m.Fork()
+			fork = m.Fork(nil)
 			*forkOra = *ora
 			forkOra.holds = ora.holds
 		}
@@ -143,7 +143,7 @@ func crossCheck(t *testing.T, name string, spawn func() Monitor, oracle func(his
 	// Fork independence: a fresh fork fed a divergent suffix must not
 	// disturb the parent's verdict.
 	parentVerdict := m.OK()
-	div := m.Fork()
+	div := m.Fork(nil)
 	for i := len(h) - 1; i >= 0 && i >= len(h)-4; i-- {
 		div.Step(h[i])
 	}
@@ -152,19 +152,20 @@ func crossCheck(t *testing.T, name string, spawn func() Monitor, oracle func(his
 	}
 }
 
-// checkForkIndependence forks a monitor after h[:forkAt] and steps the
-// parent through the rest of h and the fork through alt, one event each
-// in turn, the fork first, so an append by either into storage they
-// share would show; each must match a fresh oracle on its own history.
-// crossCheck cannot see such sharing: its fork follows the parent's own
-// events, and it never steps the parent after a divergent fork.
-func checkForkIndependence(t *testing.T, name string, spawn func() Monitor, oracle func(history.History) bool, h, alt history.History, forkAt int) {
+// checkForkIndependence forks a monitor after h[:forkAt], into dst, and
+// steps the parent through the rest of h and the fork through alt, one
+// event each in turn, the fork first, so an append by either into
+// storage they share would show; each must match a fresh oracle on its
+// own history. crossCheck cannot see such sharing: its fork follows the
+// parent's own events, and it never steps the parent after a divergent
+// fork. It returns the parent, which a later call may fork into.
+func checkForkIndependence(t *testing.T, name string, spawn func() Monitor, oracle func(history.History) bool, h, alt history.History, forkAt int, dst Monitor) Monitor {
 	t.Helper()
 	m := spawn()
 	for _, e := range h[:forkAt] {
 		m.Step(e)
 	}
-	fork := m.Fork()
+	fork := m.Fork(dst)
 	hf := append(h[:forkAt:forkAt], alt...)
 	mo := &stickyOracle{holds: oracle}
 	fo := &stickyOracle{holds: oracle}
@@ -182,6 +183,7 @@ func checkForkIndependence(t *testing.T, name string, spawn func() Monitor, orac
 			}
 		}
 	}
+	return m
 }
 
 // altSuffix returns another continuation of the prefix suffix follows:
@@ -228,7 +230,8 @@ func altSuffix(r *rand.Rand, suffix history.History) history.History {
 // TestMonitorForkIndependence gives every monitor outside the TM family
 // (which FuzzTMMonitor covers) the interleaved fork check: after a
 // random prefix, the parent goes on with the rest of its history and
-// the fork with altSuffix of it.
+// the fork with altSuffix of it. Each fork but the first overwrites the
+// previous history's parent.
 func TestMonitorForkIndependence(t *testing.T) {
 	reg, cas := RegisterSpec{Initial: 0}, CASSpec{Initial: 0}
 	lin := func(spec SeqSpec, strict bool) func(history.History) bool {
@@ -258,10 +261,11 @@ func TestMonitorForkIndependence(t *testing.T) {
 	}
 	for _, fam := range families {
 		r := rand.New(rand.NewSource(12))
+		var used Monitor
 		for i := 0; i < 200; i++ {
 			h := fam.gen(r)
 			at := r.Intn(len(h) + 1)
-			checkForkIndependence(t, fam.name, fam.spawn, fam.oracle, h, altSuffix(r, h[at:]), at)
+			used = checkForkIndependence(t, fam.name, fam.spawn, fam.oracle, h, altSuffix(r, h[at:]), at, used)
 		}
 	}
 }
@@ -613,7 +617,7 @@ func TestDigestSoundness(t *testing.T) {
 				if groups[d] == nil {
 					order = append(order, d)
 				}
-				groups[d] = append(groups[d], state{h[:k], h[k:], m.Fork()})
+				groups[d] = append(groups[d], state{h[:k], h[k:], m.Fork(nil)})
 			}
 		}
 		pairs := 0
@@ -627,7 +631,7 @@ func TestDigestSoundness(t *testing.T) {
 				pairs++
 				for j := 0; j < suffixes; j++ {
 					suffix := g[r.Intn(len(g))].rest
-					ma, mb := a.m.Fork(), b.m.Fork()
+					ma, mb := a.m.Fork(nil), b.m.Fork(nil)
 					for n, e := range suffix {
 						if ma.Step(e) != mb.Step(e) {
 							t.Fatalf("%s: equal digests, different verdicts at suffix event %d\nprefix a: %s\nprefix b: %s\nsuffix: %s",
@@ -703,7 +707,7 @@ func TestDigestSeparatesCrashedPendingOps(t *testing.T) {
 	}
 	m1, m2 := after(1), after(2)
 	read1 := history.Response(1, "read", 1)
-	if ok1, ok2 := m1.Fork().Step(read1), m2.Fork().Step(read1); !ok1 || ok2 {
+	if ok1, ok2 := m1.Fork(nil).Step(read1), m2.Fork(nil).Step(read1); !ok1 || ok2 {
 		t.Fatalf("read of 1: accepted after write(1)=%v, after write(2)=%v; want true, false", ok1, ok2)
 	}
 	if digestOf(t, m1) == digestOf(t, m2) {

@@ -59,5 +59,7 @@ func (m *mutexMonitor) Step(e history.Event) bool {
 // OK implements Monitor.
 func (m *mutexMonitor) OK() bool { return !m.failed }
 
-// Fork implements Monitor.
-func (m *mutexMonitor) Fork() Monitor { return &mutexMonitor{holder: m.holder, failed: m.failed} }
+// Fork implements Monitor. It always allocates.
+func (m *mutexMonitor) Fork(Monitor) Monitor {
+	return &mutexMonitor{holder: m.holder, failed: m.failed}
+}

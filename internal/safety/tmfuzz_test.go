@@ -137,7 +137,7 @@ func checkTMDigests(t *testing.T, h history.History, forkAt int, read func(i int
 		}
 		for i, e := range h {
 			if i == forkAt {
-				fork = m.Fork().(*TMMonitor)
+				fork = m.Fork(nil).(*TMMonitor)
 			}
 			if consumed {
 				eager.Append(e)
@@ -196,7 +196,7 @@ func FuzzTMMonitor(f *testing.F) {
 		for _, p := range tmProps {
 			spawn, oracle := func() Monitor { return p.spawn() }, oracleTM(p.strict, p.rule)
 			crossCheck(t, p.name, spawn, oracle, h, forkAt)
-			checkForkIndependence(t, p.name, spawn, oracle, h, shiftProcs(h[forkAt:], procs), forkAt)
+			checkForkIndependence(t, p.name, spawn, oracle, h, shiftProcs(h[forkAt:], procs), forkAt, nil)
 		}
 		checkTMDigests(t, h, forkAt, func(i int) bool { return i%cadence == 0 })
 	})

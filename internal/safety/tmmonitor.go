@@ -186,8 +186,9 @@ func (m *TMMonitor) respond(i int, e history.Event) {
 // OK implements Monitor.
 func (m *TMMonitor) OK() bool { return !m.failed }
 
-// Fork implements Monitor.
-func (m *TMMonitor) Fork() Monitor {
+// Fork implements Monitor. It always allocates: the copy shares the
+// immutable history and the finished transactions' records.
+func (m *TMMonitor) Fork(Monitor) Monitor {
 	c := &TMMonitor{
 		h: m.h[:len(m.h):len(m.h)], dig: m.dig, strict: m.strict, rule: m.rule, dirty: m.dirty, failed: m.failed,
 		recs:  append([]*txRecord(nil), m.recs...),

@@ -58,7 +58,7 @@ func TestTMMonitorPin(t *testing.T) {
 			var fork *TMMonitor
 			for k, e := range h {
 				if k == forkAt {
-					fork = m.Fork().(*TMMonitor)
+					fork = m.Fork(nil).(*TMMonitor)
 				}
 				fold(m.Step(e), m)
 				if fork != nil {
@@ -91,7 +91,7 @@ func TestTMMonitorForkIndependentSteps(t *testing.T) {
 			for _, e := range prefix {
 				m.Step(e)
 			}
-			fork := m.Fork()
+			fork := m.Fork(nil)
 			if parentFirst {
 				m.Step(good[0])
 				fork.Step(bad[0])

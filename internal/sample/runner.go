@@ -19,6 +19,7 @@ type sessionRunner struct {
 	root    *sim.Mark
 	strat   *strategy
 	mons    explore.MonitorSet // pristine root set, forked per schedule
+	cur     explore.MonitorSet // the last clean schedule's fork, reused by the next
 	ready   []int
 	crashed []int
 	prefix  []sim.Decision
@@ -51,7 +52,8 @@ func (r *sessionRunner) sample(seed int64, rec *schedRec) (*explore.Violation, e
 		return nil, err
 	}
 	r.strat.reset(seed)
-	mons := r.mons.Fork()
+	mons := r.mons.Fork(r.cur)
+	r.cur = nil
 	r.prefix = r.prefix[:0]
 	steps := 0
 	for {
@@ -92,11 +94,8 @@ func (r *sessionRunner) sample(seed int64, rec *schedRec) (*explore.Violation, e
 		}
 	}
 	rec.fp, rec.fped = r.sess.Fingerprint()
-	// The schedule ended clean, so nothing touches its fork again: hand
-	// it back for recycling, as explore does for a finished subtree. A
-	// violating schedule's set stays with its Violation.
-	if rs, ok := mons.(explore.ReleasableMonitorSet); ok {
-		rs.Release()
-	}
+	// A violating schedule's set may back its Violation, so only a clean
+	// one is forked into again.
+	r.cur = mons
 	return nil, nil
 }

@@ -25,7 +25,7 @@ func (s *linSet) Step(e history.Event) error {
 	return nil
 }
 
-func (s *linSet) Fork() explore.MonitorSet { return &linSet{m: s.m.Fork()} }
+func (s *linSet) Fork(explore.MonitorSet) explore.MonitorSet { return &linSet{m: s.m.Fork(nil)} }
 
 func newLinSet() explore.MonitorSet {
 	return &linSet{m: safety.NewLinMonitor(safety.RegisterSpec{Initial: nil})}

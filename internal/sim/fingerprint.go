@@ -61,9 +61,11 @@ type Fingerprintable interface {
 // recovery routine about to take its first step from a process between
 // operations. It is called between step windows, when no process is
 // executing. ok is false when some folded value poisoned the digest
-// (see Fingerprinter.Val).
+// (see Fingerprinter.Val). It reuses the runtime's encoder, which no
+// window holds between steps.
 func (r *runtime) fingerprint() (fp uint64, ok bool) {
-	f := history.NewFingerprinter()
+	f := &r.fpEnc
+	f.Restart(history.DigestSeed())
 	r.cfg.Object.(Fingerprintable).Fingerprint(f)
 	for id := 1; id <= r.cfg.Procs; id++ {
 		ps := &r.ps[id]

@@ -85,9 +85,11 @@ func ApplyFrames(s Stepped, p *Proc, inv Invocation) history.Value {
 // to the next access — and reports whether the operation paused again,
 // completed (returning its response), or blocked forever.
 //
-// Fork returns a frame equivalent to the receiver for Session.Mark and
-// Session.Restore: stepping the original must not affect the fork and
-// vice versa. A frame whose state never mutates after creation (every
+// Fork returns a frame equivalent to the receiver: stepping the
+// original must not affect the fork and vice versa. A Session's marks
+// share the live frames, and the runtime forks a frame a mark shares
+// before its process's next step, so no mark's frame is ever stepped. A
+// frame whose state never mutates after creation (every
 // single-remaining-step frame qualifies) may return itself; frames with
 // mutable progress state (loop counters, phase indices, collected
 // values) must return a deep copy.

@@ -26,9 +26,11 @@ import (
 //     immutable, and Snapshot must return data later mutations of the
 //     object cannot reach.
 //  3. State local to one in-flight operation lives in its Frame (see
-//     Stepped), not in the object: the Session forks frames on Mark and
-//     Restore, so anything a frame reaches by pointer must either be
-//     covered by Snapshot/Restore or be deep-copied by Frame.Fork.
+//     Stepped), not in the object: a mark shares the live frames, and
+//     the Session forks a frame before its process's first step after
+//     a Mark or Restore (copy on write), so anything a frame reaches by
+//     pointer must either be covered by Snapshot/Restore or be
+//     deep-copied by Frame.Fork.
 //  4. The Stepped machine is deterministic given the invocation and the
 //     observed values (which the simulator already requires for
 //     replay).
@@ -58,9 +60,9 @@ type SessionGated interface {
 }
 
 // CanSnapshot reports whether an object supports the snapshot strategy
-// of a Session: it implements both Snapshottable and Stepped (Mark forks
-// frames, which only an object's own Stepped machine can provide) and
-// does not veto them via SessionGated.
+// of a Session: it implements both Snapshottable and Stepped (a mark's
+// frames must be forkable, which only an object's own Stepped machine
+// can provide) and does not veto them via SessionGated.
 func CanSnapshot(o Object) bool {
 	_, ok := o.(Snapshottable)
 	return ok && ownMachine(o) != nil
@@ -109,8 +111,10 @@ type SessionConfig struct {
 //
 //   - Snapshot: when the object supports snapshots (CanSnapshot) and the
 //     environment is a RewindableEnv. Restore is a plain struct copy —
-//     object snapshot, environment snapshot, the process records with
-//     their frames forked — with zero re-executed steps.
+//     object snapshot, environment snapshot, the process records — with
+//     zero re-executed steps. Marks and the live configuration share
+//     in-flight frames; a process forks its frame when it next steps,
+//     so a branch point copies only the frames its next child steps.
 //   - From root: otherwise. A mark records the number of decisions
 //     taken, and Restore rebuilds the configuration from a fresh object
 //     and environment by re-applying the marked prefix (plain stateless
@@ -258,8 +262,9 @@ func (s *Session) Fingerprint() (uint64, bool) {
 
 // Mark captures the current configuration for a later Restore. Under
 // the snapshot strategy it holds the object and environment snapshots
-// plus a copy of the process records, their frames forked; under the
-// from-root strategy only the number of decisions taken.
+// plus a copy of the process records, whose frames it shares with the
+// live configuration until a process steps; under the from-root
+// strategy only the number of decisions taken.
 type Mark struct {
 	decisions int // from-root strategy only
 	obj       any
@@ -272,9 +277,10 @@ type Mark struct {
 	link      *Mark       // Session.Release freelist
 }
 
-// Mark snapshots the current configuration. Marks are cheap (one copy
-// of the process records plus forked frames) and poolable: Release
-// returns one to the session for reuse.
+// Mark snapshots the current configuration. Marks are cheap (the
+// object and environment snapshots plus one copy of the process
+// records, no frame forked) and poolable: Release returns one to the
+// session for reuse.
 func (s *Session) Mark() *Mark {
 	r := s.rt
 	m := s.free
@@ -297,19 +303,11 @@ func (s *Session) Mark() *Mark {
 	m.steps = r.steps
 	m.envCalls = r.envCalls
 	m.poisoned = r.fpPoisoned
-	copy(m.procs, r.ps[1:])
-	forkFrames(m.procs)
-	return m
-}
-
-// forkFrames replaces each in-flight frame in ps by a fork, so the
-// records step independently of those they were copied from.
-func forkFrames(ps []procState) {
-	for i := range ps {
-		if f := ps[i].frame; f != nil {
-			ps[i].frame = f.Fork()
-		}
+	for id := 1; id <= r.cfg.Procs; id++ {
+		r.ps[id].shared = true
 	}
+	copy(m.procs, r.ps[1:])
+	return m
 }
 
 // Release returns a mark to the session's pool for reuse by a later
@@ -331,10 +329,10 @@ func (s *Session) Release(m *Mark) {
 // Restore rewinds the session to a mark taken earlier on the current
 // execution path and returns the number of simulator steps it
 // re-executed. Under the snapshot strategy that is always 0: a copy of
-// the marked process records plus the object and environment
-// snapshots. Under the from-root strategy a restore that moves
-// discards the runtime, starts over from a fresh object and
-// environment, and re-applies the marked prefix.
+// the marked process records, sharing the mark's frames, plus the
+// object and environment snapshots. Under the from-root strategy a
+// restore that moves discards the runtime, starts over from a fresh
+// object and environment, and re-applies the marked prefix.
 func (s *Session) Restore(m *Mark) (int, error) {
 	r := s.rt
 	if s.closed {
@@ -363,10 +361,9 @@ func (s *Session) Restore(m *Mark) (int, error) {
 	r.eventSteps = r.eventSteps[:m.hLen]
 	r.steps = m.steps
 	r.fpPoisoned = m.poisoned
-	// Fork on the way out too: the same mark may be restored many
-	// times, and the live frames must not mutate the mark's.
+	// The mark's records are all shared, so the live frames fork before
+	// they step: the same mark may be restored many times.
 	copy(r.ps[1:], m.procs)
-	forkFrames(r.ps[1:])
 	if moved {
 		s.obj.Restore(m.obj)
 	}

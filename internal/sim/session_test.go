@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"reflect"
 	goruntime "runtime"
 	"sort"
@@ -603,5 +604,117 @@ func TestSessionExtendValidation(t *testing.T) {
 	}
 	if _, err := sess.Extend(Decision{Proc: 1}); err != nil {
 		t.Errorf("valid step rejected: %v", err)
+	}
+}
+
+// forkCounter is snapObject with frames that count their forks.
+type forkCounter struct {
+	*snapObject
+	forks int
+}
+
+// Begin implements Stepped.
+func (o *forkCounter) Begin(p *Proc, inv Invocation) (Frame, history.Value, StepStatus) {
+	f, v, st := o.snapObject.Begin(p, inv)
+	if f != nil {
+		f = &countedFrame{f: f.(*snapFrame), o: o}
+	}
+	return f, v, st
+}
+
+// countedFrame is a snapFrame that counts its forks on its object.
+type countedFrame struct {
+	f *snapFrame
+	o *forkCounter
+}
+
+// Step implements Frame.
+func (f *countedFrame) Step(p *Proc) (history.Value, StepStatus) { return f.f.Step(p) }
+
+// Fork implements Frame.
+func (f *countedFrame) Fork() Frame {
+	f.o.forks++
+	return &countedFrame{f: f.f.Fork().(*snapFrame), o: f.o}
+}
+
+// TestSessionForksFramesOnWrite pins the copy-on-write frames: Mark and
+// Restore fork no frame, a process's first step after either forks its
+// frame once and its later steps fork none, stepping the live process
+// leaves the mark's frame as it was, and a mark restored twice, with
+// another child stepped in between, continues identically both times.
+func TestSessionForksFramesOnWrite(t *testing.T) {
+	script := map[int][]Invocation{
+		1: {{Op: "mix", Arg: 1}},
+		2: {{Op: "mix", Arg: 2}},
+	}
+	o := &forkCounter{snapObject: newSnapObject(2)}
+	sess, err := NewSession(SessionConfig{Procs: 2, Object: o, NewEnv: func() Environment { return Script(script) }, Fingerprint: true})
+	if err != nil {
+		t.Fatalf("NewSession: %v", err)
+	}
+	defer sess.Close()
+	// step extends process id and reports the step and the fingerprint
+	// it reached, checking that it forked want frames.
+	step := func(id, want int) string {
+		t.Helper()
+		before := o.forks
+		info, err := sess.Extend(Decision{Proc: id})
+		if err != nil {
+			t.Fatalf("extend %d: %v", id, err)
+		}
+		if got := o.forks - before; got != want {
+			t.Fatalf("step of process %d forked %d frames, want %d", id, got, want)
+		}
+		fp, ok := sess.Fingerprint()
+		return fmt.Sprint(info, fp, ok)
+	}
+	state := func() string {
+		fp, ok := sess.Fingerprint()
+		return fmt.Sprint(sess.History(), sess.Steps(), fp, ok)
+	}
+	restore := func(m *Mark) {
+		t.Helper()
+		before := o.forks
+		if _, err := sess.Restore(m); err != nil {
+			t.Fatalf("restore: %v", err)
+		}
+		if o.forks != before {
+			t.Fatalf("Restore forked %d frames, want none", o.forks-before)
+		}
+	}
+
+	// Both processes invoke and process 1 takes a step: frames fresh
+	// from Begin are not shared with any mark.
+	step(1, 0)
+	step(2, 0)
+	step(1, 0)
+	m := sess.Mark()
+	if o.forks != 0 {
+		t.Fatalf("Mark forked %d frames, want none", o.forks)
+	}
+	at := state()
+	pc := m.procs[0].frame.(*countedFrame).f.pc
+	step(1, 1)
+	step(1, 0)
+	step(1, 0)
+	if got := m.procs[0].frame.(*countedFrame).f.pc; got != pc {
+		t.Fatalf("stepping the live process moved the mark's frame from pc %d to %d", pc, got)
+	}
+
+	restore(m)
+	if got := state(); got != at {
+		t.Fatalf("first restore reached %s, want %s", got, at)
+	}
+	first := []string{step(1, 1), step(1, 0), step(2, 1), step(2, 0)}
+	restore(m)
+	step(2, 1)
+	step(2, 0)
+	restore(m)
+	if got := state(); got != at {
+		t.Fatalf("second restore reached %s, want %s", got, at)
+	}
+	second := []string{step(1, 1), step(1, 0), step(2, 1), step(2, 0)}
+	if !reflect.DeepEqual(first, second) {
+		t.Fatalf("the mark continued differently when restored again:\n first  %v\n second %v", first, second)
 	}
 }

@@ -23,7 +23,8 @@
 // rebuilding from the root. As in the paper's model, where each process
 // is one automaton with its own local state, the runtime keeps each
 // process's control state — status, counters, pending invocation,
-// in-flight frame — in one record, which a mark copies whole.
+// in-flight frame — in one record, which a mark copies whole, sharing
+// the frame until the process next steps.
 //
 // The runtime records the external history (invocations, responses, crash
 // events) exactly as defined in internal/history, along with per-event step
@@ -408,8 +409,10 @@ func (p *Proc) Block() {
 
 // procState is one process's control state: all of the configuration
 // that belongs to the process rather than to the object. Session.Mark
-// copies the records whole (forking the frames), Restore copies them
-// back, and the fingerprint folds each of them.
+// copies the records whole, Restore copies them back, and the
+// fingerprint folds each of them. A copied record shares its frame
+// with the mark: step forks a shared frame before stepping it, so no
+// mark's frame is ever stepped.
 type procState struct {
 	status  procStatus
 	stepsBy int // steps granted
@@ -432,12 +435,13 @@ type procState struct {
 	// running its recovery routine.
 	recEpoch int
 	// frame is the in-flight operation's continuation (nil between
-	// operations); next is the invocation the environment chose that the
-	// process has not yet invoked, valid when hasNext.
+	// operations), shared when a mark may hold it too; next is the
+	// invocation the environment chose that the process has not yet
+	// invoked, valid when hasNext.
 	frame Frame
 	next  Invocation
 
-	hasPend, hasNext, recovering bool
+	hasPend, hasNext, recovering, shared bool
 }
 
 // endOp resets the in-operation state when an operation or a recovery
@@ -480,7 +484,7 @@ type runtime struct {
 	// which no configuration fingerprint can capture.
 	fpTrack    bool
 	fpPoisoned bool
-	fpEnc      Fingerprinter // reused by Observe for its encoding buffer
+	fpEnc      Fingerprinter // reused by Observe and fingerprint for its encoding buffer
 
 	// lastAccess is the footprint of the most recent decision (zero when
 	// the object does not track footprints).
@@ -742,6 +746,10 @@ func (r *runtime) step(id int) error {
 	var val history.Value
 	var st StepStatus
 	if f := ps.frame; f != nil {
+		if ps.shared {
+			f = f.Fork()
+			ps.frame, ps.shared = f, false
+		}
 		val, st = f.Step(p)
 		if st != StepPaused {
 			ps.frame = nil
@@ -761,7 +769,7 @@ func (r *runtime) step(id int) error {
 		var f Frame
 		f, val, st = r.stepped.Begin(p, inv)
 		if st == StepPaused {
-			ps.frame = f
+			ps.frame, ps.shared = f, false
 		}
 	}
 	switch st {
@@ -803,7 +811,7 @@ func (r *runtime) restart(id int, rec Frame) {
 	ps := &r.ps[id]
 	ps.hasNext = false
 	if rec != nil {
-		ps.frame = rec
+		ps.frame, ps.shared = rec, false
 		ps.status = statusReady
 		return
 	}

@@ -387,8 +387,10 @@ func auditState(s *sim.Session) auditNode {
 // compares, at every node, the history, step count, ready and crashed
 // sets and — for fingerprintable objects — the fingerprint against a
 // fresh session over the object's Apply alone extended by the same
-// decisions. Every mark is restored twice, so a Restore that adopted
-// its snapshot would corrupt the second visit.
+// decisions. Every mark is restored twice around each child's step, and
+// the step must reach the same configuration both times, so a Restore
+// that adopted its snapshot, or a step that advanced a frame the mark
+// shares, would corrupt the second visit.
 func TestRestoreAudit(t *testing.T) {
 	const depth = 6
 	noMemory := map[string]bool{"Trivial": true, "RespondOnce": true, "Aborter": true}
@@ -457,9 +459,15 @@ func TestRestoreAudit(t *testing.T) {
 				}
 				mark := sess.Mark()
 				for _, d := range kids {
+					var child auditNode
 					for visitTwice := 0; visitTwice < 2; visitTwice++ {
 						if _, err := sess.Extend(d); err != nil {
 							t.Fatalf("extend %v at %v: %v", d, path, err)
+						}
+						if got := auditState(sess); visitTwice == 0 {
+							child = got
+						} else if !reflect.DeepEqual(got, child) {
+							t.Fatalf("%v after restoring to %v again:\n got  %+v\n want %+v", d, path, got, child)
 						}
 						nc, nr := crashes, recoveries
 						if d.Crash {

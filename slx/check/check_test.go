@@ -484,3 +484,49 @@ func TestExploreViolationWitnessReplay(t *testing.T) {
 		t.Error("witness must replay to the violation")
 	}
 }
+
+// TestForkIntoUsedMonitor forks a linearizability monitor, after a
+// prefix, into a fork of the same parent that went on through another
+// branch — one that failed, one that left other operations pending —
+// and steps it beside a fresh fork through the parent's own
+// continuation: every Step result, verdict and digest must agree.
+func TestForkIntoUsedMonitor(t *testing.T) {
+	type forkInto interface{ ForkInto(slx.Monitor) slx.Monitor }
+	prefix := hist.History{hist.Invoke(1, "write", 1), hist.Invoke(2, "read", nil)}
+	cont := hist.History{
+		hist.Response(1, "write", hist.OK), hist.Response(2, "read", 1),
+		hist.Invoke(1, "read", nil), hist.Response(1, "read", 1),
+	}
+	branches := map[string]hist.History{
+		"failed":  {hist.Response(2, "read", 5)},
+		"pending": {hist.Invoke(3, "write", 2), hist.Response(2, "read", 2), hist.Invoke(2, "write", 3)},
+	}
+	for _, prop := range []slx.Property{
+		check.Linearizability(check.RegisterSpec{Initial: 0}),
+		check.StrictLinearizability(check.RegisterSpec{Initial: 0}),
+	} {
+		for name, alt := range branches {
+			root := prop.Spawn()
+			for _, e := range prefix {
+				root.Step(e)
+			}
+			used := root.Fork()
+			for _, e := range alt {
+				used.Step(e)
+			}
+			fresh := root.Fork()
+			if root.(forkInto).ForkInto(used) != used {
+				t.Fatalf("%s, %s: ForkInto allocated instead of overwriting its destination", prop.Name(), name)
+			}
+			for k, e := range cont {
+				fok, uok := fresh.Step(e), used.Step(e)
+				fd, fdok := fresh.(slx.Digester).StateDigest()
+				ud, udok := used.(slx.Digester).StateDigest()
+				if fok != uok || fd != ud || fdok != udok || !reflect.DeepEqual(fresh.Verdict(), used.Verdict()) {
+					t.Fatalf("%s, %s: at continuation event %d the fresh fork reads %v/%d/%v %+v, the reused destination %v/%d/%v %+v",
+						prop.Name(), name, k+1, fok, fd, fdok, fresh.Verdict(), uok, ud, udok, used.Verdict())
+				}
+			}
+		}
+	}
+}

@@ -2,7 +2,6 @@ package check
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/safety"
 	"repro/slx"
@@ -50,25 +49,19 @@ func (m *safetyMonitor) Verdict() slx.Verdict {
 	return v
 }
 
-// wrapPool recycles released wrappers back into Fork (exploration forks
-// one wrapper per monitor per branch).
-var wrapPool = sync.Pool{New: func() any { return new(safetyMonitor) }}
-
 // Fork implements slx.Monitor.
-func (m *safetyMonitor) Fork() slx.Monitor {
-	f := wrapPool.Get().(*safetyMonitor)
-	f.name, f.inner, f.events, f.failAt, f.failEv = m.name, m.inner.Fork(), m.events, m.failAt, m.failEv
-	return f
-}
+func (m *safetyMonitor) Fork() slx.Monitor { return m.ForkInto(nil) }
 
-// Release recycles a fork the exploration engine is done with, passing
-// the release on to the native monitor (see safety.Releaser).
-func (m *safetyMonitor) Release() {
-	if r, ok := m.inner.(safety.Releaser); ok {
-		r.Release()
+// ForkInto is the destination form of Fork that slx's monitor sets
+// call: a wrapper dst is overwritten, and its native monitor handed on
+// as the native fork's destination (see safety.Monitor).
+func (m *safetyMonitor) ForkInto(dst slx.Monitor) slx.Monitor {
+	f, _ := dst.(*safetyMonitor)
+	if f == nil {
+		f = &safetyMonitor{}
 	}
-	m.inner = nil
-	wrapPool.Put(m)
+	f.name, f.inner, f.events, f.failAt, f.failEv = m.name, m.inner.Fork(f.inner), m.events, m.failAt, m.failEv
+	return f
 }
 
 // StateDigest implements slx.Digester by delegating to the native

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/explore"
@@ -421,11 +420,21 @@ func (v *violation) Error() string { return v.v.String() }
 
 // monitorSet adapts the property monitors to explore.MonitorSet. Small
 // sets (the common case: one or two properties) keep the monitor slice
-// in the inline array, so exploration's per-branch Fork allocates one
-// object instead of two.
+// in the inline array, so a fresh set is one allocation.
 type monitorSet struct {
 	mons   []Monitor
 	inline [2]Monitor
+}
+
+// newMonitorSet returns a set of n empty monitor places.
+func newMonitorSet(n int) *monitorSet {
+	s := &monitorSet{}
+	if n <= len(s.inline) {
+		s.mons = s.inline[:n]
+	} else {
+		s.mons = make([]Monitor, n)
+	}
+	return s
 }
 
 // monitorSets is Explore's monitor-set factory, shared by the
@@ -433,12 +442,7 @@ type monitorSet struct {
 // property in property order.
 func monitorSets(props []Property) func() explore.MonitorSet {
 	return func() explore.MonitorSet {
-		s := &monitorSet{}
-		if len(props) <= len(s.inline) {
-			s.mons = s.inline[:len(props)]
-		} else {
-			s.mons = make([]Monitor, len(props))
-		}
+		s := newMonitorSet(len(props))
 		for i, p := range props {
 			s.mons[i] = p.Spawn()
 		}
@@ -446,25 +450,12 @@ func monitorSets(props []Property) func() explore.MonitorSet {
 	}
 }
 
-// releasable is the optional per-monitor counterpart of the set's
-// Release (see safety.Releaser).
-type releasable interface{ Release() }
-
-// setPool recycles monitor sets released by the exploration engine back
-// into Fork, which otherwise allocates one set per explored branch.
-var setPool = sync.Pool{New: func() any { return new(monitorSet) }}
-
-// Release implements explore.ReleasableMonitorSet: the engine is done
-// with this fork — recycle it and every monitor that opts in.
-func (s *monitorSet) Release() {
-	for i, m := range s.mons {
-		if r, ok := m.(releasable); ok {
-			r.Release()
-		}
-		s.mons[i] = nil
-	}
-	s.mons = s.mons[:0]
-	setPool.Put(s)
+// forkInto is the optional destination form of Monitor.Fork, which
+// slx/check's monitors implement: dst is nil or a monitor forked
+// earlier from the same root that nothing steps any more, and ForkInto
+// may overwrite it and return it instead of allocating.
+type forkInto interface {
+	ForkInto(dst Monitor) Monitor
 }
 
 // Step implements explore.MonitorSet.
@@ -477,14 +468,20 @@ func (s *monitorSet) Step(e hist.Event) error {
 	return nil
 }
 
-// Fork implements explore.MonitorSet.
-func (s *monitorSet) Fork() explore.MonitorSet {
-	ns := setPool.Get().(*monitorSet)
-	if ns.mons == nil {
-		ns.mons = ns.inline[:0]
+// Fork implements explore.MonitorSet. A dst set is overwritten: each
+// monitor with the ForkInto hook forks into its counterpart there, and
+// every other monitor forks by Fork.
+func (s *monitorSet) Fork(dst explore.MonitorSet) explore.MonitorSet {
+	ns, _ := dst.(*monitorSet)
+	if ns == nil {
+		ns = newMonitorSet(len(s.mons))
 	}
-	for _, m := range s.mons {
-		ns.mons = append(ns.mons, m.Fork())
+	for i, m := range s.mons {
+		if f, ok := m.(forkInto); ok {
+			ns.mons[i] = f.ForkInto(ns.mons[i])
+		} else {
+			ns.mons[i] = m.Fork()
+		}
 	}
 	return ns
 }

@@ -230,12 +230,12 @@ func TestContinuationParityViewEnvAndCrashes(t *testing.T) {
 }
 
 // TestExplorePoolReuseParallelStress hammers the engine's recycling
-// paths — pooled sessions and marks, recycled node infos, released
-// monitor sets and their sync.Pool-backed forks — by running violating
-// and clean explorations concurrently, with work-stealing workers
-// inside each exploration, against pools shared process-wide. Any
-// cross-branch or cross-exploration state bleed shows up as a flipped
-// verdict (or a -race report in CI, which runs this with -race).
+// paths — pooled marks, recycled node infos, monitor sets forked into
+// per-depth slots — by running violating and clean explorations
+// concurrently, with work-stealing workers inside each exploration.
+// Any cross-branch or cross-exploration state bleed shows up as a
+// flipped verdict (or a -race report in CI, which runs this with
+// -race).
 func TestExplorePoolReuseParallelStress(t *testing.T) {
 	cases := []string{"racy-lock/violation", "lossy-register/violation", "register/linearizability", "commit-adopt/crashes+workers"}
 	type want struct {
