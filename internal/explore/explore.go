@@ -10,12 +10,13 @@
 // descends by extending the live configuration one decision at a time
 // and backtracks by restoring marks. The session picks its restore
 // strategy (see sim.NewSession). Objects implementing
-// sim.Snapshottable and sim.Stepped, under a sim.RewindableEnv, restore
-// by struct copy, so each tree edge costs exactly one simulator step.
-// Every other exploration rebuilds from the root on each backtrack that
-// moves (runs are deterministic, so re-execution reaches the identical
-// configuration) and reports the re-executed steps in Stats.Resims.
-// Both strategies enumerate the identical tree, verdicts and witnesses.
+// sim.Snapshottable and sim.Stepped restore by struct copy, so each
+// tree edge costs exactly one simulator step; the environment, a pure
+// function of (proc, view), is never rewound. Every other exploration
+// rebuilds from the root on each backtrack that moves (runs are
+// deterministic, so re-execution reaches the identical configuration)
+// and reports the re-executed steps in Stats.Resims. Both strategies
+// enumerate the identical tree, verdicts and witnesses.
 //
 // Properties are judged incrementally: the exploration threads a
 // MonitorSet (Config.NewMonitors) down the DFS, forks it at every branch
@@ -102,8 +103,9 @@ type Config struct {
 	// NewObject creates a fresh implementation instance (called once per
 	// worker session, and once per from-root rebuild).
 	NewObject func() sim.Object
-	// NewEnv creates a fresh environment instance (environments may carry
-	// per-run state).
+	// NewEnv creates an environment instance (called once per worker
+	// session, and once per from-root rebuild). Environments are pure
+	// (see sim.Environment): one instance serves every branch.
 	NewEnv func() sim.Environment
 	// Depth bounds the schedule length.
 	Depth int

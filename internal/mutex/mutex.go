@@ -347,8 +347,7 @@ func (f *tournamentFrame) Fork() sim.Frame {
 }
 
 // acquireReleaseEnv alternates acquire/release per process, derived
-// purely from the process's own last response in the view. Stateless,
-// so it implements the sim.RewindableEnv hook with a nil snapshot.
+// purely from the process's own last response in the view.
 type acquireReleaseEnv struct{ procs int }
 
 // Next implements sim.Environment.
@@ -368,16 +367,10 @@ func (e *acquireReleaseEnv) Next(proc int, v *sim.View) (sim.Invocation, bool) {
 	return sim.Invocation{Op: OpAcquire}, true
 }
 
-// EnvSnapshot implements sim.RewindableEnv (stateless).
-func (e *acquireReleaseEnv) EnvSnapshot() any { return nil }
-
-// EnvRestore implements sim.RewindableEnv.
-func (e *acquireReleaseEnv) EnvRestore(any) {}
-
 // AcquireReleaseLoop is the lock liveness environment: every process
 // alternates acquire and release forever. The next operation is derived
-// purely from the process's own last response, so the environment is
-// stateless and rewinds for free under incremental sessions.
+// purely from the process's own last response, so one instance serves
+// every branch of an exploration.
 func AcquireReleaseLoop(procs int) sim.Environment {
 	return &acquireReleaseEnv{procs: procs}
 }

@@ -1,6 +1,8 @@
 package sim
 
-// EnvironmentFunc adapts a function to the Environment interface.
+// EnvironmentFunc adapts a function to the Environment interface. The
+// function must be pure in (proc, view), as the interface requires: it
+// keeps no counters.
 type EnvironmentFunc func(proc int, v *View) (Invocation, bool)
 
 // Next implements Environment.
@@ -8,23 +10,8 @@ func (f EnvironmentFunc) Next(proc int, v *View) (Invocation, bool) {
 	return f(proc, v)
 }
 
-// statelessEnv implements the RewindableEnv hook for environments whose
-// decisions are pure functions of (proc, view): there is no state to
-// capture. The stock environments derive their position from the
-// view's Invoked count instead of keeping mutable counters, so a
-// Session.Restore needs no environment rewind at all.
-type statelessEnv struct{}
-
-// EnvSnapshot implements RewindableEnv; stateless environments have
-// nothing to capture.
-func (statelessEnv) EnvSnapshot() any { return nil }
-
-// EnvRestore implements RewindableEnv.
-func (statelessEnv) EnvRestore(any) {}
-
 // oneShotEnv gives each process exactly one invocation.
 type oneShotEnv struct {
-	statelessEnv
 	invs map[int]Invocation
 }
 
@@ -46,7 +33,6 @@ func OneShot(invs map[int]Invocation) Environment {
 
 // scriptEnv gives each process a fixed sequence of invocations.
 type scriptEnv struct {
-	statelessEnv
 	script map[int][]Invocation
 }
 
@@ -66,7 +52,6 @@ func Script(script map[int][]Invocation) Environment {
 
 // repeatEnv makes every process invoke the same invocation forever.
 type repeatEnv struct {
-	statelessEnv
 	inv Invocation
 }
 
@@ -83,7 +68,6 @@ func Repeat(inv Invocation) Environment {
 
 // repeatPerProcEnv makes each process invoke its own invocation forever.
 type repeatPerProcEnv struct {
-	statelessEnv
 	invs map[int]Invocation
 }
 

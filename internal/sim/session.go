@@ -68,20 +68,6 @@ func CanSnapshot(o Object) bool {
 	return ok && ownMachine(o) != nil
 }
 
-// RewindableEnv is the environment half of a Session's snapshot
-// strategy: EnvSnapshot captures the environment's decision state and
-// EnvRestore reinstates it, making Session.Restore a pure struct copy.
-// The usual Snapshot contract applies (the same snapshot may be restored
-// many times; EnvRestore must not adopt it mutably). A stateless
-// environment — one deciding from (proc, view) alone — implements the
-// pair with nothing to capture. Environments without the hook still
-// work: their sessions take the from-root strategy.
-type RewindableEnv interface {
-	Environment
-	EnvSnapshot() any
-	EnvRestore(any)
-}
-
 // SessionConfig describes a persistent simulation.
 type SessionConfig struct {
 	// Procs is the number of processes n (1-based ids 1..n).
@@ -94,7 +80,9 @@ type SessionConfig struct {
 	// unused under the snapshot strategy.
 	NewObject func() Object
 	// NewEnv creates an environment instance: one for the session's
-	// start, and one per from-root rebuild.
+	// start, which serves every branch, and one per from-root rebuild.
+	// Environments are pure (see Environment), so the session never
+	// rewinds one.
 	NewEnv func() Environment
 	// Fingerprint enables configuration fingerprints (Session.Fingerprint)
 	// when the Object also implements Fingerprintable.
@@ -109,17 +97,20 @@ type SessionConfig struct {
 // fingerprints, crashes and recoveries behave exactly as in sim.Run.
 // NewSession picks one of two restore strategies:
 //
-//   - Snapshot: when the object supports snapshots (CanSnapshot) and the
-//     environment is a RewindableEnv. Restore is a plain struct copy —
-//     object snapshot, environment snapshot, the process records — with
-//     zero re-executed steps. Marks and the live configuration share
-//     in-flight frames; a process forks its frame when it next steps,
-//     so a branch point copies only the frames its next child steps.
+//   - Snapshot: when the object supports snapshots (CanSnapshot).
+//     Restore is a plain struct copy — object snapshot and the process
+//     records — with zero re-executed steps. Marks and the live
+//     configuration share in-flight frames; a process forks its frame
+//     when it next steps, so a branch point copies only the frames its
+//     next child steps.
 //   - From root: otherwise. A mark records the number of decisions
 //     taken, and Restore rebuilds the configuration from a fresh object
 //     and environment by re-applying the marked prefix (plain stateless
 //     search: runs are deterministic, so re-execution reaches the
 //     identical configuration).
+//
+// Neither strategy rewinds the environment: it decides from (proc, view)
+// alone, and each process's chosen next invocation lives in its record.
 //
 // Sessions are not safe for concurrent use; marks may only be restored
 // on the path that created them (a mark is a prefix of the current
@@ -128,15 +119,14 @@ type Session struct {
 	rt     *runtime
 	cfg    SessionConfig
 	obj    Snapshottable // snapshot strategy only
-	renv   RewindableEnv // snapshot strategy only
 	closed bool
 	free   *Mark // freelist of Released marks, linked through Mark.link
 }
 
 // NewSession starts a session positioned at the initial configuration,
-// choosing its restore strategy once: snapshot when CanSnapshot(Object)
-// holds and the environment implements RewindableEnv, from root
-// otherwise. A from-root session requires NewObject.
+// choosing its restore strategy once, by the object alone: snapshot when
+// CanSnapshot(Object) holds, from root otherwise. A from-root session
+// requires NewObject.
 func NewSession(cfg SessionConfig) (*Session, error) {
 	if cfg.Procs < 1 {
 		return nil, errors.New("sim: session Procs must be >= 1")
@@ -147,15 +137,13 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 	if cfg.NewEnv == nil {
 		return nil, errors.New("sim: session requires NewEnv")
 	}
-	env := cfg.NewEnv()
 	s := &Session{cfg: cfg}
-	if renv, ok := env.(RewindableEnv); ok && CanSnapshot(cfg.Object) {
+	if CanSnapshot(cfg.Object) {
 		s.obj = cfg.Object.(Snapshottable)
-		s.renv = renv
 	} else if cfg.NewObject == nil {
-		return nil, fmt.Errorf("sim: session over %T with %T rebuilds from the root and requires NewObject", cfg.Object, env)
+		return nil, fmt.Errorf("sim: session over %T rebuilds from the root and requires NewObject", cfg.Object)
 	}
-	s.rt = newRuntime(Config{Procs: cfg.Procs, Object: cfg.Object, Fingerprint: cfg.Fingerprint}, env)
+	s.rt = newRuntime(Config{Procs: cfg.Procs, Object: cfg.Object, Fingerprint: cfg.Fingerprint}, cfg.NewEnv())
 	return s, nil
 }
 
@@ -261,26 +249,23 @@ func (s *Session) Fingerprint() (uint64, bool) {
 }
 
 // Mark captures the current configuration for a later Restore. Under
-// the snapshot strategy it holds the object and environment snapshots
-// plus a copy of the process records, whose frames it shares with the
-// live configuration until a process steps; under the from-root
-// strategy only the number of decisions taken.
+// the snapshot strategy it holds the object snapshot plus a copy of the
+// process records, whose frames it shares with the live configuration
+// until a process steps; under the from-root strategy only the number
+// of decisions taken.
 type Mark struct {
 	decisions int // from-root strategy only
 	obj       any
-	env       any
 	hLen      int
 	steps     int
-	envCalls  int
 	poisoned  bool
 	procs     []procState // the records of processes 1..n
 	link      *Mark       // Session.Release freelist
 }
 
 // Mark snapshots the current configuration. Marks are cheap (the
-// object and environment snapshots plus one copy of the process
-// records, no frame forked) and poolable: Release returns one to the
-// session for reuse.
+// object snapshot plus one copy of the process records, no frame
+// forked) and poolable: Release returns one to the session for reuse.
 func (s *Session) Mark() *Mark {
 	r := s.rt
 	m := s.free
@@ -298,10 +283,8 @@ func (s *Session) Mark() *Mark {
 		m.procs = make([]procState, r.cfg.Procs)
 	}
 	m.obj = s.obj.Snapshot()
-	m.env = s.renv.EnvSnapshot()
 	m.hLen = len(r.h)
 	m.steps = r.steps
-	m.envCalls = r.envCalls
 	m.poisoned = r.fpPoisoned
 	for id := 1; id <= r.cfg.Procs; id++ {
 		r.ps[id].shared = true
@@ -320,7 +303,6 @@ func (s *Session) Release(m *Mark) {
 		return
 	}
 	m.obj = nil
-	m.env = nil
 	clear(m.procs)
 	m.link = s.free
 	s.free = m
@@ -330,9 +312,9 @@ func (s *Session) Release(m *Mark) {
 // execution path and returns the number of simulator steps it
 // re-executed. Under the snapshot strategy that is always 0: a copy of
 // the marked process records, sharing the mark's frames, plus the
-// object and environment snapshots. Under the from-root strategy a
-// restore that moves discards the runtime, starts over from a fresh
-// object and environment, and re-applies the marked prefix.
+// object snapshot. Under the from-root strategy a restore that moves
+// discards the runtime, starts over from a fresh object and
+// environment, and re-applies the marked prefix.
 func (s *Session) Restore(m *Mark) (int, error) {
 	r := s.rt
 	if s.closed {
@@ -366,10 +348,6 @@ func (s *Session) Restore(m *Mark) (int, error) {
 	copy(r.ps[1:], m.procs)
 	if moved {
 		s.obj.Restore(m.obj)
-	}
-	if r.envCalls != m.envCalls {
-		s.renv.EnvRestore(m.env)
-		r.envCalls = m.envCalls
 	}
 	return 0, nil
 }

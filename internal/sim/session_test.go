@@ -261,10 +261,10 @@ func TestSessionMatchesReplayWithCrashes(t *testing.T) {
 	t.Logf("cross-checked %d nodes", nodes)
 }
 
-// viewEnv is a stateless, view-dependent environment in the style of
+// viewEnv is a view-dependent environment in the style of
 // mutex.AcquireReleaseLoop: the next operation depends on the process's
-// own last response. It lacks the rewind hooks, so sessions over it
-// rebuild from the root.
+// own last response. It is a bare EnvironmentFunc, and the object alone
+// picks its sessions' strategy.
 func viewEnv() Environment {
 	return EnvironmentFunc(func(proc int, v *View) (Invocation, bool) {
 		proj := v.H.Project(proc)
@@ -342,8 +342,9 @@ func (f *tasFrame) Step(p *Proc) (history.Value, StepStatus) {
 func (f *tasFrame) Fork() Frame { return f }
 
 // TestSessionViewDependentEnv cross-checks the session against replay
-// under a view-dependent, non-rewindable environment (decisions derived
-// from the process's own history projection).
+// under a view-dependent environment (decisions derived from the
+// process's own history projection), one instance consulted on every
+// branch.
 func TestSessionViewDependentEnv(t *testing.T) {
 	newObj := func() Object { return newTASObject() }
 	nodes := sessionCrossCheck(t, 2, 7, 0, newObj, viewEnv, true)
@@ -407,9 +408,10 @@ type gatedObject struct{ snapObject }
 func (g *gatedObject) Snapshotting() bool { return false }
 
 // TestNewSessionRejects pins the constructor contract: a session that
-// would rebuild from the root — object without the hook, a
-// SessionGated veto, or a non-rewindable environment — needs NewObject,
-// and every session needs an environment.
+// would rebuild from the root — object without the hook or a
+// SessionGated veto — needs NewObject, and every session needs an
+// environment. The object alone picks the strategy, so a bare
+// EnvironmentFunc over a snapshot-capable object needs no NewObject.
 func TestNewSessionRejects(t *testing.T) {
 	plain := ObjectFunc(func(p *Proc, inv Invocation) history.Value { return nil })
 	env := func() Environment { return Script(nil) }
@@ -428,8 +430,10 @@ func TestNewSessionRejects(t *testing.T) {
 		t.Error("SessionGated veto without NewObject must be rejected")
 	}
 	bare := func() Environment { return EnvironmentFunc(Script(nil).Next) }
-	if _, err := NewSession(SessionConfig{Procs: 1, Object: newSnapObject(1), NewEnv: bare}); err == nil {
-		t.Error("non-rewindable environment without NewObject must be rejected")
+	if s, err := NewSession(SessionConfig{Procs: 1, Object: newSnapObject(1), NewEnv: bare}); err != nil {
+		t.Errorf("a bare EnvironmentFunc over a snapshot-capable object must not need NewObject: %v", err)
+	} else {
+		s.Close()
 	}
 	if _, err := NewSession(SessionConfig{Procs: 1, Object: newSnapObject(1)}); err == nil {
 		t.Error("missing NewEnv must be rejected")
@@ -453,28 +457,24 @@ func TestNewSessionRejects(t *testing.T) {
 
 // TestSessionFromRootMatchesReplay runs the cross-check, crash branching
 // included, over every way a session ends up rebuilding from the root:
-// an Apply-only object, a SessionGated veto, the ApplyOnly wrapper of a
-// snapshot-capable object, and a snapshot-capable object under an
-// environment without the rewind hooks.
+// an Apply-only object, a SessionGated veto, and the ApplyOnly wrapper
+// of a snapshot-capable object.
 func TestSessionFromRootMatchesReplay(t *testing.T) {
 	script := map[int][]Invocation{
 		1: {{Op: "mix", Arg: 1}, {Op: "read"}},
 		2: {{Op: "mix", Arg: 2}},
 	}
-	rewindable := func() Environment { return Script(script) }
-	bare := func() Environment { return EnvironmentFunc(Script(script).Next) }
+	newEnv := func() Environment { return Script(script) }
 	for _, tc := range []struct {
 		name   string
 		newObj func() Object
-		newEnv func() Environment
 	}{
-		{"apply-only", func() Object { return ObjectFunc(newSnapObject(2).Apply) }, rewindable},
-		{"gated", func() Object { return &gatedObject{snapObject: *newSnapObject(2)} }, rewindable},
-		{"ApplyOnly", func() Object { return ApplyOnly(newSnapObject(2)) }, rewindable},
-		{"non-rewindable-env", func() Object { return newSnapObject(2) }, bare},
+		{"apply-only", func() Object { return ObjectFunc(newSnapObject(2).Apply) }},
+		{"gated", func() Object { return &gatedObject{snapObject: *newSnapObject(2)} }},
+		{"ApplyOnly", func() Object { return ApplyOnly(newSnapObject(2)) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			nodes := sessionCrossCheck(t, 2, 6, 2, tc.newObj, tc.newEnv, true)
+			nodes := sessionCrossCheck(t, 2, 6, 2, tc.newObj, newEnv, true)
 			t.Logf("cross-checked %d nodes", nodes)
 		})
 	}

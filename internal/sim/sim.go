@@ -142,8 +142,13 @@ func (a Access) Conflicts(b Access) bool {
 
 // Environment decides which operations processes invoke, playing the
 // adversary's role of choosing inputs. Next is called within the granted
-// step of the invoking process and must be deterministic for replay.
-// Returning ok=false parks the process forever (it has no further work).
+// step of the invoking process and must be a pure function of (proc, v):
+// the same process and an equal view always yield the same invocation,
+// whatever the instance was asked before. One instance may be consulted
+// on many branches of an exploration, in any order, and is never
+// rewound; a position in a workload comes from the view (Invoked,
+// StepsBy, H), not from a counter the environment keeps. Returning
+// ok=false parks the process forever (it has no further work).
 type Environment interface {
 	Next(proc int, v *View) (inv Invocation, ok bool)
 }
@@ -491,14 +496,11 @@ type runtime struct {
 	lastAccess Access
 
 	// stepped is the machine operations begin on (the object's own, or
-	// the blocking-Apply adapter), and envCalls the total number of
-	// environment consultations made (so Restore knows whether the
-	// environment needs rewinding). vw is the reusable view handed to
+	// the blocking-Apply adapter). vw is the reusable view handed to
 	// environments and LazyArgs: it is valid only for the duration of
 	// the call.
-	stepped  Stepped
-	envCalls int
-	vw       View
+	stepped Stepped
+	vw      View
 }
 
 // beginWindow resets the per-window footprint accumulators.
@@ -651,7 +653,6 @@ func newRuntime(cfg Config, env Environment) *runtime {
 // still its pre-consultation value (ready mid-run, unset at startup,
 // crashed at a recover decision).
 func (r *runtime) consultEnv(id int) {
-	r.envCalls++
 	inv, ok := r.env.Next(id, r.envView())
 	ps := &r.ps[id]
 	ps.hasNext = ok

@@ -474,8 +474,7 @@ type Access struct {
 // txnLoopEnv drives each process through its transaction template over
 // and over. It keeps no mutable state: the position within the cycle is
 // derived from the history view (invocations since the process's latest
-// start), which makes the environment rewindable for free — a
-// sim.Session restore needs no environment rewind at all.
+// start), as the sim.Environment contract requires.
 type txnLoopEnv struct {
 	templates map[int]Txn
 }
@@ -533,12 +532,6 @@ func (e *txnLoopEnv) Next(proc int, v *sim.View) (sim.Invocation, bool) {
 	}
 	return sim.Invocation{Op: history.TMTryC}, true
 }
-
-// EnvSnapshot implements sim.RewindableEnv: there is no state to capture.
-func (e *txnLoopEnv) EnvSnapshot() any { return nil }
-
-// EnvRestore implements sim.RewindableEnv.
-func (e *txnLoopEnv) EnvRestore(any) {}
 
 // TxnLoop is an environment in which each process executes its transaction
 // template over and over: start, the accesses, tryC, repeat. If a process

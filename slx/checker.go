@@ -53,6 +53,12 @@ func WithObject(f func() run.Object) Option { return func(c *Checker) { c.newObj
 
 // WithEnv sets the factory for the environment deciding invocations.
 // Required by Check, Replay and Explore; adversaries bring their own.
+// Unlike a scheduler, an environment keeps no state: Next must be a
+// pure function of (proc, view), because Explore consults one instance
+// on many branches, in any order, and never rewinds it. A process's
+// position in its workload comes from the view (View.Invoked,
+// View.StepsBy, View.H); an environment that keeps a counter instead
+// can make Explore report wrong verdicts.
 func WithEnv(f func() run.Environment) Option { return func(c *Checker) { c.newEnv = f } }
 
 // WithScheduler sets the factory for the scheduler driving Check runs
@@ -196,17 +202,16 @@ func WithStateCache() Option { return func(c *Checker) { c.cache = true } }
 // object's Apply — for a frame machine, its frames through
 // run.ApplyFrames — and rebuild from the root on every backtrack that
 // moves, never calling Snapshot, Restore or Frame.Fork. By default
-// Explore backtracks by snapshot
-// restore whenever the object (run.Snapshottable and run.Stepped) and
-// the environment (run.RewindableEnv) allow it, which visits the
-// identical tree with exactly one simulator step per prefix
-// (Report.SimSteps); from-root rebuilds add the steps they re-execute
-// to both Report.SimSteps and Report.Resims. The option exists for
-// cross-checking the two strategies (the from-root run is the reference
-// the snapshot hooks are audited against) and for before/after
-// benchmarking: objects or environments without the hooks take the
-// from-root strategy automatically, so soundness never depends on
-// them.
+// Explore backtracks by snapshot restore whenever the object
+// (run.Snapshottable and run.Stepped) allows it, whatever the
+// environment, which visits the identical tree with exactly one
+// simulator step per prefix (Report.SimSteps); from-root rebuilds add
+// the steps they re-execute to both Report.SimSteps and Report.Resims.
+// The option exists for cross-checking the two strategies (the
+// from-root run is the reference the snapshot hooks are audited
+// against) and for before/after benchmarking: objects without the hooks
+// take the from-root strategy automatically, so soundness never depends
+// on them.
 func WithReplayExecution() Option { return func(c *Checker) { c.replay = true } }
 
 // WithSample switches Explore into probabilistic sampling mode: instead

@@ -19,6 +19,7 @@ import (
 
 	"repro/slx"
 	"repro/slx/check"
+	"repro/slx/consensus"
 	"repro/slx/hist"
 	"repro/slx/run"
 )
@@ -165,14 +166,43 @@ func TestIncrementalFallbackTransparent(t *testing.T) {
 	}
 }
 
+// TestEnvironmentFuncExploresOnSnapshots pins that the object alone
+// picks the restore strategy: commit-adopt under its stock ProposeOnce
+// environment and under the same environment wrapped in a bare
+// run.EnvironmentFunc explores the identical tree on snapshots, one
+// simulator step per prefix and nothing re-simulated.
+func TestEnvironmentFuncExploresOnSnapshots(t *testing.T) {
+	stock := func() run.Environment { return consensus.ProposeOnce(map[int]hist.Value{1: 0, 2: 1}) }
+	for _, tc := range []struct {
+		name   string
+		newEnv func() run.Environment
+	}{
+		{"stock", stock},
+		{"EnvironmentFunc", func() run.Environment { return run.EnvironmentFunc(stock().Next) }},
+	} {
+		rep, err := slx.New(
+			slx.WithObject(func() run.Object { return consensus.NewCommitAdoptOF(2) }),
+			slx.WithEnv(tc.newEnv),
+			slx.WithProcs(2),
+			slx.WithDepth(10),
+		).Explore(check.AgreementValidity())
+		if err != nil {
+			t.Fatalf("%s: explore: %v", tc.name, err)
+		}
+		if !rep.OK() || rep.Prefixes != 2045 || rep.SimSteps != 2044 || rep.Resims != 0 {
+			t.Errorf("%s: OK=%v, %d prefixes, %d sim steps, %d resims; want OK, 2045, 2044, 0",
+				tc.name, rep.OK(), rep.Prefixes, rep.SimSteps, rep.Resims)
+		}
+	}
+}
+
 // viewEnv issues invocations that depend on the observed view: each
 // process writes the current history length (different in every
 // interleaving), then reads, then stops. Both strategies must consult
 // the environment inside the same step window with the same view — a
 // session restore that replayed the environment against a stale or
 // rebuilt view would pick different invocations and change the
-// explored tree. It decides from (proc, view) alone, so the empty
-// EnvSnapshot/EnvRestore pair makes it rewindable.
+// explored tree.
 type viewEnv struct{}
 
 func (viewEnv) Next(proc int, v *run.View) (run.Invocation, bool) {
@@ -184,10 +214,6 @@ func (viewEnv) Next(proc int, v *run.View) (run.Invocation, bool) {
 	}
 	return run.Invocation{}, false
 }
-
-func (viewEnv) EnvSnapshot() any { return nil }
-
-func (viewEnv) EnvRestore(any) {}
 
 func viewDependentEnv() run.Environment { return viewEnv{} }
 
@@ -276,89 +302,5 @@ func TestExplorePoolReuseParallelStress(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
-	}
-}
-
-// orderEnv is a non-rewindable environment whose decisions depend on
-// the global order of consultations: each process writes twice, each
-// time the id of the process that consulted it last (0 for the very
-// first consultation), then stops.
-type orderEnv struct{ last int }
-
-func (e *orderEnv) Next(proc int, v *run.View) (run.Invocation, bool) {
-	prev := e.last
-	e.last = proc
-	if v.Invoked[proc] >= 2 {
-		return run.Invocation{}, false
-	}
-	return run.Invocation{Op: "write", Arg: prev}, true
-}
-
-// orderEnvHolds recomputes orderEnv's choices from a history: processes
-// consult in id order at startup, then each process consults within the
-// window of each of its responses. Every write must carry the id of the
-// consultation before the one that chose it.
-func orderEnvHolds(procs int) func(h hist.History) bool {
-	return func(h hist.History) bool {
-		want := make([]int, procs+1)
-		for p := 1; p <= procs; p++ {
-			want[p] = p - 1
-		}
-		last := procs
-		for _, e := range h {
-			switch e.Kind {
-			case hist.KindInvoke:
-				if e.Arg != want[e.Proc] {
-					return false
-				}
-			case hist.KindResponse:
-				want[e.Proc] = last
-				last = e.Proc
-			}
-		}
-		return true
-	}
-}
-
-// TestOrderDependentEnvClean pins the environment contract of the
-// default engine: a non-rewindable environment may depend on anything
-// it has seen, here the global order of its consultations, so a session
-// over it must rebuild from the root rather than re-derive the
-// environment's state. A per-process fast-forward of a fresh instance
-// reached write_2(3) after [1 1 1 2 2 2], where the real run writes
-// write_2(1). Both engines must explore the same clean tree.
-func TestOrderDependentEnvClean(t *testing.T) {
-	opts := []slx.Option{
-		slx.WithObject(func() run.Object { return &porRegister{v: 0} }),
-		slx.WithEnv(func() run.Environment { return &orderEnv{} }),
-		slx.WithProcs(3),
-		slx.WithDepth(6),
-	}
-	prop := slx.SafetyFunc("consultation order", orderEnvHolds(3))
-	for _, tc := range []struct {
-		name string
-		opts []slx.Option
-	}{
-		{"default", opts},
-		{"replay", append(opts[:len(opts):len(opts)], slx.WithReplayExecution())},
-	} {
-		rep, err := slx.New(tc.opts...).Explore(prop)
-		if err != nil {
-			t.Fatalf("%s: explore: %v", tc.name, err)
-		}
-		if !rep.OK() {
-			t.Errorf("%s: order-dependent environment misjudged at witness %v: %s", tc.name, rep.Witness(), rep.Execution.H)
-		}
-		if rep.Prefixes != 1051 {
-			t.Errorf("%s: explored %d prefixes, want 1051", tc.name, rep.Prefixes)
-		}
-	}
-	// The witness the fast-forward used to report replays clean.
-	replayed, err := slx.New(opts...).Replay([]run.Decision{{Proc: 1}, {Proc: 1}, {Proc: 1}, {Proc: 2}, {Proc: 2}, {Proc: 2}}, prop)
-	if err != nil {
-		t.Fatalf("replay: %v", err)
-	}
-	if !replayed.OK() {
-		t.Errorf("schedule [1 1 1 2 2 2] must replay clean: %s", replayed.Execution.H)
 	}
 }

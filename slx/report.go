@@ -59,8 +59,7 @@ type Report struct {
 	// path. Under the snapshot strategy (the default for objects with
 	// the run.Snapshottable hook) SimSteps is one step per explored
 	// non-crash edge; from-root rebuilds (WithReplayExecution, or
-	// objects or environments without the hooks) add the steps they
-	// re-execute.
+	// objects without the hooks) add the steps they re-execute.
 	Prefixes, SimSteps int
 	// Resims counts simulator steps spent re-establishing already
 	// visited configurations: the steps from-root rebuilds re-execute

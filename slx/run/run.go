@@ -93,13 +93,17 @@ const (
 	StepBlocked = sim.StepBlocked
 )
 
-// RewindableEnv is the opt-in environment-rewind hook of incremental
-// exploration: a custom environment gets the snapshot strategy by
-// implementing EnvSnapshot/EnvRestore (a stateless one returns nil and
-// ignores the argument); without it, exploration rebuilds from the root
-// on every backtrack. Stock environments (OneShot, Script, ...) are
-// stateless and rewindable for free. See sim.RewindableEnv.
-type RewindableEnv = sim.RewindableEnv
+// RewindableEnv is the environment-rewind hook exploration sessions
+// once consulted.
+//
+// Deprecated: an Environment is a pure function of (proc, view) and is
+// never rewound, so nothing consults this interface; an environment
+// needs Next alone.
+type RewindableEnv interface {
+	Environment
+	EnvSnapshot() any
+	EnvRestore(any)
+}
 
 // Recoverable is the opt-in crash–recovery hook: Objects implementing
 // it split their state into a durable part that survives crashes
@@ -117,13 +121,16 @@ type Recoverable = sim.Recoverable
 type SessionGated = sim.SessionGated
 
 // CanSnapshot reports whether an object supports the snapshot strategy
-// of exploration sessions (which additionally needs a RewindableEnv).
+// of exploration sessions, which it alone decides.
 func CanSnapshot(o Object) bool { return sim.CanSnapshot(o) }
 
-// Environment decides which operations processes invoke.
+// Environment decides which operations processes invoke, as a pure
+// function of (proc, view); see sim.Environment.
 type Environment = sim.Environment
 
-// EnvironmentFunc adapts a function to Environment.
+// EnvironmentFunc adapts a function to Environment. The function must be
+// pure in (proc, view) and keep no counters: exploration consults it on
+// many branches, in any order, and never rewinds it.
 type EnvironmentFunc = sim.EnvironmentFunc
 
 // Decision is one scheduler choice: grant a step, crash a process, or
