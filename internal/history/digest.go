@@ -2,6 +2,7 @@ package history
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"reflect"
@@ -12,31 +13,65 @@ import (
 // The one canonical state encoder of the tree. Every identity the state
 // cache keys on — the simulator's configuration fingerprint and every
 // safety monitor's residual-state digest — is folded by the
-// Fingerprinter below over the FNV-1a primitives here, and every value
-// inside them is encoded by AppendCanonical. One home for the
-// offset/prime constants, the byte fold and the tagged component
-// encoding keeps the identities from silently diverging.
+// Fingerprinter below over the primitives here, and every value inside
+// them is encoded by AppendCanonical. One home for the constants, the
+// folds and the tagged component encoding keeps the identities from
+// silently diverging.
 
 // The one sanctioned home of the raw constants: everything else folds
-// through DigestSeed/DigestByte/DigestWord.
+// through DigestSeed/DigestByte/DigestWord. The seed and the byte fold
+// are FNV-1a's; the word fold multiplies the running word by the
+// golden-ratio gamma of SplitMix64 and finishes with its output mix
+// (Steele, Lea & Flood, "Fast splittable pseudorandom number
+// generators", OOPSLA 2014).
 //
-//slx:rawdigest canonical FNV primitive home
+//slx:rawdigest canonical digest primitive home
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
+	mixGamma    = 0x9e3779b97f4a7c15
+	mixMul1     = 0xbf58476d1ce4e5b9
+	mixMul2     = 0x94d049bb133111eb
 )
 
 // DigestSeed returns the FNV-1a offset basis, the initial value of
 // every digest.
 func DigestSeed() uint64 { return fnvOffset64 }
 
-// DigestByte folds one byte into an FNV-1a digest.
+// DigestByte folds one byte into a digest: one FNV-1a step.
 func DigestByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * fnvPrime64 }
 
-// DigestWord folds a 64-bit word into an FNV-1a digest, little-endian.
+// DigestWord folds a 64-bit word into a digest with one full-avalanche
+// mix: the running word times an odd constant, xored with v, through
+// SplitMix64's output mix. Each of the three steps is a bijection, so
+// for a fixed v distinct running words stay distinct, and for a fixed h
+// distinct words v give distinct results. Scaling h first keeps the
+// fold from being a function of h^v alone, which would equate (a, b)
+// with (b, a) and every (x, x) with (0, 0) where two independent words
+// meet (the explore engine's cache key, fingerprint then digest).
 func DigestWord(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h = DigestByte(h, byte(v>>(8*i)))
+	z := h*mixGamma ^ v
+	z = (z ^ z>>30) * mixMul1
+	z = (z ^ z>>27) * mixMul2
+	return z ^ z>>31
+}
+
+// digestRun folds a byte run whose length the digest already holds:
+// eight bytes per word, little-endian, the tail zero-padded into one
+// last word. The folded length fixes the number of words and the tail's
+// width, so the padding cannot make two runs collide.
+func digestRun[T string | []byte](h uint64, b T) uint64 {
+	i := 0
+	for ; i+8 <= len(b); i += 8 {
+		h = DigestWord(h, uint64(b[i])|uint64(b[i+1])<<8|uint64(b[i+2])<<16|uint64(b[i+3])<<24|
+			uint64(b[i+4])<<32|uint64(b[i+5])<<40|uint64(b[i+6])<<48|uint64(b[i+7])<<56)
+	}
+	if i < len(b) {
+		var w uint64
+		for k := 0; i+k < len(b); k++ {
+			w |= uint64(b[i+k]) << (8 * k)
+		}
+		h = DigestWord(h, w)
 	}
 	return h
 }
@@ -57,8 +92,7 @@ type Digester interface {
 	StateDigest() (uint64, bool)
 }
 
-// Fingerprinter accumulates a canonical 64-bit digest (FNV-1a) of
-// state. Writers must feed state components in a fixed, deterministic
+// Fingerprinter accumulates a canonical 64-bit digest of state. Writers must feed state components in a fixed, deterministic
 // order; every component is written with a type tag so adjacent
 // components of different kinds cannot collide by concatenation. The
 // digest is deterministic across runs and processes, which is what lets
@@ -95,9 +129,7 @@ func (f *Fingerprinter) tag(t byte) { f.byteIn(t) }
 func (f *Fingerprinter) Str(s string) {
 	f.tag('s')
 	f.Int(len(s))
-	for i := 0; i < len(s); i++ {
-		f.byteIn(s[i])
-	}
+	f.h = digestRun(f.h, s)
 }
 
 // Int folds an integer component into the digest.
@@ -151,9 +183,7 @@ func (f *Fingerprinter) Val(v Value) {
 	}
 	f.tag('s')
 	f.Int(len(b))
-	for i := 0; i < len(b); i++ {
-		f.byteIn(b[i])
-	}
+	f.h = digestRun(f.h, b)
 }
 
 // Event folds one history event: kind, process, operation, object,
@@ -270,9 +300,26 @@ func (l *LazyDigest) Sum(h History) (uint64, bool) {
 //     methods take over their fmt rendering — callers that mix encoded
 //     values with fmt output could otherwise be fooled by a method
 //     that formats an address.
+//
+// Values of the exact types bool, int and string — the bulk of what
+// histories and object states carry — skip reflection and append the
+// bytes the reflective walk would. A named type (type myInt int) takes
+// the walk, since its type name is part of its encoding.
 func AppendCanonical(dst []byte, v Value) ([]byte, bool) {
-	if v == nil {
+	switch x := v.(type) {
+	case nil:
 		return append(dst, 'z'), true
+	case bool:
+		dst = appendHeader(dst, reflect.Bool, "bool")
+		if x {
+			return append(dst, 1), true
+		}
+		return append(dst, 0), true
+	case int:
+		return appendWord(appendHeader(dst, reflect.Int, "int"), uint64(x)), true
+	case string:
+		dst = appendLen(appendHeader(dst, reflect.String, "string"), len(x))
+		return append(dst, x...), true
 	}
 	return appendCanonical(dst, reflect.ValueOf(v), true)
 }
@@ -287,10 +334,15 @@ var (
 func appendLen(dst []byte, n int) []byte { return appendWord(dst, uint64(n)) }
 
 func appendWord(dst []byte, v uint64) []byte {
-	for i := 0; i < 8; i++ {
-		dst = append(dst, byte(v>>(8*i)))
-	}
-	return dst
+	return binary.LittleEndian.AppendUint64(dst, v)
+}
+
+// appendHeader appends a node's header: its kind byte and its
+// length-delimited type name.
+func appendHeader(dst []byte, k reflect.Kind, name string) []byte {
+	dst = append(dst, byte(k))
+	dst = appendLen(dst, len(name))
+	return append(dst, name...)
 }
 
 // appendCanonical encodes one node: kind byte, length-delimited type
@@ -303,10 +355,7 @@ func appendCanonical(dst []byte, v reflect.Value, top bool) ([]byte, bool) {
 	if t.Implements(formatterType) || t.Implements(stringerType) || t.Implements(errorType) {
 		return dst, false
 	}
-	name := t.String()
-	dst = append(dst, byte(t.Kind()))
-	dst = appendLen(dst, len(name))
-	dst = append(dst, name...)
+	dst = appendHeader(dst, t.Kind(), t.String())
 	switch v.Kind() {
 	case reflect.Bool:
 		if v.Bool() {

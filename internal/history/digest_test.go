@@ -19,7 +19,7 @@ func TestFingerprinterGolden(t *testing.T) {
 	f.Val(nil)
 	f.Val(map[string]int{"a": 1, "b": 2})
 	f.Uint64(42)
-	const want = 14840041828468300334
+	const want = 7418959575029620329
 	if f.Poisoned() || f.Sum() != want {
 		t.Fatalf("Sum() = %d (poisoned %v), want %d", f.Sum(), f.Poisoned(), uint64(want))
 	}
@@ -138,6 +138,14 @@ type fuzzPair struct {
 
 type fuzzBox struct{ P *fuzzPair }
 
+// fuzzInt and fuzzString are named scalar types: their type names are
+// part of their encodings, so they must take the reflective walk and
+// never encode like a plain int or string.
+type (
+	fuzzInt    int
+	fuzzString string
+)
+
 // fuzzReader decodes values from fuzz bytes over a small grammar; reads
 // past the end yield zeros.
 type fuzzReader struct{ b []byte }
@@ -169,7 +177,7 @@ func (r *fuzzReader) pair() fuzzPair {
 // top level. Slices and maps are always non-nil, so DeepEqual (which
 // tells nil from empty) and the encoding (which does not) agree.
 func (r *fuzzReader) value() (v Value, nested bool) {
-	switch r.next() % 10 {
+	switch r.next() % 12 {
 	case 0:
 		return r.int(), false
 	case 1:
@@ -200,21 +208,29 @@ func (r *fuzzReader) value() (v Value, nested bool) {
 	case 8:
 		p := r.pair()
 		return &p, false
-	default:
+	case 9:
 		if r.next()&1 == 0 {
 			return fuzzBox{}, false
 		}
 		p := r.pair()
 		return fuzzBox{P: &p}, true
+	case 10:
+		return fuzzInt(r.int()), false
+	default:
+		return fuzzString(r.str()), false
 	}
 }
 
 // FuzzAppendCanonical checks the canonical encoding's contract on pairs
 // of decoded values: a nested non-nil pointer is refused and everything
 // else encodes, deterministically, with equal encodings exactly when
-// the values are deeply equal. The seed corpus holds the collisions
-// %v-based encodings once had ({"x y"} vs {"x","y"}, "a,string=b" vs
-// {"a","b"}, "a/b"+"c" vs "a"+"b/c", 1 vs "1").
+// the values are deeply equal, and every value encodes to the same
+// bytes whether AppendCanonical takes its reflection-free path for
+// exact scalars or the reflective walk. The seed corpus holds the
+// collisions %v-based encodings once had ({"x y"} vs {"x","y"},
+// "a,string=b" vs {"a","b"}, "a/b"+"c" vs "a"+"b/c", 1 vs "1"), the
+// scalars the fast path takes (int, string, bool, nil) and named
+// scalars beside the plain ones they must not encode like.
 func FuzzAppendCanonical(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := &fuzzReader{b: data}
@@ -222,6 +238,19 @@ func FuzzAppendCanonical(f *testing.F) {
 		b, nestedB := r.value()
 		ea, okA := AppendCanonical(nil, a)
 		eb, okB := AppendCanonical(nil, b)
+		for _, c := range []struct {
+			v   Value
+			enc []byte
+			ok  bool
+		}{{a, ea, okA}, {b, eb, okB}} {
+			if c.v == nil {
+				continue // the walk needs a dynamic type; nil encodes as 'z' on every path
+			}
+			walk, ok := appendCanonical(nil, reflect.ValueOf(c.v), true)
+			if ok != c.ok || (ok && !bytes.Equal(walk, c.enc)) {
+				t.Fatalf("%#v: AppendCanonical %x (ok %v), reflective walk %x (ok %v)", c.v, c.enc, c.ok, walk, ok)
+			}
+		}
 		if okA == nestedA || okB == nestedB {
 			t.Fatalf("only nested pointers may be refused: %#v ok=%v, %#v ok=%v", a, okA, b, okB)
 		}

@@ -110,9 +110,11 @@ func (m *TMMonitor) StateDigest() (uint64, bool) {
 // depend on the interleaving that filled them, so none reaches the
 // digest: the occupied slots are ranked by (process, invocation order),
 // and everything is folded by rank. The header is the strict and failed
-// flags, then every pending operation in rank order — process, whether
-// it is its process's live operation (the one a response resolves),
-// op, object and argument. Each configuration is digested on its own
+// flags, then every pending operation in rank order — whether it is its
+// process's live operation (the one a response resolves), and the
+// operation's content word (linTable.opDigest: process, op, object and
+// argument, folded once per interned operation). Each configuration is
+// digested on its own
 // (linTable.configDigest, from its state's cached fingerprint) and the
 // digests are folded as a set, so duplicates and the set's order drop
 // out. The table's ids are local to one monitor lineage, so only the
@@ -145,19 +147,25 @@ func (m *LinMonitor) StateDigest() (uint64, bool) {
 		}
 		cfgs = append(cfgs, d)
 	}
+	var wbuf [16]uint64
+	ops := wbuf[:0]
+	for _, s := range order {
+		w, ok := t.opDigest(m.slots[s].op)
+		if !ok {
+			return 0, false
+		}
+		ops = append(ops, w)
+	}
 	f := t.f
 	f.Restart(history.DigestSeed())
 	f.Str("lin")
 	f.Bool(m.strict)
 	f.Bool(m.failed)
 	f.Int(len(order))
-	for _, s := range order {
-		op := &t.ops.items[m.slots[s].op]
-		f.Int(op.proc)
-		f.Bool(op.proc >= 0 && op.proc < len(m.pending) && m.pending[op.proc] == s+1)
-		f.Str(op.name)
-		f.Str(op.obj)
-		f.Val(op.arg)
+	for i, s := range order {
+		proc := t.ops.items[m.slots[s].op].proc
+		f.Bool(proc >= 0 && proc < len(m.pending) && m.pending[proc] == s+1)
+		f.Uint64(ops[i])
 	}
 	f.Set(cfgs)
 	return f.Sum(), !f.Poisoned()

@@ -1,6 +1,7 @@
 package safety
 
 import (
+	"math/bits"
 	"math/rand"
 	"strings"
 	"sync"
@@ -147,26 +148,35 @@ func TestStrictCrashKeepsConfigurationsDistinct(t *testing.T) {
 // counter and snapshot — plain and strict, 250 histories decoded by
 // fuzzHistory from random bytes, every other one linearizable by
 // construction and the rest arbitrary, crashes and recoveries included,
-// up to four processes. At every prefix the Step result, the number of
-// configurations and the StateDigest of the monitor, and the same of a
-// fork taken at a random point and stepped alongside it, are folded
-// into one word per specification and mode. The words were recorded
-// with the monitor that kept spec states, responses and promise slices
-// as interface values and re-applied the specification on every step,
-// so an interned representation must reproduce its verdicts,
-// configuration sets and digests exactly.
+// up to four processes. At every prefix the monitor, and a fork taken
+// at a random point and stepped alongside it, fold two words per
+// specification and mode: the behavior word (the Step result, whether
+// StateDigest could digest, and the number of configurations), folded
+// by behaviorFold, and the digest word (the StateDigest value), folded
+// by history.DigestWord. The behavior words were split out of words
+// recorded with the monitor that kept spec states, responses and
+// promise slices as interface values and re-applied the specification
+// on every step, so an interned representation must reproduce its
+// verdicts and configuration sets exactly. The digest words pin the
+// canonical fold as well, and move only when it deliberately changes.
 func TestLinMonitorPin(t *testing.T) {
 	specs := []SeqSpec{
 		RegisterSpec{Initial: 0}, CASSpec{Initial: 0}, QueueSpec{}, StackSpec{},
 		CounterSpec{}, SnapshotSpec{N: 4, Initial: 0},
 	}
-	want := map[string]uint64{
-		"register": 141797112718269051, "strict-register": 17950572017379357753,
-		"cas": 12432036404761331788, "strict-cas": 7873726056385121880,
-		"queue": 7200005970580590367, "strict-queue": 14444042963108981522,
-		"stack": 2708554222512823271, "strict-stack": 1991170853132287410,
-		"counter": 9634774689478865691, "strict-counter": 280761970107584587,
-		"snapshot": 11185677877907786574, "strict-snapshot": 11077394488195733567,
+	want := map[string][2]uint64{ // behavior word, digest word
+		"register":        {6998629109821560092, 3001259276343238243},
+		"strict-register": {8218116385871570813, 5210790668936211183},
+		"cas":             {3914523456740367170, 16835427366069296263},
+		"strict-cas":      {6015797811525460683, 14988821378244539362},
+		"queue":           {9127690223424588677, 8232413831915352280},
+		"strict-queue":    {6663494161409388234, 2147829619159084622},
+		"stack":           {11483817700764180619, 17535725718889379597},
+		"strict-stack":    {12913609003316265229, 18298846065433107451},
+		"counter":         {2927040890739413663, 14718858376925482943},
+		"strict-counter":  {15007722083216550128, 2019614628537095327},
+		"snapshot":        {2572022461168727154, 10693692498604108615},
+		"strict-snapshot": {7847406390462519374, 17505067226392716465},
 	}
 	for _, spec := range specs {
 		for _, strict := range []bool{false, true} {
@@ -176,19 +186,12 @@ func TestLinMonitorPin(t *testing.T) {
 				name, spawn = "strict-"+name, NewStrictLinMonitor
 			}
 			r := rand.New(rand.NewSource(23))
-			sum := history.DigestSeed()
+			var behavior uint64
+			digest := history.DigestSeed()
 			fold := func(ok bool, m *LinMonitor) {
 				d, dok := m.StateDigest()
-				sum = history.DigestWord(sum, d)
-				sum = history.DigestWord(sum, uint64(len(m.configs)))
-				var flags byte
-				if ok {
-					flags |= 1
-				}
-				if dok {
-					flags |= 2
-				}
-				sum = history.DigestByte(sum, flags)
+				digest = history.DigestWord(digest, d)
+				behavior = behaviorFold(behavior, ok, dok, uint64(len(m.configs)))
 			}
 			fails := 0
 			// Each fork overwrites the previous history's monitor, which
@@ -217,11 +220,30 @@ func TestLinMonitorPin(t *testing.T) {
 				}
 				prev = m
 			}
-			if sum != want[name] {
-				t.Errorf("%s: pinned word %d, want %d (%d of 250 histories violate)", name, sum, want[name], fails)
+			if got := [2]uint64{behavior, digest}; got != want[name] {
+				t.Errorf("%s: pinned words %v, want %v (behavior, digest; %d of 250 histories violate)", name, got, want[name], fails)
 			}
 		}
 	}
+}
+
+// behaviorFold folds one monitor step's observable behavior — its
+// verdict, whether it could digest, and a count — into a pin's behavior
+// word. It is local to the tests and shares nothing with the canonical
+// digest fold, so re-recording that fold's words never moves a behavior
+// word.
+func behaviorFold(h uint64, ok, dok bool, count uint64) uint64 {
+	var flags uint64
+	if ok {
+		flags |= 1
+	}
+	if dok {
+		flags |= 2
+	}
+	for _, v := range [2]uint64{flags, count} {
+		h = bits.RotateLeft64(h^v, 23) * 0xd6e8feb86659fd93
+	}
+	return h
 }
 
 // TestLinMonitorForkIntoUsed forks a monitor, after a random prefix,

@@ -34,9 +34,11 @@ type linTable struct {
 	// edits[set] memoizes set's edits: inserting {slot, val} into set,
 	// or removing slot when val is noPromise, yields set next.
 	edits [][]promCell
-	fps   []stateFP // state id → its fingerprint, once a digest asks
-	f     *history.Fingerprinter
-	sc    linScratch
+	// Content words by id, filled in as digests ask for them: each
+	// state's fingerprint, each response value's and each operation's.
+	stateWords, valWords, opWords []contentWord
+	f                             *history.Fingerprinter
+	sc                            linScratch
 }
 
 // linOp is an invoked operation: the arguments of SeqSpec.Apply.
@@ -47,9 +49,9 @@ type linOp struct {
 }
 
 type (
-	linTr   struct{ next, resp uint32 } // a transition's next state and response
-	linMemo struct{ op, lo, hi uint32 } // op's transitions at a state: trs[lo:hi]
-	stateFP struct {                    // a state's fingerprint, once computed
+	linTr       struct{ next, resp uint32 } // a transition's next state and response
+	linMemo     struct{ op, lo, hi uint32 } // op's transitions at a state: trs[lo:hi]
+	contentWord struct {                    // an interned item's digest word, once computed
 		word     uint64
 		ok, done bool
 	}
@@ -153,35 +155,66 @@ func (t *linTable) cons(c promCell) uint32 {
 	return id
 }
 
-// configDigest digests one configuration: its state's fingerprint,
-// continued with its promised responses in rank order, each keyed by
+// configDigest digests one configuration: its state's word, continued
+// with its promised responses in rank order, each a value word keyed by
 // its operation's rank. The promises name exactly the slots the mask
 // holds, so they stand in for the mask.
 func (t *linTable) configDigest(c linCfg, rank *[maxPendingOps]uint8) (uint64, bool) {
-	for len(t.fps) <= int(c.st) {
-		t.fps = append(t.fps, stateFP{})
+	st, ok := t.word(&t.stateWords, c.st, func(f *history.Fingerprinter) { f.Val(t.states.items[c.st]) })
+	if !ok || c.proms == 0 {
+		return st, ok
 	}
-	f, fp := t.f, &t.fps[c.st]
-	if !fp.done {
-		f.Restart(history.DigestSeed())
-		f.Val(t.states.items[c.st])
-		*fp = stateFP{word: f.Sum(), ok: !f.Poisoned(), done: true}
+	type promise struct {
+		rank uint8
+		word uint64
 	}
-	if !fp.ok || c.proms == 0 {
-		return fp.word, fp.ok
-	}
-	var buf [8]promCell
+	var buf [8]promise
 	byRank := buf[:0]
 	for set := c.proms; set != 0; set = t.cells.items[set-1].next {
-		byRank = append(byRank, t.cells.items[set-1])
+		p := t.cells.items[set-1]
+		w, ok := t.word(&t.valWords, p.val, func(f *history.Fingerprinter) { f.Val(t.vals.items[p.val]) })
+		if !ok {
+			return 0, false
+		}
+		byRank = append(byRank, promise{rank: rank[p.slot], word: w})
 	}
-	slices.SortFunc(byRank, func(a, b promCell) int { return cmp.Compare(rank[a.slot], rank[b.slot]) })
-	f.Restart(fp.word)
+	slices.SortFunc(byRank, func(a, b promise) int { return cmp.Compare(a.rank, b.rank) })
+	f := t.f
+	f.Restart(st)
 	for _, p := range byRank {
-		f.Int(int(rank[p.slot]))
-		f.Val(t.vals.items[p.val])
+		f.Int(int(p.rank))
+		f.Uint64(p.word)
 	}
-	return f.Sum(), !f.Poisoned()
+	return f.Sum(), true
+}
+
+// opDigest returns the content word of interned operation op: its
+// process, name, object and argument. ok=false when the argument
+// cannot be canonically encoded.
+func (t *linTable) opDigest(op uint32) (uint64, bool) {
+	return t.word(&t.opWords, op, func(f *history.Fingerprinter) {
+		o := &t.ops.items[op]
+		f.Int(o.proc)
+		f.Str(o.name)
+		f.Str(o.obj)
+		f.Val(o.arg)
+	})
+}
+
+// word returns the content word of item id of one interner, memoized in
+// words: fold writes the item into the table's encoder, restarted at
+// the seed, the first time the word is asked for.
+func (t *linTable) word(words *[]contentWord, id uint32, fold func(*history.Fingerprinter)) (uint64, bool) {
+	for len(*words) <= int(id) {
+		*words = append(*words, contentWord{})
+	}
+	w := &(*words)[id]
+	if !w.done {
+		t.f.Restart(history.DigestSeed())
+		fold(t.f)
+		*w = contentWord{word: t.f.Sum(), ok: !t.f.Poisoned(), done: true}
+	}
+	return w.word, w.ok
 }
 
 // internScan is how many items an interner scans linearly before it

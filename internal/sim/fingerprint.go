@@ -48,40 +48,63 @@ type Fingerprintable interface {
 }
 
 // fingerprint computes the canonical state fingerprint of the current
-// configuration: the object's declared state, plus each process's
-// record — status (ready/idle/blocked/crashed, which also encodes the
-// crash set), completed-operation count, steps taken within the
-// pending operation (its program counter), the running digest of
-// values it observed within the pending operation (its mid-operation
-// local state), the pending invocation, and the crash–recovery state.
-// The recovery epoch and the invoked-operation count separate
-// configurations whose histories consumed different invocations
-// through crashed operations (the environment's position depends on
-// invocations, not completions), and the recovering flag separates a
-// recovery routine about to take its first step from a process between
-// operations. It is called between step windows, when no process is
-// executing. ok is false when some folded value poisoned the digest
-// (see Fingerprinter.Val). It reuses the runtime's encoder, which no
-// window holds between steps.
+// configuration: the object's declared state, then each process's
+// record word (procWord). It is called between step windows, when no
+// process is executing. ok is false when some folded value poisoned the
+// digest (see Fingerprinter.Val). It reuses the runtime's encoder, which
+// no window holds between steps.
 func (r *runtime) fingerprint() (fp uint64, ok bool) {
+	for id := 1; id <= r.cfg.Procs; id++ {
+		if !r.procWord(id) {
+			return 0, false
+		}
+	}
 	f := &r.fpEnc
 	f.Restart(history.DigestSeed())
 	r.cfg.Object.(Fingerprintable).Fingerprint(f)
 	for id := 1; id <= r.cfg.Procs; id++ {
-		ps := &r.ps[id]
-		f.Int(int(ps.status))
-		f.Int(ps.completed)
-		f.Int(ps.opSteps)
-		f.Uint64(ps.obs)
-		f.Bool(ps.hasPend)
-		if ps.hasPend {
-			f.Str(ps.pending.Op)
-			f.Str(ps.pending.Obj)
-			f.Val(ps.pending.Arg)
-		}
-		f.Int(ps.recEpoch)
-		f.Bool(ps.recovering)
-		f.Int(ps.invoked)
+		f.Uint64(r.ps[id].word)
 	}
 	return f.Sum(), !f.Poisoned()
+}
+
+// procWord brings process id's record word up to date, folding the
+// record when a decision of the process changed it since the last fold:
+// status (ready/idle/blocked/crashed, which also encodes the crash
+// set), completed-operation count, steps taken within the pending
+// operation (its program counter), the running digest of values it
+// observed within the pending operation (its mid-operation local
+// state), the pending invocation, and the crash–recovery state. The
+// recovery epoch and the invoked-operation count separate
+// configurations whose histories consumed different invocations through
+// crashed operations (the environment's position depends on
+// invocations, not completions), and the recovering flag separates a
+// recovery routine about to take its first step from a process between
+// operations. It reports false, leaving the word stale, when the
+// record's values poison the fold.
+func (r *runtime) procWord(id int) bool {
+	ps := &r.ps[id]
+	if ps.fresh {
+		return true
+	}
+	f := &r.fpEnc
+	f.Restart(history.DigestSeed())
+	f.Int(int(ps.status))
+	f.Int(ps.completed)
+	f.Int(ps.opSteps)
+	f.Uint64(ps.obs)
+	f.Bool(ps.hasPend)
+	if ps.hasPend {
+		f.Str(ps.pending.Op)
+		f.Str(ps.pending.Obj)
+		f.Val(ps.pending.Arg)
+	}
+	f.Int(ps.recEpoch)
+	f.Bool(ps.recovering)
+	f.Int(ps.invoked)
+	if f.Poisoned() {
+		return false
+	}
+	ps.word, ps.fresh = f.Sum(), true
+	return true
 }

@@ -136,9 +136,12 @@ func (f *snapFrame) Fork() Frame {
 // fingerprint and ready set against an independent from-root replay of
 // the same prefix. The replay runs the object under ApplyOnly, so it
 // executes the blocking Apply: the oracle for the session's frames.
+// Its fingerprint folds every process record afresh, so comparing it
+// with the session's, which reuses each record's cached word until a
+// decision of that process changes it, checks the cache's invalidation.
 // Mid-operation marks, pending-operation rebuilds, idle transitions and
-// (optionally) crash decisions are all hit.
-func sessionCrossCheck(t *testing.T, procs, depth, crashes int, newObj func() Object, newEnv func() Environment, fingerprint bool) (nodes int) {
+// (optionally) crash and recover decisions are all hit.
+func sessionCrossCheck(t *testing.T, procs, depth, crashes, recoveries int, newObj func() Object, newEnv func() Environment, fingerprint bool) (nodes int) {
 	t.Helper()
 	sess, err := NewSession(SessionConfig{Procs: procs, Object: newObj(), NewObject: newObj, NewEnv: newEnv, Fingerprint: fingerprint})
 	if err != nil {
@@ -147,14 +150,16 @@ func sessionCrossCheck(t *testing.T, procs, depth, crashes int, newObj func() Ob
 	defer sess.Close()
 
 	var prefix []Decision
-	var walk func(remDepth, remCrashes int)
-	walk = func(remDepth, remCrashes int) {
+	var walk func(remDepth, remCrashes, remRecoveries int)
+	walk = func(remDepth, remCrashes, remRecoveries int) {
 		nodes++
-		// Independent replay of the current prefix.
+		// Independent replay of the current prefix; a recover decision
+		// may follow a node where no process is ready.
 		sched := Fixed(append([]Decision(nil), prefix...))
 		res := Run(Config{
 			Procs: procs, Object: ApplyOnly(newObj()), Env: newEnv(),
 			Scheduler: sched, MaxSteps: len(prefix) + 1, Fingerprint: fingerprint,
+			RecoverQuiescent: recoveries > 0,
 		})
 		if res.Err != nil {
 			t.Fatalf("replay of %v failed: %v", prefix, res.Err)
@@ -202,6 +207,11 @@ func sessionCrossCheck(t *testing.T, procs, depth, crashes int, newObj func() Ob
 				children = append(children, Decision{Proc: id, Crash: true})
 			}
 		}
+		if remRecoveries > 0 {
+			for _, id := range sess.CrashedAppend(nil) {
+				children = append(children, Decision{Proc: id, Recover: true})
+			}
+		}
 		if len(children) == 0 {
 			return
 		}
@@ -214,18 +224,21 @@ func sessionCrossCheck(t *testing.T, procs, depth, crashes int, newObj func() Ob
 				t.Fatalf("extend %v at %v: %v", d, prefix, err)
 			}
 			prefix = append(prefix, d)
-			nc := remCrashes
+			nc, nr := remCrashes, remRecoveries
 			if d.Crash {
 				nc--
 			}
-			walk(remDepth-1, nc)
+			if d.Recover {
+				nr--
+			}
+			walk(remDepth-1, nc, nr)
 			prefix = prefix[:len(prefix)-1]
 		}
 		if _, err := sess.Restore(mark); err != nil {
 			t.Fatalf("final restore at %v: %v", prefix, err)
 		}
 	}
-	walk(depth, crashes)
+	walk(depth, crashes, recoveries)
 	return nodes
 }
 
@@ -240,7 +253,7 @@ func TestSessionMatchesReplayEverywhere(t *testing.T) {
 	}
 	newObj := func() Object { return newSnapObject(2) }
 	newEnv := func() Environment { return Script(script) }
-	nodes := sessionCrossCheck(t, 2, 7, 0, newObj, newEnv, true)
+	nodes := sessionCrossCheck(t, 2, 7, 0, 0, newObj, newEnv, true)
 	if nodes < 100 {
 		t.Errorf("cross-check visited only %d nodes; tree unexpectedly small", nodes)
 	}
@@ -257,7 +270,93 @@ func TestSessionMatchesReplayWithCrashes(t *testing.T) {
 	}
 	newObj := func() Object { return newSnapObject(2) }
 	newEnv := func() Environment { return Script(script) }
-	nodes := sessionCrossCheck(t, 2, 5, 2, newObj, newEnv, true)
+	nodes := sessionCrossCheck(t, 2, 5, 2, 0, newObj, newEnv, true)
+	t.Logf("cross-checked %d nodes", nodes)
+}
+
+// recObject is the crash–recovery fixture: a durable register that a
+// put writes to its cache and then flushes, wiped to its flushed half
+// at every crash, and a two-step recovery routine that reads the
+// flushed value and writes it back plus ten. Recover decisions thus
+// change the recovering process's record (epoch, dropped pending
+// operation, recovering flag, observed value, program counter) and the
+// shared state.
+type recObject struct {
+	base.Mem
+	d *base.DurableRegister
+}
+
+func newRecObject() *recObject {
+	o := &recObject{}
+	o.d = base.NewDurableRegister(&o.Mem, "d", 0)
+	return o
+}
+
+// Apply implements Object through the object's own frames.
+func (o *recObject) Apply(p *Proc, inv Invocation) history.Value { return ApplyFrames(o, p, inv) }
+
+func (o *recObject) Fingerprint(f *Fingerprinter) { o.Fold(f) }
+
+// CrashVolatile implements Recoverable.
+func (o *recObject) CrashVolatile() { o.Wipe() }
+
+// RecoverFrame implements Recoverable.
+func (o *recObject) RecoverFrame() Frame { return &recFrame{o: o, recovery: true} }
+
+// Begin implements Stepped.
+func (o *recObject) Begin(p *Proc, inv Invocation) (Frame, history.Value, StepStatus) {
+	return &recFrame{o: o, inv: inv}, nil, StepPaused
+}
+
+// recFrame is one in-flight put, get or recovery routine.
+type recFrame struct {
+	o        *recObject
+	inv      Invocation
+	recovery bool
+	pc       int
+	v        history.Value
+}
+
+// Step implements Frame.
+func (f *recFrame) Step(p *Proc) (history.Value, StepStatus) {
+	d := f.o.d
+	switch {
+	case f.recovery && f.pc == 0:
+		f.v, f.pc = d.ReadW(p), 1
+		return nil, StepPaused
+	case f.recovery:
+		d.WriteW(p, f.v.(int)+10)
+		return nil, StepDone
+	case f.inv.Op == "put" && f.pc == 0:
+		d.WriteW(p, f.inv.Arg)
+		f.pc = 1
+		return nil, StepPaused
+	case f.inv.Op == "put":
+		d.FlushW(p)
+		return history.OK, StepDone
+	}
+	return d.ReadW(p), StepDone
+}
+
+// Fork implements Frame.
+func (f *recFrame) Fork() Frame {
+	c := *f
+	return &c
+}
+
+// TestSessionMatchesReplayWithRecoveries repeats the cross-check with
+// crash and recover decisions branching at every level over a
+// Recoverable object: restores must rewind recovery epochs and
+// routines, and every recover decision must refresh the recovering
+// process's cached fingerprint word.
+func TestSessionMatchesReplayWithRecoveries(t *testing.T) {
+	script := map[int][]Invocation{
+		1: {{Op: "put", Arg: 1}, {Op: "get"}},
+		2: {{Op: "put", Arg: 2}, {Op: "get"}},
+	}
+	newObj := func() Object { return newRecObject() }
+	newEnv := func() Environment { return Script(script) }
+	nodes := sessionCrossCheck(t, 2, 7, 2, 2, newObj, newEnv, true)
 	t.Logf("cross-checked %d nodes", nodes)
 }
 
@@ -347,7 +446,7 @@ func (f *tasFrame) Fork() Frame { return f }
 // branch.
 func TestSessionViewDependentEnv(t *testing.T) {
 	newObj := func() Object { return newTASObject() }
-	nodes := sessionCrossCheck(t, 2, 7, 0, newObj, viewEnv, true)
+	nodes := sessionCrossCheck(t, 2, 7, 0, 0, newObj, viewEnv, true)
 	t.Logf("cross-checked %d nodes", nodes)
 }
 
@@ -474,7 +573,7 @@ func TestSessionFromRootMatchesReplay(t *testing.T) {
 		{"ApplyOnly", func() Object { return ApplyOnly(newSnapObject(2)) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			nodes := sessionCrossCheck(t, 2, 6, 2, tc.newObj, newEnv, true)
+			nodes := sessionCrossCheck(t, 2, 6, 2, 0, tc.newObj, newEnv, true)
 			t.Logf("cross-checked %d nodes", nodes)
 		})
 	}

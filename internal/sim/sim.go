@@ -417,7 +417,8 @@ func (p *Proc) Block() {
 // copies the records whole, Restore copies them back, and the
 // fingerprint folds each of them. A copied record shares its frame
 // with the mark: step forks a shared frame before stepping it, so no
-// mark's frame is ever stepped.
+// mark's frame is ever stepped. It also carries its own folded word,
+// so marks and restores carry the word with the record.
 type procState struct {
 	status  procStatus
 	stepsBy int // steps granted
@@ -445,8 +446,12 @@ type procState struct {
 	// invoked, valid when hasNext.
 	frame Frame
 	next  Invocation
+	// word is the record's fingerprint word (runtime.procWord), valid
+	// when fresh. Only a decision of the process itself changes its
+	// record, and applyDecision clears fresh before it does.
+	word uint64
 
-	hasPend, hasNext, recovering, shared bool
+	hasPend, hasNext, recovering, shared, fresh bool
 }
 
 // endOp resets the in-operation state when an operation or a recovery
@@ -678,6 +683,7 @@ func (r *runtime) applyDecision(d Decision) error {
 		return fmt.Errorf("sim: decision cannot both crash and recover process %d", id)
 	}
 	ps := &r.ps[id]
+	ps.fresh = false
 	var a Access
 	switch {
 	case d.Crash:

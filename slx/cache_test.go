@@ -309,7 +309,7 @@ func TestBatchMonitorDigest(t *testing.T) {
 // only when asked, and must keep every value, so cached explorations
 // keep their hits.
 func TestBatchMonitorDigestPin(t *testing.T) {
-	const want = 14897727338833634124
+	const want = 10580122964907094586
 	values := []hist.Value{nil, 1, "1", [2]string{"x y", ""}}
 	r := rand.New(rand.NewSource(3))
 	sum := history.DigestSeed()
