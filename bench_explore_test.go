@@ -118,18 +118,22 @@ func (r *benchRegister) Snapshot() any { return r.v }
 // Restore implements run.Snapshottable.
 func (r *benchRegister) Restore(s any) { r.v = s }
 
-// linExploreChecker is the depth-7, 3-process register workload: each
-// process writes its id, then reads.
+// registerScript is the register workload's environment: each process
+// writes its id, then reads.
+func registerScript() run.Environment {
+	return run.Script(map[int][]run.Invocation{
+		1: {{Op: "write", Arg: 1}, {Op: "read"}},
+		2: {{Op: "write", Arg: 2}, {Op: "read"}},
+		3: {{Op: "write", Arg: 3}, {Op: "read"}},
+	})
+}
+
+// linExploreChecker is the depth-7, 3-process register workload over
+// registerScript.
 func linExploreChecker(extra ...slx.Option) *slx.Checker {
 	opts := []slx.Option{
 		slx.WithObject(func() run.Object { return &benchRegister{v: 0} }),
-		slx.WithEnv(func() run.Environment {
-			return run.Script(map[int][]run.Invocation{
-				1: {{Op: "write", Arg: 1}, {Op: "read"}},
-				2: {{Op: "write", Arg: 2}, {Op: "read"}},
-				3: {{Op: "write", Arg: 3}, {Op: "read"}},
-			})
-		}),
+		slx.WithEnv(registerScript),
 		slx.WithProcs(3),
 		slx.WithDepth(7),
 	}
@@ -351,13 +355,7 @@ func (f *benchRecFrame) Fork() run.Frame { return f }
 func recExploreChecker(extra ...slx.Option) *slx.Checker {
 	opts := []slx.Option{
 		slx.WithObject(func() run.Object { return &benchRecRegister{benchRegister{v: 0}} }),
-		slx.WithEnv(func() run.Environment {
-			return run.Script(map[int][]run.Invocation{
-				1: {{Op: "write", Arg: 1}, {Op: "read"}},
-				2: {{Op: "write", Arg: 2}, {Op: "read"}},
-				3: {{Op: "write", Arg: 3}, {Op: "read"}},
-			})
-		}),
+		slx.WithEnv(registerScript),
 		slx.WithProcs(3),
 		slx.WithDepth(7),
 		slx.WithCrashes(1),

@@ -21,15 +21,9 @@ import (
 func registerSession(b *testing.B, fp bool) *sim.Session {
 	b.Helper()
 	sess, err := sim.NewSession(sim.SessionConfig{
-		Procs:  3,
-		Object: &benchRegister{v: 0},
-		NewEnv: func() sim.Environment {
-			return run.Script(map[int][]run.Invocation{
-				1: {{Op: "write", Arg: 1}, {Op: "read"}},
-				2: {{Op: "write", Arg: 2}, {Op: "read"}},
-				3: {{Op: "write", Arg: 3}, {Op: "read"}},
-			})
-		},
+		Procs:       3,
+		Object:      &benchRegister{v: 0},
+		NewEnv:      registerScript,
 		Fingerprint: fp,
 	})
 	if err != nil {
@@ -79,8 +73,12 @@ func registerWalk(b *testing.B, sess *sim.Session, ready *[8][]int, depth int, v
 func BenchmarkSessionFingerprint(b *testing.B) {
 	b.ReportAllocs()
 	var ready [8][]int
+	for k := range ready {
+		ready[k] = make([]int, 0, 3)
+	}
 	var first uint64
 	nodes := 0
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sess := registerSession(b, true)
 		var sum uint64

@@ -11,7 +11,9 @@
 //     (these are deterministic, so growth means a reduction — monitors,
 //     POR, the state cache — actually regressed);
 //   - the allocation counts (allocs/op and B/op from -benchmem) must
-//     not exceed baseline×-allocratio (default 1.25). Exploration is
+//     not exceed baseline×-allocratio (default 1.25); a section that
+//     records a count of zero (a layer that allocates nothing per op)
+//     must stay at zero. Exploration is
 //     deterministic at one worker, so allocation counts are effectively
 //     exact — the continuation runtime's pooling made them the engine's
 //     primary cost signal, and a 25%+ growth means a pool or a reuse
@@ -75,6 +77,8 @@ var sections = map[string]string{
 	"BenchmarkSampleThroughputReplay":         "sample_replay",
 	"BenchmarkSampleTM":                       "sample_tm",
 	"BenchmarkServiceThroughput":              "service",
+	"BenchmarkSessionFingerprint":             "session_fingerprint",
+	"BenchmarkLinMonitorStateDigest":          "lin_monitor_state_digest",
 }
 
 // metrics is one section's measurements, in the baseline's JSON shape.
@@ -94,6 +98,9 @@ type metrics struct {
 	// for that section's allocation gates (work stealing and the HTTP
 	// service allocate timing-dependently and need headroom).
 	AllocRatio float64 `json:"alloc_gate_ratio,omitempty"`
+	// recorded holds the metric keys a baseline section records, so a
+	// recorded zero gates while an absent metric does not.
+	recorded map[string]bool
 }
 
 // comparison is one gate evaluation. Advisory comparisons (wall-clock
@@ -169,22 +176,22 @@ func gate(measured, baseline map[string]*metrics, ratio, allocRatio, sampleRatio
 			continue
 		}
 		rep.checkAdvisory(key, "prefixes_per_sec", m.PrefixesPerSec, b.PrefixesPerSec, m.PrefixesPerSec >= b.PrefixesPerSec/ratio)
-		rep.check(key, "prefixes", m.Prefixes, b.Prefixes, m.Prefixes <= b.Prefixes*ratio)
-		rep.check(key, "event_scans", m.EventScans, b.EventScans, m.EventScans <= b.EventScans*ratio)
+		rep.check(b, key, "prefixes", m.Prefixes, b.Prefixes, m.Prefixes <= b.Prefixes*ratio)
+		rep.check(b, key, "event_scans", m.EventScans, b.EventScans, m.EventScans <= b.EventScans*ratio)
 		// Allocation gates: hard, with the baseline's per-section
 		// alloc_gate_ratio taking precedence over the flag.
 		ar := allocRatio
 		if b.AllocRatio > 0 {
 			ar = b.AllocRatio
 		}
-		rep.check(key, "allocs_per_op", m.AllocsPerOp, b.AllocsPerOp, m.AllocsPerOp <= b.AllocsPerOp*ar)
-		rep.check(key, "bytes_per_op", m.BytesPerOp, b.BytesPerOp, m.BytesPerOp <= b.BytesPerOp*ar)
+		rep.check(b, key, "allocs_per_op", m.AllocsPerOp, b.AllocsPerOp, m.AllocsPerOp <= b.AllocsPerOp*ar)
+		rep.check(b, key, "bytes_per_op", m.BytesPerOp, b.BytesPerOp, m.BytesPerOp <= b.BytesPerOp*ar)
 		// Sampling sections: schedules and terminal-state coverage are
 		// deterministic under the benchmark's fixed seed, so any drift is a
 		// behavior change, not noise; wall-clock throughput stays advisory.
 		rep.checkAdvisory(key, "schedules_per_sec", m.SchedulesPerSec, b.SchedulesPerSec, m.SchedulesPerSec >= b.SchedulesPerSec/sampleRatio)
-		rep.check(key, "schedules", m.Schedules, b.Schedules, m.Schedules == b.Schedules)
-		rep.check(key, "distinct_states", m.DistinctStates, b.DistinctStates, m.DistinctStates == b.DistinctStates)
+		rep.check(b, key, "schedules", m.Schedules, b.Schedules, m.Schedules == b.Schedules)
+		rep.check(b, key, "distinct_states", m.DistinctStates, b.DistinctStates, m.DistinctStates == b.DistinctStates)
 	}
 	return rep
 }
@@ -203,8 +210,8 @@ func (r *report) print(w io.Writer) {
 	}
 }
 
-func (r *report) check(section, metric string, measured, baseline float64, ok bool) {
-	if baseline == 0 {
+func (r *report) check(b *metrics, section, metric string, measured, baseline float64, ok bool) {
+	if !b.recorded[metric] {
 		return // metric not tracked for this section
 	}
 	r.Comparisons = append(r.Comparisons, comparison{
@@ -295,10 +302,15 @@ func loadBaseline(path string) (map[string]*metrics, error) {
 	out := make(map[string]*metrics)
 	for key, msg := range raw {
 		var m metrics
-		if err := json.Unmarshal(msg, &m); err != nil {
+		var fields map[string]json.RawMessage
+		if json.Unmarshal(msg, &m) != nil || json.Unmarshal(msg, &fields) != nil {
 			continue // metadata (strings, numbers), not a section
 		}
 		if m.NsPerOp > 0 || m.Prefixes > 0 || m.Schedules > 0 {
+			m.recorded = make(map[string]bool, len(fields))
+			for f := range fields {
+				m.recorded[f] = true
+			}
 			out[key] = &m
 		}
 	}

@@ -8,8 +8,9 @@ import (
 	"testing"
 )
 
-// monitorBaseline is a monitor section and a service section, which
-// loadBaseline finds through its ns_per_op alone.
+// monitorBaseline is a monitor section, a service section, which
+// loadBaseline finds through its ns_per_op alone, and a zero-allocation
+// layer section that records no B/op.
 const monitorBaseline = `{
   "note": "metadata strings are not sections",
   "monitor": {
@@ -24,6 +25,11 @@ const monitorBaseline = `{
     "allocs_per_op": 663,
     "bytes_per_op": 55688,
     "alloc_gate_ratio": 1.5
+  },
+  "lin_monitor_state_digest": {
+    "ns_per_op": 452000,
+    "prefixes": 2941,
+    "allocs_per_op": 0
   }
 }`
 
@@ -77,5 +83,26 @@ func TestGatesIgnoreWallClock(t *testing.T) {
 	}
 	if l := metricLine(out, "allocs_per_op"); !strings.Contains(l, "REGRESSION") {
 		t.Fatalf("allocation gate breach not reported as a regression: %q", l)
+	}
+}
+
+// TestZeroAllocationGate: a section recording zero allocs/op gates any
+// allocation, and a metric the section does not record (its B/op) is
+// not gated.
+func TestZeroAllocationGate(t *testing.T) {
+	clean := "BenchmarkLinMonitorStateDigest-2   2   452000 ns/op   2941 prefixes   1200 B/op   0 allocs/op"
+	rep, out := runGate(t, clean)
+	if !rep.Pass {
+		t.Fatalf("a run that stays at zero allocs/op must pass:\n%s", out)
+	}
+	if l := metricLine(out, "bytes_per_op"); l != "" {
+		t.Fatalf("an unrecorded metric was gated: %q", l)
+	}
+	rep, out = runGate(t, "BenchmarkLinMonitorStateDigest-2   2   452000 ns/op   2941 prefixes   96 B/op   1 allocs/op")
+	if rep.Pass {
+		t.Fatalf("an allocation in a zero-allocation section must fail:\n%s", out)
+	}
+	if l := metricLine(out, "allocs_per_op"); !strings.Contains(l, "REGRESSION") {
+		t.Fatalf("zero-allocation breach not reported as a regression: %q", l)
 	}
 }

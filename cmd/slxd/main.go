@@ -2,7 +2,10 @@
 // over HTTP/JSON, runs them on a bounded worker pool where each worker
 // drives an ordinary slx.Checker, and stores the resulting reports —
 // including replayable witness schedules and failing seeds — in a
-// results store with an optional JSON-file spill.
+// results store with an optional JSON-file spill. With -spill, every
+// accepted job is recorded before its 202 answer, so a daemon restarted
+// on the same directory after a crash runs again the jobs it had not
+// finished and never reuses a job ID.
 //
 // Usage:
 //
@@ -51,7 +54,7 @@ func run(args []string) error {
 	addr := fs.String("addr", ":8321", "listen address")
 	workers := fs.Int("workers", 4, "worker pool size")
 	queue := fs.Int("queue", 64, "job queue capacity")
-	spill := fs.String("spill", "", "spill finished jobs to job-<id>.json files in this directory")
+	spill := fs.String("spill", "", "record accepted and finished jobs as job-<id>.json files in this directory")
 	drain := fs.Duration("drain", 30*time.Second, "graceful-shutdown deadline before running jobs are cancelled")
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -92,10 +92,11 @@ type Digester interface {
 	StateDigest() (uint64, bool)
 }
 
-// Fingerprinter accumulates a canonical 64-bit digest of state. Writers must feed state components in a fixed, deterministic
-// order; every component is written with a type tag so adjacent
-// components of different kinds cannot collide by concatenation. The
-// digest is deterministic across runs and processes, which is what lets
+// Fingerprinter accumulates a canonical 64-bit digest of state.
+// Writers must feed state components in a fixed, deterministic order;
+// every component is written with a type tag so adjacent components of
+// different kinds cannot collide by concatenation. The digest is
+// deterministic across runs and processes, which is what lets
 // exploration deduplicate states across replays and lets tests assert
 // "same state, same fingerprint" across schedules.
 //

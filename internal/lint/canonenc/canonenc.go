@@ -5,7 +5,8 @@
 // never from fmt renderings (%v space-joins composite elements, so
 // []string{"x y"} and []string{"x","y"} collide), string joins
 // (variable content can shift component boundaries), hash/fnv, or
-// hand-rolled FNV arithmetic (four divergent copies of the constants
+// hand-rolled digest arithmetic over the FNV constants or the word
+// fold's mix constants (four divergent copies of the FNV constants
 // were consolidated once already).
 //
 // Scope — the code whose output feeds cache keys and state dedup:
@@ -18,7 +19,7 @@
 //   - every StateDigest or Fingerprint method body, anywhere;
 //   - every function whose name mentions Digest or Canonical.
 //
-// The one legitimate home of the raw FNV constants carries
+// The one legitimate home of the raw digest constants carries
 // //slx:rawdigest on its declaration.
 package canonenc
 
@@ -37,7 +38,7 @@ import (
 // Analyzer is the canonenc check.
 var Analyzer = &analysis.Analyzer{
 	Name: "canonenc",
-	Doc:  "digest/fingerprint code must use the canonical injective encoder, not fmt/%v, string joins, or raw FNV arithmetic",
+	Doc:  "digest/fingerprint code must use the canonical injective encoder, not fmt/%v, string joins, or raw digest arithmetic",
 	Run:  run,
 }
 
@@ -49,13 +50,17 @@ var scopedFiles = []string{
 	"internal/base/mem.go",
 }
 
-// fnvConstants are the FNV offset bases and primes (64- and 32-bit)
-// whose literal appearance marks hand-rolled digest arithmetic.
-var fnvConstants = map[uint64]bool{
+// digestConstants are the FNV offset bases and primes (64- and
+// 32-bit) and the word fold's mix constants, whose literal appearance
+// marks hand-rolled digest arithmetic.
+var digestConstants = map[uint64]bool{
 	14695981039346656037: true, // FNV-1a 64-bit offset basis
 	1099511628211:        true, // FNV 64-bit prime
 	2166136261:           true, // FNV-1a 32-bit offset basis
 	16777619:             true, // FNV 32-bit prime
+	0x9e3779b97f4a7c15:   true, // the word fold's multiplier (SplitMix64's gamma)
+	0xbf58476d1ce4e5b9:   true, // SplitMix64's first output-mix multiplier
+	0x94d049bb133111eb:   true, // SplitMix64's second output-mix multiplier
 }
 
 // forbiddenFmt are the fmt rendering entry points that defeat
@@ -135,12 +140,12 @@ func inspect(pass *analysis.Pass, node ast.Node) {
 			checkCall(pass, n)
 		case *ast.SelectorExpr:
 			if pkgOf(pass.TypesInfo, n) == "hash/fnv" {
-				pass.Reportf(n.Pos(), "hash/fnv in digest code: fold through history.DigestSeed/DigestByte/DigestWord so every digest shares one FNV home")
+				pass.Reportf(n.Pos(), "hash/fnv in digest code: fold through history.DigestSeed/DigestByte/DigestWord so every digest shares one home")
 				return false
 			}
 		case *ast.BasicLit:
-			if n.Kind == token.INT && isFNVConstant(n.Value) {
-				pass.Reportf(n.Pos(), "raw FNV constant in digest code: use history.DigestSeed/DigestByte/DigestWord (their one home carries //slx:rawdigest)")
+			if n.Kind == token.INT && isDigestConstant(n.Value) {
+				pass.Reportf(n.Pos(), "raw digest constant in digest code: use history.DigestSeed/DigestByte/DigestWord (their one home carries //slx:rawdigest)")
 			}
 		}
 		return true
@@ -178,12 +183,12 @@ func pkgOf(info *types.Info, sel *ast.SelectorExpr) string {
 	return pn.Imported().Path()
 }
 
-// isFNVConstant parses an integer literal and tests it against the
-// known FNV offsets and primes.
-func isFNVConstant(lit string) bool {
+// isDigestConstant parses an integer literal and tests it against the
+// known FNV offsets and primes and the word fold's mix constants.
+func isDigestConstant(lit string) bool {
 	v, err := strconv.ParseUint(strings.ReplaceAll(lit, "_", ""), 0, 64)
 	if err != nil {
 		return false
 	}
-	return fnvConstants[v]
+	return digestConstants[v]
 }

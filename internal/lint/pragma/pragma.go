@@ -22,7 +22,8 @@
 //	                     as a bare process re-spawn (nothing to wipe, no
 //	                     recovery routine to run).
 //	//slx:rawdigest      canonenc: this declaration is the canonical
-//	                     home of the raw FNV-1a primitives.
+//	                     home of the raw digest primitives (the FNV-1a
+//	                     seed and byte fold, the word fold's mix).
 //	//slx:nondet         detorder: this line (or the next) reads
 //	                     wall-clock time or iterates a map in an order
 //	                     that provably cannot reach engine results.

@@ -147,6 +147,8 @@ func (m *LinMonitor) StateDigest() (uint64, bool) {
 		}
 		cfgs = append(cfgs, d)
 	}
+	// The operation words come first: folding a new one restarts the
+	// table's encoder, which the header fold below holds.
 	var wbuf [16]uint64
 	ops := wbuf[:0]
 	for _, s := range order {

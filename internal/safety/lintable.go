@@ -168,6 +168,8 @@ func (t *linTable) configDigest(c linCfg, rank *[maxPendingOps]uint8) (uint64, b
 		rank uint8
 		word uint64
 	}
+	// The value words come first: folding a new one restarts the
+	// table's encoder.
 	var buf [8]promise
 	byRank := buf[:0]
 	for set := c.proms; set != 0; set = t.cells.items[set-1].next {

@@ -20,8 +20,10 @@ type Config struct {
 	// Queue is the job queue capacity; submits beyond it get HTTP 429
 	// (default 64).
 	Queue int
-	// SpillDir, when non-empty, is where terminal jobs are written as
-	// job-<id>.json and reloaded from on startup.
+	// SpillDir, when non-empty, is where every accepted job is recorded
+	// as job-<id>.json, queued on admission and again once terminal, and
+	// reloaded from on startup: finished jobs are served again, and jobs
+	// a previous daemon accepted but never finished are run again.
 	SpillDir string
 }
 
@@ -95,11 +97,43 @@ func NewServer(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
+	s.requeue()
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
 		go s.worker()
 	}
 	return s, nil
+}
+
+// requeue enqueues, in ordinal order, the jobs whose records a previous
+// daemon on the same spill directory left queued or running: it accepted
+// them and died before they finished. Exhaustive jobs and fixed-seed
+// sampled jobs are deterministic, so the re-run reports what the lost
+// run would have. Jobs beyond the queue's capacity fail, with an error
+// naming the restart. It runs before the pool starts, so no worker
+// claims a job before its state is reset.
+func (s *Server) requeue() {
+	for _, j := range s.store.List() {
+		if terminal(j.State) {
+			continue
+		}
+		select {
+		case s.jobs <- j.ID:
+			s.store.Update(j.ID, func(j *Job) {
+				j.State = StateQueued
+				j.Started = time.Time{}
+			})
+			s.metrics.JobsQueued.Add(1)
+		default:
+			s.store.Update(j.ID, func(j *Job) {
+				j.State = StateFailed
+				j.Error = fmt.Sprintf("accepted before a daemon restart, then beyond the restarted queue's capacity (%d)", cap(s.jobs))
+				//slx:nondet job lifecycle timestamp: API metadata, never reaches exploration results
+				j.Finished = time.Now()
+			})
+			s.metrics.JobsFailed.Add(1)
+		}
+	}
 }
 
 // Handler returns the HTTP handler.
@@ -223,7 +257,10 @@ func (s *Server) Submit(spec JobSpec) (Job, int, error) {
 	if s.closing {
 		return Job{}, http.StatusServiceUnavailable, errors.New("service is shutting down")
 	}
-	j := s.store.Add(spec)
+	j, err := s.store.Add(spec)
+	if err != nil {
+		return Job{}, http.StatusInternalServerError, err
+	}
 	select {
 	case s.jobs <- j.ID:
 	default:

@@ -15,9 +15,12 @@ import (
 // Store is the results store: an in-memory job table with an optional
 // JSON-file spill directory. Every mutation goes through the store so
 // handlers always observe a consistent job; reads return copies. With a
-// spill directory, terminal jobs are written to job-<id>.json as they
-// finish and loaded back on startup, so a restarted daemon still serves
-// past results (their IDs are skipped by the ID counter).
+// spill directory, every accepted job is written to job-<id>.json as a
+// queued record before its submission is answered, and again when it
+// turns terminal; all records are loaded back on startup. A restarted
+// daemon therefore still serves past results, runs again the jobs its
+// predecessor accepted but never finished (Server re-enqueues them),
+// and never hands out a recorded ID again.
 type Store struct {
 	mu      sync.Mutex
 	jobs    map[string]*Job
@@ -27,7 +30,8 @@ type Store struct {
 }
 
 // NewStore opens a store. dir is the spill directory ("" disables
-// spilling); existing job-*.json files in it are loaded. A truncated or
+// spilling); existing job-*.json files in it are loaded, and every
+// file's ordinal is burned, whatever its state. A truncated or
 // corrupt record — a daemon killed mid-crash leaves those — is skipped
 // with a warning rather than blocking startup: losing one past result
 // beats refusing to serve any. Leftover .tmp files from torn
@@ -93,24 +97,35 @@ func (s *Store) SkippedSpills() []string {
 	return append([]string(nil), s.skipped...)
 }
 
-// Add registers a new job under a fresh ID and returns a copy.
-func (s *Store) Add(spec JobSpec) Job {
+// Add registers a new job under a fresh ID and returns a copy. With a
+// spill directory the job's queued record is on disk before Add
+// returns; if it cannot be written the job is not registered, and its
+// ID is not handed out again.
+func (s *Store) Add(spec JobSpec) (Job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	id := fmt.Sprintf("job-%d", s.next)
 	s.next++
 	//slx:nondet job submission timestamp: API metadata, never reaches exploration results
 	j := &Job{ID: id, Spec: spec, State: StateQueued, Submitted: time.Now()}
+	if s.dir != "" {
+		if err := s.write(*j); err != nil {
+			return Job{}, fmt.Errorf("service: record %s: %w", id, err)
+		}
+	}
 	s.jobs[id] = j
-	return *j
+	return *j, nil
 }
 
-// Delete removes a job (used to roll back an admission the queue could
-// not take).
+// Delete removes a job and its record (used to roll back an admission
+// the queue could not take).
 func (s *Store) Delete(id string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	delete(s.jobs, id)
+	if s.dir != "" {
+		_ = os.Remove(filepath.Join(s.dir, id+".json"))
+	}
 }
 
 // Get returns a copy of the job.
@@ -150,7 +165,7 @@ func (s *Store) Update(id string, fn func(*Job)) (Job, bool) {
 	cp := *j
 	s.mu.Unlock()
 	if s.dir != "" && terminal(cp.State) {
-		s.spill(cp)
+		_ = s.write(cp)
 	}
 	return cp, true
 }
@@ -160,19 +175,19 @@ func terminal(state string) bool {
 	return state == StateDone || state == StateFailed || state == StateCancelled
 }
 
-// spill writes one terminal job to its JSON file (write-then-rename so
+// write writes one job's record to its JSON file (write-then-rename so
 // a crashed daemon never leaves a torn file for the next load).
-func (s *Store) spill(j Job) {
+func (s *Store) write(j Job) error {
 	data, err := json.MarshalIndent(j, "", "  ")
 	if err != nil {
-		return
+		return err
 	}
 	path := filepath.Join(s.dir, j.ID+".json")
 	tmp := path + ".tmp"
 	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return
+		return err
 	}
-	_ = os.Rename(tmp, path)
+	return os.Rename(tmp, path)
 }
 
 // jobOrdinal extracts the numeric part of a job ID for ordering.
