@@ -106,12 +106,11 @@ func NewServer(cfg Config) (*Server, error) {
 }
 
 // requeue enqueues, in ordinal order, the jobs whose records a previous
-// daemon on the same spill directory left queued or running: it accepted
-// them and died before they finished. Exhaustive jobs and fixed-seed
-// sampled jobs are deterministic, so the re-run reports what the lost
-// run would have. Jobs beyond the queue's capacity fail, with an error
-// naming the restart. It runs before the pool starts, so no worker
-// claims a job before its state is reset.
+// daemon on the same spill directory left queued: it accepted them and
+// died before they finished. Exhaustive jobs and fixed-seed sampled jobs
+// are deterministic, so the re-run reports what the lost run would
+// have. Jobs beyond the queue's capacity fail, with an error naming the
+// restart.
 func (s *Server) requeue() {
 	for _, j := range s.store.List() {
 		if terminal(j.State) {
@@ -119,10 +118,6 @@ func (s *Server) requeue() {
 		}
 		select {
 		case s.jobs <- j.ID:
-			s.store.Update(j.ID, func(j *Job) {
-				j.State = StateQueued
-				j.Started = time.Time{}
-			})
 			s.metrics.JobsQueued.Add(1)
 		default:
 			s.store.Update(j.ID, func(j *Job) {

@@ -124,6 +124,8 @@ func (s *Store) Delete(id string) {
 	defer s.mu.Unlock()
 	delete(s.jobs, id)
 	if s.dir != "" {
+		// A record left behind only makes a restarted daemon run a job
+		// no client was given.
 		_ = os.Remove(filepath.Join(s.dir, id+".json"))
 	}
 }
@@ -165,6 +167,8 @@ func (s *Store) Update(id string, fn func(*Job)) (Job, bool) {
 	cp := *j
 	s.mu.Unlock()
 	if s.dir != "" && terminal(cp.State) {
+		// A terminal record that cannot be written leaves the queued one,
+		// so a restarted daemon runs the job again.
 		_ = s.write(cp)
 	}
 	return cp, true
